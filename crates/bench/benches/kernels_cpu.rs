@@ -8,7 +8,9 @@
 //!   §4.3.3 notes the CPU balance differs from the GPU.
 //! * QEq fused dual SpMV vs two separate passes — §4.2.3's matrix-load
 //!   reuse is a real, measurable effect on CPUs too.
-//! * Neighbor-list construction, half vs full.
+//! * Neighbor-list construction, half vs full: a from-scratch build, the
+//!   in-place rebuild a run pays per reneighboring, and the working-set
+//!   sample the device cost model takes of the list.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lkk_core::atom::AtomData;
@@ -176,7 +178,7 @@ fn bench_neighbor(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighbor_build_32k");
     group.sample_size(15);
     for (name, half) in [("half", true), ("full", false)] {
-        let (system, _) = lj_setup(20, half);
+        let (system, list) = lj_setup(20, half);
         let settings = NeighborSettings::new(2.5, 0.3, half);
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -187,6 +189,19 @@ fn bench_neighbor(c: &mut Criterion) {
                     &Space::Threads,
                 ))
             })
+        });
+        // What a run pays per reneighboring: the same list refilled in
+        // place (bins, fill with its overflow retry; no allocation).
+        for (space_name, space) in [("serial", Space::Serial), ("threads", Space::Threads)] {
+            let mut persistent =
+                NeighborList::build(&system.atoms, &system.domain, &settings, &space);
+            group.bench_function(format!("rebuild_{name}_{space_name}"), |b| {
+                b.iter(|| persistent.rebuild(&system.atoms, &system.domain, &settings, &space))
+            });
+        }
+        // The device cost model's working-set sample of `lj_setup`'s list.
+        group.bench_function(format!("working_set_2048_{name}"), |b| {
+            b.iter(|| black_box(list.working_set_bytes(2048)))
         });
     }
     group.finish();

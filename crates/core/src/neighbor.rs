@@ -19,6 +19,7 @@
 use crate::atom::AtomData;
 use crate::domain::Domain;
 use lkk_kokkos::{Space, View, View1, View2};
+use std::sync::OnceLock;
 
 /// Neighbor list construction settings.
 #[derive(Debug, Clone, Copy)]
@@ -69,12 +70,16 @@ pub struct Bins {
     inv_size: [f64; 3],
     nbins: [usize; 3],
     /// CSR offsets per bin, length `nbins_total + 1`.
-    starts: Vec<usize>,
+    starts: Vec<u32>,
     /// Atom indices ordered by bin.
     atoms: Vec<u32>,
+    /// Positions in the same bin order: `packed[k]` is the position of
+    /// atom `atoms[k]` as it was at the last [`Bins::rebuild`], bit for
+    /// bit. A snapshot, not a view: it goes stale as soon as the atoms
+    /// move and is valid only until the next rebuild.
+    packed: Vec<[f64; 3]>,
     /// Counting-sort scratch, reused across rebuilds.
-    bin_idx: Vec<usize>,
-    cursor: Vec<usize>,
+    cursor: Vec<u32>,
 }
 
 impl Bins {
@@ -86,7 +91,7 @@ impl Bins {
             nbins: [1; 3],
             starts: Vec::new(),
             atoms: Vec::new(),
-            bin_idx: Vec::new(),
+            packed: Vec::new(),
             cursor: Vec::new(),
         }
     }
@@ -100,8 +105,16 @@ impl Bins {
     }
 
     /// Re-bin in place, reusing every scratch vector's capacity.
+    ///
+    /// # Panics
+    /// If there are more than `u32::MAX` atoms: bin order, CSR offsets
+    /// and neighbor rows all store atom indices as `u32`.
     pub fn rebuild(&mut self, atoms: &AtomData, domain: &Domain, bin_size: f64, cutghost: f64) {
         let nall = atoms.nall();
+        assert!(
+            nall <= u32::MAX as usize,
+            "cannot bin {nall} atoms (owned + ghost): atom indices are stored as u32"
+        );
         let lo = [
             domain.lo[0] - cutghost,
             domain.lo[1] - cutghost,
@@ -123,21 +136,13 @@ impl Bins {
         self.nbins = nbins;
         let total = nbins[0] * nbins[1] * nbins[2];
         let xh = atoms.x.h_view();
-        let bin_of = |i: usize| -> usize {
-            let p = xh.get3(i);
-            let mut b = [0usize; 3];
-            for k in 0..3 {
-                let t = ((p[k] - lo[k]) * inv_size[k]) as isize;
-                b[k] = t.clamp(0, nbins[k] as isize - 1) as usize;
-            }
-            (b[0] * nbins[1] + b[1]) * nbins[2] + b[2]
-        };
-        // Counting sort (all buffers capacity-reusing).
-        self.bin_idx.clear();
-        self.bin_idx.extend((0..nall).map(bin_of));
+        // Counting sort (all buffers capacity-reusing). The bin of an atom
+        // is computed in both passes instead of being kept in an `nall`-long
+        // scratch array: the second pass loads the position anyway to pack it.
         self.starts.clear();
         self.starts.resize(total + 1, 0);
-        for &b in &self.bin_idx {
+        for i in 0..nall {
+            let b = self.bin_index(self.bin_coords(xh.get3(i)));
             self.starts[b + 1] += 1;
         }
         for b in 0..total {
@@ -147,26 +152,50 @@ impl Bins {
         self.cursor.extend_from_slice(&self.starts[..total]);
         self.atoms.clear();
         self.atoms.resize(nall, 0);
-        for (i, &b) in self.bin_idx.iter().enumerate() {
-            self.atoms[self.cursor[b]] = i as u32;
+        self.packed.clear();
+        self.packed.resize(nall, [0.0; 3]);
+        for i in 0..nall {
+            let p = xh.get3(i);
+            let b = self.bin_index(self.bin_coords(p));
+            let slot = self.cursor[b] as usize;
+            self.atoms[slot] = i as u32;
+            self.packed[slot] = p;
             self.cursor[b] += 1;
         }
     }
 
+    /// The bin holding `x`; positions outside the binned region fall
+    /// into the nearest edge bin.
     #[inline]
-    fn bin_coords(&self, x: [f64; 3]) -> [isize; 3] {
-        let mut b = [0isize; 3];
+    fn bin_coords(&self, x: [f64; 3]) -> [usize; 3] {
+        let mut b = [0usize; 3];
         for k in 0..3 {
             b[k] = (((x[k] - self.lo[k]) * self.inv_size[k]) as isize)
-                .clamp(0, self.nbins[k] as isize - 1);
+                .clamp(0, self.nbins[k] as isize - 1) as usize;
         }
         b
     }
 
+    /// Flat CSR index of an in-range bin.
     #[inline]
-    fn bin_atoms(&self, b: [isize; 3]) -> &[u32] {
-        let idx = (b[0] as usize * self.nbins[1] + b[1] as usize) * self.nbins[2] + b[2] as usize;
-        &self.atoms[self.starts[idx]..self.starts[idx + 1]]
+    fn bin_index(&self, b: [usize; 3]) -> usize {
+        (b[0] * self.nbins[1] + b[1]) * self.nbins[2] + b[2]
+    }
+
+    #[inline]
+    fn bin_atoms(&self, b: [usize; 3]) -> &[u32] {
+        let idx = self.bin_index(b);
+        &self.atoms[self.starts[idx] as usize..self.starts[idx + 1] as usize]
+    }
+
+    /// The bins `(bx, by, zlo..=zhi)` as one run of packed positions and
+    /// the matching atom indices: bins that differ only in `z` are
+    /// adjacent in CSR order.
+    #[inline]
+    fn z_run(&self, bx: usize, by: usize, zlo: usize, zhi: usize) -> (&[[f64; 3]], &[u32]) {
+        let row = (bx * self.nbins[1] + by) * self.nbins[2];
+        let run = self.starts[row + zlo] as usize..self.starts[row + zhi + 1] as usize;
+        (&self.packed[run.clone()], &self.atoms[run])
     }
 
     /// The spatial ordering of atoms (bin-major), used for spatial
@@ -187,9 +216,7 @@ impl Bins {
     pub fn boundary_atoms(&self, out: &mut Vec<u32>) {
         out.clear();
         let [nx, ny, nz] = self.nbins;
-        let mut take = |b: [usize; 3]| {
-            out.extend_from_slice(self.bin_atoms([b[0] as isize, b[1] as isize, b[2] as isize]));
-        };
+        let mut take = |b: [usize; 3]| out.extend_from_slice(self.bin_atoms(b));
         for bx in 0..nx {
             if bx == 0 || bx == nx - 1 {
                 // A boundary slab in x: every bin belongs to the shell.
@@ -244,8 +271,8 @@ pub struct NeighborList {
     sort_scratch: Vec<u32>,
     /// Number of heap growths across rebuilds (0 in steady state).
     grow_count: u64,
-    /// Cached `working_set_bytes(2048)`, refreshed on every rebuild.
-    ws2048: f64,
+    /// `working_set_bytes(2048)` of the current list, once asked for.
+    ws2048: OnceLock<f64>,
 }
 
 impl NeighborList {
@@ -268,7 +295,7 @@ impl NeighborList {
             bins: Bins::empty(),
             sort_scratch: Vec::new(),
             grow_count: 0,
-            ws2048: 0.0,
+            ws2048: OnceLock::new(),
         };
         // The initial build's allocations are construction, not churn.
         list.rebuild(atoms, domain, settings, space);
@@ -345,7 +372,7 @@ impl NeighborList {
             if settings.sort_rows {
                 self.sort_rows_canonical(atoms);
             }
-            self.ws2048 = self.working_set_bytes(2048);
+            self.ws2048 = OnceLock::new();
             return;
         }
     }
@@ -384,6 +411,12 @@ impl NeighborList {
     /// capacity check *and* the `Σ numneigh` total come out of the same
     /// parallel reduction (tuple-joined), so the build has no serial
     /// tail. `max_required > maxneigh` means some row overflowed.
+    ///
+    /// `bins` must have been rebuilt from these `atoms` (its packed
+    /// positions are what the distances are computed from). Candidates
+    /// are visited in stencil order (x, then y, ascending) × CSR order
+    /// within each z-run, which is the order of the 27-bin walk this
+    /// replaced, so rows are stable element for element.
     #[allow(clippy::too_many_arguments)]
     fn fill(
         atoms: &AtomData,
@@ -396,9 +429,13 @@ impl NeighborList {
         numneigh: &mut View1<u32>,
         space: &Space,
     ) -> (usize, u64) {
+        /// Candidates filtered per pass; a longer z-run takes several.
+        const CHUNK: usize = 128;
+        const _: () = assert!(CHUNK <= 1 << u8::BITS, "offsets are stored as u8");
         let xh = atoms.x.h_view();
         let nw = neighbors.par_write();
         let cw = numneigh.par_write();
+        let [nx, ny, nz] = bins.nbins;
         space.parallel_reduce(
             "NeighborBuild",
             nlocal,
@@ -406,23 +443,31 @@ impl NeighborList {
             |i| {
                 let xi = xh.get3(i);
                 let bc = bins.bin_coords(xi);
+                let (zlo, zhi) = (bc[2].saturating_sub(1), (bc[2] + 1).min(nz - 1));
+                let mut hits = [0u8; CHUNK];
                 let mut count = 0usize;
-                for dx in -1isize..=1 {
-                    for dy in -1isize..=1 {
-                        for dz in -1isize..=1 {
-                            let b = [bc[0] + dx, bc[1] + dy, bc[2] + dz];
-                            if b.iter()
-                                .zip(&bins.nbins)
-                                .any(|(&bb, &n)| bb < 0 || bb >= n as isize)
-                            {
-                                continue;
+                for bx in bc[0].saturating_sub(1)..=(bc[0] + 1).min(nx - 1) {
+                    for by in bc[1].saturating_sub(1)..=(bc[1] + 1).min(ny - 1) {
+                        let (run_pos, run_idx) = bins.z_run(bx, by, zlo, zhi);
+                        for (pos, idx) in run_pos.chunks(CHUNK).zip(run_idx.chunks(CHUNK)) {
+                            // Phase 1: branch-free distance filter. Every
+                            // candidate's offset is stored; the cursor
+                            // advances only past the ones inside the cutoff.
+                            let mut nhit = 0usize;
+                            for (k, xj) in pos.iter().enumerate() {
+                                let d = [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]];
+                                let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                                hits[nhit] = k as u8;
+                                nhit += usize::from(rsq < cutsq);
                             }
-                            for &ju in bins.bin_atoms(b) {
+                            // Phase 2: self and half-list ownership, on the
+                            // minority of candidates that passed.
+                            for &k in &hits[..nhit] {
+                                let ju = idx[k as usize];
                                 let j = ju as usize;
                                 if j == i {
                                     continue;
                                 }
-                                let xj = xh.get3(j);
                                 if half {
                                     // Half-list ownership rule: local
                                     // pairs stored on the lower index;
@@ -432,6 +477,7 @@ impl NeighborList {
                                             continue;
                                         }
                                     } else {
+                                        let xj = pos[k as usize];
                                         let keep = xj[2] > xi[2]
                                             || (xj[2] == xi[2] && xj[1] > xi[1])
                                             || (xj[2] == xi[2] && xj[1] == xi[1] && xj[0] > xi[0]);
@@ -440,19 +486,19 @@ impl NeighborList {
                                         }
                                     }
                                 }
-                                let d = [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]];
-                                let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                                if rsq < cutsq {
-                                    if count < maxneigh {
-                                        unsafe { nw.write([i, count], ju) };
-                                    }
-                                    count += 1;
+                                if count < maxneigh {
+                                    // SAFETY: row `i` is written by work
+                                    // item `i` alone, and `count < maxneigh`
+                                    // keeps the slot inside it.
+                                    unsafe { nw.write([i, count], ju) };
                                 }
+                                count += 1;
                             }
                         }
                     }
                 }
                 let stored = count.min(maxneigh);
+                // SAFETY: element `i` is written by work item `i` alone.
                 unsafe { cw.write([i], stored as u32) };
                 (count, stored as u64)
             },
@@ -460,24 +506,19 @@ impl NeighborList {
         )
     }
 
-    /// Cached [`Self::working_set_bytes`]`(2048)` of the current list,
-    /// refreshed on every rebuild. The list is immutable between
-    /// rebuilds, so the per-step cost-model query returns exactly this
-    /// value; caching it moves an `O(total_pairs)` hash-set sampling out
-    /// of the per-step hot path, where it used to rival the small-system
-    /// LJ force kernel itself in wall-clock cost.
+    /// [`Self::working_set_bytes`]`(2048)` of the current list, computed
+    /// on the first query after a rebuild and served from the cache until
+    /// the next one (the list is immutable in between). Only the device
+    /// cost model asks, so a host space never pays for the sample.
     pub fn working_set_bytes_cached(&self) -> f64 {
-        self.ws2048
+        *self.ws2048.get_or_init(|| self.working_set_bytes(2048))
     }
 
     /// Measured per-block neighbor working set: the average number of
     /// *distinct* atoms referenced by a block of `block` consecutive
     /// owned atoms, times 24 bytes (one coordinate triple). This feeds
     /// the L1 working-set term of the device cost model.
-    // Insert/len-only set (never iterated): order cannot leak (LKK002).
-    #[allow(clippy::disallowed_types)]
     pub fn working_set_bytes(&self, block: usize) -> f64 {
-        use std::collections::HashSet;
         if self.nlocal == 0 {
             return 0.0;
         }
@@ -485,23 +526,27 @@ impl NeighborList {
         let nblocks = self.nlocal.div_ceil(block);
         // Sample up to 16 blocks evenly.
         let step = nblocks.div_ceil(16).max(1);
+        let neigh = self.neighbors.as_slice();
+        let (s0, s1) = (self.neighbors.stride(0), self.neighbors.stride(1));
+        let counts = self.numneigh.as_slice();
+        // One bit per binned (owned or ghost) atom, which every stored index
+        // is; distinct atoms = set bits.
+        let mut seen = vec![0u64; self.bins.atoms.len().div_ceil(64)];
         let mut total = 0usize;
         let mut sampled = 0usize;
-        let mut set = HashSet::new();
-        let mut b = 0;
-        while b < nblocks {
-            set.clear();
+        for b in (0..nblocks).step_by(step) {
+            seen.fill(0);
             let start = b * block;
             let end = (start + block).min(self.nlocal);
             for i in start..end {
-                set.insert(i as u32);
-                for s in 0..self.numneigh.at([i]) as usize {
-                    set.insert(self.neighbors.at([i, s]));
+                seen[i / 64] |= 1 << (i % 64);
+                for s in 0..counts[i] as usize {
+                    let j = neigh[i * s0 + s * s1] as usize;
+                    seen[j / 64] |= 1 << (j % 64);
                 }
             }
-            total += set.len();
+            total += seen.iter().map(|w| w.count_ones() as usize).sum::<usize>();
             sampled += 1;
-            b += step;
         }
         (total as f64 / sampled as f64) * 24.0
     }
@@ -587,8 +632,7 @@ pub fn max_displacement_sq(atoms: &AtomData, x_old: &[[f64; 3]], domain: &Domain
     let xh = atoms.x.h_view();
     let mut m: f64 = 0.0;
     for (i, old) in x_old.iter().enumerate().take(atoms.nlocal) {
-        let p = [xh.at([i, 0]), xh.at([i, 1]), xh.at([i, 2])];
-        m = m.max(domain.min_image_dsq(&p, old));
+        m = m.max(domain.min_image_dsq(&xh.get3(i), old));
     }
     m
 }
@@ -619,6 +663,290 @@ mod tests {
             }
         }
         count
+    }
+
+    /// The 27-bin walk with the ownership rule ahead of the distance
+    /// test and positions gathered through `get3`: the fill kernel as it
+    /// was before the z-run rewrite, kept as the oracle for list identity.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_reference(
+        atoms: &AtomData,
+        bins: &Bins,
+        cutsq: f64,
+        half: bool,
+        nlocal: usize,
+        maxneigh: usize,
+        neighbors: &mut View2<u32>,
+        numneigh: &mut View1<u32>,
+    ) -> (usize, u64) {
+        let xh = atoms.x.h_view();
+        let (mut needed, mut total) = (0usize, 0u64);
+        for i in 0..nlocal {
+            let xi = xh.get3(i);
+            let bc = bins.bin_coords(xi).map(|b| b as isize);
+            let mut count = 0usize;
+            for dx in -1isize..=1 {
+                for dy in -1isize..=1 {
+                    for dz in -1isize..=1 {
+                        let b = [bc[0] + dx, bc[1] + dy, bc[2] + dz];
+                        if b.iter()
+                            .zip(&bins.nbins)
+                            .any(|(&bb, &n)| bb < 0 || bb >= n as isize)
+                        {
+                            continue;
+                        }
+                        for &ju in bins.bin_atoms(b.map(|c| c as usize)) {
+                            let j = ju as usize;
+                            if j == i {
+                                continue;
+                            }
+                            let xj = xh.get3(j);
+                            if half {
+                                if j < nlocal {
+                                    if j < i {
+                                        continue;
+                                    }
+                                } else {
+                                    let keep = xj[2] > xi[2]
+                                        || (xj[2] == xi[2] && xj[1] > xi[1])
+                                        || (xj[2] == xi[2] && xj[1] == xi[1] && xj[0] > xi[0]);
+                                    if !keep {
+                                        continue;
+                                    }
+                                }
+                            }
+                            let d = [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]];
+                            let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                            if rsq < cutsq {
+                                if count < maxneigh {
+                                    neighbors.set([i, count], ju);
+                                }
+                                count += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            let stored = count.min(maxneigh);
+            numneigh.set([i], stored as u32);
+            needed = needed.max(count);
+            total += stored as u64;
+        }
+        (needed, total)
+    }
+
+    /// Fill the same bins with the kernel and with the oracle, half and
+    /// full, in every space, at row capacity `maxneigh`, and require the
+    /// same `needed`, the same stored total, the same counts and the same
+    /// row prefixes. Returns the longest full-list row.
+    fn assert_fill_matches_reference(
+        atoms: &AtomData,
+        bins: &Bins,
+        cut: f64,
+        maxneigh: usize,
+    ) -> usize {
+        let nlocal = atoms.nlocal;
+        let mut longest = 0;
+        for half in [true, false] {
+            let mut want_rows = View2::<u32>::new("want", [nlocal, maxneigh]);
+            let mut want_counts = View1::<u32>::new("want_counts", [nlocal]);
+            let want = fill_reference(
+                atoms,
+                bins,
+                cut * cut,
+                half,
+                nlocal,
+                maxneigh,
+                &mut want_rows,
+                &mut want_counts,
+            );
+            longest = longest.max(want.0);
+            for space in [
+                Space::Serial,
+                Space::Threads,
+                Space::device(lkk_gpusim::GpuArch::h100()),
+            ] {
+                let mut rows = View::for_space("rows", [nlocal, maxneigh], &space);
+                let mut counts = View::for_space("counts", [nlocal], &space);
+                let got = NeighborList::fill(
+                    atoms,
+                    bins,
+                    cut * cut,
+                    half,
+                    nlocal,
+                    maxneigh,
+                    &mut rows,
+                    &mut counts,
+                    &space,
+                );
+                let case = format!("half={half} {space:?} maxneigh={maxneigh}");
+                assert_eq!(got, want, "(needed, stored pairs): {case}");
+                for i in 0..nlocal {
+                    let nn = want_counts.at([i]);
+                    assert_eq!(counts.at([i]), nn, "numneigh[{i}]: {case}");
+                    for s in 0..nn as usize {
+                        assert_eq!(
+                            rows.at([i, s]),
+                            want_rows.at([i, s]),
+                            "row {i} slot {s}: {case}"
+                        );
+                    }
+                }
+            }
+        }
+        longest
+    }
+
+    /// Deterministic displacement of every position by up to `amp` per axis.
+    fn jitter(positions: &mut [[f64; 3]], amp: f64) {
+        let mut s = 987654321u64;
+        for p in positions {
+            for x in p {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                *x += amp * ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+            }
+        }
+    }
+
+    #[test]
+    fn fill_matches_reference_in_a_cubic_box_and_under_forced_overflow() {
+        // 2 048 owned atoms: `Threads` and the device fork at this size.
+        let (mut atoms, domain) = lj_melt(8);
+        let cut = 2.8;
+        build_ghosts(&mut atoms, &domain, cut);
+        let bins = Bins::build(&atoms, &domain, cut, cut);
+        let longest = assert_fill_matches_reference(&atoms, &bins, cut, 128);
+        assert!(longest <= 128, "128 slots were meant to hold every row");
+        // Truncated rows and the reported requirement must match too.
+        assert_fill_matches_reference(&atoms, &bins, cut, longest / 2 - 3);
+    }
+
+    #[test]
+    fn fill_matches_reference_in_an_elongated_box() {
+        let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
+        let mut positions = lat.positions(16, 4, 4);
+        let domain = lat.domain(16, 4, 4);
+        jitter(&mut positions, 0.2);
+        for p in &mut positions {
+            domain.wrap(p);
+        }
+        let mut atoms = AtomData::from_positions(&positions);
+        let cut = 2.8;
+        build_ghosts(&mut atoms, &domain, cut);
+        let bins = Bins::build(&atoms, &domain, cut, cut);
+        assert_fill_matches_reference(&atoms, &bins, cut, 128);
+    }
+
+    #[test]
+    fn fill_matches_reference_when_the_stencil_is_clipped_to_one_bin() {
+        // A slab thinner than one bin, binned without a ghost margin: one
+        // bin along z, so the stencil is clipped on both sides.
+        let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
+        let mut positions = lat.positions(6, 6, 1);
+        let domain = lat.domain(6, 6, 1);
+        jitter(&mut positions, 0.1);
+        let atoms = AtomData::from_positions(&positions);
+        let cut = 2.8;
+        let bins = Bins::build(&atoms, &domain, cut, 0.0);
+        assert_eq!(bins.nbins[2], 1);
+        assert_fill_matches_reference(&atoms, &bins, cut, 128);
+    }
+
+    #[test]
+    fn fill_matches_reference_with_atoms_on_the_box_faces() {
+        // Lattice sites at coordinate 0 sit on the low faces and their
+        // periodic images on the high faces; add atoms at the high
+        // corner and outside the binned region (clamped to the edge bins).
+        let (mut atoms, domain) = lj_melt(4);
+        let cut = 2.8;
+        build_ghosts(&mut atoms, &domain, cut);
+        let mut positions: Vec<[f64; 3]> = (0..atoms.nall()).map(|i| atoms.pos(i)).collect();
+        let (lo, hi) = (domain.lo, domain.hi);
+        positions.extend([
+            hi,
+            [hi[0], lo[1], lo[2]],
+            [lo[0] - cut, lo[1] - cut, lo[2] - cut],
+            [hi[0] + cut, hi[1] + cut, hi[2] + cut],
+            [hi[0] + cut + 0.5, hi[1], lo[2] - cut - 0.5],
+        ]);
+        // Every atom owned, so each is a row of the list as well as a candidate.
+        let atoms = AtomData::from_positions(&positions);
+        let bins = Bins::build(&atoms, &domain, cut, cut);
+        assert_fill_matches_reference(&atoms, &bins, cut, 160);
+    }
+
+    #[test]
+    fn fill_matches_reference_when_a_z_run_spans_several_chunks() {
+        // Same system as `overflow_retry_produces_same_list`: 4 bins per
+        // axis of ~54 atoms each, so a three-bin z-run holds ~160
+        // candidates, more than one pass of the distance filter takes.
+        let (mut atoms, domain) = lj_melt(5);
+        let cut = 3.8;
+        build_ghosts(&mut atoms, &domain, cut);
+        let bins = Bins::build(&atoms, &domain, cut, cut);
+        let longest_run = (0..bins.nbins[0])
+            .flat_map(|bx| (0..bins.nbins[1]).map(move |by| (bx, by)))
+            .map(|(bx, by)| bins.z_run(bx, by, 0, 2).1.len())
+            .max()
+            .unwrap();
+        assert!(
+            longest_run > 128,
+            "longest z-run {longest_run} fits one pass"
+        );
+        assert_fill_matches_reference(&atoms, &bins, cut, 256);
+    }
+
+    /// `working_set_bytes` as it was before the bitmap: a hash set per block.
+    #[allow(clippy::disallowed_types)]
+    fn working_set_bytes_hashset(list: &NeighborList, block: usize) -> f64 {
+        use std::collections::HashSet;
+        let nblocks = list.nlocal.div_ceil(block);
+        let step = nblocks.div_ceil(16).max(1);
+        let mut total = 0usize;
+        let mut sampled = 0usize;
+        let mut set = HashSet::new();
+        let mut b = 0;
+        while b < nblocks {
+            set.clear();
+            let start = b * block;
+            let end = (start + block).min(list.nlocal);
+            for i in start..end {
+                set.insert(i as u32);
+                for s in 0..list.numneigh.at([i]) as usize {
+                    set.insert(list.neighbors.at([i, s]));
+                }
+            }
+            total += set.len();
+            sampled += 1;
+            b += step;
+        }
+        (total as f64 / sampled as f64) * 24.0
+    }
+
+    #[test]
+    fn working_set_bitmap_matches_hash_set_to_the_bit() {
+        let (mut atoms, domain) = lj_melt(8);
+        build_ghosts(&mut atoms, &domain, 2.8);
+        for half in [true, false] {
+            let settings = NeighborSettings::new(2.5, 0.3, half);
+            for space in [Space::Serial, Space::device(lkk_gpusim::GpuArch::h100())] {
+                let list = NeighborList::build(&atoms, &domain, &settings, &space);
+                for block in [1, 32, 256, 2048] {
+                    assert_eq!(
+                        list.working_set_bytes(block).to_bits(),
+                        working_set_bytes_hashset(&list, block).to_bits(),
+                        "block {block}, half {half}, {:?}",
+                        list.neighbors.layout()
+                    );
+                }
+                assert_eq!(
+                    list.working_set_bytes_cached().to_bits(),
+                    list.working_set_bytes(2048).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 #   scripts/ci.sh
 #
 # Steps mirror the jobs in .github/workflows/ci.yml (build, test,
-# lint-invariants, lint, perf, chaos) run back-to-back; if you change
+# lint-invariants, lint, perf, benchmark, chaos) run back-to-back; if you change
 # one, change the other. The sanitizer lanes of
 # .github/workflows/sanitizers.yml run at the end when a nightly
 # toolchain is installed; Miri gates (as it does in CI), TSan stays
@@ -17,8 +17,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (deny warnings)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+# --workspace: the Criterion benches live in crates/bench, not in the
+# root package.
+echo "==> cargo bench --no-run --workspace"
+cargo bench --no-run --workspace
 
 # --- test job ----------------------------------------------------------
 
@@ -88,6 +90,17 @@ cargo run --release -p lkk-perf --bin perf-smoke -- \
 
 echo "==> perf-smoke --time (advisory wall-clock, not gated)"
 cargo run --release -p lkk-perf --bin perf-smoke -- --time --reps 3
+
+# --- benchmark job -----------------------------------------------------
+
+# lkk-benchmark (benchmark/, its own workspace) builds against the public
+# API it pins in benchmark/src/api.rs; the self-test runs every workload
+# at one rep and a tenth of the steps and checks every BENCHMARK.json
+# metric is printed once with a finite value. Offline, well under a
+# minute; judges no timing. A refactor that breaks the seam fails here
+# rather than in the benchmark gate.
+echo "==> benchmark/run.sh --selftest (benchmark API seam)"
+bash benchmark/run.sh --selftest | tail -n 1
 
 # --- chaos job ---------------------------------------------------------
 
