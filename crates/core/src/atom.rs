@@ -234,18 +234,35 @@ impl AtomData {
     /// decomposed system). `masses` is the per-type mass table, which is
     /// global and therefore not part of the records.
     pub fn from_records(records: &[AtomRecord], masses: &[f64]) -> Self {
-        let mut atoms = AtomData::from_positions(&records.iter().map(|r| r.x).collect::<Vec<_>>());
+        let mut atoms = AtomData::from_positions(&[]);
         atoms.mass = masses.to_vec();
-        for (i, r) in records.iter().enumerate() {
-            atoms.tag.h_view_mut().set([i], r.tag);
-            atoms.typ.h_view_mut().set([i], r.typ);
-            atoms.q.h_view_mut().set([i], r.q);
-            for k in 0..3 {
-                atoms.v.h_view_mut().set([i, k], r.v[k]);
-            }
-            atoms.image[i] = r.image;
-        }
+        atoms.set_records(records);
         atoms
+    }
+
+    /// Replace the owned rows with `records`, in place and in order
+    /// (no ghosts afterwards). Forces are not part of a record and come
+    /// back zeroed.
+    pub fn set_records(&mut self, records: &[AtomRecord]) {
+        self.resize_all(records.len(), 0);
+        self.nlocal = records.len();
+        self.nghost = 0;
+        let xh = self.x.h_view_mut();
+        let vh = self.v.h_view_mut();
+        let th = self.tag.h_view_mut();
+        let ty = self.typ.h_view_mut();
+        let qh = self.q.h_view_mut();
+        for (i, r) in records.iter().enumerate() {
+            for k in 0..3 {
+                xh.set([i, k], r.x[k]);
+                vh.set([i, k], r.v[k]);
+            }
+            th.set([i], r.tag);
+            ty.set([i], r.typ);
+            qh.set([i], r.q);
+        }
+        self.image.clear();
+        self.image.extend(records.iter().map(|r| r.image));
     }
 
     /// Host position of atom `i` as an array.

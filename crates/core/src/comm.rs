@@ -19,7 +19,10 @@
 //!   atom; no messages ever move.
 //! * [`brick::BrickComm`] — a simulated-MPI brick decomposition where
 //!   ranks run as threads and exchange typed messages over per-edge
-//!   channels.
+//!   channels. How the messages move is behind the `Transport` seam:
+//!   `transport.rs` holds the channel mesh and the envelope format,
+//!   `reliable.rs` the fault injection and recovery that wraps it when
+//!   a run sets `RunSpec::fault`.
 
 use crate::atom::AtomData;
 use crate::domain::Domain;
@@ -28,12 +31,14 @@ use crate::sim::System;
 pub mod balance;
 pub mod brick;
 pub mod fault;
+mod reliable;
+mod transport;
 
 pub use balance::{BalancePolicy, BalanceWeight};
 pub use fault::{CommError, FaultConfig, FaultKind, FaultPlan, FaultStats, RetryPolicy};
 
 /// Which communication layer a run uses — the driver-level knob of the
-/// unified [`brick::RunSpec`] API (`spec.comm(...)` /
+/// unified [`crate::driver::RunSpec`] API (`spec.comm(...)` /
 /// `SimulationBuilder::comm(...)`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CommSpec {
@@ -141,32 +146,24 @@ pub fn build_ghosts_into(atoms: &mut AtomData, domain: &Domain, cutghost: f64, m
     let nghost = map.nghost();
     atoms.resize_all(nlocal + nghost, nlocal);
     atoms.nghost = nghost;
-    // Fill ghost metadata (type, charge, tag) once; positions follow.
-    {
-        let (typ_vals, q_vals, tag_vals): (Vec<i32>, Vec<f64>, Vec<i64>) = {
-            let typ = atoms.typ.h_view();
-            let q = atoms.q.h_view();
-            let tag = atoms.tag.h_view();
-            (
-                map.owner.iter().map(|&o| typ.at([o])).collect(),
-                map.owner.iter().map(|&o| q.at([o])).collect(),
-                map.owner.iter().map(|&o| tag.at([o])).collect(),
-            )
-        };
-        let typ = atoms.typ.h_view_mut();
-        for (g, v) in typ_vals.iter().enumerate() {
-            typ.set([nlocal + g], *v);
-        }
-        let q = atoms.q.h_view_mut();
-        for (g, v) in q_vals.iter().enumerate() {
-            q.set([nlocal + g], *v);
-        }
-        let tag = atoms.tag.h_view_mut();
-        for (g, v) in tag_vals.iter().enumerate() {
-            tag.set([nlocal + g], *v);
+    copy_ghost_metadata(atoms, map);
+    forward_positions(atoms, map);
+}
+
+/// Fill the ghost rows' metadata (type, charge, tag) from their owner
+/// rows; positions follow through [`forward_positions`]. Copies in
+/// place, so a rebuild allocates nothing here.
+pub fn copy_ghost_metadata(atoms: &mut AtomData, map: &GhostMap) {
+    fn copy<T: Copy>(view: &mut lkk_kokkos::View<T, 1>, nlocal: usize, owner: &[usize]) {
+        for (g, &o) in owner.iter().enumerate() {
+            let v = view.at([o]);
+            view.set([nlocal + g], v);
         }
     }
-    forward_positions(atoms, map);
+    let nlocal = atoms.nlocal;
+    copy(atoms.typ.h_view_mut(), nlocal, &map.owner);
+    copy(atoms.q.h_view_mut(), nlocal, &map.owner);
+    copy(atoms.tag.h_view_mut(), nlocal, &map.owner);
 }
 
 /// Forward communication: refresh ghost positions from their owners.

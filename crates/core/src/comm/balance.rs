@@ -32,8 +32,8 @@ pub enum BalanceWeight {
 }
 
 /// When and how the brick decomposition rebalances. Installed per run
-/// via `CommSpec::Brick { balance, .. }` (or
-/// [`crate::comm::brick::BrickComm::set_balance`]); `None` keeps the
+/// via `CommSpec::Brick { balance, .. }` (which reaches
+/// [`crate::comm::brick::BrickComm::create_all`]); `None` keeps the
 /// static uniform grid and the exchange sequence bit-identical to the
 /// pre-balancer layer.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,14 +2,12 @@
 //! over per-edge channels.
 //!
 //! [`BrickComm`] is the multi-rank [`Comm`] implementation behind the
-//! brick domain decomposition of [`crate::decomp::BrickDecomp`]. Each
-//! rank runs on its own OS thread and owns one brick of the global box;
-//! exchanges move through unbounded `std::sync::mpsc` channels, one
-//! data + one buffer-recycle channel per directed rank pair. Because
-//! sends never block and every phase is bulk-synchronous (all ranks
-//! send to all peers, then receive in ascending rank order), the
-//! exchange sequence is deadlock-free without barriers or any global
-//! lock.
+//! brick domain decomposition of [`crate::decomp::BrickDecomp`]: the
+//! decomposition, the ghost plan, the load balancer, and one staged
+//! exchange routine that every phase goes through. How envelopes move
+//! between ranks — channels, sequence numbers, the buffer pool, fault
+//! injection and recovery — is behind the `Transport` seam
+//! (`transport.rs`, `reliable.rs`), chosen once at construction.
 //!
 //! The halo construction is O(surface), not O(N): owned atoms are
 //! binned over the sub-domain at `cutghost` granularity and only the
@@ -20,150 +18,177 @@
 //! the exact arithmetic of the single-rank ghost path, so a decomposed
 //! run reproduces the single-rank trajectory to float accumulation
 //! order (see `tests/rank_equivalence.rs`).
-//!
-//! Message buffers live in a per-rank [`BufPool`]; receivers return
-//! drained buffers through the recycle channel, so steady-state
-//! exchanges allocate nothing (`Comm::grow_count` asserts this — the
-//! same invariant the neighbor-list and scatter pools keep, see
-//! `docs/performance.md`).
-//!
-//! Every message travels inside a small envelope — `[tag, seq, crc]`
-//! followed by the payload words. The per-edge sequence number is
-//! deterministic (every phase sends exactly one message per directed
-//! edge, empty or not), so duplicated or reordered deliveries are
-//! detected and discarded by `seq` alone, and the CRC32 over the
-//! payload (computed only when a fault plan is installed) catches
-//! corruption. Lost or corrupted envelopes are recovered by NACK +
-//! retransmit over a per-edge control channel; receives poll with
-//! bounded exponential backoff instead of blocking forever, so a dead
-//! edge or vanished peer surfaces as a structured
-//! [`CommError`](crate::comm::CommError) rather than a deadlock. The
-//! whole fault model and the determinism contract live in
-//! `docs/robustness.md`.
 
-use crate::atom::{AtomData, AtomRecord, Mask};
+use crate::atom::{AtomRecord, Mask};
 use crate::comm::balance::{self, BalancePolicy};
-use crate::comm::fault::{crc32_words, flow_id, CommError, FaultKind, FaultPlan, FaultStats};
-use crate::comm::{Comm, CommSpec, CommStats, FaultConfig};
-use crate::compute;
+use crate::comm::fault::{CommError, FaultPlan, FaultStats};
+use crate::comm::reliable::Reliable;
+use crate::comm::transport::{Envelope, Mesh, Transport};
+use crate::comm::transport::{
+    TAG_BALANCE, TAG_BORDER, TAG_FORWARD, TAG_MIGRATE, TAG_REDUCE, TAG_REVERSE, TAG_SCALAR,
+};
+use crate::comm::{Comm, CommStats, FaultConfig};
 use crate::decomp::BrickDecomp;
 use crate::domain::Domain;
 use crate::neighbor::Bins;
-use crate::sim::{Simulation, System, ThermoRow, Timings};
-use crate::units::Units;
+use crate::sim::System;
 use lkk_kokkos::{profile, Space};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::time::{Duration, Instant};
-
-// Phase tags (word 0 of every message) catch sequence mismatches in
-// debug builds: a desynced collective shows up as a tag assert, not as
-// silently corrupt positions.
-const TAG_MIGRATE: u64 = 1;
-const TAG_BORDER: u64 = 2;
-const TAG_FORWARD: u64 = 3;
-const TAG_REVERSE: u64 = 4;
-const TAG_SCALAR: u64 = 5;
-const TAG_REDUCE: u64 = 6;
-/// Shutdown handshake (fault mode only): exempt from injection, like a
-/// finalize barrier riding a reliable control plane.
-const TAG_QUIESCE: u64 = 7;
-/// Load-balance census exchange (only when a [`BalancePolicy`] is
-/// installed; a balance-off run never emits this tag, keeping its
-/// per-edge sequence numbering identical to the pre-balancer layer).
-const TAG_BALANCE: u64 = 8;
-
-/// Envelope words preceding the payload: `[tag, seq, crc]`.
-const HDR: usize = 3;
 
 /// Words per atom in a migration message (tag, type, q, x, v, image).
 const MIGRATE_WORDS: usize = 12;
 /// Words per atom in a border message (tag, type, q, x, shift).
 const BORDER_WORDS: usize = 9;
 
-/// Human-readable phase name for [`CommError`] diagnostics.
-fn tag_name(tag: u64) -> &'static str {
+/// One rank's side of every exchange: the transport, the staging
+/// buffer between the pack and send sub-phases, and the traffic
+/// counters. Kept apart from the ghost plan so the pack and unpack
+/// closures can borrow the plan while the exchange runs.
+struct Wire {
+    rank: usize,
+    nranks: usize,
+    transport: Box<dyn Transport>,
+    /// Packed outbound envelopes pending send (lets the pack and send
+    /// sub-phases trace as distinct spans without a per-call
+    /// allocation).
+    outbox: Vec<(usize, Envelope)>,
+    stats: CommStats,
+}
+
+/// The trace label and `(messages, bytes)` counters of a counted phase;
+/// the collectives are counted per call, not per message.
+fn traffic(stats: &mut CommStats, tag: u64) -> Option<(&'static str, &mut u64, &mut u64)> {
     match tag {
-        TAG_MIGRATE => "migrate",
-        TAG_BORDER => "border",
-        TAG_FORWARD => "forward",
-        TAG_REVERSE => "reverse",
-        TAG_SCALAR => "scalar",
-        TAG_REDUCE => "reduce",
-        TAG_QUIESCE => "quiesce",
-        TAG_BALANCE => "balance",
-        _ => "unknown",
+        TAG_MIGRATE => Some((
+            "migrate_bytes",
+            &mut stats.migrate_msgs,
+            &mut stats.migrate_bytes,
+        )),
+        TAG_BORDER => Some((
+            "border_bytes",
+            &mut stats.border_msgs,
+            &mut stats.border_bytes,
+        )),
+        TAG_FORWARD => Some((
+            "fwd_bytes",
+            &mut stats.forward_msgs,
+            &mut stats.forward_bytes,
+        )),
+        TAG_REVERSE => Some((
+            "rev_bytes",
+            &mut stats.reverse_msgs,
+            &mut stats.reverse_bytes,
+        )),
+        TAG_SCALAR => Some((
+            "scalar_bytes",
+            &mut stats.scalar_msgs,
+            &mut stats.scalar_bytes,
+        )),
+        TAG_BALANCE => Some((
+            "balance_bytes",
+            &mut stats.balance_msgs,
+            &mut stats.balance_bytes,
+        )),
+        _ => None,
     }
 }
 
-/// The channel endpoints one rank holds toward one peer.
-struct Link {
-    /// Data to the peer.
-    tx: Sender<Vec<u64>>,
-    /// Data from the peer.
-    rx: Receiver<Vec<u64>>,
-    /// Returns the peer's drained buffers to its pool.
-    recycle_tx: Sender<Vec<u64>>,
-    /// This rank's buffers coming back from the peer.
-    recycle_rx: Receiver<Vec<u64>>,
-    /// Retransmit requests (NACKed sequence numbers) to the peer.
-    ctrl_tx: Sender<u64>,
-    /// Retransmit requests from the peer, polled between receives.
-    ctrl_rx: Receiver<u64>,
-    /// Buffers sent to the peer and not yet reclaimed. Reclaim waits
-    /// for exactly this many, which makes the pool's contents — and
-    /// therefore its `grow_count` — independent of thread timing.
-    owed: std::cell::Cell<usize>,
-}
+impl Wire {
+    fn peers(&self) -> impl Iterator<Item = usize> {
+        let rank = self.rank;
+        (0..self.nranks).filter(move |&p| p != rank)
+    }
 
-/// Persistent send-buffer pool. Buffers drain back through the recycle
-/// channels; `grow_count` ticks only when a fresh allocation (or an
-/// in-place capacity growth) was unavoidable, so steady state holds it
-/// constant.
-struct BufPool {
-    free: Vec<Vec<u64>>,
-    grow_count: u64,
-}
-
-impl BufPool {
-    fn new() -> BufPool {
-        BufPool {
-            free: Vec::new(),
-            grow_count: 0,
+    /// First half of the staged exchange: reclaim → pack every peer →
+    /// send every peer. One envelope goes to every peer, empty or not
+    /// (the per-edge sequence numbers count phases); `words(p)` sizes
+    /// it and `pack(p, env)` fills it. Pool acquires happen in
+    /// ascending peer order — `grow_count` depends on it.
+    ///
+    /// With `spans` the pack and send sub-phases trace as `pack` and
+    /// `send` regions (the halo phases); without, only the transport's
+    /// `reclaim` region is emitted (collectives and the census). Which
+    /// regions open, and in what order, is byte-gated through
+    /// `results/run_report.json`.
+    fn post(
+        &mut self,
+        tag: u64,
+        spans: bool,
+        words: impl Fn(usize) -> usize,
+        mut pack: impl FnMut(usize, &mut Envelope),
+    ) -> Result<(), CommError> {
+        let traced = profile::has_subscribers();
+        self.transport.reclaim()?;
+        {
+            let _span = (spans && traced).then(|| profile::begin_region("pack"));
+            for p in self.peers() {
+                let mut env = self.transport.begin(p, tag, words(p));
+                pack(p, &mut env);
+                self.outbox.push((p, env));
+            }
         }
-    }
-
-    /// An empty buffer with room for `need` words: the tightest-fitting
-    /// free buffer, or a fresh allocation when none fits. Capacities
-    /// are rounded up to a power of two (min 1024 words) so small
-    /// fluctuations in exchange sizes land in the same size class, and
-    /// best-fit pairing keeps large buffers available for large
-    /// requests instead of churning.
-    fn acquire(&mut self, need: usize) -> Vec<u64> {
-        let mut best: Option<usize> = None;
-        for (i, buf) in self.free.iter().enumerate() {
-            if buf.capacity() >= need
-                && best.is_none_or(|j: usize| buf.capacity() < self.free[j].capacity())
+        let _span = (spans && traced).then(|| profile::begin_region("send"));
+        for (p, env) in self.outbox.drain(..) {
+            let bytes = (env.payload().len() * 8) as u64;
+            if let Some((label, msgs, total)) = traffic(&mut self.stats, tag).filter(|_| bytes > 0)
             {
-                best = Some(i);
-            }
-        }
-        match best {
-            Some(i) => {
-                let mut buf = self.free.swap_remove(i);
-                buf.clear();
-                buf
-            }
-            None => {
-                // 2x headroom: exchange sizes fluctuate a few percent
-                // step to step, and a fresh class must absorb that
-                // without another growth (the steady-state assert).
-                self.grow_count += 1;
-                if profile::has_subscribers() {
-                    profile::note_instant("pool_grow", need as f64);
+                *msgs += 1;
+                *total += bytes;
+                if traced {
+                    profile::note_instant(&format!("{label}->r{p}"), bytes as f64);
                 }
-                Vec::with_capacity((need * 2).max(1024).next_power_of_two())
             }
+            self.transport.send(p, env)?;
         }
+        Ok(())
+    }
+
+    /// Second half: receive in ascending peer order → unpack. `own`,
+    /// when given, is handed to `unpack` at this rank's position in the
+    /// rank order, so a collective folds every rank's contribution in
+    /// the same order on every rank.
+    fn collect(
+        &mut self,
+        tag: u64,
+        spans: bool,
+        own: Option<&[u64]>,
+        mut unpack: impl FnMut(usize, &[u64]),
+    ) -> Result<(), CommError> {
+        let spans = spans && profile::has_subscribers();
+        for p in 0..self.nranks {
+            if p == self.rank {
+                if let Some(own) = own {
+                    unpack(p, own);
+                }
+                continue;
+            }
+            let env = {
+                let _span = spans.then(|| profile::begin_region("recv"));
+                self.transport.recv(p, tag)?
+            };
+            {
+                let _span = spans.then(|| profile::begin_region("unpack"));
+                unpack(p, env.payload());
+            }
+            self.transport.recycle(p, env);
+        }
+        Ok(())
+    }
+
+    /// All-to-all of one payload per rank: `fold` sees every rank's
+    /// payload, this rank's `own` included, in ascending rank order.
+    fn allgather(
+        &mut self,
+        tag: u64,
+        own: &[u64],
+        fold: impl FnMut(usize, &[u64]),
+    ) -> Result<(), CommError> {
+        self.post(
+            tag,
+            false,
+            |_| own.len(),
+            |_, env| env.extend_from_slice(own),
+        )?;
+        self.collect(tag, false, Some(own), fold)
     }
 }
 
@@ -171,14 +196,11 @@ impl BufPool {
 /// by [`BrickComm::create_all`] so the channel mesh is fully connected.
 pub struct BrickComm {
     decomp: BrickDecomp,
-    rank: usize,
     /// This rank's grid coordinates.
     coords: [usize; 3],
     /// This rank's brick of the global box.
     sub: Domain,
-    /// `links[p]` is `Some` for every peer `p != rank`.
-    links: Vec<Option<Link>>,
-    pool: BufPool,
+    wire: Wire,
     /// Per peer: owned rows sent as ghosts, in border-pack order.
     send_plan: Vec<Vec<u32>>,
     /// Per peer: periodic shift of each planned ghost (sent once in the
@@ -198,46 +220,13 @@ pub struct BrickComm {
     records: Vec<AtomRecord>,
     /// Migration scratch: destination rank per owned atom.
     dest: Vec<usize>,
-    /// Received border buffers pending unpack (held so the ghost count
-    /// is known before the one resize).
-    inbox: Vec<(usize, Vec<u64>)>,
-    /// Packed outbound buffers pending send (per exchange phase; lets
-    /// the pack and send sub-phases trace as distinct spans without a
-    /// per-call allocation).
-    outbox: Vec<(usize, Vec<u64>)>,
-    stats: CommStats,
+    /// Received border envelopes pending unpack (held so the ghost
+    /// count is known before the one resize).
+    inbox: Vec<(usize, Envelope)>,
     halo_seconds: f64,
     migrate_seconds: f64,
-    /// Next sequence number to send per peer (lockstep with the peer's
-    /// `recv_seq` for this edge; see the envelope docs above).
-    send_seq: Vec<u64>,
-    /// Next sequence number expected per peer.
-    recv_seq: Vec<u64>,
-    /// Clean copy of the last envelope sent per peer (fault mode only);
-    /// a reorder fault replays it ahead of the current envelope.
-    last_sent: Vec<Vec<u64>>,
-    /// Pre-packed envelopes awaiting a possible NACK: `(seq, envelope)`.
-    /// A sender can lead a stuck receiver by at most one phase (it
-    /// cannot finish its own next receive round without the stuck
-    /// peer's send), so at most two entries per peer ever coexist.
-    pending_retx: Vec<Vec<(u64, Vec<u64>)>>,
-    /// Envelopes received ahead of their turn, parked per peer until
-    /// the receive that expects them. Holds at most two: the expected
-    /// envelope (pulled by an eager drain while waiting elsewhere) and
-    /// the next-phase one (the one-phase-lead bound caps the sender
-    /// there); duplicates of either are discarded on arrival.
-    stash: Vec<Vec<Vec<u64>>>,
-    /// Installed fault schedule; `None` keeps the exchange path
-    /// byte-identical to the pre-fault-layer behavior (no CRC work, no
-    /// polling).
-    plan: Option<FaultPlan>,
-    /// Largest buffer capacity the fault-mode pool has been provisioned
-    /// for (see [`BrickComm::prewarm`]); 0 until the first dispatch.
-    prewarm_cap: usize,
-    fstats: FaultStats,
-    /// Load-balance policy; `None` (the default) keeps the static
-    /// uniform grid and an exchange sequence bit-identical to the
-    /// pre-balancer layer.
+    /// Load-balance policy; `None` keeps the static uniform grid and an
+    /// exchange sequence bit-identical to the pre-balancer layer.
     balance: Option<BalancePolicy>,
     /// `borders()` calls so far (drives [`BalancePolicy::every`]).
     borders_count: u64,
@@ -247,16 +236,16 @@ pub struct BrickComm {
     /// `work_seconds` at the previous census, so each census weighs the
     /// work done *since* the last one.
     work_at_balance: f64,
-    /// Census scratch: this rank's per-dimension histograms
-    /// (`3 * policy.bins` words, concatenated x|y|z).
-    local_hist: Vec<u64>,
-    /// Census scratch: weighted global histograms, same layout.
+    /// Census scratch: this rank's payload, `[nlocal, ticks]` then the
+    /// per-dimension histograms (`3 * policy.bins` words, x|y|z).
+    census: Vec<u64>,
+    /// Census scratch: weighted global histograms, x|y|z.
     global_hist: Vec<u64>,
     /// Census scratch: owned-atom count per rank.
     rank_counts: Vec<u64>,
     /// Peak `nlocal` ever owned after a migration (max over the run,
     /// so transient spikes are not blind spots — see
-    /// [`MultiRankRun::atom_imbalance`]).
+    /// [`MultiRankRun::atom_imbalance`](crate::driver::MultiRankRun::atom_imbalance)).
     max_owned: usize,
 }
 
@@ -264,66 +253,43 @@ impl BrickComm {
     /// Build the fully connected set of rank comms for `decomp`, in
     /// rank order. Each element goes to its rank's thread (they are
     /// `Send`, not `Sync`).
-    pub fn create_all(decomp: &BrickDecomp) -> Vec<BrickComm> {
+    ///
+    /// `fault` selects the transport for the whole run: `None` is the
+    /// blocking fault-free mesh; `Some` wraps it in the fault-injecting,
+    /// recovering one, every rank sharing the same seeded
+    /// [`FaultPlan`]. `balance` is the load-balance policy: the census
+    /// is a collective exchange, so it too is the same on every rank.
+    pub fn create_all(
+        decomp: &BrickDecomp,
+        fault: Option<&FaultConfig>,
+        balance: Option<BalancePolicy>,
+    ) -> Vec<BrickComm> {
         let n = decomp.nranks();
-        let mut data_tx: Vec<Vec<Option<Sender<Vec<u64>>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut data_rx: Vec<Vec<Option<Receiver<Vec<u64>>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut rec_tx: Vec<Vec<Option<Sender<Vec<u64>>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut rec_rx: Vec<Vec<Option<Receiver<Vec<u64>>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut ctrl_tx: Vec<Vec<Option<Sender<u64>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut ctrl_rx: Vec<Vec<Option<Receiver<u64>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                // Data a → b; its buffers recycle b → a; NACKs for it
-                // travel b → a on the control channel.
-                let (tx, rx) = channel();
-                data_tx[a][b] = Some(tx);
-                data_rx[b][a] = Some(rx);
-                let (tx, rx) = channel();
-                rec_tx[b][a] = Some(tx);
-                rec_rx[a][b] = Some(rx);
-                let (tx, rx) = channel();
-                ctrl_tx[b][a] = Some(tx);
-                ctrl_rx[a][b] = Some(rx);
-            }
-        }
-        (0..n)
-            .map(|rank| {
-                let links = (0..n)
-                    .map(|p| {
-                        if p == rank {
-                            None
-                        } else {
-                            Some(Link {
-                                tx: data_tx[rank][p].take().unwrap(),
-                                rx: data_rx[rank][p].take().unwrap(),
-                                recycle_tx: rec_tx[rank][p].take().unwrap(),
-                                recycle_rx: rec_rx[rank][p].take().unwrap(),
-                                ctrl_tx: ctrl_tx[rank][p].take().unwrap(),
-                                ctrl_rx: ctrl_rx[rank][p].take().unwrap(),
-                                owed: std::cell::Cell::new(0),
-                            })
-                        }
-                    })
-                    .collect();
+        let meshes = Mesh::create_all(n);
+        let transports: Vec<Box<dyn Transport>> = match fault {
+            None => meshes.into_iter().map(|m| Box::new(m) as _).collect(),
+            Some(cfg) => Reliable::wrap_all(meshes, &FaultPlan::new(cfg.clone()))
+                .into_iter()
+                .map(|r| Box::new(r) as _)
+                .collect(),
+        };
+        transports
+            .into_iter()
+            .enumerate()
+            .map(|(rank, transport)| {
                 let [_, py, pz] = decomp.grid;
                 let coords = [rank / (py * pz), (rank / pz) % py, rank % pz];
                 BrickComm {
                     decomp: decomp.clone(),
-                    rank,
                     coords,
                     sub: decomp.subdomain(rank),
-                    links,
-                    pool: BufPool::new(),
+                    wire: Wire {
+                        rank,
+                        nranks: n,
+                        transport,
+                        outbox: Vec::new(),
+                        stats: CommStats::default(),
+                    },
                     send_plan: (0..n).map(|_| Vec::new()).collect(),
                     send_shift: (0..n).map(|_| Vec::new()).collect(),
                     recv_count: vec![0; n],
@@ -334,23 +300,13 @@ impl BrickComm {
                     records: Vec::new(),
                     dest: Vec::new(),
                     inbox: Vec::new(),
-                    outbox: Vec::new(),
-                    stats: CommStats::default(),
                     halo_seconds: 0.0,
                     migrate_seconds: 0.0,
-                    send_seq: vec![0; n],
-                    recv_seq: vec![0; n],
-                    last_sent: (0..n).map(|_| Vec::new()).collect(),
-                    pending_retx: (0..n).map(|_| Vec::new()).collect(),
-                    stash: (0..n).map(|_| Vec::new()).collect(),
-                    plan: None,
-                    prewarm_cap: 0,
-                    fstats: FaultStats::default(),
-                    balance: None,
+                    balance,
                     borders_count: 0,
                     work_seconds: 0.0,
                     work_at_balance: 0.0,
-                    local_hist: Vec::new(),
+                    census: Vec::new(),
                     global_hist: Vec::new(),
                     rank_counts: Vec::new(),
                     max_owned: 0,
@@ -359,29 +315,11 @@ impl BrickComm {
             .collect()
     }
 
-    /// Install a fault schedule. All subsequent exchanges compute and
-    /// verify payload CRCs, poll with timeouts instead of blocking, and
-    /// inject the planned faults on the send side. Must be installed on
-    /// every rank of the run (the plan is shared; both endpoints of an
-    /// edge agree on the schedule by construction).
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = Some(plan);
-    }
-
-    /// Install a load-balance policy. Must be installed on every rank
-    /// of the run before the first `borders()` call: the census is a
-    /// collective exchange, and a rank without the policy would desync
-    /// the per-edge sequence numbers.
-    pub fn set_balance(&mut self, policy: Option<BalancePolicy>) {
-        self.balance = policy;
-    }
-
     /// Census + cut-plane update, called from `borders()` after
     /// positions are wrapped and before migration — migration then
     /// re-homes atoms across the *new* cut planes through the ordinary
-    /// typed-channel exchange (and therefore under any installed fault
-    /// plan: balance envelopes carry the same `[tag, seq, crc]` header
-    /// and ride the same NACK/retransmit recovery).
+    /// exchange (and therefore under any fault plan: balance envelopes
+    /// ride the same transport as every other phase).
     ///
     /// Determinism: the exchanged payload is the per-dimension integer
     /// histogram of owned atoms over *global box* fractions, which is
@@ -406,17 +344,18 @@ impl BrickComm {
         let nlocal = system.atoms.nlocal;
         let l = system.domain.lengths();
         // Local census: per-dimension histograms over global-box
-        // fractions of this rank's owned (already wrapped) atoms,
-        // concatenated x|y|z.
-        self.local_hist.clear();
-        self.local_hist.resize(3 * bins, 0);
+        // fractions of this rank's owned (already wrapped) atoms. The
+        // payload has a fixed size, so the pool reaches steady state on
+        // the first exchange and never grows again.
+        self.census.clear();
+        self.census.resize(2 + 3 * bins, 0);
         {
             let xh = system.atoms.x.h_view();
             for i in 0..nlocal {
                 for (k, &lk) in l.iter().enumerate() {
                     let frac = (xh.at([i, k]) - system.domain.lo[k]) / lk;
                     let b = ((frac * bins as f64) as isize).clamp(0, bins as isize - 1) as usize;
-                    self.local_hist[k * bins + b] += 1;
+                    self.census[2 + k * bins + b] += 1;
                 }
             }
         }
@@ -425,49 +364,21 @@ impl BrickComm {
         // (advisory) PairTime mode.
         let work = self.work_seconds - self.work_at_balance;
         self.work_at_balance = self.work_seconds;
-        let ticks = balance::weight_ticks(policy.weight, work, nlocal);
+        self.census[0] = nlocal as u64;
+        self.census[1] = balance::weight_ticks(policy.weight, work, nlocal);
 
-        // All-to-all census exchange: fixed-size envelopes
-        // `[nlocal, ticks, hist...]`, so the pool reaches steady state
-        // on the first exchange and never grows again.
-        self.reclaim()?;
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let mut buf = self.begin_msg(p, TAG_BALANCE, 2 + 3 * bins);
-            buf.push(nlocal as u64);
-            buf.push(ticks);
-            buf.extend_from_slice(&self.local_hist);
-            self.stats.balance_msgs += 1;
-            let bytes = ((buf.len() - HDR) * 8) as u64;
-            self.stats.balance_bytes += bytes;
-            if traced {
-                profile::note_instant(&format!("balance_bytes->r{p}"), bytes as f64);
-            }
-            self.dispatch(p, buf)?;
-        }
         self.rank_counts.clear();
         self.rank_counts.resize(nranks, 0);
         self.global_hist.clear();
         self.global_hist.resize(3 * bins, 0);
-        for p in 0..nranks {
-            if p == self.rank {
-                self.rank_counts[p] = nlocal as u64;
-                for (g, &h) in self.global_hist.iter_mut().zip(&self.local_hist) {
-                    *g += ticks * h;
-                }
-                continue;
+        let (rank_counts, global_hist) = (&mut self.rank_counts, &mut self.global_hist);
+        self.wire.allgather(TAG_BALANCE, &self.census, |p, w| {
+            debug_assert_eq!(w.len(), 2 + 3 * bins);
+            rank_counts[p] = w[0];
+            for (g, &h) in global_hist.iter_mut().zip(&w[2..]) {
+                *g += w[1] * h;
             }
-            let buf = self.recv_from(p, TAG_BALANCE)?;
-            debug_assert_eq!(buf.len() - HDR, 2 + 3 * bins);
-            self.rank_counts[p] = buf[HDR];
-            let pticks = buf[HDR + 1];
-            for (g, &h) in self.global_hist.iter_mut().zip(&buf[HDR + 2..]) {
-                *g += pticks * h;
-            }
-            self.recycle(p, buf);
-        }
+        })?;
 
         let imb = balance::census_imbalance(&self.rank_counts);
         if traced {
@@ -501,491 +412,12 @@ impl BrickComm {
             *ck = c;
         }
         self.decomp.set_cuts(Some(cuts));
-        self.sub = self.decomp.subdomain(self.rank);
-        self.stats.rebalances += 1;
+        self.sub = self.decomp.subdomain(self.wire.rank);
+        self.wire.stats.rebalances += 1;
         if traced {
             profile::note_instant("comm.balance.rebalance", imb);
         }
         Ok(())
-    }
-
-    /// Fault/recovery instant into the trace layer (summed into
-    /// `rank{r}/comm.fault.*` metrics counters by `lkk-trace`).
-    fn note_fault(&self, name: &str, value: f64) {
-        if profile::has_subscribers() {
-            profile::note_instant(name, value);
-        }
-    }
-
-    /// Pull every outstanding buffer back into the pool, waiting for
-    /// the exact count owed per peer. Waiting is deadlock-free: a peer
-    /// recycles while draining its receives for the *previous* phase,
-    /// which it must finish before it can participate in the phase this
-    /// reclaim precedes — so every owed buffer is already in flight.
-    /// In fault mode the wait polls, services retransmit requests (a
-    /// stuck peer may need one of our parked envelopes before it can
-    /// drain anything), and turns a vanished peer into an error.
-    // Audited wall-clock site: lint_allow.toml LKK001 (fault path).
-    #[allow(clippy::disallowed_methods)]
-    fn reclaim(&mut self) -> Result<(), CommError> {
-        // The `reclaim` span on a trace timeline is this rank *blocked*
-        // on peers that have not yet drained the previous phase — the
-        // simulated-MPI analogue of wait time in MPI_Send completion.
-        let _span = profile::has_subscribers().then(|| profile::begin_region("reclaim"));
-        if self.plan.is_none() {
-            for p in 0..self.links.len() {
-                let Some(link) = self.links[p].as_ref() else {
-                    continue;
-                };
-                for _ in 0..link.owed.get() {
-                    let buf = link
-                        .recycle_rx
-                        .recv()
-                        .map_err(|_| CommError::PeerDisconnected {
-                            rank: self.rank,
-                            peer: p,
-                            phase: "reclaim",
-                        })?;
-                    self.pool.free.push(buf);
-                }
-                link.owed.set(0);
-            }
-            return Ok(());
-        }
-        let policy = self.plan.as_ref().unwrap().policy();
-        let poll = Duration::from_millis(policy.poll_ms);
-        // Same wall-clock budget as a resilient receive: a peer that
-        // cannot drain the previous phase within it is itself stuck on
-        // an unrecoverable edge, and this rank must degrade to an error
-        // rather than spin forever (the no-deadlock guarantee).
-        let budget = Duration::from_millis(policy.budget_ms());
-        for p in 0..self.links.len() {
-            let started = Instant::now();
-            while let Some(link) = self.links[p].as_ref() {
-                if link.owed.get() == 0 {
-                    break;
-                }
-                match link.recycle_rx.recv_timeout(poll) {
-                    Ok(buf) => {
-                        link.owed.set(link.owed.get() - 1);
-                        self.pool.free.push(buf);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.service_nacks();
-                        self.drain_inbound();
-                        if started.elapsed() >= budget {
-                            self.fstats.timeouts += 1;
-                            self.note_fault("comm.fault.timeout", p as f64);
-                            return Err(CommError::Timeout {
-                                rank: self.rank,
-                                peer: p,
-                                phase: "reclaim",
-                                seq: self.send_seq[p],
-                                retries: policy.max_retries,
-                                waited_ms: started.elapsed().as_millis() as u64,
-                            });
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(CommError::PeerDisconnected {
-                            rank: self.rank,
-                            peer: p,
-                            phase: "reclaim",
-                        })
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn send_to(&self, peer: usize, buf: Vec<u64>) -> Result<(), CommError> {
-        let link = self.links[peer].as_ref().unwrap();
-        link.owed.set(link.owed.get() + 1);
-        let tag = buf[0];
-        link.tx.send(buf).map_err(|_| CommError::PeerDisconnected {
-            rank: self.rank,
-            peer,
-            phase: tag_name(tag),
-        })
-    }
-
-    /// Start an envelope toward `peer`: acquire a pooled buffer sized
-    /// for `payload_words` and write the `[tag, seq, crc]` header (crc
-    /// is filled at dispatch when a fault plan is active).
-    fn begin_msg(&mut self, peer: usize, tag: u64, payload_words: usize) -> Vec<u64> {
-        let mut buf = self.pool.acquire(HDR + payload_words);
-        buf.push(tag);
-        buf.push(self.send_seq[peer]);
-        buf.push(0);
-        buf
-    }
-
-    /// Provision the pool for worst-case fault-path extras of the
-    /// largest envelope class seen so far: per edge, up to two parked
-    /// retransmit copies plus one in-flight duplicate/reorder copy can
-    /// be live at once, on top of a full phase's worth of originals.
-    /// Acquiring that many buffers at once and releasing them grows the
-    /// pool *now* — a plan-determined point, reached during warmup for
-    /// every class (a class first dispatched after warmup would grow
-    /// the fault-free baseline too) — so later fault recovery never
-    /// allocates, keeping `grow_count` frozen after warmup.
-    fn prewarm(&mut self, cap: usize) {
-        let peers = self.links.iter().filter(|l| l.is_some()).count();
-        let mut held: Vec<Vec<u64>> = (0..4 * peers).map(|_| self.pool.acquire(cap)).collect();
-        self.prewarm_cap = held
-            .iter()
-            .map(|b| b.capacity())
-            .max()
-            .unwrap_or(cap)
-            .max(cap);
-        while let Some(buf) = held.pop() {
-            self.pool.free.push(buf);
-        }
-    }
-
-    /// Transmit a packed envelope, injecting the planned fault for this
-    /// `(edge, seq)` event if any. All pool demand of the fault paths
-    /// happens here, at plan-determined points, which is what keeps
-    /// `grow_count` a pure function of the seed (and zero after warmup).
-    fn dispatch(&mut self, peer: usize, mut buf: Vec<u64>) -> Result<(), CommError> {
-        let seq = self.send_seq[peer];
-        let tag = buf[0];
-        debug_assert_eq!(buf[1], seq, "envelope packed for a different round");
-        self.send_seq[peer] = seq + 1;
-        // Flow origin: the envelope is packed and about to leave. One
-        // begin per (edge, tag, seq) — retransmits and duplicates are
-        // re-deliveries of this same flow, not new ones. The quiesce
-        // handshake rides the control plane and is not traced.
-        if tag != TAG_QUIESCE && profile::has_subscribers() {
-            profile::note_flow_begin(tag_name(tag), flow_id(self.rank, peer, tag, seq));
-        }
-        let Some(plan) = self.plan.clone() else {
-            return self.send_to(peer, buf);
-        };
-        if buf.capacity() > self.prewarm_cap {
-            self.prewarm(buf.capacity());
-        }
-        // Dispatching seq `s` proves the receiver finished phase `s-2`
-        // (it sent its phase `s-1` envelopes, which required accepting
-        // everything through `s-2`) — parked copies that old can never
-        // be NACKed again. This happens when a reorder pre-send delivers
-        // the payload of a dropped envelope, masking the drop: prune
-        // them back into the pool at this plan-determined point, or
-        // they would leak and grow the pool.
-        let mut i = 0;
-        while i < self.pending_retx[peer].len() {
-            if self.pending_retx[peer][i].0 + 2 <= seq {
-                let (_, old) = self.pending_retx[peer].remove(i);
-                self.pool.free.push(old);
-            } else {
-                i += 1;
-            }
-        }
-        buf[2] = crc32_words(&buf[HDR..]) as u64;
-        if tag == TAG_QUIESCE {
-            // Shutdown handshake: never faulted (see TAG_QUIESCE docs).
-            return self.send_to(peer, buf);
-        }
-        if plan.edge_dead(self.rank, peer, seq) {
-            // Unrecoverable: the transmission and any retransmit are
-            // gone. The receiver must exhaust its retries.
-            self.fstats.drops += 1;
-            self.note_fault("comm.fault.dead_drop", seq as f64);
-            self.pool.free.push(buf);
-            return Ok(());
-        }
-        let event = plan.draw(self.rank, peer, seq);
-        // A reorder fault needs the *previous* envelope before
-        // `last_sent` is refreshed below.
-        if let Some(ev) = event {
-            if ev.kind == FaultKind::Reorder && !self.last_sent[peer].is_empty() {
-                let stale_src = std::mem::take(&mut self.last_sent[peer]);
-                let mut stale = self.pool.acquire(stale_src.len());
-                stale.extend_from_slice(&stale_src);
-                self.last_sent[peer] = stale_src;
-                self.fstats.reorders += 1;
-                self.note_fault("comm.fault.reorder", seq as f64);
-                self.send_to(peer, stale)?;
-            }
-        }
-        self.last_sent[peer].clear();
-        self.last_sent[peer].extend_from_slice(&buf);
-        match event.map(|ev| (ev.kind, ev)) {
-            None | Some((FaultKind::Reorder, _)) => self.send_to(peer, buf),
-            Some((FaultKind::Delay, ev)) => {
-                self.fstats.delays += 1;
-                self.note_fault("comm.fault.delay", ev.delay_ms as f64);
-                std::thread::sleep(Duration::from_millis(ev.delay_ms));
-                self.send_to(peer, buf)
-            }
-            Some((FaultKind::Drop, _)) => {
-                // The packed envelope becomes its own retransmit copy:
-                // the receiver times out, NACKs, and `service_nacks`
-                // delivers it — zero extra pool demand.
-                self.fstats.drops += 1;
-                self.note_fault("comm.fault.drop", seq as f64);
-                self.pending_retx[peer].push((seq, buf));
-                debug_assert!(
-                    self.pending_retx[peer].len() <= 2,
-                    "retransmit ring overflow"
-                );
-                Ok(())
-            }
-            Some((FaultKind::Duplicate, _)) => {
-                self.fstats.duplicates += 1;
-                self.note_fault("comm.fault.duplicate", seq as f64);
-                let mut copy = self.pool.acquire(buf.len());
-                copy.extend_from_slice(&buf);
-                self.send_to(peer, buf)?;
-                self.send_to(peer, copy)
-            }
-            Some((FaultKind::Corrupt, ev)) => {
-                // Park a clean copy for the NACK, then flip one bit of
-                // the transmitted payload (or of the CRC word itself
-                // when the payload is empty — either way validation
-                // fails on arrival).
-                self.fstats.corruptions += 1;
-                self.note_fault("comm.fault.corrupt", seq as f64);
-                let mut clean = self.pool.acquire(buf.len());
-                clean.extend_from_slice(&buf);
-                self.pending_retx[peer].push((seq, clean));
-                debug_assert!(
-                    self.pending_retx[peer].len() <= 2,
-                    "retransmit ring overflow"
-                );
-                if buf.len() > HDR {
-                    let i = HDR + (ev.aux as usize) % (buf.len() - HDR);
-                    buf[i] ^= 1 << ((ev.aux >> 32) % 64);
-                } else {
-                    buf[2] ^= 1;
-                }
-                self.send_to(peer, buf)
-            }
-        }
-    }
-
-    /// Answer inbound retransmit requests. A NACK with no parked
-    /// envelope is ignored on purpose: it can only mean the original
-    /// was neither dropped nor corrupted, so it is in flight and will
-    /// arrive — answering would need a fresh allocation at a
-    /// timing-dependent moment, breaking pool determinism for nothing.
-    fn service_nacks(&mut self) {
-        for p in 0..self.links.len() {
-            while let Some(link) = self.links[p].as_ref() {
-                let seq = match link.ctrl_rx.try_recv() {
-                    Ok(seq) => seq,
-                    Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                };
-                if let Some(pos) = self.pending_retx[p].iter().position(|(s, _)| *s == seq) {
-                    let (_, buf) = self.pending_retx[p].remove(pos);
-                    self.fstats.retransmits += 1;
-                    self.note_fault("comm.fault.retransmit", seq as f64);
-                    // A send failure here means the requester died
-                    // right after asking; the data-path receive will
-                    // surface the disconnect.
-                    let _ = self.send_to(p, buf);
-                }
-            }
-        }
-    }
-
-    fn send_nack(&mut self, peer: usize, seq: u64) {
-        self.fstats.nacks_sent += 1;
-        self.note_fault("comm.fault.nack", seq as f64);
-        // A dead peer is reported by the data-path receive, not here.
-        let _ = self.links[peer].as_ref().unwrap().ctrl_tx.send(seq);
-    }
-
-    fn recv_from(&mut self, peer: usize, tag: u64) -> Result<Vec<u64>, CommError> {
-        if self.plan.is_none() {
-            let expected = self.recv_seq[peer];
-            let buf = self.links[peer].as_ref().unwrap().rx.recv().map_err(|_| {
-                CommError::PeerDisconnected {
-                    rank: self.rank,
-                    peer,
-                    phase: tag_name(tag),
-                }
-            })?;
-            debug_assert_eq!(buf[0], tag, "exchange sequence desynced");
-            debug_assert_eq!(buf[1], expected, "envelope sequence desynced");
-            self.recv_seq[peer] = expected + 1;
-            // Flow terminus: the envelope identity is recomputed from
-            // the same (edge, tag, seq) the sender stamped, so the ids
-            // match without extra wire bytes.
-            if tag != TAG_QUIESCE && profile::has_subscribers() {
-                profile::note_flow_end(tag_name(tag), flow_id(peer, self.rank, tag, expected));
-            }
-            return Ok(buf);
-        }
-        self.recv_resilient(peer, tag)
-    }
-
-    /// Drain every inbound data channel without blocking, recycling
-    /// stale envelopes and parking (at most one) future envelope per
-    /// edge. Called from the fault-mode wait loops: a duplicate or a
-    /// retransmit that raced its original sits *unread* in our channel
-    /// until our next receive on that edge — but its sender counts it
-    /// as owed and its *reclaim* blocks on our recycle. Two such
-    /// leftovers on opposite directions of an edge (or around a cycle
-    /// of edges) would deadlock every reclaim involved; eagerly
-    /// draining while we ourselves wait breaks the cycle.
-    fn drain_inbound(&mut self) {
-        for p in 0..self.links.len() {
-            loop {
-                let buf = {
-                    let Some(link) = self.links[p].as_ref() else {
-                        break;
-                    };
-                    match link.rx.try_recv() {
-                        Ok(b) => b,
-                        // A disconnect is diagnosed on the data path.
-                        Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                    }
-                };
-                let seq = buf[1];
-                if seq < self.recv_seq[p] {
-                    self.fstats.stale_discards += 1;
-                    self.note_fault("comm.fault.stale", seq as f64);
-                    self.recycle(p, buf);
-                } else {
-                    self.park(p, buf);
-                }
-            }
-        }
-    }
-
-    /// Park a not-yet-consumed envelope for peer `p` until the receive
-    /// that expects it. Duplicates of an already-parked sequence are
-    /// discarded, and a corrupted envelope is rejected (with an
-    /// immediate retransmit request) rather than parked, so the stash
-    /// only ever holds valid payloads — at most two: the currently
-    /// expected sequence (pulled in by an eager drain while this rank
-    /// waited elsewhere) and the next one (the one-phase-lead bound
-    /// caps the sender there).
-    fn park(&mut self, p: usize, buf: Vec<u64>) {
-        let seq = buf[1];
-        if self.stash[p].iter().any(|b| b[1] == seq) {
-            self.fstats.stale_discards += 1;
-            self.note_fault("comm.fault.stale", seq as f64);
-            self.recycle(p, buf);
-        } else if crc32_words(&buf[HDR..]) as u64 != buf[2] {
-            self.fstats.crc_failures += 1;
-            self.note_fault("comm.fault.crc", seq as f64);
-            self.recycle(p, buf);
-            self.send_nack(p, seq);
-        } else {
-            debug_assert!(
-                seq <= self.recv_seq[p] + 1,
-                "sender more than one phase ahead"
-            );
-            self.stash[p].push(buf);
-            debug_assert!(self.stash[p].len() <= 2, "stash overflow");
-        }
-    }
-
-    /// Fault-mode receive: poll the data channel, discard stale
-    /// (duplicate / reordered) envelopes by sequence number, park one
-    /// future envelope, reject CRC mismatches with an immediate NACK,
-    /// and after `nack_base_ms` of silence start NACK rounds with
-    /// bounded exponential backoff. Exhausting `max_retries` rounds
-    /// returns [`CommError::Timeout`] — the no-deadlock guarantee.
-    // Audited wall-clock site: lint_allow.toml LKK001 (fault path).
-    #[allow(clippy::disallowed_methods)]
-    fn recv_resilient(&mut self, peer: usize, tag: u64) -> Result<Vec<u64>, CommError> {
-        let expected = self.recv_seq[peer];
-        let policy = self.plan.as_ref().unwrap().policy();
-        let phase = tag_name(tag);
-        let start = Instant::now();
-        let mut retries = 0u32;
-        let mut backoff_ms = policy.nack_base_ms;
-        let mut nack_at = start + Duration::from_millis(backoff_ms);
-        loop {
-            // An envelope parked by an earlier recovery round?
-            let from_stash = self.stash[peer].iter().position(|b| b[1] == expected);
-            let buf = if let Some(i) = from_stash {
-                Some(self.stash[peer].remove(i))
-            } else {
-                match self.links[peer]
-                    .as_ref()
-                    .unwrap()
-                    .rx
-                    .recv_timeout(Duration::from_millis(policy.poll_ms))
-                {
-                    Ok(b) => Some(b),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(CommError::PeerDisconnected {
-                            rank: self.rank,
-                            peer,
-                            phase,
-                        })
-                    }
-                }
-            };
-            let Some(buf) = buf else {
-                self.service_nacks();
-                self.drain_inbound();
-                if Instant::now() >= nack_at {
-                    if retries >= policy.max_retries {
-                        self.fstats.timeouts += 1;
-                        self.note_fault("comm.fault.timeout", expected as f64);
-                        return Err(CommError::Timeout {
-                            rank: self.rank,
-                            peer,
-                            phase,
-                            seq: expected,
-                            retries,
-                            waited_ms: start.elapsed().as_millis() as u64,
-                        });
-                    }
-                    self.send_nack(peer, expected);
-                    retries += 1;
-                    backoff_ms = (backoff_ms * 2).min(policy.nack_cap_ms);
-                    nack_at = Instant::now() + Duration::from_millis(backoff_ms);
-                }
-                continue;
-            };
-            let seq = buf[1];
-            if seq < expected {
-                // Duplicate or reordered leftover: already accepted.
-                self.fstats.stale_discards += 1;
-                self.note_fault("comm.fault.stale", seq as f64);
-                self.recycle(peer, buf);
-            } else if seq > expected {
-                // The sender is one phase ahead (our envelope for this
-                // round was dropped or is still in flight); park its
-                // next-round envelope. Never dropped on the floor: a
-                // lost buffer here would leak out of the sender's owed
-                // accounting and wedge its reclaim.
-                self.park(peer, buf);
-            } else if crc32_words(&buf[HDR..]) as u64 != buf[2] {
-                self.fstats.crc_failures += 1;
-                self.note_fault("comm.fault.crc", seq as f64);
-                self.recycle(peer, buf);
-                // Ask for the parked clean copy right away (does not
-                // count against the timeout retry budget: the sender
-                // provably holds a copy for a corrupted envelope).
-                self.send_nack(peer, expected);
-            } else {
-                debug_assert_eq!(buf[0], tag, "exchange sequence desynced");
-                self.recv_seq[peer] = expected + 1;
-                // Acceptance is the flow terminus even when the payload
-                // arrived via retransmit: stale/corrupt copies above
-                // were discarded without ending the flow, so exactly
-                // one end fires per id.
-                if tag != TAG_QUIESCE && profile::has_subscribers() {
-                    profile::note_flow_end(tag_name(tag), flow_id(peer, self.rank, tag, expected));
-                }
-                return Ok(buf);
-            }
-        }
-    }
-
-    fn recycle(&self, peer: usize, buf: Vec<u64>) {
-        // The peer may already be shutting down at gather time; its
-        // pool dying with it is fine.
-        let _ = self.links[peer].as_ref().unwrap().recycle_tx.send(buf);
     }
 
     /// Migrate owned atoms whose wrapped position now falls in another
@@ -993,7 +425,6 @@ impl BrickComm {
     /// ascending peer order]; forces and style scratch are recomputed
     /// after the rebuild and are not carried.
     fn migrate(&mut self, system: &mut System) -> Result<(), CommError> {
-        let nranks = self.decomp.nranks();
         let nlocal = system.atoms.nlocal;
         self.dest.clear();
         for i in 0..nlocal {
@@ -1001,115 +432,36 @@ impl BrickComm {
         }
         self.records.clear();
         for i in 0..nlocal {
-            if self.dest[i] == self.rank {
+            if self.dest[i] == self.wire.rank {
                 self.records.push(system.atoms.record(i));
             }
         }
-        let traced = profile::has_subscribers();
-        self.reclaim()?;
-        {
-            let _span = traced.then(|| profile::begin_region("pack"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for p in 0..nranks {
-                if p == self.rank {
-                    continue;
+        let (dest, atoms) = (&self.dest, &system.atoms);
+        self.wire.post(
+            TAG_MIGRATE,
+            true,
+            |p| dest.iter().filter(|&&d| d == p).count() * MIGRATE_WORDS,
+            |p, env| {
+                for i in (0..nlocal).filter(|&i| dest[i] == p) {
+                    env.extend_from_slice(&pack_record(&atoms.record(i)));
                 }
-                let leavers = self.dest.iter().filter(|&&d| d == p).count();
-                let mut buf = self.begin_msg(p, TAG_MIGRATE, leavers * MIGRATE_WORDS);
-                for i in 0..nlocal {
-                    if self.dest[i] == p {
-                        pack_record(&mut buf, &system.atoms.record(i));
-                    }
-                }
-                outbox.push((p, buf));
-            }
-            self.outbox = outbox;
-        }
-        {
-            let _span = traced.then(|| profile::begin_region("send"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for (p, buf) in outbox.drain(..) {
-                if buf.len() > HDR {
-                    self.stats.migrate_msgs += 1;
-                    let bytes = ((buf.len() - HDR) * 8) as u64;
-                    self.stats.migrate_bytes += bytes;
-                    if traced {
-                        profile::note_instant(&format!("migrate_bytes->r{p}"), bytes as f64);
-                    }
-                }
-                self.dispatch(p, buf)?;
-            }
-            self.outbox = outbox;
-        }
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let buf = {
-                let _span = traced.then(|| profile::begin_region("recv"));
-                self.recv_from(p, TAG_MIGRATE)?
-            };
-            debug_assert_eq!((buf.len() - HDR) % MIGRATE_WORDS, 0);
-            let _span = traced.then(|| profile::begin_region("unpack"));
-            let mut k = HDR;
-            while k < buf.len() {
-                let r = unpack_record(&buf[k..k + MIGRATE_WORDS]);
+            },
+        )?;
+        let (records, decomp, rank) = (&mut self.records, &self.decomp, self.wire.rank);
+        self.wire.collect(TAG_MIGRATE, true, None, |_, words| {
+            debug_assert_eq!(words.len() % MIGRATE_WORDS, 0);
+            for w in words.chunks_exact(MIGRATE_WORDS) {
+                let r = unpack_record(w);
                 debug_assert_eq!(
-                    self.decomp.rank_of(&r.x),
-                    self.rank,
+                    decomp.rank_of(&r.x),
+                    rank,
                     "migrated atom landed on the wrong rank"
                 );
-                self.records.push(r);
-                k += MIGRATE_WORDS;
+                records.push(r);
             }
-            drop(_span);
-            self.recycle(p, buf);
-        }
-        // Rebuild the owned rows from the record list.
-        let new_n = self.records.len();
-        self.max_owned = self.max_owned.max(new_n);
-        system.atoms.resize_all(new_n, 0);
-        system.atoms.nlocal = new_n;
-        system.atoms.nghost = 0;
-        {
-            let xh = system.atoms.x.h_view_mut();
-            for (i, r) in self.records.iter().enumerate() {
-                for (k, &v) in r.x.iter().enumerate() {
-                    xh.set([i, k], v);
-                }
-            }
-        }
-        {
-            let vh = system.atoms.v.h_view_mut();
-            for (i, r) in self.records.iter().enumerate() {
-                for (k, &v) in r.v.iter().enumerate() {
-                    vh.set([i, k], v);
-                }
-            }
-        }
-        {
-            let th = system.atoms.tag.h_view_mut();
-            for (i, r) in self.records.iter().enumerate() {
-                th.set([i], r.tag);
-            }
-        }
-        {
-            let ty = system.atoms.typ.h_view_mut();
-            for (i, r) in self.records.iter().enumerate() {
-                ty.set([i], r.typ);
-            }
-        }
-        {
-            let qh = system.atoms.q.h_view_mut();
-            for (i, r) in self.records.iter().enumerate() {
-                qh.set([i], r.q);
-            }
-        }
-        system.atoms.image.clear();
-        system
-            .atoms
-            .image
-            .extend(self.records.iter().map(|r| r.image));
+        })?;
+        self.max_owned = self.max_owned.max(self.records.len());
+        system.atoms.set_records(&self.records);
         Ok(())
     }
 
@@ -1119,7 +471,6 @@ impl BrickComm {
     /// against the 26 neighbor-brick directions, whose periodic wraps
     /// determine the shift transmitted with the border message.
     fn halo(&mut self, system: &mut System, cutghost: f64) -> Result<(), CommError> {
-        let nranks = self.decomp.nranks();
         let l = system.domain.lengths();
         for (k, &len) in l.iter().enumerate() {
             if self.decomp.grid[k] == 1 {
@@ -1198,7 +549,7 @@ impl BrickComm {
                             continue;
                         }
                         let target = (c[0] * py + c[1]) * pz + c[2];
-                        if target == self.rank {
+                        if target == self.wire.rank {
                             // A periodic image of our own atom (every
                             // non-zero direction wrapped).
                             self_map.owner.push(i);
@@ -1214,68 +565,45 @@ impl BrickComm {
 
         // Exchange border messages: identity + position + shift once;
         // subsequent forwards reference the same ordering implicitly.
+        let (plan, shifts, atoms) = (&self.send_plan, &self.send_shift, &system.atoms);
+        self.wire.post(
+            TAG_BORDER,
+            true,
+            |p| plan[p].len() * BORDER_WORDS,
+            |p, env| {
+                let xh = atoms.x.h_view();
+                let tagh = atoms.tag.h_view();
+                let typh = atoms.typ.h_view();
+                let qh = atoms.q.h_view();
+                for (&ai, s) in plan[p].iter().zip(&shifts[p]) {
+                    let i = ai as usize;
+                    env.push(tagh.at([i]) as u64);
+                    env.push(typh.at([i]) as i64 as u64);
+                    env.push(qh.at([i]).to_bits());
+                    for k in 0..3 {
+                        env.push(xh.at([i, k]).to_bits());
+                    }
+                    for &sk in s {
+                        env.push(sk.to_bits());
+                    }
+                }
+            },
+        )?;
+        // The receive side is two passes instead of `Wire::collect`:
+        // every count is needed before the one resize, and the `unpack`
+        // span stays open over the self-image fill.
         let traced = profile::has_subscribers();
-        self.reclaim()?;
-        {
-            let _span = traced.then(|| profile::begin_region("pack"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for p in 0..nranks {
-                if p == self.rank {
-                    continue;
-                }
-                let mut buf = self.begin_msg(p, TAG_BORDER, self.send_plan[p].len() * BORDER_WORDS);
-                {
-                    let xh = system.atoms.x.h_view();
-                    let tagh = system.atoms.tag.h_view();
-                    let typh = system.atoms.typ.h_view();
-                    let qh = system.atoms.q.h_view();
-                    for (&ai, s) in self.send_plan[p].iter().zip(&self.send_shift[p]) {
-                        let i = ai as usize;
-                        buf.push(tagh.at([i]) as u64);
-                        buf.push(typh.at([i]) as i64 as u64);
-                        buf.push(qh.at([i]).to_bits());
-                        for k in 0..3 {
-                            buf.push(xh.at([i, k]).to_bits());
-                        }
-                        for &sk in s {
-                            buf.push(sk.to_bits());
-                        }
-                    }
-                }
-                outbox.push((p, buf));
-            }
-            self.outbox = outbox;
-        }
-        {
-            let _span = traced.then(|| profile::begin_region("send"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for (p, buf) in outbox.drain(..) {
-                if buf.len() > HDR {
-                    self.stats.border_msgs += 1;
-                    let bytes = ((buf.len() - HDR) * 8) as u64;
-                    self.stats.border_bytes += bytes;
-                    if traced {
-                        profile::note_instant(&format!("border_bytes->r{p}"), bytes as f64);
-                    }
-                }
-                self.dispatch(p, buf)?;
-            }
-            self.outbox = outbox;
-        }
         self.inbox.clear();
         let mut nremote = 0usize;
         {
             let _span = traced.then(|| profile::begin_region("recv"));
-            for p in 0..nranks {
-                if p == self.rank {
-                    continue;
-                }
-                let buf = self.recv_from(p, TAG_BORDER)?;
-                debug_assert_eq!((buf.len() - HDR) % BORDER_WORDS, 0);
-                let count = (buf.len() - HDR) / BORDER_WORDS;
+            for p in self.wire.peers() {
+                let env = self.wire.transport.recv(p, TAG_BORDER)?;
+                debug_assert_eq!(env.payload().len() % BORDER_WORDS, 0);
+                let count = env.payload().len() / BORDER_WORDS;
                 self.recv_count[p] = count;
                 nremote += count;
-                self.inbox.push((p, buf));
+                self.inbox.push((p, env));
             }
         }
         let _unpack_span = traced.then(|| profile::begin_region("unpack"));
@@ -1287,90 +615,32 @@ impl BrickComm {
         self.remote_base = nlocal + nself;
 
         // Self images: metadata from the owner rows, then positions.
-        {
-            let typh = system.atoms.typ.h_view_mut();
-            for (g, &o) in self_map.owner.iter().enumerate() {
-                let v = typh.at([o]);
-                typh.set([nlocal + g], v);
-            }
-        }
-        {
-            let qh = system.atoms.q.h_view_mut();
-            for (g, &o) in self_map.owner.iter().enumerate() {
-                let v = qh.at([o]);
-                qh.set([nlocal + g], v);
-            }
-        }
-        {
-            let tagh = system.atoms.tag.h_view_mut();
-            for (g, &o) in self_map.owner.iter().enumerate() {
-                let v = tagh.at([o]);
-                tagh.set([nlocal + g], v);
-            }
-        }
+        crate::comm::copy_ghost_metadata(&mut system.atoms, &self_map);
         crate::comm::forward_positions(&mut system.atoms, &self_map);
 
         // Remote segments, ascending peer order.
         self.recv_shift.clear();
         let mut row = self.remote_base;
-        let mut inbox = std::mem::take(&mut self.inbox);
-        for (p, buf) in inbox.drain(..) {
-            let count = (buf.len() - HDR) / BORDER_WORDS;
-            let mut k = HDR;
-            for _ in 0..count {
-                let tag = buf[k] as i64;
-                let typ = buf[k + 1] as i64 as i32;
-                let q = f64::from_bits(buf[k + 2]);
-                let mut shift = [0.0f64; 3];
-                for (kk, s) in shift.iter_mut().enumerate() {
-                    *s = f64::from_bits(buf[k + 6 + kk]);
+        for (p, env) in self.inbox.drain(..) {
+            for w in env.payload().chunks_exact(BORDER_WORDS) {
+                let shift = [
+                    f64::from_bits(w[6]),
+                    f64::from_bits(w[7]),
+                    f64::from_bits(w[8]),
+                ];
+                let xh = system.atoms.x.h_view_mut();
+                for (k, &sk) in shift.iter().enumerate() {
+                    xh.set([row, k], f64::from_bits(w[3 + k]) + sk);
                 }
-                {
-                    let xh = system.atoms.x.h_view_mut();
-                    for kk in 0..3 {
-                        xh.set([row, kk], f64::from_bits(buf[k + 3 + kk]) + shift[kk]);
-                    }
-                }
-                system.atoms.tag.h_view_mut().set([row], tag);
-                system.atoms.typ.h_view_mut().set([row], typ);
-                system.atoms.q.h_view_mut().set([row], q);
+                system.atoms.tag.h_view_mut().set([row], w[0] as i64);
+                system.atoms.typ.h_view_mut().set([row], w[1] as i64 as i32);
+                system.atoms.q.h_view_mut().set([row], f64::from_bits(w[2]));
                 self.recv_shift.push(shift);
                 row += 1;
-                k += BORDER_WORDS;
             }
-            self.recycle(p, buf);
+            self.wire.transport.recycle(p, env);
         }
-        self.inbox = inbox;
         system.ghosts = self_map;
-        Ok(())
-    }
-
-    /// Shutdown handshake, fault mode only: exchange one exempt
-    /// envelope with every peer and wait for theirs, servicing
-    /// retransmit requests throughout. A rank that returned early would
-    /// otherwise strand a peer still waiting on one of its parked
-    /// retransmits; after `quiesce` returns, every peer has completed
-    /// its last faulted exchange, so tearing down the channels is safe.
-    fn quiesce(&mut self) -> Result<(), CommError> {
-        if self.plan.is_none() || self.decomp.nranks() == 1 {
-            return Ok(());
-        }
-        let nranks = self.decomp.nranks();
-        self.reclaim()?;
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let buf = self.begin_msg(p, TAG_QUIESCE, 0);
-            self.dispatch(p, buf)?;
-        }
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let buf = self.recv_from(p, TAG_QUIESCE)?;
-            self.recycle(p, buf);
-        }
         Ok(())
     }
 }
@@ -1385,7 +655,7 @@ impl Comm for BrickComm {
     }
 
     fn rank(&self) -> usize {
-        self.rank
+        self.wire.rank
     }
 
     fn borders(&mut self, system: &mut System, cutghost: f64) -> Result<(), CommError> {
@@ -1412,75 +682,36 @@ impl Comm for BrickComm {
 
     fn forward(&mut self, system: &mut System) -> Result<(), CommError> {
         crate::comm::forward_positions(&mut system.atoms, &system.ghosts);
-        let nranks = self.decomp.nranks();
-        if nranks == 1 {
+        if self.wire.nranks == 1 {
             return Ok(());
         }
-        let traced = profile::has_subscribers();
-        self.reclaim()?;
-        {
-            let _span = traced.then(|| profile::begin_region("pack"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for p in 0..nranks {
-                if p == self.rank {
-                    continue;
-                }
-                let mut buf = self.begin_msg(p, TAG_FORWARD, self.send_plan[p].len() * 3);
-                {
-                    let xh = system.atoms.x.h_view();
-                    for &ai in &self.send_plan[p] {
-                        let i = ai as usize;
-                        for k in 0..3 {
-                            buf.push(xh.at([i, k]).to_bits());
-                        }
+        let plan = &self.send_plan;
+        let xh = system.atoms.x.h_view();
+        self.wire.post(
+            TAG_FORWARD,
+            true,
+            |p| plan[p].len() * 3,
+            |p, env| {
+                for &ai in &plan[p] {
+                    for k in 0..3 {
+                        env.push(xh.at([ai as usize, k]).to_bits());
                     }
                 }
-                outbox.push((p, buf));
-            }
-            self.outbox = outbox;
-        }
-        {
-            let _span = traced.then(|| profile::begin_region("send"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for (p, buf) in outbox.drain(..) {
-                if buf.len() > HDR {
-                    self.stats.forward_msgs += 1;
-                    let bytes = ((buf.len() - HDR) * 8) as u64;
-                    self.stats.forward_bytes += bytes;
-                    if traced {
-                        profile::note_instant(&format!("fwd_bytes->r{p}"), bytes as f64);
-                    }
+            },
+        )?;
+        let (recv_count, recv_shift, base) = (&self.recv_count, &self.recv_shift, self.remote_base);
+        let mut row = base;
+        let xh = system.atoms.x.h_view_mut();
+        self.wire.collect(TAG_FORWARD, true, None, |p, words| {
+            debug_assert_eq!(words.len(), recv_count[p] * 3);
+            for w in words.chunks_exact(3) {
+                let s = recv_shift[row - base];
+                for (k, &sk) in s.iter().enumerate() {
+                    xh.set([row, k], f64::from_bits(w[k]) + sk);
                 }
-                self.dispatch(p, buf)?;
+                row += 1;
             }
-            self.outbox = outbox;
-        }
-        let mut row = self.remote_base;
-        let mut gi = 0usize;
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let buf = {
-                let _span = traced.then(|| profile::begin_region("recv"));
-                self.recv_from(p, TAG_FORWARD)?
-            };
-            debug_assert_eq!(buf.len() - HDR, self.recv_count[p] * 3);
-            {
-                let _span = traced.then(|| profile::begin_region("unpack"));
-                let xh = system.atoms.x.h_view_mut();
-                for c in 0..self.recv_count[p] {
-                    let s = self.recv_shift[gi];
-                    for (k, &sk) in s.iter().enumerate() {
-                        xh.set([row, k], f64::from_bits(buf[HDR + c * 3 + k]) + sk);
-                    }
-                    row += 1;
-                    gi += 1;
-                }
-            }
-            self.recycle(p, buf);
-        }
-        Ok(())
+        })
     }
 
     fn reverse(&mut self, system: &mut System) -> Result<(), CommError> {
@@ -1488,75 +719,35 @@ impl Comm for BrickComm {
         // remote contributions in ascending peer order — deterministic
         // on every rank.
         crate::comm::reverse_forces(&mut system.atoms, &system.ghosts);
-        let nranks = self.decomp.nranks();
-        if nranks == 1 {
+        if self.wire.nranks == 1 {
             return Ok(());
         }
-        let traced = profile::has_subscribers();
-        self.reclaim()?;
-        {
-            let _span = traced.then(|| profile::begin_region("pack"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            let mut row = self.remote_base;
-            for p in 0..nranks {
-                if p == self.rank {
-                    continue;
-                }
-                let count = self.recv_count[p];
-                let mut buf = self.begin_msg(p, TAG_REVERSE, count * 3);
-                {
-                    let fh = system.atoms.f.h_view_mut();
-                    for c in 0..count {
-                        for k in 0..3 {
-                            buf.push(fh.at([row + c, k]).to_bits());
-                            fh.set([row + c, k], 0.0);
-                        }
-                    }
-                }
-                row += count;
-                outbox.push((p, buf));
-            }
-            self.outbox = outbox;
-        }
-        {
-            let _span = traced.then(|| profile::begin_region("send"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for (p, buf) in outbox.drain(..) {
-                if buf.len() > HDR {
-                    self.stats.reverse_msgs += 1;
-                    let bytes = ((buf.len() - HDR) * 8) as u64;
-                    self.stats.reverse_bytes += bytes;
-                    if traced {
-                        profile::note_instant(&format!("rev_bytes->r{p}"), bytes as f64);
-                    }
-                }
-                self.dispatch(p, buf)?;
-            }
-            self.outbox = outbox;
-        }
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let buf = {
-                let _span = traced.then(|| profile::begin_region("recv"));
-                self.recv_from(p, TAG_REVERSE)?
-            };
-            debug_assert_eq!(buf.len() - HDR, self.send_plan[p].len() * 3);
-            {
-                let _span = traced.then(|| profile::begin_region("unpack"));
-                let fh = system.atoms.f.h_view_mut();
-                for (c, &ai) in self.send_plan[p].iter().enumerate() {
-                    let i = ai as usize;
+        let (plan, recv_count) = (&self.send_plan, &self.recv_count);
+        let fh = system.atoms.f.h_view_mut();
+        let mut row = self.remote_base;
+        self.wire.post(
+            TAG_REVERSE,
+            true,
+            |p| recv_count[p] * 3,
+            |p, env| {
+                for _ in 0..recv_count[p] {
                     for k in 0..3 {
-                        let v = fh.at([i, k]) + f64::from_bits(buf[HDR + c * 3 + k]);
-                        fh.set([i, k], v);
+                        env.push(fh.at([row, k]).to_bits());
+                        fh.set([row, k], 0.0);
                     }
+                    row += 1;
+                }
+            },
+        )?;
+        self.wire.collect(TAG_REVERSE, true, None, |p, words| {
+            debug_assert_eq!(words.len(), plan[p].len() * 3);
+            for (&ai, w) in plan[p].iter().zip(words.chunks_exact(3)) {
+                for (k, &wk) in w.iter().enumerate() {
+                    let v = fh.at([ai as usize, k]) + f64::from_bits(wk);
+                    fh.set([ai as usize, k], v);
                 }
             }
-            self.recycle(p, buf);
-        }
-        Ok(())
+        })
     }
 
     fn forward_scalar(&mut self, system: &mut System, values: &mut [f64]) -> Result<(), CommError> {
@@ -1564,136 +755,70 @@ impl Comm for BrickComm {
         for (g, &owner) in system.ghosts.owner.iter().enumerate() {
             values[nlocal + g] = values[owner];
         }
-        let nranks = self.decomp.nranks();
-        if nranks == 1 {
+        if self.wire.nranks == 1 {
             return Ok(());
         }
-        let traced = profile::has_subscribers();
-        self.reclaim()?;
-        {
-            let _span = traced.then(|| profile::begin_region("pack"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for p in 0..nranks {
-                if p == self.rank {
-                    continue;
+        let (plan, recv_count) = (&self.send_plan, &self.recv_count);
+        self.wire.post(
+            TAG_SCALAR,
+            true,
+            |p| plan[p].len(),
+            |p, env| {
+                for &ai in &plan[p] {
+                    env.push(values[ai as usize].to_bits());
                 }
-                let mut buf = self.begin_msg(p, TAG_SCALAR, self.send_plan[p].len());
-                for &ai in &self.send_plan[p] {
-                    buf.push(values[ai as usize].to_bits());
-                }
-                outbox.push((p, buf));
-            }
-            self.outbox = outbox;
-        }
-        {
-            let _span = traced.then(|| profile::begin_region("send"));
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for (p, buf) in outbox.drain(..) {
-                if buf.len() > HDR {
-                    self.stats.scalar_msgs += 1;
-                    let bytes = ((buf.len() - HDR) * 8) as u64;
-                    self.stats.scalar_bytes += bytes;
-                    if traced {
-                        profile::note_instant(&format!("scalar_bytes->r{p}"), bytes as f64);
-                    }
-                }
-                self.dispatch(p, buf)?;
-            }
-            self.outbox = outbox;
-        }
+            },
+        )?;
         let mut row = self.remote_base;
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
+        self.wire.collect(TAG_SCALAR, true, None, |p, words| {
+            debug_assert_eq!(words.len(), recv_count[p]);
+            for &w in words {
+                values[row] = f64::from_bits(w);
+                row += 1;
             }
-            let buf = {
-                let _span = traced.then(|| profile::begin_region("recv"));
-                self.recv_from(p, TAG_SCALAR)?
-            };
-            debug_assert_eq!(buf.len() - HDR, self.recv_count[p]);
-            {
-                let _span = traced.then(|| profile::begin_region("unpack"));
-                for &w in &buf[HDR..] {
-                    values[row] = f64::from_bits(w);
-                    row += 1;
-                }
-            }
-            self.recycle(p, buf);
-        }
-        Ok(())
+        })
     }
 
     fn allreduce_or(&mut self, flag: bool) -> Result<bool, CommError> {
-        let nranks = self.decomp.nranks();
-        if nranks == 1 {
+        if self.wire.nranks == 1 {
             return Ok(flag);
         }
-        self.stats.allreduce_count += 1;
-        self.reclaim()?;
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let mut buf = self.begin_msg(p, TAG_REDUCE, 1);
-            buf.push(flag as u64);
-            self.dispatch(p, buf)?;
-        }
-        let mut acc = flag;
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let buf = self.recv_from(p, TAG_REDUCE)?;
-            acc |= buf[HDR] != 0;
-            self.recycle(p, buf);
-        }
+        self.wire.stats.allreduce_count += 1;
+        let mut acc = false;
+        self.wire
+            .allgather(TAG_REDUCE, &[flag as u64], |_, w| acc |= w[0] != 0)?;
         Ok(acc)
     }
 
     fn allreduce_sum(&mut self, value: f64) -> Result<f64, CommError> {
-        let nranks = self.decomp.nranks();
-        if nranks == 1 {
+        if self.wire.nranks == 1 {
             return Ok(value);
         }
-        self.stats.allreduce_count += 1;
-        self.reclaim()?;
-        for p in 0..nranks {
-            if p == self.rank {
-                continue;
-            }
-            let mut buf = self.begin_msg(p, TAG_REDUCE, 1);
-            buf.push(value.to_bits());
-            self.dispatch(p, buf)?;
-        }
-        // Combine in ascending rank order (own term in place), so every
-        // rank computes the bitwise-identical sum.
+        self.wire.stats.allreduce_count += 1;
+        // Combined in ascending rank order (own term at its place), so
+        // every rank computes the bitwise-identical sum.
         let mut acc = 0.0;
-        for p in 0..nranks {
-            if p == self.rank {
-                acc += value;
-            } else {
-                let buf = self.recv_from(p, TAG_REDUCE)?;
-                acc += f64::from_bits(buf[HDR]);
-                self.recycle(p, buf);
-            }
-        }
+        self.wire
+            .allgather(TAG_REDUCE, &[value.to_bits()], |_, w| {
+                acc += f64::from_bits(w[0])
+            })?;
         Ok(acc)
     }
 
     fn quiesce(&mut self) -> Result<(), CommError> {
-        BrickComm::quiesce(self)
+        self.wire.transport.quiesce()
     }
 
     fn stats(&self) -> CommStats {
-        self.stats
+        self.wire.stats
     }
 
     fn fault_stats(&self) -> FaultStats {
-        self.fstats
+        self.wire.transport.fault_stats()
     }
 
     fn grow_count(&self) -> u64 {
-        self.pool.grow_count
+        self.wire.transport.grow_count()
     }
 
     fn phase_seconds(&self) -> [f64; 2] {
@@ -1709,19 +834,17 @@ impl Comm for BrickComm {
     }
 }
 
-fn pack_record(buf: &mut Vec<u64>, r: &AtomRecord) {
-    buf.push(r.tag as u64);
-    buf.push(r.typ as i64 as u64);
-    buf.push(r.q.to_bits());
-    for &v in &r.x {
-        buf.push(v.to_bits());
+fn pack_record(r: &AtomRecord) -> [u64; MIGRATE_WORDS] {
+    let mut words = [0; MIGRATE_WORDS];
+    words[0] = r.tag as u64;
+    words[1] = r.typ as i64 as u64;
+    words[2] = r.q.to_bits();
+    for k in 0..3 {
+        words[3 + k] = r.x[k].to_bits();
+        words[6 + k] = r.v[k].to_bits();
+        words[9 + k] = r.image[k] as i64 as u64;
     }
-    for &v in &r.v {
-        buf.push(v.to_bits());
-    }
-    for &v in &r.image {
-        buf.push(v as i64 as u64);
-    }
+    words
 }
 
 fn unpack_record(words: &[u64]) -> AtomRecord {
@@ -1747,510 +870,11 @@ fn unpack_record(words: &[u64]) -> AtomRecord {
     }
 }
 
-// ---------------------------------------------------------------------
-// Rank-parallel driver
-// ---------------------------------------------------------------------
-
-/// Everything a driver run needs besides the per-rank styles: the
-/// initial atoms (as records), the global box, the step counts, and the
-/// communication layout. [`RunSpec::run`] is the unified entry point —
-/// single-rank and brick-decomposed runs share it and return the same
-/// gathered [`MultiRankRun`].
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    pub records: Vec<AtomRecord>,
-    /// Per-type mass table (global, not part of the records).
-    pub masses: Vec<f64>,
-    pub domain: Domain,
-    pub units: Units,
-    pub space: Space,
-    /// Steps run before the grow counters are snapshotted (pool sizes
-    /// may still grow while the system equilibrates).
-    pub warmup_steps: u64,
-    /// Measured steps after warmup.
-    pub steps: u64,
-    /// When set, every rank installs the same seeded [`FaultPlan`] on
-    /// its [`BrickComm`] before the run (see [`fault`]).
-    pub fault: Option<FaultConfig>,
-    /// Communication layout: [`CommSpec::Single`] (the default), or
-    /// [`CommSpec::Brick`] with a rank count and an optional
-    /// load-balance policy.
-    pub comm: CommSpec,
-}
-
-impl RunSpec {
-    /// Capture `atoms` as the initial condition (LJ units, serial
-    /// space, no warmup, single-rank comm by default — set the public
-    /// fields or chain [`RunSpec::comm`] to change).
-    pub fn new(atoms: &AtomData, domain: Domain, steps: u64) -> Self {
-        RunSpec {
-            records: (0..atoms.nlocal).map(|i| atoms.record(i)).collect(),
-            masses: atoms.mass.clone(),
-            domain,
-            units: Units::lj(),
-            space: Space::Serial,
-            warmup_steps: 0,
-            steps,
-            fault: None,
-            comm: CommSpec::Single,
-        }
-    }
-
-    /// Set the communication layout (builder-style).
-    pub fn comm(mut self, comm: CommSpec) -> Self {
-        self.comm = comm;
-        self
-    }
-}
-
-/// Final state of one atom of a rank-parallel run, gathered and keyed
-/// by global tag.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RankAtomState {
-    pub tag: i64,
-    pub typ: i32,
-    pub x: [f64; 3],
-    pub v: [f64; 3],
-    pub f: [f64; 3],
-}
-
-/// Gathered result of [`RunSpec::run`]: final atom states plus the
-/// reduced energies and the per-rank diagnostics the perf harness and
-/// the equivalence tests assert on.
-#[derive(Debug, Clone)]
-pub struct MultiRankRun {
-    pub nranks: usize,
-    pub natoms: usize,
-    pub steps: u64,
-    /// All atoms, sorted by tag.
-    pub states: Vec<RankAtomState>,
-    /// Globally reduced pair energy of the final configuration.
-    pub e_pair: f64,
-    /// Globally reduced kinetic energy of the final configuration.
-    pub e_kinetic: f64,
-    /// Per-rank thermo rows (local quantities — not reduced).
-    pub thermo: Vec<Vec<ThermoRow>>,
-    /// Exchange counters summed over ranks.
-    pub comm_stats: CommStats,
-    /// Message-pool growths summed over ranks: total and after warmup.
-    pub comm_grow: u64,
-    pub comm_grow_after_warmup: u64,
-    /// Neighbor-list growths summed over ranks: total and after warmup.
-    pub neighbor_grow: u64,
-    pub neighbor_grow_after_warmup: u64,
-    /// Scatter-pool growths summed over ranks: total and after warmup.
-    pub scatter_grow: u64,
-    pub scatter_grow_after_warmup: u64,
-    pub rebuild_counts: Vec<u64>,
-    /// Neighbor pairs summed over ranks at the final build.
-    pub total_pairs: u64,
-    pub timings: Vec<Timings>,
-    /// Owned (`nlocal`) atoms per rank at the end of the run.
-    pub owned_atoms: Vec<usize>,
-    /// Peak owned atoms per rank over the whole run (sampled at every
-    /// migration), so transient spikes between rebalances are visible.
-    pub owned_atoms_peak: Vec<usize>,
-    /// Fault-injection / recovery counters summed over ranks (all zero
-    /// unless [`RunSpec::fault`] was set).
-    pub fault_stats: FaultStats,
-}
-
-/// max/mean of a per-rank sample: 1.0 = perfectly balanced, and the
-/// excess over 1.0 is the fraction of the slowest rank's work the
-/// average rank does not share (the paper's strong-scaling breakdowns
-/// hinge on exactly this ratio).
-fn imbalance(samples: impl Iterator<Item = f64>) -> f64 {
-    let (mut max, mut sum, mut n) = (f64::NEG_INFINITY, 0.0, 0u32);
-    for s in samples {
-        max = max.max(s);
-        sum += s;
-        n += 1;
-    }
-    if n == 0 || sum <= 0.0 {
-        return 1.0;
-    }
-    max / (sum / n as f64)
-}
-
-impl MultiRankRun {
-    /// Load imbalance of the atom distribution: the peak `nlocal` any
-    /// rank held at any point of the run, over the ideal mean
-    /// (`natoms / nranks`). Max-over-run rather than final-census, so a
-    /// transient pile-up between rebalances is not a blind spot (the
-    /// final-census version reported 1.0 for a run whose midpoint was
-    /// badly skewed).
-    pub fn atom_imbalance(&self) -> f64 {
-        let mean = self.natoms as f64 / self.nranks.max(1) as f64;
-        if mean <= 0.0 {
-            return 1.0;
-        }
-        let peak = self.owned_atoms_peak.iter().copied().max().unwrap_or(0);
-        (peak as f64 / mean).max(1.0)
-    }
-
-    /// Load imbalance of the *final* atom census: max/mean of
-    /// `owned_atoms` (the pre-PR-8 `atom_imbalance` definition).
-    pub fn final_atom_imbalance(&self) -> f64 {
-        imbalance(self.owned_atoms.iter().map(|&n| n as f64))
-    }
-
-    /// Load imbalance of the measured pair-force time: max/mean of the
-    /// per-rank `Timings::pair` seconds. Wall-clock derived — advisory,
-    /// never part of a deterministic baseline.
-    pub fn pair_time_imbalance(&self) -> f64 {
-        imbalance(self.timings.iter().map(|t| t.pair))
-    }
-}
-
-/// One or more ranks failed a rank-parallel run: the per-rank
-/// [`CommError`]s, in ascending rank order. Ranks that completed (or
-/// were wedged behind the failing ones and timed out) each contribute
-/// their own entry.
-#[derive(Debug, Clone)]
-pub struct CommFailure {
-    pub nranks: usize,
-    pub errors: Vec<(usize, CommError)>,
-}
-
-impl std::fmt::Display for CommFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} of {} ranks failed:", self.errors.len(), self.nranks)?;
-        for (rank, err) in &self.errors {
-            write!(f, " [rank {rank}: {err}]")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for CommFailure {}
-
-struct RankOutcome {
-    states: Vec<RankAtomState>,
-    e_pair: f64,
-    e_kinetic: f64,
-    thermo: Vec<ThermoRow>,
-    stats: CommStats,
-    comm_grow: u64,
-    comm_grow_warm: u64,
-    neighbor_grow: u64,
-    neighbor_grow_warm: u64,
-    scatter_grow: u64,
-    scatter_grow_warm: u64,
-    rebuild_count: u64,
-    total_pairs: u64,
-    timings: Timings,
-    nlocal: usize,
-    nlocal_peak: usize,
-    fstats: FaultStats,
-}
-
-impl RunSpec {
-    /// Run this spec through its configured [`CommSpec`] — the unified
-    /// driver entry point.
-    ///
-    /// `factory` is called once per rank with the rank index and that
-    /// rank's [`System`] (atoms partitioned by brick, comm layer
-    /// installed) and must return the [`Simulation`] to drive — which
-    /// is how *any* pair style or fix runs unmodified on N ranks. Every
-    /// rank must be configured identically (same styles, same neighbor
-    /// settings): the exchanges are collective, and divergent
-    /// configuration desyncs them.
-    ///
-    /// Returns `Err(CommFailure)` when any rank aborts with a
-    /// [`CommError`] (unrecoverable injected fault, peer disconnect, or
-    /// rank panic); the surviving ranks drain out via their own bounded
-    /// retry budgets, so the call returns instead of deadlocking.
-    pub fn run<F>(&self, factory: F) -> Result<MultiRankRun, CommFailure>
-    where
-        F: Fn(usize, System) -> Simulation + Sync,
-    {
-        match self.comm {
-            CommSpec::Single => self.run_single(|system| factory(0, system)),
-            CommSpec::Brick { ranks, balance } => self.run_brick(ranks, balance, &factory),
-        }
-    }
-
-    /// Single-rank arm of the unified driver, without the `Sync` bound
-    /// (no threads are spawned): bit-for-bit the classic in-process
-    /// `Simulation::run` loop on a [`crate::comm::SingleRankComm`],
-    /// gathered into the same [`MultiRankRun`] shape the brick arm
-    /// returns.
-    pub fn run_single<F>(&self, factory: F) -> Result<MultiRankRun, CommFailure>
-    where
-        F: FnOnce(System) -> Simulation,
-    {
-        let fail = |err: CommError| CommFailure {
-            nranks: 1,
-            errors: vec![(0, err)],
-        };
-        let natoms = self.records.len();
-        let atoms = AtomData::from_records(&self.records, &self.masses);
-        let system = System::new(atoms, self.domain, self.space.clone()).with_units(self.units);
-        let mut sim = factory(system);
-        sim.try_run(self.warmup_steps).map_err(fail)?;
-        let comm_grow_warm = sim.comm_grow_count();
-        let neighbor_grow_warm = sim.neighbor_grow_count();
-        let scatter_grow_warm = sim.pair.scatter_grow_count();
-        sim.try_run(self.steps).map_err(fail)?;
-        let total_pairs = sim.neighbor_list().total_pairs;
-        sim.system.atoms.sync(&Space::Serial, Mask::ALL);
-        let mut states: Vec<RankAtomState> = {
-            let a = &sim.system.atoms;
-            let x = a.x.h_view();
-            let v = a.v.h_view();
-            let f = a.f.h_view();
-            let tag = a.tag.h_view();
-            let typ = a.typ.h_view();
-            (0..a.nlocal)
-                .map(|i| RankAtomState {
-                    tag: tag.at([i]),
-                    typ: typ.at([i]),
-                    x: [x.at([i, 0]), x.at([i, 1]), x.at([i, 2])],
-                    v: [v.at([i, 0]), v.at([i, 1]), v.at([i, 2])],
-                    f: [f.at([i, 0]), f.at([i, 1]), f.at([i, 2])],
-                })
-                .collect()
-        };
-        states.sort_by_key(|s| s.tag);
-        let nlocal = sim.system.atoms.nlocal;
-        let peak = sim
-            .system
-            .comm
-            .as_ref()
-            .map_or(0, |c| c.max_owned())
-            .max(nlocal);
-        Ok(MultiRankRun {
-            nranks: 1,
-            natoms,
-            steps: self.steps,
-            e_pair: sim.last_results.energy,
-            e_kinetic: compute::kinetic_energy(&sim.system.atoms, &sim.system.units),
-            comm_stats: sim.comm_stats(),
-            comm_grow: sim.comm_grow_count(),
-            comm_grow_after_warmup: sim.comm_grow_count() - comm_grow_warm,
-            neighbor_grow: sim.neighbor_grow_count(),
-            neighbor_grow_after_warmup: sim.neighbor_grow_count() - neighbor_grow_warm,
-            scatter_grow: sim.pair.scatter_grow_count(),
-            scatter_grow_after_warmup: sim.pair.scatter_grow_count() - scatter_grow_warm,
-            rebuild_counts: vec![sim.rebuild_count],
-            total_pairs,
-            owned_atoms: vec![nlocal],
-            owned_atoms_peak: vec![peak],
-            timings: vec![sim.timings],
-            thermo: vec![sim.thermo.clone()],
-            states,
-            fault_stats: sim.comm_fault_stats(),
-        })
-    }
-
-    /// Brick-decomposed arm of the unified driver: one thread per rank,
-    /// each inside a `rank{r}` profiling region.
-    fn run_brick<F>(
-        &self,
-        nranks: usize,
-        balance: Option<BalancePolicy>,
-        factory: &F,
-    ) -> Result<MultiRankRun, CommFailure>
-    where
-        F: Fn(usize, System) -> Simulation + Sync,
-    {
-        let spec = self;
-        let decomp = BrickDecomp::new(spec.domain, nranks);
-        let nranks = decomp.nranks();
-        let comms = BrickComm::create_all(&decomp);
-        let natoms = spec.records.len();
-        let mut shares: Vec<Vec<AtomRecord>> = (0..nranks).map(|_| Vec::new()).collect();
-        for r in &spec.records {
-            let mut x = r.x;
-            spec.domain.wrap(&mut x);
-            shares[decomp.rank_of(&x)].push(AtomRecord { x, ..*r });
-        }
-
-        let results: Vec<Result<RankOutcome, CommError>> = std::thread::scope(|scope| {
-            let factory = &factory;
-            let handles: Vec<_> = comms
-                .into_iter()
-                .zip(shares)
-                .enumerate()
-                .map(|(rank, (mut comm, share))| {
-                    scope.spawn(move || -> Result<RankOutcome, CommError> {
-                        // Everything this thread does nests under its rank
-                        // region, so subscribers see per-rank buckets.
-                        let _rank_region = profile::begin_region(format!("rank{rank}"));
-                        if let Some(cfg) = &spec.fault {
-                            comm.install_fault_plan(FaultPlan::new(cfg.clone()));
-                        }
-                        comm.set_balance(balance);
-                        let outcome = (|| -> Result<RankOutcome, CommError> {
-                            let atoms = AtomData::from_records(&share, &spec.masses);
-                            let mut system = System::new(atoms, spec.domain, spec.space.clone())
-                                .with_units(spec.units);
-                            system.comm = Some(Box::new(comm));
-                            let mut sim = factory(rank, system);
-                            sim.try_run(spec.warmup_steps)?;
-                            let comm_grow_warm = sim.comm_grow_count();
-                            let neighbor_grow_warm = sim.neighbor_grow_count();
-                            let scatter_grow_warm = sim.pair.scatter_grow_count();
-                            sim.try_run(spec.steps)?;
-                            let total_pairs = sim.neighbor_list().total_pairs;
-                            sim.system.atoms.sync(&Space::Serial, Mask::ALL);
-                            let states: Vec<RankAtomState> = {
-                                let a = &sim.system.atoms;
-                                let x = a.x.h_view();
-                                let v = a.v.h_view();
-                                let f = a.f.h_view();
-                                let tag = a.tag.h_view();
-                                let typ = a.typ.h_view();
-                                (0..a.nlocal)
-                                    .map(|i| RankAtomState {
-                                        tag: tag.at([i]),
-                                        typ: typ.at([i]),
-                                        x: [x.at([i, 0]), x.at([i, 1]), x.at([i, 2])],
-                                        v: [v.at([i, 0]), v.at([i, 1]), v.at([i, 2])],
-                                        f: [f.at([i, 0]), f.at([i, 1]), f.at([i, 2])],
-                                    })
-                                    .collect()
-                            };
-                            let e_local = sim.last_results.energy;
-                            let e_pair = sim
-                                .system
-                                .with_comm_taken(|_, c| c.allreduce_sum(e_local))?;
-                            let ke_local =
-                                compute::kinetic_energy(&sim.system.atoms, &sim.system.units);
-                            let e_kinetic = sim
-                                .system
-                                .with_comm_taken(|_, c| c.allreduce_sum(ke_local))?;
-                            // Final handshake: no peer may still be waiting
-                            // on a retransmit when this rank drops its
-                            // channel endpoints.
-                            sim.system.with_comm_taken(|_, c| c.quiesce())?;
-                            let nlocal = sim.system.atoms.nlocal;
-                            let nlocal_peak = sim
-                                .system
-                                .comm
-                                .as_ref()
-                                .map_or(0, |c| c.max_owned())
-                                .max(nlocal);
-                            Ok(RankOutcome {
-                                states,
-                                e_pair,
-                                e_kinetic,
-                                thermo: sim.thermo.clone(),
-                                stats: sim.comm_stats(),
-                                comm_grow: sim.comm_grow_count(),
-                                comm_grow_warm,
-                                neighbor_grow: sim.neighbor_grow_count(),
-                                neighbor_grow_warm,
-                                scatter_grow: sim.pair.scatter_grow_count(),
-                                scatter_grow_warm,
-                                rebuild_count: sim.rebuild_count,
-                                total_pairs,
-                                timings: sim.timings,
-                                nlocal,
-                                nlocal_peak,
-                                fstats: sim.comm_fault_stats(),
-                            })
-                        })();
-                        if let Err(err) = &outcome {
-                            if profile::has_subscribers() {
-                                profile::note_instant("comm.fault.abort", err.rank() as f64);
-                            }
-                        }
-                        outcome
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(rank, h)| match h.join() {
-                    Ok(res) => res,
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&'static str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "opaque panic payload".to_string());
-                        Err(CommError::RankPanicked { rank, message })
-                    }
-                })
-                .collect()
-        });
-
-        let errors: Vec<(usize, CommError)> = results
-            .iter()
-            .enumerate()
-            .filter_map(|(r, res)| res.as_ref().err().map(|e| (r, e.clone())))
-            .collect();
-        if !errors.is_empty() {
-            return Err(CommFailure { nranks, errors });
-        }
-        let outcomes: Vec<RankOutcome> = results.into_iter().map(|r| r.unwrap()).collect();
-
-        let mut states: Vec<RankAtomState> = outcomes
-            .iter()
-            .flat_map(|o| o.states.iter().copied())
-            .collect();
-        states.sort_by_key(|s| s.tag);
-        debug_assert_eq!(states.len(), natoms, "atoms lost or duplicated");
-        let mut comm_stats = CommStats::default();
-        let mut fault_stats = FaultStats::default();
-        for o in &outcomes {
-            comm_stats.add(&o.stats);
-            fault_stats.add(&o.fstats);
-        }
-        Ok(MultiRankRun {
-            nranks,
-            natoms,
-            steps: spec.steps,
-            e_pair: outcomes[0].e_pair,
-            e_kinetic: outcomes[0].e_kinetic,
-            comm_stats,
-            comm_grow: outcomes.iter().map(|o| o.comm_grow).sum(),
-            comm_grow_after_warmup: outcomes
-                .iter()
-                .map(|o| o.comm_grow - o.comm_grow_warm)
-                .sum(),
-            neighbor_grow: outcomes.iter().map(|o| o.neighbor_grow).sum(),
-            neighbor_grow_after_warmup: outcomes
-                .iter()
-                .map(|o| o.neighbor_grow - o.neighbor_grow_warm)
-                .sum(),
-            scatter_grow: outcomes.iter().map(|o| o.scatter_grow).sum(),
-            scatter_grow_after_warmup: outcomes
-                .iter()
-                .map(|o| o.scatter_grow - o.scatter_grow_warm)
-                .sum(),
-            rebuild_counts: outcomes.iter().map(|o| o.rebuild_count).collect(),
-            total_pairs: outcomes.iter().map(|o| o.total_pairs).sum(),
-            owned_atoms: outcomes.iter().map(|o| o.nlocal).collect(),
-            owned_atoms_peak: outcomes.iter().map(|o| o.nlocal_peak).collect(),
-            timings: outcomes.iter().map(|o| o.timings).collect(),
-            thermo: outcomes.into_iter().map(|o| o.thermo).collect(),
-            states,
-            fault_stats,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::AtomData;
     use crate::comm::build_ghosts;
-
-    #[test]
-    fn bufpool_reaches_steady_state() {
-        let mut pool = BufPool::new();
-        let a = pool.acquire(10);
-        assert!(a.capacity() >= 1024);
-        pool.free.push(a);
-        let after_first = pool.grow_count;
-        for _ in 0..100 {
-            let b = pool.acquire(500);
-            pool.free.push(b);
-        }
-        assert_eq!(pool.grow_count, after_first, "pool grew in steady state");
-    }
 
     #[test]
     fn record_pack_round_trips() {
@@ -2262,8 +886,7 @@ mod tests {
             v: [0.1, -0.2, 0.3],
             image: [-1, 0, 2],
         };
-        let mut buf = Vec::new();
-        pack_record(&mut buf, &r);
+        let buf = pack_record(&r);
         assert_eq!(buf.len(), MIGRATE_WORDS);
         assert_eq!(unpack_record(&buf), r);
     }
@@ -2283,7 +906,7 @@ mod tests {
         let ref_map = build_ghosts(&mut reference, &domain, 2.0);
 
         let decomp = BrickDecomp::new(domain, 1);
-        let mut comms = BrickComm::create_all(&decomp);
+        let mut comms = BrickComm::create_all(&decomp, None, None);
         let mut comm = comms.pop().unwrap();
         let atoms = AtomData::from_positions(&positions);
         let mut system = System::new(atoms, domain, Space::Serial);
@@ -2320,7 +943,7 @@ mod tests {
         let domain = Domain::cubic(10.0);
         let decomp = BrickDecomp::new(domain, 2);
         assert_eq!(decomp.grid, [1, 1, 2]);
-        let comms = BrickComm::create_all(&decomp);
+        let comms = BrickComm::create_all(&decomp, None, None);
         let shares = [vec![[5.0, 5.0, 4.9]], vec![[5.0, 5.0, 5.1]]];
         let results: Vec<(usize, f64, [f64; 3])> = std::thread::scope(|scope| {
             let handles: Vec<_> = comms
@@ -2395,7 +1018,7 @@ mod tests {
         // shifted by ±L so minimum-image pairs see them adjacent.
         let domain = Domain::cubic(10.0);
         let decomp = BrickDecomp::new(domain, 2);
-        let comms = BrickComm::create_all(&decomp);
+        let comms = BrickComm::create_all(&decomp, None, None);
         let shares = [vec![[5.0, 5.0, 0.2]], vec![[5.0, 5.0, 9.8]]];
         let ghost_zs: Vec<(usize, f64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = comms
@@ -2428,7 +1051,7 @@ mod tests {
     fn migration_moves_atoms_to_their_brick() {
         let domain = Domain::cubic(10.0);
         let decomp = BrickDecomp::new(domain, 2);
-        let comms = BrickComm::create_all(&decomp);
+        let comms = BrickComm::create_all(&decomp, None, None);
         // Rank 0 starts holding an atom that belongs to rank 1 (z=7)
         // and one of its own; rank 1 holds one atom drifted out of the
         // box (z=11.5 wraps to 1.5 → rank 0).

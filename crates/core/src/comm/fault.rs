@@ -15,7 +15,7 @@
 //!    `(seed, src, dst, seq)` — no RNG state threads through the run —
 //!    so both endpoints of an edge agree on it and a replay with the
 //!    same seed injects byte-identical faults.
-//! 2. **Recovery** — the envelope protocol in `brick.rs`: sequence
+//! 2. **Recovery** — the envelope protocol in `reliable.rs`: sequence
 //!    numbers detect duplicates/reorders, a CRC32 over the payload
 //!    detects corruption, per-phase receive timeouts with bounded
 //!    exponential backoff send NACKs over a control channel, and the
@@ -27,8 +27,8 @@
 //!
 //! When recovery is impossible (a [`DeadEdge`] that drops retransmits
 //! too, or a vanished peer), the exchange returns a structured
-//! [`CommError`] instead of deadlocking; [`RunSpec::run`](crate::comm::brick::RunSpec::run) gathers
-//! the per-rank errors into a [`CommFailure`](crate::comm::brick::CommFailure).
+//! [`CommError`] instead of deadlocking; [`RunSpec::run`](crate::driver::RunSpec::run) gathers
+//! the per-rank errors into a [`CommFailure`](crate::driver::CommFailure).
 //! See `docs/robustness.md` for the full fault model and determinism
 //! contract.
 
@@ -209,8 +209,8 @@ pub struct DeadEdge {
 }
 
 /// Seeded fault-injection configuration, shared verbatim by every rank
-/// of a run (install via `RunSpec::fault` or
-/// `BrickComm::install_fault_plan`).
+/// of a run (set `RunSpec::fault`; the transport is chosen from it when
+/// the run's `BrickComm`s are created).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Schedule seed; equal seeds inject identical fault schedules.
@@ -321,7 +321,7 @@ impl FaultPlan {
 
 /// The globally unique identity of one envelope transmission, packed
 /// into the 64-bit flow id the tracing layer stamps on its Perfetto
-/// `s`/`f` events: `src:16 | dst:16 | tag:8 | seq:24`. The fields are
+/// `s`/`f` events: `src:12 | dst:12 | tag:4 | seq:36`. The fields are
 /// exactly the envelope identity both endpoints already agree on —
 /// `(directed edge, phase tag, per-edge sequence number)` — so the
 /// sender computes the id at dispatch and the receiver recomputes the
@@ -329,14 +329,16 @@ impl FaultPlan {
 /// Retransmits and duplicates reuse the original's id (same seq), so a
 /// recovered flow still binds exactly one begin to one end.
 ///
-/// The layout holds for ≤ 65 536 ranks, ≤ 256 phase tags, and ≤ 2²⁴
-/// exchanges per directed edge — far beyond anything the simulated
-/// runs reach; the widths are debug-asserted.
+/// The layout holds for ≤ 4 096 ranks and ≤ 16 phase tags (thread-ranks
+/// never approach the first; there are 8 tags) — both checked in
+/// release, because an overflowing field would alias another flow
+/// silently — and for 2³⁶ exchanges per directed edge: at ~5 exchanges
+/// per step, over 10¹⁰ steps.
 pub fn flow_id(src: usize, dst: usize, tag: u64, seq: u64) -> u64 {
-    debug_assert!(src < (1 << 16) && dst < (1 << 16), "rank field overflow");
-    debug_assert!(tag < (1 << 8), "tag field overflow");
-    debug_assert!(seq < (1 << 24), "seq field overflow");
-    ((src as u64) << 48) | ((dst as u64) << 32) | ((tag & 0xff) << 24) | (seq & 0xff_ffff)
+    assert!(src < (1 << 12) && dst < (1 << 12), "rank field overflow");
+    assert!(tag < (1 << 4), "tag field overflow");
+    debug_assert!(seq < (1 << 36), "seq field overflow");
+    ((src as u64) << 52) | ((dst as u64) << 40) | (tag << 36) | (seq & ((1 << 36) - 1))
 }
 
 /// SplitMix64 finalizer: one-shot avalanche of a 64-bit key.
@@ -569,7 +571,8 @@ mod tests {
         for src in 0..4usize {
             for dst in 0..4usize {
                 for tag in 1..=8u64 {
-                    for seq in 0..32u64 {
+                    // The old 24-bit seq field aliased 2²⁴ with 0.
+                    for seq in (0..32u64).chain([1 << 24, 1 << 35]) {
                         assert!(seen.insert(flow_id(src, dst, tag, seq)));
                     }
                 }
@@ -580,7 +583,10 @@ mod tests {
         assert_ne!(flow_id(0, 1, 3, 7), flow_id(1, 0, 3, 7));
         assert_eq!(flow_id(2, 5, 4, 9), flow_id(2, 5, 4, 9));
         assert_eq!(flow_id(0, 0, 0, 0), 0);
-        assert_eq!(flow_id(1, 0, 0, 0), 1 << 48);
+        assert_eq!(flow_id(1, 0, 0, 0), 1 << 52);
+        assert_eq!(flow_id(0, 1, 0, 0), 1 << 40);
+        assert_eq!(flow_id(0, 0, 1, 0), 1 << 36);
+        assert_eq!(flow_id(0, 0, 0, (1 << 36) - 1), (1 << 36) - 1);
     }
 
     #[test]

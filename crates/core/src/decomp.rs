@@ -9,11 +9,12 @@
 //!
 //! This module holds the geometry side — [`BrickDecomp`] factors a rank
 //! count into a near-cubic grid and maps positions to owning ranks. The
-//! communication layer built on it ([`crate::comm::brick::BrickComm`])
-//! and the unified driver ([`crate::comm::brick::RunSpec`]) live in
-//! `comm::brick`. (The free-function LJ drivers that used to live here
-//! were deprecated in the Comm-API redesign and are gone; all callers
-//! go through `RunSpec::run` with a [`crate::comm::CommSpec`] now.)
+//! communication layer built on it is
+//! [`crate::comm::brick::BrickComm`]; the unified driver is
+//! [`crate::driver::RunSpec`]. (The free-function LJ drivers that used
+//! to live here were deprecated in the Comm-API redesign and are gone;
+//! all callers go through `RunSpec::run` with a
+//! [`crate::comm::CommSpec`] now.)
 
 use crate::domain::Domain;
 
@@ -274,12 +275,12 @@ mod tests {
         nranks: usize,
         nsteps: u64,
         dt: f64,
-    ) -> crate::comm::brick::MultiRankRun
+    ) -> crate::driver::MultiRankRun
     where
         P: crate::pair::TwoBody + Clone + 'static,
     {
-        use crate::comm::brick::RunSpec;
         use crate::comm::CommSpec;
+        use crate::driver::RunSpec;
         use crate::pair::{PairKokkos, PairKokkosOptions};
         use crate::sim::Simulation;
         use lkk_kokkos::Space;

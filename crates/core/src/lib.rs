@@ -23,6 +23,8 @@
 //!   `/kk/host`, `/kk/device` suffix resolution (§3.1).
 //! * [`input`] — the input-script command parser (§2.1).
 //! * [`sim`] — the time-stepping driver and thermo output.
+//! * [`driver`] — the rank driver: `RunSpec::run` runs one simulation
+//!   per rank and gathers a `MultiRankRun`.
 
 pub mod atom;
 pub mod comm;
@@ -30,6 +32,7 @@ pub mod compute;
 pub mod data_io;
 pub mod decomp;
 pub mod domain;
+pub mod driver;
 pub mod dump;
 pub mod fix;
 pub mod input;
@@ -56,7 +59,7 @@ pub use style::StyleRegistry;
 /// reaching into deep module paths.
 pub mod prelude {
     pub use crate::atom::{AtomData, AtomRecord, Mask};
-    pub use crate::comm::brick::{BrickComm, CommFailure, MultiRankRun, RankAtomState, RunSpec};
+    pub use crate::comm::brick::BrickComm;
     pub use crate::comm::{
         BalancePolicy, BalanceWeight, Comm, CommError, CommSpec, CommStats, FaultConfig, FaultPlan,
         FaultStats, GhostMap, RetryPolicy, SingleRankComm,
@@ -64,6 +67,7 @@ pub mod prelude {
     pub use crate::compute;
     pub use crate::decomp::BrickDecomp;
     pub use crate::domain::Domain;
+    pub use crate::driver::{CommFailure, MultiRankRun, RankAtomState, RunSpec};
     pub use crate::fix::{Fix, FixLangevin, FixNve};
     pub use crate::lattice::{create_velocities, Lattice, LatticeKind};
     pub use crate::neighbor::{NeighborList, NeighborSettings};

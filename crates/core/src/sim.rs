@@ -4,10 +4,10 @@
 //! communication — the `run` command of §2.1.
 
 use crate::atom::{AtomData, Mask};
-use crate::comm::brick::{CommFailure, MultiRankRun, RunSpec};
 use crate::comm::{Comm, CommError, CommSpec, FaultConfig, FaultStats, GhostMap, SingleRankComm};
 use crate::compute;
 use crate::domain::Domain;
+use crate::driver::{CommFailure, MultiRankRun, RunSpec};
 use crate::fix::Fix;
 use crate::neighbor::{max_displacement_sq, NeighborList, NeighborSettings};
 use crate::pair::{PairResults, PairStyle};
@@ -50,12 +50,6 @@ impl System {
 
     pub fn with_units(mut self, units: Units) -> Self {
         self.units = units;
-        self
-    }
-
-    /// Replace the communication layer (e.g. with a multi-rank brick).
-    pub fn with_comm(mut self, comm: Box<dyn Comm>) -> Self {
-        self.comm = Some(comm);
         self
     }
 
@@ -216,16 +210,10 @@ impl Simulation {
     /// Current neighbor list, building on first use.
     pub fn neighbor_list(&mut self) -> &NeighborList {
         if self.list.is_none() {
-            self.rebuild();
+            self.try_rebuild()
+                .unwrap_or_else(|e| panic!("communication failed: {e}"));
         }
         self.list.as_ref().unwrap()
-    }
-
-    /// Panicking convenience wrapper over [`Simulation::try_rebuild`]
-    /// for single-rank callers (a single-rank comm never fails).
-    fn rebuild(&mut self) {
-        self.try_rebuild()
-            .unwrap_or_else(|e| panic!("communication failed: {e}"));
     }
 
     fn try_rebuild(&mut self) -> Result<(), CommError> {
@@ -311,17 +299,10 @@ impl Simulation {
     }
 
     /// Compute forces for the current configuration (including ghost
-    /// refresh), storing energy/virial in `last_results`. Panicking
-    /// wrapper over [`Simulation::try_compute_forces`].
-    pub fn compute_forces(&mut self) {
-        self.try_compute_forces()
-            .unwrap_or_else(|e| panic!("communication failed: {e}"));
-    }
-
-    /// Fallible [`Simulation::compute_forces`]: also surfaces a
-    /// [`CommError`] deferred by a mid-compute exchange (EAM's scalar
+    /// refresh), storing energy/virial in `last_results`. Also surfaces
+    /// a [`CommError`] deferred by a mid-compute exchange (EAM's scalar
     /// forward) through [`System::comm_error`].
-    pub fn try_compute_forces(&mut self) -> Result<(), CommError> {
+    fn try_compute_forces(&mut self) -> Result<(), CommError> {
         // Position changes since the last neighbor build flow to ghosts.
         {
             let comm_region = profile::begin_region("comm");
@@ -348,14 +329,13 @@ impl Simulation {
     }
 
     /// One-time setup: neighbor build + initial force evaluation.
-    /// Panicking wrapper over [`Simulation::try_setup`].
+    /// Panics on a comm failure, like [`Simulation::run`].
     pub fn setup(&mut self) {
         self.try_setup()
             .unwrap_or_else(|e| panic!("communication failed: {e}"));
     }
 
-    /// Fallible [`Simulation::setup`].
-    pub fn try_setup(&mut self) -> Result<(), CommError> {
+    fn try_setup(&mut self) -> Result<(), CommError> {
         if self.list.is_none() {
             self.try_rebuild()?;
             self.try_compute_forces()?;
@@ -532,9 +512,11 @@ impl Simulation {
 /// Per-rank pair-style constructor installed by
 /// [`SimulationBuilder::pair_with`].
 type PairFactory = Box<dyn Fn(usize) -> Box<dyn PairStyle> + Send + Sync>;
+/// One rank's fix stack.
+type FixList = Vec<Box<dyn Fix>>;
 /// Per-rank fix-stack constructor installed by
 /// [`SimulationBuilder::fixes_with`].
-type FixesFactory = Box<dyn Fn(usize) -> Vec<Box<dyn Fix>> + Send + Sync>;
+type FixesFactory = Box<dyn Fn(usize) -> FixList + Send + Sync>;
 
 /// Fluent constructor consolidating the accreted `Simulation` setters
 /// (`with_units`, `with_fixes`, `sort_every`, comm choice, ...) into one
@@ -557,12 +539,18 @@ pub struct SimulationBuilder {
     units: Units,
     pair: Option<Box<dyn PairStyle>>,
     pair_factory: Option<PairFactory>,
-    fixes: Option<Vec<Box<dyn Fix>>>,
+    fixes: Option<FixList>,
     fixes_factory: Option<FixesFactory>,
     comm_spec: CommSpec,
-    comm_boxed: Option<Box<dyn Comm>>,
     warmup_steps: u64,
     fault: Option<FaultConfig>,
+    settings: SimSettings,
+}
+
+/// The per-[`Simulation`] knobs of a [`SimulationBuilder`], applied
+/// identically to every rank (`None` keeps `Simulation::new`'s value).
+#[derive(Clone, Copy, Default)]
+struct SimSettings {
     dt: Option<f64>,
     thermo_every: usize,
     verbose: bool,
@@ -570,6 +558,35 @@ pub struct SimulationBuilder {
     sort_every: usize,
     skin: Option<f64>,
     neighbor_every: Option<usize>,
+}
+
+impl SimSettings {
+    /// Wire one rank's styles and system into a [`Simulation`].
+    fn assemble(
+        &self,
+        pair: Box<dyn PairStyle>,
+        fixes: Option<FixList>,
+        system: System,
+    ) -> Simulation {
+        let mut sim = Simulation::new(system, pair);
+        if let Some(fixes) = fixes {
+            sim.fixes = fixes;
+        }
+        if let Some(dt) = self.dt {
+            sim.dt = dt;
+        }
+        if let Some(skin) = self.skin {
+            sim.settings.skin = skin;
+        }
+        if let Some(every) = self.neighbor_every {
+            sim.settings.every = every;
+        }
+        sim.thermo_every = self.thermo_every;
+        sim.verbose = self.verbose;
+        sim.pair_only = self.pair_only;
+        sim.sort_every = self.sort_every;
+        sim
+    }
 }
 
 impl SimulationBuilder {
@@ -586,16 +603,9 @@ impl SimulationBuilder {
             fixes: None,
             fixes_factory: None,
             comm_spec: CommSpec::Single,
-            comm_boxed: None,
             warmup_steps: 0,
             fault: None,
-            dt: None,
-            thermo_every: 0,
-            verbose: false,
-            pair_only: false,
-            sort_every: 0,
-            skin: None,
-            neighbor_every: None,
+            settings: SimSettings::default(),
         }
     }
 
@@ -614,12 +624,6 @@ impl SimulationBuilder {
     /// The pair style (required).
     pub fn pair(mut self, pair: impl PairStyle + 'static) -> Self {
         self.pair = Some(Box::new(pair));
-        self
-    }
-
-    /// The pair style, pre-boxed (e.g. out of the style registry).
-    pub fn pair_boxed(mut self, pair: Box<dyn PairStyle>) -> Self {
-        self.pair = Some(pair);
         self
     }
 
@@ -646,14 +650,6 @@ impl SimulationBuilder {
     /// [`build`]: SimulationBuilder::build
     pub fn comm(mut self, spec: CommSpec) -> Self {
         self.comm_spec = spec;
-        self
-    }
-
-    /// Install a concrete communication layer (low-level escape hatch;
-    /// the pre-`CommSpec` signature of `comm`). Only honored by
-    /// [`SimulationBuilder::build`].
-    pub fn comm_boxed(mut self, comm: Box<dyn Comm>) -> Self {
-        self.comm_boxed = Some(comm);
         self
     }
 
@@ -697,43 +693,43 @@ impl SimulationBuilder {
 
     /// Timestep size.
     pub fn dt(mut self, dt: f64) -> Self {
-        self.dt = Some(dt);
+        self.settings.dt = Some(dt);
         self
     }
 
     /// Thermo output interval (0 = off).
     pub fn thermo_every(mut self, every: usize) -> Self {
-        self.thermo_every = every;
+        self.settings.thermo_every = every;
         self
     }
 
     /// Print thermo rows and the timing summary.
     pub fn verbose(mut self, verbose: bool) -> Self {
-        self.verbose = verbose;
+        self.settings.verbose = verbose;
         self
     }
 
     /// Appendix C.1's `pair/only` reverse offload.
     pub fn pair_only(mut self, pair_only: bool) -> Self {
-        self.pair_only = pair_only;
+        self.settings.pair_only = pair_only;
         self
     }
 
     /// Spatially sort atoms every N neighbor rebuilds (0 = off).
     pub fn sort_every(mut self, every: usize) -> Self {
-        self.sort_every = every;
+        self.settings.sort_every = every;
         self
     }
 
     /// Neighbor skin distance (default 0.3).
     pub fn skin(mut self, skin: f64) -> Self {
-        self.skin = Some(skin);
+        self.settings.skin = Some(skin);
         self
     }
 
     /// Check the rebuild trigger every N steps (default 1).
     pub fn neighbor_every(mut self, every: usize) -> Self {
-        self.neighbor_every = Some(every);
+        self.settings.neighbor_every = Some(every);
         self
     }
 
@@ -742,41 +738,29 @@ impl SimulationBuilder {
     /// Panics if no pair style was set, or if the builder was
     /// configured for `CommSpec::Brick` (drive that through
     /// [`SimulationBuilder::run`]).
-    pub fn build(self) -> Simulation {
+    pub fn build(mut self) -> Simulation {
         assert!(
             matches!(self.comm_spec, CommSpec::Single),
             "SimulationBuilder::build is single-rank; drive CommSpec::Brick through .run(steps)"
         );
-        let pair = match (self.pair, &self.pair_factory) {
+        let (pair, fixes) = self.rank0_styles();
+        let system = System::new(self.atoms, self.domain, self.space).with_units(self.units);
+        self.settings.assemble(pair, fixes, system)
+    }
+
+    /// The single-rank pair style and fix list: the ones set directly,
+    /// else rank 0 of the per-rank factories.
+    fn rank0_styles(&mut self) -> (Box<dyn PairStyle>, Option<FixList>) {
+        let pair = match (self.pair.take(), &self.pair_factory) {
             (Some(pair), _) => pair,
             (None, Some(factory)) => factory(0),
             (None, None) => panic!("SimulationBuilder: a pair style is required"),
         };
         let fixes = self
             .fixes
+            .take()
             .or_else(|| self.fixes_factory.as_ref().map(|factory| factory(0)));
-        let mut system = System::new(self.atoms, self.domain, self.space).with_units(self.units);
-        if let Some(comm) = self.comm_boxed {
-            system.comm = Some(comm);
-        }
-        let mut sim = Simulation::new(system, pair);
-        if let Some(fixes) = fixes {
-            sim.fixes = fixes;
-        }
-        if let Some(dt) = self.dt {
-            sim.dt = dt;
-        }
-        if let Some(skin) = self.skin {
-            sim.settings.skin = skin;
-        }
-        if let Some(every) = self.neighbor_every {
-            sim.settings.every = every;
-        }
-        sim.thermo_every = self.thermo_every;
-        sim.verbose = self.verbose;
-        sim.pair_only = self.pair_only;
-        sim.sort_every = self.sort_every;
-        sim
+        (pair, fixes)
     }
 
     /// Run `steps` timesteps through the configured [`CommSpec`] and
@@ -796,73 +780,34 @@ impl SimulationBuilder {
     /// boxed pair style cannot be shared across rank threads); fixes
     /// default to `fix nve` per rank unless
     /// [`SimulationBuilder::fixes_with`] is set.
-    pub fn run(self, steps: u64) -> Result<MultiRankRun, CommFailure> {
+    pub fn run(mut self, steps: u64) -> Result<MultiRankRun, CommFailure> {
         let mut spec = RunSpec::new(&self.atoms, self.domain, steps);
         spec.units = self.units;
         spec.space = self.space.clone();
         spec.warmup_steps = self.warmup_steps;
         spec.fault = self.fault.clone();
         spec.comm = self.comm_spec;
-        let SimulationBuilder {
-            pair,
-            pair_factory,
-            fixes,
-            fixes_factory,
-            dt,
-            thermo_every,
-            verbose,
-            pair_only,
-            sort_every,
-            skin,
-            neighbor_every,
-            ..
-        } = self;
-        let assemble = move |pair: Box<dyn PairStyle>,
-                             fixes: Option<Vec<Box<dyn Fix>>>,
-                             system: System|
-              -> Simulation {
-            let mut sim = Simulation::new(system, pair);
-            if let Some(fixes) = fixes {
-                sim.fixes = fixes;
-            }
-            if let Some(dt) = dt {
-                sim.dt = dt;
-            }
-            if let Some(skin) = skin {
-                sim.settings.skin = skin;
-            }
-            if let Some(every) = neighbor_every {
-                sim.settings.every = every;
-            }
-            sim.thermo_every = thermo_every;
-            sim.verbose = verbose;
-            sim.pair_only = pair_only;
-            sim.sort_every = sort_every;
-            sim
-        };
+        let settings = self.settings;
         match spec.comm {
             CommSpec::Single => {
-                let pair = match (pair, &pair_factory) {
-                    (Some(pair), _) => pair,
-                    (None, Some(factory)) => factory(0),
-                    (None, None) => panic!("SimulationBuilder: a pair style is required"),
-                };
-                let fixes = fixes.or_else(|| fixes_factory.as_ref().map(|factory| factory(0)));
-                spec.run_single(|system| assemble(pair, fixes, system))
+                let (pair, fixes) = self.rank0_styles();
+                spec.run_single(|system| settings.assemble(pair, fixes, system))
             }
             CommSpec::Brick { .. } => {
                 assert!(
-                    pair.is_none(),
+                    self.pair.is_none(),
                     "SimulationBuilder: .pair() is single-rank; use .pair_with(|rank| ...) for CommSpec::Brick"
                 );
                 assert!(
-                    fixes.is_none(),
+                    self.fixes.is_none(),
                     "SimulationBuilder: .fixes() is single-rank; use .fixes_with(|rank| ...) for CommSpec::Brick"
                 );
-                let pair_factory = pair_factory
+                let pair_factory = self
+                    .pair_factory
                     .expect("SimulationBuilder: CommSpec::Brick requires .pair_with(|rank| ...)");
+                let fixes_factory = self.fixes_factory;
                 spec.run(|rank, system| {
-                    assemble(
+                    settings.assemble(
                         pair_factory(rank),
                         fixes_factory.as_ref().map(|factory| factory(rank)),
                         system,

@@ -16,8 +16,8 @@
 use crate::json::Value;
 use crate::report::RUN_LOCK;
 use crate::workloads;
-use lkk_core::comm::brick::MultiRankRun;
 use lkk_core::comm::FaultConfig;
+use lkk_core::driver::MultiRankRun;
 use lkk_kokkos::exec;
 
 /// Outcome of one seed: the faulted run's counters plus any

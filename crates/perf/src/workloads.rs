@@ -114,7 +114,7 @@ pub fn all() -> Vec<Workload> {
 
 /// A rank-parallel workload: an initial state plus the per-rank
 /// simulation factory. The spec carries its [`CommSpec::Brick`] layout,
-/// so callers just invoke [`lkk_core::comm::brick::RunSpec::run`].
+/// so callers just invoke [`lkk_core::driver::RunSpec::run`].
 pub struct RankWorkload {
     pub name: &'static str,
     pub spec: RunSpec,

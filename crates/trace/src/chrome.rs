@@ -221,12 +221,13 @@ fn arg_event(
 
 /// One Perfetto flow endpoint. The `f` side carries `"bp": "e"` so the
 /// arrow terminates at the *enclosing slice* end rather than the next
-/// slice (the trace_event "binding point" rule).
+/// slice (the trace_event "binding point" rule). The id is written as
+/// a hex string: it uses all 64 bits, and a JSON number is only exact
+/// up to 2⁵³ in most readers.
 fn flow_event(ph: &str, name: &str, id: u64, ts: f64, tid: usize) -> String {
     let mut s = String::new();
     event_head(&mut s, ph, name, 0, tid, ts);
-    s.push_str(", \"cat\": \"comm\", \"id\": ");
-    s.push_str(&id.to_string());
+    s.push_str(&format!(", \"cat\": \"comm\", \"id\": \"{id:#x}\""));
     if ph == "f" {
         s.push_str(", \"bp\": \"e\"");
     }
@@ -344,8 +345,14 @@ mod tests {
         let json = c.export_chrome();
         assert_eq!(json.matches("\"ph\": \"s\"").count(), 1, "{json}");
         assert_eq!(json.matches("\"ph\": \"f\"").count(), 1, "{json}");
-        assert!(json.contains("\"cat\": \"comm\", \"id\": 7"), "{json}");
+        assert!(
+            json.contains("\"cat\": \"comm\", \"id\": \"0x7\""),
+            "{json}"
+        );
         assert!(json.contains("\"bp\": \"e\""), "{json}");
-        assert!(!json.contains("\"id\": 9"), "dangling flow leaked:\n{json}");
+        assert!(
+            !json.contains("\"id\": \"0x9\""),
+            "dangling flow leaked:\n{json}"
+        );
     }
 }

@@ -22,6 +22,11 @@ RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release
 echo "==> cargo bench --no-run --workspace"
 cargo bench --no-run --workspace
 
+# Informational, not a gate: non-test code lines of the comm layer and
+# the drivers.
+echo "==> scripts/loc.sh (size trend)"
+scripts/loc.sh
+
 # --- test job ----------------------------------------------------------
 
 echo "==> cargo test -q --workspace"

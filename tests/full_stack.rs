@@ -117,8 +117,8 @@ fn reaxff_script_equilibrates_charges() {
 #[test]
 fn simulated_mpi_decomposition_matches_reference() {
     use lammps_kk::core::atom::AtomData;
-    use lammps_kk::core::comm::brick::RunSpec;
     use lammps_kk::core::comm::CommSpec;
+    use lammps_kk::core::driver::RunSpec;
     use lammps_kk::core::lattice::{Lattice, LatticeKind};
     use lammps_kk::core::pair::lj::LjCut;
     use lammps_kk::core::pair::{PairKokkos, PairKokkosOptions};

@@ -143,10 +143,10 @@ fn assert_flow_pairing(chrome_json: &str) -> usize {
         }
         let pid = ev.get("pid").and_then(Value::as_f64).expect("pid") as usize;
         let tid = ev.get("tid").and_then(Value::as_f64).expect("tid") as usize;
-        let id = ev
-            .get("id")
-            .and_then(Value::as_f64)
-            .expect("flow without id") as u64;
+        // Hex string, not a number: the id uses all 64 bits.
+        let id = str_of(ev.get("id").expect("flow without id"));
+        let id = u64::from_str_radix(id.strip_prefix("0x").expect("flow id is not hex"), 16)
+            .expect("flow id is not hex");
         assert_eq!(
             ev.get("cat").map(str_of),
             Some("comm"),
