@@ -8,6 +8,10 @@
 //!   §4.3.3 notes the CPU balance differs from the GPU.
 //! * QEq fused dual SpMV vs two separate passes — §4.2.3's matrix-load
 //!   reuse is a real, measurable effect on CPUs too.
+//! * The two-body pair kernel at 32 000 disordered atoms, with and
+//!   without the energy/virial tally (`eflag`), on the three paths the
+//!   benchmark's LJ workloads take (half list on `Serial` and `Threads`,
+//!   full list on the device's strided views).
 //! * Neighbor-list construction, half vs full: a from-scratch build, the
 //!   in-place rebuild a run pays per reneighboring, and the working-set
 //!   sample the device cost model takes of the list.
@@ -26,14 +30,27 @@ use lkk_reaxff::{hns, ReaxParams};
 use lkk_snap::{SnapContext, SnapKernelConfig};
 use std::hint::black_box;
 
-fn lj_setup(cells: usize, half: bool) -> (System, NeighborList) {
+/// An fcc LJ system with ghosts and a neighbor list for `space`, every
+/// site moved by up to ±`jitter` per axis (fixed sequence). `0.1` gives
+/// the melt's disorder without running it, so the cutoff test is not
+/// the perfectly predictable one of a crystal; `0.0` is the crystal.
+fn lj_setup(cells: usize, space: &Space, half: bool, jitter: f64) -> (System, NeighborList) {
     let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
-    let atoms = AtomData::from_positions(&lat.positions(cells, cells, cells));
-    let space = Space::Threads;
-    let mut system = System::new(atoms, lat.domain(cells, cells, cells), space.clone());
+    let mut positions = lat.positions(cells, cells, cells);
+    let mut s = 987654321u64;
+    for x in positions.iter_mut().flatten() {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *x += 2.0 * jitter * ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+    }
+    let domain = lat.domain(cells, cells, cells);
+    let mut atoms = AtomData::from_positions(&positions);
+    atoms.wrap_positions(&domain);
+    let mut system = System::new(atoms, domain, space.clone());
     let settings = NeighborSettings::new(2.5, 0.3, half);
     system.ghosts = build_ghosts(&mut system.atoms, &system.domain, settings.cutneigh());
-    let list = NeighborList::build(&system.atoms, &system.domain, &settings, &space);
+    let list = NeighborList::build(&system.atoms, &system.domain, &settings, space);
     (system, list)
 }
 
@@ -45,7 +62,7 @@ fn bench_lj(c: &mut Criterion) {
         ("half_scatterview", true, false),
         ("full_team", false, true),
     ] {
-        let (mut system, list) = lj_setup(20, half);
+        let (mut system, list) = lj_setup(20, &Space::Threads, half, 0.0);
         let space = system.space.clone();
         let mut pair = PairKokkos::with_options(
             LjCut::single_type(1.0, 1.0, 2.5),
@@ -58,6 +75,25 @@ fn bench_lj(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| black_box(pair.compute(&mut system, &list, true)))
         });
+    }
+    group.finish();
+}
+
+fn bench_pair(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pair");
+    group.sample_size(15);
+    for (name, space) in [
+        ("lj_half_serial", Space::Serial),
+        ("lj_half_threads", Space::Threads),
+        ("lj_full_device", Space::device(lkk_gpusim::GpuArch::h100())),
+    ] {
+        let mut pair = PairKokkos::new(LjCut::single_type(1.0, 1.0, 2.5), &space);
+        let (mut system, list) = lj_setup(20, &space, pair.wants_half_list(), 0.1);
+        for (suffix, eflag) in [("ev", true), ("noev", false)] {
+            group.bench_function(format!("{name}_{suffix}"), |b| {
+                b.iter(|| black_box(pair.compute(&mut system, &list, eflag)))
+            });
+        }
     }
     group.finish();
 }
@@ -75,7 +111,7 @@ fn bench_scatter(c: &mut Criterion) {
             b.iter(|| {
                 let svr = &sv;
                 Space::Threads.parallel_for("scatter", 8 * n, |k| {
-                    svr.add((k * 37) % n, k % 3, 1.0);
+                    svr.access().add((k * 37) % n, k % 3, 1.0);
                 });
                 let mut out = vec![0.0; n * 3];
                 sv.contribute_into(&mut out);
@@ -178,7 +214,7 @@ fn bench_neighbor(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighbor_build_32k");
     group.sample_size(15);
     for (name, half) in [("half", true), ("full", false)] {
-        let (system, list) = lj_setup(20, half);
+        let (system, list) = lj_setup(20, &Space::Threads, half, 0.0);
         let settings = NeighborSettings::new(2.5, 0.3, half);
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -210,6 +246,7 @@ fn bench_neighbor(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lj,
+    bench_pair,
     bench_scatter,
     bench_snap,
     bench_qeq_spmv,

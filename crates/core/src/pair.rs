@@ -21,7 +21,8 @@
 use crate::neighbor::NeighborList;
 use crate::sim::System;
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::{ScatterView, Space, TeamPolicy};
+use lkk_kokkos::{AtomicF64, ScatterView, Space, TeamPolicy, Triples, View1, View2};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod eam;
 pub mod lj;
@@ -32,7 +33,8 @@ pub mod sw;
 pub mod table;
 pub mod yukawa;
 
-/// Energy and virial returned by a force computation.
+/// Energy and virial returned by a force computation. All zero when
+/// the computation ran with `eflag` off (see [`PairStyle::compute`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PairResults {
     pub energy: f64,
@@ -95,8 +97,13 @@ pub trait PairStyle: Send + std::any::Any {
     fn needs_reverse_comm(&self) -> bool {
         self.wants_half_list()
     }
-    /// Compute forces into `system.atoms.f` (host mirror), returning
-    /// energy/virial when `eflag` is set.
+    /// Compute forces into `system.atoms.f` — always — and return the
+    /// energy and virial when `eflag` is set. With `eflag` off a style
+    /// may skip the tally and return [`PairResults::default`] (zeros);
+    /// [`PairKokkos`] does, the many-body styles still tally every call.
+    /// `Simulation` sets `eflag` at set-up, on thermo steps and on the
+    /// last step of every `run`/`try_run` call, which is when
+    /// `Simulation::last_results` is refreshed.
     fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults;
     /// Heap growths of the style's persistent scatter buffers since
     /// construction (0 in steady state; styles without scatter storage
@@ -109,13 +116,18 @@ pub trait PairStyle: Send + std::any::Any {
 /// The per-pair contract a concrete two-body potential implements.
 pub trait TwoBody: Send + Sync {
     fn type_name(&self) -> &'static str;
+    /// How many atom types `cutsq` and `pair` distinguish. `1` promises
+    /// that both ignore `ti`/`tj`: the driver then reads the cutoff once
+    /// per launch and never gathers a neighbor's type (LAMMPS'
+    /// `STACKPARAMS` for the one-type case).
+    fn ntypes(&self) -> usize;
     /// Squared cutoff for a type pair (0-based types).
     fn cutsq(&self, ti: usize, tj: usize) -> f64;
     /// Largest cutoff over all type pairs.
     fn max_cutoff(&self) -> f64;
     /// For a pair within the cutoff: `(fpair, evdwl)` where the force
     /// on atom `i` is `fpair * (x_i - x_j)` and `evdwl` is the full
-    /// pair energy.
+    /// pair energy. Never called with `rsq >= cutsq(ti, tj)`.
     fn pair(&self, rsq: f64, ti: usize, tj: usize) -> (f64, f64);
     /// FP64 operations per computed pair (for the device cost model).
     fn flops_per_pair(&self) -> f64 {
@@ -143,6 +155,186 @@ pub struct PairKokkos<P: TwoBody> {
     name: String,
 }
 
+/// Neighbors filtered per pass of [`Launch::chunk`]; a longer row takes
+/// several passes.
+const CHUNK: usize = 128;
+
+/// Energy, virial and in-cutoff pair count of one atom's row, summed
+/// over atoms by the kernels' reductions.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    e: f64,
+    w: [f64; 6],
+    inside: u64,
+}
+
+impl Tally {
+    fn join(a: Tally, b: Tally) -> Tally {
+        Tally {
+            e: a.e + b.e,
+            w: std::array::from_fn(|k| a.w[k] + b.w[k]),
+            inside: a.inside + b.inside,
+        }
+    }
+
+    fn results(self) -> (PairResults, u64) {
+        (PairResults::with_tensor(self.e, self.w), self.inside)
+    }
+}
+
+/// The read-only inputs of one kernel launch, gathered once. `Copy`,
+/// and its methods take it by value: the kernels store through raw
+/// pointers, after which the compiler must reload anything it reaches
+/// through a reference, so each work item holds slices, strides and the
+/// hoisted cutoff as locals.
+struct Launch<'a, P> {
+    pot: &'a P,
+    /// `Some(cutsq)` when the potential is uniform over types.
+    uniform_cutsq: Option<f64>,
+    x: Triples<'a, f64>,
+    typs: &'a [i32],
+    counts: &'a [u32],
+    neigh: &'a [u32],
+    neigh_strides: [usize; 2],
+    /// Share of a stored pair's energy and virial: all of it on a half
+    /// list, half on a full list (which stores every pair twice).
+    /// Multiplying by `1.0` is exact, so one loop serves both.
+    share: f64,
+}
+
+impl<P> Clone for Launch<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<P> Copy for Launch<'_, P> {}
+
+impl<'a, P: TwoBody> Launch<'a, P> {
+    fn new(pot: &'a P, x: &'a View2<f64>, typ: &'a View1<i32>, list: &'a NeighborList) -> Self {
+        Launch {
+            pot,
+            uniform_cutsq: (pot.ntypes() == 1).then(|| pot.cutsq(0, 0)),
+            x: x.triples(),
+            typs: typ.as_slice(),
+            counts: list.numneigh.as_slice(),
+            neigh: list.neighbors.as_slice(),
+            neigh_strides: [list.neighbors.stride(0), list.neighbors.stride(1)],
+            share: if list.half { 1.0 } else { 0.5 },
+        }
+    }
+
+    /// Type of atom `j` as the potential sees it (always 0 if uniform).
+    #[inline(always)]
+    fn typ(self, j: usize) -> usize {
+        match self.uniform_cutsq {
+            Some(_) => 0,
+            None => self.typs[j] as usize,
+        }
+    }
+
+    /// Squared cutoff between types `ti` and `tj` (hoisted if uniform).
+    #[inline(always)]
+    fn cutsq(self, ti: usize, tj: usize) -> f64 {
+        match self.uniform_cutsq {
+            Some(cutsq) => cutsq,
+            None => self.pot.cutsq(ti, tj),
+        }
+    }
+
+    #[inline(always)]
+    fn chunks(self, i: usize) -> usize {
+        (self.counts[i] as usize).div_ceil(CHUNK)
+    }
+
+    /// Displacement `xi - xj` and its squared length.
+    #[inline(always)]
+    fn separation(self, xi: [f64; 3], j: usize) -> ([f64; 3], f64) {
+        let xj = self.x.get(j);
+        let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+        (d, d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    }
+
+    /// Pass 1: measure the neighbors `js` of an atom at `xi` branch-free.
+    /// Every index is stored; the cursor advances only past the ones
+    /// inside the cutoff. Returns the number of hits.
+    #[inline(always)]
+    fn filter(
+        self,
+        xi: [f64; 3],
+        ti: usize,
+        js: impl Iterator<Item = u32>,
+        hits: &mut [u32; CHUNK],
+    ) -> usize {
+        let mut nhit = 0usize;
+        for ju in js {
+            let j = ju as usize;
+            hits[nhit] = ju;
+            nhit += usize::from(self.separation(xi, j).1 < self.cutsq(ti, self.typ(j)));
+        }
+        nhit
+    }
+
+    /// The one neighbor loop: chunk `c` of atom `i`'s row, filter then
+    /// compute. Pass 1 compacts the neighbors inside the cutoff into
+    /// `hits`; pass 2 evaluates the potential on those alone, in list
+    /// order — so every sum is taken in the order of a plain branchy
+    /// loop over the row, and `pair` is never asked about a distance
+    /// beyond the cutoff. The force on `i` accumulates into `fi`;
+    /// `on_j(j, f)` receives the same force for the kernel to apply
+    /// (negated) to `j` or drop.
+    #[inline(always)]
+    fn chunk<const EV: bool>(
+        self,
+        i: usize,
+        c: usize,
+        fi: &mut [f64; 3],
+        tally: &mut Tally,
+        on_j: &mut impl FnMut(usize, [f64; 3]),
+    ) {
+        let xi = self.x.get(i);
+        let ti = self.typ(i);
+        let [s0, s1] = self.neigh_strides;
+        let len = (self.counts[i] as usize - c * CHUNK).min(CHUNK);
+        let first = i * s0 + c * CHUNK * s1;
+        let row = &self.neigh[first..first + (len - 1) * s1 + 1];
+        let mut hits = [0u32; CHUNK];
+        let nhit = if s1 == 1 {
+            self.filter(xi, ti, row.iter().copied(), &mut hits)
+        } else {
+            self.filter(xi, ti, (0..len).map(|s| row[s * s1]), &mut hits)
+        };
+        for &ju in &hits[..nhit] {
+            let j = ju as usize;
+            let (d, rsq) = self.separation(xi, j);
+            let (fpair, evdwl) = self.pot.pair(rsq, ti, self.typ(j));
+            let f = [fpair * d[0], fpair * d[1], fpair * d[2]];
+            for k in 0..3 {
+                fi[k] += f[k];
+            }
+            on_j(j, f);
+            if EV {
+                tally.e += self.share * evdwl;
+                add_pair_virial(&mut tally.w, self.share * fpair, d);
+            }
+        }
+        tally.inside += nhit as u64;
+    }
+
+    /// Atom `i`'s whole row: `(force on i, tally)`.
+    #[inline(always)]
+    fn atom<const EV: bool>(
+        self,
+        i: usize,
+        mut on_j: impl FnMut(usize, [f64; 3]),
+    ) -> ([f64; 3], Tally) {
+        let (mut fi, mut tally) = ([0.0; 3], Tally::default());
+        for c in 0..self.chunks(i) {
+            self.chunk::<EV>(i, c, &mut fi, &mut tally, &mut on_j);
+        }
+        (fi, tally)
+    }
+}
+
 impl<P: TwoBody> PairKokkos<P> {
     pub fn new(pot: P, space: &Space) -> Self {
         Self::with_options(pot, space, PairKokkosOptions::default())
@@ -166,187 +358,87 @@ impl<P: TwoBody> PairKokkos<P> {
         }
     }
 
-    /// Full-list kernel: one work item per atom, each writing only its
-    /// own force row (no conflicts, no atomics; work is duplicated).
-    fn compute_full(&self, system: &mut System, list: &NeighborList) -> (PairResults, u64) {
+    /// Full-list kernels: every work item writes only its own force row
+    /// (no conflicts, no atomics; work is duplicated). Flat, one work
+    /// item per atom; or hierarchical (Fig. 2a), one team per atom with
+    /// the row's chunks distributed over the team, exposing
+    /// `atoms × neighbors` concurrency.
+    fn compute_full<const EV: bool>(
+        &self,
+        system: &mut System,
+        list: &NeighborList,
+    ) -> (PairResults, u64) {
         let space = system.space.clone();
-        let nlocal = system.atoms.nlocal;
         let atoms = &mut system.atoms;
-        let x = atoms.x.view_for(&space);
-        let typ = atoms.typ.view_for(&space);
-        let f = atoms.f.view_for_mut(&space);
-        f.fill(0.0);
-        let fw = f.par_write();
-        let pot = &self.pot;
-        // Flat-slice fast path: positions gathered once per atom via
-        // `get3` (one bounds check), types and counts read through flat
-        // rank-1 slices, neighbor rows iterated as a contiguous slice
-        // when the layout allows it.
-        let typs = typ.as_slice();
-        let counts = list.numneigh.as_slice();
-        let neigh = list.neighbors.as_slice();
-        let (neigh_s0, neigh_s1) = (list.neighbors.stride(0), list.neighbors.stride(1));
-        let (e, w, inside) = space.parallel_reduce(
-            "PairComputeFull",
-            nlocal,
-            (0.0f64, [0.0f64; 6], 0u64),
-            |i| {
-                let xi = x.get3(i);
-                let ti = typs[i] as usize;
-                let nn = counts[i] as usize;
-                let mut fi = [0.0f64; 3];
-                let mut e = 0.0;
-                let mut w = [0.0f64; 6];
-                let mut inside = 0u64;
-                if let Some(row) = list.neighbors.try_row(i) {
-                    // Contiguous row (Layout::Right): branchless
-                    // accumulation. Excluded pairs contribute exact-zero
-                    // terms instead of branching around the accumulators,
-                    // letting the compiler if-convert the unit-stride
-                    // loop. Adding `±0.0` to a non-negative-zero
-                    // accumulator is a bitwise identity, so results match
-                    // the branchy form bit for bit.
-                    for &ju in &row[..nn] {
-                        let j = ju as usize;
-                        let tj = typs[j] as usize;
-                        let xj = x.get3(j);
-                        let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                        let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                        let in_cut = rsq < pot.cutsq(ti, tj);
-                        let (fpair, evdwl) = if in_cut {
-                            pot.pair(rsq, ti, tj)
-                        } else {
-                            (0.0, 0.0)
-                        };
-                        for k in 0..3 {
-                            fi[k] += fpair * d[k];
-                        }
-                        // Full list sees each pair twice: count half.
-                        e += 0.5 * evdwl;
-                        add_pair_virial(&mut w, 0.5 * fpair, d);
-                        inside += in_cut as u64;
-                    }
-                } else {
-                    // Strided row (Layout::Left): the gather-stride
-                    // defeats vectorization anyway, so keep the cutoff
-                    // guard — it skips the force/energy/virial math for
-                    // the ~30% of list entries between cutoff and
-                    // cutoff+skin.
-                    let base = i * neigh_s0;
-                    for s in 0..nn {
-                        let j = neigh[base + s * neigh_s1] as usize;
-                        let tj = typs[j] as usize;
-                        let xj = x.get3(j);
-                        let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                        let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                        if rsq >= pot.cutsq(ti, tj) {
-                            continue;
-                        }
-                        let (fpair, evdwl) = pot.pair(rsq, ti, tj);
-                        for k in 0..3 {
-                            fi[k] += fpair * d[k];
-                        }
-                        e += 0.5 * evdwl;
-                        add_pair_virial(&mut w, 0.5 * fpair, d);
-                        inside += 1;
-                    }
-                }
-                unsafe {
-                    fw.write([i, 0], fi[0]);
-                    fw.write([i, 1], fi[1]);
-                    fw.write([i, 2], fi[2]);
-                }
-                (e, w, inside)
-            },
-            |a, b| {
-                let mut w = a.1;
-                for (wk, bk) in w.iter_mut().zip(b.1) {
-                    *wk += bk;
-                }
-                (a.0 + b.0, w, a.2 + b.2)
-            },
+        let launch = Launch::new(
+            &self.pot,
+            atoms.x.view_for(&space),
+            atoms.typ.view_for(&space),
+            list,
         );
-        (PairResults::with_tensor(e, w), inside)
-    }
-
-    /// Full-list kernel with hierarchical parallelism over neighbors
-    /// (Fig. 2a): one team per atom, the neighbor loop distributed over
-    /// the team, exposing `atoms × neighbors` concurrency.
-    fn compute_full_team(&self, system: &mut System, list: &NeighborList) -> (PairResults, u64) {
-        let space = system.space.clone();
-        let nlocal = system.atoms.nlocal;
-        let atoms = &mut system.atoms;
-        let x = atoms.x.view_for(&space);
-        let typ = atoms.typ.view_for(&space);
         let f = atoms.f.view_for_mut(&space);
         f.fill(0.0);
         let fw = f.par_write();
-        let pot = &self.pot;
-        use lkk_kokkos::AtomicF64;
+        let store = |i: usize, fi: [f64; 3]| {
+            for (k, fik) in fi.into_iter().enumerate() {
+                // SAFETY: row `i` is written by work item `i` alone.
+                unsafe { fw.write([i, k], fik) };
+            }
+        };
+        if !self.options.team_over_neighbors {
+            let item = |i| {
+                let (fi, tally) = launch.atom::<EV>(i, |_, _| {});
+                store(i, fi);
+                tally
+            };
+            return space
+                .parallel_reduce(
+                    "PairComputeFull",
+                    atoms.nlocal,
+                    Tally::default(),
+                    item,
+                    Tally::join,
+                )
+                .results();
+        }
         let e_acc = AtomicF64::new(0.0);
-        let w_acc: Vec<AtomicF64> = (0..6).map(|_| AtomicF64::new(0.0)).collect();
-        let inside_acc = AtomicF64::new(0.0);
-        let typs = typ.as_slice();
-        let counts = list.numneigh.as_slice();
-        let neigh = list.neighbors.as_slice();
-        let (neigh_s0, neigh_s1) = (list.neighbors.stride(0), list.neighbors.stride(1));
-        let policy = TeamPolicy::new(nlocal, 32).with_vector(1);
+        let w_acc: [AtomicF64; 6] = std::array::from_fn(|_| AtomicF64::new(0.0));
+        let inside_acc = AtomicU64::new(0);
+        let policy = TeamPolicy::new(atoms.nlocal, 32).with_vector(1);
         space.parallel_for_team("PairComputeFullTeam", policy, |team| {
             let i = team.league_rank();
-            let xi = x.get3(i);
-            let ti = typs[i] as usize;
-            let nn = counts[i] as usize;
-            let mut fi = [0.0f64; 3];
-            let mut e = 0.0;
-            let mut w = [0.0f64; 6];
-            let mut inside = 0u64;
-            let base = i * neigh_s0;
-            team.team_range(nn, |s| {
-                let j = neigh[base + s * neigh_s1] as usize;
-                let tj = typs[j] as usize;
-                let xj = x.get3(j);
-                let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                if rsq < pot.cutsq(ti, tj) {
-                    let (fpair, evdwl) = pot.pair(rsq, ti, tj);
-                    for k in 0..3 {
-                        fi[k] += fpair * d[k];
-                    }
-                    e += 0.5 * evdwl;
-                    add_pair_virial(&mut w, 0.5 * fpair, d);
-                    inside += 1;
-                }
+            let (mut fi, mut tally) = ([0.0; 3], Tally::default());
+            team.team_range(launch.chunks(i), |c| {
+                launch.chunk::<EV>(i, c, &mut fi, &mut tally, &mut |_, _| {})
             });
-            unsafe {
-                fw.write([i, 0], fi[0]);
-                fw.write([i, 1], fi[1]);
-                fw.write([i, 2], fi[2]);
+            store(i, fi);
+            if EV {
+                e_acc.fetch_add(tally.e);
+                for (acc, wk) in w_acc.iter().zip(tally.w) {
+                    acc.fetch_add(wk);
+                }
             }
-            e_acc.fetch_add(e);
-            for k in 0..6 {
-                w_acc[k].fetch_add(w[k]);
-            }
-            inside_acc.fetch_add(inside as f64);
+            // A statistic: publishes nothing, read after the dispatch joins.
+            inside_acc.fetch_add(tally.inside, Ordering::Relaxed);
         });
-        let mut w = [0.0f64; 6];
-        for k in 0..6 {
-            w[k] = w_acc[k].load();
+        Tally {
+            e: e_acc.load(),
+            w: w_acc.map(|acc| acc.load()),
+            inside: inside_acc.into_inner(),
         }
-        (
-            PairResults::with_tensor(e_acc.load(), w),
-            inside_acc.load() as u64,
-        )
+        .results()
     }
 
     /// Half-list kernel: each pair computed once, force scattered to
     /// both atoms through a `ScatterView` (atomics on the device,
-    /// duplication on threaded hosts, §3.2).
-    fn compute_half(&mut self, system: &mut System, list: &NeighborList) -> (PairResults, u64) {
+    /// duplication on threaded hosts, §3.2), one handle per atom.
+    fn compute_half<const EV: bool>(
+        &mut self,
+        system: &mut System,
+        list: &NeighborList,
+    ) -> (PairResults, u64) {
         let space = system.space.clone();
-        let nlocal = system.atoms.nlocal;
         let nall = system.atoms.nall();
-        let x = system.atoms.x.view_for(&space);
-        let typ = system.atoms.typ.view_for(&space);
         // Persistent scatter buffer: reshaped in place when the ghost
         // count changes, reusing capacity (pool reuse, not realloc).
         let mode = lkk_kokkos::ScatterMode::default_for(&space);
@@ -354,73 +446,48 @@ impl<P: TwoBody> PairKokkos<P> {
             .scatter
             .get_or_insert_with(|| ScatterView::new(nall, 3, mode));
         scatter.ensure(nall, 3, mode);
-        let pot = &self.pot;
         let sref: &ScatterView = scatter;
-        let typs = typ.as_slice();
-        let counts = list.numneigh.as_slice();
-        let neigh = list.neighbors.as_slice();
-        let (neigh_s0, neigh_s1) = (list.neighbors.stride(0), list.neighbors.stride(1));
-        let (e, w, inside) = space.parallel_reduce(
+        let atoms = &system.atoms;
+        let launch = Launch::new(
+            &self.pot,
+            atoms.x.view_for(&space),
+            atoms.typ.view_for(&space),
+            list,
+        );
+        let tally = space.parallel_reduce(
             "PairComputeHalf",
-            nlocal,
-            (0.0f64, [0.0f64; 6], 0u64),
+            atoms.nlocal,
+            Tally::default(),
             |i| {
-                let xi = x.get3(i);
-                let ti = typs[i] as usize;
-                let nn = counts[i] as usize;
-                let mut fi = [0.0f64; 3];
-                let mut e = 0.0;
-                let mut w = [0.0f64; 6];
-                let mut inside = 0u64;
-                // The cutoff branch stays: the `j`-side scatter adds are
-                // atomic on devices, and issuing them for excluded pairs
-                // would trade a predictable branch for contended CAS traffic.
-                let mut body = |j: usize| {
-                    let tj = typs[j] as usize;
-                    let xj = x.get3(j);
-                    let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    if rsq < pot.cutsq(ti, tj) {
-                        let (fpair, evdwl) = pot.pair(rsq, ti, tj);
-                        for k in 0..3 {
-                            fi[k] += fpair * d[k];
-                            sref.add(j, k, -fpair * d[k]);
-                        }
-                        e += evdwl;
-                        add_pair_virial(&mut w, fpair, d);
-                        inside += 1;
-                    }
-                };
-                if let Some(row) = list.neighbors.try_row(i) {
-                    for &ju in &row[..nn] {
-                        body(ju as usize);
-                    }
-                } else {
-                    let base = i * neigh_s0;
-                    for s in 0..nn {
-                        body(neigh[base + s * neigh_s1] as usize);
-                    }
-                }
-                for (k, &fik) in fi.iter().enumerate() {
-                    sref.add(i, k, fik);
-                }
-                (e, w, inside)
+                let forces = sref.access();
+                let (fi, tally) =
+                    launch.atom::<EV>(i, |j, f| forces.add3(j, [-f[0], -f[1], -f[2]]));
+                forces.add3(i, fi);
+                tally
             },
-            |a, b| {
-                let mut w = a.1;
-                for (wk, bk) in w.iter_mut().zip(b.1) {
-                    *wk += bk;
-                }
-                (a.0 + b.0, w, a.2 + b.2)
-            },
+            Tally::join,
         );
         let f = system.atoms.f.view_for_mut(&space);
         f.fill(0.0);
         scatter.contribute_into_view(f);
-        (PairResults::with_tensor(e, w), inside)
+        tally.results()
     }
 
-    /// Attach measured event counts for the device cost model.
+    fn launch<const EV: bool>(
+        &mut self,
+        system: &mut System,
+        list: &NeighborList,
+    ) -> (PairResults, u64) {
+        if self.half {
+            self.compute_half::<EV>(system, list)
+        } else {
+            self.compute_full::<EV>(system, list)
+        }
+    }
+
+    /// Attach measured event counts for the device cost model. The
+    /// modelled device is charged the same flops whether or not the
+    /// host skipped the energy (`pairs_inside` does not depend on it).
     fn note_stats(&self, system: &System, list: &NeighborList, pairs_inside: u64) {
         let space = &system.space;
         if !space.is_device() {
@@ -491,7 +558,7 @@ impl<P: TwoBody + 'static> PairStyle for PairKokkos<P> {
         self.scatter.as_ref().map_or(0, ScatterView::grow_count)
     }
 
-    fn compute(&mut self, system: &mut System, list: &NeighborList, _eflag: bool) -> PairResults {
+    fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         assert_eq!(
             list.half, self.half,
             "pair style '{}' given wrong list style",
@@ -501,12 +568,10 @@ impl<P: TwoBody + 'static> PairStyle for PairKokkos<P> {
         system
             .atoms
             .sync(&space, crate::atom::Mask::X | crate::atom::Mask::TYPE);
-        let (res, inside) = if self.half {
-            self.compute_half(system, list)
-        } else if self.options.team_over_neighbors {
-            self.compute_full_team(system, list)
+        let (res, inside) = if eflag {
+            self.launch::<true>(system, list)
         } else {
-            self.compute_full(system, list)
+            self.launch::<false>(system, list)
         };
         system.atoms.modified(&space, crate::atom::Mask::F);
         self.note_stats(system, list, inside);
@@ -633,5 +698,524 @@ mod tests {
             let total: f64 = f.iter().skip(k).step_by(3).sum();
             assert!(total.abs() < 1e-9, "net force component {total}");
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Bit-identity of the filter-then-compute kernels
+    // ------------------------------------------------------------------
+
+    use super::morse::Morse;
+    use super::table::PairTable;
+    use super::yukawa::Yukawa;
+    use crate::atom::Mask;
+
+    /// Jittered fcc sites: every site moved by up to ±0.1 per axis (fixed
+    /// sequence), so no pair sits at a symmetric distance.
+    fn jittered_sites(cells: usize) -> (Vec<[f64; 3]>, crate::domain::Domain) {
+        let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
+        let mut positions = lat.positions(cells, cells, cells);
+        let mut s = 987654321u64;
+        for x in positions.iter_mut().flatten() {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *x += 0.2 * ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+        }
+        (positions, lat.domain(cells, cells, cells))
+    }
+
+    /// A system at `positions` (wrapped into the box) with ghosts and a
+    /// list; `ntypes` types dealt round-robin.
+    fn system_at(
+        space: &Space,
+        (positions, domain): &(Vec<[f64; 3]>, crate::domain::Domain),
+        half: bool,
+        cutoff: f64,
+        ntypes: usize,
+    ) -> (System, NeighborList) {
+        let mut atoms = AtomData::from_positions(positions);
+        atoms.wrap_positions(domain);
+        for i in 0..atoms.nlocal {
+            atoms.typ.h_view_mut().set([i], (i % ntypes) as i32);
+        }
+        let mut system = System::new(atoms, *domain, space.clone());
+        let settings = NeighborSettings::new(cutoff, 0.3, half);
+        system.ghosts = build_ghosts(&mut system.atoms, &system.domain, settings.cutneigh());
+        let list = NeighborList::build(&system.atoms, &system.domain, &settings, space);
+        (system, list)
+    }
+
+    fn jittered(
+        space: &Space,
+        cells: usize,
+        half: bool,
+        cutoff: f64,
+        ntypes: usize,
+    ) -> (System, NeighborList) {
+        system_at(space, &jittered_sites(cells), half, cutoff, ntypes)
+    }
+
+    /// Every force component, owned and ghost rows.
+    fn forces(system: &mut System) -> Vec<f64> {
+        system.atoms.sync(&Space::Serial, Mask::F);
+        let fh = system.atoms.f.h_view();
+        (0..system.atoms.nall()).flat_map(|i| fh.get3(i)).collect()
+    }
+
+    /// Forces agree to the bit — or, where `exact` is off (atomic adds
+    /// land in arrival order on a forking space), to rounding.
+    fn assert_forces(got: &[f64], want: &[f64], exact: bool, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: force count");
+        for (n, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = if exact {
+                g.to_bits() == w.to_bits()
+            } else {
+                (g - w).abs() <= 1e-11 * w.abs().max(1.0)
+            };
+            assert!(same, "{what}: force component {n}: {g:e} vs {w:e}");
+        }
+    }
+
+    /// The kernels this module had before the shared filter-then-compute
+    /// loop, kept as the bitwise reference (as `fill_reference` is for
+    /// the neighbor fill): one branchy pass over each row, a
+    /// `ScatterView::add` per component, energy and virial on every
+    /// call. Same dispatches, so reduction order is the same too.
+    fn compute_reference<P: TwoBody>(
+        pot: &P,
+        system: &mut System,
+        list: &NeighborList,
+        team: bool,
+    ) -> (PairResults, u64) {
+        let space = system.space.clone();
+        system.atoms.sync(&space, Mask::X | Mask::TYPE);
+        let (nlocal, nall) = (system.atoms.nlocal, system.atoms.nall());
+        let atoms = &mut system.atoms;
+        let x = atoms.x.view_for(&space);
+        let typ = atoms.typ.view_for(&space);
+        let f = atoms.f.view_for_mut(&space);
+        f.fill(0.0);
+        type Sums = (f64, [f64; 6], u64);
+        let row = |i: usize, on_j: &mut dyn FnMut(usize, usize, f64)| -> ([f64; 3], Sums) {
+            let xi = x.get3(i);
+            let ti = typ.at([i]) as usize;
+            let (mut fi, mut e, mut w, mut inside) = ([0.0; 3], 0.0, [0.0; 6], 0u64);
+            for s in 0..list.numneigh.at([i]) as usize {
+                let j = list.neighbors.at([i, s]) as usize;
+                let tj = typ.at([j]) as usize;
+                let xj = x.get3(j);
+                let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                if rsq < pot.cutsq(ti, tj) {
+                    let (fpair, evdwl) = pot.pair(rsq, ti, tj);
+                    for k in 0..3 {
+                        fi[k] += fpair * d[k];
+                        on_j(j, k, -fpair * d[k]);
+                    }
+                    if list.half {
+                        e += evdwl;
+                        add_pair_virial(&mut w, fpair, d);
+                    } else {
+                        // Full list sees each pair twice: count half.
+                        e += 0.5 * evdwl;
+                        add_pair_virial(&mut w, 0.5 * fpair, d);
+                    }
+                    inside += 1;
+                }
+            }
+            (fi, (e, w, inside))
+        };
+        let join = |a: Sums, b: Sums| {
+            let mut w = a.1;
+            for (wk, bk) in w.iter_mut().zip(b.1) {
+                *wk += bk;
+            }
+            (a.0 + b.0, w, a.2 + b.2)
+        };
+        let zero: Sums = (0.0, [0.0; 6], 0);
+        let (e, w, inside) = if list.half {
+            let mut scatter = ScatterView::for_space(nall, 3, &space);
+            let sref = &scatter;
+            let sums = space.parallel_reduce(
+                "ReferenceHalf",
+                nlocal,
+                zero,
+                |i| {
+                    let (fi, sums) = row(i, &mut |j, k, v| sref.add(j, k, v));
+                    for (k, &fik) in fi.iter().enumerate() {
+                        sref.add(i, k, fik);
+                    }
+                    sums
+                },
+                join,
+            );
+            scatter.contribute_into_view(f);
+            sums
+        } else if team {
+            let fw = f.par_write();
+            let e_acc = AtomicF64::new(0.0);
+            let w_acc: [AtomicF64; 6] = std::array::from_fn(|_| AtomicF64::new(0.0));
+            let inside_acc = AtomicU64::new(0);
+            let policy = TeamPolicy::new(nlocal, 32).with_vector(1);
+            space.parallel_for_team("ReferenceTeam", policy, |team| {
+                let i = team.league_rank();
+                let (fi, (e, w, inside)) = row(i, &mut |_, _, _| {});
+                for (k, &fik) in fi.iter().enumerate() {
+                    unsafe { fw.write([i, k], fik) };
+                }
+                e_acc.fetch_add(e);
+                for (acc, wk) in w_acc.iter().zip(w) {
+                    acc.fetch_add(wk);
+                }
+                inside_acc.fetch_add(inside, Ordering::Relaxed);
+            });
+            (
+                e_acc.load(),
+                w_acc.map(|acc| acc.load()),
+                inside_acc.into_inner(),
+            )
+        } else {
+            let fw = f.par_write();
+            space.parallel_reduce(
+                "ReferenceFull",
+                nlocal,
+                zero,
+                |i| {
+                    let (fi, sums) = row(i, &mut |_, _, _| {});
+                    for (k, &fik) in fi.iter().enumerate() {
+                        unsafe { fw.write([i, k], fik) };
+                    }
+                    sums
+                },
+                join,
+            )
+        };
+        system.atoms.modified(&space, Mask::F);
+        (PairResults::with_tensor(e, w), inside)
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Half,
+        Full,
+        Team,
+    }
+
+    impl Kind {
+        const ALL: [Kind; 3] = [Kind::Half, Kind::Full, Kind::Team];
+
+        fn options(self) -> PairKokkosOptions {
+            PairKokkosOptions {
+                force_half: Some(self == Kind::Half),
+                team_over_neighbors: self == Kind::Team,
+            }
+        }
+    }
+
+    fn space_name(space: &Space) -> &'static str {
+        match space {
+            Space::Serial => "Serial",
+            Space::Threads => "Threads",
+            Space::Device(_) => "device(h100)",
+        }
+    }
+
+    fn spaces() -> [Space; 3] {
+        [
+            Space::Serial,
+            Space::Threads,
+            Space::device(lkk_gpusim::GpuArch::h100()),
+        ]
+    }
+
+    /// Energy and virial agree to the bit, or to rounding (see
+    /// [`assert_forces`]).
+    fn assert_results(got: PairResults, want: PairResults, exact: bool, what: &str) {
+        let pairs = [(got.energy, want.energy), (got.virial, want.virial)];
+        for (g, w) in pairs
+            .into_iter()
+            .chain(got.virial_tensor.into_iter().zip(want.virial_tensor))
+        {
+            let same = if exact {
+                g.to_bits() == w.to_bits()
+            } else {
+                (g - w).abs() <= 1e-11 * want.energy.abs()
+            };
+            assert!(same, "{what}: energy/virial {g:e} vs {w:e}");
+        }
+    }
+
+    /// Does this kernel sum in a fixed order on `space`? Not when it
+    /// forks and joins through atomics: the team tallies, and the half
+    /// kernel's device-mode scatter.
+    fn deterministic(kind: Kind, space: &Space) -> (bool, bool) {
+        let forks = !matches!(space, Space::Serial);
+        let forces = !(forks && kind == Kind::Half && space.is_device());
+        (forces, forces && !(forks && kind == Kind::Team))
+    }
+
+    /// `eflag` changes no force bit and no in-cutoff count, and with it
+    /// on the kernels reproduce the reference's forces, energy and
+    /// virial to the bit, for one potential on every kernel × space.
+    fn check_against_reference<P: TwoBody + Clone + 'static>(pot: P, cutoff: f64, ntypes: usize) {
+        for space in spaces() {
+            for kind in Kind::ALL {
+                let what = format!("{} {kind:?} on {}", pot.type_name(), space_name(&space));
+                let (exact_f, exact_e) = deterministic(kind, &space);
+                let (mut system, list) = jittered(&space, 8, kind == Kind::Half, cutoff, ntypes);
+                assert!(system.atoms.nlocal >= 2048, "must be large enough to fork");
+                let (want, want_inside) =
+                    compute_reference(&pot, &mut system, &list, kind == Kind::Team);
+                let want_forces = forces(&mut system);
+
+                let mut pair = PairKokkos::with_options(pot.clone(), &space, kind.options());
+                let on = pair.compute(&mut system, &list, true);
+                assert_forces(&forces(&mut system), &want_forces, exact_f, &what);
+                assert_results(on, want, exact_e, &what);
+                let off = pair.compute(&mut system, &list, false);
+                assert_forces(&forces(&mut system), &want_forces, exact_f, &what);
+                assert_eq!(off, PairResults::default(), "{what}: eflag-off results");
+                let (_, inside_on) = pair.launch::<true>(&mut system, &list);
+                let (_, inside_off) = pair.launch::<false>(&mut system, &list);
+                assert_eq!(inside_on, want_inside, "{what}: in-cutoff count");
+                assert_eq!(inside_off, want_inside, "{what}: eflag-off in-cutoff count");
+            }
+        }
+    }
+
+    #[test]
+    fn lj_matches_reference_bitwise() {
+        check_against_reference(LjCut::single_type(1.0, 1.0, 2.5), 2.5, 1);
+    }
+
+    #[test]
+    fn morse_matches_reference_bitwise() {
+        check_against_reference(Morse::new(1.0, 2.0, 1.2, 2.5), 2.5, 1);
+    }
+
+    #[test]
+    fn yukawa_matches_reference_bitwise() {
+        check_against_reference(Yukawa::new(2.0, 1.5, 2.5), 2.5, 1);
+    }
+
+    #[test]
+    fn table_matches_reference_bitwise() {
+        let lj = LjCut::single_type(1.0, 1.0, 2.5);
+        let table = PairTable::tabulate(&lj, "lj/table", 0.8, 2.5, 4096);
+        check_against_reference(table, 2.5, 1);
+    }
+
+    fn lj_mixture() -> LjCut {
+        let mut lj = LjCut::new(2);
+        lj.set_coeff(0, 0, 1.0, 1.0, 2.5);
+        lj.set_coeff(0, 1, 1.5, 0.8, 2.0);
+        lj.set_coeff(1, 1, 0.5, 1.1, 2.8);
+        lj
+    }
+
+    /// The non-uniform path (per-pair ε, σ and cutoff): bitwise against
+    /// the reference, and against an O(N²) minimum-image sum that knows
+    /// nothing about lists, ghosts or chunks.
+    #[test]
+    fn two_type_mixture_matches_reference_and_brute_force() {
+        let lj = lj_mixture();
+        check_against_reference(lj.clone(), 2.8, 2);
+
+        for half in [true, false] {
+            let (mut system, list) = jittered(&Space::Serial, 5, half, 2.8, 2);
+            let n = system.atoms.nlocal;
+            let (mut e_want, mut f_want) = (0.0, vec![[0.0f64; 3]; n]);
+            for i in 0..n {
+                for j in i + 1..n {
+                    let d = system
+                        .domain
+                        .min_image(&system.atoms.pos(i), &system.atoms.pos(j));
+                    let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                    if rsq < lj.cutsq(i % 2, j % 2) {
+                        let (fpair, evdwl) = lj.pair(rsq, i % 2, j % 2);
+                        e_want += evdwl;
+                        for k in 0..3 {
+                            f_want[i][k] += fpair * d[k];
+                            f_want[j][k] -= fpair * d[k];
+                        }
+                    }
+                }
+            }
+            let opts = PairKokkosOptions {
+                force_half: Some(half),
+                ..Default::default()
+            };
+            let mut pair = PairKokkos::with_options(lj.clone(), &Space::Serial, opts);
+            let res = pair.compute(&mut system, &list, true);
+            if half {
+                crate::comm::reverse_forces(&mut system.atoms, &system.ghosts);
+            }
+            assert!(
+                (res.energy - e_want).abs() < 1e-10 * e_want.abs(),
+                "half={half}: energy {} vs {e_want}",
+                res.energy
+            );
+            let fh = system.atoms.f.h_view();
+            for (i, want) in f_want.iter().enumerate() {
+                for k in 0..3 {
+                    let got = fh.at([i, k]);
+                    assert!(
+                        (got - want[k]).abs() < 1e-9 * want[k].abs().max(1.0),
+                        "half={half}: f[{i}][{k}] = {got} vs {}",
+                        want[k]
+                    );
+                }
+            }
+        }
+    }
+
+    /// A potential that refuses to be evaluated beyond its cutoff, as a
+    /// table style indexing out of range would.
+    #[derive(Clone)]
+    struct Guarded(LjCut);
+
+    impl TwoBody for Guarded {
+        fn type_name(&self) -> &'static str {
+            "guarded"
+        }
+        fn ntypes(&self) -> usize {
+            self.0.ntypes()
+        }
+        fn cutsq(&self, ti: usize, tj: usize) -> f64 {
+            self.0.cutsq(ti, tj)
+        }
+        fn max_cutoff(&self) -> f64 {
+            self.0.max_cutoff()
+        }
+        fn pair(&self, rsq: f64, ti: usize, tj: usize) -> (f64, f64) {
+            assert!(
+                rsq < self.0.cutsq(ti, tj),
+                "pair() evaluated at rsq {rsq} beyond the cutoff"
+            );
+            self.0.pair(rsq, ti, tj)
+        }
+    }
+
+    /// Cutoff 3.8: full rows hold ~240 entries and the longest half
+    /// rows ~190, so they cross the filter's 128-entry chunk boundary;
+    /// pass 2 must still see hits only, on contiguous (host) and strided
+    /// (device) rows.
+    #[test]
+    fn rows_longer_than_a_chunk_see_hits_only() {
+        let pot = Guarded(LjCut::single_type(1.0, 1.0, 3.8));
+        for space in [Space::Serial, Space::device(lkk_gpusim::GpuArch::h100())] {
+            for kind in [Kind::Full, Kind::Team, Kind::Half] {
+                let what = format!("{kind:?} on {}", space_name(&space));
+                let (exact_f, exact_e) = deterministic(kind, &space);
+                let (mut system, list) = jittered(&space, 6, kind == Kind::Half, 3.8, 1);
+                let longest = (0..list.nlocal)
+                    .map(|i| list.numneigh.at([i]) as usize)
+                    .max()
+                    .unwrap();
+                assert!(longest > CHUNK, "{what}: longest row {longest}");
+                assert_eq!(
+                    list.neighbors.try_row(0).is_none(),
+                    space.is_device(),
+                    "{what}: row layout"
+                );
+                let (want, want_inside) =
+                    compute_reference(&pot.0, &mut system, &list, kind == Kind::Team);
+                assert!(
+                    want_inside < list.total_pairs,
+                    "{what}: the skin holds no pair"
+                );
+                let want_forces = forces(&mut system);
+                let mut pair = PairKokkos::with_options(pot.clone(), &space, kind.options());
+                for eflag in [true, false] {
+                    let got = pair.compute(&mut system, &list, eflag);
+                    assert_forces(&forces(&mut system), &want_forces, exact_f, &what);
+                    if eflag {
+                        assert_results(got, want, exact_e, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Physics gate: the kernels agree with the potential, not only with
+    // their former selves
+    // ------------------------------------------------------------------
+
+    /// On a jittered 256-atom cell, half and full lists: the `eflag`-off
+    /// forces are −∂E/∂x of the `eflag`-on energy (central differences,
+    /// to `tol` relative), they sum to zero, and the scalar virial is
+    /// the trace of the tensor.
+    fn check_forces_are_energy_gradient<P: TwoBody + Clone + 'static>(
+        pot: P,
+        cutoff: f64,
+        ntypes: usize,
+        tol: f64,
+    ) {
+        const H: f64 = 1e-5;
+        for half in [true, false] {
+            let what = format!("{} half={half}", pot.type_name());
+            let opts = PairKokkosOptions {
+                force_half: Some(half),
+                ..Default::default()
+            };
+            let mut pair = PairKokkos::with_options(pot.clone(), &Space::Serial, opts);
+            let mut sites = jittered_sites(4);
+            let mut energy = |sites: &(Vec<[f64; 3]>, _)| {
+                let (mut system, list) = system_at(&Space::Serial, sites, half, cutoff, ntypes);
+                pair.compute(&mut system, &list, true)
+            };
+            let res = energy(&sites);
+            assert!(res.energy != 0.0, "{what}: no pair in range");
+            let trace: f64 = res.virial_tensor[..3].iter().sum();
+            assert_eq!(res.virial, trace, "{what}: scalar virial vs tensor trace");
+            let gradient: Vec<(usize, usize, f64)> = (0..256)
+                .step_by(23)
+                .flat_map(|i| (0..3).map(move |k| (i, k)))
+                .map(|(i, k)| {
+                    let x0 = sites.0[i][k];
+                    sites.0[i][k] = x0 + H;
+                    let e_plus = energy(&sites).energy;
+                    sites.0[i][k] = x0 - H;
+                    let e_minus = energy(&sites).energy;
+                    sites.0[i][k] = x0;
+                    (i, k, -(e_plus - e_minus) / (2.0 * H))
+                })
+                .collect();
+
+            let (mut system, list) = system_at(&Space::Serial, &sites, half, cutoff, ntypes);
+            let off = pair.compute(&mut system, &list, false);
+            assert_eq!(off, PairResults::default(), "{what}: eflag-off results");
+            if half {
+                crate::comm::reverse_forces(&mut system.atoms, &system.ghosts);
+            }
+            let fh = system.atoms.f.h_view();
+            for (i, k, want) in gradient {
+                let got = fh.at([i, k]);
+                assert!(
+                    (got - want).abs() <= tol * want.abs().max(1.0),
+                    "{what}: f[{i}][{k}] = {got} but -dE/dx = {want}"
+                );
+            }
+            for k in 0..3 {
+                let net: f64 = (0..256).map(|i| fh.at([i, k])).sum();
+                assert!(net.abs() <= 256.0 * 1e-10, "{what}: net force {net:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn forces_are_the_energy_gradient() {
+        check_forces_are_energy_gradient(LjCut::single_type(1.0, 1.0, 2.5), 2.5, 1, 1e-6);
+        check_forces_are_energy_gradient(lj_mixture(), 2.8, 2, 1e-6);
+        check_forces_are_energy_gradient(Morse::new(1.0, 2.0, 1.2, 2.5), 2.5, 1, 1e-6);
+        check_forces_are_energy_gradient(Yukawa::new(2.0, 1.5, 2.5), 2.5, 1, 1e-6);
+        // The table interpolates energy and force separately, so its
+        // force is the gradient of its energy only to first order in the
+        // knot spacing (5e-6 in r² here; close pairs with forces of
+        // order 100 nearly cancel in the net force the gate looks at).
+        let lj = LjCut::single_type(1.0, 1.0, 2.5);
+        let table = PairTable::tabulate(&lj, "lj/table", 0.8, 2.5, 1 << 20);
+        check_forces_are_energy_gradient(table, 2.5, 1, 1e-3);
     }
 }

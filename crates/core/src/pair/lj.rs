@@ -87,6 +87,10 @@ impl TwoBody for LjCut {
         "lj/cut"
     }
 
+    fn ntypes(&self) -> usize {
+        self.ntypes
+    }
+
     #[inline(always)]
     fn cutsq(&self, ti: usize, tj: usize) -> f64 {
         self.coeff[ti * self.ntypes + tj].cutsq

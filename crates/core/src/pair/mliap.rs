@@ -257,12 +257,11 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
                     let e = model.forward(desc, grad);
                     let dedx = desc_set.chain(rel, grad);
                     let mut w = [0.0f64; 6];
+                    let forces = sref.access();
                     for (k, &j) in ids.iter().enumerate() {
                         let f = [-dedx[k][0], -dedx[k][1], -dedx[k][2]];
-                        for (dir, &fd) in f.iter().enumerate() {
-                            sref.add(j, dir, fd);
-                            sref.add(i, dir, -fd);
-                        }
+                        forces.add3(j, f);
+                        forces.add3(i, [-f[0], -f[1], -f[2]]);
                         // W_ab = Σ d_a f_b, symmetrized (d = x_j − x_i, f on j).
                         let d = rel[k];
                         w[0] += d[0] * f[0];

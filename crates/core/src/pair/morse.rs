@@ -33,6 +33,10 @@ impl TwoBody for Morse {
         "morse"
     }
 
+    fn ntypes(&self) -> usize {
+        1
+    }
+
     fn cutsq(&self, _ti: usize, _tj: usize) -> f64 {
         self.cut * self.cut
     }

@@ -173,11 +173,8 @@ impl PairStyle for PairSw {
                     let (rel, rs, ids) = (&sc.rel, &sc.rs, &sc.ids);
                     let mut e = 0.0;
                     let mut w6 = [0.0f64; 6];
-                    let add_force = |atom: usize, f: [f64; 3]| {
-                        for (k, &fk) in f.iter().enumerate() {
-                            sref.add(atom, k, fk);
-                        }
-                    };
+                    let forces = sref.access();
+                    let add_force = |atom: usize, f: [f64; 3]| forces.add3(atom, f);
                     // Two-body: one-sided over the full list (half energy).
                     for (m, &j) in ids.iter().enumerate() {
                         let (e2, de2) = p.phi2(rs[m]);

@@ -47,6 +47,10 @@ impl TwoBody for PairTable {
         self.name
     }
 
+    fn ntypes(&self) -> usize {
+        1
+    }
+
     fn cutsq(&self, _ti: usize, _tj: usize) -> f64 {
         self.cut * self.cut
     }

@@ -26,6 +26,10 @@ impl TwoBody for Yukawa {
         "yukawa"
     }
 
+    fn ntypes(&self) -> usize {
+        1
+    }
+
     fn cutsq(&self, _ti: usize, _tj: usize) -> f64 {
         self.cut * self.cut
     }

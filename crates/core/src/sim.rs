@@ -160,6 +160,10 @@ pub struct Simulation {
     /// (and the transfer counters in `lkk_kokkos::profile` price it).
     pub pair_only: bool,
     pub step: u64,
+    /// Energy and virial of the most recent force evaluation that
+    /// tallied them: set-up, every thermo step, and the last step of
+    /// each [`Simulation::run`]/[`Simulation::try_run`] call (LAMMPS'
+    /// `ev_set` rule). Steps in between compute forces only.
     pub last_results: PairResults,
     pub thermo: Vec<ThermoRow>,
     pub rebuild_count: u64,
@@ -299,10 +303,11 @@ impl Simulation {
     }
 
     /// Compute forces for the current configuration (including ghost
-    /// refresh), storing energy/virial in `last_results`. Also surfaces
-    /// a [`CommError`] deferred by a mid-compute exchange (EAM's scalar
-    /// forward) through [`System::comm_error`].
-    fn try_compute_forces(&mut self) -> Result<(), CommError> {
+    /// refresh) and, with `eflag`, the energy/virial into
+    /// `last_results`. Also surfaces a [`CommError`] deferred by a
+    /// mid-compute exchange (EAM's scalar forward) through
+    /// [`System::comm_error`].
+    fn try_compute_forces(&mut self, eflag: bool) -> Result<(), CommError> {
         // Position changes since the last neighbor build flow to ghosts.
         {
             let comm_region = profile::begin_region("comm");
@@ -313,7 +318,10 @@ impl Simulation {
             self.timings.comm += comm_region.finish();
         }
         let list = self.list.as_ref().expect("neighbor list not built");
-        self.last_results = self.pair.compute(&mut self.system, list, true);
+        let results = self.pair.compute(&mut self.system, list, eflag);
+        if eflag {
+            self.last_results = results;
+        }
         if let Some(err) = self.system.comm_error.take() {
             return Err(err);
         }
@@ -338,7 +346,7 @@ impl Simulation {
     fn try_setup(&mut self) -> Result<(), CommError> {
         if self.list.is_none() {
             self.try_rebuild()?;
-            self.try_compute_forces()?;
+            self.try_compute_forces(true)?;
             self.record_thermo();
         }
         Ok(())
@@ -364,9 +372,14 @@ impl Simulation {
         } else {
             device_space.clone()
         };
-        for _ in 0..nsteps {
+        for remaining in (0..nsteps).rev() {
             self.step += 1;
             self.timings.steps += 1;
+            // Energy and virial only where someone reads them: thermo
+            // steps, and the state a caller sees when this call returns.
+            let thermo_step =
+                self.thermo_every > 0 && self.step.is_multiple_of(self.thermo_every as u64);
+            let eflag = thermo_step || remaining == 0;
             let dt = self.dt;
             let step_region = profile::begin_region("step");
             {
@@ -403,7 +416,7 @@ impl Simulation {
                 // Comm inside force computation is nested ("step/pair/comm")
                 // and counted in both phases, as LAMMPS' breakdown does.
                 let pair_region = profile::begin_region("pair");
-                let forces = self.try_compute_forces();
+                let forces = self.try_compute_forces(eflag);
                 self.timings.pair += pair_region.finish();
                 forces?;
             }
@@ -421,7 +434,7 @@ impl Simulation {
                 self.timings.integrate += integrate_region.finish();
             }
             drop(step_region);
-            if self.thermo_every > 0 && self.step.is_multiple_of(self.thermo_every as u64) {
+            if thermo_step {
                 self.record_thermo();
             }
         }
@@ -868,6 +881,42 @@ mod tests {
         assert!(t_final < 1.1, "T stayed at {t_final}");
         assert!(t_final > 0.3);
         assert!(sim.rebuild_count >= 2, "no neighbor rebuilds happened");
+    }
+
+    #[test]
+    fn energy_only_when_read_changes_no_bit() {
+        // `run(50)` tallies energy and virial on thermo steps and its
+        // last step; 50 × `run(1)` tallies on every step (each is a last
+        // step). Same forces either way, so same trajectory, thermo rows
+        // and final results, to the bit — on a half list (threads) and a
+        // full one (device).
+        for space in [Space::Threads, Space::device(lkk_gpusim::GpuArch::h100())] {
+            let mut batched = lj_melt_sim(4, space.clone(), 1.44);
+            let mut stepped = lj_melt_sim(4, space, 1.44);
+            batched.thermo_every = 10;
+            stepped.thermo_every = 10;
+            batched.run(50);
+            for _ in 0..50 {
+                stepped.run(1);
+            }
+            assert_eq!(batched.thermo.len(), 6, "set-up row + 5 thermo steps");
+            assert_eq!(batched.thermo, stepped.thermo);
+            assert_eq!(batched.last_results, stepped.last_results);
+            assert_ne!(batched.last_results, PairResults::default());
+            for sim in [&mut batched, &mut stepped] {
+                sim.system.atoms.sync(&Space::Serial, Mask::ALL);
+            }
+            for i in 0..batched.system.atoms.nlocal {
+                let (a, b) = (&batched.system.atoms, &stepped.system.atoms);
+                assert_eq!(a.pos(i).map(f64::to_bits), b.pos(i).map(f64::to_bits));
+                for (va, vb) in [(&a.v, &b.v), (&a.f, &b.f)] {
+                    assert_eq!(
+                        va.h_view().get3(i).map(f64::to_bits),
+                        vb.h_view().get3(i).map(f64::to_bits)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub use profile::{
     begin_region, current_region, register_subscriber, unregister_subscriber, KernelLog,
     RegionGuard, SubscriberId,
 };
-pub use scatter_view::{ScatterMode, ScatterView};
+pub use scatter_view::{ScatterAccess, ScatterMode, ScatterView};
 pub use team::Team;
-pub use view::{Layout, ParWrite, View, View1, View2, View3};
+pub use view::{Layout, ParWrite, Triples, View, View1, View2, View3};

@@ -27,7 +27,10 @@ use std::cell::UnsafeCell;
 /// most one claimant. A claimant is either *the worker pool* (any
 /// rayon worker thread writing its own copy; disjoint by construction)
 /// or one specific *foreign* thread (no worker index, mapped to copy
-/// 0 by the `unwrap_or(0)` fallback in [`ScatterView::add`]). Two
+/// 0 by the `unwrap_or(0)` fallback in [`ScatterView::access`]). The
+/// claim is made once per [`ScatterAccess`] handle — ownership is per
+/// copy per epoch, so checking every add through the handle would
+/// repeat the same comparison. Two
 /// distinct claimants inside one epoch are reported even when their
 /// writes did not overlap in time: the pattern is one scheduler
 /// reshuffle away from silent corruption, so it is treated as a
@@ -40,7 +43,7 @@ use std::cell::UnsafeCell;
 mod conflict {
     use super::ScatterMode;
     use std::panic::Location;
-    use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
     /// Claimant word: 0 = unclaimed this epoch, `POOL` = some rayon
     /// worker writing its own copy, >= 2 = a specific foreign thread.
@@ -62,7 +65,6 @@ mod conflict {
     struct Slot {
         owner: AtomicU64,
         site: AtomicPtr<Location<'static>>,
-        index: AtomicUsize,
     }
 
     impl Slot {
@@ -70,7 +72,6 @@ mod conflict {
             Slot {
                 owner: AtomicU64::new(0),
                 site: AtomicPtr::new(std::ptr::null_mut()),
-                index: AtomicUsize::new(0),
             }
         }
     }
@@ -104,13 +105,7 @@ mod conflict {
         /// naming both access sites — when a different claimant
         /// already owns the copy this epoch.
         #[inline]
-        pub(super) fn claim(
-            &self,
-            copy: usize,
-            idx: usize,
-            foreign: bool,
-            site: &'static Location<'static>,
-        ) {
+        pub(super) fn claim(&self, copy: usize, foreign: bool, site: &'static Location<'static>) {
             let claimant = if foreign {
                 THREAD_FP.with(|fp| *fp)
             } else {
@@ -122,7 +117,6 @@ mod conflict {
                 .compare_exchange(0, claimant, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
-                    slot.index.store(idx, Ordering::Relaxed);
                     slot.site.store(
                         site as *const _ as *mut Location<'static>,
                         Ordering::Release,
@@ -148,12 +142,11 @@ mod conflict {
                         // come from `&'static Location` above.
                         unsafe { (*first).to_string() }
                     };
-                    let first_idx = slot.index.load(Ordering::Relaxed);
                     panic!(
                         "ScatterView write conflict on copy {copy}: claimed by {} at {first_site} \
-                         (flat index {first_idx}) and now written by {} at {site} (flat index {idx}) \
-                         within one accumulation epoch; separate the writers with contribute_into()/reset(), \
-                         or use Atomic mode (see docs/static-analysis.md)",
+                         and now written by {} at {site} within one accumulation epoch; separate \
+                         the writers with contribute_into()/reset(), or use Atomic mode \
+                         (see docs/static-analysis.md)",
                         describe(prev),
                         describe(claimant),
                     );
@@ -259,9 +252,108 @@ pub struct ScatterView {
 }
 
 // Duplicated storage is only written through per-thread indices;
-// Sequential storage is only used without concurrency (see `add`).
+// Sequential storage is only used without concurrency (see `access`).
 unsafe impl Sync for ScatterView {}
 unsafe impl Send for ScatterView {}
+
+/// Where a [`ScatterAccess`] handle writes.
+#[derive(Clone, Copy)]
+enum Target<'a> {
+    Atomic(&'a [AtomicF64]),
+    /// One unsynchronised buffer of `len` elements: the calling worker's
+    /// duplicate, or the sequential buffer. A raw pointer, not a `&mut`,
+    /// so successive handles of one worker never hold aliasing references.
+    Plain {
+        ptr: *mut f64,
+        len: usize,
+    },
+}
+
+impl Target<'_> {
+    /// # Safety
+    /// No other thread may use `cell` while the returned pointer is
+    /// written through (each worker passes only its own copy).
+    unsafe fn plain(cell: &UnsafeCell<Vec<f64>>) -> Self {
+        let buf = &mut *cell.get();
+        Target::Plain {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+        }
+    }
+}
+
+/// The calling worker's write handle on a [`ScatterView`], from
+/// [`ScatterView::access`]. Take one per work item; never store it or
+/// send it to another thread (the raw pointer makes it `!Send` and
+/// `!Sync`, which the compile-time assertion below pins).
+pub struct ScatterAccess<'a> {
+    ncols: usize,
+    target: Target<'a>,
+    #[cfg(any(debug_assertions, feature = "conflict-detect"))]
+    conflict: &'a conflict::Tracker,
+}
+
+impl ScatterAccess<'_> {
+    /// Accumulate `v` into element `(i, col)`.
+    #[inline(always)]
+    pub fn add(&self, i: usize, col: usize, v: f64) {
+        self.add_at(i * self.ncols + col, [v]);
+    }
+
+    /// Accumulate `v` into row `i` of a three-column target: one bounds
+    /// check for the three adds (one per add in `Atomic` mode, where the
+    /// compare-exchange dwarfs it).
+    #[inline(always)]
+    pub fn add3(&self, i: usize, v: [f64; 3]) {
+        assert_eq!(self.ncols, 3, "add3 needs a three-column target");
+        self.add_at(i * 3, v);
+    }
+
+    /// Accumulate `v` into the `N >= 1` consecutive elements from `idx`.
+    #[inline(always)]
+    fn add_at<const N: usize>(&self, idx: usize, v: [f64; N]) {
+        match self.target {
+            Target::Atomic(a) => {
+                for (k, vk) in v.into_iter().enumerate() {
+                    #[cfg(any(debug_assertions, feature = "conflict-detect"))]
+                    self.conflict.record_atomic(idx + k);
+                    a[idx + k].fetch_add(vk);
+                }
+            }
+            Target::Plain { ptr, len } => {
+                // One check for the `N` adds: `idx + N <= len`, written so
+                // that a huge `idx` cannot wrap past it.
+                assert!(
+                    idx < len.saturating_sub(N - 1),
+                    "ScatterView index {idx} out of bounds {len}"
+                );
+                // SAFETY: `ptr` addresses `len` elements of this worker's
+                // private copy (or the sequential buffer, single-threaded
+                // by contract), alive and unresized for `'a` because
+                // resizing needs `&mut ScatterView`; `idx + N <= len` was
+                // just checked.
+                for (k, vk) in v.into_iter().enumerate() {
+                    unsafe { *ptr.add(idx + k) += vk };
+                }
+            }
+        }
+    }
+}
+
+// A handle moved to another worker would alias that worker's copy:
+// compile-time proof that `ScatterAccess` is neither `Send` nor `Sync`
+// (if it were, two impls below would apply and inference would fail).
+const _: fn() = || {
+    trait AmbiguousIfImpl<A> {
+        fn check() {}
+    }
+    impl<T: ?Sized> AmbiguousIfImpl<()> for T {}
+    struct IsSend;
+    impl<T: ?Sized + Send> AmbiguousIfImpl<IsSend> for T {}
+    struct IsSync;
+    impl<T: ?Sized + Sync> AmbiguousIfImpl<IsSync> for T {}
+    <ScatterAccess<'static> as AmbiguousIfImpl<_>>::check();
+};
 
 impl ScatterView {
     pub fn new(n: usize, ncols: usize, mode: ScatterMode) -> Self {
@@ -382,41 +474,56 @@ impl ScatterView {
         self.n * self.ncols
     }
 
-    /// Accumulate `v` into element `(i, col)`.
+    /// A handle on the calling worker's share of the target — Kokkos'
+    /// `auto a = sv.access(); a(j, k) += v`. Storage mode and the
+    /// worker's private copy are resolved here, once, so a kernel takes
+    /// one handle per work item and pays only the bounds check and the
+    /// add per contribution.
     ///
     /// Safe under each mode's contract: `Atomic` is race-free by
-    /// construction; `Duplicated` writes only this rayon worker's
+    /// construction; `Duplicated` hands out only this rayon worker's
     /// private copy; `Sequential` must only be used from a single
-    /// thread (its constructor is only chosen for serial spaces).
+    /// thread (its constructor is only chosen for serial spaces). The
+    /// handle is neither `Send` nor `Sync`: on another worker it would
+    /// alias that worker's copy.
     #[inline]
     #[cfg_attr(any(debug_assertions, feature = "conflict-detect"), track_caller)]
-    pub fn add(&self, i: usize, col: usize, v: f64) {
-        let idx = i * self.ncols + col;
-        match &self.storage {
-            Storage::Atomic(a) => {
-                #[cfg(any(debug_assertions, feature = "conflict-detect"))]
-                self.conflict.record_atomic(idx);
-                a[idx].fetch_add(v);
-            }
+    pub fn access(&self) -> ScatterAccess<'_> {
+        let target = match &self.storage {
+            Storage::Atomic(a) => Target::Atomic(a),
             Storage::Duplicated(copies) => {
                 let worker = rayon::current_thread_index();
+                // Index `t` is stable for the duration of a dispatch
+                // closure; a thread outside the pool shares copy 0.
                 let t = worker.unwrap_or(0);
                 #[cfg(any(debug_assertions, feature = "conflict-detect"))]
                 self.conflict
-                    .claim(t, idx, worker.is_none(), std::panic::Location::caller());
-                // Each rayon worker has a private copy; index `t` is
-                // stable for the duration of the closure.
-                let buf = unsafe { &mut *copies[t].0.get() };
-                buf[idx] += v;
+                    .claim(t, worker.is_none(), std::panic::Location::caller());
+                // SAFETY: copy `t` belongs to the calling worker alone.
+                unsafe { Target::plain(&copies[t].0) }
             }
             Storage::Sequential(buf) => {
                 #[cfg(any(debug_assertions, feature = "conflict-detect"))]
-                self.conflict
-                    .claim(0, idx, true, std::panic::Location::caller());
-                let buf = unsafe { &mut *buf.get() };
-                buf[idx] += v;
+                self.conflict.claim(0, true, std::panic::Location::caller());
+                // SAFETY: sequential mode is single-threaded by contract.
+                unsafe { Target::plain(buf) }
             }
+        };
+        ScatterAccess {
+            ncols: self.ncols,
+            target,
+            #[cfg(any(debug_assertions, feature = "conflict-detect"))]
+            conflict: &self.conflict,
         }
+    }
+
+    /// Accumulate `v` into element `(i, col)`: the per-element entry
+    /// point, `self.access().add(i, col, v)`. Kernels take one
+    /// [`ScatterView::access`] handle per work item instead.
+    #[inline]
+    #[cfg_attr(any(debug_assertions, feature = "conflict-detect"), track_caller)]
+    pub fn add(&self, i: usize, col: usize, v: f64) {
+        self.access().add(i, col, v);
     }
 
     /// Combine all contributions into `out` (added on top of existing
@@ -710,6 +817,28 @@ mod tests {
         sites
     }
 
+    /// The two ways to write: the per-element entry point, or a handle.
+    /// `#[track_caller]` so the detector names the test's own lines.
+    #[cfg(any(debug_assertions, feature = "conflict-detect"))]
+    #[derive(Debug, Clone, Copy)]
+    enum Via {
+        Add,
+        Handle,
+    }
+
+    #[cfg(any(debug_assertions, feature = "conflict-detect"))]
+    impl Via {
+        const BOTH: [Via; 2] = [Via::Add, Via::Handle];
+
+        #[track_caller]
+        fn write(self, sv: &ScatterView, i: usize, col: usize, v: f64) {
+            match self {
+                Via::Add => sv.add(i, col, v),
+                Via::Handle => sv.access().add(i, col, v),
+            }
+        }
+    }
+
     /// Seeded race: two plain OS threads (no rayon worker index) both
     /// fall back to duplicated copy 0. The writes are temporally
     /// disjoint — the detector still fires deterministically, naming
@@ -719,26 +848,28 @@ mod tests {
     #[test]
     #[cfg(any(debug_assertions, feature = "conflict-detect"))]
     fn conflict_detector_names_both_sites_on_foreign_overlap() {
-        let sv = ScatterView::new(4, 3, ScatterMode::Duplicated);
-        let msg = std::thread::scope(|scope| {
-            scope
-                .spawn(|| sv.add(1, 0, 1.0)) // first access site
-                .join()
-                .expect("first foreign writer must not panic");
-            scope
-                .spawn(|| must_panic(|| sv.add(2, 1, 1.0))) // second access site
-                .join()
-                .unwrap()
-        });
-        assert!(
-            msg.contains("ScatterView write conflict"),
-            "unexpected panic message: {msg}"
-        );
-        let sites = named_sites(&msg);
-        assert!(
-            sites.len() >= 2,
-            "panic must name both access sites, got {sites:?} in: {msg}"
-        );
+        for via in Via::BOTH {
+            let sv = ScatterView::new(4, 3, ScatterMode::Duplicated);
+            let msg = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| via.write(&sv, 1, 0, 1.0)) // first access site
+                    .join()
+                    .expect("first foreign writer must not panic");
+                scope
+                    .spawn(|| must_panic(|| via.write(&sv, 2, 1, 1.0))) // second access site
+                    .join()
+                    .unwrap()
+            });
+            assert!(
+                msg.contains("ScatterView write conflict"),
+                "{via:?}: unexpected panic message: {msg}"
+            );
+            let sites = named_sites(&msg);
+            assert!(
+                sites.len() >= 2,
+                "{via:?}: panic must name both access sites, got {sites:?} in: {msg}"
+            );
+        }
     }
 
     /// A foreign thread joining an epoch whose copy 0 was already
@@ -746,18 +877,20 @@ mod tests {
     #[test]
     #[cfg(any(debug_assertions, feature = "conflict-detect"))]
     fn conflict_detector_flags_foreign_write_into_pool_epoch() {
-        let sv = ScatterView::new(4, 3, ScatterMode::Duplicated);
-        (0..64usize).into_par_iter().for_each(|k| {
-            sv.add(k % 4, k % 3, 1.0); // pool claims every copy
-        });
-        let msg = std::thread::scope(|scope| {
-            scope
-                .spawn(|| must_panic(|| sv.add(0, 0, 1.0)))
-                .join()
-                .unwrap()
-        });
-        assert!(msg.contains("write conflict"), "got: {msg}");
-        assert!(msg.contains("worker pool"), "got: {msg}");
+        for via in Via::BOTH {
+            let sv = ScatterView::new(4, 3, ScatterMode::Duplicated);
+            (0..64usize).into_par_iter().for_each(|k| {
+                via.write(&sv, k % 4, k % 3, 1.0); // pool claims every copy
+            });
+            let msg = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| must_panic(|| via.write(&sv, 0, 0, 1.0)))
+                    .join()
+                    .unwrap()
+            });
+            assert!(msg.contains("write conflict"), "{via:?} got: {msg}");
+            assert!(msg.contains("worker pool"), "{via:?} got: {msg}");
+        }
     }
 
     /// Sequential mode: a second thread writing in the same epoch is a
@@ -765,13 +898,15 @@ mod tests {
     #[test]
     #[cfg(any(debug_assertions, feature = "conflict-detect"))]
     fn conflict_detector_flags_cross_thread_sequential_use() {
-        let sv = ScatterView::new(2, 1, ScatterMode::Sequential);
-        std::thread::scope(|scope| {
-            scope.spawn(|| sv.add(0, 0, 1.0)).join().unwrap();
-        });
-        let msg = must_panic(|| sv.add(1, 0, 1.0));
-        assert!(msg.contains("write conflict"), "got: {msg}");
-        assert!(named_sites(&msg).len() >= 2, "got: {msg}");
+        for via in Via::BOTH {
+            let sv = ScatterView::new(2, 1, ScatterMode::Sequential);
+            std::thread::scope(|scope| {
+                scope.spawn(|| via.write(&sv, 0, 0, 1.0)).join().unwrap();
+            });
+            let msg = must_panic(|| via.write(&sv, 1, 0, 1.0));
+            assert!(msg.contains("write conflict"), "{via:?} got: {msg}");
+            assert!(named_sites(&msg).len() >= 2, "{via:?} got: {msg}");
+        }
     }
 
     /// Epoch boundaries (contribute/reset) release every claim: the
@@ -780,32 +915,87 @@ mod tests {
     #[test]
     #[cfg(any(debug_assertions, feature = "conflict-detect"))]
     fn conflict_detector_epoch_boundary_releases_claims() {
-        let mut sv = ScatterView::new(2, 1, ScatterMode::Sequential);
-        std::thread::scope(|scope| {
-            let svr = &sv;
-            scope.spawn(move || svr.add(0, 0, 1.0)).join().unwrap();
-        });
-        sv.reset();
-        sv.add(1, 0, 2.0); // different thread, new epoch: fine
-        let mut out = vec![0.0; 2];
-        sv.contribute_into(&mut out);
-        assert_eq!(out, vec![0.0, 2.0]);
+        for via in Via::BOTH {
+            let mut sv = ScatterView::new(2, 1, ScatterMode::Sequential);
+            std::thread::scope(|scope| {
+                let svr = &sv;
+                scope
+                    .spawn(move || via.write(svr, 0, 0, 1.0))
+                    .join()
+                    .unwrap();
+            });
+            sv.reset();
+            via.write(&sv, 1, 0, 2.0); // different thread, new epoch: fine
+            let mut out = vec![0.0; 2];
+            sv.contribute_into(&mut out);
+            assert_eq!(out, vec![0.0, 2.0]);
+        }
     }
 
     /// Atomic mode: overlapping distinct writers are legal (adds are
-    /// element-atomic) — recorded, never fatal.
+    /// element-atomic) — recorded per add, also through a handle, and
+    /// never fatal.
     #[test]
     #[cfg(any(debug_assertions, feature = "conflict-detect"))]
     fn atomic_mode_counts_overlaps_without_panicking() {
-        let sv = ScatterView::new(1, 1, ScatterMode::Atomic);
-        std::thread::scope(|scope| {
-            scope.spawn(|| sv.add(0, 0, 1.0)).join().unwrap();
-            scope.spawn(|| sv.add(0, 0, 1.0)).join().unwrap();
-        });
-        let mut sv = sv;
-        assert_eq!(sv.conflict_overlaps(), 1);
-        let mut out = vec![0.0];
-        sv.contribute_into(&mut out);
-        assert_eq!(out[0], 2.0);
+        for via in Via::BOTH {
+            let sv = ScatterView::new(1, 1, ScatterMode::Atomic);
+            std::thread::scope(|scope| {
+                scope.spawn(|| via.write(&sv, 0, 0, 1.0)).join().unwrap();
+                scope.spawn(|| via.write(&sv, 0, 0, 1.0)).join().unwrap();
+            });
+            let mut sv = sv;
+            assert_eq!(sv.conflict_overlaps(), 1, "{via:?}");
+            let mut out = vec![0.0];
+            sv.contribute_into(&mut out);
+            assert_eq!(out[0], 2.0);
+        }
+    }
+
+    /// A handle's row form and element form land in the same cells in
+    /// every mode, and one handle serves many adds.
+    #[test]
+    fn handle_add3_matches_elementwise_adds() {
+        for mode in [
+            ScatterMode::Atomic,
+            ScatterMode::Duplicated,
+            ScatterMode::Sequential,
+        ] {
+            let mut rows = ScatterView::new(5, 3, mode);
+            let mut cells = ScatterView::new(5, 3, mode);
+            {
+                let (a, b) = (rows.access(), cells.access());
+                for i in [4usize, 0, 4, 2] {
+                    let v = [i as f64 + 0.5, -1.25, 3.0];
+                    a.add3(i, v);
+                    for (k, vk) in v.into_iter().enumerate() {
+                        b.add(i, k, vk);
+                    }
+                }
+            }
+            let (mut ra, mut rb) = (vec![0.0; 15], vec![0.0; 15]);
+            rows.contribute_into(&mut ra);
+            cells.contribute_into(&mut rb);
+            assert_eq!(ra, rb, "{mode:?}");
+            assert_eq!(ra[12..], [9.0, -2.5, 6.0], "{mode:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn handle_row_past_the_end_panics() {
+        ScatterView::new(4, 3, ScatterMode::Sequential)
+            .access()
+            .add3(4, [1.0; 3]);
+    }
+
+    /// Flat index `usize::MAX`: `idx + 3` would wrap to 2 and pass a
+    /// naive end-of-row check.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn handle_row_whose_end_would_wrap_panics() {
+        ScatterView::new(4, 3, ScatterMode::Sequential)
+            .access()
+            .add3(usize::MAX / 3, [1.0; 3]);
     }
 }

@@ -323,26 +323,64 @@ impl<T> View<T, 2> {
 impl<T: Copy> View<T, 2> {
     /// Gather row `i` of an `[n, 3]` view with a single bounds check,
     /// valid for both layouts (contiguous under [`Layout::Right`],
-    /// strided by `n` under [`Layout::Left`]). The hot-loop accessor
-    /// for position/force triples: one check, three unchecked reads.
+    /// strided by `n` under [`Layout::Left`]). The accessor for
+    /// position/force triples: one check, three unchecked reads.
     #[inline(always)]
     pub fn get3(&self, i: usize) -> [T; 3] {
         debug_assert_eq!(self.dims[1], 3, "view '{}': get3 needs [n, 3]", self.label);
-        let s1 = self.strides[1];
-        let o = i * self.strides[0];
-        let last = o + 2 * s1;
-        // For [n, 3] in either layout, `last < len` iff `i < n`.
+        self.triples_unchecked_shape().get(i)
+    }
+
+    /// The `[n, 3]` view as a by-value [`Triples`] reader for a kernel's
+    /// inner loop. A kernel that also stores through raw pointers makes
+    /// the compiler reload `&View` fields after every store; the reader
+    /// is a `Copy` local, so data pointer and strides stay in registers.
+    pub fn triples(&self) -> Triples<'_, T> {
+        assert_eq!(
+            self.dims[1], 3,
+            "view '{}': triples needs [n, 3]",
+            self.label
+        );
+        self.triples_unchecked_shape()
+    }
+
+    #[inline(always)]
+    fn triples_unchecked_shape(&self) -> Triples<'_, T> {
+        Triples {
+            data: &self.data,
+            s0: self.strides[0],
+            s1: self.strides[1],
+        }
+    }
+}
+
+/// Row reader over an `[n, 3]` view of either layout (see
+/// [`View::triples`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Triples<'a, T> {
+    data: &'a [T],
+    s0: usize,
+    s1: usize,
+}
+
+impl<T: Copy> Triples<'_, T> {
+    /// Row `i`: one bounds check, three unchecked reads.
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> [T; 3] {
+        let o = i * self.s0;
+        let last = o + 2 * self.s1;
         assert!(
             last < self.data.len(),
-            "view '{}': get3({}) out of bounds {:?}",
-            self.label,
-            i,
-            self.dims
+            "triple {i} out of bounds ({} elements, strides [{}, {}])",
+            self.data.len(),
+            self.s0,
+            self.s1
         );
+        // SAFETY: `o <= o + s1 <= last`, and `last < len` was just checked.
         unsafe {
             [
                 *self.data.get_unchecked(o),
-                *self.data.get_unchecked(o + s1),
+                *self.data.get_unchecked(o + self.s1),
                 *self.data.get_unchecked(last),
             ]
         }

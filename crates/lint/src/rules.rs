@@ -1,4 +1,4 @@
-//! The five workspace invariant rules.
+//! The six workspace invariant rules.
 //!
 //! Every rule is a heuristic matcher over the comment/string-masked
 //! source (see [`crate::source`]) — deliberately AST-lite so the
@@ -16,6 +16,8 @@
 //! | LKK004 | no allocating calls inside `parallel_*` dispatch closures    |
 //! | LKK005 | no raw indexed `+=`/`-=` scatter inside `parallel_*`         |
 //! |        | closures (use `ScatterView` or a quantized path)             |
+//! | LKK006 | no per-element `ScatterView::add` inside `parallel_*`        |
+//! |        | closures (take one `access()` handle per work item)          |
 
 use crate::source::{ident_boundary_before, matching_paren, File};
 use std::fmt;
@@ -32,15 +34,18 @@ pub enum Rule {
     Lkk004,
     /// Raw indexed compound-assign scatter inside a parallel closure.
     Lkk005,
+    /// Per-element `ScatterView::add` inside a parallel closure.
+    Lkk006,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 6] = [
         Rule::Lkk001,
         Rule::Lkk002,
         Rule::Lkk003,
         Rule::Lkk004,
         Rule::Lkk005,
+        Rule::Lkk006,
     ];
 
     pub fn id(self) -> &'static str {
@@ -50,6 +55,7 @@ impl Rule {
             Rule::Lkk003 => "LKK003",
             Rule::Lkk004 => "LKK004",
             Rule::Lkk005 => "LKK005",
+            Rule::Lkk006 => "LKK006",
         }
     }
 
@@ -64,6 +70,7 @@ impl Rule {
             Rule::Lkk003 => "profile hook emission without a has_subscribers() fast path",
             Rule::Lkk004 => "allocation inside a parallel dispatch closure",
             Rule::Lkk005 => "raw indexed scatter inside a parallel dispatch closure",
+            Rule::Lkk006 => "per-element ScatterView::add inside a parallel dispatch closure",
         }
     }
 
@@ -91,8 +98,13 @@ impl Rule {
             }
             Rule::Lkk005 => {
                 "unsynchronised indexed accumulation races under parallel dispatch: scatter \
-                 through ScatterView::add (atomic/duplicated/sequential deconfliction) or a \
+                 through a ScatterView::access() handle (atomic/duplicated/sequential deconfliction) or a \
                  quantized path, or accumulate into a closure-local buffer"
+            }
+            Rule::Lkk006 => {
+                "ScatterView::add resolves the storage mode and the worker's copy on every \
+                 call: take one handle per work item (`let a = sv.access();`) and add through \
+                 it (`a.add(i, col, v)`, `a.add3(i, [fx, fy, fz])`); never store or send the handle"
             }
         }
     }
@@ -133,6 +145,7 @@ pub fn check_file(file: &File) -> Vec<Finding> {
     let spans = dispatch_spans(file);
     lkk004_alloc_in_kernel(file, &spans, &mut out);
     lkk005_raw_scatter(file, &spans, &mut out);
+    lkk006_per_element_scatter(file, &spans, &mut out);
     out.sort();
     out.dedup();
     out
@@ -185,12 +198,11 @@ fn lkk001_wall_clock(file: &File, out: &mut Vec<Finding>) {
 // LKK002 — hash container iteration
 // ---------------------------------------------------------------------
 
-/// Names bound (via `let` or a struct field declaration) to a
-/// `HashMap`/`HashSet` anywhere in the file.
-fn hash_bindings(file: &File) -> Vec<String> {
+/// Names bound (via `let`, a parameter, or a struct field declaration)
+/// to one of `types` anywhere in the file.
+fn bindings_to(file: &File, types: &[&str]) -> Vec<String> {
     let mut names = Vec::new();
-    let b = file.masked.as_bytes();
-    for container in ["HashMap", "HashSet"] {
+    for container in types {
         for at in occurrences(file, container) {
             // Statement start: last `;`, `{`, `}` or `(` before the match.
             let stmt = file.masked[..at]
@@ -227,7 +239,6 @@ fn hash_bindings(file: &File) -> Vec<String> {
                     names.push(name);
                 }
             }
-            let _ = b;
         }
     }
     names.sort();
@@ -246,7 +257,7 @@ const ITER_METHODS: &[&str] = &[
 ];
 
 fn lkk002_hash_iteration(file: &File, out: &mut Vec<Finding>) {
-    let names = hash_bindings(file);
+    let names = bindings_to(file, &["HashMap", "HashSet"]);
     for name in &names {
         for at in occurrences(file, name) {
             if file.in_test_code(at) {
@@ -536,6 +547,40 @@ fn lkk005_raw_scatter(file: &File, spans: &[(usize, usize)], out: &mut Vec<Findi
                         "raw `{base_path}[…] {op}` scatter inside a parallel dispatch \
                          (`{base}` is not closure-local)"
                     ),
+                ));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// LKK006 — per-element ScatterView::add inside a dispatch
+// ---------------------------------------------------------------------
+
+fn lkk006_per_element_scatter(file: &File, spans: &[(usize, usize)], out: &mut Vec<Finding>) {
+    // Handles come from `.access()`, never from a `ScatterView`-typed
+    // binding, so `handle.add(..)` is not matched.
+    let views = bindings_to(file, &["ScatterView"]);
+    if views.is_empty() {
+        return;
+    }
+    for &(open, close) in spans {
+        let region = &file.masked[open..close];
+        let mut from = 0;
+        while let Some(p) = region[from..].find(".add(") {
+            let at = open + from + p;
+            from += p + 1;
+            let receiver_start = file.masked[..at]
+                .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .map(|p| p + 1)
+                .unwrap_or(0);
+            let receiver = &file.masked[receiver_start..at];
+            if views.iter().any(|v| v == receiver) {
+                out.push(finding(
+                    file,
+                    at,
+                    Rule::Lkk006,
+                    format!("`{receiver}.add(…)` on a ScatterView inside a parallel dispatch"),
                 ));
             }
         }

@@ -83,6 +83,17 @@ fn lkk005_fires_on_raw_scatter() {
 }
 
 #[test]
+fn lkk006_fires_on_per_element_scatter_add() {
+    let found = scan(
+        "lkk006_per_element_scatter.rs",
+        include_str!("fixtures/lkk006_per_element_scatter.rs"),
+    );
+    // The two `sv.add` inside the dispatch fire; the one outside it
+    // (line 5) and the adds through the handle (line 9) must not.
+    assert_eq!(found, vec![(Rule::Lkk006, 7), (Rule::Lkk006, 10)]);
+}
+
+#[test]
 fn clean_fixture_produces_zero_findings() {
     let found = scan("clean.rs", include_str!("fixtures/clean.rs"));
     assert!(found.is_empty(), "{found:?}");

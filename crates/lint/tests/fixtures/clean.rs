@@ -11,7 +11,8 @@ pub fn kernel(space: &Space, sv: &ScatterView, n: usize) -> f64 {
         |i| {
             let mut w = [0.0f64; 3];
             w[0] += 1.0; // closure-local accumulator: fine
-            sv.add(i, 0, w[0]); // deconflicted scatter: fine
+            let forces = sv.access(); // one handle per work item: fine
+            forces.add(i, 0, w[0]); // deconflicted scatter: fine
             w[0]
         },
         |a, b| a + b,

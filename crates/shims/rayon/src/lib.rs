@@ -30,11 +30,16 @@ thread_local! {
 }
 
 /// Number of worker threads parallel calls may use.
+#[inline]
 pub fn current_num_threads() -> usize {
-    let cached = NUM_THREADS.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
+    match NUM_THREADS.load(Ordering::Relaxed) {
+        0 => init_num_threads(),
+        cached => cached,
     }
+}
+
+#[cold]
+fn init_num_threads() -> usize {
     let n = if std::env::var_os("LKK_SEQUENTIAL").is_some_and(|v| v == "1") {
         1
     } else {
@@ -47,6 +52,7 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Index of the current worker inside a parallel call, if any.
+#[inline]
 pub fn current_thread_index() -> Option<usize> {
     THREAD_INDEX.with(|t| t.get())
 }

@@ -433,6 +433,7 @@ impl PairStyle for PairSnap {
                     // SAFETY: slot `i` is touched only by this iteration.
                     let aw = unsafe { pool.slot(i) };
                     let mut w = [0.0f64; 6];
+                    let forces = sref.access();
                     with_scratch(ctx, |scratch| {
                         for (k, &j) in aw.ids.iter().enumerate() {
                             let (u_r, u_i) = aw.cache.u(k, u_len);
@@ -456,10 +457,8 @@ impl PairStyle for PairSnap {
                             } else {
                                 [-g[0], -g[1], -g[2]]
                             };
-                            for (dir, &fd) in f.iter().enumerate() {
-                                sref.add(j, dir, fd);
-                                sref.add(i, dir, -fd);
-                            }
+                            forces.add3(j, f);
+                            forces.add3(i, [-f[0], -f[1], -f[2]]);
                             // Virial tensor: Σ d ⊗ f_j (symmetrized),
                             // d = x_j − x_i.
                             let d = aw.rel[k];

@@ -40,7 +40,7 @@ cargo test --release -q --test rank_equivalence --test comm_validation
 
 # --- lint-invariants job ------------------------------------------------
 
-# Workspace invariant linter (LKK001..LKK005, docs/static-analysis.md):
+# Workspace invariant linter (LKK001..LKK006, docs/static-analysis.md):
 # exit 1 on violations, exit 2 on a malformed lint_allow.toml. Gating.
 echo "==> lkk-lint (workspace invariants)"
 cargo run --release -p lkk-lint
