@@ -1,14 +1,15 @@
 //! Per-stage wall-clock microbenchmarks of the fissioned SNAP pipeline
-//! (Criterion): ComputeUi, ComputeYi, and the cached ComputeDeidrj, as
-//! `pair_style snap` runs them after the stage fission, plus the
-//! flattened contraction tables against the retained direct loops.
+//! (Criterion) at 2J = 8: ComputeUi, ComputeYi, and the mapped
+//! ComputeDeidrj, through the same entry points `pair_style snap`
+//! calls. `stage_ui` and `stage_deidrj` are per atom (26 neighbors);
+//! `stage_yi` is per block of `YI_BLOCK` atoms.
 //!
 //! This is the host-side companion of the `snap.ui/yi/deidrj` FLOP/byte
 //! instants the pair style emits per step: the same three stages, timed
 //! in isolation on one representative atom environment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lkk_snap::{NeighborCache, SnapContext};
+use lkk_snap::{SnapContext, YI_BLOCK};
 use std::hint::black_box;
 
 /// A representative 26-neighbor bcc-like environment (same cloud the
@@ -33,96 +34,63 @@ fn bench_stages(c: &mut Criterion) {
     let u_len = ctx.idx.u_len;
     let neigh = cloud();
     let wts = vec![1.0f64; neigh.len()];
-    let mut scratch = ctx.alloc_scratch();
-    let mut cache = NeighborCache::default();
-    let mut utot_r = vec![0.0f64; u_len];
-    let mut utot_i = vec![0.0f64; u_len];
-    let mut y_r = vec![0.0f64; u_len];
-    let mut y_i = vec![0.0f64; u_len];
+    let mut work = ctx.alloc_work();
+    let mut geom = vec![Default::default(); neigh.len()];
+    let mut utot_r = vec![0.0f64; YI_BLOCK * u_len];
+    let mut utot_i = vec![0.0f64; YI_BLOCK * u_len];
+    let mut y_r = vec![0.0f64; YI_BLOCK * u_len];
+    let mut y_i = vec![0.0f64; YI_BLOCK * u_len];
 
-    // Stage 1 — ComputeUi: accumulate U and fill the (fc, u) cache.
-    group.bench_function("stage_ui", |b| {
-        b.iter(|| {
-            ctx.compute_ui_into(
-                black_box(&neigh),
-                Some(&wts),
-                1,
-                &mut cache,
-                &mut utot_r,
-                &mut utot_i,
-                &mut scratch,
-            );
-            black_box(utot_r[10])
-        })
+    // Stage 1 — ComputeUi: accumulate U and keep the hypersphere maps.
+    let mut ui = |lane: usize| {
+        ctx.compute_ui_into(
+            black_box(&neigh),
+            Some(&wts),
+            1,
+            Some(&mut geom),
+            &mut utot_r[lane * u_len..(lane + 1) * u_len],
+            &mut utot_i[lane * u_len..(lane + 1) * u_len],
+            &mut work,
+        );
+        black_box(utot_r[10])
+    };
+    group.bench_function("stage_ui", |b| b.iter(|| ui(0)));
+    (1..YI_BLOCK).for_each(|lane| {
+        ui(lane);
     });
 
-    ctx.compute_ui_into(
-        &neigh,
-        Some(&wts),
-        1,
-        &mut cache,
-        &mut utot_r,
-        &mut utot_i,
-        &mut scratch,
-    );
-
-    // Stage 2 — ComputeYi: shared-Z energy + adjoint construction.
+    // Stage 2 — ComputeYi: one table pass builds the adjoint of a whole
+    // block (energy contraction off, as on all but thermo steps).
     group.bench_function("stage_yi", |b| {
         b.iter(|| {
-            let e = ctx.compute_energy_yi_into(
+            ctx.compute_yi_block(
                 black_box(&utot_r),
                 &utot_i,
                 &mut y_r,
                 &mut y_i,
-                &mut scratch,
+                false,
+                &mut work,
             );
-            black_box(e)
+            black_box(y_r[5])
         })
     });
 
-    ctx.compute_energy_yi_into(&utot_r, &utot_i, &mut y_r, &mut y_i, &mut scratch);
-
-    // Stage 3 — ComputeDeidrj: the cached contraction (du-only
-    // recursion, geometry and u read back from the stage-1 cache).
+    // Stage 3 — ComputeDeidrj: one u/du sweep per neighbor from its
+    // stage-1 map, then the contraction with Y.
     group.bench_function("stage_deidrj", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for (k, &d) in neigh.iter().enumerate() {
-                let (u_r, u_i) = cache.u(k, u_len);
-                acc += ctx.compute_deidrj_cached(
+                acc += ctx.compute_deidrj_mapped(
                     black_box(d),
                     wts[k],
-                    &cache.geom[k],
-                    u_r,
-                    u_i,
-                    &y_r,
-                    &y_i,
-                    &mut scratch,
+                    &geom[k],
+                    &y_r[..u_len],
+                    &y_i[..u_len],
+                    &mut work,
                 )[0];
             }
             black_box(acc)
-        })
-    });
-
-    // Flattened tables vs the retained direct quadruple loops — the
-    // tentpole's headline comparison.
-    ctx.compute_ui(&neigh, &mut scratch, 1);
-    group.bench_function("bi_tables", |b| {
-        b.iter(|| black_box(ctx.compute_bi(black_box(&scratch))[0]))
-    });
-    group.bench_function("bi_direct", |b| {
-        b.iter(|| black_box(ctx.compute_bi_direct(black_box(&scratch))[0]))
-    });
-    group.bench_function("yi_tables", |b| {
-        b.iter(|| {
-            ctx.compute_yi(&mut scratch);
-            black_box(scratch.y_r[5])
-        })
-    });
-    group.bench_function("yi_direct", |b| {
-        b.iter(|| {
-            ctx.compute_yi_direct(&mut scratch);
-            black_box(scratch.y_r[5])
         })
     });
     group.finish();

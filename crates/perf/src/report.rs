@@ -315,7 +315,7 @@ mod tests {
             "step/pair",
             "predicted_us",
             "roofline_h100",
-            "snap.table.items@",
+            "snap.table.z_rows@",
             "snap.table.builds@",
             "snap.ui.flops@",
         ] {

@@ -1,4 +1,5 @@
-//! The four SNAP kernels (§4.3), per atom.
+//! The four SNAP kernels (§4.3), per atom, on the half-range layout of
+//! [`crate::indices`].
 //!
 //! * [`SnapContext::compute_ui`] — **ComputeUi**: per-(atom, neighbor)
 //!   Wigner u-matrices accumulated into the per-atom `U` (eq. 2), with
@@ -7,46 +8,61 @@
 //!   atomic-add count and exposing ILP).
 //! * [`SnapContext::compute_bi`] — the `Z`/`B` triple products
 //!   (eq. 3): `B_{j1,j2,j} = Z^j_{j1,j2} : U_j*`.
-//! * [`SnapContext::compute_yi`] — **ComputeYi**: the adjoint matrices
-//!   `Y = ∂E/∂U` (eq. 5). We build `Y` by exact reverse-mode
-//!   differentiation of the implemented energy expression, which makes
-//!   `F = −dE/dx` hold to round-off by construction.
+//! * [`SnapContext::compute_yi`] / [`SnapContext::compute_yi_block`] —
+//!   **ComputeYi**: the adjoint matrices `Y_j = Σ βj·Z^j_{j1,j2}`
+//!   (eq. 5) in one pass over the `y` table, [`YI_BLOCK`] atoms per
+//!   table entry.
 //! * [`SnapContext::compute_deidrj`] — **ComputeDuidrj** +
 //!   **ComputeDeidrj**, optionally *fused* over the three Cartesian
 //!   directions (§4.3.4's ComputeFusedDeidrj: the unfused variant
 //!   recomputes `u`/`du` once per direction).
+//!
+//! `F = −dE/dx` holds to round-off: the unit tests compare `B`, `E_i`
+//! and `∂E_i/∂x_k` with the full-range, reverse-mode-differentiated
+//! direct loops kept in `reference.rs`.
 
 use crate::cg::CgBlock;
 use crate::hyper::{HyperParams, MapCore};
 use crate::indices::SnapIndices;
-use crate::tables::{z_from_pairs, ContractionTables};
-use crate::wigner::{compute_du_cached, compute_u, compute_u_du, RootPq};
+use crate::tables::ContractionTables;
+use crate::wigner::{compute_du, compute_u, RootPq};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone id distinguishing `SnapContext` instances (and therefore
 /// their contraction tables); thread-local scratch keys on it.
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 
-/// Kernel-strategy knobs (Table 2's experiment axes).
+/// Kernel-strategy knobs (Table 2's experiment axes). Two of them the
+/// host pair style executes; the rest describe the modelled device
+/// kernels only (`PairSnap::note_stats`, the `snap.*` instants).
 #[derive(Debug, Clone, Copy)]
 pub struct SnapKernelConfig {
     /// Neighbors handled per ComputeUi work item (1 = unbatched).
+    /// **Executed** on the host ([`SnapContext::compute_ui_into`] sums
+    /// each batch locally) and an input of the device model (atomic-add
+    /// count, ILP).
     pub ui_batch: usize,
     /// Atom tile width for the ComputeYi traversal (the `v` of §4.3.2).
+    /// **Device model only**: the working set of the modelled kernel.
     pub yi_tile: usize,
     /// Atoms handled per ComputeYi work item (§4.3.4: amortizes the
     /// warp-uniform coupling-table loads; the arithmetic is identical).
+    /// **Device model only**; the host kernel's block width is the
+    /// constant [`YI_BLOCK`].
     pub yi_batch: usize,
-    /// Fuse the three force directions in ComputeDeidrj.
+    /// Fuse the three force directions in ComputeDeidrj. **Device model
+    /// only** inside `PairSnap`, whose host Deidrj is always the fused
+    /// form: there it picks the logged kernel's name and flop count.
+    /// [`SnapContext::compute_deidrj`] executes both variants.
     pub fuse_deidrj: bool,
     /// Round every force contribution scattered in ComputeDeidrj to a
-    /// multiple of 2⁻³² before adding it. On that grid, f64 additions
-    /// of physically-sized forces are *exact*, so the scattered sums
-    /// become independent of accumulation order — the knob that makes
-    /// SNAP trajectories bitwise identical across decompositions (see
-    /// `docs/comm.md`, balancer determinism). Off by default: it costs
-    /// ~2⁻³² absolute per contribution and the committed baselines pin
-    /// the unquantized bits.
+    /// multiple of 2⁻³² before adding it. **Executed** on the host. On
+    /// that grid, f64 additions of physically-sized forces are *exact*,
+    /// so the scattered sums become independent of accumulation order —
+    /// the knob that makes SNAP trajectories bitwise identical across
+    /// decompositions (see `docs/comm.md`, balancer determinism). Off by
+    /// default: it costs ~2⁻³² absolute per contribution and the
+    /// committed baselines pin the unquantized bits.
     pub quantize_scatter: bool,
 }
 
@@ -62,69 +78,43 @@ impl Default for SnapKernelConfig {
     }
 }
 
-/// Per-atom working storage, reusable across atoms (§4.3: the serial
+/// Atoms one ComputeYi work item of the host pair style carries through
+/// each contraction-table entry (§4.3.4's Yi batching on the host clock:
+/// the table streams from L2 once per block, and the lanes are
+/// independent accumulation chains). Chosen from the ablation in
+/// `docs/performance.md`; [`SnapKernelConfig::yi_batch`] is the modelled
+/// device's axis and does not touch it.
+pub const YI_BLOCK: usize = 4;
+
+/// Kernel temporaries, reusable across atoms (§4.3: the serial
 /// implementation reused these; parallel execution gives each worker
-/// its own copy).
+/// its own copy). Every `u`-shaped array is half-range.
 #[derive(Debug, Clone)]
-pub struct SnapScratch {
+pub struct SnapWork {
     /// Per-neighbor u (and batch accumulator).
     u_r: Vec<f64>,
     u_i: Vec<f64>,
     acc_r: Vec<f64>,
     acc_i: Vec<f64>,
+    /// Three direction planes of `du`.
     du_r: Vec<f64>,
     du_i: Vec<f64>,
-    /// Per-item Z values (one per contraction-table work item), shared
-    /// by the energy contraction and the adjoint's term 1.
-    z_r: Vec<f64>,
-    z_i: Vec<f64>,
+    /// `[re | im | −im]` planes of a block's `U`, atom fastest.
+    planes: Vec<[f64; YI_BLOCK]>,
+}
+
+/// [`SnapWork`] plus one atom's `U` and `Y`: the storage of the
+/// one-atom-at-a-time entry points (the pair style keeps `U` and `Y` of
+/// every atom in its own planes instead).
+#[derive(Debug, Clone)]
+pub struct SnapScratch {
+    pub work: SnapWork,
     /// Per-atom accumulated U.
     pub utot_r: Vec<f64>,
     pub utot_i: Vec<f64>,
-    /// Per-atom adjoint Y.
+    /// Per-atom adjoint Y (symmetry weights folded in).
     pub y_r: Vec<f64>,
     pub y_i: Vec<f64>,
-}
-
-/// Per-neighbor `(geometry, u)` cache filled by ComputeUi so the
-/// Deidrj pass stops re-deriving the hypersphere map and re-running the
-/// `u` recursion (it only needs the `du` half; see
-/// [`crate::wigner::compute_du_cached`]).
-#[derive(Debug, Clone, Default)]
-pub struct NeighborCache {
-    /// Hypersphere map of each in-cutoff neighbor.
-    pub geom: Vec<MapCore>,
-    u_r: Vec<f64>,
-    u_i: Vec<f64>,
-}
-
-impl NeighborCache {
-    /// Grow (never shrink) to hold `nn` neighbors.
-    fn ensure(&mut self, nn: usize, u_len: usize) {
-        if self.geom.len() < nn {
-            self.geom.resize(nn, MapCore::default());
-        }
-        let need = nn * u_len;
-        if self.u_r.len() < need {
-            self.u_r.resize(need, 0.0);
-            self.u_i.resize(need, 0.0);
-        }
-    }
-
-    fn slice_mut(&mut self, k: usize, u_len: usize) -> (&mut [f64], &mut [f64]) {
-        (
-            &mut self.u_r[k * u_len..(k + 1) * u_len],
-            &mut self.u_i[k * u_len..(k + 1) * u_len],
-        )
-    }
-
-    /// Cached `u` of neighbor `k`.
-    pub fn u(&self, k: usize, u_len: usize) -> (&[f64], &[f64]) {
-        (
-            &self.u_r[k * u_len..(k + 1) * u_len],
-            &self.u_i[k * u_len..(k + 1) * u_len],
-        )
-    }
 }
 
 /// Immutable SNAP machinery: indices, tables, and the trained β.
@@ -164,7 +154,7 @@ impl SnapContext {
             .collect();
         let tables = ContractionTables::build(&idx, &cg, &beta);
         SnapContext {
-            rootpq: RootPq::new(twojmax),
+            rootpq: RootPq::new(&idx),
             idx,
             hyper,
             cg,
@@ -193,18 +183,23 @@ impl SnapContext {
             .collect()
     }
 
-    pub fn alloc_scratch(&self) -> SnapScratch {
+    pub fn alloc_work(&self) -> SnapWork {
         let n = self.idx.u_len;
-        let nz = self.tables.items.len();
-        SnapScratch {
+        SnapWork {
             u_r: vec![0.0; n],
             u_i: vec![0.0; n],
             acc_r: vec![0.0; n],
             acc_i: vec![0.0; n],
             du_r: vec![0.0; n * 3],
             du_i: vec![0.0; n * 3],
-            z_r: vec![0.0; nz],
-            z_i: vec![0.0; nz],
+            planes: vec![[0.0; YI_BLOCK]; ContractionTables::planes_len(&self.idx)],
+        }
+    }
+
+    pub fn alloc_scratch(&self) -> SnapScratch {
+        let n = self.idx.u_len;
+        SnapScratch {
+            work: self.alloc_work(),
             utot_r: vec![0.0; n],
             utot_i: vec![0.0; n],
             y_r: vec![0.0; n],
@@ -230,237 +225,140 @@ impl SnapContext {
         s: &mut SnapScratch,
         batch: usize,
     ) {
-        let SnapScratch {
-            u_r,
-            u_i,
-            acc_r,
-            acc_i,
-            utot_r,
-            utot_i,
-            ..
-        } = s;
-        self.ui_core(
-            neigh, weights, batch, None, utot_r, utot_i, u_r, u_i, acc_r, acc_i,
-        );
-    }
-
-    /// [`SnapContext::compute_ui_weighted`] that additionally fills a
-    /// per-neighbor [`NeighborCache`] (geometry + `u`) for the staged
-    /// Deidrj pass, writing the accumulated `U` into caller-owned
-    /// slices (the per-atom pool of the fissioned pipeline).
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_ui_into(
-        &self,
-        neigh: &[[f64; 3]],
-        weights: Option<&[f64]>,
-        batch: usize,
-        cache: &mut NeighborCache,
-        utot_r: &mut [f64],
-        utot_i: &mut [f64],
-        s: &mut SnapScratch,
-    ) {
-        let SnapScratch {
-            u_r,
-            u_i,
-            acc_r,
-            acc_i,
-            ..
-        } = s;
-        self.ui_core(
+        self.compute_ui_into(
             neigh,
             weights,
             batch,
-            Some(cache),
-            utot_r,
-            utot_i,
-            u_r,
-            u_i,
-            acc_r,
-            acc_i,
+            None,
+            &mut s.utot_r,
+            &mut s.utot_i,
+            &mut s.work,
         );
     }
 
-    /// The shared ComputeUi body. With `batch == 1` the per-chunk local
+    /// The ComputeUi body, writing the accumulated `U` into caller-owned
+    /// slices (the per-atom planes of the fissioned pipeline) and, given
+    /// `geom`, each neighbor's hypersphere map for the staged Deidrj
+    /// pass (which then skips the trigonometry; the neighbor's `u` is
+    /// cheaper to recompute there than to store, see
+    /// `docs/performance.md`). With `batch == 1` the per-chunk local
     /// accumulator is skipped and `U` is accumulated directly — bitwise
     /// identical, since `acc = 0.0 + sfac·u` can only differ from
     /// `sfac·u` in the sign of zero, and `utot` (seeded from `+0.0` and
     /// `wself`) can never be `-0.0`, which makes `utot + (±0.0)`
     /// sign-insensitive.
     #[allow(clippy::too_many_arguments)]
-    fn ui_core(
+    pub fn compute_ui_into(
         &self,
         neigh: &[[f64; 3]],
         weights: Option<&[f64]>,
         batch: usize,
-        mut cache: Option<&mut NeighborCache>,
+        mut geom: Option<&mut [MapCore]>,
         utot_r: &mut [f64],
         utot_i: &mut [f64],
-        u_r: &mut [f64],
-        u_i: &mut [f64],
-        acc_r: &mut [f64],
-        acc_i: &mut [f64],
+        s: &mut SnapWork,
     ) {
         if let Some(w) = weights {
             assert_eq!(w.len(), neigh.len());
         }
         let n_u = self.idx.u_len;
+        let (utot_r, utot_i) = (&mut utot_r[..n_u], &mut utot_i[..n_u]);
         let batch = batch.max(1);
-        utot_r[..n_u].fill(0.0);
-        utot_i[..n_u].fill(0.0);
-        // Self term on the diagonals.
+        utot_r.fill(0.0);
+        utot_i.fill(0.0);
+        // Self term on the stored half of the diagonals.
         for j in 0..=self.idx.twojmax {
-            for ma in 0..=j {
+            for ma in 0..=j / 2 {
                 utot_r[self.idx.u_index(j, ma, ma)] = self.wself;
             }
-        }
-        if let Some(c) = cache.as_deref_mut() {
-            c.ensure(neigh.len(), n_u);
-        }
-        if batch == 1 {
-            for (k, d) in neigh.iter().enumerate() {
-                let core = self.hyper.map_core(*d);
-                let w = weights.map_or(1.0, |ws| ws[k]);
-                let sfac = core.ck.sfac * w;
-                let (ur, ui) = match cache.as_deref_mut() {
-                    Some(c) => {
-                        c.geom[k] = core;
-                        c.slice_mut(k, n_u)
-                    }
-                    None => (&mut u_r[..], &mut u_i[..]),
-                };
-                compute_u(&self.idx, &self.rootpq, &core.ck, ur, ui);
-                for iu in 0..n_u {
-                    utot_r[iu] += sfac * ur[iu];
-                    utot_i[iu] += sfac * ui[iu];
-                }
-            }
-            return;
         }
         for (c_idx, chunk) in neigh.chunks(batch).enumerate() {
             // Local (register-like) accumulation over the batch —
             // exactly the "sum over neighbors locally before performing
-            // the atomic addition" optimization of §4.3.4. The chunk's
-            // weight slice is hoisted out of the neighbor loop.
-            acc_r[..n_u].fill(0.0);
-            acc_i[..n_u].fill(0.0);
-            let wchunk = weights.map(|ws| &ws[c_idx * batch..]);
+            // the atomic addition" optimization of §4.3.4.
+            let (acc_r, acc_i) = if batch == 1 {
+                (&mut *utot_r, &mut *utot_i)
+            } else {
+                s.acc_r.fill(0.0);
+                s.acc_i.fill(0.0);
+                (&mut s.acc_r[..], &mut s.acc_i[..])
+            };
             for (k_in, d) in chunk.iter().enumerate() {
+                let k = c_idx * batch + k_in;
                 let core = self.hyper.map_core(*d);
-                let w = wchunk.map_or(1.0, |ws| ws[k_in]);
-                let sfac = core.ck.sfac * w;
-                let (ur, ui) = match cache.as_deref_mut() {
-                    Some(c) => {
-                        let k = c_idx * batch + k_in;
-                        c.geom[k] = core;
-                        c.slice_mut(k, n_u)
-                    }
-                    None => (&mut u_r[..], &mut u_i[..]),
-                };
-                compute_u(&self.idx, &self.rootpq, &core.ck, ur, ui);
+                let sfac = core.ck.sfac * weights.map_or(1.0, |ws| ws[k]);
+                if let Some(geom) = geom.as_mut() {
+                    geom[k] = core;
+                }
+                compute_u(&self.idx, &self.rootpq, &core.ck, &mut s.u_r, &mut s.u_i);
                 for iu in 0..n_u {
-                    acc_r[iu] += sfac * ur[iu];
-                    acc_i[iu] += sfac * ui[iu];
+                    acc_r[iu] += sfac * s.u_r[iu];
+                    acc_i[iu] += sfac * s.u_i[iu];
                 }
             }
-            for iu in 0..n_u {
-                utot_r[iu] += acc_r[iu];
-                utot_i[iu] += acc_i[iu];
+            if batch > 1 {
+                for iu in 0..n_u {
+                    utot_r[iu] += s.acc_r[iu];
+                    utot_i[iu] += s.acc_i[iu];
+                }
             }
         }
     }
 
-    /// One element of `Z^j_{j1,j2}(mb, ma)` from the accumulated U
-    /// (the eq. 3 coupled product, both CG contractions).
-    #[inline]
-    fn z_element(
+    /// Load the `U` of `m ≤ YI_BLOCK` atoms (atom `l` at
+    /// `utot[l·u_len..]`) into `[re | im | −im]` planes, idle lanes zeroed.
+    fn load_planes(
         &self,
-        t: usize,
-        ma: usize,
-        mb: usize,
+        m: usize,
         utot_r: &[f64],
         utot_i: &[f64],
-    ) -> (f64, f64) {
-        let (j1, j2, j) = self.idx.triples[t];
-        let cgb = &self.cg[t];
-        let shift = (j1 + j2 - j) / 2;
-        let mut zr = 0.0;
-        let mut zi = 0.0;
-        let ma1_lo = (ma + shift).saturating_sub(j2);
-        let ma1_hi = (ma + shift).min(j1);
-        let mb1_lo = (mb + shift).saturating_sub(j2);
-        let mb1_hi = (mb + shift).min(j1);
-        for ma1 in ma1_lo..=ma1_hi {
-            let ma2 = ma + shift - ma1;
-            let ca = cgb.get(ma1, ma2);
-            if ca == 0.0 {
-                continue;
-            }
-            for mb1 in mb1_lo..=mb1_hi {
-                let mb2 = mb + shift - mb1;
-                let cb = cgb.get(mb1, mb2);
-                if cb == 0.0 {
-                    continue;
-                }
-                let i1 = self.idx.u_index(j1, mb1, ma1);
-                let i2 = self.idx.u_index(j2, mb2, ma2);
-                let pr = utot_r[i1] * utot_r[i2] - utot_i[i1] * utot_i[i2];
-                let pi = utot_r[i1] * utot_i[i2] + utot_i[i1] * utot_r[i2];
-                zr += ca * cb * pr;
-                zi += ca * cb * pi;
+        planes: &mut [[f64; YI_BLOCK]],
+    ) {
+        let n = self.idx.u_len;
+        assert!(m <= YI_BLOCK && utot_r.len() >= m * n && utot_i.len() >= m * n);
+        let (re, im) = planes.split_at_mut(n);
+        let (im, neg) = im.split_at_mut(n);
+        for i in 0..n {
+            for l in 0..YI_BLOCK {
+                let (ur, ui) = if l < m {
+                    (utot_r[l * n + i], utot_i[l * n + i])
+                } else {
+                    (0.0, 0.0)
+                };
+                re[i][l] = ur;
+                im[i][l] = ui;
+                neg[i][l] = -ui;
             }
         }
-        (zr, zi)
     }
 
-    /// The bispectrum components `B_{j1,j2,j} = Z : U*` for the current
-    /// `utot` (eq. 3), via the flattened contraction tables.
+    /// `B_{j1,j2,j} = Z : U*` (eq. 3) of every lane of the loaded planes,
+    /// one triple at a time, in triple order.
+    #[inline(always)]
+    fn walk_bi(&self, planes: &[[f64; YI_BLOCK]], mut each: impl FnMut(usize, [f64; YI_BLOCK])) {
+        let (tbl, n) = (&self.tables, self.idx.u_len);
+        let (mut t, mut b) = (0, [0.0; YI_BLOCK]);
+        tbl.z.walk(planes, |r, zr, zi| {
+            let iu = tbl.z_iu[r] as usize;
+            for l in 0..YI_BLOCK {
+                // Re(z · conj(U)).
+                b[l] += zr[l] * planes[iu][l] + zi[l] * planes[n + iu][l];
+            }
+            if r + 1 == tbl.z_triple[t + 1] as usize {
+                each(t, b);
+                (t, b) = (t + 1, [0.0; YI_BLOCK]);
+            }
+        });
+    }
+
+    /// The bispectrum components of the current `utot` (eq. 3), via the
+    /// flattened contraction tables.
     pub fn compute_bi(&self, s: &SnapScratch) -> Vec<f64> {
-        self.compute_bi_from_u(&s.utot_r, &s.utot_i)
-    }
-
-    /// Table-driven `B` on caller-owned `U` slices. Sums in exactly the
-    /// direct-loop order (items are stored in that order), so the
-    /// result is bit-identical to [`SnapContext::compute_bi_direct`].
-    pub fn compute_bi_from_u(&self, utot_r: &[f64], utot_i: &[f64]) -> Vec<f64> {
-        let tbl = &self.tables;
-        (0..self.idx.n_bispectrum())
-            .map(|t| {
-                let mut b = 0.0;
-                for item in &tbl.items[tbl.triple_range(t)] {
-                    let (zr, zi) = z_from_pairs(
-                        &tbl.pairs[item.pair_lo as usize..item.pair_hi as usize],
-                        utot_r,
-                        utot_i,
-                    );
-                    let iu = item.iu as usize;
-                    // Re(z · conj(U)).
-                    b += zr * utot_r[iu] + zi * utot_i[iu];
-                }
-                b
-            })
-            .collect()
-    }
-
-    /// The direct (pre-table) quadruple-loop `B` evaluation, retained
-    /// as the bit-identity reference for the equivalence tests.
-    pub fn compute_bi_direct(&self, s: &SnapScratch) -> Vec<f64> {
-        self.idx
-            .triples
-            .iter()
-            .enumerate()
-            .map(|(t, &(_, _, j))| {
-                let mut b = 0.0;
-                for mb in 0..=j {
-                    for ma in 0..=j {
-                        let (zr, zi) = self.z_element(t, ma, mb, &s.utot_r, &s.utot_i);
-                        let iu = self.idx.u_index(j, mb, ma);
-                        // Re(z · conj(U)).
-                        b += zr * s.utot_r[iu] + zi * s.utot_i[iu];
-                    }
-                }
-                b
-            })
-            .collect()
+        let mut planes = vec![[0.0; YI_BLOCK]; ContractionTables::planes_len(&self.idx)];
+        self.load_planes(1, &s.utot_r, &s.utot_i, &mut planes);
+        let mut out = Vec::with_capacity(self.idx.n_bispectrum());
+        self.walk_bi(&planes, |_, b| out.push(b[0]));
+        out
     }
 
     /// Per-atom energy `E_i = Σ β·B` (eq. 4).
@@ -472,151 +370,51 @@ impl SnapContext {
             .sum()
     }
 
-    /// ComputeZi: evaluate every work item's `z` once into the per-item
-    /// scratch, to be shared by the energy contraction and the
-    /// adjoint's term 1 (the direct path evaluated each `z` twice).
-    pub fn compute_zi_into(
+    /// Staged ComputeYi for a block of `utot_r.len() / u_len ≤ YI_BLOCK`
+    /// atoms whose `U` and `Y` lie back to back in the caller's planes
+    /// (all four slices the same length): one pass over the `y` table
+    /// builds every atom's adjoint `Y = Σ βj·Z` (symmetry weights folded
+    /// in, so Deidrj is a plain dot product over the stored half), and
+    /// with `eflag` a pass over the `z` table contracts `E_i = Σ β·B`.
+    /// Returns the `E_i` (zeros without `eflag`).
+    pub fn compute_yi_block(
         &self,
         utot_r: &[f64],
         utot_i: &[f64],
-        z_r: &mut [f64],
-        z_i: &mut [f64],
-    ) {
-        let tbl = &self.tables;
-        for (k, item) in tbl.items.iter().enumerate() {
-            let (zr, zi) = z_from_pairs(
-                &tbl.pairs[item.pair_lo as usize..item.pair_hi as usize],
-                utot_r,
-                utot_i,
-            );
-            z_r[k] = zr;
-            z_i[k] = zi;
-        }
-    }
-
-    /// `E_i = Σ β·B` from precomputed per-item `z` — bit-identical to
-    /// [`SnapContext::energy`] (same item order, same association).
-    pub fn energy_from_z(&self, utot_r: &[f64], utot_i: &[f64], z_r: &[f64], z_i: &[f64]) -> f64 {
-        let tbl = &self.tables;
-        let mut e = 0.0;
-        for (t, beta) in self.beta.iter().enumerate() {
-            let mut b = 0.0;
-            for k in tbl.triple_range(t) {
-                let iu = tbl.items[k].iu as usize;
-                b += z_r[k] * utot_r[iu] + z_i[k] * utot_i[iu];
+        y_r: &mut [f64],
+        y_i: &mut [f64],
+        eflag: bool,
+        s: &mut SnapWork,
+    ) -> [f64; YI_BLOCK] {
+        let n = self.idx.u_len;
+        let m = utot_r.len() / n;
+        assert_eq!(
+            [utot_r.len(), utot_i.len(), y_r.len(), y_i.len()],
+            [m * n; 4]
+        );
+        self.load_planes(m, utot_r, utot_i, &mut s.planes);
+        self.tables.y.walk(&s.planes, |r, zr, zi| {
+            for l in 0..m {
+                y_r[l * n + r] = zr[l];
+                y_i[l * n + r] = zi[l];
             }
-            e += b * beta;
+        });
+        let mut e = [0.0; YI_BLOCK];
+        if eflag {
+            self.walk_bi(&s.planes, |t, b| {
+                for l in 0..YI_BLOCK {
+                    e[l] += b[l] * self.beta[t];
+                }
+            });
         }
         e
     }
 
-    /// ComputeYi from precomputed per-item `z`: term 1 reads the shared
-    /// `z`, term 2 walks the prefiltered scatter table. Work items are
-    /// stored in the direct loop's exact order, so the aliased `y`
-    /// accumulations replay bit-identically.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_yi_from_z(
-        &self,
-        utot_r: &[f64],
-        utot_i: &[f64],
-        z_r: &[f64],
-        z_i: &[f64],
-        y_r: &mut [f64],
-        y_i: &mut [f64],
-    ) {
-        let n_u = self.idx.u_len;
-        y_r[..n_u].fill(0.0);
-        y_i[..n_u].fill(0.0);
-        let tbl = &self.tables;
-        for yit in &tbl.y_items {
-            let k = yit.z as usize;
-            let iu = tbl.items[k].iu as usize;
-            let (ujr, uji) = (utot_r[iu], utot_i[iu]);
-            // Term 1: B depends on conj(U_j) explicitly.
-            y_r[iu] += yit.beta * z_r[k];
-            y_i[iu] += yit.beta * z_i[k];
-            // Term 2: B depends on U_{j1}, U_{j2} inside Z.
-            for sc in &tbl.y_scatters[yit.scat_lo as usize..yit.scat_hi as usize] {
-                let (i1, i2) = (sc.i1 as usize, sc.i2 as usize);
-                let (u1r, u1i) = (utot_r[i1], utot_i[i1]);
-                let (u2r, u2i) = (utot_r[i2], utot_i[i2]);
-                y_r[i1] += sc.w * (u2r * ujr + u2i * uji);
-                y_i[i1] += sc.w * (-u2i * ujr + u2r * uji);
-                y_r[i2] += sc.w * (u1r * ujr + u1i * uji);
-                y_i[i2] += sc.w * (-u1i * ujr + u1r * uji);
-            }
-        }
-    }
-
-    /// ComputeYi: the adjoint `Y = ∂E_i/∂U` by exact reverse-mode
-    /// differentiation of [`SnapContext::compute_bi`]'s expression.
-    /// `(y_r, y_i)` hold `∂E/∂(Re U)`, `∂E/∂(Im U)`.
+    /// ComputeYi: the adjoint `Y` of the scratch's `utot`, into the
+    /// scratch's `y`.
     pub fn compute_yi(&self, s: &mut SnapScratch) {
-        let SnapScratch {
-            z_r,
-            z_i,
-            utot_r,
-            utot_i,
-            y_r,
-            y_i,
-            ..
-        } = s;
-        self.compute_zi_into(utot_r, utot_i, z_r, z_i);
-        self.compute_yi_from_z(utot_r, utot_i, z_r, z_i, y_r, y_i);
-    }
-
-    /// The direct (pre-table) adjoint construction, retained as the
-    /// bit-identity reference for the equivalence tests.
-    pub fn compute_yi_direct(&self, s: &mut SnapScratch) {
-        s.y_r.iter_mut().for_each(|x| *x = 0.0);
-        s.y_i.iter_mut().for_each(|x| *x = 0.0);
-        for (t, &(j1, j2, j)) in self.idx.triples.iter().enumerate() {
-            let beta = self.beta[t];
-            if beta == 0.0 {
-                continue;
-            }
-            let cgb = &self.cg[t];
-            let shift = (j1 + j2 - j) / 2;
-            for mb in 0..=j {
-                for ma in 0..=j {
-                    let iu = self.idx.u_index(j, mb, ma);
-                    let (ujr, uji) = (s.utot_r[iu], s.utot_i[iu]);
-                    // Term 1: B depends on conj(U_j) explicitly.
-                    let (zr, zi) = self.z_element(t, ma, mb, &s.utot_r, &s.utot_i);
-                    s.y_r[iu] += beta * zr;
-                    s.y_i[iu] += beta * zi;
-                    // Term 2: B depends on U_{j1}, U_{j2} inside Z.
-                    let ma1_lo = (ma + shift).saturating_sub(j2);
-                    let ma1_hi = (ma + shift).min(j1);
-                    let mb1_lo = (mb + shift).saturating_sub(j2);
-                    let mb1_hi = (mb + shift).min(j1);
-                    for ma1 in ma1_lo..=ma1_hi {
-                        let ma2 = ma + shift - ma1;
-                        let ca = cgb.get(ma1, ma2);
-                        if ca == 0.0 {
-                            continue;
-                        }
-                        for mb1 in mb1_lo..=mb1_hi {
-                            let mb2 = mb + shift - mb1;
-                            let w = beta * ca * cgb.get(mb1, mb2);
-                            if w == 0.0 {
-                                continue;
-                            }
-                            let i1 = self.idx.u_index(j1, mb1, ma1);
-                            let i2 = self.idx.u_index(j2, mb2, ma2);
-                            let (u1r, u1i) = (s.utot_r[i1], s.utot_i[i1]);
-                            let (u2r, u2i) = (s.utot_r[i2], s.utot_i[i2]);
-                            // E += w [ (u1r u2r − u1i u2i) ujr
-                            //        + (u1r u2i + u1i u2r) uji ].
-                            s.y_r[i1] += w * (u2r * ujr + u2i * uji);
-                            s.y_i[i1] += w * (-u2i * ujr + u2r * uji);
-                            s.y_r[i2] += w * (u1r * ujr + u1i * uji);
-                            s.y_i[i2] += w * (-u1i * ujr + u1r * uji);
-                        }
-                    }
-                }
-            }
-        }
+        let (work, y_r, y_i) = (&mut s.work, &mut s.y_r, &mut s.y_i);
+        self.compute_yi_block(&s.utot_r, &s.utot_i, y_r, y_i, false, work);
     }
 
     /// ComputeDuidrj + ComputeDeidrj for one neighbor at relative
@@ -638,115 +436,59 @@ impl SnapContext {
         s: &mut SnapScratch,
         fused: bool,
     ) -> [f64; 3] {
-        let mut ckd = self.hyper.map_with_derivatives(d);
-        ckd.ck.sfac *= weight;
-        for dk in &mut ckd.dsfac {
-            *dk *= weight;
-        }
-        let ckd = &ckd;
-        let mut dedr = [0.0f64; 3];
+        let core = self.hyper.map_core(d);
+        let mut all = || self.compute_deidrj_mapped(d, weight, &core, &s.y_r, &s.y_i, &mut s.work);
         if fused {
-            compute_u_du(
-                &self.idx,
-                &self.rootpq,
-                ckd,
-                &mut s.u_r,
-                &mut s.u_i,
-                &mut s.du_r,
-                &mut s.du_i,
-            );
-            for iu in 0..self.idx.u_len {
-                let (ur, ui) = (s.u_r[iu], s.u_i[iu]);
-                let (yr, yi) = (s.y_r[iu], s.y_i[iu]);
-                for (k, dedk) in dedr.iter_mut().enumerate() {
-                    // d(sfac·u)/dx_k = dsfac_k·u + sfac·du_k.
-                    let dr = ckd.dsfac[k] * ur + ckd.ck.sfac * s.du_r[iu * 3 + k];
-                    let di = ckd.dsfac[k] * ui + ckd.ck.sfac * s.du_i[iu * 3 + k];
-                    *dedk += yr * dr + yi * di;
-                }
-            }
+            all()
         } else {
-            for (k, dedk) in dedr.iter_mut().enumerate() {
-                // Unfused: recompute the recursion for every direction.
-                compute_u_du(
-                    &self.idx,
-                    &self.rootpq,
-                    ckd,
-                    &mut s.u_r,
-                    &mut s.u_i,
-                    &mut s.du_r,
-                    &mut s.du_i,
-                );
-                for iu in 0..self.idx.u_len {
-                    let dr = ckd.dsfac[k] * s.u_r[iu] + ckd.ck.sfac * s.du_r[iu * 3 + k];
-                    let di = ckd.dsfac[k] * s.u_i[iu] + ckd.ck.sfac * s.du_i[iu * 3 + k];
-                    *dedk += s.y_r[iu] * dr + s.y_i[iu] * di;
-                }
-            }
+            // Unfused: rerun the recursions for every direction.
+            std::array::from_fn(|k| all()[k])
         }
-        dedr
     }
 
-    /// Staged ComputeZi/ComputeYi: fill the per-item `z` scratch once,
-    /// contract the energy from it, and build the adjoint `Y` into the
-    /// caller-owned slices. Returns `E_i`. Bit-identical to running
-    /// `energy` + `compute_yi` (which evaluate each `z` twice).
-    pub fn compute_energy_yi_into(
-        &self,
-        utot_r: &[f64],
-        utot_i: &[f64],
-        y_r: &mut [f64],
-        y_i: &mut [f64],
-        s: &mut SnapScratch,
-    ) -> f64 {
-        let SnapScratch { z_r, z_i, .. } = s;
-        self.compute_zi_into(utot_r, utot_i, z_r, z_i);
-        let e = self.energy_from_z(utot_r, utot_i, z_r, z_i);
-        self.compute_yi_from_z(utot_r, utot_i, z_r, z_i, y_r, y_i);
-        e
-    }
-
-    /// Fused Deidrj for one neighbor whose geometry and `u` were cached
-    /// by ComputeUi ([`SnapContext::compute_ui_into`]): only the `du`
-    /// half of the recursion runs, and the hypersphere trigonometry is
-    /// not re-derived. Bit-identical to the fused
-    /// [`SnapContext::compute_deidrj_weighted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_deidrj_cached(
+    /// Fused Deidrj for one neighbor whose hypersphere map ComputeUi
+    /// kept ([`SnapContext::compute_ui_into`]), so the trigonometry is
+    /// not re-derived: the `u` and `du` recursions, then
+    /// `Σ_half Re(conj(y)·∂(sfac·u)/∂x_k)` as four dot products over the
+    /// stored half, `dsfac_k·(y·u) + sfac·(y·du_k)`.
+    pub fn compute_deidrj_mapped(
         &self,
         d: [f64; 3],
         weight: f64,
         core: &MapCore,
-        u_r: &[f64],
-        u_i: &[f64],
         y_r: &[f64],
         y_i: &[f64],
-        s: &mut SnapScratch,
+        s: &mut SnapWork,
     ) -> [f64; 3] {
         let mut ckd = self.hyper.derivatives_from(d, core);
         ckd.ck.sfac *= weight;
         for dk in &mut ckd.dsfac {
             *dk *= weight;
         }
-        compute_du_cached(
+        compute_u(&self.idx, &self.rootpq, &ckd.ck, &mut s.u_r, &mut s.u_i);
+        compute_du(
             &self.idx,
             &self.rootpq,
             &ckd,
-            u_r,
-            u_i,
+            &s.u_r,
+            &s.u_i,
             &mut s.du_r,
             &mut s.du_i,
         );
-        let mut dedr = [0.0f64; 3];
-        for iu in 0..self.idx.u_len {
-            let (ur, ui) = (u_r[iu], u_i[iu]);
-            let (yr, yi) = (y_r[iu], y_i[iu]);
-            for (k, dedk) in dedr.iter_mut().enumerate() {
-                // d(sfac·u)/dx_k = dsfac_k·u + sfac·du_k.
-                let dr = ckd.dsfac[k] * ur + ckd.ck.sfac * s.du_r[iu * 3 + k];
-                let di = ckd.dsfac[k] * ui + ckd.ck.sfac * s.du_i[iu * 3 + k];
-                *dedk += yr * dr + yi * di;
+        let n = self.idx.u_len;
+        let (y_r, y_i) = (&y_r[..n], &y_i[..n]);
+        let dot = |a_r: &[f64], a_i: &[f64]| -> f64 {
+            let mut sum = 0.0;
+            for iu in 0..n {
+                sum += y_r[iu] * a_r[iu] + y_i[iu] * a_i[iu];
             }
+            sum
+        };
+        let yu = dot(&s.u_r, &s.u_i);
+        let mut dedr = [0.0f64; 3];
+        for (k, dedk) in dedr.iter_mut().enumerate() {
+            let ydu = dot(&s.du_r[k * n..(k + 1) * n], &s.du_i[k * n..(k + 1) * n]);
+            *dedk = ckd.dsfac[k] * yu + ckd.ck.sfac * ydu;
         }
         dedr
     }
@@ -775,14 +517,14 @@ impl SnapContext {
     /// FP64 ops for ComputeUi at `nneigh` neighbors per atom.
     pub fn ui_flops_per_atom(&self, nneigh: f64) -> f64 {
         // Recursion: ~20 flops per u element per neighbor + accumulate.
-        nneigh * self.idx.u_len as f64 * 22.0
+        nneigh * self.idx.u_full_len as f64 * 22.0
     }
 
     /// FP64 atomic adds for ComputeUi at batch `b`: 2 per complex
     /// element per neighbor-batch group, after the warp-level
     /// aggregation the production kernel always performs (÷ warp/4).
     pub fn ui_atomics_per_atom(&self, nneigh: f64, batch: usize) -> f64 {
-        (nneigh / batch.max(1) as f64).ceil() * self.idx.u_len as f64 * 2.0 / 8.0
+        (nneigh / batch.max(1) as f64).ceil() * self.idx.u_full_len as f64 * 2.0 / 8.0
     }
 
     /// Inner CG-contraction iterations of ComputeYi per atom (the
@@ -806,7 +548,7 @@ impl SnapContext {
     /// Bytes of U data ComputeYi reads per atom (the L1-resident
     /// working set of §4.3.2).
     pub fn u_bytes_per_atom(&self) -> f64 {
-        (self.idx.u_len * 16) as f64
+        (self.idx.u_full_len * 16) as f64
     }
 
     /// FP64 ops for one Deidrj evaluation per neighbor. The fused
@@ -814,9 +556,9 @@ impl SnapContext {
     /// "the redundant work was re-computing U_j and re-loading Y_j");
     /// the unfused variant re-runs the `u` recursion per direction.
     pub fn deidrj_flops_per_neighbor(&self, fused: bool) -> f64 {
-        let u = self.idx.u_len as f64 * 22.0;
-        let du_all = self.idx.u_len as f64 * 60.0;
-        let contract = self.idx.u_len as f64 * 12.0;
+        let u = self.idx.u_full_len as f64 * 22.0;
+        let du_all = self.idx.u_full_len as f64 * 60.0;
+        let contract = self.idx.u_full_len as f64 * 12.0;
         if fused {
             u + du_all + contract
         } else {
@@ -830,6 +572,7 @@ impl SnapContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::Reference;
 
     fn ctx(twojmax: usize) -> SnapContext {
         SnapContext::new(
@@ -990,96 +733,190 @@ mod tests {
         assert!(c8.deidrj_flops_per_neighbor(false) > 1.3 * c8.deidrj_flops_per_neighbor(true));
     }
 
-    /// The flattened tables reproduce the direct quadruple loops bit
-    /// for bit, for B, for Y, and with β zero patterns in play.
-    #[test]
-    fn tables_are_bitwise_identical_to_direct_loops() {
-        for twojmax in [2usize, 4, 6, 8] {
-            let n = SnapIndices::new(twojmax).n_bispectrum();
-            let mut beta = SnapContext::synthetic_beta(twojmax, 11);
-            // Zero out a pattern of triples to exercise prefiltering.
-            for (t, b) in beta.iter_mut().enumerate() {
-                if t % 3 == 0 {
-                    *b = 0.0;
+    /// Neighbor clouds for the oracle tests: `nneigh` points from a
+    /// xorshift stream, kept off the origin and inside the cutoff.
+    fn cloud(seed: u64, nneigh: usize) -> Vec<[f64; 3]> {
+        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut rnd = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..nneigh)
+            .map(|_| [1.0 + 2.0 * rnd(), 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0])
+            .collect()
+    }
+
+    /// `|a − b| ≤ 1e-12·scale` element by element, `scale` the largest
+    /// magnitude in the reference.
+    fn assert_close(what: &str, got: &[f64], want: &[f64]) {
+        let scale = want.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-12 * scale,
+                "{what}[{k}]: {g} vs {w} (scale {scale})"
+            );
+        }
+    }
+
+    /// The half-range pipeline against the full-range oracle on one
+    /// neighborhood: `B`, `E_i` and `∂E_i/∂x_k` through both the
+    /// one-atom entry points and the staged (mapped, blocked) ones.
+    fn check_against_reference(c: &SnapContext, neigh: &[[f64; 3]], wts: &[f64], batch: usize) {
+        let want = Reference::new(c).evaluate(neigh, wts);
+        let want_grads: Vec<f64> = want.grads.iter().flatten().copied().collect();
+        let mut s = c.alloc_scratch();
+        c.compute_ui_weighted(neigh, Some(wts), &mut s, batch);
+        assert_close("B", &c.compute_bi(&s), &want.b);
+        assert_close("E", &[c.energy(&s)], &[want.energy]);
+        c.compute_yi(&mut s);
+        for fused in [true, false] {
+            let grads: Vec<f64> = neigh
+                .iter()
+                .zip(wts)
+                .flat_map(|(&d, &w)| c.compute_deidrj_weighted(d, w, &mut s, fused))
+                .collect();
+            assert_close("dE/dx", &grads, &want_grads);
+        }
+        // Staged path on external planes, this atom in every lane of a
+        // full block: each lane must reproduce the one-atom result to
+        // the bit, and the energies and gradients the oracle's.
+        let (n_u, nn) = (c.idx.u_len, neigh.len());
+        let mut geom = vec![MapCore::default(); nn];
+        let (mut utot_r, mut utot_i) = (vec![0.0; YI_BLOCK * n_u], vec![0.0; YI_BLOCK * n_u]);
+        for l in 0..YI_BLOCK {
+            c.compute_ui_into(
+                neigh,
+                Some(wts),
+                batch,
+                Some(&mut geom),
+                &mut utot_r[l * n_u..(l + 1) * n_u],
+                &mut utot_i[l * n_u..(l + 1) * n_u],
+                &mut s.work,
+            );
+        }
+        assert_eq!(utot_r[..n_u], s.utot_r[..]);
+        assert_eq!(utot_i[3 * n_u..], s.utot_i[..]);
+        let (mut y_r, mut y_i) = (vec![0.0; YI_BLOCK * n_u], vec![0.0; YI_BLOCK * n_u]);
+        for m in 1..=YI_BLOCK {
+            let at = ..m * n_u;
+            let (y_rm, y_im) = (&mut y_r[at], &mut y_i[at]);
+            let e = c.compute_yi_block(&utot_r[at], &utot_i[at], y_rm, y_im, true, &mut s.work);
+            for l in 0..m {
+                assert_close("E (block)", &[e[l]], &[want.energy]);
+                assert_eq!(e[l].to_bits(), e[0].to_bits(), "lane {l} of {m}");
+                for iu in 0..n_u {
+                    assert_eq!(y_r[l * n_u + iu].to_bits(), s.y_r[iu].to_bits());
+                    assert_eq!(y_i[l * n_u + iu].to_bits(), s.y_i[iu].to_bits());
                 }
             }
-            assert_eq!(beta.len(), n);
-            let c = SnapContext::new(twojmax, HyperParams::default(), beta);
-            let mut s = c.alloc_scratch();
-            c.compute_ui(&cluster(), &mut s, 1);
-            let b_table = c.compute_bi(&s);
-            let b_direct = c.compute_bi_direct(&s);
-            for (a, b) in b_table.iter().zip(&b_direct) {
-                assert_eq!(a.to_bits(), b.to_bits(), "twojmax {twojmax}");
-            }
-            c.compute_yi(&mut s);
-            let (y_r, y_i) = (s.y_r.clone(), s.y_i.clone());
-            c.compute_yi_direct(&mut s);
-            for iu in 0..c.idx.u_len {
-                assert_eq!(y_r[iu].to_bits(), s.y_r[iu].to_bits(), "y_r[{iu}]");
-                assert_eq!(y_i[iu].to_bits(), s.y_i[iu].to_bits(), "y_i[{iu}]");
+        }
+        let no_e = c.compute_yi_block(&utot_r, &utot_i, &mut y_r, &mut y_i, false, &mut s.work);
+        assert_eq!(no_e, [0.0; YI_BLOCK]);
+        let grads: Vec<f64> = (0..nn)
+            .flat_map(|k| {
+                c.compute_deidrj_mapped(
+                    neigh[k],
+                    wts[k],
+                    &geom[k],
+                    &y_r[n_u..2 * n_u],
+                    &y_i[n_u..2 * n_u],
+                    &mut s.work,
+                )
+            })
+            .collect();
+        assert_close("dE/dx (staged)", &grads, &want_grads);
+    }
+
+    /// Every half-range kernel agrees with the retained full-range
+    /// direct loops to ≤ 1e-12 relative on `B`, `E_i` and `∂E_i/∂x_k`,
+    /// at every truncation order, weighted and unweighted, for both Ui
+    /// batch widths the pair style is run with, and with β zero
+    /// patterns in play.
+    #[test]
+    fn half_range_kernels_match_the_full_range_reference() {
+        for twojmax in [2usize, 4, 6, 8] {
+            let mut beta = SnapContext::synthetic_beta(twojmax, 11);
+            let c_all = SnapContext::new(twojmax, HyperParams::default(), beta.clone());
+            // Zero out a pattern of triples to exercise prefiltering.
+            beta.iter_mut().step_by(3).for_each(|b| *b = 0.0);
+            let c_some = SnapContext::new(twojmax, HyperParams::default(), beta);
+            let neigh = cluster();
+            for wts in [[1.0; 5], [1.0, 0.7, 1.0, 0.3, 1.0]] {
+                for batch in [1usize, 4] {
+                    check_against_reference(&c_all, &neigh, &wts, batch);
+                    check_against_reference(&c_some, &neigh, &wts, batch);
+                }
             }
         }
     }
 
-    /// The staged pipeline (Ui-with-cache → shared-Z energy+Yi →
-    /// cached Deidrj) reproduces the scratch-based public entry points
-    /// bit for bit.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The property form of the oracle test (moved here from
+        /// `tests/properties.rs`, which cannot see the `cfg(test)`
+        /// reference): random neighbor clouds, every truncation order,
+        /// zero/nonzero β stripes.
+        #[test]
+        fn snap_tables_match_direct_loops(
+            seed in 0u64..100,
+            twojmax in proptest::prop::sample::select(vec![2usize, 4, 6, 8]),
+            beta_mask in 0usize..8,
+        ) {
+            let neigh = cloud(seed, 2 + (seed % 6) as usize);
+            let mut beta = SnapContext::synthetic_beta(twojmax, seed ^ 0x5eed);
+            // Zero a β stripe (mask 7 keeps all nonzero).
+            if beta_mask < 7 {
+                beta.iter_mut().skip(beta_mask).step_by(7).for_each(|b| *b = 0.0);
+            }
+            let c = SnapContext::new(twojmax, HyperParams::default(), beta);
+            check_against_reference(&c, &neigh, &vec![1.0; neigh.len()], 1);
+        }
+    }
+
+    /// The identity the half-range layout rests on, on the *reference*
+    /// path where nothing assumes it: the accumulated `U`, every `Z`
+    /// and the adjoint `Y` satisfy
+    /// `x(j−mb, j−ma) = (−1)^{mb+ma}·conj x(mb, ma)` to 1e-13.
     #[test]
-    fn staged_pipeline_is_bitwise_identical() {
-        let c = ctx(6);
-        let neigh = cluster();
-        let wts = [1.0, 0.7, 1.0, 0.3, 1.0];
-        for batch in [1usize, 2, 4] {
-            // Reference path.
-            let mut s = c.alloc_scratch();
-            c.compute_ui_weighted(&neigh, Some(&wts), &mut s, batch);
-            let e_ref = c.energy(&s);
-            c.compute_yi(&mut s);
-            let g_ref: Vec<[f64; 3]> = neigh
-                .iter()
-                .zip(&wts)
-                .map(|(&d, &w)| c.compute_deidrj_weighted(d, w, &mut s, true))
-                .collect();
-            // Staged path on external slices.
-            let mut s2 = c.alloc_scratch();
-            let mut cache = NeighborCache::default();
-            let n_u = c.idx.u_len;
-            let mut utot_r = vec![0.0; n_u];
-            let mut utot_i = vec![0.0; n_u];
-            let mut y_r = vec![0.0; n_u];
-            let mut y_i = vec![0.0; n_u];
-            c.compute_ui_into(
-                &neigh,
-                Some(&wts),
-                batch,
-                &mut cache,
-                &mut utot_r,
-                &mut utot_i,
-                &mut s2,
-            );
-            for iu in 0..n_u {
-                assert_eq!(utot_r[iu].to_bits(), s.utot_r[iu].to_bits());
-                assert_eq!(utot_i[iu].to_bits(), s.utot_i[iu].to_bits());
-            }
-            let e = c.compute_energy_yi_into(&utot_r, &utot_i, &mut y_r, &mut y_i, &mut s2);
-            assert_eq!(e.to_bits(), e_ref.to_bits(), "batch {batch}");
-            for iu in 0..n_u {
-                assert_eq!(y_r[iu].to_bits(), s.y_r[iu].to_bits());
-                assert_eq!(y_i[iu].to_bits(), s.y_i[iu].to_bits());
-            }
-            for (k, (&d, &w)) in neigh.iter().zip(&wts).enumerate() {
-                let (cu_r, cu_i) = cache.u(k, n_u);
-                let g =
-                    c.compute_deidrj_cached(d, w, &cache.geom[k], cu_r, cu_i, &y_r, &y_i, &mut s2);
-                for dir in 0..3 {
-                    assert_eq!(
-                        g[dir].to_bits(),
-                        g_ref[k][dir].to_bits(),
-                        "neighbor {k} dir {dir} batch {batch}"
+    fn reference_u_z_y_obey_the_inversion_symmetry() {
+        let c = ctx(8);
+        let full = Reference::new(&c);
+        let neigh = cloud(5, 12);
+        let ev = full.evaluate(&neigh, &vec![1.0; neigh.len()]);
+        let check = |what: &str, j: usize, at: &dyn Fn(usize, usize) -> (f64, f64), scale: f64| {
+            for mb in 0..=j {
+                for ma in 0..=j {
+                    let sign = if (mb + ma) % 2 == 0 { 1.0 } else { -1.0 };
+                    let ((xr, xi), (mr, mi)) = (at(mb, ma), at(j - mb, j - ma));
+                    assert!(
+                        (mr - sign * xr).abs() <= 1e-13 * scale
+                            && (mi + sign * xi).abs() <= 1e-13 * scale,
+                        "{what} j={j} mb={mb} ma={ma}: ({xr}, {xi}) vs ({mr}, {mi})"
                     );
                 }
             }
+        };
+        let max_abs = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let (u_scale, y_scale) = (max_abs(&ev.utot_r), max_abs(&ev.y_r));
+        for j in 0..=8 {
+            let at = |v_r: &[f64], v_i: &[f64], mb, ma| {
+                let iu = full.u_index(j, mb, ma);
+                (v_r[iu], v_i[iu])
+            };
+            check(
+                "U",
+                j,
+                &|mb, ma| at(&ev.utot_r, &ev.utot_i, mb, ma),
+                u_scale,
+            );
+            check("Y", j, &|mb, ma| at(&ev.y_r, &ev.y_i, mb, ma), y_scale);
+        }
+        for (t, &(_, _, j)) in c.idx.triples.iter().enumerate() {
+            let z = |mb, ma| full.z_element(t, ma, mb, &ev.utot_r, &ev.utot_i);
+            check("Z", j, &z, u_scale * u_scale);
         }
     }
 
@@ -1088,8 +925,8 @@ mod tests {
     fn tables_built_once_per_context() {
         let c = ctx(4);
         assert_eq!(c.table_builds, 1);
-        assert!(!c.tables.pairs.is_empty());
-        assert!(!c.tables.y_items.is_empty());
+        assert!(!c.tables.z.w.is_empty());
+        assert!(!c.tables.y.w.is_empty());
         // Distinct contexts get distinct generations (scratch keys).
         let c2 = ctx(4);
         assert_ne!(c.generation, c2.generation);

@@ -9,39 +9,48 @@
 //! (eq. 4), and forces contract the adjoint `Y` matrices with the
 //! U-matrix derivatives (eq. 5).
 //!
-//! Module map (one-to-one with the paper's four kernels):
+//! Module map:
 //!
-//! * [`indices`] — the flattened `(j, ma, mb)` quantum-number indexing
+//! * [`indices`] — the flattened `(j, mb, ma)` quantum-number indexing
 //!   (§4.3.1: "j slowest, m' fastest ... rows and columns stay
-//!   together").
+//!   together"), storing only the independent half `mb ≤ ⌊j/2⌋` of
+//!   every block (TestSNAP's `idxu_half`), and the bispectrum triples.
 //! * [`cg`] — Clebsch-Gordan coupling coefficients.
 //! * [`hyper`] — the r → 3-sphere map (Cayley-Klein parameters a, b),
 //!   the smooth cutoff function, and their Cartesian derivatives.
 //! * [`wigner`] — the recursive Wigner-U evaluation (**ComputeUi**'s
-//!   inner recursion) and its derivative (**ComputeDuidrj**).
+//!   inner recursion) and its derivative (**ComputeDuidrj**), row by
+//!   row over the stored half.
 //! * [`tables`] — the flattened sparse contraction tables (TestSNAP's
-//!   `idxz` recipe): per-`(triple, ma, mb)` work items with fused
-//!   `ca·cb` coefficients and zero entries stripped at construction,
-//!   shared by the energy and adjoint paths.
-//! * [`context`] — the four per-atom kernels: `compute_ui` (with the
-//!   §4.3.4 neighbor work-batching variants), `compute_zi`/`compute_bi`,
-//!   `compute_yi` (adjoint construction), and `compute_fused_deidrj`
-//!   (the direction-fused force contraction).
+//!   `idxz` recipe) as rows of weighted products `Σ w·U·U`: the `z`
+//!   rows the energy contracts, and the `y` rows that build the adjoint
+//!   `Y = Σ βj·Z` in one pass (LAMMPS' `compute_yi`), zero entries
+//!   stripped at construction.
+//! * [`context`] — the per-atom kernels: `compute_ui` (with the
+//!   §4.3.4 neighbor work-batching variants), `compute_bi`,
+//!   `compute_yi_block` (the adjoint of a block of atoms per table
+//!   walk), and `compute_deidrj` (the direction-fused force
+//!   contraction and its unfused counterpart).
 //! * [`pair_snap`] — the `pair_style snap` integration with `lkk-core`,
 //!   fissioned into staged ComputeUi / ComputeYi / ComputeDeidrj
-//!   kernels with per-stage profile regions.
+//!   kernels over one pooled arena, with per-stage profile regions.
+//! * `reference` (tests only) — the full-range direct loops and their
+//!   reverse-mode adjoint, the oracle of the unit tests.
 //!
-//! Correctness is anchored by finite-difference force checks and
-//! rotation-invariance tests of `B` (see `context::tests`).
+//! Correctness is anchored by that oracle (≤ 1e-12 on `B`, `E_i`,
+//! `∂E_i/∂x_k`), finite-difference force checks and
+//! rotation-invariance tests of `B` (see `context::tests` and
+//! `tests/snap_physics.rs`).
 
 pub mod cg;
 pub mod context;
 pub mod hyper;
 pub mod indices;
 pub mod pair_snap;
+mod reference;
 pub mod tables;
 pub mod wigner;
 
-pub use context::{NeighborCache, SnapContext, SnapKernelConfig};
+pub use context::{SnapContext, SnapKernelConfig, SnapWork, YI_BLOCK};
 pub use pair_snap::{PairSnap, SnapParams};
 pub use tables::ContractionTables;

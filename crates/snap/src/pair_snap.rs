@@ -9,22 +9,26 @@
 //! (the TestSNAP restructuring):
 //!
 //! 1. **ComputeUi** — gather in-cutoff neighbors and accumulate the
-//!    per-atom `U`, caching each neighbor's hypersphere geometry and
-//!    `u` blocks in the atom's pool slot;
-//! 2. **ComputeYi** — one shared Z evaluation per work item feeding
-//!    both the energy contraction and the adjoint `Y`;
-//! 3. **ComputeDeidrj** — the direction-fused force contraction,
-//!    reusing the stage-1 `(fc, u)` cache so only the `du` half of the
-//!    recursion runs.
+//!    per-atom `U`, keeping each neighbor's hypersphere map in the
+//!    atom's arena slots;
+//! 2. **ComputeYi** — one pass over the `y` table builds the adjoint
+//!    `Y` of a block of [`YI_BLOCK`] atoms; the energy contraction
+//!    over the `z` table runs only when `eflag` asks for it;
+//! 3. **ComputeDeidrj** — the direction-fused force contraction:
+//!    `u` and `du` re-derived per neighbor from the stage-1 map
+//!    (storing `u` instead measured no faster and seven times the
+//!    memory, see `docs/performance.md`).
 //!
-//! Each stage runs in its own profile region and emits FLOP/byte
+//! Every intermediate lives in half-range planes (`mb ≤ ⌊j/2⌋`, see
+//! [`crate::indices`]) pooled in one arena owned by the style. Each
+//! stage runs in its own profile region and emits FLOP/byte
 //! instants, so traces and the device cost model attribute time per
 //! stage instead of one opaque `pair/snap` blob. Device executions
 //! additionally log the rich per-kernel event counts
 //! (ComputeUi / ComputeYi / ComputeFusedDeidrj) for `lkk-gpusim`.
 
-use crate::context::{NeighborCache, SnapContext, SnapKernelConfig, SnapScratch};
-use crate::hyper::HyperParams;
+use crate::context::{SnapContext, SnapKernelConfig, SnapWork, YI_BLOCK};
+use crate::hyper::{HyperParams, MapCore};
 use lkk_core::neighbor::NeighborList;
 use lkk_core::pair::{PairResults, PairStyle};
 use lkk_core::sim::System;
@@ -65,47 +69,121 @@ pub struct PairSnap {
     pub type_weights: Vec<f64>,
     name: String,
     scatter: Option<ScatterView>,
-    /// Per-atom intermediates persisting across the fissioned stages
+    /// Staged intermediates persisting across the fissioned stages
     /// (and across steps: capacities reach steady state after warmup).
-    pool: Vec<AtomWork>,
+    arena: Arena,
 }
 
-/// One atom's staged intermediates: the stage-1 neighbor gather and
-/// `(fc, u)` cache, the accumulated `U`, and the stage-2 adjoint `Y`.
+/// Every atom's staged intermediates as pooled planes: the stage-1
+/// neighbor gather and hypersphere maps in CSR slots that mirror the
+/// neighbor list's rows, the accumulated `U` and the stage-2 adjoint
+/// `Y` by atom. Sized from the list, grown never shrunk.
 #[derive(Default)]
-struct AtomWork {
+struct Arena {
+    /// Atom `i` owns slots `first[i]..first[i+1]` (its list row's
+    /// length) and uses the first `nn[i]` (its in-cutoff neighbors).
+    first: Vec<usize>,
+    nn: Vec<u32>,
     rel: Vec<[f64; 3]>,
-    ids: Vec<usize>,
+    ids: Vec<u32>,
     wts: Vec<f64>,
-    cache: NeighborCache,
+    geom: Vec<MapCore>,
+    /// `u_len` values per atom.
     utot_r: Vec<f64>,
     utot_i: Vec<f64>,
     y_r: Vec<f64>,
     y_i: Vec<f64>,
+    grow_count: u64,
 }
 
-impl AtomWork {
-    fn ensure(&mut self, u_len: usize) {
-        if self.utot_r.len() != u_len {
-            self.utot_r.resize(u_len, 0.0);
-            self.utot_i.resize(u_len, 0.0);
-            self.y_r.resize(u_len, 0.0);
-            self.y_i.resize(u_len, 0.0);
+/// Replace `v` by a zeroed plane with headroom if it is shorter than
+/// `need`. Contents are per-step intermediates, so nothing is copied,
+/// and a fresh zeroed allocation leaves first touch to the workers.
+fn grow<T: Clone + Default>(v: &mut Vec<T>, need: usize, grow_count: &mut u64) {
+    if v.len() < need {
+        *v = vec![T::default(); need + need / 8];
+        *grow_count += 1;
+    }
+}
+
+impl Arena {
+    /// Lay the slots out along `list`'s rows and make every plane large
+    /// enough; returns the shared handles for this step's launches.
+    fn reserve(&mut self, list: &NeighborList, nlocal: usize, u_len: usize) -> Planes {
+        let grows = &mut self.grow_count;
+        grow(&mut self.first, nlocal + 1, grows);
+        for i in 0..nlocal {
+            self.first[i + 1] = self.first[i] + list.numneigh.at([i]) as usize;
+        }
+        let slots = self.first[nlocal];
+        grow(&mut self.nn, nlocal, grows);
+        grow(&mut self.rel, slots, grows);
+        grow(&mut self.ids, slots, grows);
+        grow(&mut self.wts, slots, grows);
+        grow(&mut self.geom, slots, grows);
+        grow(&mut self.utot_r, nlocal * u_len, grows);
+        grow(&mut self.utot_i, nlocal * u_len, grows);
+        grow(&mut self.y_r, nlocal * u_len, grows);
+        grow(&mut self.y_i, nlocal * u_len, grows);
+        Planes {
+            nn: Plane::of(&mut self.nn),
+            rel: Plane::of(&mut self.rel),
+            ids: Plane::of(&mut self.ids),
+            wts: Plane::of(&mut self.wts),
+            geom: Plane::of(&mut self.geom),
+            utot_r: Plane::of(&mut self.utot_r),
+            utot_i: Plane::of(&mut self.utot_i),
+            y_r: Plane::of(&mut self.y_r),
+            y_i: Plane::of(&mut self.y_i),
         }
     }
 }
 
-/// Raw-pointer handle giving each parallel worker exclusive `&mut`
-/// access to its own atom's pool slot (the `ParWrite` idiom of
-/// `lkk-kokkos`): within a stage, slot `i` is touched only by the
-/// worker processing atom `i`.
-struct PoolRef {
-    ptr: *mut AtomWork,
+/// Raw-pointer handle to one arena plane, shared by the workers of a
+/// launch (the `ParWrite` idiom of `lkk-kokkos`): within a stage, the
+/// ranges belonging to atom `i` are touched only by the work item that
+/// processes atom `i`.
+struct Plane<T> {
+    ptr: *mut T,
     len: usize,
 }
 
-unsafe impl Send for PoolRef {}
-unsafe impl Sync for PoolRef {}
+// SAFETY: a `Plane` is a pointer + length into a `Vec` that `compute`
+// keeps alive and otherwise untouched while the handle exists; `range`
+// is the only access and its contract excludes concurrent overlap.
+unsafe impl<T: Send> Send for Plane<T> {}
+unsafe impl<T: Send> Sync for Plane<T> {}
+
+impl<T> Plane<T> {
+    fn of(v: &mut [T]) -> Self {
+        Plane {
+            ptr: v.as_mut_ptr(),
+            len: v.len(),
+        }
+    }
+
+    /// # Safety
+    /// No other thread may access `lo..lo + len` while the returned
+    /// slice lives, and the plane's `Vec` must outlive it.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn range(&self, lo: usize, len: usize) -> &mut [T] {
+        assert!(lo + len <= self.len, "arena range out of bounds");
+        std::slice::from_raw_parts_mut(self.ptr.add(lo), len)
+    }
+}
+
+/// The handles of one step (see [`Arena`] for the planes).
+struct Planes {
+    nn: Plane<u32>,
+    rel: Plane<[f64; 3]>,
+    ids: Plane<u32>,
+    wts: Plane<f64>,
+    geom: Plane<MapCore>,
+    utot_r: Plane<f64>,
+    utot_i: Plane<f64>,
+    y_r: Plane<f64>,
+    y_i: Plane<f64>,
+}
 
 /// Round to the nearest multiple of 2⁻³² (exact for any physically
 /// sized force: |v|·2³² stays far below 2⁵³, and scaling by a power of
@@ -117,22 +195,12 @@ fn quantize_2p32(v: f64) -> f64 {
     (v * SCALE).round() * (1.0 / SCALE)
 }
 
-impl PoolRef {
-    /// # Safety
-    /// No other thread may access slot `i` concurrently.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slot(&self, i: usize) -> &mut AtomWork {
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
-    }
-}
-
 /// Thread-local scratch keyed on `(u_len, twojmax, generation)` so two
 /// SNAP styles with different truncation orders (or freshly rebuilt
 /// contraction tables) on one thread can never alias stale scratch.
 struct ScratchSlot {
     key: (usize, usize, u64),
-    scratch: SnapScratch,
+    scratch: SnapWork,
 }
 
 thread_local! {
@@ -141,7 +209,7 @@ thread_local! {
 
 /// Run `f` with this thread's scratch for `ctx`, (re)allocating if the
 /// context key changed.
-fn with_scratch<R>(ctx: &SnapContext, f: impl FnOnce(&mut SnapScratch) -> R) -> R {
+fn with_scratch<R>(ctx: &SnapContext, f: impl FnOnce(&mut SnapWork) -> R) -> R {
     let key = (ctx.idx.u_len, ctx.idx.twojmax, ctx.generation);
     SCRATCH.with(|cell| {
         let mut borrow = cell.borrow_mut();
@@ -150,7 +218,7 @@ fn with_scratch<R>(ctx: &SnapContext, f: impl FnOnce(&mut SnapScratch) -> R) -> 
             _ => {
                 *borrow = Some(ScratchSlot {
                     key,
-                    scratch: ctx.alloc_scratch(),
+                    scratch: ctx.alloc_work(),
                 });
                 borrow.as_mut().unwrap()
             }
@@ -174,7 +242,7 @@ impl PairSnap {
             type_weights: vec![1.0],
             name: "snap".into(),
             scatter: None,
-            pool: Vec::new(),
+            arena: Arena::default(),
         }
     }
 
@@ -188,6 +256,12 @@ impl PairSnap {
     pub fn with_config(mut self, config: SnapKernelConfig) -> Self {
         self.config = config;
         self
+    }
+
+    /// Arena plane growths so far (flat in steady state, like
+    /// [`NeighborList::grow_count`]).
+    pub fn grow_count(&self) -> u64 {
+        self.arena.grow_count
     }
 
     /// Register `snap` (and `snap/kk`) in a style registry.
@@ -300,7 +374,7 @@ impl PairStyle for PairSnap {
         true
     }
 
-    fn compute(&mut self, system: &mut System, list: &NeighborList, _eflag: bool) -> PairResults {
+    fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         // All SNAP launches and stats records are tagged under this
         // region (e.g. "step/pair/snap" inside the timestep loop).
         let _snap_region = profile::begin_region("snap");
@@ -317,14 +391,10 @@ impl PairStyle for PairSnap {
                 self.scatter.as_mut().unwrap()
             }
         };
-        if self.pool.len() < nlocal {
-            self.pool.resize_with(nlocal, AtomWork::default);
-        }
-        let pool = PoolRef {
-            ptr: self.pool.as_mut_ptr(),
-            len: self.pool.len(),
-        };
         let ctx = &self.ctx;
+        let u_len = ctx.idx.u_len;
+        let planes = self.arena.reserve(list, nlocal, u_len);
+        let first = &self.arena.first;
         let config = &self.config;
         let type_weights = &self.type_weights;
         let atoms_ref = &system.atoms;
@@ -332,7 +402,6 @@ impl PairStyle for PairSnap {
         let typ = atoms_ref.typ.view_for(&space);
         let sref: &ScatterView = scatter;
         let cutsq = ctx.hyper.rcut * ctx.hyper.rcut;
-        let u_len = ctx.idx.u_len;
         let avg_neigh = if nlocal > 0 {
             list.total_pairs as f64 / nlocal as f64
         } else {
@@ -342,41 +411,51 @@ impl PairStyle for PairSnap {
 
         // Stage 1 — ComputeUi: gather in-cutoff neighbors (the
         // divergence pre-filtering: the expensive kernels then run
-        // fully convergent), accumulate U, and fill the per-neighbor
-        // `(fc, u)` cache for stage 3.
+        // fully convergent), accumulate U, and keep each neighbor's
+        // hypersphere map for stage 3.
         {
             let _stage = profile::begin_region("ComputeUi");
             space.parallel_for("PairSnapUi", nlocal, |i| {
-                // SAFETY: slot `i` is touched only by this iteration.
-                let aw = unsafe { pool.slot(i) };
-                aw.ensure(u_len);
+                let (lo, cap) = (first[i], first[i + 1] - first[i]);
+                // SAFETY: atom `i`'s slots and rows are touched only by
+                // this iteration; the arena outlives the launch.
+                let (rel, ids, wts, geom, utot_r, utot_i, nn) = unsafe {
+                    (
+                        planes.rel.range(lo, cap),
+                        planes.ids.range(lo, cap),
+                        planes.wts.range(lo, cap),
+                        planes.geom.range(lo, cap),
+                        planes.utot_r.range(i * u_len, u_len),
+                        planes.utot_i.range(i * u_len, u_len),
+                        &mut planes.nn.range(i, 1)[0],
+                    )
+                };
                 let xi = [x.at([i, 0]), x.at([i, 1]), x.at([i, 2])];
-                let nn = list.numneigh.at([i]) as usize;
-                aw.rel.clear();
-                aw.ids.clear();
-                aw.wts.clear();
-                for s in 0..nn {
-                    let j = list.neighbors.at([i, s]) as usize;
+                let mut n = 0;
+                for s in 0..cap {
+                    let j = list.neighbors.at([i, s]);
                     let d = [
-                        x.at([j, 0]) - xi[0],
-                        x.at([j, 1]) - xi[1],
-                        x.at([j, 2]) - xi[2],
+                        x.at([j as usize, 0]) - xi[0],
+                        x.at([j as usize, 1]) - xi[1],
+                        x.at([j as usize, 2]) - xi[2],
                     ];
                     if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < cutsq {
-                        aw.rel.push(d);
-                        aw.ids.push(j);
-                        let t = typ.at([j]) as usize;
-                        aw.wts.push(*type_weights.get(t).unwrap_or(&1.0));
+                        rel[n] = d;
+                        ids[n] = j;
+                        let t = typ.at([j as usize]) as usize;
+                        wts[n] = *type_weights.get(t).unwrap_or(&1.0);
+                        n += 1;
                     }
                 }
+                *nn = n as u32;
                 with_scratch(ctx, |scratch| {
                     ctx.compute_ui_into(
-                        &aw.rel,
-                        Some(&aw.wts),
+                        &rel[..n],
+                        Some(&wts[..n]),
                         config.ui_batch,
-                        &mut aw.cache,
-                        &mut aw.utot_r,
-                        &mut aw.utot_i,
+                        Some(&mut geom[..n]),
+                        utot_r,
+                        utot_i,
                         scratch,
                     );
                 });
@@ -390,8 +469,10 @@ impl PairStyle for PairSnap {
             }
         }
 
-        // Stage 2 — ComputeYi: one shared Z per work item feeds both
-        // the energy contraction and the adjoint Y.
+        // Stage 2 — ComputeYi: the work item of every YI_BLOCK-th atom
+        // carries its block through the contraction tables (the launch
+        // keeps one item per atom, which is what the device model and
+        // the fork threshold see); the others have nothing left to do.
         let energy = {
             let _stage = profile::begin_region("ComputeYi");
             let e = space.parallel_reduce(
@@ -399,17 +480,24 @@ impl PairStyle for PairSnap {
                 nlocal,
                 0.0f64,
                 |i| {
-                    // SAFETY: slot `i` is touched only by this iteration.
-                    let aw = unsafe { pool.slot(i) };
-                    with_scratch(ctx, |scratch| {
-                        ctx.compute_energy_yi_into(
-                            &aw.utot_r,
-                            &aw.utot_i,
-                            &mut aw.y_r,
-                            &mut aw.y_i,
-                            scratch,
+                    if i % YI_BLOCK != 0 {
+                        return 0.0;
+                    }
+                    let m = YI_BLOCK.min(nlocal - i);
+                    // SAFETY: the rows of atoms `i..i + m` are touched
+                    // only by this block leader.
+                    let (utot_r, utot_i, y_r, y_i) = unsafe {
+                        (
+                            planes.utot_r.range(i * u_len, m * u_len),
+                            planes.utot_i.range(i * u_len, m * u_len),
+                            planes.y_r.range(i * u_len, m * u_len),
+                            planes.y_i.range(i * u_len, m * u_len),
                         )
-                    })
+                    };
+                    let e = with_scratch(ctx, |scratch| {
+                        ctx.compute_yi_block(utot_r, utot_i, y_r, y_i, eflag, scratch)
+                    });
+                    e[..m].iter().sum()
                 },
                 |a, b| a + b,
             );
@@ -421,8 +509,7 @@ impl PairStyle for PairSnap {
         };
 
         // Stage 3 — ComputeDeidrj: the direction-fused contraction,
-        // reading the stage-1 geometry/`u` cache so only the `du` half
-        // of the recursion runs per neighbor.
+        // one `u`/`du` sweep per neighbor from its stage-1 map.
         let virial = {
             let _stage = profile::begin_region("ComputeDeidrj");
             let v = space.parallel_reduce(
@@ -430,23 +517,24 @@ impl PairStyle for PairSnap {
                 nlocal,
                 [0.0f64; 6],
                 |i| {
-                    // SAFETY: slot `i` is touched only by this iteration.
-                    let aw = unsafe { pool.slot(i) };
+                    // SAFETY: as in stage 1; this stage only reads.
+                    let (n, lo) = (unsafe { planes.nn.range(i, 1)[0] } as usize, first[i]);
+                    let (rel, ids, wts, geom, y_r, y_i) = unsafe {
+                        (
+                            &*planes.rel.range(lo, n),
+                            &*planes.ids.range(lo, n),
+                            &*planes.wts.range(lo, n),
+                            &*planes.geom.range(lo, n),
+                            &*planes.y_r.range(i * u_len, u_len),
+                            &*planes.y_i.range(i * u_len, u_len),
+                        )
+                    };
                     let mut w = [0.0f64; 6];
                     let forces = sref.access();
                     with_scratch(ctx, |scratch| {
-                        for (k, &j) in aw.ids.iter().enumerate() {
-                            let (u_r, u_i) = aw.cache.u(k, u_len);
-                            let g = ctx.compute_deidrj_cached(
-                                aw.rel[k],
-                                aw.wts[k],
-                                &aw.cache.geom[k],
-                                u_r,
-                                u_i,
-                                &aw.y_r,
-                                &aw.y_i,
-                                scratch,
-                            );
+                        for (k, &j) in ids.iter().enumerate() {
+                            let g = ctx
+                                .compute_deidrj_mapped(rel[k], wts[k], &geom[k], y_r, y_i, scratch);
                             // Force on neighbor j: −∂E_i/∂x_j; reaction on i.
                             let f = if config.quantize_scatter {
                                 [
@@ -457,17 +545,19 @@ impl PairStyle for PairSnap {
                             } else {
                                 [-g[0], -g[1], -g[2]]
                             };
-                            forces.add3(j, f);
+                            forces.add3(j as usize, f);
                             forces.add3(i, [-f[0], -f[1], -f[2]]);
-                            // Virial tensor: Σ d ⊗ f_j (symmetrized),
-                            // d = x_j − x_i.
-                            let d = aw.rel[k];
-                            w[0] += d[0] * f[0];
-                            w[1] += d[1] * f[1];
-                            w[2] += d[2] * f[2];
-                            w[3] += 0.5 * (d[0] * f[1] + d[1] * f[0]);
-                            w[4] += 0.5 * (d[0] * f[2] + d[2] * f[0]);
-                            w[5] += 0.5 * (d[1] * f[2] + d[2] * f[1]);
+                            if eflag {
+                                // Virial tensor: Σ d ⊗ f_j (symmetrized),
+                                // d = x_j − x_i.
+                                let d = rel[k];
+                                w[0] += d[0] * f[0];
+                                w[1] += d[1] * f[1];
+                                w[2] += d[2] * f[2];
+                                w[3] += 0.5 * (d[0] * f[1] + d[1] * f[0]);
+                                w[4] += 0.5 * (d[0] * f[2] + d[2] * f[0]);
+                                w[5] += 0.5 * (d[1] * f[2] + d[2] * f[1]);
+                            }
                         }
                     });
                     w
@@ -498,10 +588,10 @@ impl PairStyle for PairSnap {
         // must stay 1).
         if profile::has_subscribers() {
             let t = &ctx.tables;
-            profile::note_counter("snap.table.items", t.items.len() as f64);
-            profile::note_counter("snap.table.pairs", t.pairs.len() as f64);
-            profile::note_counter("snap.table.y_items", t.y_items.len() as f64);
-            profile::note_counter("snap.table.y_scatters", t.y_scatters.len() as f64);
+            profile::note_counter("snap.table.z_rows", t.z.rows() as f64);
+            profile::note_counter("snap.table.z_pairs", t.z.w.len() as f64);
+            profile::note_counter("snap.table.y_rows", t.y.rows() as f64);
+            profile::note_counter("snap.table.y_pairs", t.y.w.len() as f64);
             profile::note_counter("snap.table.builds", ctx.table_builds as f64);
         }
 
@@ -510,7 +600,11 @@ impl PairStyle for PairSnap {
         scatter.contribute_into_view(f);
         system.atoms.modified(&space, lkk_core::atom::Mask::F);
         self.note_stats(&space, nlocal_f, avg_neigh, list);
-        PairResults::with_tensor(energy, virial)
+        if eflag {
+            PairResults::with_tensor(energy, virial)
+        } else {
+            PairResults::default()
+        }
     }
 }
 
@@ -541,6 +635,26 @@ mod tests {
     }
 
     fn compute_forces(system: &mut System, pair: &mut PairSnap) -> (Vec<[f64; 3]>, PairResults) {
+        compute_forces_with(system, pair, true)
+    }
+
+    /// The deterministic ±0.04 Å bump of the perturbed-lattice tests.
+    fn perturb(system: &mut System) {
+        let n = system.atoms.nlocal;
+        let xh = system.atoms.x.h_view_mut();
+        for i in 0..n {
+            for k in 0..3 {
+                let bump = 0.08 * (((i * 13 + k * 7) % 23) as f64 / 23.0 - 0.5);
+                xh.set([i, k], xh.at([i, k]) + bump);
+            }
+        }
+    }
+
+    fn compute_forces_with(
+        system: &mut System,
+        pair: &mut PairSnap,
+        eflag: bool,
+    ) -> (Vec<[f64; 3]>, PairResults) {
         let settings = NeighborSettings::new(pair.cutoff(), 0.3, false);
         let space = system.space.clone();
         // Perturbed tests may bump atoms past the box faces; ghosts
@@ -548,7 +662,7 @@ mod tests {
         system.atoms.wrap_positions(&system.domain);
         system.ghosts = build_ghosts(&mut system.atoms, &system.domain, settings.cutneigh());
         let list = NeighborList::build(&system.atoms, &system.domain, &settings, &space);
-        let res = pair.compute(system, &list, true);
+        let res = pair.compute(system, &list, eflag);
         system.atoms.sync(&Space::Serial, lkk_core::atom::Mask::F);
         lkk_core::comm::reverse_forces(&mut system.atoms, &system.ghosts);
         let fh = system.atoms.f.h_view();
@@ -710,6 +824,136 @@ mod tests {
         let e1 = sim.total_energy();
         let drift = ((e1 - e0) / sim.system.atoms.nlocal as f64).abs();
         assert!(drift < 5e-6, "per-atom drift {drift} eV");
+    }
+
+    /// `eflag` off skips the energy contraction and the virial tally and
+    /// nothing else: same forces to the bit on every space, default
+    /// results.
+    #[test]
+    fn eflag_off_changes_no_force_bit() {
+        for space in [
+            Space::Serial,
+            Space::Threads,
+            Space::device(lkk_gpusim::GpuArch::h100()),
+        ] {
+            let forces_with = |eflag: bool| {
+                let (mut system, mut pair) = tungsten_like(3, 4, space.clone());
+                perturb(&mut system);
+                let (f, res) = compute_forces_with(&mut system, &mut pair, eflag);
+                let bits: Vec<[u64; 3]> = f.iter().map(|f| f.map(f64::to_bits)).collect();
+                (bits, res)
+            };
+            let (f_on, res_on) = forces_with(true);
+            let (f_off, res_off) = forces_with(false);
+            assert_eq!(f_on, f_off);
+            assert_eq!(res_off, PairResults::default());
+            assert_ne!(res_on.energy, 0.0);
+            assert_ne!(res_on.virial, 0.0);
+        }
+    }
+
+    /// PR 14's schedule through SNAP: `run(20)` tallies energy on thermo
+    /// steps and its last step, 20 × `run(1)` on every step; same thermo
+    /// rows, results and final state to the bit.
+    #[test]
+    fn energy_only_when_read_changes_no_bit() {
+        let sim_with = || {
+            let (mut system, pair) = tungsten_like(3, 4, Space::Threads);
+            create_velocities(&mut system.atoms, &Units::metal(), 300.0, 999);
+            let mut sim = Simulation::new(system, Box::new(pair));
+            sim.dt = 0.001;
+            sim.thermo_every = 5;
+            sim
+        };
+        let (mut batched, mut stepped) = (sim_with(), sim_with());
+        batched.run(20);
+        for _ in 0..20 {
+            stepped.run(1);
+        }
+        assert_eq!(batched.thermo.len(), 5, "set-up row + 4 thermo steps");
+        assert_eq!(batched.thermo, stepped.thermo);
+        assert_eq!(batched.last_results, stepped.last_results);
+        assert_ne!(batched.last_results, PairResults::default());
+        for sim in [&mut batched, &mut stepped] {
+            sim.system
+                .atoms
+                .sync(&Space::Serial, lkk_core::atom::Mask::ALL);
+        }
+        let (a, b) = (&batched.system.atoms, &stepped.system.atoms);
+        for i in 0..a.nlocal {
+            assert_eq!(a.pos(i).map(f64::to_bits), b.pos(i).map(f64::to_bits));
+            for (va, vb) in [(&a.v, &b.v), (&a.f, &b.f)] {
+                assert_eq!(
+                    va.h_view().get3(i).map(f64::to_bits),
+                    vb.h_view().get3(i).map(f64::to_bits)
+                );
+            }
+        }
+    }
+
+    /// Above the fork threshold the two workers' chunks split a Yi
+    /// block (2 662 atoms: the boundary at 1 331 falls inside the block
+    /// led by atom 1 328). With the quantized scatter making the force
+    /// sums exact, the forked run must repeat the serial one to the bit.
+    #[test]
+    fn forked_blocks_match_serial_bitwise() {
+        let forces_on = |space: Space| {
+            let (mut system, pair) = tungsten_like(11, 2, space);
+            let mut pair = pair.with_config(SnapKernelConfig {
+                quantize_scatter: true,
+                ..Default::default()
+            });
+            let n = system.atoms.nlocal;
+            assert!(n >= 2048 && (n / 2) % YI_BLOCK != 0);
+            perturb(&mut system);
+            let (forces, res) = compute_forces(&mut system, &mut pair);
+            (
+                forces
+                    .iter()
+                    .map(|f| f.map(f64::to_bits))
+                    .collect::<Vec<_>>(),
+                res.energy,
+            )
+        };
+        let (serial, e_serial) = forces_on(Space::Serial);
+        let (forked, e_forked) = forces_on(Space::Threads);
+        assert_eq!(serial, forked);
+        assert!((e_serial - e_forked).abs() <= 1e-12 * e_serial.abs());
+    }
+
+    /// The arena sizes its planes from the list on the first call and
+    /// then reuses them: no growth in steady state, and a second
+    /// evaluation through the recycled planes repeats the first to the
+    /// bit. (Small enough for the Miri lane, which runs every `arena`
+    /// test to check the raw-pointer plane ranges.)
+    #[test]
+    fn arena_planes_grow_once_and_are_reused() {
+        let (mut system, mut pair) =
+            tungsten_like(3, if cfg!(miri) { 2 } else { 4 }, Space::Threads);
+        let (first, _) = compute_forces(&mut system, &mut pair);
+        let grown = pair.grow_count();
+        assert!(grown > 0);
+        let (again, _) = compute_forces(&mut system, &mut pair);
+        assert_eq!(pair.grow_count(), grown, "arena grew in steady state");
+        assert_eq!(
+            first
+                .iter()
+                .map(|f| f.map(f64::to_bits))
+                .collect::<Vec<_>>(),
+            again
+                .iter()
+                .map(|f| f.map(f64::to_bits))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "arena range out of bounds")]
+    fn arena_plane_ranges_are_bounds_checked() {
+        let mut v = vec![0.0f64; 8];
+        let plane = Plane::of(&mut v);
+        // SAFETY: single-threaded; the range is rejected before any access.
+        let _ = unsafe { plane.range(6, 3) };
     }
 
     #[test]

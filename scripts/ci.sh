@@ -23,7 +23,7 @@ echo "==> cargo bench --no-run --workspace"
 cargo bench --no-run --workspace
 
 # Informational, not a gate: non-test code lines of the comm layer and
-# the drivers.
+# the drivers file by file, then of every crate.
 echo "==> scripts/loc.sh (size trend)"
 scripts/loc.sh
 
@@ -37,6 +37,14 @@ cargo test -q --workspace
 # trajectories ≤1e-12, comm-model validation).
 echo "==> rank-equivalence + comm-validation suites (release)"
 cargo test --release -q --test rank_equivalence --test comm_validation
+
+# SNAP's physics gate at the benchmark's order (2J = 8, rcut 4.7:
+# F = -dE/dx, net force, virial, rotation invariance, NVE drift) and
+# the inversion symmetry of the full-range reference, which is what
+# licenses storing half of every Wigner block.
+echo "==> SNAP physics gate + reference symmetry (release)"
+cargo test --release -q --test snap_physics
+cargo test --release -q -p lkk-snap --lib inversion_symmetry
 
 # --- lint-invariants job ------------------------------------------------
 
@@ -62,8 +70,8 @@ cargo run --release -p lkk-perf --bin perf-smoke -- --check results/perf_baselin
 # baseline (construction-once invariant: snap.table.builds == 1 per
 # context per step at tolerance 0).
 echo "==> snap.table.* counters pinned in baseline"
-for key in snap.table.items snap.table.pairs snap.table.y_items \
-           snap.table.y_scatters snap.table.builds; do
+for key in snap.table.z_rows snap.table.z_pairs snap.table.y_rows \
+           snap.table.y_pairs snap.table.builds; do
   grep -q "\"$key@" results/perf_baseline.json ||
     { echo "missing $key in results/perf_baseline.json"; exit 1; }
 done
@@ -146,6 +154,9 @@ if rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
     echo "==> miri: lkk-kokkos atomic + scatter-view unit tests (gating)"
     MIRIFLAGS="-Zmiri-seed=7 -Zmiri-strict-provenance" \
       cargo +nightly miri test -p lkk-kokkos atomic scatter
+    echo "==> miri: lkk-snap arena planes (gating)"
+    MIRIFLAGS="-Zmiri-seed=7 -Zmiri-strict-provenance" \
+      cargo +nightly miri test -p lkk-snap arena
   else
     echo "==> miri not installed for nightly; skipping (rustup component add miri --toolchain nightly)"
   fi

@@ -234,61 +234,6 @@ proptest! {
         }
     }
 
-    /// The flattened contraction tables reproduce the direct quadruple
-    /// loops bit-for-bit: `compute_bi`/`compute_yi` (table-driven) vs
-    /// the retained `compute_bi_direct`/`compute_yi_direct` references,
-    /// across random neighbor clouds, every truncation order, and
-    /// zero/nonzero β patterns (zero-stripping must not change a single
-    /// summation step).
-    #[test]
-    fn snap_tables_bitwise_match_direct_loops(
-        seed in 0u64..100,
-        twojmax in prop::sample::select(vec![2usize, 4, 6, 8]),
-        beta_mask in 0usize..8,
-    ) {
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        let mut rnd = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let nneigh = 2 + (seed % 6) as usize;
-        let neigh: Vec<[f64; 3]> = (0..nneigh)
-            .map(|_| [1.0 + 2.0 * rnd(), 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0])
-            .collect();
-        let mut beta = SnapContext::synthetic_beta(twojmax, seed ^ 0x5eed);
-        // Zero a β stripe (mask 7 keeps all nonzero) to exercise the
-        // adjoint prefilter.
-        if beta_mask < 7 {
-            for (i, b) in beta.iter_mut().enumerate() {
-                if i % 7 == beta_mask {
-                    *b = 0.0;
-                }
-            }
-        }
-        let ctx = SnapContext::new(twojmax, HyperParams::default(), beta);
-        let mut scratch = ctx.alloc_scratch();
-        ctx.compute_ui(&neigh, &mut scratch, 1);
-
-        let b_table = ctx.compute_bi(&scratch);
-        let b_direct = ctx.compute_bi_direct(&scratch);
-        for (t, d) in b_table.iter().zip(&b_direct) {
-            prop_assert_eq!(t.to_bits(), d.to_bits(), "bi drifted: {} vs {}", t, d);
-        }
-
-        ctx.compute_yi(&mut scratch);
-        let y_r = scratch.y_r.clone();
-        let y_i = scratch.y_i.clone();
-        ctx.compute_yi_direct(&mut scratch);
-        for (t, d) in y_r.iter().zip(&scratch.y_r) {
-            prop_assert_eq!(t.to_bits(), d.to_bits(), "y_r drifted: {} vs {}", t, d);
-        }
-        for (t, d) in y_i.iter().zip(&scratch.y_i) {
-            prop_assert_eq!(t.to_bits(), d.to_bits(), "y_i drifted: {} vs {}", t, d);
-        }
-    }
-
     /// ComputeUi neighbor batching is bit-for-bit irrelevant to the
     /// accumulated U for any batch size.
     #[test]

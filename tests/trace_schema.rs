@@ -232,10 +232,10 @@ fn snap_stage_fission_emits_distinct_spans() {
         assert!(begins > 0, "no B span named {stage} in the snap trace");
     }
     for counter in [
-        "snap.table.items",
-        "snap.table.pairs",
-        "snap.table.y_items",
-        "snap.table.y_scatters",
+        "snap.table.z_rows",
+        "snap.table.z_pairs",
+        "snap.table.y_rows",
+        "snap.table.y_pairs",
         "snap.table.builds",
     ] {
         assert!(
