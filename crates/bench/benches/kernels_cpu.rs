@@ -25,6 +25,7 @@ use lkk_core::pair::lj::LjCut;
 use lkk_core::pair::{PairKokkos, PairKokkosOptions, PairStyle};
 use lkk_core::sim::System;
 use lkk_kokkos::{ScatterMode, ScatterView, Space};
+use lkk_reaxff::nonbonded::PairTable;
 use lkk_reaxff::qeq::QeqMatrix;
 use lkk_reaxff::{hns, ReaxParams};
 use lkk_snap::{SnapContext, SnapKernelConfig};
@@ -186,7 +187,9 @@ fn bench_qeq_spmv(c: &mut Criterion) {
     let settings = NeighborSettings::new(params.r_nonb, 0.3, false);
     let ghosts = build_ghosts(&mut atoms, &domain, settings.cutneigh());
     let list = NeighborList::build(&atoms, &domain, &settings, &Space::Threads);
-    let m = QeqMatrix::build(&atoms, &list, &ghosts, &params, &Space::Threads);
+    let mut m = QeqMatrix::default();
+    let table = PairTable::new(&params);
+    m.build(&atoms, &list, &ghosts, &params, &table, &Space::Threads);
     let n = m.n;
     let x1: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
     let x2: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();

@@ -28,10 +28,15 @@
 //!   `∂E/∂BO` chains into forces.
 //! * [`angles`] / [`torsion`] — 3- and 4-body terms with
 //!   count/fill/compute pre-processing kernel splits.
-//! * [`nonbonded`] — tapered Morse van der Waals + shielded Coulomb.
-//! * [`qeq`] — charge equilibration: over-allocated CSR, fused dual CG.
+//! * [`nonbonded`] — tapered Morse van der Waals + shielded Coulomb:
+//!   one per-type-pair coefficient table and one pair-term routine,
+//!   shared by the force kernel and the QEq matrix fill.
+//! * [`qeq`] — charge equilibration: over-allocated CSR, fused dual CG
+//!   warm-started from an extrapolated, tag-keyed charge history.
 //! * [`hns`] — the synthetic hexanitrostilbene-like benchmark crystal.
-//! * [`pair_reaxff`] — the `pair_style reaxff` integration.
+//! * [`pair_reaxff`] — the `pair_style reaxff` integration; owns the
+//!   step-to-step state (the pooled QEq workspace and the history) and
+//!   honours `eflag`.
 
 pub mod angles;
 pub mod bond_order;

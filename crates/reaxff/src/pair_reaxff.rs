@@ -17,9 +17,9 @@
 
 use crate::angles::{build_triplets, compute_angles};
 use crate::bond_order::{BondState, BondTable};
-use crate::nonbonded::compute_nonbonded;
+use crate::nonbonded::{compute_nonbonded, PairTable};
 use crate::params::ReaxParams;
-use crate::qeq::{self, QeqMatrix};
+use crate::qeq::{self, ensure_len, ChargeHistory, QeqMatrix, QeqWork};
 use crate::torsion::{build_quads, compute_torsions, QuadStats};
 use lkk_core::atom::Mask;
 use lkk_core::neighbor::NeighborList;
@@ -41,7 +41,15 @@ fn phase_region(phase: &str) -> String {
 }
 
 /// The ReaxFF pair style.
+///
+/// Besides the parameters it owns what a step reuses from the one
+/// before: the QEq matrix, the CG vectors, `chi` and the force
+/// accumulator (one workspace, grown never shrunk — see
+/// [`PairReaxff::grow_count`]), and the [`ChargeHistory`] the next
+/// solve's initial guess is extrapolated from.
 pub struct PairReaxff {
+    /// Read-only after [`PairReaxff::new`], which mixes the pair-term
+    /// table from it.
     pub params: ReaxParams,
     name: String,
     /// Diagnostics from the last compute.
@@ -49,18 +57,39 @@ pub struct PairReaxff {
     pub last_quad_stats: QuadStats,
     pub last_charges: Vec<f64>,
     pub last_bond_count: u64,
+    table: PairTable,
+    matrix: QeqMatrix,
+    cg: QeqWork,
+    history: ChargeHistory,
+    chi: Vec<f64>,
+    forces: Vec<[f64; 3]>,
+    grow_count: u64,
 }
 
 impl PairReaxff {
     pub fn new(params: ReaxParams) -> Self {
         PairReaxff {
+            table: PairTable::new(&params),
             params,
             name: "reaxff".into(),
             last_qeq_iterations: 0,
             last_quad_stats: QuadStats::default(),
             last_charges: Vec::new(),
             last_bond_count: 0,
+            matrix: QeqMatrix::default(),
+            cg: QeqWork::default(),
+            history: ChargeHistory::default(),
+            chi: Vec::new(),
+            forces: Vec::new(),
+            grow_count: 0,
         }
+    }
+
+    /// Heap growths of the pooled workspace (QEq matrix, CG vectors,
+    /// charge history, `chi`, forces) since construction: flat once the
+    /// first computes have sized it, like `NeighborList::grow_count`.
+    pub fn grow_count(&self) -> u64 {
+        self.grow_count
     }
 
     /// Register `reaxff` / `reaxff/kk`. `pair_style reaxff` takes no
@@ -169,104 +198,143 @@ impl PairStyle for PairReaxff {
         false // all scatters land on owner rows
     }
 
-    fn compute(&mut self, system: &mut System, list: &NeighborList, _eflag: bool) -> PairResults {
+    fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         let space = system.space.clone();
         // The ReaxFF pipeline reads host mirrors (kernels dispatch
         // through `space` for parallelism + launch accounting).
-        system.atoms.sync(&Space::Serial, Mask::X | Mask::TYPE);
+        system
+            .atoms
+            .sync(&Space::Serial, Mask::X | Mask::TYPE | Mask::TAG);
         let nlocal = system.atoms.nlocal;
-        let params = self.params.clone();
+        let params = &self.params;
 
         // 1. Bond table + bond orders.
         let bo_region = profile::begin_region("bond_order");
-        let table = BondTable::build(&system.atoms, list, &system.ghosts, &params, &space);
+        let table = BondTable::build(&system.atoms, list, &system.ghosts, params, &space);
         self.last_bond_count = table.total_bonds();
-        let mut state = BondState::compute(table, &params, &system.atoms);
+        let mut state = BondState::compute(table, params, &system.atoms);
         drop(bo_region);
 
-        // 2. Charge equilibration.
+        // 2. Charge equilibration, warm-started from the history of the
+        //    atoms that are here now.
         let qeq_region = profile::begin_region("qeq");
-        let matrix = QeqMatrix::build(&system.atoms, list, &system.ghosts, &params, &space);
-        let typ = system.atoms.typ.h_view();
-        let chi: Vec<f64> = (0..nlocal)
-            .map(|i| params.elements[typ.at([i]) as usize].chi)
-            .collect();
-        let sol = qeq::solve(&matrix, &chi, &params, &space);
+        let mut grown = self.matrix.build(
+            &system.atoms,
+            list,
+            &system.ghosts,
+            params,
+            &self.table,
+            &space,
+        );
+        let typ = &system.atoms.typ.h_view().as_slice()[..nlocal];
+        let tags = &system.atoms.tag.h_view().as_slice()[..nlocal];
+        grown += ensure_len(&mut self.chi, nlocal);
+        for (chi, &t) in self.chi.iter_mut().zip(typ) {
+            *chi = params.elements[t as usize].chi;
+        }
+        grown += self.cg.reset(nlocal);
+        self.history.follow(tags);
+        self.history.guess(&mut self.cg.s, &mut self.cg.t);
+        let sol = qeq::solve(
+            &self.matrix,
+            &self.chi,
+            &mut self.cg,
+            params.qeq_tol,
+            eflag,
+            &space,
+        );
         self.last_qeq_iterations = sol.iterations;
+        assert!(
+            sol.converged,
+            "reaxff: QEq did not converge in region '{}': {} CG iterations, \
+             relative residuals {:e} (s) and {:e} (t), tolerance {:e}",
+            profile::current_region(),
+            sol.iterations,
+            sol.residuals[0],
+            sol.residuals[1],
+            params.qeq_tol,
+        );
+        grown += self.history.push(tags, &self.cg.s, &self.cg.t);
+        let q = &self.cg.q;
         drop(qeq_region);
 
-        let mut forces = vec![[0.0f64; 3]; nlocal];
+        grown += ensure_len(&mut self.forces, nlocal);
+        self.forces.fill([0.0; 3]);
+        self.grow_count += grown;
+        let forces = &mut self.forces[..];
         let mut energy = 0.0;
         let mut virial = 0.0;
 
         // 3. Bond + over-coordination energy (coefficients only).
-        energy += state.bonded_energy(&params, &system.atoms);
+        energy += state.bonded_energy(params, &system.atoms);
 
         // 4. Angles and torsions.
         let valence_region = profile::begin_region("valence");
-        let (triplets, _cand3) = build_triplets(&state, &params, &space);
-        let (e_ang, w_ang) = compute_angles(&triplets, &mut state, &params, &mut forces, &space);
+        let (triplets, _cand3) = build_triplets(&state, params, &space);
+        let (e_ang, w_ang) = compute_angles(&triplets, &mut state, params, forces, &space);
         energy += e_ang;
         virial += w_ang;
-        let (quads, quad_stats) = build_quads(&state, &params, &space);
+        let (quads, quad_stats) = build_quads(&state, params, &space);
         self.last_quad_stats = quad_stats;
-        let (e_tor, w_tor) = compute_torsions(&quads, &mut state, &params, &mut forces, &space);
+        let (e_tor, w_tor) = compute_torsions(&quads, &mut state, params, forces, &space);
         energy += e_tor;
         virial += w_tor;
         drop(valence_region);
 
         // 5. Bond-order force chains.
-        virial += state.accumulate_forces(&mut forces);
+        virial += state.accumulate_forces(forces);
 
-        // 6. Non-bonded (vdW + Coulomb at the equilibrated charges) and
-        //    the electrostatic self energy χ·q + η·q².
+        // 6. Non-bonded (vdW + Coulomb at the equilibrated charges) and,
+        //    with `eflag`, the electrostatic self energy χ·q + η·q².
         let nonbonded_region = profile::begin_region("nonbonded");
         let (e_vdw, e_coul, w_nb) = compute_nonbonded(
             &system.atoms,
             list,
             &system.ghosts,
-            &sol.q,
-            &params,
-            &mut forces,
+            q,
+            &self.table,
+            forces,
+            eflag,
             &space,
         );
         energy += e_vdw + e_coul;
         virial += w_nb;
         drop(nonbonded_region);
-        for (i, &chi_i) in chi.iter().enumerate().take(nlocal) {
-            let eta = params.elements[typ.at([i]) as usize].eta;
-            energy += chi_i * sol.q[i] + eta * sol.q[i] * sol.q[i];
-        }
-
-        // Store charges back on the atoms (observable state).
-        {
-            let qh = system.atoms.q.h_view_mut();
-            for (i, &qv) in sol.q.iter().enumerate() {
-                qh.set([i], qv);
+        if eflag {
+            for ((&chi, &t), &qi) in self.chi.iter().zip(typ).zip(q) {
+                energy += chi * qi + params.elements[t as usize].eta * qi * qi;
             }
         }
-        self.last_charges = sol.q;
 
-        // Publish forces to the engine's force field.
-        {
-            let fh = system.atoms.f.h_view_mut();
-            fh.fill(0.0);
-            for (i, f) in forces.iter().enumerate() {
-                for (k, &fk) in f.iter().enumerate() {
-                    fh.set([i, k], fk);
-                }
-            }
+        // Store charges back on the atoms (observable state) and
+        // publish forces to the engine's force field (ghost rows zero).
+        system.atoms.q.h_view_mut().as_mut_slice()[..nlocal].copy_from_slice(q);
+        let (owned, ghost) = system
+            .atoms
+            .f
+            .h_view_mut()
+            .as_mut_slice()
+            .split_at_mut(3 * nlocal);
+        for (row, f) in owned.chunks_exact_mut(3).zip(&*forces) {
+            row.copy_from_slice(f);
         }
+        ghost.fill(0.0);
         system.atoms.modified(&Space::Serial, Mask::F | Mask::Q);
+        // `last_charges` takes the buffer the charges are in; the one
+        // handed back is re-sized by the next `reset`.
+        std::mem::swap(&mut self.last_charges, &mut self.cg.q);
 
         self.note_stats(
             &space,
             nlocal as f64,
             self.last_bond_count as f64,
             &self.last_quad_stats,
-            matrix.total_nnz() as f64,
+            self.matrix.total_nnz() as f64,
             self.last_qeq_iterations as f64,
         );
+        if !eflag {
+            return PairResults::default();
+        }
         // The many-body BO chains make per-component accumulation
         // intricate; ReaxFF reports the isotropic virial (trace) only.
         PairResults::isotropic(energy, virial)
@@ -295,12 +363,20 @@ mod tests {
     }
 
     fn run_compute(system: &mut System, pair: &mut PairReaxff) -> (Vec<[f64; 3]>, PairResults) {
+        run_compute_with(system, pair, true)
+    }
+
+    fn run_compute_with(
+        system: &mut System,
+        pair: &mut PairReaxff,
+        eflag: bool,
+    ) -> (Vec<[f64; 3]>, PairResults) {
         let settings = NeighborSettings::new(pair.cutoff(), 0.3, false);
         let space = system.space.clone();
         system.atoms.wrap_positions(&system.domain);
         system.ghosts = build_ghosts(&mut system.atoms, &system.domain, settings.cutneigh());
         let list = NeighborList::build(&system.atoms, &system.domain, &settings, &space);
-        let res = pair.compute(system, &list, true);
+        let res = pair.compute(system, &list, eflag);
         let fh = system.atoms.f.h_view();
         let forces = (0..system.atoms.nlocal)
             .map(|i| [fh.at([i, 0]), fh.at([i, 1]), fh.at([i, 2])])
@@ -498,7 +574,7 @@ mod tests {
         // equals vdW + electrostatics only (both atoms identical ⇒
         // q = 0 ⇒ just vdW + any residual over-coordination constant).
         let e_far = energy_at(3.2);
-        let (vdw_far, _) = crate::nonbonded::vdw(3.2, 0, 0, &params);
+        let vdw_far = PairTable::new(&params).terms(3.2, 0, 0).e_vdw;
         // Remaining difference is the constant Δ = −valence softplus
         // penalty of two isolated atoms.
         let sp = (1.0f64 + (-params.elements[0].valence).exp()).ln();
@@ -507,5 +583,192 @@ mod tests {
             (e_far - (vdw_far + e_over_iso)).abs() < 1e-6,
             "{e_far} vs vdw {vdw_far} + over {e_over_iso}"
         );
+    }
+
+    /// The 486-atom 3×3×3 crystal at 300 K under NVE at 0.1 fs, the
+    /// benchmark's workload in small.
+    fn md(space: Space, seed: u64) -> Simulation {
+        let (pos, types, domain) = hns::crystal(3, 3, 3, 7.5);
+        let mut atoms = AtomData::from_positions(&pos);
+        atoms.mass = vec![12.0, 1.0, 14.0, 16.0];
+        for (i, &t) in types.iter().enumerate() {
+            atoms.typ.h_view_mut().set([i], t);
+        }
+        create_velocities(&mut atoms, &Units::metal(), 300.0, seed);
+        let system = System::new(atoms, domain, space).with_units(Units::metal());
+        let mut sim = Simulation::new(system, Box::new(PairReaxff::new(ReaxParams::hns_like())));
+        sim.dt = 0.0001;
+        sim
+    }
+
+    fn reax(sim: &Simulation) -> &PairReaxff {
+        sim.pair.as_any().downcast_ref().expect("reaxff style")
+    }
+
+    /// Step `n` times, returning the CG iterations of every step.
+    fn step_counting(sim: &mut Simulation, n: usize) -> Vec<usize> {
+        (0..n)
+            .map(|_| {
+                sim.run(1);
+                reax(sim).last_qeq_iterations
+            })
+            .collect()
+    }
+
+    fn positions_by_tag(sim: &Simulation) -> Vec<(i64, [f64; 3])> {
+        let atoms = &sim.system.atoms;
+        let mut rows: Vec<_> = (0..atoms.nlocal)
+            .map(|i| (atoms.tag.h_view().at([i]), atoms.pos(i)))
+            .collect();
+        rows.sort_by_key(|r| r.0);
+        rows
+    }
+
+    #[test]
+    fn warm_start_cuts_iterations_and_keeps_the_charges() {
+        let mut sim = md(Space::Threads, 11);
+        sim.setup();
+        let cold = reax(&sim).last_qeq_iterations;
+        let warm = step_counting(&mut sim, 50);
+        assert!(cold > 20, "cold solve took {cold} iterations");
+        assert!(
+            warm[5..].iter().all(|&it| it <= 10),
+            "cold {cold}, warm {warm:?}"
+        );
+        // The zero-guess solve at the final positions is the oracle.
+        let mut fresh = PairReaxff::new(ReaxParams::hns_like());
+        let warm_q = reax(&sim).last_charges.clone();
+        run_compute(&mut sim.system, &mut fresh);
+        assert!(fresh.last_qeq_iterations > 20);
+        let worst = warm_q
+            .iter()
+            .zip(&fresh.last_charges)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(worst <= 1e-6, "max |dq| {worst:e} e");
+        assert!(warm_q.iter().sum::<f64>().abs() < 1e-8);
+    }
+
+    #[test]
+    fn history_follows_a_permutation_of_the_owned_atoms() {
+        let run = |permute: bool| {
+            let mut sim = md(Space::Serial, 5);
+            sim.setup();
+            let mut iterations = step_counting(&mut sim, 10);
+            if permute {
+                // Reverse the owned rows of every per-atom field, tags
+                // included. The list was built for the old order; the
+                // displacement check sees every row far from where it
+                // was and rebuilds on the next step.
+                let atoms = &mut sim.system.atoms;
+                let n = atoms.nlocal;
+                let records: Vec<_> = (0..n).map(|i| atoms.record(i)).collect();
+                let forces: Vec<_> = (0..n).map(|i| atoms.f.h_view().get3(i)).collect();
+                for (i, (r, f)) in records.iter().zip(&forces).rev().enumerate() {
+                    for (k, &fk) in f.iter().enumerate() {
+                        atoms.x.h_view_mut().set([i, k], r.x[k]);
+                        atoms.v.h_view_mut().set([i, k], r.v[k]);
+                        atoms.f.h_view_mut().set([i, k], fk);
+                    }
+                    atoms.tag.h_view_mut().set([i], r.tag);
+                    atoms.typ.h_view_mut().set([i], r.typ);
+                    atoms.q.h_view_mut().set([i], r.q);
+                    atoms.image[i] = r.image;
+                }
+            }
+            let rebuilds = sim.rebuild_count;
+            iterations.extend(step_counting(&mut sim, 10));
+            assert_eq!(sim.rebuild_count > rebuilds, permute);
+            (positions_by_tag(&sim), iterations)
+        };
+        let (reference, ref_iterations) = run(false);
+        let (permuted, iterations) = run(true);
+        assert!(
+            iterations[5..].iter().all(|&it| it <= 10),
+            "{iterations:?} (unpermuted {ref_iterations:?})"
+        );
+        for ((tag_a, a), (tag_b, b)) in reference.iter().zip(&permuted) {
+            assert_eq!(tag_a, tag_b);
+            for k in 0..3 {
+                assert!((a[k] - b[k]).abs() <= 1e-10, "tag {tag_a}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_different_smaller_system_starts_cold() {
+        let mut pair = PairReaxff::new(ReaxParams::hns_like());
+        let mut big = md(Space::Serial, 3).system;
+        for _ in 0..5 {
+            run_compute(&mut big, &mut pair);
+        }
+        let grown = pair.grow_count();
+        // One molecule, tags 1..=18: all of them tags the history
+        // holds, none of them the same atom.
+        let mut small = hns_system(1, Space::Serial);
+        let (forces, res) = run_compute(&mut small, &mut pair);
+        let mut fresh = PairReaxff::new(ReaxParams::hns_like());
+        let (fresh_forces, fresh_res) = run_compute(&mut hns_system(1, Space::Serial), &mut fresh);
+        assert_eq!(pair.last_qeq_iterations, fresh.last_qeq_iterations);
+        assert_eq!(pair.last_charges, fresh.last_charges);
+        assert_eq!(forces, fresh_forces);
+        assert_eq!(res.energy, fresh_res.energy);
+        assert_eq!(pair.grow_count(), grown, "a smaller system fits the pool");
+    }
+
+    #[test]
+    fn spatial_sort_keeps_the_warm_start() {
+        let mut sim = md(Space::Threads, 9);
+        sim.sort_every = 1;
+        // A thin skin makes the run rebuild (and so sort) every few
+        // steps instead of every few dozen.
+        sim.settings.skin = 0.02;
+        sim.setup();
+        let iterations = step_counting(&mut sim, 30);
+        assert!(sim.rebuild_count >= 4, "{} rebuilds", sim.rebuild_count);
+        assert!(
+            iterations[5..].iter().all(|&it| it <= 10),
+            "{iterations:?} over {} rebuilds",
+            sim.rebuild_count
+        );
+    }
+
+    #[test]
+    fn workspace_stops_growing_after_warm_up() {
+        let mut sim = md(Space::Threads, 7);
+        sim.setup();
+        sim.run(5);
+        let grown = reax(&sim).grow_count();
+        assert!(grown > 0);
+        sim.run(10);
+        assert_eq!(reax(&sim).grow_count(), grown);
+    }
+
+    #[test]
+    fn eflag_off_skips_the_tallies_and_keeps_the_forces() {
+        let compute = |eflag: bool| {
+            let mut pair = PairReaxff::new(ReaxParams::hns_like());
+            let (forces, res) =
+                run_compute_with(&mut hns_system(1, Space::Serial), &mut pair, eflag);
+            (forces, res, pair.last_charges)
+        };
+        let (f_on, res_on, q_on) = compute(true);
+        let (f_off, res_off, q_off) = compute(false);
+        assert_eq!(f_on, f_off);
+        assert_eq!(q_on, q_off);
+        assert!(res_on.energy != 0.0 && res_on.virial != 0.0);
+        assert_eq!(res_off, PairResults::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "QEq did not converge in region 'qeq': 72 CG iterations")]
+    fn non_convergence_fails_loudly() {
+        // The dimer whose negative hardness cancels its coupling (see
+        // `qeq::tests::indefinite_matrix_reports_non_convergence`).
+        let mut params = ReaxParams::single_element();
+        params.elements[0].eta = -0.5 * PairTable::new(&params).terms(1.5, 0, 0).h;
+        let atoms = AtomData::from_positions(&[[9.0, 9.0, 9.0], [10.5, 9.0, 9.0]]);
+        let mut system = System::new(atoms, lkk_core::domain::Domain::cubic(18.0), Space::Serial);
+        run_compute(&mut system, &mut PairReaxff::new(params));
     }
 }

@@ -46,6 +46,14 @@ echo "==> SNAP physics gate + reference symmetry (release)"
 cargo test --release -q --test snap_physics
 cargo test --release -q -p lkk-snap --lib inversion_symmetry
 
+# ReaxFF's physics gate on the warm-started path (F = -dE/dx with the
+# charges re-equilibrated at every displaced point, net force, charge
+# neutrality and stationarity, 2 000-step NVE against a run that solves
+# cold on every step): what licenses a solve that starts somewhere else
+# than zero, and pair terms whose last bits moved.
+echo "==> ReaxFF physics gate (release)"
+cargo test --release -q --test reaxff_physics
+
 # --- lint-invariants job ------------------------------------------------
 
 # Workspace invariant linter (LKK001..LKK006, docs/static-analysis.md):
