@@ -15,8 +15,13 @@
 //! * Neighbor-list construction, half vs full: a from-scratch build, the
 //!   in-place rebuild a run pays per reneighboring, and the working-set
 //!   sample the device cost model takes of the list.
+//! * Dispatch alone: an empty `parallel_for` and a trivial
+//!   `parallel_reduce_sum` on `Serial` and `Threads` from 2^8 to 2^16
+//!   items, back to back (workers still polling) and after a 2 ms idle
+//!   gap (workers parked) — the fork-join cost and the size from which
+//!   forking pays (`docs/performance.md`, "Dispatch: a persistent pool").
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lkk_core::atom::AtomData;
 use lkk_core::comm::build_ghosts;
 use lkk_core::lattice::{Lattice, LatticeKind};
@@ -246,8 +251,35 @@ fn bench_neighbor(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_dispatch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dispatch");
+    group.sample_size(20);
+    // Twice the pool's spin window: the workers are parked again.
+    let idle = || std::thread::sleep(std::time::Duration::from_millis(2));
+    for (space_name, space) in [("serial", Space::Serial), ("threads", Space::Threads)] {
+        for n in (8..=16).map(|k| 1usize << k) {
+            let empty_for = || {
+                space.parallel_for("bench/empty", n, |i| {
+                    black_box(i);
+                })
+            };
+            let sum = || space.parallel_reduce_sum("bench/sum", n, |i| i as f64);
+            group.bench_function(format!("for/{space_name}/{n}"), |b| b.iter(empty_for));
+            group.bench_function(format!("reduce/{space_name}/{n}"), |b| b.iter(sum));
+            group.bench_function(format!("for/{space_name}/{n}/idle_2ms"), |b| {
+                b.iter_batched(idle, |()| empty_for(), BatchSize::PerIteration)
+            });
+            group.bench_function(format!("reduce/{space_name}/{n}/idle_2ms"), |b| {
+                b.iter_batched(idle, |()| sum(), BatchSize::PerIteration)
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_dispatch,
     bench_lj,
     bench_pair,
     bench_scatter,

@@ -10,11 +10,10 @@
 //!
 //! This module keeps one reusable buffer set per OS thread. Capacity
 //! grows to the high-water mark (max neighbors / descriptor width seen
-//! by that thread) and is then re-used allocation-free. With the
-//! vendored rayon shim each dispatch spawns fresh scoped threads, so
-//! the pool amortizes per dispatch rather than per process — still one
-//! allocation set per thread per kernel launch instead of one per
-//! atom.
+//! by that thread) and is then re-used allocation-free. The vendored
+//! rayon shim runs every dispatch on the calling thread and its
+//! persistent workers, so a buffer set is allocated once per thread per
+//! process.
 
 use std::cell::RefCell;
 

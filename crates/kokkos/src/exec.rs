@@ -3,9 +3,10 @@
 //! The three spaces mirror the paper's §3.3:
 //!
 //! * [`Space::Serial`] — sequential host execution.
-//! * [`Space::Threads`] — multi-threaded host execution (rayon), the
-//!   analogue of the Kokkos OpenMP/Threads backend, selected by the
-//!   `/kk/host` style suffix.
+//! * [`Space::Threads`] — multi-threaded host execution (rayon's API
+//!   over a persistent worker pool: the caller runs the first chunk,
+//!   fork-join costs single-digit µs), the analogue of the Kokkos
+//!   OpenMP/Threads backend, selected by the `/kk/host` style suffix.
 //! * [`Space::Device`] — the *simulated* GPU: kernels execute
 //!   functionally on host threads, while every launch is logged with
 //!   its event counts so `lkk-gpusim` can predict device time. Selected
@@ -22,11 +23,12 @@ use crate::profile::{self, KernelLog};
 use crate::team::Team;
 use lkk_gpusim::{GpuArch, KernelStats};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// When set, every dispatch pattern executes its sequential path even
-/// on `Threads`/`Device` spaces (launch logging is unaffected). The
+/// on `Threads`/`Device` spaces (launch logging is unaffected); this is
+/// the only switch that forces sequential dispatch. The
 /// `perf-smoke` harness enables this so floating-point accumulation
 /// order — and therefore every derived counter — is bit-identical
 /// across machines regardless of core count.
@@ -89,8 +91,12 @@ pub enum Space {
     Device(DeviceCtx),
 }
 
-/// Below this trip count, a threaded dispatch is not worth the fork-join
-/// overhead and falls back to the sequential loop.
+/// Below this trip count a threaded dispatch falls back to the
+/// sequential loop. With the persistent pool forking pays from 2048
+/// items on (`exec.crossover_n`), so the constant is the measured floor;
+/// it stays a constant because the fork decision fixes the order of
+/// floating-point reductions, which must not vary between runs
+/// (`docs/performance.md`, "Dispatch: a persistent pool").
 const PAR_THRESHOLD: usize = 2048;
 
 impl Space {
@@ -215,35 +221,36 @@ impl Space {
             offsets[n] = acc;
             return acc;
         }
-        // Two-pass chunked scan. Target ~4 chunks per thread so the
-        // work-stealing scheduler can balance, with a floor of 64
-        // elements so per-task overhead stays amortized. The floor used
-        // to be a hardcoded 1024, which capped an n just above the fork
-        // threshold (2048) at two chunks no matter how many threads were
-        // available; a floor that is small relative to the threshold
-        // lets the chunk count scale with `n` across the whole parallel
-        // range.
-        let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(64);
-        let sums: Vec<usize> = counts.par_chunks(chunk).map(|c| c.iter().sum()).collect();
-        let mut bases = Vec::with_capacity(sums.len() + 1);
-        let mut acc = 0usize;
-        for s in &sums {
-            bases.push(acc);
-            acc += s;
+        // Two-pass chunked scan, one chunk per worker: the dispatch layer
+        // hands each worker one contiguous chunk and never rebalances,
+        // so more chunks than workers would only add hand-offs. Per-chunk
+        // sums and the output chunks sit in fixed-size stack buffers.
+        const MAX_CHUNKS: usize = 64;
+        let chunk = n.div_ceil(rayon::current_num_threads().min(MAX_CHUNKS));
+        let nchunks = n.div_ceil(chunk);
+        let sums: [AtomicUsize; MAX_CHUNKS] = std::array::from_fn(|_| AtomicUsize::new(0));
+        (0..nchunks).into_par_iter().for_each(|c| {
+            let sum = counts[c * chunk..((c + 1) * chunk).min(n)].iter().sum();
+            sums[c].store(sum, Ordering::Relaxed);
+        });
+        let mut bases = [0usize; MAX_CHUNKS];
+        let mut total = 0usize;
+        for (base, sum) in bases.iter_mut().zip(&sums) {
+            *base = total;
+            total += sum.load(Ordering::Relaxed);
         }
-        let total = acc;
-        offsets[n] = total;
-        let out_chunks: Vec<&mut [usize]> = offsets[..n].chunks_mut(chunk).collect();
-        out_chunks
-            .into_par_iter()
-            .zip(counts.par_chunks(chunk))
-            .zip(bases)
-            .for_each(|((out, cnt), mut base)| {
-                for (o, c) in out.iter_mut().zip(cnt) {
-                    *o = base;
-                    base += c;
-                }
-            });
+        let (body, last) = offsets.split_at_mut(n);
+        last[0] = total;
+        let mut parts = body.chunks_mut(chunk);
+        let outs: [_; MAX_CHUNKS] = std::array::from_fn(|_| Mutex::new(parts.next()));
+        (0..nchunks).into_par_iter().for_each(|c| {
+            let out = outs[c].lock().expect("one taker per chunk").take();
+            let mut base = bases[c];
+            for (o, cnt) in out.into_iter().flatten().zip(&counts[c * chunk..]) {
+                *o = base;
+                base += cnt;
+            }
+        });
         total
     }
 

@@ -2,14 +2,16 @@
 //!
 //! Supports the subset this workspace's wall-clock microbenchmarks use:
 //! `Criterion::benchmark_group`, `group.sample_size(..)`,
-//! `group.bench_function(name, |b| b.iter(..))`, `group.finish()`, and
+//! `group.bench_function(name, |b| b.iter(..))` (or
+//! `b.iter_batched(setup, routine, BatchSize::PerIteration)` when every
+//! call needs untimed preparation), `group.finish()`, and
 //! the `criterion_group!` / `criterion_main!` macros. Each benchmark
 //! runs a short warm-up, then `sample_size` timed samples, and prints
 //! the median per-iteration time. No statistics beyond that — this shim
 //! exists so benches compile and run offline; the CI perf gate uses
 //! deterministic counters (`perf-smoke`), not these timings.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use std::hint::black_box;
 
@@ -51,24 +53,15 @@ impl BenchmarkGroup {
         // Warm-up/calibration pass: pick an iteration count so one
         // sample takes ≳1 ms, bounding total time for fast closures.
         f(&mut b);
-        let warm = b
-            .samples
-            .last()
-            .copied()
-            .unwrap_or(Duration::from_millis(1));
-        if warm < Duration::from_millis(1) {
-            let per_iter = warm.as_secs_f64().max(1e-9);
-            b.iters_per_sample = ((1e-3 / per_iter) as usize).clamp(1, 1_000_000);
+        let warm = b.samples.last().copied().unwrap_or(1e-3);
+        if warm < 1e-3 {
+            b.iters_per_sample = ((1e-3 / warm.max(1e-9)) as usize).clamp(1, 1_000_000);
         }
         b.samples.clear();
         for _ in 0..self.sample_size {
             f(&mut b);
         }
-        let mut per_iter: Vec<f64> = b
-            .samples
-            .iter()
-            .map(|d| d.as_secs_f64() / b.iters_per_sample as f64)
-            .collect();
+        let mut per_iter = b.samples;
         per_iter.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = per_iter[per_iter.len() / 2];
         println!(
@@ -95,8 +88,15 @@ fn format_time(seconds: f64) -> String {
 }
 
 pub struct Bencher {
-    samples: Vec<Duration>,
+    /// Seconds per iteration, one entry per sample.
+    samples: Vec<f64>,
     iters_per_sample: usize,
+}
+
+/// How many inputs `iter_batched` prepares per timed batch; the shim
+/// has the one form its callers use.
+pub enum BatchSize {
+    PerIteration,
 }
 
 impl Bencher {
@@ -108,7 +108,23 @@ impl Bencher {
         for _ in 0..self.iters_per_sample {
             black_box(f());
         }
-        self.samples.push(start.elapsed());
+        self.samples
+            .push(start.elapsed().as_secs_f64() / self.iters_per_sample as f64);
+    }
+
+    /// One sample is one `routine(setup())`, and only `routine` is
+    /// timed: for a cost that exists only right after `setup` (an idle
+    /// gap, a cold cache), which `iter`'s back-to-back loop would dilute.
+    #[allow(clippy::disallowed_methods)]
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let input = setup();
+        let start = Instant::now();
+        black_box(routine(input));
+        self.samples.push(start.elapsed().as_secs_f64());
     }
 }
 

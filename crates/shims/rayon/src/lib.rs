@@ -7,17 +7,32 @@
 //! `collect`, plus `current_num_threads` / `current_thread_index`.
 //!
 //! Execution model: each parallel call splits its items into at most
-//! `current_num_threads()` contiguous chunks and runs one chunk per
-//! scoped OS thread (`std::thread::scope`). Chunk boundaries are a pure
-//! function of item count and thread count, and per-chunk iteration is
-//! in index order, so fold/reduce results are deterministic for a fixed
-//! thread count. Setting `LKK_SEQUENTIAL=1` at process start collapses
-//! the pool to one worker for bit-stable runs (the perf-smoke harness
-//! additionally forces sequential dispatch inside `lkk-kokkos`).
+//! `current_num_threads()` contiguous chunks. Chunk boundaries are a
+//! pure function of item count and thread count, per-chunk iteration is
+//! in index order, and chunk `w` runs with `current_thread_index() ==
+//! Some(w)`, so fold/reduce results are deterministic for a fixed thread
+//! count. The calling thread runs chunk 0 itself; chunks `1..` go to a
+//! process-wide pool of `current_num_threads() - 1` persistent workers,
+//! started on the first call that needs them. An idle worker spins for
+//! [`SPIN_WINDOW`] and then parks, so back-to-back calls pay a cache
+//! line hand-off instead of a thread spawn or a wake-up.
+//!
+//! The pool holds one job at a time. A call made while another OS
+//! thread owns the pool, or from inside a chunk (a nested call), runs
+//! all of its chunks on the calling thread, in order, each under its own
+//! thread index: same chunk map, same results, no waiting on the pool.
+//! A panic in any chunk reaches the caller after every chunk of the call
+//! has finished, and leaves the pool usable. Nothing here reads the
+//! environment: `lkk_kokkos::set_force_sequential` is the one switch
+//! that forces sequential dispatch, and it never enters this crate.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, Once, PoisonError};
+use std::time::{Duration, Instant};
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParIter, ParRange, ParallelSlice};
@@ -40,13 +55,9 @@ pub fn current_num_threads() -> usize {
 
 #[cold]
 fn init_num_threads() -> usize {
-    let n = if std::env::var_os("LKK_SEQUENTIAL").is_some_and(|v| v == "1") {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
+    let n = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     NUM_THREADS.store(n, Ordering::Relaxed);
     n
 }
@@ -57,63 +68,262 @@ pub fn current_thread_index() -> Option<usize> {
     THREAD_INDEX.with(|t| t.get())
 }
 
-fn chunk_len(n: usize) -> (usize, usize) {
-    let workers = current_num_threads().min(n).max(1);
-    (workers, n.div_ceil(workers))
+/// How long an idle worker keeps polling for the next job before it
+/// parks, and how long a caller polls for its workers before it yields.
+/// Waking a parked thread on an idle CPU costs 8-60 us on the 2-vCPU
+/// reference host and a polling worker answers in 1-2 us; the gaps
+/// between dispatches of one MD step are 0.05-0.7 ms, so 1 ms keeps the
+/// worker hot through a run and parks it within a millisecond of the
+/// last call (`docs/performance.md`, "Dispatch: a persistent pool").
+const SPIN_WINDOW: Duration = Duration::from_millis(1);
+
+/// One chunk of one parallel call: `task(w)` runs chunk `w`.
+type Task<'a> = &'a (dyn Fn(usize) + Sync + 'a);
+type Panic = Box<dyn Any + Send>;
+
+#[derive(Clone, Copy)]
+struct Job {
+    task: Task<'static>,
+    nchunks: usize,
+}
+
+struct Slot {
+    /// `Some` from the epoch bump until every worker acknowledged it.
+    job: Option<Job>,
+    /// Workers parked on `Pool::wake`.
+    sleepers: usize,
+    /// First panic a worker caught in the current job.
+    panic: Option<Panic>,
+}
+
+/// The process-wide worker pool: worker `w` (1-based) runs chunk `w` of
+/// every job that has one, and acknowledges every job either way.
+struct Pool {
+    started: Once,
+    /// The one job slot: set by the caller that owns the pool.
+    busy: AtomicBool,
+    slot: Mutex<Slot>,
+    wake: Condvar,
+    /// Bumped under the `slot` lock, once per job.
+    epoch: AtomicUsize,
+    /// Workers that have not acknowledged the current epoch.
+    pending: AtomicUsize,
+}
+
+static POOL: Pool = Pool {
+    started: Once::new(),
+    busy: AtomicBool::new(false),
+    slot: Mutex::new(Slot {
+        job: None,
+        sleepers: 0,
+        panic: None,
+    }),
+    wake: Condvar::new(),
+    epoch: AtomicUsize::new(0),
+    pending: AtomicUsize::new(0),
+};
+
+/// Poll `ready` for at most [`SPIN_WINDOW`]; false if it never held.
+/// The clock only bounds the polling: its value reaches no counter and
+/// no document (PAUSE counts are not a usable bound under a hypervisor).
+#[allow(clippy::disallowed_methods)]
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    if ready() {
+        return true;
+    }
+    let deadline = Instant::now() + SPIN_WINDOW;
+    while Instant::now() < deadline {
+        std::hint::spin_loop();
+        if ready() {
+            return true;
+        }
+    }
+    false
+}
+
+impl Pool {
+    /// The slot is never locked across a chunk, and every update under
+    /// the lock is a single field store, so a poisoned lock still guards
+    /// valid data.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Try to take the job slot; starts the workers on first success.
+    fn try_claim(&'static self) -> bool {
+        let claimed = self
+            .busy
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok();
+        if claimed {
+            // Workers live as long as the process: they catch every
+            // panic of a chunk, so there is nothing to join for.
+            self.started.call_once(|| {
+                for w in 1..current_num_threads() {
+                    std::thread::Builder::new()
+                        .name(format!("lkk-worker-{w}"))
+                        .spawn(move || self.work(w))
+                        .expect("spawn pool worker");
+                }
+            });
+        }
+        claimed
+    }
+
+    fn work(&self, w: usize) -> ! {
+        let mut seen = 0;
+        loop {
+            let job = self.next_job(&mut seen);
+            if w < job.nchunks {
+                if let Err(p) = catch_unwind(AssertUnwindSafe(|| run_chunk(w, job.task))) {
+                    self.lock().panic.get_or_insert(p);
+                }
+            }
+            // Pairs with the Acquire load in `Completion::drop`: the
+            // chunk's writes are visible to the caller, and this worker
+            // no longer holds `job.task`.
+            self.pending.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// Wait for the epoch after `seen`: poll, then park.
+    fn next_job(&self, seen: &mut usize) -> Job {
+        let published = || self.epoch.load(Ordering::Acquire) != *seen;
+        let hot = spin_until(published);
+        let mut slot = self.lock();
+        if !hot {
+            // The epoch moves under this lock and the publisher reads
+            // `sleepers` under it, so the wake-up is not lost.
+            slot.sleepers += 1;
+            while !published() {
+                slot = self.wake.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            }
+            slot.sleepers -= 1;
+        }
+        *seen = self.epoch.load(Ordering::Relaxed);
+        slot.job.expect("an epoch is published with its job")
+    }
+}
+
+/// Owns the pool's job slot for one `dispatch`. Dropping it — on return
+/// and on unwind alike — blocks until every worker has acknowledged the
+/// current epoch, retires the job, hands back a worker's panic and only
+/// then frees the slot.
+struct Completion<'a> {
+    pool: &'static Pool,
+    worker_panic: &'a mut Option<Panic>,
+}
+
+impl Drop for Completion<'_> {
+    fn drop(&mut self) {
+        let acknowledged = || self.pool.pending.load(Ordering::Acquire) == 0;
+        if !spin_until(acknowledged) {
+            while !acknowledged() {
+                std::thread::yield_now();
+            }
+        }
+        let mut slot = self.pool.lock();
+        slot.job = None;
+        *self.worker_panic = slot.panic.take();
+        drop(slot);
+        self.pool.busy.store(false, Ordering::Release);
+    }
+}
+
+/// Run `task` as chunk `w`: `current_thread_index()` is `Some(w)` inside
+/// and what it was before afterwards, also when `task` panics.
+fn run_chunk(w: usize, task: Task<'_>) {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_INDEX.with(|t| t.set(self.0));
+        }
+    }
+    let _restore = Restore(THREAD_INDEX.with(|t| t.replace(Some(w))));
+    task(w);
+}
+
+/// Run `task(w)` for every `w` in `0..nchunks`: chunk 0 here, the rest on
+/// the pool — or all of them here, in order, when there is one chunk,
+/// when this is a chunk already (nested call), or when another thread
+/// owns the pool.
+fn dispatch(nchunks: usize, task: Task<'_>) {
+    let pool = &POOL;
+    if nchunks < 2 || current_thread_index().is_some() || !pool.try_claim() {
+        for w in 0..nchunks {
+            run_chunk(w, task);
+        }
+        return;
+    }
+    let mut worker_panic = None;
+    {
+        let _completion = Completion {
+            pool,
+            worker_panic: &mut worker_panic,
+        };
+        // SAFETY: only the lifetime is erased. The erased reference lives
+        // in `slot.job` alone; a worker copies it out after it observes
+        // the epoch bumped below and is done with it before it
+        // decrements `pending`. `_completion` exists already, and its
+        // drop — the only way out of this block, by return or by unwind
+        // — waits for `pending == 0` and clears `slot.job` before the
+        // borrow of `task` ends.
+        let task_erased: Task<'static> = unsafe { std::mem::transmute(task) };
+        let mut slot = pool.lock();
+        slot.job = Some(Job {
+            task: task_erased,
+            nchunks,
+        });
+        pool.pending
+            .store(current_num_threads() - 1, Ordering::Relaxed);
+        pool.epoch.fetch_add(1, Ordering::Release);
+        let wake = slot.sleepers > 0;
+        drop(slot);
+        if wake {
+            pool.wake.notify_all();
+        }
+        run_chunk(0, task);
+    }
+    if let Some(p) = worker_panic {
+        resume_unwind(p);
+    }
+}
+
+/// `(chunks, items per chunk)` for `n` items: a pure function of `n` and
+/// the thread count.
+fn chunk_map(n: usize) -> (usize, usize) {
+    let chunk = n.div_ceil(current_num_threads()).max(1);
+    (n.div_ceil(chunk), chunk)
 }
 
 /// Run `run(worker, start..end)` for disjoint chunks covering `0..n`.
 fn run_chunked<F: Fn(usize, Range<usize>) + Sync>(n: usize, run: F) {
-    if n == 0 {
-        return;
-    }
-    let (workers, chunk) = chunk_len(n);
-    if workers == 1 {
-        let prev = THREAD_INDEX.with(|t| t.replace(Some(0)));
-        run(0, 0..n);
-        THREAD_INDEX.with(|t| t.set(prev));
-        return;
-    }
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let run = &run;
-            scope.spawn(move || {
-                THREAD_INDEX.with(|t| t.set(Some(w)));
-                run(w, lo..hi);
-            });
-        }
-    });
+    let (nchunks, chunk) = chunk_map(n);
+    dispatch(nchunks, &|w| run(w, w * chunk..((w + 1) * chunk).min(n)));
 }
 
-/// Run a closure per (worker, input chunk) over a consumed `Vec`,
-/// distributing disjoint `&mut [Option<T>]` chunks to scoped threads.
+/// The disjoint `chunk`-sized parts of a slice, each taken once, by the
+/// chunk of a parallel call that owns it.
+struct Parts<'a, T>(Mutex<Vec<Option<&'a mut [T]>>>);
+
+impl<'a, T> Parts<'a, T> {
+    fn new(slice: &'a mut [T], chunk: usize) -> Self {
+        Parts(Mutex::new(slice.chunks_mut(chunk).map(Some).collect()))
+    }
+
+    fn take(&self, w: usize) -> &'a mut [T] {
+        self.0.lock().unwrap()[w].take().expect("chunk reused")
+    }
+}
+
+/// Run a closure per (worker, input chunk) over a consumed `Vec`, each
+/// worker taking its disjoint `&mut [Option<T>]` chunk.
 fn consume_chunked<T: Send, F: Fn(usize, &mut [Option<T>]) + Sync>(items: Vec<T>, f: F) {
     let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let (workers, chunk) = chunk_len(n);
+    let (_, chunk) = chunk_map(n);
     let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    if workers == 1 {
-        let prev = THREAD_INDEX.with(|t| t.replace(Some(0)));
-        f(0, &mut slots);
-        THREAD_INDEX.with(|t| t.set(prev));
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (w, s) in slots.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                THREAD_INDEX.with(|t| t.set(Some(w)));
-                f(w, s);
-            });
-        }
-    });
+    let parts = Parts::new(&mut slots, chunk);
+    run_chunked(n, |w, _| f(w, parts.take(w)));
 }
 
 /// A materialized parallel iterator: items are distributed over worker
@@ -206,9 +416,8 @@ impl ParRange {
     {
         let base = self.range.start;
         let n = self.range.len();
-        let (workers, _) = chunk_len(n);
-        let partials =
-            std::sync::Mutex::new((0..workers).map(|_| None).collect::<Vec<Option<Acc>>>());
+        let (nchunks, _) = chunk_map(n);
+        let partials = Mutex::new((0..nchunks).map(|_| None).collect::<Vec<Option<Acc>>>());
         run_chunked(n, |w, r| {
             let mut acc = identity();
             for i in r {
@@ -229,15 +438,13 @@ impl ParRange {
     pub fn map<U: Send, F: Fn(usize) -> U + Sync + Send>(self, f: F) -> ParIter<U> {
         let base = self.range.start;
         let n = self.range.len();
-        let (_, chunk) = chunk_len(n);
+        let (_, chunk) = chunk_map(n);
         let mut out: Vec<Option<U>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         {
-            let out_chunks =
-                std::sync::Mutex::new(out.chunks_mut(chunk.max(1)).map(Some).collect::<Vec<_>>());
+            let parts = Parts::new(&mut out, chunk);
             run_chunked(n, |w, r| {
-                let slot = out_chunks.lock().unwrap()[w].take().expect("chunk reused");
-                for (o, i) in slot.iter_mut().zip(r) {
+                for (o, i) in parts.take(w).iter_mut().zip(r) {
                     *o = Some(f(base + i));
                 }
             });
@@ -290,15 +497,13 @@ impl<T: Send> ParIter<T> {
 
     pub fn map<U: Send, F: Fn(T) -> U + Sync + Send>(self, f: F) -> ParIter<U> {
         let n = self.items.len();
-        let (_, chunk) = chunk_len(n);
+        let (_, chunk) = chunk_map(n);
         let mut out: Vec<Option<U>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         {
-            let out_chunks =
-                std::sync::Mutex::new(out.chunks_mut(chunk.max(1)).map(Some).collect::<Vec<_>>());
+            let parts = Parts::new(&mut out, chunk);
             consume_chunked(self.items, |w, slots| {
-                let dest = out_chunks.lock().unwrap()[w].take().expect("chunk reused");
-                for (o, s) in dest.iter_mut().zip(slots) {
+                for (o, s) in parts.take(w).iter_mut().zip(slots) {
                     *o = Some(f(s.take().expect("item consumed twice")));
                 }
             });
@@ -318,9 +523,8 @@ impl<T: Send> ParIter<T> {
         F: Fn(Acc, T) -> Acc + Sync + Send,
     {
         let n = self.items.len();
-        let (workers, _) = chunk_len(n);
-        let partials =
-            std::sync::Mutex::new((0..workers).map(|_| None).collect::<Vec<Option<Acc>>>());
+        let (nchunks, _) = chunk_map(n);
+        let partials = Mutex::new((0..nchunks).map(|_| None).collect::<Vec<Option<Acc>>>());
         consume_chunked(self.items, |w, slots| {
             let mut acc = identity();
             for s in slots {

@@ -159,21 +159,27 @@ awk -F': *' '/"skewed8\/atom_imbalance"/ { if ($2 + 0 > 1.15) \
 # sanitizers.yml); TSan stays advisory — see the workflow comments.
 if rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
   if cargo +nightly miri --version >/dev/null 2>&1; then
+    # -Zmiri-ignore-leaks: the shim's pool workers are detached and
+    # still polling or parked when a test process exits.
+    miriflags="-Zmiri-seed=7 -Zmiri-strict-provenance -Zmiri-ignore-leaks"
+    echo "==> miri: rayon shim worker pool (gating)"
+    MIRIFLAGS="$miriflags" cargo +nightly miri test -p rayon
     echo "==> miri: lkk-kokkos atomic + scatter-view unit tests (gating)"
-    MIRIFLAGS="-Zmiri-seed=7 -Zmiri-strict-provenance" \
-      cargo +nightly miri test -p lkk-kokkos atomic scatter
+    MIRIFLAGS="$miriflags" cargo +nightly miri test -p lkk-kokkos atomic scatter
     echo "==> miri: lkk-snap arena planes (gating)"
-    MIRIFLAGS="-Zmiri-seed=7 -Zmiri-strict-provenance" \
-      cargo +nightly miri test -p lkk-snap arena
+    MIRIFLAGS="$miriflags" cargo +nightly miri test -p lkk-snap arena
   else
     echo "==> miri not installed for nightly; skipping (rustup component add miri --toolchain nightly)"
   fi
   if rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src.*(installed)'; then
-    echo "==> tsan: rank-equivalence suite (advisory)"
-    RUSTFLAGS="-Zsanitizer=thread" TSAN_OPTIONS="history_size=7" \
-      cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-      --test rank_equivalence ||
-      echo "==> tsan lane FAILED (advisory — tracked by the sanitizers badge)"
+    echo "==> tsan: rayon shim worker pool, rank-equivalence suite (advisory)"
+    tsan() {
+      RUSTFLAGS="-Zsanitizer=thread" TSAN_OPTIONS="history_size=7" \
+        cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu "$@" ||
+        echo "==> tsan lane FAILED (advisory — tracked by the sanitizers badge)"
+    }
+    tsan -p rayon
+    tsan --test rank_equivalence
   else
     echo "==> rust-src not installed for nightly; skipping TSan (rustup component add rust-src --toolchain nightly)"
   fi
