@@ -1,14 +1,18 @@
 //! Per-stage wall-clock microbenchmarks of the fissioned SNAP pipeline
 //! (Criterion) at 2J = 8: ComputeUi, ComputeYi, and the mapped
 //! ComputeDeidrj, through the same entry points `pair_style snap`
-//! calls. `stage_ui` and `stage_deidrj` are per atom (26 neighbors);
-//! `stage_yi` is per block of `YI_BLOCK` atoms.
+//! calls. `stage_ui`, `stage_deidrj` and `stage_deidrj_u` are per atom
+//! (26 neighbors); `stage_yi` is per block of `YI_BLOCK` atoms.
+//! `stage_deidrj_u` is the forward half of Deidrj alone (map derivatives
+//! and the `u` recursion), so `stage_deidrj − stage_deidrj_u` is the
+//! reverse sweep plus the contraction.
 //!
 //! This is the host-side companion of the `snap.ui/yi/deidrj` FLOP/byte
 //! instants the pair style emits per step: the same three stages, timed
 //! in isolation on one representative atom environment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lkk_snap::wigner::compute_u;
 use lkk_snap::{SnapContext, YI_BLOCK};
 use std::hint::black_box;
 
@@ -75,8 +79,8 @@ fn bench_stages(c: &mut Criterion) {
         })
     });
 
-    // Stage 3 — ComputeDeidrj: one u/du sweep per neighbor from its
-    // stage-1 map, then the contraction with Y.
+    // Stage 3 — ComputeDeidrj: per neighbor, `u` forwards from its
+    // stage-1 map, one reverse sweep seeded with Y, the contraction.
     group.bench_function("stage_deidrj", |b| {
         b.iter(|| {
             let mut acc = 0.0;
@@ -89,6 +93,20 @@ fn bench_stages(c: &mut Criterion) {
                     &y_i[..u_len],
                     &mut work,
                 )[0];
+            }
+            black_box(acc)
+        })
+    });
+
+    // The forward half of stage 3 on its own.
+    let (mut u_r, mut u_i) = (vec![0.0f64; u_len], vec![0.0f64; u_len]);
+    group.bench_function("stage_deidrj_u", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for (k, &d) in neigh.iter().enumerate() {
+                let ckd = ctx.hyper.derivatives_from(black_box(d), &geom[k]);
+                compute_u(&ctx.idx, &ctx.rootpq, &ckd.ck, &mut u_r, &mut u_i);
+                acc += ckd.da_r[0] * u_r[10];
             }
             black_box(acc)
         })

@@ -149,7 +149,7 @@ impl PairStyle for PairEam {
         false // one-sided force accumulation over the full list
     }
 
-    fn compute(&mut self, system: &mut System, list: &NeighborList, _eflag: bool) -> PairResults {
+    fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         let space = system.space.clone();
         system.atoms.sync(&Space::Serial, Mask::X | Mask::TYPE);
         let nlocal = system.atoms.nlocal;
@@ -204,7 +204,9 @@ impl PairStyle for PairEam {
         self.fp.resize(nall, 0.0);
         for i in 0..nlocal {
             let (f, fp) = params.embed(self.rho[i]);
-            energy += f;
+            if eflag {
+                energy += f;
+            }
             self.fp[i] = fp;
         }
         system.forward_ghost_scalar(&mut self.fp);
@@ -241,8 +243,10 @@ impl PairStyle for PairEam {
                     for k in 0..3 {
                         fi[k] += fpair * d[k];
                     }
-                    e += 0.5 * phi;
-                    crate::pair::add_pair_virial(&mut w, 0.5 * fpair, d);
+                    if eflag {
+                        e += 0.5 * phi;
+                        crate::pair::add_pair_virial(&mut w, 0.5 * fpair, d);
+                    }
                 };
                 if let Some(row) = list.neighbors.try_row(i) {
                     for &ju in &row[..nn] {
@@ -281,7 +285,11 @@ impl PairStyle for PairEam {
             space.note_kernel(k);
         }
 
-        PairResults::with_tensor(energy + e_pair, virial)
+        if eflag {
+            PairResults::with_tensor(energy + e_pair, virial)
+        } else {
+            PairResults::default()
+        }
     }
 }
 
@@ -294,6 +302,10 @@ mod tests {
     use crate::neighbor::NeighborSettings;
 
     fn fcc_system(a: f64, n: usize, perturb: f64) -> (System, NeighborList) {
+        fcc_system_on(Space::Serial, a, n, perturb)
+    }
+
+    fn fcc_system_on(space: Space, a: f64, n: usize, perturb: f64) -> (System, NeighborList) {
         let lat = Lattice::new(LatticeKind::Fcc, a);
         let positions: Vec<[f64; 3]> = lat
             .positions(n, n, n)
@@ -308,7 +320,6 @@ mod tests {
             })
             .collect();
         let atoms = AtomData::from_positions(&positions);
-        let space = Space::Serial;
         let mut system = System::new(atoms, lat.domain(n, n, n), space.clone());
         let settings = NeighborSettings::new(4.95, 0.3, false);
         system.atoms.wrap_positions(&system.domain);
@@ -415,6 +426,33 @@ mod tests {
         });
         let e_pair = pair_only.compute(&mut system, &list, true).energy;
         assert!((e_full - e_pair).abs() > 1.0, "embedding inert?");
+    }
+
+    /// `eflag` off skips the energy and virial tallies and nothing else:
+    /// same forces to the bit on every space, default results.
+    #[test]
+    fn eflag_off_changes_no_force_bit() {
+        for space in [
+            Space::Serial,
+            Space::Threads,
+            Space::device(lkk_gpusim::GpuArch::h100()),
+        ] {
+            let forces_with = |eflag: bool| {
+                let (mut system, list) = fcc_system_on(space.clone(), 3.61, 3, 0.05);
+                let res = PairEam::new(EamParams::default()).compute(&mut system, &list, eflag);
+                let fh = system.atoms.f.h_view();
+                let bits: Vec<[u64; 3]> = (0..system.atoms.nlocal)
+                    .map(|i| fh.get3(i).map(f64::to_bits))
+                    .collect();
+                (bits, res)
+            };
+            let (f_on, res_on) = forces_with(true);
+            let (f_off, res_off) = forces_with(false);
+            assert_eq!(f_on, f_off);
+            assert_eq!(res_off, PairResults::default());
+            assert_ne!(res_on.energy, 0.0);
+            assert_ne!(res_on.virial, 0.0);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::pair::scratch::with_neigh_scratch;
 use crate::pair::{PairResults, PairStyle};
 use crate::sim::System;
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::ScatterView;
+use lkk_kokkos::{ScatterMode, ScatterView};
 
 /// Stillinger-Weber parameters (single element).
 #[derive(Debug, Clone, Copy)]
@@ -129,18 +129,22 @@ impl PairStyle for PairSw {
         false
     }
 
-    fn compute(&mut self, system: &mut System, list: &NeighborList, _eflag: bool) -> PairResults {
+    fn scatter_grow_count(&self) -> u64 {
+        self.scatter.as_ref().map_or(0, ScatterView::grow_count)
+    }
+
+    fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         let space = system.space.clone();
         system.atoms.sync(&space, Mask::X | Mask::TYPE);
         let nlocal = system.atoms.nlocal;
         let nall = system.atoms.nall();
-        let scatter = match &mut self.scatter {
-            Some(s) if s.target_len() == nall * 3 => s,
-            _ => {
-                self.scatter = Some(ScatterView::for_space(nall, 3, &space));
-                self.scatter.as_mut().unwrap()
-            }
-        };
+        // Reshaped in place when the ghost count changes (pool reuse,
+        // as in `PairKokkos::compute_half`).
+        let mode = ScatterMode::default_for(&space);
+        let scatter = self
+            .scatter
+            .get_or_insert_with(|| ScatterView::new(nall, 3, mode));
+        scatter.ensure(nall, 3, mode);
         let sref: &ScatterView = scatter;
         let x = system.atoms.x.view_for(&space);
         let p = self.params;
@@ -178,7 +182,6 @@ impl PairStyle for PairSw {
                     // Two-body: one-sided over the full list (half energy).
                     for (m, &j) in ids.iter().enumerate() {
                         let (e2, de2) = p.phi2(rs[m]);
-                        e += 0.5 * e2;
                         let fpair = -de2 / rs[m]; // force on j along +d
                         let f = [fpair * rel[m][0], fpair * rel[m][1], fpair * rel[m][2]];
                         // Half the pair force per visit (the mirrored visit
@@ -186,7 +189,10 @@ impl PairStyle for PairSw {
                         let fh = [0.5 * f[0], 0.5 * f[1], 0.5 * f[2]];
                         add_force(j, fh);
                         add_force(i, [-fh[0], -fh[1], -fh[2]]);
-                        crate::pair::add_pair_virial(&mut w6, 0.5 * fpair, rel[m]);
+                        if eflag {
+                            e += 0.5 * e2;
+                            crate::pair::add_pair_virial(&mut w6, 0.5 * fpair, rel[m]);
+                        }
                     }
                     // Three-body: all (j, k) pairs around center i.
                     for m1 in 0..ids.len() {
@@ -205,7 +211,6 @@ impl PairStyle for PairSw {
                             let c = (d1[0] * d2[0] + d1[1] * d2[1] + d1[2] * d2[2]) / (r1 * r2);
                             let dc = c - p.cos_theta0;
                             let pref = p.lambda * p.epsilon;
-                            e += pref * dc * dc * h1 * h2;
                             // Gradients.
                             let dedc = pref * 2.0 * dc * h1 * h2;
                             let dedr1 = pref * dc * dc * dh1 * h2;
@@ -224,6 +229,10 @@ impl PairStyle for PairSw {
                             add_force(ids[m1], fj);
                             add_force(ids[m2], fk);
                             add_force(i, [g1[0] + g2[0], g1[1] + g2[1], g1[2] + g2[2]]);
+                            if !eflag {
+                                continue;
+                            }
+                            e += pref * dc * dc * h1 * h2;
                             // Virial: Σ d ⊗ f over the two legs.
                             w6[0] += d1[0] * fj[0] + d2[0] * fk[0];
                             w6[1] += d1[1] * fj[1] + d2[1] * fk[1];
@@ -261,7 +270,11 @@ impl PairStyle for PairSw {
             k.atomic_f64_ops = nlocal as f64 * (avg * 6.0 + avg * avg / 2.0 * 9.0);
             space.note_kernel(k);
         }
-        PairResults::with_tensor(energy, w)
+        if eflag {
+            PairResults::with_tensor(energy, w)
+        } else {
+            PairResults::default()
+        }
     }
 
     fn needs_reverse_comm(&self) -> bool {
@@ -316,22 +329,46 @@ mod tests {
         domain: Domain,
         space: Space,
     ) -> (Vec<[f64; 3]>, PairResults) {
+        let mut pair = PairSw::new(SwParams::default());
+        let (forces, res, _) = compute_with(&mut pair, positions, domain, space, true);
+        (forces, res)
+    }
+
+    /// One evaluation through `pair` on fresh ghosts and a fresh list:
+    /// owner forces, results, and the ghost-inclusive atom count.
+    fn compute_with(
+        pair: &mut PairSw,
+        positions: &[[f64; 3]],
+        domain: Domain,
+        space: Space,
+        eflag: bool,
+    ) -> (Vec<[f64; 3]>, PairResults, usize) {
         let mut atoms = AtomData::from_positions(positions);
         atoms.mass = vec![28.0855];
         let mut system = System::new(atoms, domain, space.clone()).with_units(Units::metal());
-        let mut pair = PairSw::new(SwParams::default());
         let settings = NeighborSettings::new(pair.cutoff(), 0.3, false);
         system.atoms.wrap_positions(&system.domain);
         system.ghosts = build_ghosts(&mut system.atoms, &system.domain, settings.cutneigh());
         let list = NeighborList::build(&system.atoms, &system.domain, &settings, &space);
-        let res = pair.compute(&mut system, &list, true);
+        let res = pair.compute(&mut system, &list, eflag);
         system.atoms.sync(&Space::Serial, Mask::F);
         reverse_forces(&mut system.atoms, &system.ghosts);
         let fh = system.atoms.f.h_view();
         let forces = (0..positions.len())
             .map(|i| [fh.at([i, 0]), fh.at([i, 1]), fh.at([i, 2])])
             .collect();
-        (forces, res)
+        (forces, res, system.atoms.nall())
+    }
+
+    /// The deterministic bump of the perturbed-lattice tests.
+    fn perturbed_diamond() -> (Vec<[f64; 3]>, Domain) {
+        let (mut pos, domain) = diamond(2);
+        for (i, p) in pos.iter_mut().enumerate() {
+            for (k, c) in p.iter_mut().enumerate() {
+                *c += 0.12 * (((i * 7 + k * 3) % 13) as f64 / 13.0 - 0.5);
+            }
+        }
+        (pos, domain)
     }
 
     #[test]
@@ -355,12 +392,7 @@ mod tests {
 
     #[test]
     fn forces_match_finite_difference() {
-        let (mut pos, domain) = diamond(2);
-        for (i, p) in pos.iter_mut().enumerate() {
-            for (k, c) in p.iter_mut().enumerate() {
-                *c += 0.12 * (((i * 7 + k * 3) % 13) as f64 / 13.0 - 0.5);
-            }
-        }
+        let (pos, domain) = perturbed_diamond();
         let (forces, _) = compute(&pos, domain, Space::Serial);
         let h = 1e-6;
         for &a in &[0usize, 21, 40] {
@@ -397,6 +429,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `eflag` off skips the energy and virial tallies and nothing else:
+    /// same forces to the bit on every space, default results.
+    #[test]
+    fn eflag_off_changes_no_force_bit() {
+        let (pos, domain) = perturbed_diamond();
+        for space in [
+            Space::Serial,
+            Space::Threads,
+            Space::device(lkk_gpusim::GpuArch::h100()),
+        ] {
+            let forces_with = |eflag: bool| {
+                let mut pair = PairSw::new(SwParams::default());
+                let (f, res, _) = compute_with(&mut pair, &pos, domain, space.clone(), eflag);
+                let bits: Vec<[u64; 3]> = f.iter().map(|f| f.map(f64::to_bits)).collect();
+                (bits, res)
+            };
+            let (f_on, res_on) = forces_with(true);
+            let (f_off, res_off) = forces_with(false);
+            assert_eq!(f_on, f_off);
+            assert_eq!(res_off, PairResults::default());
+            assert_ne!(res_on.energy, 0.0);
+            assert_ne!(res_on.virial, 0.0);
+        }
+    }
+
+    /// The scatter buffer is one pooled view across rebuilds that change
+    /// the ghost count: a growth on the way up to the peak, counted, then
+    /// flat however the count moves beneath it. (A view replaced on an
+    /// `nall` change would read 0 growths and reallocate unseen.)
+    #[test]
+    fn scatter_view_is_reused_when_the_ghost_count_moves() {
+        let (pos, domain) = diamond(2);
+        // Half an Å along x moves a lattice plane inside the ghost cutoff.
+        let shifted: Vec<[f64; 3]> = pos.iter().map(|p| [p[0] + 0.5, p[1], p[2]]).collect();
+        let mut pair = PairSw::new(SwParams::default());
+        let nall_of = |pair: &mut PairSw, pos: &[[f64; 3]]| {
+            compute_with(pair, pos, domain, Space::Threads, false).2
+        };
+        let (few, many) = (nall_of(&mut pair, &pos), nall_of(&mut pair, &shifted));
+        assert!(few < many, "ghost count did not move: {few} vs {many}");
+        let warm = pair.scatter_grow_count();
+        assert!(warm > 0, "the view did not survive the nall change");
+        for _ in 0..2 {
+            assert_eq!(nall_of(&mut pair, &pos), few);
+            assert_eq!(nall_of(&mut pair, &shifted), many);
+        }
+        assert_eq!(
+            pair.scatter_grow_count(),
+            warm,
+            "scatter grew in steady state"
+        );
     }
 
     #[test]

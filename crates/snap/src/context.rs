@@ -13,9 +13,11 @@
 //!   (eq. 5) in one pass over the `y` table, [`YI_BLOCK`] atoms per
 //!   table entry.
 //! * [`SnapContext::compute_deidrj`] — **ComputeDuidrj** +
-//!   **ComputeDeidrj**, optionally *fused* over the three Cartesian
-//!   directions (§4.3.4's ComputeFusedDeidrj: the unfused variant
-//!   recomputes `u`/`du` once per direction).
+//!   **ComputeDeidrj** by one reverse sweep: the neighbor's `u` forwards,
+//!   `∂(Y·u)/∂(a, b)` backwards through the same recursion
+//!   ([`compute_u_adjoint`]), all three directions from a 4 × 3
+//!   contraction. §4.3.4's fused-vs-unfused pair exists on the modelled
+//!   device only.
 //!
 //! `F = −dE/dx` holds to round-off: the unit tests compare `B`, `E_i`
 //! and `∂E_i/∂x_k` with the full-range, reverse-mode-differentiated
@@ -25,7 +27,7 @@ use crate::cg::CgBlock;
 use crate::hyper::{HyperParams, MapCore};
 use crate::indices::SnapIndices;
 use crate::tables::ContractionTables;
-use crate::wigner::{compute_du, compute_u, RootPq};
+use crate::wigner::{compute_u, compute_u_adjoint, RootPq};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone id distinguishing `SnapContext` instances (and therefore
@@ -51,9 +53,8 @@ pub struct SnapKernelConfig {
     /// constant [`YI_BLOCK`].
     pub yi_batch: usize,
     /// Fuse the three force directions in ComputeDeidrj. **Device model
-    /// only** inside `PairSnap`, whose host Deidrj is always the fused
-    /// form: there it picks the logged kernel's name and flop count.
-    /// [`SnapContext::compute_deidrj`] executes both variants.
+    /// only**: it picks the logged kernel's name and flop count. The
+    /// host Deidrj has no per-direction recursion to fuse.
     pub fuse_deidrj: bool,
     /// Round every force contribution scattered in ComputeDeidrj to a
     /// multiple of 2⁻³² before adding it. **Executed** on the host. On
@@ -96,9 +97,9 @@ pub struct SnapWork {
     u_i: Vec<f64>,
     acc_r: Vec<f64>,
     acc_i: Vec<f64>,
-    /// Three direction planes of `du`.
-    du_r: Vec<f64>,
-    du_i: Vec<f64>,
+    /// The reverse sweep's adjoint `ū`.
+    ubar_r: Vec<f64>,
+    ubar_i: Vec<f64>,
     /// `[re | im | −im]` planes of a block's `U`, atom fastest.
     planes: Vec<[f64; YI_BLOCK]>,
 }
@@ -190,8 +191,8 @@ impl SnapContext {
             u_i: vec![0.0; n],
             acc_r: vec![0.0; n],
             acc_i: vec![0.0; n],
-            du_r: vec![0.0; n * 3],
-            du_i: vec![0.0; n * 3],
+            ubar_r: vec![0.0; n],
+            ubar_i: vec![0.0; n],
             planes: vec![[0.0; YI_BLOCK]; ContractionTables::planes_len(&self.idx)],
         }
     }
@@ -419,12 +420,9 @@ impl SnapContext {
 
     /// ComputeDuidrj + ComputeDeidrj for one neighbor at relative
     /// position `d`: returns `∂E_i/∂x_k` (the gradient with respect to
-    /// the *neighbor*'s position). With `fused`, `u`/`du` are built
-    /// once and all three directions contracted in a single pass; the
-    /// unfused variant reruns the recursion per direction, reproducing
-    /// the pre-fusion redundancy the paper eliminated.
-    pub fn compute_deidrj(&self, d: [f64; 3], s: &mut SnapScratch, fused: bool) -> [f64; 3] {
-        self.compute_deidrj_weighted(d, 1.0, s, fused)
+    /// the *neighbor*'s position).
+    pub fn compute_deidrj(&self, d: [f64; 3], s: &mut SnapScratch) -> [f64; 3] {
+        self.compute_deidrj_weighted(d, 1.0, s)
     }
 
     /// [`SnapContext::compute_deidrj`] with the neighbor's element
@@ -434,23 +432,16 @@ impl SnapContext {
         d: [f64; 3],
         weight: f64,
         s: &mut SnapScratch,
-        fused: bool,
     ) -> [f64; 3] {
         let core = self.hyper.map_core(d);
-        let mut all = || self.compute_deidrj_mapped(d, weight, &core, &s.y_r, &s.y_i, &mut s.work);
-        if fused {
-            all()
-        } else {
-            // Unfused: rerun the recursions for every direction.
-            std::array::from_fn(|k| all()[k])
-        }
+        self.compute_deidrj_mapped(d, weight, &core, &s.y_r, &s.y_i, &mut s.work)
     }
 
-    /// Fused Deidrj for one neighbor whose hypersphere map ComputeUi
-    /// kept ([`SnapContext::compute_ui_into`]), so the trigonometry is
-    /// not re-derived: the `u` and `du` recursions, then
-    /// `Σ_half Re(conj(y)·∂(sfac·u)/∂x_k)` as four dot products over the
-    /// stored half, `dsfac_k·(y·u) + sfac·(y·du_k)`.
+    /// Deidrj for one neighbor whose hypersphere map ComputeUi kept
+    /// ([`SnapContext::compute_ui_into`]), so the trigonometry is not
+    /// re-derived: `Σ_half Re(conj(y)·∂(sfac·u)/∂x_k)` as
+    /// `dsfac_k·(y·u) + sfac·G·(da_k, db_k)` — the `u` recursion, one dot
+    /// product, and `G = ∂(y·u)/∂(a, b)` from one reverse sweep.
     pub fn compute_deidrj_mapped(
         &self,
         d: [f64; 3],
@@ -466,31 +457,25 @@ impl SnapContext {
             *dk *= weight;
         }
         compute_u(&self.idx, &self.rootpq, &ckd.ck, &mut s.u_r, &mut s.u_i);
-        compute_du(
-            &self.idx,
-            &self.rootpq,
-            &ckd,
-            &s.u_r,
-            &s.u_i,
-            &mut s.du_r,
-            &mut s.du_i,
-        );
         let n = self.idx.u_len;
         let (y_r, y_i) = (&y_r[..n], &y_i[..n]);
-        let dot = |a_r: &[f64], a_i: &[f64]| -> f64 {
-            let mut sum = 0.0;
-            for iu in 0..n {
-                sum += y_r[iu] * a_r[iu] + y_i[iu] * a_i[iu];
-            }
-            sum
-        };
-        let yu = dot(&s.u_r, &s.u_i);
-        let mut dedr = [0.0f64; 3];
-        for (k, dedk) in dedr.iter_mut().enumerate() {
-            let ydu = dot(&s.du_r[k * n..(k + 1) * n], &s.du_i[k * n..(k + 1) * n]);
-            *dedk = ckd.dsfac[k] * yu + ckd.ck.sfac * ydu;
+        let mut yu = 0.0;
+        for iu in 0..n {
+            yu += y_r[iu] * s.u_r[iu] + y_i[iu] * s.u_i[iu];
         }
-        dedr
+        let g = compute_u_adjoint(
+            &self.idx,
+            &self.rootpq,
+            &ckd.ck,
+            (&s.u_r, &s.u_i),
+            (y_r, y_i),
+            (&mut s.ubar_r, &mut s.ubar_i),
+        );
+        std::array::from_fn(|k| {
+            let ydu =
+                g[0] * ckd.da_r[k] + g[1] * ckd.da_i[k] + g[2] * ckd.db_r[k] + g[3] * ckd.db_i[k];
+            ckd.dsfac[k] * yu + ckd.ck.sfac * ydu
+        })
     }
 
     /// Full per-atom evaluation: energy and the gradient with respect
@@ -504,10 +489,7 @@ impl SnapContext {
         self.compute_ui(neigh, s, cfg.ui_batch);
         let e = self.energy(s);
         self.compute_yi(s);
-        let grads = neigh
-            .iter()
-            .map(|&d| self.compute_deidrj(d, s, cfg.fuse_deidrj))
-            .collect();
+        let grads = neigh.iter().map(|&d| self.compute_deidrj(d, s)).collect();
         (e, grads)
     }
 
@@ -683,22 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_deidrj_agree() {
-        let c = ctx(8);
-        let mut s = c.alloc_scratch();
-        let neigh = cluster();
-        c.compute_ui(&neigh, &mut s, 1);
-        c.compute_yi(&mut s);
-        for &d in &neigh {
-            let fused = c.compute_deidrj(d, &mut s, true);
-            let unfused = c.compute_deidrj(d, &mut s, false);
-            for k in 0..3 {
-                assert!((fused[k] - unfused[k]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn isolated_atom_has_constant_energy() {
         // With no neighbors, only the self term contributes: energy is
         // a constant offset with zero gradient.
@@ -771,14 +737,12 @@ mod tests {
         assert_close("B", &c.compute_bi(&s), &want.b);
         assert_close("E", &[c.energy(&s)], &[want.energy]);
         c.compute_yi(&mut s);
-        for fused in [true, false] {
-            let grads: Vec<f64> = neigh
-                .iter()
-                .zip(wts)
-                .flat_map(|(&d, &w)| c.compute_deidrj_weighted(d, w, &mut s, fused))
-                .collect();
-            assert_close("dE/dx", &grads, &want_grads);
-        }
+        let grads: Vec<f64> = neigh
+            .iter()
+            .zip(wts)
+            .flat_map(|(&d, &w)| c.compute_deidrj_weighted(d, w, &mut s))
+            .collect();
+        assert_close("dE/dx", &grads, &want_grads);
         // Staged path on external planes, this atom in every lane of a
         // full block: each lane must reproduce the one-atom result to
         // the bit, and the energies and gradients the oracle's.

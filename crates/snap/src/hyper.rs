@@ -25,8 +25,8 @@ pub struct CayleyKlein {
     pub sfac: f64,
 }
 
-/// `CayleyKlein` plus every Cartesian derivative needed by the
-/// derivative recursion.
+/// `CayleyKlein` plus the Cartesian derivatives Deidrj contracts the
+/// reverse sweep's `∂/∂(a, b)` with.
 #[derive(Debug, Clone, Copy)]
 pub struct CayleyKleinDeriv {
     pub ck: CayleyKlein,

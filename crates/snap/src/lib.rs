@@ -19,8 +19,9 @@
 //! * [`hyper`] — the r → 3-sphere map (Cayley-Klein parameters a, b),
 //!   the smooth cutoff function, and their Cartesian derivatives.
 //! * [`wigner`] — the recursive Wigner-U evaluation (**ComputeUi**'s
-//!   inner recursion) and its derivative (**ComputeDuidrj**), row by
-//!   row over the stored half.
+//!   inner recursion) and its reverse sweep (**ComputeDuidrj** taken
+//!   backwards: `∂(Y·u)/∂(a, b)` from one adjoint pass), row by row
+//!   over the stored half.
 //! * [`tables`] — the flattened sparse contraction tables (TestSNAP's
 //!   `idxz` recipe) as rows of weighted products `Σ w·U·U`: the `z`
 //!   rows the energy contracts, and the `y` rows that build the adjoint
@@ -29,8 +30,9 @@
 //! * [`context`] — the per-atom kernels: `compute_ui` (with the
 //!   §4.3.4 neighbor work-batching variants), `compute_bi`,
 //!   `compute_yi_block` (the adjoint of a block of atoms per table
-//!   walk), and `compute_deidrj` (the direction-fused force
-//!   contraction and its unfused counterpart).
+//!   walk), and `compute_deidrj` (the force contraction: forward
+//!   `u`, one reverse sweep, a 4 × 3 contraction with the map's
+//!   derivatives).
 //! * [`pair_snap`] — the `pair_style snap` integration with `lkk-core`,
 //!   fissioned into staged ComputeUi / ComputeYi / ComputeDeidrj
 //!   kernels over one pooled arena, with per-stage profile regions.

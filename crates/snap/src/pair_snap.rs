@@ -14,10 +14,11 @@
 //! 2. **ComputeYi** — one pass over the `y` table builds the adjoint
 //!    `Y` of a block of [`YI_BLOCK`] atoms; the energy contraction
 //!    over the `z` table runs only when `eflag` asks for it;
-//! 3. **ComputeDeidrj** — the direction-fused force contraction:
-//!    `u` and `du` re-derived per neighbor from the stage-1 map
-//!    (storing `u` instead measured no faster and seven times the
-//!    memory, see `docs/performance.md`).
+//! 3. **ComputeDeidrj** — the force contraction: per neighbor, `u`
+//!    re-derived from the stage-1 map (storing it instead measured no
+//!    faster and seven times the memory, see `docs/performance.md`),
+//!    then one reverse sweep through the recursion seeded with `Y`
+//!    gives all three directions.
 //!
 //! Every intermediate lives in half-range planes (`mb ≤ ⌊j/2⌋`, see
 //! [`crate::indices`]) pooled in one arena owned by the style. Each
@@ -34,7 +35,7 @@ use lkk_core::pair::{PairResults, PairStyle};
 use lkk_core::sim::System;
 use lkk_core::style::{PairSpec, StyleRegistry};
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::{profile, ScatterView, Space};
+use lkk_kokkos::{profile, ScatterMode, ScatterView, Space};
 use std::cell::RefCell;
 
 /// User-facing SNAP parameters.
@@ -258,10 +259,10 @@ impl PairSnap {
         self
     }
 
-    /// Arena plane growths so far (flat in steady state, like
-    /// [`NeighborList::grow_count`]).
+    /// Arena plane and scatter buffer growths so far (flat in steady
+    /// state, like [`NeighborList::grow_count`]).
     pub fn grow_count(&self) -> u64 {
-        self.arena.grow_count
+        self.arena.grow_count + self.scatter_grow_count()
     }
 
     /// Register `snap` (and `snap/kk`) in a style registry.
@@ -374,6 +375,10 @@ impl PairStyle for PairSnap {
         true
     }
 
+    fn scatter_grow_count(&self) -> u64 {
+        self.scatter.as_ref().map_or(0, ScatterView::grow_count)
+    }
+
     fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         // All SNAP launches and stats records are tagged under this
         // region (e.g. "step/pair/snap" inside the timestep loop).
@@ -384,13 +389,13 @@ impl PairStyle for PairSnap {
             .sync(&space, lkk_core::atom::Mask::X | lkk_core::atom::Mask::TYPE);
         let nlocal = system.atoms.nlocal;
         let nall = system.atoms.nall();
-        let scatter = match &mut self.scatter {
-            Some(s) if s.target_len() == nall * 3 => s,
-            _ => {
-                self.scatter = Some(ScatterView::for_space(nall, 3, &space));
-                self.scatter.as_mut().unwrap()
-            }
-        };
+        // Reshaped in place when the ghost count changes (pool reuse,
+        // as in `PairKokkos::compute_half`).
+        let mode = ScatterMode::default_for(&space);
+        let scatter = self
+            .scatter
+            .get_or_insert_with(|| ScatterView::new(nall, 3, mode));
+        scatter.ensure(nall, 3, mode);
         let ctx = &self.ctx;
         let u_len = ctx.idx.u_len;
         let planes = self.arena.reserve(list, nlocal, u_len);
@@ -508,8 +513,8 @@ impl PairStyle for PairSnap {
             e
         };
 
-        // Stage 3 — ComputeDeidrj: the direction-fused contraction,
-        // one `u`/`du` sweep per neighbor from its stage-1 map.
+        // Stage 3 — ComputeDeidrj: per neighbor, `u` from its stage-1
+        // map and one reverse sweep seeded with the atom's `Y`.
         let virial = {
             let _stage = profile::begin_region("ComputeDeidrj");
             let v = space.parallel_reduce(
@@ -924,8 +929,11 @@ mod tests {
     /// The arena sizes its planes from the list on the first call and
     /// then reuses them: no growth in steady state, and a second
     /// evaluation through the recycled planes repeats the first to the
-    /// bit. (Small enough for the Miri lane, which runs every `arena`
-    /// test to check the raw-pointer plane ranges.)
+    /// bit. The scatter buffer is pooled with them: rebuilds that move
+    /// the ghost count reshape the one view — a growth on the way up to
+    /// the peak, counted, then flat. (Small enough for the Miri lane,
+    /// which runs every `arena` test to check the raw-pointer plane
+    /// ranges.)
     #[test]
     fn arena_planes_grow_once_and_are_reused() {
         let (mut system, mut pair) =
@@ -945,6 +953,31 @@ mod tests {
                 .map(|f| f.map(f64::to_bits))
                 .collect::<Vec<_>>()
         );
+
+        // A fresh style, first seen at the smaller ghost count: sliding
+        // the lattice 0.7 Å along x takes a plane out of the ghost cutoff.
+        let (mut system, mut pair) = tungsten_like(3, 2, Space::Threads);
+        let nall_after_shift = |system: &mut System, pair: &mut PairSnap, dx: f64| {
+            let xh = system.atoms.x.h_view_mut();
+            for i in 0..system.atoms.nlocal {
+                xh.set([i, 0], xh.at([i, 0]) + dx);
+            }
+            compute_forces_with(system, pair, false);
+            system.atoms.nall()
+        };
+        let few = nall_after_shift(&mut system, &mut pair, 0.7);
+        let many = nall_after_shift(&mut system, &mut pair, -0.7);
+        assert!(few < many, "ghost count did not move: {few} vs {many}");
+        let warm = pair.grow_count();
+        assert!(
+            pair.scatter_grow_count() > 0,
+            "the scatter view did not survive the nall change"
+        );
+        for _ in 0..2 {
+            assert_eq!(nall_after_shift(&mut system, &mut pair, 0.7), few);
+            assert_eq!(nall_after_shift(&mut system, &mut pair, -0.7), many);
+        }
+        assert_eq!(pair.grow_count(), warm, "pools grew in steady state");
     }
 
     #[test]

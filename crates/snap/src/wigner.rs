@@ -1,4 +1,4 @@
-//! The recursive Wigner-U evaluation and its derivative.
+//! The recursive Wigner-U evaluation and its reverse sweep.
 //!
 //! Eq. 2 of the paper: `u_j = F(u_{j−1/2})` — each block follows from
 //! the previous by a linear two-term recursion in the Cayley-Klein
@@ -19,8 +19,18 @@
 //! rebuilt in a stack buffer ([`mirror_row`]). Mirroring only flips
 //! signs, so every stored element has the bits the full-range
 //! evaluation gives it.
+//!
+//! The derivative (ComputeDuidrj) is taken backwards. A neighbor's
+//! position enters `u` only through the four reals `(a_r, a_i, b_r,
+//! b_i)`, and Deidrj wants one scalar, `L = Σ_half Re(conj(y)·u)`; so
+//! instead of carrying `∂u/∂x_k` forwards through the recursion once
+//! per direction, [`compute_u_adjoint`] carries `ū = ∂L/∂u` backwards
+//! through it once — seeded with `y`, block `j` pushing its adjoint
+//! onto block `j−1` — and collects `∂L/∂(a, b)` on the way. The three
+//! Cartesian components are then a 4 × 3 contraction with the
+//! `da/dx_k`, `db/dx_k` of the hypersphere map.
 
-use crate::hyper::{CayleyKlein, CayleyKleinDeriv};
+use crate::hyper::CayleyKlein;
 use crate::indices::SnapIndices;
 
 /// Widest row a stack buffer holds: `twojmax < MAX_ROW`.
@@ -51,6 +61,12 @@ impl RootPq {
             }
         }
         RootPq { ca, cb }
+    }
+
+    /// Both coefficient rows over `iu..iu + len`.
+    #[inline(always)]
+    fn rows(&self, iu: usize, len: usize) -> (&[f64], &[f64]) {
+        (&self.ca[iu..][..len], &self.cb[iu..][..len])
     }
 }
 
@@ -91,43 +107,70 @@ fn mirror_row(last: &[f64], mb: usize, conj: f64, buf: &mut [f64; MAX_ROW]) {
     }
 }
 
-/// One output row of the recursion, `out = ca·conj(a)·s − cb·conj(b)·s₋₁`
-/// (`s₋₁` is `s` shifted one column right), plus — for the derivative —
-/// the same with `(a, b) → (da, db)` on `s` and `(a, b)` on `d`. The
-/// two end columns have one term each and are peeled off the loop.
+/// The transpose of [`mirror_row`]: fold the adjoint gathered for a
+/// mirrored row back onto the stored row it was the image of,
+/// `last[j−1−ma] += ±(−1)^{mb+ma}·buf[ma]`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn row<const DU: bool>(
+fn fold_mirror_row(buf: &[f64; MAX_ROW], mb: usize, conj: f64, last: &mut [f64]) {
+    let mut sign = if mb.is_multiple_of(2) { conj } else { -conj };
+    for (l, &v) in last.iter_mut().rev().zip(buf) {
+        *l += sign * v;
+        sign = -sign;
+    }
+}
+
+/// One output row of the recursion, `out = ca·conj(a)·s − cb·conj(b)·s₋₁`
+/// (`s₋₁` is `s` shifted one column right). The two end columns have
+/// one term each and are peeled off the loop.
+#[inline(always)]
+fn row(
     (ca, cb): (&[f64], &[f64]),
     (a, b): ([f64; 2], [f64; 2]),
-    (da, db): ([f64; 2], [f64; 2]),
     (sr, si): (&[f64], &[f64]),
-    (dr, di): (&[f64], &[f64]),
     (out_r, out_i): (&mut [f64], &mut [f64]),
 ) {
     let j = sr.len();
     assert!(j >= 1 && si.len() == j && ca.len() == j + 1 && cb.len() == j + 1);
     assert!(out_r.len() == j + 1 && out_i.len() == j + 1);
-    assert!(!DU || (dr.len() == j && di.len() == j));
-    let term = |x: [f64; 2], dx: [f64; 2], p: usize| -> (f64, f64) {
-        if DU {
-            let (t1r, t1i) = conj_mul(dx[0], dx[1], sr[p], si[p]);
-            let (t2r, t2i) = conj_mul(x[0], x[1], dr[p], di[p]);
-            (t1r + t2r, t1i + t2i)
-        } else {
-            conj_mul(x[0], x[1], sr[p], si[p])
-        }
-    };
-    let (tr, ti) = term(a, da, 0);
+    let (tr, ti) = conj_mul(a[0], a[1], sr[0], si[0]);
     (out_r[0], out_i[0]) = (ca[0] * tr, ca[0] * ti);
     for ma in 1..j {
-        let (tr, ti) = term(a, da, ma);
-        let (sr_, si_) = term(b, db, ma - 1);
+        let (tr, ti) = conj_mul(a[0], a[1], sr[ma], si[ma]);
+        let (sr_, si_) = conj_mul(b[0], b[1], sr[ma - 1], si[ma - 1]);
         out_r[ma] = ca[ma] * tr - cb[ma] * sr_;
         out_i[ma] = ca[ma] * ti - cb[ma] * si_;
     }
-    let (tr, ti) = term(b, db, j - 1);
+    let (tr, ti) = conj_mul(b[0], b[1], sr[j - 1], si[j - 1]);
     (out_r[j], out_i[j]) = (0.0 - cb[j] * tr, 0.0 - cb[j] * ti);
+}
+
+/// The reverse of one [`row`]. `o` is the finished adjoint of the output
+/// row; source element `s[p]` fed `out[p]` through `ca[p]·conj(a)` and
+/// `out[p+1]` through `−cb[p+1]·conj(b)`, so with `w1 = ca[p]·o[p]` and
+/// `w2 = cb[p+1]·o[p+1]` its adjoint gains `a·w1 − b·w2`, and
+/// `g = ∂L/∂(a_r, a_i, b_r, b_i)` gains `conj(w1)·s` and `−conj(w2)·s`.
+#[inline(always)]
+fn row_adjoint(
+    (ca, cb): (&[f64], &[f64]),
+    (a, b): ([f64; 2], [f64; 2]),
+    (sr, si): (&[f64], &[f64]),
+    (or, oi): (&[f64], &[f64]),
+    (sbar_r, sbar_i): (&mut [f64], &mut [f64]),
+    g: &mut [f64; 4],
+) {
+    let j = sr.len();
+    assert!(si.len() == j && sbar_r.len() == j && sbar_i.len() == j);
+    assert!(ca.len() == j + 1 && cb.len() == j + 1 && or.len() == j + 1 && oi.len() == j + 1);
+    for p in 0..j {
+        let (w1r, w1i) = (ca[p] * or[p], ca[p] * oi[p]);
+        let (w2r, w2i) = (cb[p + 1] * or[p + 1], cb[p + 1] * oi[p + 1]);
+        g[0] += w1r * sr[p] + w1i * si[p];
+        g[1] += w1r * si[p] - w1i * sr[p];
+        g[2] -= w2r * sr[p] + w2i * si[p];
+        g[3] -= w2r * si[p] - w2i * sr[p];
+        sbar_r[p] += (a[0] * w1r - a[1] * w1i) - (b[0] * w2r - b[1] * w2i);
+        sbar_i[p] += (a[0] * w1i + a[1] * w1r) - (b[0] * w2i + b[1] * w2r);
+    }
 }
 
 /// Compute the stored half of all Wigner blocks `u_j(mb, ma)` for one
@@ -151,74 +194,67 @@ pub fn compute_u(
         let (low_i, cur_i) = u_i.split_at_mut(lo);
         for mb in 0..=j / 2 {
             let at = mb * (j + 1);
-            row::<false>(
-                (
-                    &rootpq.ca[lo + at..][..j + 1],
-                    &rootpq.cb[lo + at..][..j + 1],
-                ),
-                (a, b),
+            row(
+                rootpq.rows(lo + at, j + 1),
                 (a, b),
                 (
                     source_row(low_r, pb, j, mb, 1.0, &mut buf_r),
                     source_row(low_i, pb, j, mb, -1.0, &mut buf_i),
                 ),
-                (&[], &[]),
                 (&mut cur_r[at..][..j + 1], &mut cur_i[at..][..j + 1]),
             );
         }
     }
 }
 
-/// The three Cartesian derivatives of a completed `u` (ComputeDuidrj):
-/// direction `k` fills plane `k` of `du_r`/`du_i`, each plane laid out
-/// like `u`. The recursion only ever reads the previous, completed
-/// block of `u` and of its own plane.
-pub fn compute_du(
+/// One reverse sweep through the recursion of a completed `u` (the
+/// derivative half of ComputeDuidrj + ComputeDeidrj): returns
+/// `∂L/∂(a_r, a_i, b_r, b_i)` of `L = Σ_half Re(conj(y)·u)`. `ū` is
+/// scratch laid out like `u`: seeded with `y`, then from the top block
+/// down every stored row pushes its adjoint onto the row of the block
+/// below that the forward pass read for it — the same [`source_row`],
+/// a mirrored one gathered on the stack and folded back.
+pub fn compute_u_adjoint(
     idx: &SnapIndices,
     rootpq: &RootPq,
-    ckd: &CayleyKleinDeriv,
-    u_r: &[f64],
-    u_i: &[f64],
-    du_r: &mut [f64],
-    du_i: &mut [f64],
-) {
+    ck: &CayleyKlein,
+    (u_r, u_i): (&[f64], &[f64]),
+    (y_r, y_i): (&[f64], &[f64]),
+    (ubar_r, ubar_i): (&mut [f64], &mut [f64]),
+) -> [f64; 4] {
     let n = idx.u_len;
     assert!(u_r.len() == n && u_i.len() == n);
-    assert!(du_r.len() == 3 * n && du_i.len() == 3 * n);
-    let ck = &ckd.ck;
+    ubar_r.copy_from_slice(&y_r[..n]);
+    ubar_i.copy_from_slice(&y_i[..n]);
     let (a, b) = ([ck.a_r, ck.a_i], [ck.b_r, ck.b_i]);
-    let (mut ubuf_r, mut ubuf_i) = ([0.0; MAX_ROW], [0.0; MAX_ROW]);
-    let (mut dbuf_r, mut dbuf_i) = ([0.0; MAX_ROW], [0.0; MAX_ROW]);
-    for (k, (plane_r, plane_i)) in du_r.chunks_mut(n).zip(du_i.chunks_mut(n)).enumerate() {
-        plane_r[0] = 0.0;
-        plane_i[0] = 0.0;
-        let (da, db) = ([ckd.da_r[k], ckd.da_i[k]], [ckd.db_r[k], ckd.db_i[k]]);
-        for j in 1..=idx.twojmax {
-            let (lo, pb) = (idx.u_block[j], idx.u_block[j - 1]);
-            let (low_r, cur_r) = plane_r.split_at_mut(lo);
-            let (low_i, cur_i) = plane_i.split_at_mut(lo);
-            for mb in 0..=j / 2 {
-                let at = mb * (j + 1);
-                row::<true>(
-                    (
-                        &rootpq.ca[lo + at..][..j + 1],
-                        &rootpq.cb[lo + at..][..j + 1],
-                    ),
-                    (a, b),
-                    (da, db),
-                    (
-                        source_row(u_r, pb, j, mb, 1.0, &mut ubuf_r),
-                        source_row(u_i, pb, j, mb, -1.0, &mut ubuf_i),
-                    ),
-                    (
-                        source_row(low_r, pb, j, mb, 1.0, &mut dbuf_r),
-                        source_row(low_i, pb, j, mb, -1.0, &mut dbuf_i),
-                    ),
-                    (&mut cur_r[at..][..j + 1], &mut cur_i[at..][..j + 1]),
-                );
+    let (mut src_r, mut src_i) = ([0.0; MAX_ROW], [0.0; MAX_ROW]);
+    let mut g = [0.0; 4];
+    for j in (1..=idx.twojmax).rev() {
+        let (lo, pb) = (idx.u_block[j], idx.u_block[j - 1]);
+        let (low_r, cur_r) = ubar_r.split_at_mut(lo);
+        let (low_i, cur_i) = ubar_i.split_at_mut(lo);
+        for mb in 0..=j / 2 {
+            let at = mb * (j + 1);
+            let coef = rootpq.rows(lo + at, j + 1);
+            let s = (
+                source_row(u_r, pb, j, mb, 1.0, &mut src_r),
+                source_row(u_i, pb, j, mb, -1.0, &mut src_i),
+            );
+            let o = (&cur_r[at..][..j + 1], &cur_i[at..][..j + 1]);
+            let below = pb + mb * j;
+            if 2 * mb < j {
+                let sbar = (&mut low_r[below..][..j], &mut low_i[below..][..j]);
+                row_adjoint(coef, (a, b), s, o, sbar, &mut g);
+            } else {
+                let (mut bar_r, mut bar_i) = ([0.0; MAX_ROW], [0.0; MAX_ROW]);
+                let sbar = (&mut bar_r[..j], &mut bar_i[..j]);
+                row_adjoint(coef, (a, b), s, o, sbar, &mut g);
+                fold_mirror_row(&bar_r, mb, 1.0, &mut low_r[below - j..][..j]);
+                fold_mirror_row(&bar_i, mb, -1.0, &mut low_i[below - j..][..j]);
             }
         }
     }
+    g
 }
 
 #[cfg(test)]
@@ -278,45 +314,149 @@ mod tests {
         assert!((bt.0 + ck.b_r).abs() < 1e-14 && (bt.1 - ck.b_i).abs() < 1e-14);
     }
 
-    #[test]
-    fn derivative_matches_finite_difference() {
-        let (idx, rootpq, p) = setup(6);
+    /// A reproducible seed `y` with entries in `(−1, 1)` (xorshift).
+    fn random_y(seed: u64, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut rnd = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        let y_r = (0..n).map(|_| rnd()).collect();
+        (y_r, (0..n).map(|_| rnd()).collect())
+    }
+
+    /// `u` of `ck`, then the reverse sweep seeded with `y`.
+    fn sweep(
+        idx: &SnapIndices,
+        rootpq: &RootPq,
+        ck: &CayleyKlein,
+        y: (&[f64], &[f64]),
+    ) -> [f64; 4] {
         let n = idx.u_len;
-        let d0 = [1.4, -0.8, 1.9];
-        let ckd = p.map_with_derivatives(d0);
-        let mut u_r = vec![0.0; n];
-        let mut u_i = vec![0.0; n];
-        let mut du_r = vec![0.0; n * 3];
-        let mut du_i = vec![0.0; n * 3];
-        compute_u(&idx, &rootpq, &ckd.ck, &mut u_r, &mut u_i);
-        compute_du(&idx, &rootpq, &ckd, &u_r, &u_i, &mut du_r, &mut du_i);
-        let h = 1e-6;
-        for k in 0..3 {
-            let mut dp = d0;
-            let mut dm = d0;
-            dp[k] += h;
-            dm[k] -= h;
-            let mut up_r = vec![0.0; n];
-            let mut up_i = vec![0.0; n];
-            let mut um_r = vec![0.0; n];
-            let mut um_i = vec![0.0; n];
-            compute_u(&idx, &rootpq, &p.map(dp), &mut up_r, &mut up_i);
-            compute_u(&idx, &rootpq, &p.map(dm), &mut um_r, &mut um_i);
-            for iu in 0..n {
-                let fd_r = (up_r[iu] - um_r[iu]) / (2.0 * h);
-                let fd_i = (up_i[iu] - um_i[iu]) / (2.0 * h);
-                assert!(
-                    (du_r[k * n + iu] - fd_r).abs() < 1e-6,
-                    "re iu={iu} k={k}: {} vs {}",
-                    du_r[k * n + iu],
-                    fd_r
-                );
-                assert!((du_i[k * n + iu] - fd_i).abs() < 1e-6);
+        let (mut u_r, mut u_i) = (vec![0.0; n], vec![0.0; n]);
+        // Stale scratch must not leak into the result.
+        let (mut ubar_r, mut ubar_i) = (vec![7.0; n], vec![-3.0; n]);
+        compute_u(idx, rootpq, ck, &mut u_r, &mut u_i);
+        compute_u_adjoint(idx, rootpq, ck, (&u_r, &u_i), y, (&mut ubar_r, &mut ubar_i))
+    }
+
+    const GEOMETRIES: [[f64; 3]; 3] = [[0.7, 1.2, -0.4], [1.9, -0.2, 0.3], [-1.1, -0.8, 1.6]];
+
+    /// The sweep against forward-mode differentiation: `G·(da_k, db_k)`
+    /// equals `Σ_full Re(conj(y)·du_k)` with `du` from the full-range
+    /// reference and the half-range seed spread over the full block by
+    /// its symmetry weights, ≤ 1e-12 relative. Odd and even top blocks,
+    /// so the mirrored-row fold-back runs at every parity.
+    #[test]
+    fn adjoint_sweep_matches_the_forward_mode_reference() {
+        for twojmax in [1usize, 2, 3, 4, 7, 8] {
+            let c = SnapContext::new(
+                twojmax,
+                HyperParams::default(),
+                SnapContext::synthetic_beta(twojmax, 1),
+            );
+            let (idx, full) = (&c.idx, Reference::new(&c));
+            for (g, d0) in GEOMETRIES.into_iter().enumerate() {
+                let ckd = c.hyper.map_with_derivatives(d0);
+                let (y_r, y_i) = random_y((twojmax * 10 + g) as u64, idx.u_len);
+                let grad = sweep(idx, &c.rootpq, &ckd.ck, (&y_r, &y_i));
+                let (mut fu_r, mut fu_i) = (vec![0.0; full.len], vec![0.0; full.len]);
+                let (mut fdu_r, mut fdu_i) = (vec![0.0; 3 * full.len], vec![0.0; 3 * full.len]);
+                full.compute_u_du(&ckd, &mut fu_r, &mut fu_i, &mut fdu_r, &mut fdu_i);
+                let mut want = [0.0f64; 3];
+                for j in 0..=twojmax {
+                    for mb in 0..=j {
+                        for ma in 0..=j {
+                            let (iu, sign, conj) = idx.u_ref(j, mb, ma);
+                            let w = sign / SnapIndices::sym_weight(j, mb);
+                            let (yr, yi) = (w * y_r[iu], if conj { -w } else { w } * y_i[iu]);
+                            let f = full.u_index(j, mb, ma);
+                            for (k, wk) in want.iter_mut().enumerate() {
+                                *wk += yr * fdu_r[f * 3 + k] + yi * fdu_i[f * 3 + k];
+                            }
+                        }
+                    }
+                }
+                let scale = want.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                for (k, want) in want.into_iter().enumerate() {
+                    let got = grad[0] * ckd.da_r[k]
+                        + grad[1] * ckd.da_i[k]
+                        + grad[2] * ckd.db_r[k]
+                        + grad[3] * ckd.db_i[k];
+                    assert!(
+                        (got - want).abs() <= 1e-12 * scale,
+                        "2J={twojmax} d={d0:?} k={k}: {got} vs {want} (scale {scale})"
+                    );
+                }
             }
         }
     }
 
-    /// The half-range recursions store exactly the values the
+    /// Deidrj end to end — map derivatives, `u`, the sweep, the 4 × 3
+    /// contraction and the `dsfac` term — against a central difference
+    /// of `L(d) = Σ_half Re(conj(y)·sfac·u)`, weighted and unweighted.
+    #[test]
+    fn adjoint_deidrj_matches_finite_difference() {
+        let c = SnapContext::new(6, HyperParams::default(), SnapContext::synthetic_beta(6, 1));
+        let n = c.idx.u_len;
+        let mut s = c.alloc_scratch();
+        (s.y_r, s.y_i) = random_y(7, n);
+        let (y_r, y_i) = (s.y_r.clone(), s.y_i.clone());
+        let (mut u_r, mut u_i) = (vec![0.0; n], vec![0.0; n]);
+        let mut l = |d: [f64; 3]| -> f64 {
+            let ck = c.hyper.map(d);
+            compute_u(&c.idx, &c.rootpq, &ck, &mut u_r, &mut u_i);
+            let yu: f64 = (0..n).map(|iu| y_r[iu] * u_r[iu] + y_i[iu] * u_i[iu]).sum();
+            ck.sfac * yu
+        };
+        let (d0, h) = ([1.4, -0.8, 1.9], 1e-6);
+        for weight in [1.0, 0.6] {
+            let got = c.compute_deidrj_weighted(d0, weight, &mut s);
+            for k in 0..3 {
+                let (mut dp, mut dm) = (d0, d0);
+                dp[k] += h;
+                dm[k] -= h;
+                let fd = weight * (l(dp) - l(dm)) / (2.0 * h);
+                assert!(
+                    (got[k] - fd).abs() < 1e-7 * fd.abs().max(1.0),
+                    "w={weight} k={k}: {} vs {fd}",
+                    got[k]
+                );
+            }
+        }
+    }
+
+    /// The sweep is linear in its seed: nothing in gives exactly
+    /// nothing out, and `G(y₁ + y₂) = G(y₁) + G(y₂)`.
+    #[test]
+    fn adjoint_sweep_is_linear_in_its_seed() {
+        for twojmax in [5usize, 8] {
+            let (idx, rootpq, p) = setup(twojmax);
+            let n = idx.u_len;
+            let ck = p.map([1.1, -0.6, 2.0]);
+            let zero = vec![0.0; n];
+            assert_eq!(sweep(&idx, &rootpq, &ck, (&zero, &zero)), [0.0; 4]);
+            let ((y1_r, y1_i), (y2_r, y2_i)) = (random_y(1, n), random_y(2, n));
+            let sum_r: Vec<f64> = y1_r.iter().zip(&y2_r).map(|(a, b)| a + b).collect();
+            let sum_i: Vec<f64> = y1_i.iter().zip(&y2_i).map(|(a, b)| a + b).collect();
+            let g1 = sweep(&idx, &rootpq, &ck, (&y1_r, &y1_i));
+            let g2 = sweep(&idx, &rootpq, &ck, (&y2_r, &y2_i));
+            let g12 = sweep(&idx, &rootpq, &ck, (&sum_r, &sum_i));
+            let scale = g12.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            for c in 0..4 {
+                assert!(
+                    (g12[c] - (g1[c] + g2[c])).abs() <= 1e-13 * scale,
+                    "2J={twojmax} component {c}: {} vs {}",
+                    g12[c],
+                    g1[c] + g2[c]
+                );
+            }
+        }
+    }
+
+    /// The half-range recursion stores exactly the values the
     /// mirror-filling full-range reference computes for the same
     /// elements (mirroring a source row only flips signs), and the
     /// reference's upper half is the mirror image of what is stored.
@@ -330,12 +470,10 @@ mod tests {
             );
             let (idx, full) = (&c.idx, Reference::new(&c));
             let n = idx.u_len;
-            for d0 in [[0.7, 1.2, -0.4], [1.9, -0.2, 0.3], [-1.1, -0.8, 1.6]] {
+            for d0 in GEOMETRIES {
                 let ckd = c.hyper.map_with_derivatives(d0);
                 let (mut u_r, mut u_i) = (vec![0.0; n], vec![0.0; n]);
-                let (mut du_r, mut du_i) = (vec![1.0; 3 * n], vec![1.0; 3 * n]);
                 compute_u(idx, &c.rootpq, &ckd.ck, &mut u_r, &mut u_i);
-                compute_du(idx, &c.rootpq, &ckd, &u_r, &u_i, &mut du_r, &mut du_i);
                 let (mut fu_r, mut fu_i) = (vec![0.0; full.len], vec![0.0; full.len]);
                 let (mut fdu_r, mut fdu_i) = (vec![0.0; 3 * full.len], vec![0.0; 3 * full.len]);
                 full.compute_u_du(&ckd, &mut fu_r, &mut fu_i, &mut fdu_r, &mut fdu_i);
@@ -347,10 +485,6 @@ mod tests {
                             let f = full.u_index(j, mb, ma);
                             assert_eq!(fu_r[f], sign * u_r[iu], "u_r j={j} mb={mb} ma={ma}");
                             assert_eq!(fu_i[f], im * u_i[iu], "u_i j={j} mb={mb} ma={ma}");
-                            for k in 0..3 {
-                                assert_eq!(fdu_r[f * 3 + k], sign * du_r[k * n + iu]);
-                                assert_eq!(fdu_i[f * 3 + k], im * du_i[k * n + iu]);
-                            }
                         }
                     }
                 }

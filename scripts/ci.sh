@@ -39,12 +39,15 @@ echo "==> rank-equivalence + comm-validation suites (release)"
 cargo test --release -q --test rank_equivalence --test comm_validation
 
 # SNAP's physics gate at the benchmark's order (2J = 8, rcut 4.7:
-# F = -dE/dx, net force, virial, rotation invariance, NVE drift) and
-# the inversion symmetry of the full-range reference, which is what
-# licenses storing half of every Wigner block.
-echo "==> SNAP physics gate + reference symmetry (release)"
+# F = -dE/dx, net force, virial, rotation invariance, NVE drift), the
+# inversion symmetry of the full-range reference, which is what
+# licenses storing half of every Wigner block, and the oracles of
+# Deidrj's reverse sweep (forward-mode du of that reference, central
+# differences, linearity in the seed).
+echo "==> SNAP physics gate + reference symmetry + adjoint oracles (release)"
 cargo test --release -q --test snap_physics
 cargo test --release -q -p lkk-snap --lib inversion_symmetry
+cargo test --release -q -p lkk-snap --lib adjoint
 
 # ReaxFF's physics gate on the warm-started path (F = -dE/dx with the
 # charges re-equilibrated at every displaced point, net force, charge
