@@ -514,8 +514,8 @@ mod tests {
             let p = [xh.at([2 + g, 0]), xh.at([2 + g, 1]), xh.at([2 + g, 2])];
             assert!(!domain.contains(&p));
             // Image of the corner atom: each coordinate 0.5 or 10.5.
-            for k in 0..3 {
-                assert!((p[k] - 0.5).abs() < 1e-12 || (p[k] - 10.5).abs() < 1e-12);
+            for c in p {
+                assert!((c - 0.5).abs() < 1e-12 || (c - 10.5).abs() < 1e-12);
             }
         }
     }

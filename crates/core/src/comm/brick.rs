@@ -107,8 +107,8 @@ impl Wire {
     /// With `spans` the pack and send sub-phases trace as `pack` and
     /// `send` regions (the halo phases); without, only the transport's
     /// `reclaim` region is emitted (collectives and the census). Which
-    /// regions open, and in what order, is byte-gated through
-    /// `results/run_report.json`.
+    /// regions open, and in what order, is byte-gated through the
+    /// `critical_path` sections of `results/baseline.json`.
     fn post(
         &mut self,
         tag: u64,

@@ -238,12 +238,8 @@ mod tests {
             "trace/3 {} vs p {p}",
             (p6[0] + p6[1] + p6[2]) / 3.0
         );
-        for k in 3..6 {
-            assert!(
-                p6[k].abs() < 0.05 * p.abs().max(1.0),
-                "shear {k}: {}",
-                p6[k]
-            );
+        for (k, shear) in p6.iter().enumerate().skip(3) {
+            assert!(shear.abs() < 0.05 * p.abs().max(1.0), "shear {k}: {shear}");
         }
     }
 }

@@ -387,7 +387,7 @@ mod tests {
         lmp.run_script(&script).unwrap();
         let sim = lmp.sim.as_ref().unwrap();
         assert!(sim.system.space.is_device());
-        assert!(sim.system.space.device_ctx().unwrap().log.len() > 0);
+        assert!(!sim.system.space.device_ctx().unwrap().log.is_empty());
     }
 
     #[test]

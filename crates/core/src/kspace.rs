@@ -253,8 +253,8 @@ mod tests {
         );
         // Perfect lattice: zero force on every ion.
         for f in &forces {
-            for k in 0..3 {
-                assert!(f[k].abs() < 1e-6, "residual force {}", f[k]);
+            for c in f {
+                assert!(c.abs() < 1e-6, "residual force {c}");
             }
         }
     }

@@ -100,7 +100,9 @@ pub trait PairStyle: Send + std::any::Any {
     /// Compute forces into `system.atoms.f` — always — and return the
     /// energy and virial when `eflag` is set. With `eflag` off a style
     /// may skip the tally and return [`PairResults::default`] (zeros);
-    /// [`PairKokkos`] does, the many-body styles still tally every call.
+    /// [`PairKokkos`] and every many-body style (EAM, SW, MLIAP, SNAP,
+    /// ReaxFF) do, with the forces unchanged (each has a unit test on
+    /// it); `PairMolecular` still adds its bonded energy on every call.
     /// `Simulation` sets `eflag` at set-up, on thermo steps and on the
     /// last step of every `run`/`try_run` call, which is when
     /// `Simulation::last_results` is refreshed.
@@ -1057,12 +1059,11 @@ mod tests {
             );
             let fh = system.atoms.f.h_view();
             for (i, want) in f_want.iter().enumerate() {
-                for k in 0..3 {
+                for (k, &want) in want.iter().enumerate() {
                     let got = fh.at([i, k]);
                     assert!(
-                        (got - want[k]).abs() < 1e-9 * want[k].abs().max(1.0),
-                        "half={half}: f[{i}][{k}] = {got} vs {}",
-                        want[k]
+                        (got - want).abs() < 1e-9 * want.abs().max(1.0),
+                        "half={half}: f[{i}][{k}] = {got} vs {want}"
                     );
                 }
             }

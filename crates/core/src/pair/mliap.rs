@@ -209,7 +209,7 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
         false
     }
 
-    fn compute(&mut self, system: &mut System, list: &NeighborList, _eflag: bool) -> PairResults {
+    fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         let space = system.space.clone();
         system.atoms.sync(&space, Mask::X | Mask::TYPE);
         let nlocal = system.atoms.nlocal;
@@ -262,14 +262,16 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
                         let f = [-dedx[k][0], -dedx[k][1], -dedx[k][2]];
                         forces.add3(j, f);
                         forces.add3(i, [-f[0], -f[1], -f[2]]);
-                        // W_ab = Σ d_a f_b, symmetrized (d = x_j − x_i, f on j).
-                        let d = rel[k];
-                        w[0] += d[0] * f[0];
-                        w[1] += d[1] * f[1];
-                        w[2] += d[2] * f[2];
-                        w[3] += 0.5 * (d[0] * f[1] + d[1] * f[0]);
-                        w[4] += 0.5 * (d[0] * f[2] + d[2] * f[0]);
-                        w[5] += 0.5 * (d[1] * f[2] + d[2] * f[1]);
+                        if eflag {
+                            // W_ab = Σ d_a f_b, symmetrized (d = x_j − x_i, f on j).
+                            let d = rel[k];
+                            w[0] += d[0] * f[0];
+                            w[1] += d[1] * f[1];
+                            w[2] += d[2] * f[2];
+                            w[3] += 0.5 * (d[0] * f[1] + d[1] * f[0]);
+                            w[4] += 0.5 * (d[0] * f[2] + d[2] * f[0]);
+                            w[5] += 0.5 * (d[1] * f[2] + d[2] * f[1]);
+                        }
                     }
                     (e, w)
                 })
@@ -293,7 +295,11 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
             k.dram_bytes = nlocal as f64 * (nd as f64 * 8.0 + 48.0);
             space.note_kernel(k);
         }
-        PairResults::with_tensor(energy, virial)
+        if eflag {
+            PairResults::with_tensor(energy, virial)
+        } else {
+            PairResults::default()
+        }
     }
 }
 
@@ -395,12 +401,11 @@ mod tests {
         };
         let h = 1e-6;
         for &a in &[0usize, 17] {
-            for k in 0..3 {
+            for (k, &f) in f0[a].iter().enumerate() {
                 let fd = -(energy_of(a, k, h) - energy_of(a, k, -h)) / (2.0 * h);
                 assert!(
-                    (f0[a][k] - fd).abs() < 1e-6 * fd.abs().max(1e-3),
-                    "atom {a} dir {k}: {} vs {fd}",
-                    f0[a][k]
+                    (f - fd).abs() < 1e-6 * fd.abs().max(1e-3),
+                    "atom {a} dir {k}: {f} vs {fd}"
                 );
             }
         }
@@ -417,6 +422,35 @@ mod tests {
         for k in 0..3 {
             let tot: f64 = (0..system.atoms.nlocal).map(|i| fh.at([i, k])).sum();
             assert!(tot.abs() < 1e-9, "net force {tot}");
+        }
+    }
+
+    /// `eflag` off skips the virial tally and nothing else: same forces
+    /// to the bit on every space, default results.
+    #[test]
+    fn eflag_off_changes_no_force_bit() {
+        for space in [
+            Space::Serial,
+            Space::Threads,
+            Space::device(lkk_gpusim::GpuArch::h100()),
+        ] {
+            let forces_with = |eflag: bool| {
+                let (mut system, list) = setup(0.2);
+                system.space = space.clone();
+                let res = style().compute(&mut system, &list, eflag);
+                system.atoms.sync(&Space::Serial, Mask::F);
+                let fh = system.atoms.f.h_view();
+                let bits: Vec<u64> = (0..system.atoms.nall() * 3)
+                    .map(|n| fh.at([n / 3, n % 3]).to_bits())
+                    .collect();
+                (bits, res)
+            };
+            let (f_on, res_on) = forces_with(true);
+            let (f_off, res_off) = forces_with(false);
+            assert_eq!(f_on, f_off);
+            assert_eq!(res_off, PairResults::default());
+            assert_ne!(res_on.energy, 0.0);
+            assert_ne!(res_on.virial, 0.0);
         }
     }
 

@@ -384,8 +384,8 @@ mod tests {
         );
         // Perfect lattice: zero forces.
         for f in &forces {
-            for k in 0..3 {
-                assert!(f[k].abs() < 1e-9);
+            for c in f {
+                assert!(c.abs() < 1e-9);
             }
         }
     }

@@ -8,9 +8,9 @@
 //! ```toml
 //! [[allow]]
 //! rule = "LKK001"
-//! path = "crates/perf/src/timing.rs"
+//! path = "crates/trace/src/collector.rs"
 //! contains = "Instant::now"          # optional excerpt filter
-//! justification = "the --time harness measures real wall time by design"
+//! justification = "wall-clock epoch anchor used only in Wall timestamp mode"
 //! ```
 
 use crate::rules::{Finding, Rule};
@@ -168,15 +168,15 @@ mod tests {
 # audited exemptions
 [[allow]]
 rule = "LKK001"
-path = "crates/perf/src/timing.rs"
+path = "crates/trace/src/collector.rs"
 contains = "Instant::now"
-justification = "wall-time harness measures real elapsed time by design"
+justification = "wall-clock epoch anchor used only in Wall timestamp mode"
 "#,
         )
         .unwrap();
         assert_eq!(entries.len(), 1);
         let f = Finding {
-            path: "crates/perf/src/timing.rs".into(),
+            path: "crates/trace/src/collector.rs".into(),
             line: 88,
             rule: Rule::Lkk001,
             excerpt: "let t0 = Instant::now();".into(),

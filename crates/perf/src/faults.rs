@@ -13,12 +13,11 @@
 //! The rendered report carries the per-seed fault counters — the
 //! artifact the CI chaos job uploads.
 
-use crate::json::Value;
-use crate::report::RUN_LOCK;
+use crate::capture::with_exclusive_run;
 use crate::workloads;
 use lkk_core::comm::FaultConfig;
 use lkk_core::driver::MultiRankRun;
-use lkk_kokkos::exec;
+use lkk_trace::json::Value;
 
 /// Outcome of one seed: the faulted run's counters plus any
 /// determinism violations (empty = pass).
@@ -80,17 +79,17 @@ pub fn diff_runs(reference: &MultiRankRun, faulted: &MultiRankRun) -> Vec<String
 
 /// Run the chaos sweep over `seeds`. Returns one outcome per seed.
 pub fn run_seeds(seeds: &[u64]) -> Vec<SeedOutcome> {
-    let _exclusive = RUN_LOCK.lock().unwrap();
-    let was_sequential = exec::force_sequential();
-    exec::set_force_sequential(true);
+    with_exclusive_run(|| sweep(seeds))
+}
 
+fn sweep(seeds: &[u64]) -> Vec<SeedOutcome> {
     let ranks = workloads::ranks4();
     let reference = ranks
         .spec
         .run(ranks.factory)
         .expect("fault-free reference run failed");
 
-    let outcomes = seeds
+    seeds
         .iter()
         .map(|&seed| {
             let mut spec = ranks.spec.clone();
@@ -118,34 +117,28 @@ pub fn run_seeds(seeds: &[u64]) -> Vec<SeedOutcome> {
                 },
             }
         })
-        .collect();
-
-    exec::set_force_sequential(was_sequential);
-    outcomes
+        .collect()
 }
 
 /// Render the sweep as the canonical JSON artifact.
 pub fn render(outcomes: &[SeedOutcome]) -> Value {
     let mut doc = Value::obj();
-    doc.set("schema", Value::Num(1.0));
-    doc.set("workload", Value::Str("ranks4".into()));
+    doc.set("schema", 1.0);
+    doc.set("workload", "ranks4");
     let mut seeds = Value::obj();
     for o in outcomes {
         let mut entry = Value::obj();
-        entry.set("injected", Value::Num(o.injected as f64));
-        entry.set("recovered", Value::Num(o.recovered as f64));
+        entry.set("injected", o.injected);
+        entry.set("recovered", o.recovered);
         let mut counters = Value::obj();
         for (name, value) in &o.counters {
-            counters.set(format!("comm.fault.{name}"), Value::Num(*value as f64));
+            counters.set(format!("comm.fault.{name}"), *value);
         }
         entry.set("counters", counters);
-        entry.set("bitwise_identical", Value::Bool(o.violations.is_empty()));
+        entry.set("bitwise_identical", o.violations.is_empty());
         if !o.violations.is_empty() {
-            let mut arr = Vec::new();
-            for v in &o.violations {
-                arr.push(Value::Str(v.clone()));
-            }
-            entry.set("violations", Value::Arr(arr));
+            let violations = o.violations.iter().map(|v| Value::from(v.as_str()));
+            entry.set("violations", Value::Arr(violations.collect()));
         }
         seeds.set(format!("seed{}", o.seed), entry);
     }

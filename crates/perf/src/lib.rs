@@ -1,77 +1,63 @@
 //! `lkk-perf` — the deterministic perf-regression harness.
 //!
-//! The `perf-smoke` binary runs four small fixed-seed workloads (LJ,
-//! EAM, SNAP, ReaxFF) through the full `Simulation::run` loop on a
-//! simulated device, collects per-kernel counters through the
-//! `lkk-kokkos` profiling subscriber API, and renders them as a
-//! canonical JSON document. Because every number is a counter (or a
-//! pure function of counters, like predicted device time), the report
-//! is bit-stable across machines — diffing it against a committed
-//! baseline catches cost-model and kernel-shape regressions without
-//! any of the noise wall-clock gating suffers from.
+//! The `perf-smoke` binary runs six small fixed-seed workloads (LJ,
+//! EAM, SNAP, ReaxFF on a simulated device; `ranks4` and `skewed8` on
+//! brick-decomposed rank threads) through the full timestep loop, once
+//! each, under the `lkk-kokkos` profiling subscribers, and renders what
+//! they recorded as one canonical JSON document. Because every number
+//! is a counter (or a pure function of counters, like predicted device
+//! time or logical-tick attribution), the document is bit-stable across
+//! machines — comparing it byte for byte against the committed
+//! `results/baseline.json` catches cost-model, kernel-shape, exchange
+//! and instrumentation regressions without any of the noise wall-clock
+//! gating suffers from. Wall-clock measurement is `benchmark/run.sh`.
 //!
 //! Layout:
-//! - [`json`] — minimal dependency-free JSON value, canonical writer,
-//!   and parser (shortest-roundtrip `f64` formatting, sorted keys).
-//! - [`diff`] — flatten two reports, compare every scalar with a
-//!   relative tolerance (default 0 = bit exact).
-//! - [`workloads`] — the four fixed-seed smoke systems.
-//! - [`report`] — run workloads under a subscriber, build the report.
-//! - [`timing`] — `--time` mode: advisory wall-clock phase medians
-//!   (archived as `results/BENCH_hotpath.json`, never gated).
-//! - [`tracing`] — `--trace`/`--metrics` mode: capture the same
-//!   workloads under an `lkk-trace` collector, export a Perfetto
-//!   timeline and a byte-stable metrics dump (gated against
-//!   `results/metrics_baseline.json`).
+//! - [`workloads`] — the six fixed-seed smoke systems.
+//! - [`capture`] — run them, each under a fresh accumulator and a fresh
+//!   deterministic `lkk-trace` collector; render the run document
+//!   (`summary` / `counters` / `metrics` / `critical_path` per
+//!   workload), the Perfetto timeline, and the attribution table.
+//! - [`diff`] — name the leaves on which two documents differ, as
+//!   section + key.
 //! - [`faults`] — `--faults` mode: run `ranks4` under seeded fault
 //!   injection and assert the trajectory is bitwise identical to the
 //!   fault-free run (the chaos CI gate; see `docs/robustness.md`).
-//! - [`runreport`] — `--report` mode: capture the rank-parallel
-//!   workloads under fresh trace collectors and render the per-run
-//!   critical-path attribution report (gated against
-//!   `results/run_report.json`).
+//!
+//! The JSON value, writer and parser are `lkk_trace::json`.
 
+pub mod capture;
 pub mod diff;
 pub mod faults;
-pub mod json;
-pub mod report;
-pub mod runreport;
-pub mod timing;
-pub mod tracing;
 pub mod workloads;
 
 pub use diff::{compare, Drift};
-pub use json::Value;
-pub use report::run_all;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capture::document;
+    use lkk_trace::json::{self, Value};
 
-    /// End-to-end baseline round trip: render a report, parse it back,
-    /// confirm zero drift; then perturb one counter and confirm the
-    /// diff pinpoints exactly that path.
+    /// End-to-end baseline round trip: render a document, parse it
+    /// back, confirm zero drift; then perturb one counter and confirm
+    /// the diff pinpoints exactly that section and key.
     #[test]
     fn check_round_trip_and_perturbation_detection() {
-        let report = run_all(vec![workloads::lj()]);
-        let text = report.to_pretty();
+        let doc = document(&capture::capture(vec![workloads::lj()], Vec::new()));
+        let text = doc.to_pretty();
         let parsed = json::parse(&text).unwrap();
 
         // Parse must be lossless: re-rendering gives identical bytes
-        // and the structural diff is empty at zero tolerance.
+        // and the structural diff is empty.
         assert_eq!(parsed.to_pretty(), text);
-        assert!(compare(&report, &parsed, 0.0).is_empty());
+        assert!(compare(&doc, &parsed).is_empty());
 
-        // Deliberate perturbation: bump one flop counter by 1 ppm and
-        // verify zero-tolerance gating flags it while a loose
-        // tolerance lets it through.
+        // Deliberate perturbation: bump one flop counter by 1 ppm.
         let mut perturbed = parsed.clone();
-        let lj = perturbed
-            .get_mut("workloads")
-            .unwrap()
-            .get_mut("lj")
-            .unwrap();
-        let kernels = lj.get_mut("kernels").unwrap();
+        let kernels = ["workloads", "lj", "counters", "kernels"]
+            .iter()
+            .fold(&mut perturbed, |v, key| v.get_mut(key).unwrap());
         let Value::Obj(entries) = kernels else {
             panic!("kernels not an object")
         };
@@ -82,20 +68,18 @@ mod tests {
             .find(|(_, e)| e.get("flops").and_then(Value::as_f64).unwrap_or(0.0) > 0.0)
             .expect("no kernel with nonzero flops");
         let key = key.clone();
-        let flops = entry.get_mut("flops").unwrap();
-        let Value::Num(x) = flops else {
+        let Some(Value::Num(x)) = entry.get_mut("flops") else {
             panic!("flops not numeric")
         };
         *x *= 1.0 + 1e-6;
 
-        let drifts = compare(&report, &perturbed, 0.0);
+        let drifts = compare(&doc, &perturbed);
         assert_eq!(drifts.len(), 1, "expected exactly one drift: {drifts:?}");
         match &drifts[0] {
-            Drift::NumChanged { path, .. } => {
-                assert_eq!(path, &format!("workloads.lj.kernels.{key}.flops"));
+            Drift::Changed { path, .. } => {
+                assert_eq!(path, &format!("workloads.lj.counters: kernels.{key}.flops"));
             }
             other => panic!("unexpected drift kind: {other:?}"),
         }
-        assert!(compare(&report, &perturbed, 1e-3).is_empty());
     }
 }

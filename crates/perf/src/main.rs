@@ -1,157 +1,71 @@
-//! `perf-smoke` — run the deterministic smoke workloads and gate on a
-//! committed counter baseline.
+//! `perf-smoke` — capture the deterministic smoke workloads once and
+//! gate the run document on the committed baseline.
 //!
 //! ```text
-//! perf-smoke                                   # write results/perf_smoke.json
-//! perf-smoke --out PATH                        # write elsewhere
-//! perf-smoke --check results/perf_baseline.json
-//! perf-smoke --check BASE --tolerance 1e-9     # allow tiny relative drift
-//! perf-smoke --write-baseline                  # refresh results/perf_baseline.json
-//! perf-smoke --time                            # wall-clock medians -> results/BENCH_hotpath.json
-//! perf-smoke --time --reps 5 --scale 25        # tune repetition count / run length
-//! perf-smoke --trace trace.json                # Perfetto timeline of the smoke suite
-//! perf-smoke --metrics metrics.json            # canonical metrics dump
-//! perf-smoke --check-metrics results/metrics_baseline.json
-//! perf-smoke --write-metrics-baseline          # refresh results/metrics_baseline.json
-//! perf-smoke --report report.json              # critical-path run report
-//! perf-smoke --check-report results/run_report.json
-//! perf-smoke --write-report-baseline           # refresh results/run_report.json
-//! perf-smoke --faults 1,2,3                    # chaos sweep: faulted ranks4 must
-//!                                              # match the fault-free run bitwise
+//! perf-smoke                            # write results/perf_smoke.json
+//! perf-smoke --out PATH                 # write the document elsewhere
+//! perf-smoke --check results/baseline.json
+//! perf-smoke --write-baseline           # refresh results/baseline.json
+//! perf-smoke --trace trace.json         # also write the Perfetto timeline
+//! perf-smoke --faults 1,2,3             # chaos sweep: faulted ranks4 must
+//!                                       # match the fault-free run bitwise
 //! ```
 //!
-//! `--time` is advisory: it runs the same four workloads multi-threaded
-//! and records median-of-N wall-clock per phase, but CI gates only on
-//! the deterministic counters from the default mode.
+//! Every run captures all six workloads (forced sequential, each under
+//! its own accumulator and deterministic trace collector), writes the
+//! run document — `summary`, `counters`, `metrics` and, for the
+//! rank-parallel workloads, `critical_path` per workload — and prints
+//! the per-rank attribution table to stderr. `--check` compares the
+//! document *byte for byte*; on a mismatch both sides are parsed and
+//! the drift printed as section + key. `--trace` writes the same
+//! capture as a Chrome trace_event file (open at
+//! <https://ui.perfetto.dev>), one process group per workload.
 //!
-//! `--trace`/`--metrics`/`--check-metrics` are a separate capture mode
-//! (they run the suite once under an `lkk-trace` collector). The trace
-//! is a Chrome trace_event JSON — open it at <https://ui.perfetto.dev>.
-//! The metrics dump is deterministic and is compared *byte-for-byte*
-//! against the committed baseline.
-//!
-//! `--report`/`--check-report` run only the rank-parallel workloads,
-//! each under a fresh collector, and render the critical-path
-//! attribution document (see `docs/observability.md`). Like the
-//! metrics dump it is byte-stable in deterministic mode and gated
-//! byte-for-byte against `results/run_report.json`; the human-readable
-//! attribution table prints to stderr.
-//!
-//! Exit codes: 0 = ok, 1 = counter/metrics drift vs baseline, 2 =
-//! usage or I/O error.
+//! Exit codes: 0 = ok, 1 = drift vs baseline (or a chaos seed broke
+//! determinism), 2 = usage or I/O error.
 
-use lkk_perf::{compare, json, report, timing, workloads};
+use lkk_perf::{capture, compare, faults};
+use lkk_trace::json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const DEFAULT_OUT: &str = "results/perf_smoke.json";
-const DEFAULT_BASELINE: &str = "results/perf_baseline.json";
-const DEFAULT_TIME_OUT: &str = "results/BENCH_hotpath.json";
-const DEFAULT_METRICS_BASELINE: &str = "results/metrics_baseline.json";
-const DEFAULT_REPORT_BASELINE: &str = "results/run_report.json";
+const DEFAULT_BASELINE: &str = "results/baseline.json";
 const DEFAULT_FAULTS_OUT: &str = "results/fault_report.json";
 
+const USAGE: &str =
+    "usage: perf-smoke [--out PATH] [--check BASELINE] [--write-baseline] [--trace PATH]
+       perf-smoke --faults SEED[,SEED...] [--out PATH]
+
+  --out PATH         where to write the run document (default results/perf_smoke.json;
+                     with --faults the fault report, default results/fault_report.json)
+  --check BASELINE   fail (exit 1) unless the document equals BASELINE byte for byte
+  --write-baseline   also write the document to results/baseline.json
+  --trace PATH       also write the capture as one Perfetto timeline
+  --faults SEEDS     chaos sweep over ranks4 instead of the capture";
+
+#[derive(Default)]
 struct Args {
-    out: PathBuf,
+    out: Option<PathBuf>,
     check: Option<PathBuf>,
     write_baseline: bool,
-    tolerance: f64,
-    time: bool,
-    reps: usize,
-    scale: u64,
     trace: Option<PathBuf>,
-    metrics: Option<PathBuf>,
-    check_metrics: Option<PathBuf>,
-    write_metrics_baseline: bool,
-    report: Option<PathBuf>,
-    check_report: Option<PathBuf>,
-    write_report_baseline: bool,
     faults: Option<Vec<u64>>,
 }
 
-fn usage() -> &'static str {
-    "usage: perf-smoke [--out PATH] [--check BASELINE] [--tolerance T] [--write-baseline]\n       perf-smoke --time [--reps N] [--scale S] [--out PATH]\n       perf-smoke [--trace PATH] [--metrics PATH] [--check-metrics BASELINE] [--write-metrics-baseline]\n       perf-smoke [--report PATH] [--check-report BASELINE] [--write-report-baseline]\n       perf-smoke --faults SEED[,SEED...] [--out PATH]"
-}
-
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        out: PathBuf::from(DEFAULT_OUT),
-        check: None,
-        write_baseline: false,
-        tolerance: 0.0,
-        time: false,
-        reps: 5,
-        scale: 25,
-        trace: None,
-        metrics: None,
-        check_metrics: None,
-        write_metrics_baseline: false,
-        report: None,
-        check_report: None,
-        write_report_baseline: false,
-        faults: None,
-    };
-    let mut out_set = false;
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
+        let mut path = || {
+            let value = it.next().ok_or(format!("{flag} needs a path"))?;
+            Ok::<_, String>(Some(PathBuf::from(value)))
+        };
         match flag.as_str() {
-            "--out" => {
-                args.out = PathBuf::from(it.next().ok_or("--out needs a path")?);
-                out_set = true;
-            }
-            "--check" => {
-                args.check = Some(PathBuf::from(it.next().ok_or("--check needs a path")?));
-            }
-            "--tolerance" => {
-                let t = it.next().ok_or("--tolerance needs a value")?;
-                args.tolerance = t
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad tolerance {t:?}: {e}"))?;
-                if !(args.tolerance >= 0.0) {
-                    return Err(format!("tolerance must be >= 0, got {t}"));
-                }
-            }
+            "--out" => args.out = path()?,
+            "--check" => args.check = path()?,
+            "--trace" => args.trace = path()?,
             "--write-baseline" => args.write_baseline = true,
-            "--time" => args.time = true,
-            "--reps" => {
-                let r = it.next().ok_or("--reps needs a value")?;
-                args.reps = r
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad reps {r:?}: {e}"))?;
-                if args.reps == 0 {
-                    return Err("reps must be >= 1".into());
-                }
-            }
-            "--scale" => {
-                let s = it.next().ok_or("--scale needs a value")?;
-                args.scale = s
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad scale {s:?}: {e}"))?;
-                if args.scale == 0 {
-                    return Err("scale must be >= 1".into());
-                }
-            }
-            "--trace" => {
-                args.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a path")?));
-            }
-            "--metrics" => {
-                args.metrics = Some(PathBuf::from(it.next().ok_or("--metrics needs a path")?));
-            }
-            "--check-metrics" => {
-                args.check_metrics = Some(PathBuf::from(
-                    it.next().ok_or("--check-metrics needs a path")?,
-                ));
-            }
-            "--write-metrics-baseline" => args.write_metrics_baseline = true,
-            "--report" => {
-                args.report = Some(PathBuf::from(it.next().ok_or("--report needs a path")?));
-            }
-            "--check-report" => {
-                args.check_report = Some(PathBuf::from(
-                    it.next().ok_or("--check-report needs a path")?,
-                ));
-            }
-            "--write-report-baseline" => args.write_report_baseline = true,
             "--faults" => {
                 let list = it.next().ok_or("--faults needs SEED[,SEED...]")?;
                 let seeds = list
@@ -162,298 +76,140 @@ fn parse_args() -> Result<Args, String> {
                             .map_err(|e| format!("bad seed {s:?}: {e}"))
                     })
                     .collect::<Result<Vec<u64>, String>>()?;
-                if seeds.is_empty() {
-                    return Err("--faults needs at least one seed".into());
-                }
                 args.faults = Some(seeds);
             }
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
-    }
-    if args.time && !out_set {
-        args.out = PathBuf::from(DEFAULT_TIME_OUT);
-    }
-    if args.faults.is_some() && !out_set {
-        args.out = PathBuf::from(DEFAULT_FAULTS_OUT);
     }
     Ok(args)
 }
 
-fn write_report(path: &Path, text: &str) -> Result<(), String> {
+fn write_file(path: &Path, text: &str) -> Result<(), String> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         }
     }
-    std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
+    std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    eprintln!("perf-smoke: wrote {}", path.display());
+    Ok(())
+}
+
+/// The chaos sweep. `Ok(false)` when a seed broke determinism.
+fn run_faults(seeds: &[u64], out: &Path) -> Result<bool, String> {
+    eprintln!(
+        "perf-smoke: chaos sweep — ranks4 under {} fault seed(s) vs the fault-free run...",
+        seeds.len()
+    );
+    let outcomes = faults::run_seeds(seeds);
+    write_file(out, &faults::render(&outcomes).to_pretty())?;
+    let mut failed = 0usize;
+    for o in &outcomes {
+        if o.violations.is_empty() {
+            eprintln!(
+                "perf-smoke:   seed {:>12}: OK — {} faults injected, {} recovery actions, bitwise identical",
+                o.seed, o.injected, o.recovered
+            );
+        } else {
+            failed += 1;
+            eprintln!("perf-smoke:   seed {:>12}: FAIL", o.seed);
+            for v in &o.violations {
+                eprintln!("perf-smoke:     {v}");
+            }
+        }
+    }
+    if failed > 0 {
+        eprintln!(
+            "perf-smoke: FAIL — {failed} of {} seed(s) broke determinism",
+            outcomes.len()
+        );
+    } else {
+        eprintln!(
+            "perf-smoke: OK — all {} seed(s) bitwise identical",
+            outcomes.len()
+        );
+    }
+    Ok(failed == 0)
+}
+
+/// The capture and its gate. `Ok(false)` on drift.
+fn run_capture(args: &Args) -> Result<bool, String> {
+    // Read the baseline first: a bad path should not cost a capture.
+    let baseline = match &args.check {
+        Some(path) => Some(
+            std::fs::read_to_string(path)
+                .map_err(|e| format!("reading {}: {e}", path.display()))?,
+        ),
+        None => None,
+    };
+
+    eprintln!(
+        "perf-smoke: capturing 4 single-rank workloads + ranks4 + skewed8 (forced sequential)..."
+    );
+    let captures = capture::capture_all();
+    eprint!("{}", capture::attribution_text(&captures));
+    let text = capture::document(&captures).to_pretty();
+    write_file(args.out.as_deref().unwrap_or(Path::new(DEFAULT_OUT)), &text)?;
+    if args.write_baseline {
+        write_file(Path::new(DEFAULT_BASELINE), &text)?;
+    }
+    if let Some(path) = &args.trace {
+        write_file(path, &capture::trace(&captures).to_pretty())?;
+    }
+
+    let (Some(baseline), Some(path)) = (baseline, &args.check) else {
+        return Ok(true);
+    };
+    if baseline == text {
+        eprintln!("perf-smoke: OK — byte-identical to {}", path.display());
+        return Ok(true);
+    }
+    eprintln!(
+        "perf-smoke: FAIL — run document drifted vs {} (byte comparison):",
+        path.display()
+    );
+    match (json::parse(&baseline), json::parse(&text)) {
+        (Ok(base), Ok(current)) => {
+            let drifts = compare(&base, &current);
+            for d in &drifts {
+                eprintln!("  {d}");
+            }
+            if drifts.is_empty() {
+                eprintln!("  (every leaf matches: key order or formatting differs)");
+            }
+        }
+        (Err(e), _) => eprintln!("  (baseline is not parseable JSON: {e})"),
+        (_, Err(e)) => eprintln!("  (current document is not parseable JSON: {e})"),
+    }
+    eprintln!(
+        "perf-smoke: if the change is intentional, refresh with \
+         `cargo run --release -p lkk-perf --bin perf-smoke -- --write-baseline`"
+    );
+    Ok(false)
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(args) => args,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(seeds) = &args.faults {
-        eprintln!(
-            "perf-smoke: chaos sweep — ranks4 under {} fault seed(s) vs the fault-free run...",
-            seeds.len()
-        );
-        let outcomes = lkk_perf::faults::run_seeds(seeds);
-        let doc = lkk_perf::faults::render(&outcomes);
-        if let Err(msg) = write_report(&args.out, &doc.to_pretty()) {
+    let outcome = match &args.faults {
+        Some(seeds) => {
+            let out = args.out.as_deref().unwrap_or(Path::new(DEFAULT_FAULTS_OUT));
+            run_faults(seeds, out)
+        }
+        None => run_capture(&args),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(msg) => {
             eprintln!("perf-smoke: {msg}");
-            return ExitCode::from(2);
-        }
-        eprintln!("perf-smoke: wrote {}", args.out.display());
-        let mut failed = 0usize;
-        for o in &outcomes {
-            if o.violations.is_empty() {
-                eprintln!(
-                    "perf-smoke:   seed {:>12}: OK — {} faults injected, {} recovery actions, bitwise identical",
-                    o.seed, o.injected, o.recovered
-                );
-            } else {
-                failed += 1;
-                eprintln!("perf-smoke:   seed {:>12}: FAIL", o.seed);
-                for v in &o.violations {
-                    eprintln!("perf-smoke:     {v}");
-                }
-            }
-        }
-        if failed > 0 {
-            eprintln!(
-                "perf-smoke: FAIL — {failed} of {} seed(s) broke determinism",
-                outcomes.len()
-            );
-            return ExitCode::from(1);
-        }
-        eprintln!(
-            "perf-smoke: OK — all {} seed(s) bitwise identical",
-            outcomes.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let report_mode =
-        args.report.is_some() || args.check_report.is_some() || args.write_report_baseline;
-    if report_mode {
-        eprintln!("perf-smoke: critical-path report — ranks4 + skewed8 (forced sequential)...");
-        let cap = lkk_perf::runreport::capture_report();
-        eprint!("{}", cap.text);
-        if let Some(path) = &args.report {
-            if let Err(msg) = write_report(path, &cap.json) {
-                eprintln!("perf-smoke: {msg}");
-                return ExitCode::from(2);
-            }
-            eprintln!("perf-smoke: wrote {}", path.display());
-        }
-        if args.write_report_baseline {
-            let path = Path::new(DEFAULT_REPORT_BASELINE);
-            if let Err(msg) = write_report(path, &cap.json) {
-                eprintln!("perf-smoke: {msg}");
-                return ExitCode::from(2);
-            }
-            eprintln!("perf-smoke: wrote {}", path.display());
-        }
-        if let Some(baseline_path) = &args.check_report {
-            let baseline_text = match std::fs::read_to_string(baseline_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("perf-smoke: reading {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            if baseline_text == cap.json {
-                eprintln!(
-                    "perf-smoke: OK — run report byte-identical to {}",
-                    baseline_path.display()
-                );
-            } else {
-                eprintln!(
-                    "perf-smoke: FAIL — run report drifted vs {} (byte comparison):",
-                    baseline_path.display()
-                );
-                match (json::parse(&baseline_text), json::parse(&cap.json)) {
-                    (Ok(base), Ok(cur)) => {
-                        for d in compare(&base, &cur, 0.0) {
-                            eprintln!("  {d}");
-                        }
-                    }
-                    _ => eprintln!("  (one side is not parseable JSON)"),
-                }
-                eprintln!(
-                    "perf-smoke: if the change is intentional, refresh with \
-                     `cargo run --release -p lkk-perf --bin perf-smoke -- --write-report-baseline`"
-                );
-                return ExitCode::from(1);
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let trace_mode = args.trace.is_some()
-        || args.metrics.is_some()
-        || args.check_metrics.is_some()
-        || args.write_metrics_baseline;
-    if trace_mode {
-        eprintln!(
-            "perf-smoke: tracing 4 single-rank workloads + ranks4 + skewed8 (forced sequential)..."
-        );
-        let cap = lkk_perf::tracing::capture();
-        if let Some(path) = &args.trace {
-            if let Err(msg) = write_report(path, &cap.chrome_json) {
-                eprintln!("perf-smoke: {msg}");
-                return ExitCode::from(2);
-            }
-            eprintln!(
-                "perf-smoke: wrote {} (open at https://ui.perfetto.dev)",
-                path.display()
-            );
-        }
-        if let Some(path) = &args.metrics {
-            if let Err(msg) = write_report(path, &cap.metrics_json) {
-                eprintln!("perf-smoke: {msg}");
-                return ExitCode::from(2);
-            }
-            eprintln!("perf-smoke: wrote {}", path.display());
-        }
-        if args.write_metrics_baseline {
-            let path = Path::new(DEFAULT_METRICS_BASELINE);
-            if let Err(msg) = write_report(path, &cap.metrics_json) {
-                eprintln!("perf-smoke: {msg}");
-                return ExitCode::from(2);
-            }
-            eprintln!("perf-smoke: wrote {}", path.display());
-        }
-        if let Some(baseline_path) = &args.check_metrics {
-            let baseline_text = match std::fs::read_to_string(baseline_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("perf-smoke: reading {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            if baseline_text == cap.metrics_json {
-                eprintln!(
-                    "perf-smoke: OK — metrics byte-identical to {}",
-                    baseline_path.display()
-                );
-            } else {
-                eprintln!(
-                    "perf-smoke: FAIL — metrics drifted vs {} (byte comparison):",
-                    baseline_path.display()
-                );
-                // Byte gate, structural report: parse both sides so the
-                // failure names the drifted keys instead of a bare cmp.
-                match (json::parse(&baseline_text), json::parse(&cap.metrics_json)) {
-                    (Ok(base), Ok(cur)) => {
-                        for d in compare(&base, &cur, 0.0) {
-                            eprintln!("  {d}");
-                        }
-                    }
-                    _ => eprintln!("  (one side is not parseable JSON)"),
-                }
-                eprintln!(
-                    "perf-smoke: if the change is intentional, refresh with \
-                     `cargo run --release -p lkk-perf --bin perf-smoke -- --write-metrics-baseline`"
-                );
-                return ExitCode::from(1);
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if args.time {
-        eprintln!(
-            "perf-smoke: timing 4 workloads ({} reps, {}x steps, multi-threaded)...",
-            args.reps, args.scale
-        );
-        let doc = timing::run_timed(args.reps, args.scale);
-        if let Err(msg) = write_report(&args.out, &doc.to_pretty()) {
-            eprintln!("perf-smoke: {msg}");
-            return ExitCode::from(2);
-        }
-        eprintln!("perf-smoke: wrote {}", args.out.display());
-        if let Some(wls) = doc.get("workloads") {
-            for name in ["lj", "eam", "snap", "reaxff"] {
-                if let Some(med) = wls
-                    .get(name)
-                    .and_then(|w| w.get("total_ms"))
-                    .and_then(|t| t.get("median"))
-                    .and_then(lkk_perf::Value::as_f64)
-                {
-                    eprintln!("perf-smoke:   {name:7} median {med:9.3} ms");
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    eprintln!(
-        "perf-smoke: running 4 single-rank workloads + ranks4 + skewed8 (forced sequential)..."
-    );
-    let current = report::run_all(workloads::all());
-    let text = current.to_pretty();
-
-    if let Err(msg) = write_report(&args.out, &text) {
-        eprintln!("perf-smoke: {msg}");
-        return ExitCode::from(2);
-    }
-    eprintln!("perf-smoke: wrote {}", args.out.display());
-
-    if args.write_baseline {
-        let baseline_path = Path::new(DEFAULT_BASELINE);
-        if let Err(msg) = write_report(baseline_path, &text) {
-            eprintln!("perf-smoke: {msg}");
-            return ExitCode::from(2);
-        }
-        eprintln!("perf-smoke: wrote {}", baseline_path.display());
-    }
-
-    if let Some(baseline_path) = &args.check {
-        let baseline_text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("perf-smoke: reading {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match json::parse(&baseline_text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("perf-smoke: parsing {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let drifts = compare(&baseline, &current, args.tolerance);
-        if drifts.is_empty() {
-            eprintln!(
-                "perf-smoke: OK — counters match {} (tolerance {})",
-                baseline_path.display(),
-                args.tolerance
-            );
-        } else {
-            eprintln!(
-                "perf-smoke: FAIL — {} counter(s) drifted vs {} (tolerance {}):",
-                drifts.len(),
-                baseline_path.display(),
-                args.tolerance
-            );
-            for d in &drifts {
-                eprintln!("  {d}");
-            }
-            eprintln!(
-                "perf-smoke: if the change is intentional, refresh with \
-                 `cargo run --release -p lkk-perf --bin perf-smoke -- --write-baseline`"
-            );
-            return ExitCode::from(1);
+            ExitCode::from(2)
         }
     }
-
-    ExitCode::SUCCESS
 }

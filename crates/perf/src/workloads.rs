@@ -1,6 +1,7 @@
-//! The four smoke workloads: small, fixed-seed systems for each force
+//! The six smoke workloads: small, fixed-seed systems for each force
 //! field family the paper benchmarks, run through the full
-//! `Simulation::run` timestep loop on a simulated device.
+//! `Simulation::run` timestep loop on a simulated device, plus two
+//! brick-decomposed LJ systems on rank threads.
 //!
 //! Sizes are deliberately tiny — the harness gates on *counters*, not
 //! throughput, so a few hundred atoms exercise every kernel, the
@@ -118,7 +119,6 @@ pub fn all() -> Vec<Workload> {
 pub struct RankWorkload {
     pub name: &'static str,
     pub spec: RunSpec,
-    pub nranks: usize,
     pub factory: fn(usize, System) -> Simulation,
 }
 
@@ -155,7 +155,6 @@ pub fn ranks4() -> RankWorkload {
     RankWorkload {
         name: "ranks4",
         spec,
-        nranks: 4,
         factory: ranks4_sim,
     }
 }
@@ -205,7 +204,6 @@ pub fn skewed8() -> RankWorkload {
     RankWorkload {
         name: "skewed8",
         spec,
-        nranks: 8,
         factory: skewed8_sim,
     }
 }

@@ -682,8 +682,8 @@ mod tests {
         let (mut system, mut pair) = tungsten_like(3, 4, Space::Threads);
         let (forces, res) = compute_forces(&mut system, &mut pair);
         for f in &forces {
-            for k in 0..3 {
-                assert!(f[k].abs() < 1e-9, "residual {}", f[k]);
+            for c in f {
+                assert!(c.abs() < 1e-9, "residual {c}");
             }
         }
         assert!(res.energy.is_finite());
@@ -731,7 +731,7 @@ mod tests {
         // FD on atom 3, all directions. Rebuild ghosts from scratch at
         // each displacement (positions feed ghosts).
         let h = 1e-5;
-        for dir in 0..3 {
+        for (dir, &analytic) in forces[3].iter().enumerate() {
             let mut es = [0.0f64; 2];
             for (s, sign) in [(0usize, 1.0f64), (1, -1.0)] {
                 let (mut sys2, mut pair2) = tungsten_like(3, 4, Space::Serial);
@@ -753,9 +753,8 @@ mod tests {
             }
             let fd = -(es[0] - es[1]) / (2.0 * h);
             assert!(
-                (forces[3][dir] - fd).abs() < 1e-6 * fd.abs().max(1e-3),
-                "dir {dir}: analytic {} vs fd {fd}",
-                forces[3][dir]
+                (analytic - fd).abs() < 1e-6 * fd.abs().max(1e-3),
+                "dir {dir}: analytic {analytic} vs fd {fd}"
             );
         }
     }

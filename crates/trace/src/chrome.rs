@@ -2,7 +2,9 @@
 //!
 //! The output is the "JSON Object Format" of the trace_event spec: a
 //! top-level object with a `traceEvents` array, loadable in Perfetto
-//! (<https://ui.perfetto.dev>) and `chrome://tracing`. Layout:
+//! (<https://ui.perfetto.dev>) and `chrome://tracing`. Layout per
+//! collector (a document over several collectors repeats it with the
+//! next pair of pids, see [`export_chrome`]):
 //!
 //! * `pid 0` — the **host** process: one `tid` per lane (rank threads
 //!   `rank0`, `rank1`, ... and `host` for everything else), carrying
@@ -27,15 +29,51 @@
 //! dropped so the exported `s`/`f` pairs stay balanced unconditionally
 //! too.
 
-use crate::collector::{DeviceEvent, Event, EventKind, TraceCollector, TraceMode};
-use crate::{push_json_num, push_json_string};
+use crate::collector::{Event, EventKind, TraceCollector, TraceMode};
+use crate::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// One Chrome `trace_event` document over several collectors. Group `g`
+/// gets its own pair of processes — host lanes under `pid 2g`, simulated
+/// device lanes under `pid 2g + 1`, both named after the group's label —
+/// and its own flow category, so lanes and flow ids that recur between
+/// groups (every rank-parallel run has a `rank0`) stay apart. The
+/// header's `arch` and `clock` are the first group's.
+pub fn export_chrome(groups: &[(&str, &TraceCollector)]) -> Value {
+    let mut events = Vec::new();
+    for (g, (label, collector)) in groups.iter().enumerate() {
+        collector.chrome_events(label, 2 * g, &mut events);
+    }
+    let mut other = Value::obj();
+    other.set("generator", "lkk-trace");
+    if let Some((_, first)) = groups.first() {
+        other.set("arch", first.arch_name());
+        other.set("clock", first.mode().clock());
+    }
+    let mut doc = Value::obj();
+    doc.set("displayTimeUnit", "ms");
+    doc.set("otherData", other);
+    doc.set("traceEvents", Value::Arr(events));
+    doc
+}
+
 impl TraceCollector {
-    /// Render the collected timeline as Chrome `trace_event` JSON.
+    /// Render this collector's timeline alone as Chrome `trace_event`
+    /// JSON (host process `pid 0`, simulated device `pid 1`).
     pub fn export_chrome(&self) -> String {
+        export_chrome(&[("", self)]).to_pretty()
+    }
+
+    /// Append this collector's events: host lanes under process `pid`,
+    /// device lanes under `pid + 1`.
+    fn chrome_events(&self, label: &str, pid: usize, out: &mut Vec<Value>) {
         let mode = self.mode();
         let lanes = self.sorted_lanes();
+        let labelled = |what: &str| match label {
+            "" => what.to_string(),
+            _ => format!("{label}: {what}"),
+        };
+        let flow_cat = labelled("comm");
 
         // Flow pre-pass: an id is renderable only when the collector saw
         // exactly one begin and one end for it (anything else is a
@@ -57,64 +95,34 @@ impl TraceCollector {
             .map(|(id, _)| *id)
             .collect();
 
-        let mut out = String::with_capacity(1 << 16);
-        out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {");
-        out.push_str("\"generator\": \"lkk-trace\", \"arch\": ");
-        push_json_string(&mut out, self.arch_name());
-        out.push_str(", \"clock\": ");
-        push_json_string(
-            &mut out,
-            match mode {
-                TraceMode::Deterministic => "ticks",
-                TraceMode::Wall => "us",
-            },
-        );
-        out.push_str("},\n  \"traceEvents\": [\n");
-
-        let mut first = true;
-        let mut emit = |line: String, out: &mut String| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("    ");
-            out.push_str(&line);
-        };
-
-        emit(process_meta(0, "host"), &mut out);
+        out.push(meta("process_name", pid, 0, &labelled("host")));
         if lanes
             .iter()
             .any(|l| !l.data.lock().unwrap().device.is_empty())
         {
-            emit(
-                process_meta(1, &format!("gpusim {} (predicted)", self.arch_name())),
-                &mut out,
-            );
+            let name = format!("gpusim {} (predicted)", self.arch_name());
+            out.push(meta("process_name", pid + 1, 0, &labelled(&name)));
         }
 
         for (tid, lane) in lanes.iter().enumerate() {
             let d = lane.data.lock().unwrap();
-            emit(thread_meta(0, tid, &d.name), &mut out);
-            for line in host_events(&d.events, mode, tid, &complete_flows) {
-                emit(line, &mut out);
-            }
+            out.push(meta("thread_name", pid, tid, &d.name));
+            host_events(&d.events, mode, (pid, tid), &flow_cat, &complete_flows, out);
             if !d.device.is_empty() {
-                emit(thread_meta(1, tid, &format!("{} device", d.name)), &mut out);
+                out.push(meta(
+                    "thread_name",
+                    pid + 1,
+                    tid,
+                    &format!("{} device", d.name),
+                ));
                 for ev in &d.device {
-                    emit(device_event(ev, mode, tid), &mut out);
+                    let ts = mode.pick(ev.ts_det, ev.ts_wall);
+                    let mut x = event("X", &ev.name, (pid + 1, tid), ts);
+                    x.set("dur", ev.dur_us);
+                    out.push(x);
                 }
             }
         }
-
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-fn ts_of(ev: &Event, mode: TraceMode) -> f64 {
-    match mode {
-        TraceMode::Deterministic => ev.ts_det,
-        TraceMode::Wall => ev.ts_wall,
     }
 }
 
@@ -125,147 +133,94 @@ fn ts_of(ev: &Event, mode: TraceMode) -> f64 {
 fn host_events(
     events: &[Event],
     mode: TraceMode,
-    tid: usize,
+    lane: (usize, usize),
+    flow_cat: &str,
     complete_flows: &BTreeSet<u64>,
-) -> Vec<String> {
-    let mut lines = Vec::with_capacity(events.len());
+    out: &mut Vec<Value>,
+) {
     let mut open: Vec<&str> = Vec::new();
     let mut last_ts = 0.0_f64;
     for ev in events {
-        let ts = ts_of(ev, mode);
+        let ts = mode.pick(ev.ts_det, ev.ts_wall);
         last_ts = last_ts.max(ts);
         match &ev.kind {
             EventKind::Begin(name) => {
                 open.push(name);
-                lines.push(span_event("B", name, ts, tid));
+                out.push(event("B", name, lane, ts));
             }
             EventKind::End(name) => {
                 if open.pop().is_some() {
-                    lines.push(span_event("E", name, ts, tid));
+                    out.push(event("E", name, lane, ts));
                 }
             }
             EventKind::Instant { name, value } => {
-                lines.push(arg_event("i", name, "value", *value, ts, tid, true));
+                out.push(arg_event("i", name, "value", *value, lane, ts));
             }
             EventKind::Counter { name, value } => {
-                lines.push(arg_event("C", name, "value", *value, ts, tid, false));
+                out.push(arg_event("C", name, "value", *value, lane, ts));
             }
             EventKind::Launch { name, work_items } => {
-                lines.push(arg_event(
-                    "i",
-                    name,
-                    "work_items",
-                    *work_items,
-                    ts,
-                    tid,
-                    true,
-                ));
+                out.push(arg_event("i", name, "work_items", *work_items, lane, ts));
             }
-            EventKind::FlowBegin { name, id } => {
+            EventKind::FlowBegin { name, id } | EventKind::FlowEnd { name, id } => {
                 if complete_flows.contains(id) {
-                    lines.push(flow_event("s", name, *id, ts, tid));
-                }
-            }
-            EventKind::FlowEnd { name, id } => {
-                if complete_flows.contains(id) {
-                    lines.push(flow_event("f", name, *id, ts, tid));
+                    // The `f` side carries `"bp": "e"` so the arrow ends
+                    // at the *enclosing slice* rather than the next one
+                    // (the trace_event "binding point" rule). The id is a
+                    // hex string: it uses all 64 bits, and a JSON number
+                    // is only exact up to 2⁵³ in most readers.
+                    let begin = matches!(ev.kind, EventKind::FlowBegin { .. });
+                    let mut flow = event(if begin { "s" } else { "f" }, name, lane, ts);
+                    flow.set("cat", flow_cat);
+                    flow.set("id", format!("{id:#x}"));
+                    if !begin {
+                        flow.set("bp", "e");
+                    }
+                    out.push(flow);
                 }
             }
         }
     }
     // Synthetic closes, innermost first, all at the lane's end.
     while let Some(name) = open.pop() {
-        lines.push(span_event("E", name, last_ts + 1.0, tid));
+        out.push(event("E", name, lane, last_ts + 1.0));
     }
-    lines
 }
 
-fn event_head(out: &mut String, ph: &str, name: &str, pid: usize, tid: usize, ts: f64) {
-    out.push_str("{\"name\": ");
-    push_json_string(out, name);
-    out.push_str(&format!(
-        ", \"ph\": \"{ph}\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": "
-    ));
-    push_json_num(out, ts);
+fn event(ph: &str, name: &str, (pid, tid): (usize, usize), ts: f64) -> Value {
+    let mut ev = Value::obj();
+    ev.set("name", name);
+    ev.set("ph", ph);
+    ev.set("pid", pid);
+    ev.set("tid", tid);
+    ev.set("ts", ts);
+    ev
 }
 
-fn span_event(ph: &str, name: &str, ts: f64, tid: usize) -> String {
-    let mut s = String::new();
-    event_head(&mut s, ph, name, 0, tid, ts);
-    s.push('}');
-    s
-}
-
-fn arg_event(
-    ph: &str,
-    name: &str,
-    arg: &str,
-    value: f64,
-    ts: f64,
-    tid: usize,
-    thread_scope: bool,
-) -> String {
-    let mut s = String::new();
-    event_head(&mut s, ph, name, 0, tid, ts);
-    if thread_scope {
-        // Instant scope: "t" = thread-width tick mark.
-        s.push_str(", \"s\": \"t\"");
+/// An instant (`i`, thread-width tick mark) or counter (`C`) event with
+/// one numeric argument.
+fn arg_event(ph: &str, name: &str, arg: &str, value: f64, lane: (usize, usize), ts: f64) -> Value {
+    let mut ev = event(ph, name, lane, ts);
+    if ph == "i" {
+        ev.set("s", "t");
     }
-    s.push_str(", \"args\": {");
-    push_json_string(&mut s, arg);
-    s.push_str(": ");
-    push_json_num(&mut s, value);
-    s.push_str("}}");
-    s
+    let mut args = Value::obj();
+    args.set(arg, value);
+    ev.set("args", args);
+    ev
 }
 
-/// One Perfetto flow endpoint. The `f` side carries `"bp": "e"` so the
-/// arrow terminates at the *enclosing slice* end rather than the next
-/// slice (the trace_event "binding point" rule). The id is written as
-/// a hex string: it uses all 64 bits, and a JSON number is only exact
-/// up to 2⁵³ in most readers.
-fn flow_event(ph: &str, name: &str, id: u64, ts: f64, tid: usize) -> String {
-    let mut s = String::new();
-    event_head(&mut s, ph, name, 0, tid, ts);
-    s.push_str(&format!(", \"cat\": \"comm\", \"id\": \"{id:#x}\""));
-    if ph == "f" {
-        s.push_str(", \"bp\": \"e\"");
-    }
-    s.push('}');
-    s
-}
-
-fn device_event(ev: &DeviceEvent, mode: TraceMode, tid: usize) -> String {
-    let ts = match mode {
-        TraceMode::Deterministic => ev.ts_det,
-        TraceMode::Wall => ev.ts_wall,
-    };
-    let mut s = String::new();
-    event_head(&mut s, "X", &ev.name, 1, tid, ts);
-    s.push_str(", \"dur\": ");
-    push_json_num(&mut s, ev.dur_us);
-    s.push('}');
-    s
-}
-
-fn process_meta(pid: usize, name: &str) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"args\": {{\"name\": "
-    ));
-    push_json_string(&mut s, name);
-    s.push_str("}}");
-    s
-}
-
-fn thread_meta(pid: usize, tid: usize, name: &str) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": "
-    ));
-    push_json_string(&mut s, name);
-    s.push_str("}}");
-    s
+/// A `process_name` / `thread_name` metadata record.
+fn meta(kind: &str, pid: usize, tid: usize, name: &str) -> Value {
+    let mut args = Value::obj();
+    args.set("name", name);
+    let mut ev = Value::obj();
+    ev.set("name", kind);
+    ev.set("ph", "M");
+    ev.set("pid", pid);
+    ev.set("tid", tid);
+    ev.set("args", args);
+    ev
 }
 
 #[cfg(test)]
@@ -345,10 +300,8 @@ mod tests {
         let json = c.export_chrome();
         assert_eq!(json.matches("\"ph\": \"s\"").count(), 1, "{json}");
         assert_eq!(json.matches("\"ph\": \"f\"").count(), 1, "{json}");
-        assert!(
-            json.contains("\"cat\": \"comm\", \"id\": \"0x7\""),
-            "{json}"
-        );
+        assert_eq!(json.matches("\"cat\": \"comm\"").count(), 2, "{json}");
+        assert_eq!(json.matches("\"id\": \"0x7\"").count(), 2, "{json}");
         assert!(json.contains("\"bp\": \"e\""), "{json}");
         assert!(
             !json.contains("\"id\": \"0x9\""),

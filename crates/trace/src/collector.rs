@@ -38,6 +38,24 @@ pub enum TraceMode {
     Wall,
 }
 
+impl TraceMode {
+    /// The unit the exports name their clock by.
+    pub(crate) fn clock(self) -> &'static str {
+        match self {
+            TraceMode::Deterministic => "ticks",
+            TraceMode::Wall => "us",
+        }
+    }
+
+    /// Of an event's two timestamps, the one this mode renders.
+    pub(crate) fn pick(self, det: f64, wall: f64) -> f64 {
+        match self {
+            TraceMode::Deterministic => det,
+            TraceMode::Wall => wall,
+        }
+    }
+}
+
 /// One recorded host-lane event.
 pub(crate) struct Event {
     /// Lane-local logical tick (0, 1, 2, ... per lane).
@@ -109,7 +127,7 @@ thread_local! {
 /// Register with `lkk_kokkos::profile::register_subscriber`, run the
 /// workload, unregister, then export with
 /// [`TraceCollector::export_chrome`] /
-/// [`TraceCollector::metrics`]`.to_canonical_json()`.
+/// [`TraceCollector::metrics`]`.to_value()`.
 pub struct TraceCollector {
     id: u64,
     mode: TraceMode,
@@ -445,7 +463,7 @@ mod tests {
 
         // Metrics: instants summed as counters, counter samples as
         // gauges + histograms.
-        let dump = c.metrics().to_canonical_json();
+        let dump = c.metrics().to_value().to_pretty();
         assert!(dump.contains("\"collector-test/grew\": 3"), "{dump}");
         assert!(dump.contains("\"rank7/halo_bytes\": 128"), "{dump}");
         assert!(dump.contains("\"collector-test/owned\": 42"), "{dump}");

@@ -33,12 +33,12 @@
 //!    the step's total time identically (integer tick arithmetic in
 //!    deterministic mode), which `tests/trace_schema.rs` pins.
 //!
-//! The resulting [`CriticalPathReport`] renders as canonical JSON
-//! (sorted keys, shortest round-trip numbers) so the `perf-smoke
-//! --report` harness can byte-gate it like the perf/metrics baselines.
+//! The resulting [`CriticalPathReport`] renders as a canonical
+//! [`Value`] (fixed key order, sorted rank keys), which `perf-smoke`
+//! embeds as the `critical_path` section of its byte-gated document.
 
 use crate::collector::{Event, EventKind, TraceCollector, TraceMode};
-use crate::{push_json_num, push_json_string};
+use crate::json::Value;
 use std::collections::BTreeMap;
 
 /// Attribution bucket of one timeline segment.
@@ -125,8 +125,8 @@ pub struct StepSummary {
 }
 
 /// The full analysis: per-rank attribution, per-step critical paths,
-/// and flow accounting. Canonical-JSON-serializable for baseline
-/// gating.
+/// and flow accounting; [`to_value`](Self::to_value) is what the
+/// baseline gates.
 #[derive(Debug, Clone)]
 pub struct CriticalPathReport {
     /// `"ticks"` (deterministic) or `"us"` (wall).
@@ -172,78 +172,49 @@ impl CriticalPathReport {
         all
     }
 
-    /// Canonical JSON: fixed key order, sorted rank keys, shortest
-    /// round-trip numbers — byte-identical across deterministic runs.
-    /// Embeds the top-5 critical-path spans; per-step detail stays on
-    /// the struct.
-    pub fn to_canonical_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": 1,\n  \"clock\": ");
-        push_json_string(&mut out, self.clock);
-        out.push_str(&format!(
-            ",\n  \"lanes\": {},\n  \"steps\": {},\n  \"total_time\": ",
-            self.lanes.len(),
-            self.nsteps
-        ));
-        push_json_num(&mut out, self.total_time);
-        out.push_str(",\n  \"critical_time\": ");
-        push_json_num(&mut out, self.critical_time);
-        out.push_str(&format!(
-            ",\n  \"flows\": {{\"complete\": {}, \"dangling\": {}, \"by_tag\": {{",
-            self.flows_complete, self.flows_dangling
-        ));
-        for (i, (tag, n)) in self.flows_by_tag.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+    /// Canonical rendering: fixed key order, sorted rank keys —
+    /// byte-identical across deterministic runs. Embeds the top-5
+    /// critical-path spans; per-step detail stays on the struct.
+    pub fn to_value(&self) -> Value {
+        let mut by_tag = Value::obj();
+        for (tag, n) in &self.flows_by_tag {
+            by_tag.set(tag.clone(), *n);
+        }
+        let mut flows = Value::obj();
+        flows.set("complete", self.flows_complete);
+        flows.set("dangling", self.flows_dangling);
+        flows.set("by_tag", by_tag);
+
+        let mut ranks = Value::obj();
+        for r in &self.ranks {
+            let mut row = Value::obj();
+            for (name, v) in r.entries() {
+                row.set(name, v);
             }
-            push_json_string(&mut out, tag);
-            out.push_str(&format!(": {n}"));
+            row.set("total", r.total());
+            ranks.set(r.lane.clone(), row);
         }
-        out.push_str("}},\n  \"ranks\": {");
-        for (i, r) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, &r.lane);
-            out.push_str(": {");
-            for (j, (name, v)) in r.entries().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push('"');
-                out.push_str(name);
-                out.push_str("\": ");
-                push_json_num(&mut out, *v);
-            }
-            out.push_str(", \"total\": ");
-            push_json_num(&mut out, r.total());
-            out.push('}');
-        }
-        if !self.ranks.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"top_spans\": [");
-        let top = self.top_spans(5);
-        for (i, s) in top.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"lane\": ");
-            push_json_string(&mut out, &s.lane);
-            out.push_str(&format!(", \"step\": {}, \"name\": ", s.step));
-            push_json_string(&mut out, &s.name);
-            out.push_str(", \"bucket\": \"");
-            out.push_str(s.bucket.name());
-            out.push_str("\", \"duration\": ");
-            push_json_num(&mut out, s.duration);
-            out.push('}');
-        }
-        if top.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
-        }
+
+        let top_spans = self.top_spans(5).into_iter().map(|s| {
+            let mut span = Value::obj();
+            span.set("lane", s.lane.clone());
+            span.set("step", s.step);
+            span.set("name", s.name.clone());
+            span.set("bucket", s.bucket.name());
+            span.set("duration", s.duration);
+            span
+        });
+
+        let mut out = Value::obj();
+        out.set("schema", 1.0);
+        out.set("clock", self.clock);
+        out.set("lanes", self.lanes.len());
+        out.set("steps", self.nsteps);
+        out.set("total_time", self.total_time);
+        out.set("critical_time", self.critical_time);
+        out.set("flows", flows);
+        out.set("ranks", ranks);
+        out.set("top_spans", Value::Arr(top_spans.collect()));
         out
     }
 }
@@ -285,13 +256,6 @@ fn bucket_of(leaf: &str) -> Bucket {
         "recv" | "reclaim" => Bucket::WireWait,
         "unpack" => Bucket::Unpack,
         _ => Bucket::Compute,
-    }
-}
-
-fn ts_of(ev: &Event, mode: TraceMode) -> f64 {
-    match mode {
-        TraceMode::Deterministic => ev.ts_det,
-        TraceMode::Wall => ev.ts_wall,
     }
 }
 
@@ -345,7 +309,7 @@ fn analyze_lane(
     };
 
     for ev in events {
-        let ts = ts_of(ev, mode);
+        let ts = mode.pick(ev.ts_det, ev.ts_wall);
         last_ts = last_ts.max(ts);
         match &ev.kind {
             EventKind::Begin(name) => {
@@ -703,10 +667,7 @@ impl TraceCollector {
         }
 
         CriticalPathReport {
-            clock: match mode {
-                TraceMode::Deterministic => "ticks",
-                TraceMode::Wall => "us",
-            },
+            clock: mode.clock(),
             lanes: analyses.iter().map(|a| a.name.clone()).collect(),
             nsteps,
             total_time,
@@ -851,23 +812,29 @@ mod tests {
     }
 
     #[test]
-    fn canonical_json_is_stable_and_well_formed() {
-        let a = two_lane_fixture().critical_path().to_canonical_json();
-        let b = two_lane_fixture().critical_path().to_canonical_json();
-        assert_eq!(a, b, "deterministic report is not byte-stable");
-        for needle in [
-            "\"schema\": 1",
-            "\"clock\": \"ticks\"",
-            "\"lanes\": 2",
-            "\"flows\": {\"complete\": 2, \"dangling\": 0",
-            "\"by_tag\": {\"forward\": 2}",
-            "\"rank0\"",
-            "\"compute\"",
-            "\"wire_wait\"",
-            "\"top_spans\"",
-        ] {
-            assert!(a.contains(needle), "missing {needle}:\n{a}");
+    fn canonical_value_is_stable_and_well_formed() {
+        let a = two_lane_fixture().critical_path().to_value();
+        let b = two_lane_fixture().critical_path().to_value();
+        assert_eq!(
+            a.to_pretty(),
+            b.to_pretty(),
+            "deterministic report is not byte-stable"
+        );
+        assert_eq!(a.get("schema"), Some(&Value::Num(1.0)));
+        assert_eq!(a.get("clock").and_then(Value::as_str), Some("ticks"));
+        assert_eq!(a.get("lanes"), Some(&Value::Num(2.0)));
+        let flows = a.get("flows").unwrap();
+        assert_eq!(flows.get("complete"), Some(&Value::Num(2.0)));
+        assert_eq!(flows.get("dangling"), Some(&Value::Num(0.0)));
+        assert_eq!(
+            flows.get("by_tag").and_then(|t| t.get("forward")),
+            Some(&Value::Num(2.0))
+        );
+        let rank0 = a.get("ranks").and_then(|r| r.get("rank0")).unwrap();
+        for key in ["compute", "wire_wait", "total"] {
+            assert!(rank0.get(key).is_some(), "missing {key}");
         }
+        assert!(matches!(a.get("top_spans"), Some(Value::Arr(spans)) if !spans.is_empty()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! library (space-time-stack, the Perfetto connector) to a LAMMPS-KOKKOS
 //! run.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`TraceCollector`] — a subscriber that appends every event to a
 //!   per-thread lane buffer. Each event carries **two** timestamps: a
@@ -18,17 +18,21 @@
 //!   region `rank<N>`) get their own named lanes; everything else lands
 //!   on the `host` lane of its thread.
 //! * [`MetricsRegistry`] — counters, gauges, and log₂-bucketed
-//!   histograms with a canonical sorted-key JSON dump, byte-stable in
+//!   histograms with a canonical sorted-key dump, byte-stable in
 //!   deterministic runs. The collector feeds it automatically: instant
 //!   events sum into counters, counter samples set gauges and feed
 //!   histograms.
-//! * [`chrome`] — a Chrome `trace_event` JSON exporter
-//!   ([`TraceCollector::export_chrome`]). The file loads directly in
-//!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`: one
-//!   lane per rank thread under the `host` process, plus synthetic
-//!   *simulated device* lanes whose kernel durations come from the
-//!   `lkk-gpusim` cost model, so predicted device time renders next to
-//!   the host phases that launched it.
+//! * [`export_chrome`] — a Chrome `trace_event` exporter
+//!   ([`TraceCollector::export_chrome`] for one collector). The file
+//!   loads directly in Perfetto (<https://ui.perfetto.dev>) or
+//!   `chrome://tracing`: one lane per rank thread under a `host`
+//!   process, plus synthetic *simulated device* lanes whose kernel
+//!   durations come from the `lkk-gpusim` cost model, so predicted
+//!   device time renders next to the host phases that launched it.
+//! * [`json`] — the workspace's one JSON [`json::Value`], canonical
+//!   writer and parser. The metrics dump, the critical-path report and
+//!   the Chrome export are all built as `Value`s; `lkk-perf` builds its
+//!   run document from the same type.
 //!
 //! Determinism contract: in [`TraceMode::Deterministic`], with
 //! `lkk_kokkos::exec::set_force_sequential(true)` and the same
@@ -42,38 +46,10 @@
 mod chrome;
 mod collector;
 mod critical_path;
+pub mod json;
 mod metrics;
 
+pub use chrome::export_chrome;
 pub use collector::{TraceCollector, TraceMode};
 pub use critical_path::{Bucket, CriticalPathReport, PathSpan, RankAttribution, StepSummary};
 pub use metrics::{HistogramSnapshot, MetricsRegistry};
-
-/// Append `s` to `out` as a JSON string literal (quotes + escapes).
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Canonical JSON number rendering: shortest round-trip form, the same
-/// convention as `lkk-perf`'s writer, so dumps diff cleanly.
-pub(crate) fn push_json_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        // trace_event has no NaN/Inf literals; clamp loudly.
-        out.push_str("null");
-    }
-}

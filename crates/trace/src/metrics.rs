@@ -15,7 +15,7 @@
 //! integral-valued; that is what every built-in instrumentation site
 //! emits.
 
-use crate::{push_json_num, push_json_string};
+use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -171,67 +171,40 @@ impl MetricsRegistry {
         inner.counters.is_empty() && inner.gauges.is_empty() && inner.histograms.is_empty()
     }
 
-    /// The canonical dump: sorted keys, shortest-round-trip numbers,
-    /// 2-space indent. Byte-identical across runs for deterministic
-    /// workloads — CI compares it verbatim against a committed
-    /// baseline.
-    pub fn to_canonical_json(&self) -> String {
+    /// The canonical dump: sorted keys, every histogram with its
+    /// `p50`/`p95`/`p99` estimates and `[lower_bound, count]` buckets.
+    /// Byte-identical across runs for deterministic workloads once
+    /// rendered — CI compares it verbatim inside the committed baseline.
+    pub fn to_value(&self) -> Value {
         let inner = self.inner.lock().unwrap();
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": 1,\n  \"counters\": {");
-        write_num_map(&mut out, &inner.counters);
-        out.push_str("},\n  \"gauges\": {");
-        write_num_map(&mut out, &inner.gauges);
-        out.push_str("},\n  \"histograms\": {");
-        for (i, (name, h)) in inner.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": {\"count\": ");
-            push_json_num(&mut out, h.count as f64);
-            out.push_str(", \"sum\": ");
-            push_json_num(&mut out, h.sum);
+        let num_map = |map: &BTreeMap<String, f64>| {
+            Value::Obj(
+                map.iter()
+                    .map(|(k, v)| (k.clone(), Value::Num(*v)))
+                    .collect(),
+            )
+        };
+        let mut histograms = Value::obj();
+        for (name, h) in &inner.histograms {
+            let mut entry = Value::obj();
+            entry.set("count", h.count);
+            entry.set("sum", h.sum);
             for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                out.push_str(", \"");
-                out.push_str(label);
-                out.push_str("\": ");
-                push_json_num(&mut out, quantile_est(h.count, &h.buckets, q));
+                entry.set(label, quantile_est(h.count, &h.buckets, q));
             }
-            out.push_str(", \"buckets\": [");
-            for (j, (&exp, &count)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push('[');
-                push_json_num(&mut out, bucket_lo(exp));
-                out.push_str(", ");
-                push_json_num(&mut out, count as f64);
-                out.push(']');
-            }
-            out.push_str("]}");
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|(&exp, &count)| Value::Arr(vec![bucket_lo(exp).into(), count.into()]));
+            entry.set("buckets", Value::Arr(buckets.collect()));
+            histograms.set(name.clone(), entry);
         }
-        if !inner.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
+        let mut out = Value::obj();
+        out.set("schema", 1.0);
+        out.set("counters", num_map(&inner.counters));
+        out.set("gauges", num_map(&inner.gauges));
+        out.set("histograms", histograms);
         out
-    }
-}
-
-fn write_num_map(out: &mut String, map: &BTreeMap<String, f64>) {
-    for (i, (name, value)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_json_string(out, name);
-        out.push_str(": ");
-        push_json_num(out, *value);
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
     }
 }
 
@@ -283,15 +256,23 @@ mod tests {
             m.add_counter("a/bytes", 128.0);
             m.observe("hist", 7.0);
             m.observe("hist", 8.0);
-            m.to_canonical_json()
+            m.to_value().to_pretty()
         };
         let a = fill();
         assert_eq!(a, fill(), "dump not byte-stable");
         let a_pos = a.find("\"a/bytes\"").unwrap();
         let b_pos = a.find("\"b/bytes\"").unwrap();
         assert!(a_pos < b_pos, "keys not sorted:\n{a}");
-        assert!(a.contains("\"buckets\": [[4, 1], [8, 1]]"), "{a}");
-        assert!(a.contains("\"schema\": 1"), "{a}");
+        let doc = crate::json::parse(&a).unwrap();
+        assert_eq!(doc.get("schema"), Some(&Value::Num(1.0)));
+        let pair = |lo: f64, n: f64| Value::Arr(vec![lo.into(), n.into()]);
+        assert_eq!(
+            doc.get("histograms")
+                .and_then(|h| h.get("hist"))
+                .and_then(|h| h.get("buckets")),
+            Some(&Value::Arr(vec![pair(4.0, 1.0), pair(8.0, 1.0)])),
+            "{a}"
+        );
         // Quantile keys render between sum and buckets, in fixed order.
         let h_start = a.find("\"hist\"").unwrap();
         let tail = &a[h_start..];
@@ -301,7 +282,7 @@ mod tests {
             .collect();
         assert!(order.windows(2).all(|w| w[0] < w[1]), "key order:\n{a}");
 
-        let empty = MetricsRegistry::new().to_canonical_json();
+        let empty = MetricsRegistry::new().to_value().to_pretty();
         assert!(empty.contains("\"counters\": {}"), "{empty}");
     }
 
@@ -335,7 +316,7 @@ mod tests {
         let snap = m.histogram("q").unwrap();
         let rebuilt = BTreeMap::from([(0, 2u64), (1, 2u64)]);
         assert_eq!(snap.quantile(0.5), quantile_est(4, &rebuilt, 0.5));
-        let dump = m.to_canonical_json();
+        let dump = m.to_value().to_pretty();
         assert!(dump.contains("\"p50\": 2"), "{dump}");
     }
 }

@@ -91,7 +91,7 @@ fn main() {
     // stamped let it chain the per-rank timelines into a step DAG and
     // say which rank each step was actually waiting on. Wall-clock mode
     // here, so durations are µs (CI gates the deterministic-tick
-    // variant via `perf-smoke --check-report`).
+    // variant via `perf-smoke --check`).
     let report = collector.critical_path();
     println!(
         "\nCritical path: {:.0} of {:.0} µs stepped time across {} steps; \

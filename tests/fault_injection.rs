@@ -320,7 +320,7 @@ fn fault_counters_reach_the_metrics_registry() {
     assert!(run.fault_stats.injected() > 0);
 
     let metrics = collector.metrics();
-    let dump = metrics.to_canonical_json();
+    let dump = metrics.to_value().to_pretty();
     assert!(
         dump.contains("comm.fault."),
         "no comm.fault.* counters in the metrics dump"

@@ -2,9 +2,9 @@
 //! byte-stability of the canonical metrics dump.
 //!
 //! The capture used here is the fast subset of the perf-smoke suite
-//! (LJ single-rank plus the `ranks4` rank-parallel workload) — the same
-//! code path `perf-smoke --trace/--metrics` runs in CI, and the
-//! contract this test pins down:
+//! (LJ single-rank plus the `ranks4` rank-parallel workload, each under
+//! its own collector) — the same code path `perf-smoke --trace` runs in
+//! CI, and the contract this test pins down:
 //!
 //! 1. the export is valid JSON with a `traceEvents` array;
 //! 2. every lane (`(pid, tid)` pair) has nondecreasing timestamps;
@@ -18,11 +18,26 @@
 //!    fault injection with retransmissions — and the critical-path
 //!    report's attribution buckets tile each rank's time exactly.
 
-use lkk_perf::json::{self, Value};
-use lkk_perf::report::with_exclusive_run;
-use lkk_perf::tracing::capture_with;
+use lkk_perf::capture::{capture, with_exclusive_run};
 use lkk_perf::workloads;
+use lkk_trace::json::{self, Value};
 use std::collections::BTreeMap;
+
+/// The fast capture, each workload's collector exported on its own.
+struct Smoke {
+    lj_trace: String,
+    ranks4_trace: String,
+    ranks4_metrics: String,
+}
+
+fn smoke() -> Smoke {
+    let caps = capture(vec![workloads::lj()], vec![workloads::ranks4()]);
+    Smoke {
+        lj_trace: caps[0].collector.export_chrome(),
+        ranks4_trace: caps[1].collector.export_chrome(),
+        ranks4_metrics: caps[1].collector.metrics().to_value().to_pretty(),
+    }
+}
 
 fn str_of(v: &Value) -> &str {
     match v {
@@ -33,69 +48,74 @@ fn str_of(v: &Value) -> &str {
 
 #[test]
 fn trace_event_export_is_schema_valid_and_deterministic() {
-    let a = capture_with(vec![workloads::lj()]);
-    let b = capture_with(vec![workloads::lj()]);
-    assert_eq!(a.chrome_json, b.chrome_json, "trace not byte-stable");
-    assert_eq!(a.metrics_json, b.metrics_json, "metrics not byte-stable");
-
-    let doc = json::parse(&a.chrome_json).expect("trace is not valid JSON");
-    let Some(Value::Arr(events)) = doc.get("traceEvents") else {
-        panic!("traceEvents missing or not an array");
-    };
-    assert!(!events.is_empty());
+    let a = smoke();
+    let b = smoke();
+    assert_eq!(a.lj_trace, b.lj_trace, "trace not byte-stable");
+    assert_eq!(a.ranks4_trace, b.ranks4_trace, "trace not byte-stable");
+    assert_eq!(
+        a.ranks4_metrics, b.ranks4_metrics,
+        "metrics not byte-stable"
+    );
 
     let mut lane_names: Vec<(usize, String)> = Vec::new();
-    let mut last_ts: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    let mut open: BTreeMap<(usize, usize), Vec<String>> = BTreeMap::new();
     let mut device_complete = 0usize;
+    for chrome_json in [&a.lj_trace, &a.ranks4_trace] {
+        let doc = json::parse(chrome_json).expect("trace is not valid JSON");
+        let Some(Value::Arr(events)) = doc.get("traceEvents") else {
+            panic!("traceEvents missing or not an array");
+        };
+        assert!(!events.is_empty());
 
-    for ev in events {
-        let ph = str_of(ev.get("ph").expect("event without ph"));
-        let pid = ev.get("pid").and_then(Value::as_f64).expect("pid") as usize;
-        let tid = ev.get("tid").and_then(Value::as_f64).expect("tid") as usize;
-        let name = str_of(ev.get("name").expect("event without name")).to_string();
-        match ph {
-            "M" => {
-                if name == "thread_name" {
-                    let lane = str_of(ev.get("args").unwrap().get("name").unwrap());
-                    lane_names.push((pid, lane.to_string()));
-                }
-            }
-            "B" | "E" | "X" | "i" | "C" | "s" | "f" => {
-                let ts = ev.get("ts").and_then(Value::as_f64).expect("ts");
-                let key = (pid, tid);
-                let prev = last_ts.insert(key, ts).unwrap_or(f64::NEG_INFINITY);
-                assert!(
-                    ts >= prev,
-                    "timestamps regress on lane {key:?}: {prev} -> {ts}"
-                );
-                match ph {
-                    "B" => open.entry(key).or_default().push(name),
-                    "E" => {
-                        let top = open
-                            .entry(key)
-                            .or_default()
-                            .pop()
-                            .unwrap_or_else(|| panic!("unbalanced E {name:?} on lane {key:?}"));
-                        assert_eq!(top, name, "mis-nested span on lane {key:?}");
+        let mut last_ts: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+        let mut open: BTreeMap<(usize, usize), Vec<String>> = BTreeMap::new();
+
+        for ev in events {
+            let ph = str_of(ev.get("ph").expect("event without ph"));
+            let pid = ev.get("pid").and_then(Value::as_f64).expect("pid") as usize;
+            let tid = ev.get("tid").and_then(Value::as_f64).expect("tid") as usize;
+            let name = str_of(ev.get("name").expect("event without name")).to_string();
+            match ph {
+                "M" => {
+                    if name == "thread_name" {
+                        let lane = str_of(ev.get("args").unwrap().get("name").unwrap());
+                        lane_names.push((pid, lane.to_string()));
                     }
-                    "X" => {
-                        assert_eq!(pid, 1, "complete events only on the device process");
-                        assert!(
-                            ev.get("dur").and_then(Value::as_f64).unwrap_or(-1.0) >= 0.0,
-                            "X event without a duration"
-                        );
-                        device_complete += 1;
-                    }
-                    _ => {}
                 }
+                "B" | "E" | "X" | "i" | "C" | "s" | "f" => {
+                    let ts = ev.get("ts").and_then(Value::as_f64).expect("ts");
+                    let key = (pid, tid);
+                    let prev = last_ts.insert(key, ts).unwrap_or(f64::NEG_INFINITY);
+                    assert!(
+                        ts >= prev,
+                        "timestamps regress on lane {key:?}: {prev} -> {ts}"
+                    );
+                    match ph {
+                        "B" => open.entry(key).or_default().push(name),
+                        "E" => {
+                            let top =
+                                open.entry(key).or_default().pop().unwrap_or_else(|| {
+                                    panic!("unbalanced E {name:?} on lane {key:?}")
+                                });
+                            assert_eq!(top, name, "mis-nested span on lane {key:?}");
+                        }
+                        "X" => {
+                            assert_eq!(pid, 1, "complete events only on the device process");
+                            assert!(
+                                ev.get("dur").and_then(Value::as_f64).unwrap_or(-1.0) >= 0.0,
+                                "X event without a duration"
+                            );
+                            device_complete += 1;
+                        }
+                        _ => {}
+                    }
+                }
+                other => panic!("unexpected phase {other:?}"),
             }
-            other => panic!("unexpected phase {other:?}"),
         }
-    }
 
-    for (lane, stack) in &open {
-        assert!(stack.is_empty(), "lane {lane:?} left spans open: {stack:?}");
+        for (lane, stack) in &open {
+            assert!(stack.is_empty(), "lane {lane:?} left spans open: {stack:?}");
+        }
     }
     for rank in 0..4 {
         let want = format!("rank{rank}");
@@ -114,13 +134,13 @@ fn trace_event_export_is_schema_valid_and_deterministic() {
     // lanes (gated instrumentation actually fired under the collector).
     for needle in ["\"pack\"", "\"unpack\"", "\"recv\""] {
         assert!(
-            a.chrome_json.contains(needle),
+            a.ranks4_trace.contains(needle),
             "trace missing comm phase {needle}"
         );
     }
 
     // The rank workloads stamp every exchange with a flow pair.
-    let nflows = assert_flow_pairing(&a.chrome_json);
+    let nflows = assert_flow_pairing(&a.ranks4_trace);
     assert!(nflows > 0, "no flow events in the rank-parallel capture");
 }
 
@@ -182,8 +202,7 @@ fn assert_flow_pairing(chrome_json: &str) -> usize {
 
 #[test]
 fn metrics_dump_parses_and_carries_the_rank_census() {
-    let cap = capture_with(vec![workloads::lj()]);
-    let doc = json::parse(&cap.metrics_json).expect("metrics dump is not valid JSON");
+    let doc = json::parse(&smoke().ranks4_metrics).expect("metrics dump is not valid JSON");
     assert_eq!(doc.get("schema").and_then(Value::as_f64), Some(1.0));
 
     let gauges = doc.get("gauges").expect("gauges section");
@@ -217,8 +236,9 @@ fn metrics_dump_parses_and_carries_the_rank_census() {
 /// the contraction-table shape counters must land in the metrics dump.
 #[test]
 fn snap_stage_fission_emits_distinct_spans() {
-    let cap = capture_with(vec![workloads::snap()]);
-    let doc = json::parse(&cap.chrome_json).expect("trace is not valid JSON");
+    let caps = capture(vec![workloads::snap()], Vec::new());
+    let doc = json::parse(&caps[0].collector.export_chrome()).expect("trace is not valid JSON");
+    let metrics_json = caps[0].collector.metrics().to_value().to_pretty();
     let Some(Value::Arr(events)) = doc.get("traceEvents") else {
         panic!("traceEvents missing or not an array");
     };
@@ -239,7 +259,7 @@ fn snap_stage_fission_emits_distinct_spans() {
         "snap.table.builds",
     ] {
         assert!(
-            cap.metrics_json.contains(counter),
+            metrics_json.contains(counter),
             "metrics dump missing {counter}"
         );
     }
@@ -307,7 +327,7 @@ fn comm_abort_leaves_balanced_spans_on_every_rank_lane() {
         assert!(result.is_err(), "run with a dead edge completed");
         (
             collector.export_chrome(),
-            collector.metrics().to_canonical_json(),
+            collector.metrics().to_value().to_pretty(),
         )
     });
 
@@ -398,7 +418,7 @@ fn faulted_runs_keep_flows_singly_bound_across_retransmissions() {
             run.expect("recoverable faulted run failed");
             (
                 collector.export_chrome(),
-                collector.metrics().to_canonical_json(),
+                collector.metrics().to_value().to_pretty(),
             )
         });
         assert_balanced_lanes(&chrome);
@@ -420,7 +440,7 @@ fn faulted_runs_keep_flows_singly_bound_across_retransmissions() {
 /// rank-parallel run: on every rank the six attribution buckets sum to
 /// the run's total step time identically, and the canonical report is
 /// byte-stable across two captures in deterministic mode (what the
-/// `perf-smoke --check-report` byte-gate relies on).
+/// `perf-smoke --check` byte-gate relies on).
 #[test]
 fn critical_path_buckets_tile_rank_time_and_report_is_byte_stable() {
     use lkk_kokkos::profile;
@@ -473,8 +493,8 @@ fn critical_path_buckets_tile_rank_time_and_report_is_byte_stable() {
 
     let again = capture();
     assert_eq!(
-        report.to_canonical_json(),
-        again.to_canonical_json(),
+        report.to_value().to_pretty(),
+        again.to_value().to_pretty(),
         "critical-path report not byte-stable in deterministic mode"
     );
 }
