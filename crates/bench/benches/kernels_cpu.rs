@@ -4,19 +4,25 @@
 //! * LJ half list (+ScatterView duplication) vs full list — §4.1's CPU
 //!   claim is that half wins on hosts.
 //! * ScatterView modes under a threaded scatter workload — §3.2.
-//! * SNAP ComputeUi neighbor batching, Deidrj and Yi on the host —
-//!   §4.3.3 notes the CPU balance differs from the GPU. (§4.3.4's
+//! * SNAP ComputeUi neighbor batching and Deidrj on the host — §4.3.3
+//!   notes the CPU balance differs from the GPU. (§4.3.4's
 //!   fused-vs-unfused Deidrj is a modelled-device comparison, `table2`:
-//!   the host kernel's one reverse sweep has no direction loop to fuse.)
+//!   the host kernel's one reverse sweep has no direction loop to fuse;
+//!   Yi per block of atoms is `snap_stages`' `stage_yi`.)
 //! * QEq fused dual SpMV vs two separate passes — §4.2.3's matrix-load
 //!   reuse is a real, measurable effect on CPUs too.
 //! * The two-body pair kernel at 32 000 disordered atoms, with and
 //!   without the energy/virial tally (`eflag`), on the three paths the
 //!   benchmark's LJ workloads take (half list on `Serial` and `Threads`,
 //!   full list on the device's strided views).
-//! * Neighbor-list construction, half vs full: a from-scratch build, the
-//!   in-place rebuild a run pays per reneighboring, and the working-set
-//!   sample the device cost model takes of the list.
+//! * Neighbor-list construction, half vs full: the in-place rebuild a run
+//!   pays per reneighboring (on `Serial` also with the fill kernel's
+//!   baseline instantiation forced, `*_baseline_isa`: what the AVX2 copy
+//!   behind `lkk_kokkos::isa` buys), and the working-set sample the
+//!   device cost model takes of the list.
+//!
+//! Every group here is cited by `EXPERIMENTS.md` or `docs/performance.md`;
+//! `results/kernels_cpu.txt` is this bench's output.
 //! * Dispatch alone: an empty `parallel_for` and a trivial
 //!   `parallel_reduce_sum` on `Serial` and `Threads` from 2^8 to 2^16
 //!   items, back to back (workers still polling) and after a 2 ms idle
@@ -31,7 +37,7 @@ use lkk_core::neighbor::{NeighborList, NeighborSettings};
 use lkk_core::pair::lj::LjCut;
 use lkk_core::pair::{PairKokkos, PairKokkosOptions, PairStyle};
 use lkk_core::sim::System;
-use lkk_kokkos::{ScatterMode, ScatterView, Space};
+use lkk_kokkos::{isa, ScatterMode, ScatterView, Space};
 use lkk_reaxff::nonbonded::PairTable;
 use lkk_reaxff::qeq::QeqMatrix;
 use lkk_reaxff::{hns, ReaxParams};
@@ -65,11 +71,7 @@ fn lj_setup(cells: usize, space: &Space, half: bool, jitter: f64) -> (System, Ne
 fn bench_lj(c: &mut Criterion) {
     let mut group = c.benchmark_group("lj_force_32k");
     group.sample_size(15);
-    for (name, half, team) in [
-        ("full", false, false),
-        ("half_scatterview", true, false),
-        ("full_team", false, true),
-    ] {
+    for (name, half) in [("full", false), ("half_scatterview", true)] {
         let (mut system, list) = lj_setup(20, &Space::Threads, half, 0.0);
         let space = system.space.clone();
         let mut pair = PairKokkos::with_options(
@@ -77,7 +79,7 @@ fn bench_lj(c: &mut Criterion) {
             &space,
             PairKokkosOptions {
                 force_half: Some(half),
-                team_over_neighbors: team,
+                ..Default::default()
             },
         );
         group.bench_function(name, |b| {
@@ -165,12 +167,6 @@ fn bench_snap(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("compute_yi", |b| {
-        b.iter(|| {
-            ctx.compute_yi(&mut scratch);
-            black_box(scratch.y_r[5])
-        })
-    });
     let _ = SnapKernelConfig::default();
     group.finish();
 }
@@ -224,24 +220,23 @@ fn bench_neighbor(c: &mut Criterion) {
     for (name, half) in [("half", true), ("full", false)] {
         let (system, list) = lj_setup(20, &Space::Threads, half, 0.0);
         let settings = NeighborSettings::new(2.5, 0.3, half);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(NeighborList::build(
-                    &system.atoms,
-                    &system.domain,
-                    &settings,
-                    &Space::Threads,
-                ))
-            })
-        });
         // What a run pays per reneighboring: the same list refilled in
         // place (bins, fill with its overflow retry; no allocation).
         for (space_name, space) in [("serial", Space::Serial), ("threads", Space::Threads)] {
             let mut persistent =
                 NeighborList::build(&system.atoms, &system.domain, &settings, &space);
+            let mut rebuild =
+                || persistent.rebuild(&system.atoms, &system.domain, &settings, &space);
             group.bench_function(format!("rebuild_{name}_{space_name}"), |b| {
-                b.iter(|| persistent.rebuild(&system.atoms, &system.domain, &settings, &space))
+                b.iter(&mut rebuild)
             });
+            if space_name == "serial" {
+                isa::set_force_baseline(true);
+                group.bench_function(format!("rebuild_{name}_serial_baseline_isa"), |b| {
+                    b.iter(&mut rebuild)
+                });
+                isa::set_force_baseline(false);
+            }
         }
         // The device cost model's working-set sample of `lj_setup`'s list.
         group.bench_function(format!("working_set_2048_{name}"), |b| {

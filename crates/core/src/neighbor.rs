@@ -18,7 +18,8 @@
 
 use crate::atom::AtomData;
 use crate::domain::Domain;
-use lkk_kokkos::{Space, View, View1, View2};
+use lkk_kokkos::isa::{self, Isa};
+use lkk_kokkos::{ParWrite, Space, Triples, View, View1, View2};
 use std::sync::OnceLock;
 
 /// Neighbor list construction settings.
@@ -73,11 +74,11 @@ pub struct Bins {
     starts: Vec<u32>,
     /// Atom indices ordered by bin.
     atoms: Vec<u32>,
-    /// Positions in the same bin order: `packed[k]` is the position of
-    /// atom `atoms[k]` as it was at the last [`Bins::rebuild`], bit for
-    /// bit. A snapshot, not a view: it goes stale as soon as the atoms
-    /// move and is valid only until the next rebuild.
-    packed: Vec<[f64; 3]>,
+    /// Coordinate planes in the same bin order: `pos[a][k]` is coordinate
+    /// `a` of atom `atoms[k]` as it was at the last [`Bins::rebuild`], bit
+    /// for bit. A snapshot, not a view: it goes stale as soon as the
+    /// atoms move and is valid only until the next rebuild.
+    pos: [Vec<f64>; 3],
     /// Counting-sort scratch, reused across rebuilds.
     cursor: Vec<u32>,
 }
@@ -91,7 +92,7 @@ impl Bins {
             nbins: [1; 3],
             starts: Vec::new(),
             atoms: Vec::new(),
-            packed: Vec::new(),
+            pos: Default::default(),
             cursor: Vec::new(),
         }
     }
@@ -152,14 +153,18 @@ impl Bins {
         self.cursor.extend_from_slice(&self.starts[..total]);
         self.atoms.clear();
         self.atoms.resize(nall, 0);
-        self.packed.clear();
-        self.packed.resize(nall, [0.0; 3]);
+        for plane in &mut self.pos {
+            plane.clear();
+            plane.resize(nall, 0.0);
+        }
         for i in 0..nall {
             let p = xh.get3(i);
             let b = self.bin_index(self.bin_coords(p));
             let slot = self.cursor[b] as usize;
             self.atoms[slot] = i as u32;
-            self.packed[slot] = p;
+            for (plane, c) in self.pos.iter_mut().zip(p) {
+                plane[slot] = c;
+            }
             self.cursor[b] += 1;
         }
     }
@@ -188,14 +193,46 @@ impl Bins {
         &self.atoms[self.starts[idx] as usize..self.starts[idx + 1] as usize]
     }
 
-    /// The bins `(bx, by, zlo..=zhi)` as one run of packed positions and
-    /// the matching atom indices: bins that differ only in `z` are
-    /// adjacent in CSR order.
-    #[inline]
-    fn z_run(&self, bx: usize, by: usize, zlo: usize, zhi: usize) -> (&[[f64; 3]], &[u32]) {
+    /// The bins `(bx, by, zlo..=zhi)` as one range of `atoms` and of the
+    /// coordinate planes: bins that differ only in `z` are adjacent in CSR
+    /// order.
+    #[inline(always)]
+    fn z_run(&self, bx: usize, by: usize, zlo: usize, zhi: usize) -> std::ops::Range<usize> {
         let row = (bx * self.nbins[1] + by) * self.nbins[2];
-        let run = self.starts[row + zlo] as usize..self.starts[row + zhi + 1] as usize;
-        (&self.packed[run.clone()], &self.atoms[run])
+        self.starts[row + zlo] as usize..self.starts[row + zhi + 1] as usize
+    }
+
+    /// Coordinate along `axis` of the face between bins `b - 1` and `b`
+    /// (`b = nbins`: the upper face of the binned region).
+    #[inline(always)]
+    fn face(&self, axis: usize, b: usize) -> f64 {
+        self.lo[axis] + b as f64 / self.inv_size[axis]
+    }
+
+    /// Skip threshold of the fill's bin pruning. Atom `i` sits in bin
+    /// `bc`; a stencil bin one step away along some axes lies beyond the
+    /// *interior* faces that separate it from `bc` on those axes, and the
+    /// squared distances from `i` to those faces sum to `q` (evaluated
+    /// like the filter's `rsq`). If `q > prune_sq(cutsq)`, no atom of
+    /// that bin passes `rsq < cutsq`, so skipping the bin leaves every row
+    /// as it was. Proof: `bin_coords` truncates `fl(fl(x - lo) * inv)`, so
+    /// an atom binned below face `b` has `x < F + 2.1 u L` and one binned
+    /// at or above it `x > F - 2.1 u L` (`F` the exact face, `u = 2^-53`,
+    /// `L` the binned length; clamping into an edge bin only moves an atom
+    /// further past an *exterior* face, never across an interior one).
+    /// [`Bins::face`] is within `u L + u m` of `F`, `m` the largest `|lo|`
+    /// or `|hi|` of the region and `L <= 2 m`. Per axis the true
+    /// separation is therefore at least the face distance minus `t = 12 u
+    /// m`, the separation vector at least `sqrt(q) - sqrt(3) t` long, and
+    /// the few-`u` relative error of `q` and of the filter's own `rsq` is
+    /// covered by the factor on `cut`.
+    fn prune_sq(&self, cutsq: f64) -> f64 {
+        let m = (0..3).fold(0.0, |m: f64, k| {
+            m.max(self.lo[k].abs())
+                .max(self.face(k, self.nbins[k]).abs())
+        });
+        let r = cutsq.sqrt() * (1.0 + 1e-12) + 32.0 * f64::EPSILON * m;
+        r * r
     }
 
     /// The spatial ordering of atoms (bin-major), used for spatial
@@ -342,12 +379,19 @@ impl NeighborList {
             self.numneigh = View::for_space("numneigh", [0], space);
         }
 
+        let isa = isa::active();
         loop {
-            let mut grew = self.neighbors.realloc([nlocal, maxneigh]);
+            // Rows are read up to `numneigh[i]`, which the fill writes
+            // along with those slots: nothing reads the stale remainder.
+            let mut grew = self
+                .neighbors
+                .realloc_without_initializing([nlocal, maxneigh]);
             grew |= self.numneigh.realloc([nlocal]);
             if grew {
                 self.grow_count += 1;
             }
+            #[cfg(debug_assertions)]
+            self.neighbors.fill(u32::MAX);
             let (needed, total_pairs) = Self::fill(
                 atoms,
                 &self.bins,
@@ -358,6 +402,7 @@ impl NeighborList {
                 &mut self.neighbors,
                 &mut self.numneigh,
                 space,
+                isa,
             );
             if needed > maxneigh {
                 // Overflow: grow in place and refill.
@@ -412,11 +457,9 @@ impl NeighborList {
     /// parallel reduction (tuple-joined), so the build has no serial
     /// tail. `max_required > maxneigh` means some row overflowed.
     ///
-    /// `bins` must have been rebuilt from these `atoms` (its packed
-    /// positions are what the distances are computed from). Candidates
-    /// are visited in stencil order (x, then y, ascending) × CSR order
-    /// within each z-run, which is the order of the 27-bin walk this
-    /// replaced, so rows are stable element for element.
+    /// `bins` must have been rebuilt from these `atoms` (its coordinate
+    /// planes are what the distances are computed from). One work item
+    /// per owned atom, each [`fill_atom`] instantiated for `isa`.
     #[allow(clippy::too_many_arguments)]
     fn fill(
         atoms: &AtomData,
@@ -428,80 +471,24 @@ impl NeighborList {
         neighbors: &mut View2<u32>,
         numneigh: &mut View1<u32>,
         space: &Space,
+        isa: Isa,
     ) -> (usize, u64) {
-        /// Candidates filtered per pass; a longer z-run takes several.
-        const CHUNK: usize = 128;
-        const _: () = assert!(CHUNK <= 1 << u8::BITS, "offsets are stored as u8");
-        let xh = atoms.x.h_view();
-        let nw = neighbors.par_write();
-        let cw = numneigh.par_write();
-        let [nx, ny, nz] = bins.nbins;
+        let fill = Fill {
+            x: atoms.x.h_view().triples(),
+            bins,
+            cutsq,
+            prune_sq: bins.prune_sq(cutsq),
+            half,
+            nlocal,
+            maxneigh,
+            rows: neighbors.par_write(),
+            counts: numneigh.par_write(),
+        };
         space.parallel_reduce(
             "NeighborBuild",
             nlocal,
             (0usize, 0u64),
-            |i| {
-                let xi = xh.get3(i);
-                let bc = bins.bin_coords(xi);
-                let (zlo, zhi) = (bc[2].saturating_sub(1), (bc[2] + 1).min(nz - 1));
-                let mut hits = [0u8; CHUNK];
-                let mut count = 0usize;
-                for bx in bc[0].saturating_sub(1)..=(bc[0] + 1).min(nx - 1) {
-                    for by in bc[1].saturating_sub(1)..=(bc[1] + 1).min(ny - 1) {
-                        let (run_pos, run_idx) = bins.z_run(bx, by, zlo, zhi);
-                        for (pos, idx) in run_pos.chunks(CHUNK).zip(run_idx.chunks(CHUNK)) {
-                            // Phase 1: branch-free distance filter. Every
-                            // candidate's offset is stored; the cursor
-                            // advances only past the ones inside the cutoff.
-                            let mut nhit = 0usize;
-                            for (k, xj) in pos.iter().enumerate() {
-                                let d = [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]];
-                                let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                                hits[nhit] = k as u8;
-                                nhit += usize::from(rsq < cutsq);
-                            }
-                            // Phase 2: self and half-list ownership, on the
-                            // minority of candidates that passed.
-                            for &k in &hits[..nhit] {
-                                let ju = idx[k as usize];
-                                let j = ju as usize;
-                                if j == i {
-                                    continue;
-                                }
-                                if half {
-                                    // Half-list ownership rule: local
-                                    // pairs stored on the lower index;
-                                    // ghost pairs on coordinate order.
-                                    if j < nlocal {
-                                        if j < i {
-                                            continue;
-                                        }
-                                    } else {
-                                        let xj = pos[k as usize];
-                                        let keep = xj[2] > xi[2]
-                                            || (xj[2] == xi[2] && xj[1] > xi[1])
-                                            || (xj[2] == xi[2] && xj[1] == xi[1] && xj[0] > xi[0]);
-                                        if !keep {
-                                            continue;
-                                        }
-                                    }
-                                }
-                                if count < maxneigh {
-                                    // SAFETY: row `i` is written by work
-                                    // item `i` alone, and `count < maxneigh`
-                                    // keeps the slot inside it.
-                                    unsafe { nw.write([i, count], ju) };
-                                }
-                                count += 1;
-                            }
-                        }
-                    }
-                }
-                let stored = count.min(maxneigh);
-                // SAFETY: element `i` is written by work item `i` alone.
-                unsafe { cw.write([i], stored as u32) };
-                (count, stored as u64)
-            },
+            |i| isa.call(fill_atom, (&fill, i)),
             |a, b| (a.0.max(b.0), a.1 + b.1),
         )
     }
@@ -559,6 +546,109 @@ impl NeighborList {
             self.total_pairs as f64 / self.nlocal as f64
         }
     }
+}
+
+/// What one work item of [`NeighborList::fill`] reads and writes.
+struct Fill<'a> {
+    x: Triples<'a, f64>,
+    bins: &'a Bins,
+    cutsq: f64,
+    prune_sq: f64,
+    half: bool,
+    nlocal: usize,
+    maxneigh: usize,
+    rows: ParWrite<'a, u32, 2>,
+    counts: ParWrite<'a, u32, 1>,
+}
+
+/// Row `i` of the list: `(neighbors found, neighbors stored)`.
+///
+/// Candidates are visited in stencil order (x, then y, ascending) × CSR
+/// order within each z-run, skipping only bins that [`Bins::prune_sq`]
+/// proves empty of neighbors, so rows are element for element those of
+/// the plain 27-bin walk (`fill_reference`). Written once and
+/// instantiated per instruction set through [`Isa::call`]: the distance
+/// filter is the loop that pays for wider lanes.
+#[inline(always)]
+fn fill_atom((f, i): (&Fill<'_>, usize)) -> (usize, u64) {
+    /// Candidates per pass of the filter: one bit of the hit mask each.
+    const LANES: usize = u64::BITS as usize;
+    let bins = f.bins;
+    let xi = f.x.get(i);
+    let bc = bins.bin_coords(xi);
+    // Squared distance from `xi` to the bins one step below, level with
+    // and one step above its own along `axis` (the entry toward a bin that
+    // does not exist is never used).
+    let gaps = |axis: usize| {
+        let below = xi[axis] - bins.face(axis, bc[axis]);
+        let above = bins.face(axis, bc[axis] + 1) - xi[axis];
+        [below * below, 0.0, above * above]
+    };
+    let [gx, gy, gz] = [gaps(0), gaps(1), gaps(2)];
+    let [nx, ny, nz] = bins.nbins;
+    let mut count = 0usize;
+    for bx in bc[0].saturating_sub(1)..=(bc[0] + 1).min(nx - 1) {
+        for by in bc[1].saturating_sub(1)..=(bc[1] + 1).min(ny - 1) {
+            let dxy = gx[bx + 1 - bc[0]] + gy[by + 1 - bc[1]];
+            if dxy > f.prune_sq {
+                continue;
+            }
+            let zlo = bc[2] - usize::from(bc[2] > 0 && dxy + gz[0] <= f.prune_sq);
+            let zhi = bc[2] + usize::from(bc[2] + 1 < nz && dxy + gz[2] <= f.prune_sq);
+            let run = bins.z_run(bx, by, zlo, zhi);
+            for base in run.clone().step_by(LANES) {
+                let chunk = base..(base + LANES).min(run.end);
+                let [px, py, pz] = [0, 1, 2].map(|axis| &bins.pos[axis][chunk.clone()]);
+                let idx = &bins.atoms[chunk];
+                // Phase 1: branch-free distance filter into a bit mask.
+                let mut hits = 0u64;
+                for k in 0..idx.len() {
+                    let d = [px[k] - xi[0], py[k] - xi[1], pz[k] - xi[2]];
+                    let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                    hits |= u64::from(rsq < f.cutsq) << k;
+                }
+                // Phase 2: self and half-list ownership, on the minority
+                // of candidates that passed, in ascending order.
+                while hits != 0 {
+                    let k = hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    let ju = idx[k];
+                    let j = ju as usize;
+                    if j == i {
+                        continue;
+                    }
+                    if f.half {
+                        // Half-list ownership rule: local pairs stored on
+                        // the lower index; ghost pairs on coordinate order.
+                        if j < f.nlocal {
+                            if j < i {
+                                continue;
+                            }
+                        } else {
+                            let xj = [px[k], py[k], pz[k]];
+                            let keep = xj[2] > xi[2]
+                                || (xj[2] == xi[2] && xj[1] > xi[1])
+                                || (xj[2] == xi[2] && xj[1] == xi[1] && xj[0] > xi[0]);
+                            if !keep {
+                                continue;
+                            }
+                        }
+                    }
+                    if count < f.maxneigh {
+                        // SAFETY: row `i` is written by work item `i`
+                        // alone, and `count < maxneigh` keeps the slot
+                        // inside it.
+                        unsafe { f.rows.write([i, count], ju) };
+                    }
+                    count += 1;
+                }
+            }
+        }
+    }
+    let stored = count.min(f.maxneigh);
+    // SAFETY: element `i` is written by work item `i` alone.
+    unsafe { f.counts.write([i], stored as u32) };
+    (count, stored as u64)
 }
 
 /// Spatially reorder the *owned* atoms into bin-major order (LAMMPS'
@@ -627,14 +717,23 @@ pub fn spatial_sort(atoms: &mut AtomData, domain: &Domain, bin_size: f64) -> Vec
 }
 
 /// Largest squared displacement of owned atoms since `x_old`; the
-/// rebuild trigger is `max_disp_sq > (skin/2)²`.
-pub fn max_displacement_sq(atoms: &AtomData, x_old: &[[f64; 3]], domain: &Domain) -> f64 {
-    let xh = atoms.x.h_view();
-    let mut m: f64 = 0.0;
-    for (i, old) in x_old.iter().enumerate().take(atoms.nlocal) {
-        m = m.max(domain.min_image_dsq(&xh.get3(i), old));
-    }
-    m
+/// rebuild trigger is `max_disp_sq > (skin/2)²`. Reduced on `space`
+/// (the check runs every step): a maximum is exact in any order, so the
+/// value does not depend on whether or how the reduction forks, and it
+/// is not a launch of the modelled program.
+pub fn max_displacement_sq(
+    atoms: &AtomData,
+    x_old: &[[f64; 3]],
+    domain: &Domain,
+    space: &Space,
+) -> f64 {
+    let x = atoms.x.h_view().triples();
+    space.reduce_unlogged(
+        x_old.len().min(atoms.nlocal),
+        0.0,
+        |i| domain.min_image_dsq(&x.get(i), &x_old[i]),
+        f64::max,
+    )
 }
 
 #[cfg(test)]
@@ -735,10 +834,33 @@ mod tests {
         (needed, total)
     }
 
+    /// The instantiations of the fill kernel this host can run: the
+    /// baseline, and what `rebuild` picks when that is something else.
+    fn instantiations() -> Vec<Isa> {
+        let mut all = vec![Isa::baseline()];
+        if isa::active() != Isa::baseline() {
+            all.push(isa::active());
+        }
+        all
+    }
+
+    #[test]
+    fn oracles_cover_the_instantiation_a_rebuild_picks() {
+        let names: Vec<&str> = instantiations().iter().map(|isa| isa.name()).collect();
+        // Shown by `scripts/ci.sh` (`--nocapture`).
+        eprintln!(
+            "neighbor fill instantiations under test: {}",
+            names.join(", ")
+        );
+        assert_eq!(names[0], "baseline");
+        assert_eq!(names.last(), Some(&isa::active().name()));
+    }
+
     /// Fill the same bins with the kernel and with the oracle, half and
-    /// full, in every space, at row capacity `maxneigh`, and require the
-    /// same `needed`, the same stored total, the same counts and the same
-    /// row prefixes. Returns the longest full-list row.
+    /// full, in every space and under every instantiation, at row
+    /// capacity `maxneigh`, and require the same `needed`, the same stored
+    /// total, the same counts and the same row prefixes. Returns the
+    /// longest full-list row.
     fn assert_fill_matches_reference(
         atoms: &AtomData,
         bins: &Bins,
@@ -766,30 +888,33 @@ mod tests {
                 Space::Threads,
                 Space::device(lkk_gpusim::GpuArch::h100()),
             ] {
-                let mut rows = View::for_space("rows", [nlocal, maxneigh], &space);
-                let mut counts = View::for_space("counts", [nlocal], &space);
-                let got = NeighborList::fill(
-                    atoms,
-                    bins,
-                    cut * cut,
-                    half,
-                    nlocal,
-                    maxneigh,
-                    &mut rows,
-                    &mut counts,
-                    &space,
-                );
-                let case = format!("half={half} {space:?} maxneigh={maxneigh}");
-                assert_eq!(got, want, "(needed, stored pairs): {case}");
-                for i in 0..nlocal {
-                    let nn = want_counts.at([i]);
-                    assert_eq!(counts.at([i]), nn, "numneigh[{i}]: {case}");
-                    for s in 0..nn as usize {
-                        assert_eq!(
-                            rows.at([i, s]),
-                            want_rows.at([i, s]),
-                            "row {i} slot {s}: {case}"
-                        );
+                for isa in instantiations() {
+                    let mut rows = View::for_space("rows", [nlocal, maxneigh], &space);
+                    let mut counts = View::for_space("counts", [nlocal], &space);
+                    let got = NeighborList::fill(
+                        atoms,
+                        bins,
+                        cut * cut,
+                        half,
+                        nlocal,
+                        maxneigh,
+                        &mut rows,
+                        &mut counts,
+                        &space,
+                        isa,
+                    );
+                    let case = format!("half={half} {space:?} {} maxneigh={maxneigh}", isa.name());
+                    assert_eq!(got, want, "(needed, stored pairs): {case}");
+                    for i in 0..nlocal {
+                        let nn = want_counts.at([i]);
+                        assert_eq!(counts.at([i]), nn, "numneigh[{i}]: {case}");
+                        for s in 0..nn as usize {
+                            assert_eq!(
+                                rows.at([i, s]),
+                                want_rows.at([i, s]),
+                                "row {i} slot {s}: {case}"
+                            );
+                        }
                     }
                 }
             }
@@ -888,7 +1013,7 @@ mod tests {
         let bins = Bins::build(&atoms, &domain, cut, cut);
         let longest_run = (0..bins.nbins[0])
             .flat_map(|bx| (0..bins.nbins[1]).map(move |by| (bx, by)))
-            .map(|(bx, by)| bins.z_run(bx, by, 0, 2).1.len())
+            .map(|(bx, by)| bins.z_run(bx, by, 0, 2).len())
             .max()
             .unwrap();
         assert!(
@@ -896,6 +1021,69 @@ mod tests {
             "longest z-run {longest_run} fits one pass"
         );
         assert_fill_matches_reference(&atoms, &bins, cut, 256);
+    }
+
+    /// `x` moved by `k` representable values (away from zero for `k > 0`).
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The pruned fill against the plain 27-bin walk on boxes it was
+        /// not tuned on: any aspect ratio and density, a box far from the
+        /// origin (coarse coordinates), atoms outside the binned region
+        /// (clamped into edge bins, whose outer faces must not bound a
+        /// skip), and pairs whose separation straddles the cutoff by a few
+        /// representable values with one partner on an interior bin face,
+        /// on either side of it.
+        #[test]
+        fn pruned_fill_matches_reference_on_random_boxes(
+            lens in proptest::prop::array::uniform3(3.0f64..14.0),
+            origin in proptest::prop::sample::select(vec![0.0, -37.5, 1.0e4, -3.0e7]),
+            cut in 0.9f64..3.2,
+            ghost_margin in proptest::prop::sample::select(vec![0.0, 1.0]),
+            n in 30usize..400,
+            seed in 0u64..1 << 48,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let lo = [origin, origin + 1.0, origin - 2.0];
+            let hi = [lo[0] + lens[0], lo[1] + lens[1], lo[2] + lens[2]];
+            let domain = Domain::new(lo, hi);
+            let cutghost = ghost_margin * cut;
+            // Uniform atoms over the binned region and a shell beyond it.
+            let mut positions: Vec<[f64; 3]> = (0..n)
+                .map(|_| {
+                    std::array::from_fn(|a| {
+                        let span = lens[a] + 2.0 * cutghost + 1.0;
+                        lo[a] - cutghost - 0.5 + span * rng.unit_f64()
+                    })
+                })
+                .collect();
+            // Geometry only: faces do not depend on the atoms binned.
+            let geometry = Bins::build(&AtomData::from_positions(&positions), &domain, cut, cutghost);
+            for pair in 0..24 {
+                let axis = pair % 3;
+                let mut xi: [f64; 3] =
+                    std::array::from_fn(|a| lo[a] + lens[a] * rng.unit_f64());
+                if geometry.nbins[axis] > 1 {
+                    let b = 1 + rng.next_u64() as usize % (geometry.nbins[axis] - 1);
+                    let face = geometry.face(axis, b);
+                    let side = if pair % 2 == 0 { 1.0 } else { -1.0 };
+                    let step = |rng: &mut proptest::TestRng| (rng.next_u64() % 9) as i64 - 4;
+                    let mut xj = xi;
+                    xj[axis] = ulps(face, step(&mut rng));
+                    xi[axis] = ulps(face + side * cut, step(&mut rng));
+                    positions.push(xj);
+                }
+                positions.push(xi);
+            }
+            // Every atom owned, so each is a row as well as a candidate.
+            let atoms = AtomData::from_positions(&positions);
+            let bins = Bins::build(&atoms, &domain, cut, cutghost);
+            assert_fill_matches_reference(&atoms, &bins, cut, 96);
+        }
     }
 
     /// `working_set_bytes` as it was before the bitmap: a hash set per block.
@@ -927,12 +1115,21 @@ mod tests {
 
     #[test]
     fn working_set_bitmap_matches_hash_set_to_the_bit() {
-        let (mut atoms, domain) = lj_melt(8);
+        // Jittered, so rows differ in length on both layouts.
+        let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
+        let mut positions = lat.positions(8, 8, 8);
+        jitter(&mut positions, 0.3);
+        let domain = lat.domain(8, 8, 8);
+        let mut atoms = AtomData::from_positions(&positions);
+        atoms.wrap_positions(&domain);
         build_ghosts(&mut atoms, &domain, 2.8);
         for half in [true, false] {
             let settings = NeighborSettings::new(2.5, 0.3, half);
             for space in [Space::Serial, Space::device(lkk_gpusim::GpuArch::h100())] {
                 let list = NeighborList::build(&atoms, &domain, &settings, &space);
+                assert_eq!(list.neighbors.rows_contiguous(), !space.is_device());
+                let counts = list.numneigh.as_slice();
+                assert!(counts.iter().min() < counts.iter().max());
                 for block in [1, 32, 256, 2048] {
                     assert_eq!(
                         list.working_set_bytes(block).to_bits(),
@@ -1044,14 +1241,39 @@ mod tests {
 
     #[test]
     fn displacement_tracking() {
-        let (atoms, domain) = lj_melt(2);
+        // 2 048 atoms: `Threads` forks the reduction at this size.
+        let (mut atoms, domain) = lj_melt(8);
         let x_old: Vec<[f64; 3]> = (0..atoms.nlocal).map(|i| atoms.pos(i)).collect();
-        assert_eq!(max_displacement_sq(&atoms, &x_old, &domain), 0.0);
-        let mut atoms = atoms;
-        let new_x = atoms.pos(0)[0] + 0.4;
-        atoms.x.h_view_mut().set([0, 0], new_x);
-        let d = max_displacement_sq(&atoms, &x_old, &domain);
-        assert!((d - 0.16).abs() < 1e-12);
+        let serial = |atoms: &AtomData| {
+            let mut m: f64 = 0.0;
+            for (i, old) in x_old.iter().enumerate() {
+                m = m.max(domain.min_image_dsq(&atoms.pos(i), old));
+            }
+            m
+        };
+        let spaces = [
+            Space::Serial,
+            Space::Threads,
+            Space::device(lkk_gpusim::GpuArch::h100()),
+        ];
+        for space in &spaces {
+            assert_eq!(max_displacement_sq(&atoms, &x_old, &domain, space), 0.0);
+        }
+        let mut positions = x_old.clone();
+        jitter(&mut positions, 0.1);
+        positions[1500] = x_old[1500];
+        positions[1500][0] += 0.4;
+        for (i, p) in positions.iter().enumerate() {
+            for (k, &c) in p.iter().enumerate() {
+                atoms.x.h_view_mut().set([i, k], c);
+            }
+        }
+        let want = serial(&atoms);
+        assert!((want - 0.16).abs() < 1e-12);
+        for space in &spaces {
+            let got = max_displacement_sq(&atoms, &x_old, &domain, space);
+            assert_eq!(got.to_bits(), want.to_bits(), "{space:?}");
+        }
     }
 
     #[test]

@@ -296,8 +296,12 @@ impl Simulation {
             None => true,
             Some(_) => {
                 let half_skin = 0.5 * self.settings.skin;
-                max_displacement_sq(&self.system.atoms, &self.x_at_build, &self.system.domain)
-                    > half_skin * half_skin
+                max_displacement_sq(
+                    &self.system.atoms,
+                    &self.x_at_build,
+                    &self.system.domain,
+                    &self.system.space,
+                ) > half_skin * half_skin
             }
         }
     }

@@ -174,21 +174,30 @@ impl Space {
         J: Fn(T, T) -> T + Sync + Send,
     {
         profile::note_kernel_launch(label, n);
-        match self {
-            Space::Serial => (0..n).fold(identity, |acc, i| join(acc, f(i))),
-            Space::Threads | Space::Device(_) => {
-                if let Space::Device(ctx) = self {
-                    ctx.log.push_launch(label, n);
-                }
-                if Self::fork(n) {
-                    (0..n)
-                        .into_par_iter()
-                        .fold(|| identity, |acc, i| join(acc, f(i)))
-                        .reduce(|| identity, &join)
-                } else {
-                    (0..n).fold(identity, |acc, i| join(acc, f(i)))
-                }
-            }
+        if let Space::Device(ctx) = self {
+            ctx.log.push_launch(label, n);
+        }
+        self.reduce_unlogged(n, identity, f, join)
+    }
+
+    /// [`Space::parallel_reduce`] without the launch record: the same
+    /// fork rule and fold order, but no profile hook and no device-log
+    /// entry. For host bookkeeping that is not a kernel of the modelled
+    /// program (the rebuild trigger's displacement maximum), so launch
+    /// counts and trace ticks do not depend on how it is computed.
+    pub fn reduce_unlogged<T, F, J>(&self, n: usize, identity: T, f: F, join: J) -> T
+    where
+        T: Send + Sync + Copy,
+        F: Fn(usize) -> T + Sync + Send,
+        J: Fn(T, T) -> T + Sync + Send,
+    {
+        if !matches!(self, Space::Serial) && Self::fork(n) {
+            (0..n)
+                .into_par_iter()
+                .fold(|| identity, |acc, i| join(acc, f(i)))
+                .reduce(|| identity, &join)
+        } else {
+            (0..n).fold(identity, |acc, i| join(acc, f(i)))
         }
     }
 
@@ -460,6 +469,10 @@ mod tests {
         space.parallel_for("k", 10, |_| {});
         space.parallel_reduce_sum("r", 10, |_| 0.0);
         let ctx = space.device_ctx().unwrap();
+        assert_eq!(ctx.log.len(), 2);
+        // Same reduction, no record of it.
+        let m = space.reduce_unlogged(10_000, 0.0, |i| ((i * 37) % 9973) as f64, f64::max);
+        assert_eq!(m, 9972.0);
         assert_eq!(ctx.log.len(), 2);
     }
 

@@ -24,6 +24,9 @@
 //!   league/team/vector parallelism with per-team scratch memory, §3.3).
 //! * [`atomic`] — an [`AtomicF64`] built on `AtomicU64` CAS, the
 //!   building block for thread-atomic force accumulation.
+//! * [`isa`] — one kernel source instantiated per instruction set: an
+//!   `#[inline(always)]` body run at the baseline or under AVX2 (never
+//!   FMA, so bits do not move), picked from what the CPU reports.
 //! * [`profile`] — the Kokkos-Tools-style profiling layer: nested named
 //!   regions with RAII guards, kernel launch/stats hooks fired from the
 //!   dispatch layer, host↔device transfer accounting, and a subscriber
@@ -33,6 +36,7 @@
 pub mod atomic;
 pub mod dual_view;
 pub mod exec;
+pub mod isa;
 pub mod policy;
 pub mod profile;
 pub mod scatter_view;

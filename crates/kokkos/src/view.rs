@@ -77,6 +77,8 @@ pub struct View<T, const R: usize> {
     dims: [usize; R],
     strides: [usize; R],
     layout: Layout,
+    /// At least `dims.product()` elements; longer only after
+    /// [`View::realloc_without_initializing`] shrank the extents.
     data: Vec<T>,
 }
 
@@ -120,18 +122,31 @@ impl<T: Clone + Default, const R: usize> View<T, R> {
     /// the resize had to grow the heap allocation (a pool miss),
     /// `false` when existing capacity was reused (a pool hit).
     pub fn realloc(&mut self, dims: [usize; R]) -> bool {
+        self.data.clear();
+        self.realloc_without_initializing(dims)
+    }
+
+    /// [`View::realloc`] without the clear (Kokkos' `WithoutInitializing`):
+    /// same extents, strides and return value, but an element holds
+    /// whatever an earlier use of the storage left there (a stale value
+    /// of `T`, never uninitialised memory) until the caller writes it.
+    /// For buffers whose readers are bounded by data written since, such
+    /// as neighbor rows read up to `numneigh[i]`: zeroing `[nlocal,
+    /// maxneigh]` was 20 MB of memset per rebuild, on one thread.
+    pub fn realloc_without_initializing(&mut self, dims: [usize; R]) -> bool {
         let len = dims.iter().product::<usize>();
         self.dims = dims;
         self.strides = strides_for(dims, self.layout);
         let grew = len > self.data.capacity();
-        self.data.clear();
-        self.data.resize(len, T::default());
+        if len > self.data.len() {
+            self.data.resize(len, T::default());
+        }
         grew
     }
 
     /// Fill every element with `v`.
     pub fn fill(&mut self, v: T) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x = v.clone();
         }
     }
@@ -194,25 +209,26 @@ impl<T, const R: usize> View<T, R> {
     }
 
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.dims.iter().product()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// The flat backing storage (layout-ordered).
     pub fn as_slice(&self) -> &[T] {
-        &self.data
+        &self.data[..self.len()]
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
+        let len = self.len();
+        &mut self.data[..len]
     }
 
     /// Size of the backing storage in bytes.
     pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
+        self.len() * std::mem::size_of::<T>()
     }
 
     /// A shared handle permitting concurrent writes to *disjoint*
@@ -235,7 +251,7 @@ impl<T: Copy, const R: usize> View<T, R> {
     pub fn copy_from(&mut self, src: &View<T, R>) {
         assert_eq!(self.dims, src.dims, "deep_copy dims mismatch");
         if self.layout == src.layout {
-            self.data.copy_from_slice(&src.data);
+            self.as_mut_slice().copy_from_slice(src.as_slice());
         } else {
             // Different layouts: walk logical indices.
             let dims = self.dims;
@@ -593,6 +609,32 @@ mod tests {
         // Growing beyond every previous size must report a fresh alloc.
         assert!(v.realloc([8, 64]), "growth past capacity must report miss");
         assert!(!v.realloc([8, 64]), "steady state must reuse capacity");
+    }
+
+    #[test]
+    fn realloc_without_initializing_keeps_storage_and_bounds_the_extent() {
+        let mut v = View2::<u32>::with_layout("n", [4, 6], Layout::Left);
+        v.fill(7);
+        // Shrinking re-strides over the same storage: no clear, and the
+        // flat accessors cover the logical extent only.
+        assert!(!v.realloc_without_initializing([2, 3]));
+        assert_eq!((v.len(), v.bytes()), (6, 24));
+        assert_eq!(v.as_slice(), &[7; 6]);
+        assert_eq!(v.as_mut_slice().len(), 6);
+        assert_eq!((v.stride(0), v.stride(1)), (1, 2));
+        v.fill(9);
+        // Growing back within the storage exposes stale values of `T`
+        // (here both generations), never a reallocation.
+        assert!(!v.realloc_without_initializing([4, 6]));
+        let (nines, sevens): (Vec<u32>, Vec<u32>) = v.as_slice().iter().partition(|&&x| x == 9);
+        assert_eq!((nines.len(), sevens.len()), (6, 18));
+        // Past it, the growth is reported exactly as `realloc` reports it.
+        assert!(v.realloc_without_initializing([8, 64]));
+        assert!(!v.realloc_without_initializing([8, 64]));
+        assert_eq!(v.len(), 512);
+        // `realloc` still clears, whatever came before.
+        v.realloc([4, 6]);
+        assert_eq!(v.as_slice(), &[0; 24]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The six workspace invariant rules.
+//! The seven workspace invariant rules.
 //!
 //! Every rule is a heuristic matcher over the comment/string-masked
 //! source (see [`crate::source`]) — deliberately AST-lite so the
@@ -18,6 +18,8 @@
 //! |        | closures (use `ScatterView` or a quantized path)             |
 //! | LKK006 | no per-element `ScatterView::add` inside `parallel_*`        |
 //! |        | closures (take one `access()` handle per work item)          |
+//! | LKK010 | `target_feature` / CPU feature detection only in the ISA     |
+//! |        | seam (`crates/kokkos/src/isa.rs`), and never enabling `fma`  |
 
 use crate::source::{ident_boundary_before, matching_paren, File};
 use std::fmt;
@@ -36,16 +38,19 @@ pub enum Rule {
     Lkk005,
     /// Per-element `ScatterView::add` inside a parallel closure.
     Lkk006,
+    /// Instruction-set selection outside the ISA seam, or `fma` enabled.
+    Lkk010,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::Lkk001,
         Rule::Lkk002,
         Rule::Lkk003,
         Rule::Lkk004,
         Rule::Lkk005,
         Rule::Lkk006,
+        Rule::Lkk010,
     ];
 
     pub fn id(self) -> &'static str {
@@ -56,6 +61,7 @@ impl Rule {
             Rule::Lkk004 => "LKK004",
             Rule::Lkk005 => "LKK005",
             Rule::Lkk006 => "LKK006",
+            Rule::Lkk010 => "LKK010",
         }
     }
 
@@ -71,6 +77,7 @@ impl Rule {
             Rule::Lkk004 => "allocation inside a parallel dispatch closure",
             Rule::Lkk005 => "raw indexed scatter inside a parallel dispatch closure",
             Rule::Lkk006 => "per-element ScatterView::add inside a parallel dispatch closure",
+            Rule::Lkk010 => "instruction-set selection outside the ISA seam, or fma enabled",
         }
     }
 
@@ -105,6 +112,12 @@ impl Rule {
                 "ScatterView::add resolves the storage mode and the worker's copy on every \
                  call: take one handle per work item (`let a = sv.access();`) and add through \
                  it (`a.add(i, col, v)`, `a.add3(i, [fx, fy, fz])`); never store or send the handle"
+            }
+            Rule::Lkk010 => {
+                "bits must not depend on the machine: write the kernel once as an \
+                 #[inline(always)] fn and run it through lkk_kokkos::isa::Isa::call, the one \
+                 place that names target features; fused multiply-add rounds once where \
+                 mul + add round twice, so `fma` is never enabled"
             }
         }
     }
@@ -146,6 +159,7 @@ pub fn check_file(file: &File) -> Vec<Finding> {
     lkk004_alloc_in_kernel(file, &spans, &mut out);
     lkk005_raw_scatter(file, &spans, &mut out);
     lkk006_per_element_scatter(file, &spans, &mut out);
+    lkk010_isa_seam(file, &mut out);
     out.sort();
     out.dedup();
     out
@@ -581,6 +595,47 @@ fn lkk006_per_element_scatter(file: &File, spans: &[(usize, usize)], out: &mut V
                     at,
                     Rule::Lkk006,
                     format!("`{receiver}.add(…)` on a ScatterView inside a parallel dispatch"),
+                ));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// LKK010 — instruction-set selection stays in the ISA seam
+// ---------------------------------------------------------------------
+
+const ISA_SEAM: &str = "crates/kokkos/src/isa.rs";
+
+fn lkk010_isa_seam(file: &File, out: &mut Vec<Finding>) {
+    let b = file.masked.as_bytes();
+    for pat in ["target_feature", "is_x86_feature_detected!"] {
+        for at in occurrences(file, pat) {
+            if file.path != ISA_SEAM {
+                out.push(finding(
+                    file,
+                    at,
+                    Rule::Lkk010,
+                    format!("`{pat}` outside {ISA_SEAM}"),
+                ));
+            }
+            // The feature names are string literals: read them from the
+            // original text, `(enable = "..")` or `= ".."` alike.
+            let open = at + pat.len();
+            let end = if b.get(open) == Some(&b'(') {
+                matching_paren(b, open)
+            } else {
+                file.text[open..].find('\n').map_or(b.len(), |n| open + n)
+            };
+            let fma = file.text[open..end]
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .any(|name| name == "fma");
+            if fma {
+                out.push(finding(
+                    file,
+                    at,
+                    Rule::Lkk010,
+                    "`fma` named in a target-feature list".to_string(),
                 ));
             }
         }

@@ -94,6 +94,49 @@ fn lkk006_fires_on_per_element_scatter_add() {
 }
 
 #[test]
+fn lkk010_fires_outside_the_isa_seam_and_on_fma_anywhere() {
+    let text = include_str!("fixtures/lkk010_isa_seam.rs");
+    // Both attributes and the detection fire; `fma` adds a second finding
+    // on its line (line 9), folded here by the (rule, line) projection.
+    let found = scan("lkk010_isa_seam.rs", text);
+    assert_eq!(
+        found,
+        vec![
+            (Rule::Lkk010, 4),
+            (Rule::Lkk010, 9),
+            (Rule::Lkk010, 9),
+            (Rule::Lkk010, 15)
+        ]
+    );
+    // Inside the seam the same text is allowed, except the `fma` list.
+    let seam: Vec<_> = check_file(&File::new("crates/kokkos/src/isa.rs", text))
+        .into_iter()
+        .map(|f| (f.rule, f.line, f.detail))
+        .collect();
+    assert_eq!(
+        seam,
+        vec![(
+            Rule::Lkk010,
+            9,
+            "`fma` named in a target-feature list".to_string()
+        )]
+    );
+    // An audited waiver reaches this rule like any other.
+    let allow = lkk_lint::allowlist::parse(
+        "[[allow]]\nrule = \"LKK010\"\npath = \"crates/scratch/src/lkk010_isa_seam.rs\"\n\
+         contains = \"is_x86_feature_detected\"\n\
+         justification = \"fixture: waives the detection line alone, by its text\"\n",
+    )
+    .unwrap();
+    let waived: Vec<usize> = check_file(&File::new("crates/scratch/src/lkk010_isa_seam.rs", text))
+        .iter()
+        .filter(|f| allow[0].matches(f))
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(waived, vec![15]);
+}
+
+#[test]
 fn clean_fixture_produces_zero_findings() {
     let found = scan("clean.rs", include_str!("fixtures/clean.rs"));
     assert!(found.is_empty(), "{found:?}");

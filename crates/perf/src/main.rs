@@ -144,8 +144,11 @@ fn run_capture(args: &Args) -> Result<bool, String> {
         None => None,
     };
 
+    // stderr only: the document must not depend on the machine.
     eprintln!(
-        "perf-smoke: capturing 4 single-rank workloads + ranks4 + skewed8 (forced sequential)..."
+        "perf-smoke: capturing 4 single-rank workloads + ranks4 + skewed8 \
+         (forced sequential, isa {})...",
+        lkk_kokkos::isa::active().name()
     );
     let captures = capture::capture_all();
     eprint!("{}", capture::attribution_text(&captures));

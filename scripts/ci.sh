@@ -49,6 +49,16 @@ cargo test --release -q --test snap_physics
 cargo test --release -q -p lkk-snap --lib inversion_symmetry
 cargo test --release -q -p lkk-snap --lib adjoint
 
+# The gate on lkk_kokkos::isa's first kernel: every `fill_matches_reference_*`
+# oracle and the pruning property run the neighbor fill once per
+# instantiation this host has (the baseline, and AVX2 where the CPU reports
+# it; the first test prints which), in all three spaces, and require rows,
+# counts and `needed` equal to the plain 27-bin walk's. No switch selects an
+# instantiation from outside, so the loop over them lives in the tests.
+echo "==> neighbor oracles, once per ISA instantiation (release)"
+cargo test --release -q -p lkk-core --lib neighbor -- --nocapture 2>&1 |
+  grep -E "instantiations under test|test result|FAILED|panicked"
+
 # ReaxFF's physics gate on the warm-started path (F = -dE/dx with the
 # charges re-equilibrated at every displaced point, net force, charge
 # neutrality and stationarity, 2 000-step NVE against a run that solves
@@ -59,7 +69,7 @@ cargo test --release -q --test reaxff_physics
 
 # --- lint-invariants job ------------------------------------------------
 
-# Workspace invariant linter (LKK001..LKK006, docs/static-analysis.md):
+# Workspace invariant linter (LKK001..LKK006, LKK010; docs/static-analysis.md):
 # exit 1 on violations, exit 2 on a malformed lint_allow.toml. Gating.
 echo "==> lkk-lint (workspace invariants)"
 cargo run --release -p lkk-lint
