@@ -197,84 +197,6 @@ pub fn reverse_forces(atoms: &mut AtomData, map: &GhostMap) {
     }
 }
 
-/// Forward communication executed through an execution space (§3.3:
-/// "it may be more performant to keep all communication routines
-/// (packing, unpacking, sending data) on host, or execute it on the
-/// device"). On a device space the pack/unpack run as logged kernels
-/// against the device mirrors; on host spaces it is equivalent to
-/// [`forward_positions`].
-pub fn forward_positions_space(
-    atoms: &mut crate::atom::AtomData,
-    map: &GhostMap,
-    space: &lkk_kokkos::Space,
-) {
-    use crate::atom::Mask;
-    atoms.sync(space, Mask::X);
-    let nlocal = atoms.nlocal;
-    let x = atoms.x.view_for_mut(space);
-    let xw = x.par_write();
-    let owners = &map.owner;
-    let shifts = &map.shift;
-    space.parallel_for("CommForwardPack", map.nghost(), |g| {
-        let o = owners[g];
-        for (k, &shift) in shifts[g].iter().enumerate() {
-            let v = xw.get([o, k]) + shift;
-            unsafe { xw.write([nlocal + g, k], v) };
-        }
-    });
-    atoms.modified(space, Mask::X);
-}
-
-/// Reverse (force) communication through an execution space. Ghost
-/// rows are folded into their owners; parallelism is over *owners*
-/// (each owner sums its own ghosts serially) to keep writes disjoint,
-/// which requires the owner → ghosts index built here.
-pub fn reverse_forces_space(
-    atoms: &mut crate::atom::AtomData,
-    map: &GhostMap,
-    space: &lkk_kokkos::Space,
-) {
-    use crate::atom::Mask;
-    atoms.sync(space, Mask::F);
-    let nlocal = atoms.nlocal;
-    // Owner-major ghost index (CSR) so each owner's fold is private.
-    let mut counts = vec![0usize; nlocal];
-    for &o in &map.owner {
-        counts[o] += 1;
-    }
-    let mut offsets = vec![0usize; nlocal + 1];
-    for i in 0..nlocal {
-        offsets[i + 1] = offsets[i] + counts[i];
-    }
-    let mut ghosts_of = vec![0u32; map.nghost()];
-    let mut cursor = offsets.clone();
-    for (g, &o) in map.owner.iter().enumerate() {
-        ghosts_of[cursor[o]] = g as u32;
-        cursor[o] += 1;
-    }
-    let f = atoms.f.view_for_mut(space);
-    let fw = f.par_write();
-    space.parallel_for("CommReverseUnpack", nlocal, |o| {
-        for &gs in &ghosts_of[offsets[o]..offsets[o + 1]] {
-            let g = gs as usize;
-            for k in 0..3 {
-                let add = fw.get([nlocal + g, k]);
-                unsafe {
-                    fw.write([o, k], fw.get([o, k]) + add);
-                    fw.write([nlocal + g, k], 0.0);
-                }
-            }
-        }
-    });
-    atoms.modified(space, Mask::F);
-}
-
-/// Bytes moved by one forward position communication (3 doubles per
-/// ghost), used by the strong-scaling communication model.
-pub fn forward_bytes(map: &GhostMap) -> u64 {
-    (map.nghost() * 3 * 8) as u64
-}
-
 /// Cumulative message/byte counters of a [`Comm`] implementation.
 /// All values are integers measured from actual exchanges, so they are
 /// deterministic and baseline-diffable; a single-rank comm moves no
@@ -629,48 +551,5 @@ mod tests {
         let mut atoms = AtomData::from_positions(&[[0.5, 0.5, 0.5]]);
         let domain = Domain::cubic(3.0);
         build_ghosts(&mut atoms, &domain, 2.0);
-    }
-
-    #[test]
-    fn comm_volume_accounting() {
-        let (mut atoms, domain) = corner_system();
-        let map = build_ghosts(&mut atoms, &domain, 2.0);
-        assert_eq!(forward_bytes(&map), 7 * 24);
-    }
-
-    #[test]
-    fn space_comm_matches_host_comm() {
-        use lkk_kokkos::Space;
-        for space in [Space::Threads, Space::device(lkk_gpusim::GpuArch::h100())] {
-            let (mut a, domain) = corner_system();
-            let map = build_ghosts(&mut a, &domain, 2.0);
-            // Move the owner, forward through the space path.
-            a.x.h_view_mut().set([0, 1], 0.9);
-            forward_positions_space(&mut a, &map, &space);
-            a.sync(&Space::Serial, crate::atom::Mask::X);
-            let xh = a.x.h_view();
-            for g in 0..map.nghost() {
-                let y = xh.at([2 + g, 1]);
-                assert!((y - 0.9).abs() < 1e-12 || (y - 10.9).abs() < 1e-12);
-            }
-            // Load ghost forces, reverse through the space path.
-            {
-                let fh = a.f.h_view_mut();
-                for g in 0..map.nghost() {
-                    fh.set([2 + g, 2], 2.0);
-                }
-            }
-            reverse_forces_space(&mut a, &map, &space);
-            a.sync(&Space::Serial, crate::atom::Mask::F);
-            assert_eq!(a.f.h_view().at([0, 2]), 14.0);
-            assert_eq!(a.f.h_view().at([2, 2]), 0.0);
-            // Device spaces log the pack/unpack kernels.
-            if let Some(ctx) = space.device_ctx() {
-                let names: Vec<String> =
-                    ctx.log.aggregate().iter().map(|s| s.name.clone()).collect();
-                assert!(names.iter().any(|n| n == "CommForwardPack"));
-                assert!(names.iter().any(|n| n == "CommReverseUnpack"));
-            }
-        }
     }
 }

@@ -130,12 +130,6 @@ impl MultiRankRun {
         (peak as f64 / mean).max(1.0)
     }
 
-    /// Load imbalance of the *final* atom census: max/mean of
-    /// `owned_atoms` (the pre-PR-8 `atom_imbalance` definition).
-    pub fn final_atom_imbalance(&self) -> f64 {
-        imbalance(self.owned_atoms.iter().map(|&n| n as f64))
-    }
-
     /// Load imbalance of the measured pair-force time: max/mean of the
     /// per-rank `Timings::pair` seconds. Wall-clock derived — advisory,
     /// never part of a deterministic baseline.

@@ -155,10 +155,12 @@ impl<P: PairStyle + 'static> PairStyle for PairMolecular<P> {
         // (forces must be synced home first if the pair ran on device).
         system.atoms.sync(&Space::Serial, Mask::F);
         let (e_mol, w_mol) = self.topology.compute(system);
-        res.energy += e_mol;
-        res.virial += w_mol;
-        for k in 0..3 {
-            res.virial_tensor[k] += w_mol / 3.0;
+        if eflag {
+            res.energy += e_mol;
+            res.virial += w_mol;
+            for k in 0..3 {
+                res.virial_tensor[k] += w_mol / 3.0;
+            }
         }
         res
     }
@@ -259,6 +261,38 @@ mod tests {
             .min_image(&sim.system.atoms.pos(0), &sim.system.atoms.pos(1));
         let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
         assert!((r - 0.9572).abs() < 0.2, "bond length {r}");
+    }
+
+    /// `eflag` off skips the energy and virial tallies and nothing else:
+    /// same forces to the bit, default results.
+    #[test]
+    fn eflag_off_changes_no_force_bit() {
+        let forces_with = |eflag: bool| {
+            let (mut positions, topology) = water_like();
+            positions[1][0] = 6.05;
+            let space = Space::Serial;
+            let atoms = AtomData::from_positions(&positions);
+            let mut system = System::new(atoms, Domain::cubic(10.0), space.clone());
+            let pair = PairKokkos::new(Yukawa::new(0.5, 1.0, 2.5), &space);
+            let mut molecular = PairMolecular::new(pair, topology);
+            let settings = crate::neighbor::NeighborSettings::new(2.5, 0.3, true);
+            system.ghosts =
+                crate::comm::build_ghosts(&mut system.atoms, &system.domain, settings.cutneigh());
+            let list = NeighborList::build(&system.atoms, &system.domain, &settings, &space);
+            let res = molecular.compute(&mut system, &list, eflag);
+            let fh = system.atoms.f.h_view();
+            let bits: Vec<[u64; 3]> = (0..system.atoms.nall())
+                .map(|i| fh.get3(i).map(f64::to_bits))
+                .collect();
+            (bits, res)
+        };
+        let (f_on, res_on) = forces_with(true);
+        let (f_off, res_off) = forces_with(false);
+        assert_eq!(f_on, f_off);
+        assert!(f_on.iter().flatten().any(|&b| f64::from_bits(b) != 0.0));
+        assert_eq!(res_off, PairResults::default());
+        assert_ne!(res_on.energy, 0.0);
+        assert_ne!(res_on.virial, 0.0);
     }
 
     #[test]

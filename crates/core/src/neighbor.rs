@@ -60,6 +60,144 @@ impl NeighborSettings {
     }
 }
 
+/// Neighbors per [`Rows::chunk`]: the window a two-pass kernel filters
+/// at a time (the pair driver's hit buffer is this long).
+pub const CHUNK: usize = 128;
+
+/// The rows of a [`NeighborList`], by value: counts, backing storage and
+/// strides, the one place outside the fill that knows how `neighbors` is
+/// laid out. `Copy`, and its methods take it by value, for the reason
+/// [`Triples`] is: a kernel that stores through raw pointers makes the
+/// compiler reload whatever it reaches through a reference.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    counts: &'a [u32],
+    neigh: &'a [u32],
+    strides: [usize; 2],
+}
+
+impl<'a> Rows<'a> {
+    /// Stored neighbors of atom `i`.
+    #[inline(always)]
+    pub fn len(self, i: usize) -> usize {
+        self.counts[i] as usize
+    }
+
+    /// Windows of [`CHUNK`] that cover row `i`.
+    #[inline(always)]
+    pub fn chunks(self, i: usize) -> usize {
+        self.len(i).div_ceil(CHUNK)
+    }
+
+    /// Row `i`, in list order.
+    #[inline(always)]
+    pub fn row(self, i: usize) -> Row<'a> {
+        self.span(i, 0, self.len(i))
+    }
+
+    /// Window `c < chunks(i)` of row `i`: its entries `c * CHUNK..` up to
+    /// [`CHUNK`] of them, in list order.
+    #[inline(always)]
+    pub fn chunk(self, i: usize, c: usize) -> Row<'a> {
+        self.span(i, c * CHUNK, (self.len(i) - c * CHUNK).min(CHUNK))
+    }
+
+    /// Entries `first..first + len` of row `i`.
+    #[inline(always)]
+    fn span(self, i: usize, first: usize, len: usize) -> Row<'a> {
+        let [s0, s1] = self.strides;
+        let start = i * s0 + first * s1;
+        Row {
+            // From the first entry to the last, whatever lies between.
+            run: match len {
+                0 => &[],
+                _ => &self.neigh[start..start + (len - 1) * s1 + 1],
+            },
+            step: s1,
+        }
+    }
+}
+
+/// One row (or window of a row) of a [`NeighborList`]: an iterator over
+/// the stored indices, whose step through the storage is 1 on the host
+/// layout and `nlocal` on the device layout. Consume it with `for_each` /
+/// `fold` in a kernel: that is one counted loop for either layout (the
+/// step is a register operand, there is no layout branch), where `next`
+/// re-slices per element.
+#[derive(Debug, Clone)]
+pub struct Row<'a> {
+    /// First entry to last entry inclusive; every `step`-th is a member.
+    run: &'a [u32],
+    step: usize,
+}
+
+impl Iterator for Row<'_> {
+    type Item = u32;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<u32> {
+        let (&j, rest) = self.run.split_first()?;
+        self.run = rest.get(self.step - 1..).unwrap_or(&[]);
+        Some(j)
+    }
+
+    #[inline(always)]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.run.len().div_ceil(self.step);
+        (n, Some(n))
+    }
+
+    #[inline(always)]
+    fn fold<B, F: FnMut(B, u32) -> B>(self, init: B, f: F) -> B {
+        let Row { run, step } = self;
+        let (mut acc, mut at, mut f) = (init, 0, f);
+        while at < run.len() {
+            acc = f(acc, run[at]);
+            at += step;
+        }
+        acc
+    }
+}
+
+/// [`Within::row`] reports `d = x_i − x_j`, pointing at the row's atom.
+pub const TOWARD_I: bool = false;
+/// [`Within::row`] reports `d = x_j − x_i`, pointing at the neighbor. The
+/// orientation is a parameter, never a sign flipped afterwards: `-(a - b)`
+/// and `b - a` differ in the sign of zero on a perfect lattice.
+pub const TOWARD_J: bool = true;
+
+/// The within-cutoff walk over a list's rows: positions through
+/// [`Triples`], one branchy pass per row. By value, like [`Rows`].
+#[derive(Debug, Clone, Copy)]
+pub struct Within<'a> {
+    rows: Rows<'a>,
+    x: Triples<'a, f64>,
+    cutsq: f64,
+}
+
+impl Within<'_> {
+    /// Call `f(j, d, rsq)` for every stored neighbor `j` of `i` with
+    /// `rsq = |d|² < cutoff²`, in list order; `d` points as `TO_J` says
+    /// ([`TOWARD_I`] or [`TOWARD_J`]).
+    #[inline(always)]
+    pub fn row<const TO_J: bool>(self, i: usize, mut f: impl FnMut(usize, [f64; 3], f64)) {
+        let xi = self.x.get(i);
+        self.rows.row(i).for_each(|ju| {
+            let j = ju as usize;
+            let xj = self.x.get(j);
+            let d = if TO_J {
+                [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]]
+            } else {
+                [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]]
+            };
+            let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            if rsq < self.cutsq {
+                f(j, d, rsq);
+            }
+        });
+    }
+}
+
 /// Spatial bins over the ghost-extended region, CSR-indexed.
 ///
 /// All backing vectors are reused across [`Bins::rebuild`] calls, so a
@@ -345,6 +483,25 @@ impl NeighborList {
         self.grow_count
     }
 
+    /// The reader every consumer of the rows goes through.
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            counts: self.numneigh.as_slice(),
+            neigh: self.neighbors.as_slice(),
+            strides: [self.neighbors.stride(0), self.neighbors.stride(1)],
+        }
+    }
+
+    /// The stored pairs closer than `cutoff`, positions read from `x`
+    /// (an `[nall, 3]` view of either layout).
+    pub fn within<'a>(&'a self, x: &'a View2<f64>, cutoff: f64) -> Within<'a> {
+        Within {
+            rows: self.rows(),
+            x: x.triples(),
+            cutsq: cutoff * cutoff,
+        }
+    }
+
     /// Rebuild in place, reusing the neighbor/count/bin buffers.
     ///
     /// Identical logical behavior to [`NeighborList::build`] (same
@@ -434,9 +591,8 @@ impl NeighborList {
         let xh = atoms.x.h_view();
         let mut row = std::mem::take(&mut self.sort_scratch);
         for i in 0..self.nlocal {
-            let nn = self.numneigh.at([i]) as usize;
             row.clear();
-            row.extend((0..nn).map(|s| self.neighbors.at([i, s])));
+            row.extend(self.rows().row(i));
             row.sort_unstable_by(|&a, &b| {
                 let pa = xh.get3(a as usize);
                 let pb = xh.get3(b as usize);
@@ -513,9 +669,7 @@ impl NeighborList {
         let nblocks = self.nlocal.div_ceil(block);
         // Sample up to 16 blocks evenly.
         let step = nblocks.div_ceil(16).max(1);
-        let neigh = self.neighbors.as_slice();
-        let (s0, s1) = (self.neighbors.stride(0), self.neighbors.stride(1));
-        let counts = self.numneigh.as_slice();
+        let rows = self.rows();
         // One bit per binned (owned or ghost) atom, which every stored index
         // is; distinct atoms = set bits.
         let mut seen = vec![0u64; self.bins.atoms.len().div_ceil(64)];
@@ -527,10 +681,8 @@ impl NeighborList {
             let end = (start + block).min(self.nlocal);
             for i in start..end {
                 seen[i / 64] |= 1 << (i % 64);
-                for s in 0..counts[i] as usize {
-                    let j = neigh[i * s0 + s * s1] as usize;
-                    seen[j / 64] |= 1 << (j % 64);
-                }
+                rows.row(i)
+                    .for_each(|j| seen[j as usize / 64] |= 1 << (j % 64));
             }
             total += seen.iter().map(|w| w.count_ones() as usize).sum::<usize>();
             sampled += 1;
@@ -1127,7 +1279,10 @@ mod tests {
             let settings = NeighborSettings::new(2.5, 0.3, half);
             for space in [Space::Serial, Space::device(lkk_gpusim::GpuArch::h100())] {
                 let list = NeighborList::build(&atoms, &domain, &settings, &space);
-                assert_eq!(list.neighbors.rows_contiguous(), !space.is_device());
+                assert_eq!(
+                    list.neighbors.layout() == lkk_kokkos::Layout::Left,
+                    space.is_device()
+                );
                 let counts = list.numneigh.as_slice();
                 assert!(counts.iter().min() < counts.iter().max());
                 for block in [1, 32, 256, 2048] {
@@ -1144,6 +1299,82 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The geometry of `pair::tests::rows_longer_than_a_chunk_see_hits_only`
+    /// (cutoff 3.8: full rows of ~240 entries), on the contiguous and the
+    /// strided layout: `rows()` yields exactly `neighbors.at([i, s])` for
+    /// `s < numneigh[i]`, whole rows and every `CHUNK` window of them,
+    /// through `next` and through `fold`; `within` reports those of them
+    /// inside the cutoff, displacement as asked.
+    #[test]
+    fn rows_yield_the_stored_entries_on_both_layouts() {
+        let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
+        let mut positions = lat.positions(6, 6, 6);
+        jitter(&mut positions, 0.2);
+        let domain = lat.domain(6, 6, 6);
+        let mut atoms = AtomData::from_positions(&positions);
+        atoms.wrap_positions(&domain);
+        let settings = NeighborSettings::new(3.8, 0.3, false);
+        build_ghosts(&mut atoms, &domain, settings.cutneigh());
+        for space in [Space::Serial, Space::device(lkk_gpusim::GpuArch::h100())] {
+            let list = NeighborList::build(&atoms, &domain, &settings, &space);
+            assert_eq!(
+                list.neighbors.layout() == lkk_kokkos::Layout::Left,
+                space.is_device()
+            );
+            let rows = list.rows();
+            let walk = list.within(atoms.x.h_view(), 3.8);
+            let mut longest = 0;
+            for i in 0..list.nlocal {
+                let want: Vec<u32> = (0..list.numneigh.at([i]) as usize)
+                    .map(|s| list.neighbors.at([i, s]))
+                    .collect();
+                longest = longest.max(want.len());
+                assert_eq!(rows.len(i), want.len());
+                assert_eq!(rows.row(i).size_hint(), (want.len(), Some(want.len())));
+                // `collect` drives `next`, `for_each` drives `fold`.
+                assert_eq!(rows.row(i).collect::<Vec<_>>(), want, "row {i}");
+                let mut folded = Vec::new();
+                rows.row(i).for_each(|j| folded.push(j));
+                assert_eq!(folded, want, "row {i} folded");
+                assert_eq!(rows.chunks(i), want.len().div_ceil(CHUNK));
+                for (c, window) in want.chunks(CHUNK).enumerate() {
+                    assert_eq!(rows.chunk(i, c).collect::<Vec<_>>(), window);
+                    let mut folded = Vec::new();
+                    rows.chunk(i, c).for_each(|j| folded.push(j));
+                    assert_eq!(folded, window, "row {i} window {c} folded");
+                }
+                let xi = atoms.pos(i);
+                let mut inside = want.iter().filter_map(|&j| {
+                    let xj = atoms.pos(j as usize);
+                    let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                    let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                    (rsq < 3.8 * 3.8).then_some((j as usize, d, rsq))
+                });
+                walk.row::<TOWARD_I>(i, |j, d, rsq| {
+                    assert_eq!(Some((j, d, rsq)), inside.next(), "row {i}");
+                });
+                assert_eq!(inside.next(), None, "row {i}: walk stopped early");
+                let mut toward_j = Vec::new();
+                walk.row::<TOWARD_J>(i, |j, d, _| toward_j.push((j, d)));
+                for (j, d) in toward_j {
+                    let xj = atoms.pos(j);
+                    assert_eq!(d, [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]]);
+                }
+            }
+            assert!(longest > CHUNK, "longest row {longest} fits one window");
+        }
+        // An atom without neighbors has an empty row and no window.
+        let lone = AtomData::from_positions(&[[1.0, 1.0, 1.0]]);
+        let list = NeighborList::build(
+            &lone,
+            &Domain::cubic(10.0),
+            &NeighborSettings::new(2.5, 0.3, false),
+            &Space::Serial,
+        );
+        assert_eq!((list.rows().len(0), list.rows().chunks(0)), (0, 0));
+        assert_eq!(list.rows().row(0).next(), None);
     }
 
     #[test]

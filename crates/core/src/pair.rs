@@ -18,10 +18,12 @@
 //! * full list with hierarchical team-over-neighbors parallelism for
 //!   small systems (Fig. 2a).
 
-use crate::neighbor::NeighborList;
+use crate::atom::Mask;
+use crate::neighbor::{NeighborList, Rows, CHUNK};
 use crate::sim::System;
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::{AtomicF64, ScatterView, Space, TeamPolicy, Triples, View1, View2};
+use lkk_kokkos::scatter_view::ScatterAccess;
+use lkk_kokkos::{AtomicF64, ScatterMode, ScatterView, Space, TeamPolicy, Triples, View1, View2};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod eam;
@@ -67,16 +69,109 @@ impl PairResults {
     }
 }
 
-/// Accumulate one pair's contribution `fpair·d ⊗ d` into a Voigt
-/// tensor (`d` the pair displacement, `fpair·d` the force).
-#[inline(always)]
-pub fn add_pair_virial(w: &mut [f64; 6], fpair: f64, d: [f64; 3]) {
-    w[0] += fpair * d[0] * d[0];
-    w[1] += fpair * d[1] * d[1];
-    w[2] += fpair * d[2] * d[2];
-    w[3] += fpair * d[0] * d[1];
-    w[4] += fpair * d[0] * d[2];
-    w[5] += fpair * d[1] * d[2];
+/// What one work item of a force kernel tallies and the kernel's
+/// reduction sums over atoms: energy, Voigt virial (`xx, yy, zz, xy, xz,
+/// yz`) and, for the drivers that count them, pairs inside the cutoff.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tally {
+    pub e: f64,
+    pub w: [f64; 6],
+    pub inside: u64,
+}
+
+impl Tally {
+    pub fn join(a: Tally, b: Tally) -> Tally {
+        Tally {
+            e: a.e + b.e,
+            w: std::array::from_fn(|k| a.w[k] + b.w[k]),
+            inside: a.inside + b.inside,
+        }
+    }
+
+    /// A central pair's virial `fpair·d ⊗ d` (`d` the pair displacement,
+    /// `fpair·d` the force).
+    #[inline(always)]
+    pub fn add_pair_virial(&mut self, fpair: f64, d: [f64; 3]) {
+        let w = &mut self.w;
+        w[0] += fpair * d[0] * d[0];
+        w[1] += fpair * d[1] * d[1];
+        w[2] += fpair * d[2] * d[2];
+        w[3] += fpair * d[0] * d[1];
+        w[4] += fpair * d[0] * d[2];
+        w[5] += fpair * d[1] * d[2];
+    }
+
+    /// One leg of a many-body virial `Σ d ⊗ f`, symmetrised: `f` the
+    /// force on the atom at displacement `d` from the central one.
+    #[inline(always)]
+    pub fn add_leg(&mut self, d: [f64; 3], f: [f64; 3]) {
+        let w = &mut self.w;
+        w[0] += d[0] * f[0];
+        w[1] += d[1] * f[1];
+        w[2] += d[2] * f[2];
+        w[3] += 0.5 * (d[0] * f[1] + d[1] * f[0]);
+        w[4] += 0.5 * (d[0] * f[2] + d[2] * f[0]);
+        w[5] += 0.5 * (d[1] * f[2] + d[2] * f[1]);
+    }
+
+    /// Energy and virial as a style returns them: the tally under
+    /// `eflag`, zeros without (see [`PairStyle::compute`]).
+    pub fn results(self, eflag: bool) -> PairResults {
+        if eflag {
+            PairResults::with_tensor(self.e, self.w)
+        } else {
+            PairResults::default()
+        }
+    }
+}
+
+/// The force scatter of a style whose work items write other atoms'
+/// rows: one pooled [`ScatterView`] over owned and ghost atoms, reshaped
+/// in place when the ghost count moves (never reallocated below its
+/// peak), and the epilogue that lands it in `atoms.f`.
+#[derive(Default)]
+pub struct ForceScatter {
+    view: Option<ScatterView>,
+}
+
+impl ForceScatter {
+    /// Shape the pool for `nall` atoms in `space`'s default mode, ahead
+    /// of a kernel's [`ForceScatter::access`] calls.
+    pub fn ensure(&mut self, nall: usize, space: &Space) {
+        let mode = ScatterMode::default_for(space);
+        self.view
+            .get_or_insert_with(|| ScatterView::new(nall, 3, mode))
+            .ensure(nall, 3, mode);
+    }
+
+    /// The calling worker's handle; one per work item.
+    #[inline]
+    #[track_caller]
+    pub fn access(&self) -> ScatterAccess<'_> {
+        self.view
+            .as_ref()
+            .expect("ForceScatter::ensure comes first")
+            .access()
+    }
+
+    /// Epilogue: `atoms.f` becomes the scattered forces (the pool is
+    /// left zeroed for the next step) and is marked modified on the
+    /// system's space.
+    pub fn contribute(&mut self, system: &mut System) {
+        let space = system.space.clone();
+        let f = system.atoms.f.view_for_mut(&space);
+        f.fill(0.0);
+        self.view
+            .as_mut()
+            .expect("ForceScatter::ensure comes first")
+            .contribute_into_view(f);
+        system.atoms.modified(&space, Mask::F);
+    }
+
+    /// Heap growths of the pool since construction (0 in steady state).
+    pub fn grow_count(&self) -> u64 {
+        self.view.as_ref().map_or(0, ScatterView::grow_count)
+    }
 }
 
 /// A persistent force-field style (§2.2: "pair styles ... are typically
@@ -100,9 +195,8 @@ pub trait PairStyle: Send + std::any::Any {
     /// Compute forces into `system.atoms.f` — always — and return the
     /// energy and virial when `eflag` is set. With `eflag` off a style
     /// may skip the tally and return [`PairResults::default`] (zeros);
-    /// [`PairKokkos`] and every many-body style (EAM, SW, MLIAP, SNAP,
-    /// ReaxFF) do, with the forces unchanged (each has a unit test on
-    /// it); `PairMolecular` still adds its bonded energy on every call.
+    /// every style here does, with the forces unchanged (each has a unit
+    /// test on it).
     /// `Simulation` sets `eflag` at set-up, on thermo steps and on the
     /// last step of every `run`/`try_run` call, which is when
     /// `Simulation::last_results` is refreshed.
@@ -152,52 +246,26 @@ pub struct PairKokkosOptions {
 pub struct PairKokkos<P: TwoBody> {
     pub pot: P,
     pub options: PairKokkosOptions,
-    scatter: Option<ScatterView>,
+    scatter: ForceScatter,
     half: bool,
     name: String,
 }
 
-/// Neighbors filtered per pass of [`Launch::chunk`]; a longer row takes
-/// several passes.
-const CHUNK: usize = 128;
-
-/// Energy, virial and in-cutoff pair count of one atom's row, summed
-/// over atoms by the kernels' reductions.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    e: f64,
-    w: [f64; 6],
-    inside: u64,
-}
-
-impl Tally {
-    fn join(a: Tally, b: Tally) -> Tally {
-        Tally {
-            e: a.e + b.e,
-            w: std::array::from_fn(|k| a.w[k] + b.w[k]),
-            inside: a.inside + b.inside,
-        }
-    }
-
-    fn results(self) -> (PairResults, u64) {
-        (PairResults::with_tensor(self.e, self.w), self.inside)
-    }
-}
-
 /// The read-only inputs of one kernel launch, gathered once. `Copy`,
-/// and its methods take it by value: the kernels store through raw
-/// pointers, after which the compiler must reload anything it reaches
-/// through a reference, so each work item holds slices, strides and the
-/// hoisted cutoff as locals.
+/// and a work item's entry points (`atom`, `chunk`, `filter`) take it by
+/// value: the kernels store through raw pointers, after which the
+/// compiler must reload anything it reaches through a reference to the
+/// launch, so each work item holds slices, the row reader and the hoisted
+/// cutoff as locals. The per-neighbor helpers (`typ`, `cutsq`,
+/// `separation`) borrow that local copy: passed by value they copied all
+/// 128 bytes of it per neighbor.
 struct Launch<'a, P> {
     pot: &'a P,
     /// `Some(cutsq)` when the potential is uniform over types.
     uniform_cutsq: Option<f64>,
     x: Triples<'a, f64>,
     typs: &'a [i32],
-    counts: &'a [u32],
-    neigh: &'a [u32],
-    neigh_strides: [usize; 2],
+    rows: Rows<'a>,
     /// Share of a stored pair's energy and virial: all of it on a half
     /// list, half on a full list (which stores every pair twice).
     /// Multiplying by `1.0` is exact, so one loop serves both.
@@ -218,16 +286,14 @@ impl<'a, P: TwoBody> Launch<'a, P> {
             uniform_cutsq: (pot.ntypes() == 1).then(|| pot.cutsq(0, 0)),
             x: x.triples(),
             typs: typ.as_slice(),
-            counts: list.numneigh.as_slice(),
-            neigh: list.neighbors.as_slice(),
-            neigh_strides: [list.neighbors.stride(0), list.neighbors.stride(1)],
+            rows: list.rows(),
             share: if list.half { 1.0 } else { 0.5 },
         }
     }
 
     /// Type of atom `j` as the potential sees it (always 0 if uniform).
     #[inline(always)]
-    fn typ(self, j: usize) -> usize {
+    fn typ(&self, j: usize) -> usize {
         match self.uniform_cutsq {
             Some(_) => 0,
             None => self.typs[j] as usize,
@@ -236,21 +302,16 @@ impl<'a, P: TwoBody> Launch<'a, P> {
 
     /// Squared cutoff between types `ti` and `tj` (hoisted if uniform).
     #[inline(always)]
-    fn cutsq(self, ti: usize, tj: usize) -> f64 {
+    fn cutsq(&self, ti: usize, tj: usize) -> f64 {
         match self.uniform_cutsq {
             Some(cutsq) => cutsq,
             None => self.pot.cutsq(ti, tj),
         }
     }
 
-    #[inline(always)]
-    fn chunks(self, i: usize) -> usize {
-        (self.counts[i] as usize).div_ceil(CHUNK)
-    }
-
     /// Displacement `xi - xj` and its squared length.
     #[inline(always)]
-    fn separation(self, xi: [f64; 3], j: usize) -> ([f64; 3], f64) {
+    fn separation(&self, xi: [f64; 3], j: usize) -> ([f64; 3], f64) {
         let xj = self.x.get(j);
         let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
         (d, d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
@@ -268,11 +329,11 @@ impl<'a, P: TwoBody> Launch<'a, P> {
         hits: &mut [u32; CHUNK],
     ) -> usize {
         let mut nhit = 0usize;
-        for ju in js {
+        js.for_each(|ju| {
             let j = ju as usize;
             hits[nhit] = ju;
             nhit += usize::from(self.separation(xi, j).1 < self.cutsq(ti, self.typ(j)));
-        }
+        });
         nhit
     }
 
@@ -295,16 +356,8 @@ impl<'a, P: TwoBody> Launch<'a, P> {
     ) {
         let xi = self.x.get(i);
         let ti = self.typ(i);
-        let [s0, s1] = self.neigh_strides;
-        let len = (self.counts[i] as usize - c * CHUNK).min(CHUNK);
-        let first = i * s0 + c * CHUNK * s1;
-        let row = &self.neigh[first..first + (len - 1) * s1 + 1];
         let mut hits = [0u32; CHUNK];
-        let nhit = if s1 == 1 {
-            self.filter(xi, ti, row.iter().copied(), &mut hits)
-        } else {
-            self.filter(xi, ti, (0..len).map(|s| row[s * s1]), &mut hits)
-        };
+        let nhit = self.filter(xi, ti, self.rows.chunk(i, c), &mut hits);
         for &ju in &hits[..nhit] {
             let j = ju as usize;
             let (d, rsq) = self.separation(xi, j);
@@ -316,7 +369,7 @@ impl<'a, P: TwoBody> Launch<'a, P> {
             on_j(j, f);
             if EV {
                 tally.e += self.share * evdwl;
-                add_pair_virial(&mut tally.w, self.share * fpair, d);
+                tally.add_pair_virial(self.share * fpair, d);
             }
         }
         tally.inside += nhit as u64;
@@ -330,7 +383,7 @@ impl<'a, P: TwoBody> Launch<'a, P> {
         mut on_j: impl FnMut(usize, [f64; 3]),
     ) -> ([f64; 3], Tally) {
         let (mut fi, mut tally) = ([0.0; 3], Tally::default());
-        for c in 0..self.chunks(i) {
+        for c in 0..self.rows.chunks(i) {
             self.chunk::<EV>(i, c, &mut fi, &mut tally, &mut on_j);
         }
         (fi, tally)
@@ -354,7 +407,7 @@ impl<P: TwoBody> PairKokkos<P> {
         PairKokkos {
             pot,
             options,
-            scatter: None,
+            scatter: ForceScatter::default(),
             half,
             name,
         }
@@ -365,11 +418,7 @@ impl<P: TwoBody> PairKokkos<P> {
     /// item per atom; or hierarchical (Fig. 2a), one team per atom with
     /// the row's chunks distributed over the team, exposing
     /// `atoms × neighbors` concurrency.
-    fn compute_full<const EV: bool>(
-        &self,
-        system: &mut System,
-        list: &NeighborList,
-    ) -> (PairResults, u64) {
+    fn compute_full<const EV: bool>(&self, system: &mut System, list: &NeighborList) -> Tally {
         let space = system.space.clone();
         let atoms = &mut system.atoms;
         let launch = Launch::new(
@@ -393,15 +442,13 @@ impl<P: TwoBody> PairKokkos<P> {
                 store(i, fi);
                 tally
             };
-            return space
-                .parallel_reduce(
-                    "PairComputeFull",
-                    atoms.nlocal,
-                    Tally::default(),
-                    item,
-                    Tally::join,
-                )
-                .results();
+            return space.parallel_reduce(
+                "PairComputeFull",
+                atoms.nlocal,
+                Tally::default(),
+                item,
+                Tally::join,
+            );
         }
         let e_acc = AtomicF64::new(0.0);
         let w_acc: [AtomicF64; 6] = std::array::from_fn(|_| AtomicF64::new(0.0));
@@ -410,7 +457,7 @@ impl<P: TwoBody> PairKokkos<P> {
         space.parallel_for_team("PairComputeFullTeam", policy, |team| {
             let i = team.league_rank();
             let (mut fi, mut tally) = ([0.0; 3], Tally::default());
-            team.team_range(launch.chunks(i), |c| {
+            team.team_range(launch.rows.chunks(i), |c| {
                 launch.chunk::<EV>(i, c, &mut fi, &mut tally, &mut |_, _| {})
             });
             store(i, fi);
@@ -428,27 +475,15 @@ impl<P: TwoBody> PairKokkos<P> {
             w: w_acc.map(|acc| acc.load()),
             inside: inside_acc.into_inner(),
         }
-        .results()
     }
 
     /// Half-list kernel: each pair computed once, force scattered to
     /// both atoms through a `ScatterView` (atomics on the device,
     /// duplication on threaded hosts, §3.2), one handle per atom.
-    fn compute_half<const EV: bool>(
-        &mut self,
-        system: &mut System,
-        list: &NeighborList,
-    ) -> (PairResults, u64) {
+    fn compute_half<const EV: bool>(&mut self, system: &mut System, list: &NeighborList) -> Tally {
         let space = system.space.clone();
-        let nall = system.atoms.nall();
-        // Persistent scatter buffer: reshaped in place when the ghost
-        // count changes, reusing capacity (pool reuse, not realloc).
-        let mode = lkk_kokkos::ScatterMode::default_for(&space);
-        let scatter = self
-            .scatter
-            .get_or_insert_with(|| ScatterView::new(nall, 3, mode));
-        scatter.ensure(nall, 3, mode);
-        let sref: &ScatterView = scatter;
+        self.scatter.ensure(system.atoms.nall(), &space);
+        let scatter = &self.scatter;
         let atoms = &system.atoms;
         let launch = Launch::new(
             &self.pot,
@@ -461,7 +496,7 @@ impl<P: TwoBody> PairKokkos<P> {
             atoms.nlocal,
             Tally::default(),
             |i| {
-                let forces = sref.access();
+                let forces = scatter.access();
                 let (fi, tally) =
                     launch.atom::<EV>(i, |j, f| forces.add3(j, [-f[0], -f[1], -f[2]]));
                 forces.add3(i, fi);
@@ -469,21 +504,17 @@ impl<P: TwoBody> PairKokkos<P> {
             },
             Tally::join,
         );
-        let f = system.atoms.f.view_for_mut(&space);
-        f.fill(0.0);
-        scatter.contribute_into_view(f);
-        tally.results()
+        self.scatter.contribute(system);
+        tally
     }
 
-    fn launch<const EV: bool>(
-        &mut self,
-        system: &mut System,
-        list: &NeighborList,
-    ) -> (PairResults, u64) {
+    fn launch<const EV: bool>(&mut self, system: &mut System, list: &NeighborList) -> Tally {
         if self.half {
             self.compute_half::<EV>(system, list)
         } else {
-            self.compute_full::<EV>(system, list)
+            let tally = self.compute_full::<EV>(system, list);
+            system.atoms.modified(&system.space.clone(), Mask::F);
+            tally
         }
     }
 
@@ -557,7 +588,7 @@ impl<P: TwoBody + 'static> PairStyle for PairKokkos<P> {
     }
 
     fn scatter_grow_count(&self) -> u64 {
-        self.scatter.as_ref().map_or(0, ScatterView::grow_count)
+        self.scatter.grow_count()
     }
 
     fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
@@ -567,17 +598,14 @@ impl<P: TwoBody + 'static> PairStyle for PairKokkos<P> {
             self.name
         );
         let space = system.space.clone();
-        system
-            .atoms
-            .sync(&space, crate::atom::Mask::X | crate::atom::Mask::TYPE);
-        let (res, inside) = if eflag {
+        system.atoms.sync(&space, Mask::X | Mask::TYPE);
+        let tally = if eflag {
             self.launch::<true>(system, list)
         } else {
             self.launch::<false>(system, list)
         };
-        system.atoms.modified(&space, crate::atom::Mask::F);
-        self.note_stats(system, list, inside);
-        res
+        self.note_stats(system, list, tally.inside);
+        tally.results(eflag)
     }
 }
 
@@ -625,6 +653,37 @@ mod tests {
             .map(|(i, k)| fh.at([i, k]))
             .collect();
         (forces, res)
+    }
+
+    /// A style's scatter pool is one view across rebuilds that change the
+    /// ghost count: a growth on the way up to the peak, counted, then
+    /// flat however the count moves beneath it. (A view replaced on an
+    /// `nall` change would read 0 growths and reallocate unseen.) `few`
+    /// and `many` are the same full-list system before and after a slide
+    /// that moves a lattice plane inside the ghost cutoff.
+    pub(super) fn assert_scatter_pool_is_reused(
+        pair: &mut dyn PairStyle,
+        few: &[[f64; 3]],
+        many: &[[f64; 3]],
+        domain: crate::domain::Domain,
+    ) {
+        let mut nall_of = |positions: &[[f64; 3]]| {
+            let mut atoms = AtomData::from_positions(positions);
+            atoms.wrap_positions(&domain);
+            let mut system = System::new(atoms, domain, Space::Threads);
+            let settings = NeighborSettings::new(pair.cutoff(), 0.3, false);
+            system.ghosts = build_ghosts(&mut system.atoms, &system.domain, settings.cutneigh());
+            let list = NeighborList::build(&system.atoms, &system.domain, &settings, &system.space);
+            pair.compute(&mut system, &list, false);
+            (system.atoms.nall(), pair.scatter_grow_count())
+        };
+        let ((nfew, _), (nmany, warm)) = (nall_of(few), nall_of(many));
+        assert!(nfew < nmany, "ghost count did not move: {nfew} vs {nmany}");
+        assert!(warm > 0, "the view did not survive the nall change");
+        for _ in 0..2 {
+            assert_eq!(nall_of(few), (nfew, warm), "scatter grew in steady state");
+            assert_eq!(nall_of(many), (nmany, warm), "scatter grew in steady state");
+        }
     }
 
     #[test]
@@ -709,7 +768,6 @@ mod tests {
     use super::morse::Morse;
     use super::table::PairTable;
     use super::yukawa::Yukawa;
-    use crate::atom::Mask;
 
     /// Jittered fcc sites: every site moved by up to ±0.1 per axis (fixed
     /// sequence), so no pair sits at a symmetric distance.
@@ -776,6 +834,17 @@ mod tests {
             };
             assert!(same, "{what}: force component {n}: {g:e} vs {w:e}");
         }
+    }
+
+    /// The reference's pair virial `fpair·d ⊗ d`, as the free function
+    /// the module had before [`Tally::add_pair_virial`].
+    fn add_pair_virial(w: &mut [f64; 6], fpair: f64, d: [f64; 3]) {
+        w[0] += fpair * d[0] * d[0];
+        w[1] += fpair * d[1] * d[1];
+        w[2] += fpair * d[2] * d[2];
+        w[3] += fpair * d[0] * d[1];
+        w[4] += fpair * d[0] * d[2];
+        w[5] += fpair * d[1] * d[2];
     }
 
     /// The kernels this module had before the shared filter-then-compute
@@ -977,8 +1046,8 @@ mod tests {
                 let off = pair.compute(&mut system, &list, false);
                 assert_forces(&forces(&mut system), &want_forces, exact_f, &what);
                 assert_eq!(off, PairResults::default(), "{what}: eflag-off results");
-                let (_, inside_on) = pair.launch::<true>(&mut system, &list);
-                let (_, inside_off) = pair.launch::<false>(&mut system, &list);
+                let inside_on = pair.launch::<true>(&mut system, &list).inside;
+                let inside_off = pair.launch::<false>(&mut system, &list).inside;
                 assert_eq!(inside_on, want_inside, "{what}: in-cutoff count");
                 assert_eq!(inside_off, want_inside, "{what}: eflag-off in-cutoff count");
             }
@@ -1115,7 +1184,7 @@ mod tests {
                     .unwrap();
                 assert!(longest > CHUNK, "{what}: longest row {longest}");
                 assert_eq!(
-                    list.neighbors.try_row(0).is_none(),
+                    list.neighbors.layout() == lkk_kokkos::Layout::Left,
                     space.is_device(),
                     "{what}: row layout"
                 );

@@ -20,8 +20,8 @@
 //! Morse-like pair term, all smoothly switched off at the cutoff.
 
 use crate::atom::Mask;
-use crate::neighbor::NeighborList;
-use crate::pair::{PairResults, PairStyle};
+use crate::neighbor::{NeighborList, TOWARD_I};
+use crate::pair::{PairResults, PairStyle, Tally};
 use crate::sim::System;
 use crate::switch::cubic_switch;
 use lkk_gpusim::KernelStats;
@@ -155,43 +155,16 @@ impl PairStyle for PairEam {
         let nlocal = system.atoms.nlocal;
         let nall = system.atoms.nall();
         let params = self.params;
-        let cutsq = params.cut * params.cut;
-
-        // Flat-slice fast path (see `docs/performance.md`): positions
-        // gathered once per atom, neighbor rows walked as contiguous
-        // slices when the layout allows.
-        let counts = list.numneigh.as_slice();
-        let neigh = list.neighbors.as_slice();
-        let (neigh_s0, neigh_s1) = (list.neighbors.stride(0), list.neighbors.stride(1));
+        let walk = list.within(system.atoms.x.h_view(), params.cut);
 
         // --- Pass 1: densities of owned atoms. ---
         self.rho.clear();
         self.rho.resize(nlocal, 0.0);
         {
-            let xh = system.atoms.x.h_view();
             let rho_ptr = self.rho.as_mut_ptr() as usize;
             space.parallel_for("EAMDensity", nlocal, |i| {
-                let xi = xh.get3(i);
-                let nn = counts[i] as usize;
                 let mut acc = 0.0;
-                let mut body = |j: usize| {
-                    let xj = xh.get3(j);
-                    let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    if rsq < cutsq {
-                        acc += params.density(rsq.sqrt()).0;
-                    }
-                };
-                if let Some(row) = list.neighbors.try_row(i) {
-                    for &ju in &row[..nn] {
-                        body(ju as usize);
-                    }
-                } else {
-                    let base = i * neigh_s0;
-                    for s in 0..nn {
-                        body(neigh[base + s * neigh_s1] as usize);
-                    }
-                }
+                walk.row::<TOWARD_I>(i, |_, _, rsq| acc += params.density(rsq.sqrt()).0);
                 unsafe { *(rho_ptr as *mut f64).add(i) = acc };
             });
         }
@@ -212,28 +185,19 @@ impl PairStyle for PairEam {
         system.forward_ghost_scalar(&mut self.fp);
 
         // --- Pass 2: forces (one-sided over the full list). ---
-        let xh = system.atoms.x.h_view();
+        let walk = list.within(system.atoms.x.h_view(), params.cut);
         let f = system.atoms.f.view_for_mut(&Space::Serial);
         f.fill(0.0);
         let fw = f.par_write();
         let fp = &self.fp;
-        let (e_pair, virial) = space.parallel_reduce(
+        let pairs = space.parallel_reduce(
             "EAMForce",
             nlocal,
-            (0.0f64, [0.0f64; 6]),
+            Tally::default(),
             |i| {
-                let xi = xh.get3(i);
-                let nn = counts[i] as usize;
                 let mut fi = [0.0f64; 3];
-                let mut e = 0.0;
-                let mut w = [0.0f64; 6];
-                let mut body = |j: usize| {
-                    let xj = xh.get3(j);
-                    let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    if rsq >= cutsq {
-                        return;
-                    }
+                let mut tally = Tally::default();
+                walk.row::<TOWARD_I>(i, |j, d, rsq| {
                     let r = rsq.sqrt();
                     let (phi, dphi) = params.phi(r);
                     let (_, dpsi) = params.density(r);
@@ -244,34 +208,18 @@ impl PairStyle for PairEam {
                         fi[k] += fpair * d[k];
                     }
                     if eflag {
-                        e += 0.5 * phi;
-                        crate::pair::add_pair_virial(&mut w, 0.5 * fpair, d);
+                        tally.e += 0.5 * phi;
+                        tally.add_pair_virial(0.5 * fpair, d);
                     }
-                };
-                if let Some(row) = list.neighbors.try_row(i) {
-                    for &ju in &row[..nn] {
-                        body(ju as usize);
-                    }
-                } else {
-                    let base = i * neigh_s0;
-                    for s in 0..nn {
-                        body(neigh[base + s * neigh_s1] as usize);
-                    }
-                }
+                });
                 unsafe {
                     fw.write([i, 0], fi[0]);
                     fw.write([i, 1], fi[1]);
                     fw.write([i, 2], fi[2]);
                 }
-                (e, w)
+                tally
             },
-            |a, b| {
-                let mut w = a.1;
-                for (wk, bk) in w.iter_mut().zip(b.1) {
-                    *wk += bk;
-                }
-                (a.0 + b.0, w)
-            },
+            Tally::join,
         );
         system.atoms.modified(&Space::Serial, Mask::F);
 
@@ -285,11 +233,11 @@ impl PairStyle for PairEam {
             space.note_kernel(k);
         }
 
-        if eflag {
-            PairResults::with_tensor(energy + e_pair, virial)
-        } else {
-            PairResults::default()
+        Tally {
+            e: energy + pairs.e,
+            ..pairs
         }
+        .results(eflag)
     }
 }
 

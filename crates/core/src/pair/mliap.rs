@@ -19,13 +19,12 @@
 //! under rotations by construction of the descriptors.
 
 use crate::atom::Mask;
-use crate::neighbor::NeighborList;
+use crate::neighbor::{NeighborList, TOWARD_J};
 use crate::pair::scratch::with_neigh_scratch;
-use crate::pair::{PairResults, PairStyle};
+use crate::pair::{ForceScatter, PairResults, PairStyle, Tally};
 use crate::sim::System;
 use crate::switch::cubic_switch;
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::ScatterView;
 
 /// Per-atom neighborhood featurization with an analytic chain rule.
 pub trait DescriptorSet: Send + Sync {
@@ -174,7 +173,7 @@ pub struct PairMliap<D: DescriptorSet + 'static, M: MlModel + 'static> {
     pub descriptors: D,
     pub model: M,
     name: String,
-    scatter: Option<ScatterView>,
+    scatter: ForceScatter,
 }
 
 impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairMliap<D, M> {
@@ -183,7 +182,7 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairMliap<D, M> {
             descriptors,
             model,
             name: "mliap".into(),
-            scatter: None,
+            scatter: ForceScatter::default(),
         }
     }
 }
@@ -209,44 +208,34 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
         false
     }
 
+    fn needs_reverse_comm(&self) -> bool {
+        true // forces scatter onto ghost neighbors
+    }
+
+    fn scatter_grow_count(&self) -> u64 {
+        self.scatter.grow_count()
+    }
+
     fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         let space = system.space.clone();
         system.atoms.sync(&space, Mask::X | Mask::TYPE);
         let nlocal = system.atoms.nlocal;
-        let nall = system.atoms.nall();
-        let scatter = match &mut self.scatter {
-            Some(s) if s.target_len() == nall * 3 => s,
-            _ => {
-                self.scatter = Some(ScatterView::for_space(nall, 3, &space));
-                self.scatter.as_mut().unwrap()
-            }
-        };
-        let sref: &ScatterView = scatter;
-        let x = system.atoms.x.view_for(&space);
+        self.scatter.ensure(system.atoms.nall(), &space);
+        let scatter = &self.scatter;
         let desc_set = &self.descriptors;
         let model = &self.model;
         let nd = desc_set.n_descriptors();
-        let cutsq = desc_set.cutoff() * desc_set.cutoff();
-        let (energy, virial) = space.parallel_reduce(
+        let walk = list.within(system.atoms.x.view_for(&space), desc_set.cutoff());
+        let tally = space.parallel_reduce(
             "PairMliapCompute",
             nlocal,
-            (0.0f64, [0.0f64; 6]),
+            Tally::default(),
             |i| {
                 with_neigh_scratch(|sc| {
-                    let xi = [x.at([i, 0]), x.at([i, 1]), x.at([i, 2])];
-                    let nn = list.numneigh.at([i]) as usize;
-                    for s in 0..nn {
-                        let j = list.neighbors.at([i, s]) as usize;
-                        let d = [
-                            x.at([j, 0]) - xi[0],
-                            x.at([j, 1]) - xi[1],
-                            x.at([j, 2]) - xi[2],
-                        ];
-                        if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < cutsq {
-                            sc.rel.push(d);
-                            sc.ids.push(j);
-                        }
-                    }
+                    walk.row::<TOWARD_J>(i, |j, d, _| {
+                        sc.rel.push(d);
+                        sc.ids.push(j);
+                    });
                     // Descriptor/gradient slots live in the same scratch;
                     // `resize` after `clear` zero-fills without realloc in
                     // steady state (LKK004).
@@ -254,40 +243,27 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
                     sc.b.resize(nd, 0.0);
                     let (rel, ids, desc, grad) = (&sc.rel, &sc.ids, &mut sc.a, &mut sc.b);
                     desc_set.compute(rel, desc);
-                    let e = model.forward(desc, grad);
+                    let mut tally = Tally {
+                        e: model.forward(desc, grad),
+                        ..Tally::default()
+                    };
                     let dedx = desc_set.chain(rel, grad);
-                    let mut w = [0.0f64; 6];
-                    let forces = sref.access();
+                    let forces = scatter.access();
                     for (k, &j) in ids.iter().enumerate() {
                         let f = [-dedx[k][0], -dedx[k][1], -dedx[k][2]];
                         forces.add3(j, f);
                         forces.add3(i, [-f[0], -f[1], -f[2]]);
                         if eflag {
-                            // W_ab = Σ d_a f_b, symmetrized (d = x_j − x_i, f on j).
-                            let d = rel[k];
-                            w[0] += d[0] * f[0];
-                            w[1] += d[1] * f[1];
-                            w[2] += d[2] * f[2];
-                            w[3] += 0.5 * (d[0] * f[1] + d[1] * f[0]);
-                            w[4] += 0.5 * (d[0] * f[2] + d[2] * f[0]);
-                            w[5] += 0.5 * (d[1] * f[2] + d[2] * f[1]);
+                            // d = x_j − x_i, f the force on j.
+                            tally.add_leg(rel[k], f);
                         }
                     }
-                    (e, w)
+                    tally
                 })
             },
-            |a, b| {
-                let mut w = a.1;
-                for (wk, bk) in w.iter_mut().zip(b.1) {
-                    *wk += bk;
-                }
-                (a.0 + b.0, w)
-            },
+            Tally::join,
         );
-        let f = system.atoms.f.view_for_mut(&space);
-        f.fill(0.0);
-        scatter.contribute_into_view(f);
-        system.atoms.modified(&space, Mask::F);
+        self.scatter.contribute(system);
         if space.is_device() {
             let mut k = KernelStats::new("PairMliapCompute");
             k.work_items = nlocal as f64;
@@ -295,11 +271,7 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
             k.dram_bytes = nlocal as f64 * (nd as f64 * 8.0 + 48.0);
             space.note_kernel(k);
         }
-        if eflag {
-            PairResults::with_tensor(energy, virial)
-        } else {
-            PairResults::default()
-        }
+        tally.results(eflag)
     }
 }
 
@@ -311,6 +283,7 @@ mod tests {
     use crate::domain::Domain;
     use crate::lattice::{Lattice, LatticeKind};
     use crate::neighbor::NeighborSettings;
+    use crate::sim::Simulation;
     use lkk_kokkos::Space;
 
     fn style() -> PairMliap<RadialSymmetry, Mlp> {
@@ -458,5 +431,69 @@ mod tests {
     fn domain_unused_guard() {
         // Silence unused import in non-test builds if any.
         let _ = Domain::cubic(1.0);
+    }
+
+    /// The perturbed 3×3×3 cell under `Simulation`, thermal velocities.
+    fn simulation(space: Space) -> Simulation {
+        let (mut system, _) = setup(0.15);
+        system.space = space;
+        crate::lattice::create_velocities(&mut system.atoms, &system.units, 0.02, 2718);
+        let mut sim = Simulation::new(system, Box::new(style()));
+        sim.dt = 0.005;
+        sim
+    }
+
+    /// Through `Simulation` the style's ghost forces are folded back onto
+    /// their owners (it scatters onto ghost neighbors, so it must ask for
+    /// reverse communication): no force is left on a ghost row and the
+    /// owned forces sum to zero.
+    #[test]
+    fn simulation_folds_ghost_forces_back() {
+        for space in [Space::Serial, Space::Threads] {
+            let mut sim = simulation(space);
+            sim.setup();
+            let atoms = &mut sim.system.atoms;
+            atoms.sync(&Space::Serial, Mask::F);
+            let fh = atoms.f.h_view();
+            assert!(atoms.nghost > 0);
+            for g in atoms.nlocal..atoms.nall() {
+                assert_eq!(fh.get3(g), [0.0; 3], "ghost row {g}");
+            }
+            for k in 0..3 {
+                let net: f64 = (0..atoms.nlocal).map(|i| fh.at([i, k])).sum();
+                assert!(net.abs() < 1e-9, "net owned force [{k}] = {net:e}");
+            }
+        }
+    }
+
+    /// The half-mean drift bound of `sim::tests::nve_conserves_energy`,
+    /// over 200 steps.
+    #[test]
+    fn nve_conserves_energy() {
+        let mut sim = simulation(Space::Threads);
+        sim.setup();
+        let n = sim.system.atoms.nlocal as f64;
+        let mut half_mean = [0.0f64; 2];
+        for block in 0..10 {
+            sim.run(20);
+            half_mean[block / 5] += sim.total_energy() / 5.0;
+        }
+        let drift = ((half_mean[1] - half_mean[0]) / n).abs();
+        assert!(drift < 1e-4, "per-atom secular drift {drift}");
+        assert!(
+            sim.rebuild_count > 0,
+            "no rebuild: the ghost fold was tested once"
+        );
+    }
+
+    #[test]
+    fn scatter_view_is_reused_when_the_ghost_count_moves() {
+        let lat = Lattice::new(LatticeKind::Fcc, 3.0);
+        let pos = lat.positions(3, 3, 3);
+        // Half a length unit along x moves a lattice plane inside the
+        // ghost cutoff.
+        let shifted: Vec<[f64; 3]> = pos.iter().map(|p| [p[0] + 0.5, p[1], p[2]]).collect();
+        let domain = lat.domain(3, 3, 3);
+        crate::pair::tests::assert_scatter_pool_is_reused(&mut style(), &pos, &shifted, domain);
     }
 }

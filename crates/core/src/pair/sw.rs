@@ -13,12 +13,11 @@
 //! set (Stillinger & Weber 1985) in metal units.
 
 use crate::atom::Mask;
-use crate::neighbor::NeighborList;
+use crate::neighbor::{NeighborList, TOWARD_J};
 use crate::pair::scratch::with_neigh_scratch;
-use crate::pair::{PairResults, PairStyle};
+use crate::pair::{ForceScatter, PairResults, PairStyle, Tally};
 use crate::sim::System;
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::{ScatterMode, ScatterView};
 
 /// Stillinger-Weber parameters (single element).
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +94,7 @@ impl SwParams {
 pub struct PairSw {
     pub params: SwParams,
     name: String,
-    scatter: Option<ScatterView>,
+    scatter: ForceScatter,
 }
 
 impl PairSw {
@@ -103,7 +102,7 @@ impl PairSw {
         PairSw {
             params,
             name: "sw".into(),
-            scatter: None,
+            scatter: ForceScatter::default(),
         }
     }
 }
@@ -130,54 +129,34 @@ impl PairStyle for PairSw {
     }
 
     fn scatter_grow_count(&self) -> u64 {
-        self.scatter.as_ref().map_or(0, ScatterView::grow_count)
+        self.scatter.grow_count()
     }
 
     fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         let space = system.space.clone();
         system.atoms.sync(&space, Mask::X | Mask::TYPE);
         let nlocal = system.atoms.nlocal;
-        let nall = system.atoms.nall();
-        // Reshaped in place when the ghost count changes (pool reuse,
-        // as in `PairKokkos::compute_half`).
-        let mode = ScatterMode::default_for(&space);
-        let scatter = self
-            .scatter
-            .get_or_insert_with(|| ScatterView::new(nall, 3, mode));
-        scatter.ensure(nall, 3, mode);
-        let sref: &ScatterView = scatter;
-        let x = system.atoms.x.view_for(&space);
+        self.scatter.ensure(system.atoms.nall(), &space);
+        let scatter = &self.scatter;
         let p = self.params;
-        let cutsq = p.cutoff() * p.cutoff();
-        let (energy, w) = space.parallel_reduce(
+        let walk = list.within(system.atoms.x.view_for(&space), p.cutoff());
+        let tally = space.parallel_reduce(
             "PairSwCompute",
             nlocal,
-            (0.0f64, [0.0f64; 6]),
+            Tally::default(),
             |i| {
                 with_neigh_scratch(|sc| {
-                    let xi = [x.at([i, 0]), x.at([i, 1]), x.at([i, 2])];
-                    let nn = list.numneigh.at([i]) as usize;
                     // Pre-filter the in-cutoff neighbors (divergence
                     // pre-processing, §4.2.1 pattern) into per-thread
                     // scratch re-used across work items (LKK004).
-                    for s in 0..nn {
-                        let j = list.neighbors.at([i, s]) as usize;
-                        let d = [
-                            x.at([j, 0]) - xi[0],
-                            x.at([j, 1]) - xi[1],
-                            x.at([j, 2]) - xi[2],
-                        ];
-                        let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                        if rsq < cutsq {
-                            sc.rel.push(d);
-                            sc.rs.push(rsq.sqrt());
-                            sc.ids.push(j);
-                        }
-                    }
+                    walk.row::<TOWARD_J>(i, |j, d, rsq| {
+                        sc.rel.push(d);
+                        sc.rs.push(rsq.sqrt());
+                        sc.ids.push(j);
+                    });
                     let (rel, rs, ids) = (&sc.rel, &sc.rs, &sc.ids);
-                    let mut e = 0.0;
-                    let mut w6 = [0.0f64; 6];
-                    let forces = sref.access();
+                    let mut tally = Tally::default();
+                    let forces = scatter.access();
                     let add_force = |atom: usize, f: [f64; 3]| forces.add3(atom, f);
                     // Two-body: one-sided over the full list (half energy).
                     for (m, &j) in ids.iter().enumerate() {
@@ -190,8 +169,8 @@ impl PairStyle for PairSw {
                         add_force(j, fh);
                         add_force(i, [-fh[0], -fh[1], -fh[2]]);
                         if eflag {
-                            e += 0.5 * e2;
-                            crate::pair::add_pair_virial(&mut w6, 0.5 * fpair, rel[m]);
+                            tally.e += 0.5 * e2;
+                            tally.add_pair_virial(0.5 * fpair, rel[m]);
                         }
                     }
                     // Three-body: all (j, k) pairs around center i.
@@ -232,8 +211,11 @@ impl PairStyle for PairSw {
                             if !eflag {
                                 continue;
                             }
-                            e += pref * dc * dc * h1 * h2;
-                            // Virial: Σ d ⊗ f over the two legs.
+                            tally.e += pref * dc * dc * h1 * h2;
+                            // Virial: Σ d ⊗ f over the two legs, summed
+                            // before they meet the tally (two
+                            // `Tally::add_leg` calls associate otherwise).
+                            let w6 = &mut tally.w;
                             w6[0] += d1[0] * fj[0] + d2[0] * fk[0];
                             w6[1] += d1[1] * fj[1] + d2[1] * fk[1];
                             w6[2] += d1[2] * fj[2] + d2[2] * fk[2];
@@ -245,21 +227,12 @@ impl PairStyle for PairSw {
                                 * (d1[1] * fj[2] + d1[2] * fj[1] + d2[1] * fk[2] + d2[2] * fk[1]);
                         }
                     }
-                    (e, w6)
+                    tally
                 })
             },
-            |a, b| {
-                let mut w = a.1;
-                for (wk, bk) in w.iter_mut().zip(b.1) {
-                    *wk += bk;
-                }
-                (a.0 + b.0, w)
-            },
+            Tally::join,
         );
-        let f = system.atoms.f.view_for_mut(&space);
-        f.fill(0.0);
-        scatter.contribute_into_view(f);
-        system.atoms.modified(&space, Mask::F);
+        self.scatter.contribute(system);
         if space.is_device() {
             let mut k = KernelStats::new("PairSwCompute");
             k.work_items = nlocal as f64;
@@ -270,11 +243,7 @@ impl PairStyle for PairSw {
             k.atomic_f64_ops = nlocal as f64 * (avg * 6.0 + avg * avg / 2.0 * 9.0);
             space.note_kernel(k);
         }
-        if eflag {
-            PairResults::with_tensor(energy, w)
-        } else {
-            PairResults::default()
-        }
+        tally.results(eflag)
     }
 
     fn needs_reverse_comm(&self) -> bool {
@@ -330,19 +299,18 @@ mod tests {
         space: Space,
     ) -> (Vec<[f64; 3]>, PairResults) {
         let mut pair = PairSw::new(SwParams::default());
-        let (forces, res, _) = compute_with(&mut pair, positions, domain, space, true);
-        (forces, res)
+        compute_with(&mut pair, positions, domain, space, true)
     }
 
     /// One evaluation through `pair` on fresh ghosts and a fresh list:
-    /// owner forces, results, and the ghost-inclusive atom count.
+    /// owner forces and results.
     fn compute_with(
         pair: &mut PairSw,
         positions: &[[f64; 3]],
         domain: Domain,
         space: Space,
         eflag: bool,
-    ) -> (Vec<[f64; 3]>, PairResults, usize) {
+    ) -> (Vec<[f64; 3]>, PairResults) {
         let mut atoms = AtomData::from_positions(positions);
         atoms.mass = vec![28.0855];
         let mut system = System::new(atoms, domain, space.clone()).with_units(Units::metal());
@@ -357,7 +325,7 @@ mod tests {
         let forces = (0..positions.len())
             .map(|i| [fh.at([i, 0]), fh.at([i, 1]), fh.at([i, 2])])
             .collect();
-        (forces, res, system.atoms.nall())
+        (forces, res)
     }
 
     /// The deterministic bump of the perturbed-lattice tests.
@@ -443,7 +411,7 @@ mod tests {
         ] {
             let forces_with = |eflag: bool| {
                 let mut pair = PairSw::new(SwParams::default());
-                let (f, res, _) = compute_with(&mut pair, &pos, domain, space.clone(), eflag);
+                let (f, res) = compute_with(&mut pair, &pos, domain, space.clone(), eflag);
                 let bits: Vec<[u64; 3]> = f.iter().map(|f| f.map(f64::to_bits)).collect();
                 (bits, res)
             };
@@ -456,32 +424,13 @@ mod tests {
         }
     }
 
-    /// The scatter buffer is one pooled view across rebuilds that change
-    /// the ghost count: a growth on the way up to the peak, counted, then
-    /// flat however the count moves beneath it. (A view replaced on an
-    /// `nall` change would read 0 growths and reallocate unseen.)
     #[test]
     fn scatter_view_is_reused_when_the_ghost_count_moves() {
         let (pos, domain) = diamond(2);
         // Half an Å along x moves a lattice plane inside the ghost cutoff.
         let shifted: Vec<[f64; 3]> = pos.iter().map(|p| [p[0] + 0.5, p[1], p[2]]).collect();
         let mut pair = PairSw::new(SwParams::default());
-        let nall_of = |pair: &mut PairSw, pos: &[[f64; 3]]| {
-            compute_with(pair, pos, domain, Space::Threads, false).2
-        };
-        let (few, many) = (nall_of(&mut pair, &pos), nall_of(&mut pair, &shifted));
-        assert!(few < many, "ghost count did not move: {few} vs {many}");
-        let warm = pair.scatter_grow_count();
-        assert!(warm > 0, "the view did not survive the nall change");
-        for _ in 0..2 {
-            assert_eq!(nall_of(&mut pair, &pos), few);
-            assert_eq!(nall_of(&mut pair, &shifted), many);
-        }
-        assert_eq!(
-            pair.scatter_grow_count(),
-            warm,
-            "scatter grew in steady state"
-        );
+        crate::pair::tests::assert_scatter_pool_is_reused(&mut pair, &pos, &shifted, domain);
     }
 
     #[test]

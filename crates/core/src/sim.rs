@@ -650,14 +650,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Append one fix to the list (keeps the default `fix nve`).
-    pub fn add_fix(mut self, fix: impl Fix + 'static) -> Self {
-        self.fixes
-            .get_or_insert_with(|| vec![Box::new(crate::fix::FixNve)])
-            .push(Box::new(fix));
-        self
-    }
-
     /// Communication layout (default: [`CommSpec::Single`]). A
     /// `CommSpec::Brick { .. }` builder must be driven through
     /// [`SimulationBuilder::run`] (with a per-rank

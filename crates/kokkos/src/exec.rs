@@ -44,14 +44,12 @@ pub fn force_sequential() -> bool {
     FORCE_SEQUENTIAL.load(Ordering::Acquire)
 }
 
-/// Context of a simulated device: which architecture it models, the
-/// launch/event log, and an optional forced shared-memory carveout
-/// (Figure 3 overrides the runtime heuristic this way).
+/// Context of a simulated device: which architecture it models and the
+/// launch/event log.
 #[derive(Debug, Clone)]
 pub struct DeviceCtx {
     pub arch: Arc<GpuArch>,
     pub log: Arc<KernelLog>,
-    pub carveout: Option<f64>,
 }
 
 impl DeviceCtx {
@@ -59,14 +57,7 @@ impl DeviceCtx {
         DeviceCtx {
             arch: Arc::new(arch),
             log: KernelLog::new(),
-            carveout: None,
         }
-    }
-
-    /// Force the shared-memory carveout fraction (NVIDIA only).
-    pub fn with_carveout(mut self, c: f64) -> Self {
-        self.carveout = Some(c);
-        self
     }
 }
 

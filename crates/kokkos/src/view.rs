@@ -277,63 +277,6 @@ impl<T: Copy, const R: usize> View<T, R> {
     pub fn at(&self, idx: [usize; R]) -> T {
         self.data[self.offset(idx)]
     }
-
-    /// Unchecked read for hot loops.
-    ///
-    /// # Safety
-    /// `idx` must be in bounds.
-    #[inline(always)]
-    pub unsafe fn uget(&self, idx: [usize; R]) -> T {
-        let mut o = 0;
-        for (ik, sk) in idx.iter().zip(&self.strides) {
-            o += ik * sk;
-        }
-        *self.data.get_unchecked(o)
-    }
-}
-
-impl<T> View<T, 2> {
-    /// Whether each logical row `[i, :]` is one contiguous run of the
-    /// backing storage. True exactly for [`Layout::Right`]; under
-    /// [`Layout::Left`] rows are strided by `dims[0]`.
-    #[inline(always)]
-    pub fn rows_contiguous(&self) -> bool {
-        self.layout == Layout::Right
-    }
-
-    /// Row `i` as a contiguous slice, or `None` under [`Layout::Left`].
-    ///
-    /// This is the flat-slice fast path: the caller bounds-checks once
-    /// (the slice construction) and then iterates `&[T]` directly, so
-    /// the per-element `offset()` math and bounds checks of
-    /// [`View::at`] vanish from inner loops.
-    #[inline(always)]
-    pub fn try_row(&self, i: usize) -> Option<&[T]> {
-        if self.layout != Layout::Right {
-            return None;
-        }
-        debug_assert!(
-            i < self.dims[0],
-            "view '{}' row {} out of bounds",
-            self.label,
-            i
-        );
-        let w = self.dims[1];
-        let start = i * w; // Layout::Right strides are [dims[1], 1].
-        Some(&self.data[start..start + w])
-    }
-
-    /// Row `i` as a contiguous slice; panics under [`Layout::Left`]
-    /// (use [`View::try_row`] or [`View::get3`] for layout-generic code).
-    #[inline]
-    pub fn row(&self, i: usize) -> &[T] {
-        self.try_row(i).unwrap_or_else(|| {
-            panic!(
-                "view '{}': row() requires Layout::Right (rows are strided under Layout::Left)",
-                self.label
-            )
-        })
-    }
 }
 
 impl<T: Copy> View<T, 2> {
@@ -471,13 +414,6 @@ impl<const R: usize> ParWrite<'_, f64, R> {
         let p = self.ptr.add(self.offset(idx));
         *p += v;
     }
-
-    /// Thread-atomic accumulation (safe with respect to data races on
-    /// the element, at CAS-loop cost).
-    #[inline(always)]
-    pub fn atomic_add(&self, idx: [usize; R], v: f64) {
-        unsafe { crate::atomic::atomic_add_f64(self.ptr.add(self.offset(idx)), v) }
-    }
 }
 
 #[cfg(test)]
@@ -576,21 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn par_write_atomic_add_conflicting() {
-        use rayon::prelude::*;
-        let mut f = View1::<f64>::new("f", [4]);
-        {
-            let w = f.par_write();
-            (0..4000usize).into_par_iter().for_each(|i| {
-                w.atomic_add([i % 4], 1.0);
-            });
-        }
-        for i in 0..4 {
-            assert_eq!(f.at([i]), 1000.0);
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn out_of_bounds_checked_in_debug() {
         let v = View1::<f64>::new("x", [3]);
@@ -635,31 +556,6 @@ mod tests {
         // `realloc` still clears, whatever came before.
         v.realloc([4, 6]);
         assert_eq!(v.as_slice(), &[0; 24]);
-    }
-
-    #[test]
-    fn row_is_contiguous_only_for_layout_right() {
-        let mut r = View2::<u32>::new("r", [3, 4]);
-        for i in 0..3 {
-            for j in 0..4 {
-                r.set([i, j], (10 * i + j) as u32);
-            }
-        }
-        assert!(r.rows_contiguous());
-        assert_eq!(r.row(1), &[10, 11, 12, 13]);
-        assert_eq!(r.try_row(2), Some(&[20u32, 21, 22, 23][..]));
-
-        let mut l = View2::<u32>::with_layout("l", [3, 4], Layout::Left);
-        l.copy_from(&r);
-        assert!(!l.rows_contiguous());
-        assert_eq!(l.try_row(1), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn row_panics_for_layout_left() {
-        let l = View2::<u32>::with_layout("l", [3, 4], Layout::Left);
-        let _ = l.row(0);
     }
 
     #[test]

@@ -109,7 +109,9 @@ pub fn parse(text: &str) -> Result<Vec<Entry>, ParseError> {
             "rule" => {
                 draft.rule = Some(Rule::from_id(&value).ok_or_else(|| ParseError {
                     line: lineno,
-                    message: format!("unknown rule id `{value}` (known: LKK001..LKK006, LKK010)"),
+                    message: format!(
+                        "unknown rule id `{value}` (known: LKK001..LKK006, LKK010, LKK011)"
+                    ),
                 })?)
             }
             "path" => draft.path = Some(value),

@@ -1,4 +1,4 @@
-//! The seven workspace invariant rules.
+//! The eight workspace invariant rules.
 //!
 //! Every rule is a heuristic matcher over the comment/string-masked
 //! source (see [`crate::source`]) — deliberately AST-lite so the
@@ -20,6 +20,8 @@
 //! |        | closures (take one `access()` handle per work item)          |
 //! | LKK010 | `target_feature` / CPU feature detection only in the ISA     |
 //! |        | seam (`crates/kokkos/src/isa.rs`), and never enabling `fma`  |
+//! | LKK011 | a `NeighborList`'s `neighbors` / `numneigh` storage is read  |
+//! |        | only by its owner (`crates/core/src/neighbor.rs`) and tests  |
 
 use crate::source::{ident_boundary_before, matching_paren, File};
 use std::fmt;
@@ -40,10 +42,12 @@ pub enum Rule {
     Lkk006,
     /// Instruction-set selection outside the ISA seam, or `fma` enabled.
     Lkk010,
+    /// Neighbor-row storage read outside its owner.
+    Lkk011,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::Lkk001,
         Rule::Lkk002,
         Rule::Lkk003,
@@ -51,6 +55,7 @@ impl Rule {
         Rule::Lkk005,
         Rule::Lkk006,
         Rule::Lkk010,
+        Rule::Lkk011,
     ];
 
     pub fn id(self) -> &'static str {
@@ -62,6 +67,7 @@ impl Rule {
             Rule::Lkk005 => "LKK005",
             Rule::Lkk006 => "LKK006",
             Rule::Lkk010 => "LKK010",
+            Rule::Lkk011 => "LKK011",
         }
     }
 
@@ -78,6 +84,7 @@ impl Rule {
             Rule::Lkk005 => "raw indexed scatter inside a parallel dispatch closure",
             Rule::Lkk006 => "per-element ScatterView::add inside a parallel dispatch closure",
             Rule::Lkk010 => "instruction-set selection outside the ISA seam, or fma enabled",
+            Rule::Lkk011 => "neighbor-row storage read outside crates/core/src/neighbor.rs",
         }
     }
 
@@ -118,6 +125,11 @@ impl Rule {
                  #[inline(always)] fn and run it through lkk_kokkos::isa::Isa::call, the one \
                  place that names target features; fused multiply-add rounds once where \
                  mul + add round twice, so `fma` is never enabled"
+            }
+            Rule::Lkk011 => {
+                "the row format (counts, strides, layout) has one owner: read rows through \
+                 NeighborList::rows() (`len`, `row`, `chunk`) or NeighborList::within(); the \
+                 fields are pub only for the pinned benchmark"
             }
         }
     }
@@ -160,6 +172,7 @@ pub fn check_file(file: &File) -> Vec<Finding> {
     lkk005_raw_scatter(file, &spans, &mut out);
     lkk006_per_element_scatter(file, &spans, &mut out);
     lkk010_isa_seam(file, &mut out);
+    lkk011_row_format(file, &mut out);
     out.sort();
     out.dedup();
     out
@@ -636,6 +649,34 @@ fn lkk010_isa_seam(file: &File, out: &mut Vec<Finding>) {
                     at,
                     Rule::Lkk010,
                     "`fma` named in a target-feature list".to_string(),
+                ));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// LKK011 — the neighbor-row format has one owner
+// ---------------------------------------------------------------------
+
+const ROW_OWNER: &str = "crates/core/src/neighbor.rs";
+
+fn lkk011_row_format(file: &File, out: &mut Vec<Finding>) {
+    if file.path == ROW_OWNER || file.path.split('/').any(|dir| dir == "tests") {
+        return;
+    }
+    for field in [".neighbors.", ".numneigh."] {
+        for (at, _) in file.masked.match_indices(field) {
+            let after = &file.masked[at + field.len()..];
+            let accessor = ["at(", "stride(", "as_slice("]
+                .into_iter()
+                .find(|m| after.starts_with(m));
+            if let (Some(accessor), false) = (accessor, file.in_test_code(at)) {
+                out.push(finding(
+                    file,
+                    at,
+                    Rule::Lkk011,
+                    format!("`{field}{accessor}…)` reads neighbor-row storage outside {ROW_OWNER}"),
                 ));
             }
         }

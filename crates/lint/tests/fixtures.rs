@@ -137,6 +137,36 @@ fn lkk010_fires_outside_the_isa_seam_and_on_fma_anywhere() {
 }
 
 #[test]
+fn lkk011_fires_outside_the_row_owner_and_outside_tests() {
+    let text = include_str!("fixtures/lkk011_row_format.rs");
+    // The three storage reads fire; the reader, the other fields, the
+    // comment and the `#[cfg(test)]` oracle must not.
+    let found = scan("lkk011_row_format.rs", text);
+    assert_eq!(
+        found,
+        vec![(Rule::Lkk011, 5), (Rule::Lkk011, 6), (Rule::Lkk011, 7)]
+    );
+    // The owner and anything under a `tests/` directory are exempt.
+    for exempt in ["crates/core/src/neighbor.rs", "tests/neighbor_recycle.rs"] {
+        assert!(check_file(&File::new(exempt, text)).is_empty(), "{exempt}");
+    }
+    // An audited waiver reaches this rule like any other.
+    let allow = lkk_lint::allowlist::parse(
+        "[[allow]]\nrule = \"LKK011\"\npath = \"crates/scratch/src/lkk011_row_format.rs\"\n\
+         contains = \"stride(0)\"\n\
+         justification = \"fixture: waives the stride read alone, by its text\"\n",
+    )
+    .unwrap();
+    let waived: Vec<usize> =
+        check_file(&File::new("crates/scratch/src/lkk011_row_format.rs", text))
+            .iter()
+            .filter(|f| allow[0].matches(f))
+            .map(|f| f.line)
+            .collect();
+    assert_eq!(waived, vec![6]);
+}
+
+#[test]
 fn clean_fixture_produces_zero_findings() {
     let found = scan("clean.rs", include_str!("fixtures/clean.rs"));
     assert!(found.is_empty(), "{found:?}");

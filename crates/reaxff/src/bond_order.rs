@@ -24,7 +24,7 @@
 use crate::params::ReaxParams;
 use lkk_core::atom::AtomData;
 use lkk_core::comm::GhostMap;
-use lkk_core::neighbor::NeighborList;
+use lkk_core::neighbor::{NeighborList, TOWARD_J};
 use lkk_kokkos::Space;
 
 /// Over-coordination correction `f(s)` and derivative: a logistic that
@@ -83,7 +83,7 @@ impl BondTable {
         assert!(!list.half, "ReaxFF bond table needs a full neighbor list");
         let nlocal = atoms.nlocal;
         let mut max_bonds = 12usize;
-        let xh = atoms.x.h_view();
+        let walk = list.within(atoms.x.h_view(), params.r_bond);
         let typ = atoms.typ.h_view();
         loop {
             let mut table = BondTable {
@@ -131,21 +131,9 @@ impl BondTable {
                 0usize,
                 |i| {
                     let t = &raw;
-                    let xi = [xh.at([i, 0]), xh.at([i, 1]), xh.at([i, 2])];
                     let ti = typ.at([i]) as usize;
-                    let nn = list.numneigh.at([i]) as usize;
                     let mut count = 0usize;
-                    for s in 0..nn {
-                        let j = list.neighbors.at([i, s]) as usize;
-                        let d = [
-                            xh.at([j, 0]) - xi[0],
-                            xh.at([j, 1]) - xi[1],
-                            xh.at([j, 2]) - xi[2],
-                        ];
-                        let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                        if rsq >= params.r_bond * params.r_bond {
-                            continue;
-                        }
+                    walk.row::<TOWARD_J>(i, |j, d, rsq| {
                         let r = rsq.sqrt();
                         let tj = typ.at([j]) as usize;
                         // Store BO' − bo_cut (the standard ReaxFF shift)
@@ -154,7 +142,7 @@ impl BondTable {
                         let (bo_raw, dbo_p) = params.bond_order_prime(r, ti, tj);
                         let bo_p = bo_raw - params.bo_cut;
                         if bo_p <= 0.0 {
-                            continue;
+                            return;
                         }
                         if count < max_bonds {
                             let sl = i * max_bonds + count;
@@ -174,7 +162,7 @@ impl BondTable {
                             }
                         }
                         count += 1;
-                    }
+                    });
                     unsafe { *t.count.add(i) = count.min(max_bonds) as u32 };
                     count
                 },

@@ -13,8 +13,7 @@ use crate::params::ReaxParams;
 use crate::taper::taper;
 use lkk_core::atom::AtomData;
 use lkk_core::comm::GhostMap;
-use lkk_core::neighbor::NeighborList;
-use lkk_kokkos::view::Triples;
+use lkk_core::neighbor::{NeighborList, Within, TOWARD_I};
 use lkk_kokkos::Space;
 
 /// Mixed coefficients of one type pair.
@@ -137,33 +136,23 @@ pub(crate) struct Hit {
 }
 
 /// The by-value reader both non-bonded passes walk the full list with:
-/// positions through [`Triples`], the neighbor row as one slice (or its
-/// strided equivalent under the device layout), ghosts folded onto
-/// their owners.
+/// the list's within-cutoff walk, ghosts folded onto their owners.
 #[derive(Clone, Copy)]
 pub(crate) struct PairWalk<'a> {
-    x: Triples<'a, f64>,
+    within: Within<'a>,
     typ: &'a [i32],
-    counts: &'a [u32],
-    neigh: &'a [u32],
-    strides: [usize; 2],
     owner: &'a [usize],
     nlocal: usize,
-    cutsq: f64,
 }
 
 impl<'a> PairWalk<'a> {
     pub fn new(atoms: &'a AtomData, list: &'a NeighborList, ghosts: &'a GhostMap, rc: f64) -> Self {
         assert!(!list.half, "ReaxFF non-bonded terms need a full list");
         PairWalk {
-            x: atoms.x.h_view().triples(),
+            within: list.within(atoms.x.h_view(), rc),
             typ: atoms.typ.h_view().as_slice(),
-            counts: list.numneigh.as_slice(),
-            neigh: list.neighbors.as_slice(),
-            strides: [list.neighbors.stride(0), list.neighbors.stride(1)],
             owner: &ghosts.owner,
             nlocal: atoms.nlocal,
-            cutsq: rc * rc,
         }
     }
 
@@ -176,35 +165,18 @@ impl<'a> PairWalk<'a> {
     /// order.
     #[inline(always)]
     pub fn row(self, i: usize, mut f: impl FnMut(Hit)) {
-        let xi = self.x.get(i);
-        let mut visit = |j: usize| {
-            let xj = self.x.get(j);
-            let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-            let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-            if rsq < self.cutsq {
-                f(Hit {
-                    owner: if j < self.nlocal {
-                        j
-                    } else {
-                        self.owner[j - self.nlocal]
-                    },
-                    typ: self.typ[j] as usize,
-                    d,
-                    r: rsq.sqrt(),
-                });
-            }
-        };
-        let [s0, s1] = self.strides;
-        let len = self.counts[i] as usize;
-        if len == 0 {
-            return;
-        }
-        let row = &self.neigh[i * s0..i * s0 + (len - 1) * s1 + 1];
-        if s1 == 1 {
-            row.iter().for_each(|&j| visit(j as usize));
-        } else {
-            row.iter().step_by(s1).for_each(|&j| visit(j as usize));
-        }
+        self.within.row::<TOWARD_I>(i, |j, d, rsq| {
+            f(Hit {
+                owner: if j < self.nlocal {
+                    j
+                } else {
+                    self.owner[j - self.nlocal]
+                },
+                typ: self.typ[j] as usize,
+                d,
+                r: rsq.sqrt(),
+            })
+        });
     }
 }
 

@@ -30,12 +30,12 @@
 
 use crate::context::{SnapContext, SnapKernelConfig, SnapWork, YI_BLOCK};
 use crate::hyper::{HyperParams, MapCore};
-use lkk_core::neighbor::NeighborList;
-use lkk_core::pair::{PairResults, PairStyle};
+use lkk_core::neighbor::{NeighborList, TOWARD_J};
+use lkk_core::pair::{ForceScatter, PairResults, PairStyle, Tally};
 use lkk_core::sim::System;
 use lkk_core::style::{PairSpec, StyleRegistry};
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::{profile, ScatterMode, ScatterView, Space};
+use lkk_kokkos::{profile, Space};
 use std::cell::RefCell;
 
 /// User-facing SNAP parameters.
@@ -69,7 +69,7 @@ pub struct PairSnap {
     /// Defaults to `[1.0]` (single element, the paper's benchmarks).
     pub type_weights: Vec<f64>,
     name: String,
-    scatter: Option<ScatterView>,
+    scatter: ForceScatter,
     /// Staged intermediates persisting across the fissioned stages
     /// (and across steps: capacities reach steady state after warmup).
     arena: Arena,
@@ -113,8 +113,9 @@ impl Arena {
     fn reserve(&mut self, list: &NeighborList, nlocal: usize, u_len: usize) -> Planes {
         let grows = &mut self.grow_count;
         grow(&mut self.first, nlocal + 1, grows);
+        let rows = list.rows();
         for i in 0..nlocal {
-            self.first[i + 1] = self.first[i] + list.numneigh.at([i]) as usize;
+            self.first[i + 1] = self.first[i] + rows.len(i);
         }
         let slots = self.first[nlocal];
         grow(&mut self.nn, nlocal, grows);
@@ -242,7 +243,7 @@ impl PairSnap {
             config: SnapKernelConfig::default(),
             type_weights: vec![1.0],
             name: "snap".into(),
-            scatter: None,
+            scatter: ForceScatter::default(),
             arena: Arena::default(),
         }
     }
@@ -376,7 +377,7 @@ impl PairStyle for PairSnap {
     }
 
     fn scatter_grow_count(&self) -> u64 {
-        self.scatter.as_ref().map_or(0, ScatterView::grow_count)
+        self.scatter.grow_count()
     }
 
     fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
@@ -388,25 +389,16 @@ impl PairStyle for PairSnap {
             .atoms
             .sync(&space, lkk_core::atom::Mask::X | lkk_core::atom::Mask::TYPE);
         let nlocal = system.atoms.nlocal;
-        let nall = system.atoms.nall();
-        // Reshaped in place when the ghost count changes (pool reuse,
-        // as in `PairKokkos::compute_half`).
-        let mode = ScatterMode::default_for(&space);
-        let scatter = self
-            .scatter
-            .get_or_insert_with(|| ScatterView::new(nall, 3, mode));
-        scatter.ensure(nall, 3, mode);
+        self.scatter.ensure(system.atoms.nall(), &space);
+        let scatter = &self.scatter;
         let ctx = &self.ctx;
         let u_len = ctx.idx.u_len;
         let planes = self.arena.reserve(list, nlocal, u_len);
         let first = &self.arena.first;
         let config = &self.config;
         let type_weights = &self.type_weights;
-        let atoms_ref = &system.atoms;
-        let x = atoms_ref.x.view_for(&space);
-        let typ = atoms_ref.typ.view_for(&space);
-        let sref: &ScatterView = scatter;
-        let cutsq = ctx.hyper.rcut * ctx.hyper.rcut;
+        let walk = list.within(system.atoms.x.view_for(&space), ctx.hyper.rcut);
+        let typ = system.atoms.typ.view_for(&space);
         let avg_neigh = if nlocal > 0 {
             list.total_pairs as f64 / nlocal as f64
         } else {
@@ -435,23 +427,14 @@ impl PairStyle for PairSnap {
                         &mut planes.nn.range(i, 1)[0],
                     )
                 };
-                let xi = [x.at([i, 0]), x.at([i, 1]), x.at([i, 2])];
                 let mut n = 0;
-                for s in 0..cap {
-                    let j = list.neighbors.at([i, s]);
-                    let d = [
-                        x.at([j as usize, 0]) - xi[0],
-                        x.at([j as usize, 1]) - xi[1],
-                        x.at([j as usize, 2]) - xi[2],
-                    ];
-                    if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < cutsq {
-                        rel[n] = d;
-                        ids[n] = j;
-                        let t = typ.at([j as usize]) as usize;
-                        wts[n] = *type_weights.get(t).unwrap_or(&1.0);
-                        n += 1;
-                    }
-                }
+                walk.row::<TOWARD_J>(i, |j, d, _| {
+                    rel[n] = d;
+                    ids[n] = j as u32;
+                    let t = typ.at([j]) as usize;
+                    wts[n] = *type_weights.get(t).unwrap_or(&1.0);
+                    n += 1;
+                });
                 *nn = n as u32;
                 with_scratch(ctx, |scratch| {
                     ctx.compute_ui_into(
@@ -520,7 +503,7 @@ impl PairStyle for PairSnap {
             let v = space.parallel_reduce(
                 "PairSnapDeidrj",
                 nlocal,
-                [0.0f64; 6],
+                Tally::default(),
                 |i| {
                     // SAFETY: as in stage 1; this stage only reads.
                     let (n, lo) = (unsafe { planes.nn.range(i, 1)[0] } as usize, first[i]);
@@ -534,8 +517,8 @@ impl PairStyle for PairSnap {
                             &*planes.y_i.range(i * u_len, u_len),
                         )
                     };
-                    let mut w = [0.0f64; 6];
-                    let forces = sref.access();
+                    let mut tally = Tally::default();
+                    let forces = scatter.access();
                     with_scratch(ctx, |scratch| {
                         for (k, &j) in ids.iter().enumerate() {
                             let g = ctx
@@ -553,27 +536,14 @@ impl PairStyle for PairSnap {
                             forces.add3(j as usize, f);
                             forces.add3(i, [-f[0], -f[1], -f[2]]);
                             if eflag {
-                                // Virial tensor: Σ d ⊗ f_j (symmetrized),
-                                // d = x_j − x_i.
-                                let d = rel[k];
-                                w[0] += d[0] * f[0];
-                                w[1] += d[1] * f[1];
-                                w[2] += d[2] * f[2];
-                                w[3] += 0.5 * (d[0] * f[1] + d[1] * f[0]);
-                                w[4] += 0.5 * (d[0] * f[2] + d[2] * f[0]);
-                                w[5] += 0.5 * (d[1] * f[2] + d[2] * f[1]);
+                                // d = x_j − x_i, f the force on j.
+                                tally.add_leg(rel[k], f);
                             }
                         }
                     });
-                    w
+                    tally
                 },
-                |a, b| {
-                    let mut w = a;
-                    for (wk, bk) in w.iter_mut().zip(b) {
-                        *wk += bk;
-                    }
-                    w
-                },
+                Tally::join,
             );
             if profile::has_subscribers() {
                 profile::note_instant(
@@ -600,16 +570,13 @@ impl PairStyle for PairSnap {
             profile::note_counter("snap.table.builds", ctx.table_builds as f64);
         }
 
-        let f = system.atoms.f.view_for_mut(&space);
-        f.fill(0.0);
-        scatter.contribute_into_view(f);
-        system.atoms.modified(&space, lkk_core::atom::Mask::F);
+        self.scatter.contribute(system);
         self.note_stats(&space, nlocal_f, avg_neigh, list);
-        if eflag {
-            PairResults::with_tensor(energy, virial)
-        } else {
-            PairResults::default()
+        Tally {
+            e: energy,
+            ..virial
         }
+        .results(eflag)
     }
 }
 

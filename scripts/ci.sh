@@ -38,6 +38,12 @@ cargo test -q --workspace
 echo "==> rank-equivalence + comm-validation suites (release)"
 cargo test --release -q --test rank_equivalence --test comm_validation
 
+# The one row walker under the optimiser the benchmark runs with: every
+# style (tests/common's table) reads strided (device) rows as it reads
+# contiguous ones, and a recycled, re-strided list as a fresh one.
+echo "==> every-style row readers: device consistency + neighbor recycle (release)"
+cargo test --release -q --test device_consistency --test neighbor_recycle
+
 # SNAP's physics gate at the benchmark's order (2J = 8, rcut 4.7:
 # F = -dE/dx, net force, virial, rotation invariance, NVE drift), the
 # inversion symmetry of the full-range reference, which is what
@@ -69,7 +75,7 @@ cargo test --release -q --test reaxff_physics
 
 # --- lint-invariants job ------------------------------------------------
 
-# Workspace invariant linter (LKK001..LKK006, LKK010; docs/static-analysis.md):
+# Workspace invariant linter (LKK001..LKK006, LKK010, LKK011; docs/static-analysis.md):
 # exit 1 on violations, exit 2 on a malformed lint_allow.toml. Gating.
 echo "==> lkk-lint (workspace invariants)"
 cargo run --release -p lkk-lint

@@ -4,14 +4,10 @@
 //! trajectories. (The KOKKOS package's core promise: single source,
 //! same results, on any backend.)
 
-use lammps_kk::core::atom::AtomData;
-use lammps_kk::core::lattice::{create_velocities, Lattice, LatticeKind};
-use lammps_kk::core::pair::lj::LjCut;
-use lammps_kk::core::pair::PairKokkos;
-use lammps_kk::core::sim::{Simulation, System};
-use lammps_kk::core::units::Units;
-use lammps_kk::gpusim::GpuArch;
-use lammps_kk::kokkos::Space;
+mod common;
+
+use lammps_kk::core::comm::reverse_forces;
+use lammps_kk::prelude::*;
 
 fn melt_on(space: Space) -> (f64, [f64; 3]) {
     let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
@@ -40,6 +36,50 @@ fn every_architecture_computes_identical_physics() {
                 (x[k] - x_ref[k]).abs() < 1e-8,
                 "{name}: trajectory diverged in dim {k}"
             );
+        }
+    }
+}
+
+/// Owned-atom forces of `case` on `space` (ghost rows folded back where
+/// the style scatters onto them) and whether its list rows are strided.
+fn forces_on(case: &common::Case, space: Space) -> (Vec<f64>, bool) {
+    let mut pair = (case.make_pair)(&space);
+    let settings = NeighborSettings::new(pair.cutoff(), 0.3, pair.wants_half_list());
+    let mut system = case.system(&space, &settings);
+    let list = NeighborList::build(&system.atoms, &system.domain, &settings, &space);
+    pair.compute(&mut system, &list, false);
+    system.atoms.sync(&Space::Serial, Mask::F);
+    if pair.needs_reverse_comm() {
+        reverse_forces(&mut system.atoms, &system.ghosts);
+    }
+    let f = system.atoms.f.h_view();
+    let forces = (0..system.atoms.nlocal).flat_map(|i| f.get3(i)).collect();
+    let strided = list.neighbors.layout() == lammps_kk::kokkos::Layout::Left;
+    (forces, strided)
+}
+
+/// Every style reads the device's strided (`Layout::Left`) neighbor rows
+/// as it reads the host's contiguous ones: same forces as `Space::Serial`
+/// — to the bit where a work item writes only its own force row,
+/// to rounding (1e-11 of the largest force) where forces are scattered.
+#[test]
+fn every_style_computes_serial_forces_from_device_rows() {
+    for case in common::every_style() {
+        let name = case.name;
+        let (want, strided) = forces_on(&case, Space::Serial);
+        assert!(!strided, "{name}: host rows are contiguous");
+        let (got, strided) = forces_on(&case, Space::device(GpuArch::h100()));
+        assert!(strided, "{name}: device rows are strided");
+        let scale = want.iter().fold(0.0f64, |m, f| m.max(f.abs()));
+        assert!(scale > 0.0, "{name}: no force");
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (n, (g, w)) in got.iter().zip(&want).enumerate() {
+            let same = if case.own_row {
+                g.to_bits() == w.to_bits()
+            } else {
+                (g - w).abs() <= 1e-11 * scale
+            };
+            assert!(same, "{name}: force component {n}: {g:e} vs {w:e}");
         }
     }
 }
