@@ -44,18 +44,6 @@ fn drain(space: &Space) -> Vec<KernelStats> {
         .drain()
 }
 
-fn aggregate(stats: Vec<KernelStats>) -> Vec<KernelStats> {
-    let mut by_name: Vec<KernelStats> = Vec::new();
-    for s in stats {
-        if let Some(e) = by_name.iter_mut().find(|e| e.name == s.name) {
-            e.accumulate(&s);
-        } else {
-            by_name.push(s);
-        }
-    }
-    by_name
-}
-
 /// Build an LJ melt with roughly `target_atoms` atoms and run one force
 /// computation on `arch`, returning measured kernel stats.
 pub fn measure_lj(target_atoms: usize, arch: GpuArch, options: PairKokkosOptions) -> Measured {
@@ -86,7 +74,7 @@ pub fn measure_lj_with_cutoff(
     let natoms = system.atoms.nlocal as f64;
     // Keep only the pair kernel (neighbor build/launch noise aside) and
     // add the integration kernels of one timestep.
-    let mut stats: Vec<KernelStats> = aggregate(drain(&space))
+    let mut stats: Vec<KernelStats> = drain(&space)
         .into_iter()
         .filter(|s| s.name.starts_with("PairCompute"))
         .collect();
@@ -129,7 +117,7 @@ pub fn measure_snap(target_atoms: usize, arch: GpuArch, config: SnapKernelConfig
     let avg = list.avg_neighbors();
     let _ = pair.compute(&mut system, &list, true);
     let natoms = system.atoms.nlocal as f64;
-    let stats = aggregate(drain(&space))
+    let stats = drain(&space)
         .into_iter()
         .filter(|s| s.name.starts_with("Compute") || s.name.starts_with("PairSnap"))
         .collect();
@@ -180,7 +168,7 @@ pub fn measure_reaxff(target_atoms: usize, arch: GpuArch) -> Measured {
     let avg = list.avg_neighbors();
     let _ = pair.compute(&mut system, &list, true);
     let natoms = system.atoms.nlocal as f64;
-    let stats = aggregate(drain(&space))
+    let stats = drain(&space)
         .into_iter()
         .map(|mut s| {
             if !s.name.starts_with("QEq") {

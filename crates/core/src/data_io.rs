@@ -194,8 +194,7 @@ pub fn read_data<R: BufRead>(input: R) -> Result<DataFile, String> {
         }
     }
     if !vels.is_empty() {
-        // Lookup-only map (never iterated): order cannot leak (LKK002).
-        #[allow(clippy::disallowed_types)]
+        #[expect(clippy::disallowed_types, reason = "lookup-only, never iterated")]
         let index_of: std::collections::HashMap<i64, usize> =
             rows.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
         let v = atoms.v.h_view_mut();

@@ -16,6 +16,7 @@ use crate::style::{PairSpec, StyleRegistry};
 use crate::units::Units;
 use lkk_gpusim::GpuArch;
 use lkk_kokkos::Space;
+use std::num::NonZeroUsize;
 
 /// The interpreter: mirrors the top-level LAMMPS class. Commands mutate
 /// staged state; `run` assembles the [`Simulation`] and advances it.
@@ -82,7 +83,7 @@ impl Lammps {
     /// Execute a single command line.
     pub fn command(&mut self, line: &str) -> Result<(), String> {
         let tokens: Vec<String> = line.split_whitespace().map(|s| s.to_string()).collect();
-        let cmd = tokens[0].as_str();
+        let cmd = tokens.first().ok_or("empty command line")?.as_str();
         let args = &tokens[1..];
         match cmd {
             "units" => {
@@ -94,13 +95,15 @@ impl Lammps {
                 let kind = LatticeKind::from_name(args.first().ok_or("lattice: missing kind")?)
                     .ok_or("lattice: unknown kind")?;
                 let rho: f64 = parse(args.get(1), "lattice density/constant")?;
-                self.lattice = Some(Lattice::from_density(kind, rho));
+                let lat =
+                    Some(Lattice::from_density(kind, rho)).filter(|l| l.a > 0.0 && l.a.is_finite());
+                self.lattice = Some(lat.ok_or("lattice: density must be positive and finite")?);
                 Ok(())
             }
             "create_box" => {
-                let nx = parse(args.first(), "nx")?;
-                let ny = parse(args.get(1), "ny")?;
-                let nz = parse(args.get(2), "nz")?;
+                let nx = parse::<NonZeroUsize>(args.first(), "create_box nx")?.get();
+                let ny = parse::<NonZeroUsize>(args.get(1), "create_box ny")?.get();
+                let nz = parse::<NonZeroUsize>(args.get(2), "create_box nz")?.get();
                 let lat = self.lattice.ok_or("create_box: no lattice defined")?;
                 self.cells = Some((nx, ny, nz));
                 self.domain = Some(lat.domain(nx, ny, nz));
@@ -141,11 +144,11 @@ impl Lammps {
                 Ok(())
             }
             "atom_types" => {
-                self.ntypes = parse(args.first(), "ntypes")?;
+                self.ntypes = parse::<NonZeroUsize>(args.first(), "atom_types count")?.get();
                 Ok(())
             }
             "mass" => {
-                let t: usize = parse(args.first(), "type")?;
+                let t = parse::<NonZeroUsize>(args.first(), "mass type")?.get();
                 let m: f64 = parse(args.get(1), "mass")?;
                 self.masses.push((t - 1, m));
                 Ok(())
@@ -404,6 +407,93 @@ mod tests {
         let err = lmp.run_script("units lj\nbogus_command 1 2").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         assert!(err.contains("bogus_command"));
+    }
+
+    #[test]
+    fn malformed_setup_lines_are_errors() {
+        let mut lmp = Lammps::new(StyleRegistry::core());
+        for line in ["", "   ", "mass 0 1.0", "atom_types 0", "lattice fcc 0"] {
+            assert!(lmp.command(line).is_err(), "{line:?} was accepted");
+        }
+        for rho in ["-1", "nan", "inf"] {
+            assert!(lmp.command(&format!("lattice fcc {rho}")).is_err());
+        }
+        lmp.command("lattice fcc 0.8442").unwrap();
+        let err = lmp.command("create_box 0 2 2").unwrap_err();
+        assert!(err.contains("create_box"), "{err}");
+    }
+
+    /// Every setup command (all but `run`, `read_data` and `write_data`,
+    /// which run MD or touch files), one line after another on one
+    /// interpreter, each argument either the well-formed token for its
+    /// slot (two draws in three) or one of the values scripts get wrong.
+    /// Even cases run their lines in table order, as a script would, so
+    /// the later commands find atoms to act on. No line may panic.
+    #[test]
+    fn setup_command_fuzz_never_panics() {
+        use proptest::prelude::*;
+        use std::panic::AssertUnwindSafe;
+        const COMMANDS: [(&str, &[&str]); 16] = [
+            ("", &[]),
+            ("units", &["lj"]),
+            ("atom_types", &["2"]),
+            ("lattice", &["fcc", "0.8442"]),
+            ("create_box", &["2", "2", "2"]),
+            ("create_atoms", &[]),
+            ("mass", &["1", "1.0"]),
+            ("velocity", &["all", "create", "1.44", "87287"]),
+            ("pair_style", &["lj/cut", "2.5"]),
+            ("pair_coeff", &["1", "1", "1.0", "1.0"]),
+            ("neighbor", &["0.3"]),
+            ("fix", &["1", "all", "nve"]),
+            ("timestep", &["0.005"]),
+            ("thermo", &["10"]),
+            ("suffix", &["kk"]),
+            ("package", &["kokkos", "device", "h100"]),
+        ];
+        const JUNK: [&str; 10] = ["", "0", "-1", "1", "2", "3", "nan", "inf", "-inf", "x1"];
+        let script = prop::collection::vec(
+            (
+                0..COMMANDS.len(),
+                prop::collection::vec(0..3 * JUNK.len(), 0..6),
+            ),
+            1..32,
+        );
+        let mut rng = TestRng::deterministic("setup_command_fuzz_never_panics");
+        let mut accepted = [0usize; COMMANDS.len()];
+        for case in 0..8192 {
+            let mut case_lines = script.sample(&mut rng);
+            if case % 2 == 0 {
+                case_lines.sort_by_key(|&(c, _)| c);
+            }
+            let mut lmp = Lammps::new(StyleRegistry::core());
+            let mut lines = Vec::new();
+            for (c, draws) in case_lines {
+                let (name, slots) = COMMANDS[c];
+                let args = draws.iter().enumerate().map(|(k, &d)| match slots.get(k) {
+                    Some(token) if d >= JUNK.len() => *token,
+                    _ => JUNK[d % JUNK.len()],
+                });
+                let line = std::iter::once(name)
+                    .chain(args)
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                lines.push(line.clone());
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| lmp.command(&line)));
+                match run {
+                    Ok(Ok(())) => accepted[c] += 1,
+                    Ok(Err(_)) => {}
+                    Err(_) => panic!("a setup line panicked; script:\n{}", lines.join("\n")),
+                }
+            }
+        }
+        // The fuzz has teeth: every command got past its checks somewhere.
+        for ((name, _), n) in COMMANDS.iter().zip(accepted).skip(1) {
+            assert!(
+                n > 0,
+                "`{name}` never succeeded: the fuzz cannot reach its body"
+            );
+        }
     }
 
     #[test]

@@ -616,7 +616,7 @@ impl NeighborList {
     /// `bins` must have been rebuilt from these `atoms` (its coordinate
     /// planes are what the distances are computed from). One work item
     /// per owned atom, each [`fill_atom`] instantiated for `isa`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one launch's inputs and outputs")]
     fn fill(
         atoms: &AtomData,
         bins: &Bins,
@@ -919,7 +919,7 @@ mod tests {
     /// The 27-bin walk with the ownership rule ahead of the distance
     /// test and positions gathered through `get3`: the fill kernel as it
     /// was before the z-run rewrite, kept as the oracle for list identity.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "same inputs as `fill`")]
     fn fill_reference(
         atoms: &AtomData,
         bins: &Bins,
@@ -1239,7 +1239,10 @@ mod tests {
     }
 
     /// `working_set_bytes` as it was before the bitmap: a hash set per block.
-    #[allow(clippy::disallowed_types)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test oracle: the set is only inserted into and counted, never iterated"
+    )]
     fn working_set_bytes_hashset(list: &NeighborList, block: usize) -> f64 {
         use std::collections::HashSet;
         let nblocks = list.nlocal.div_ceil(block);

@@ -929,8 +929,10 @@ mod tests {
             sorted.rebuild_count >= 2,
             "no rebuild after setup — spatial sort never ran"
         );
-        // Lookup-only test map (never iterated): order cannot leak.
-        #[allow(clippy::disallowed_types)]
+        #[expect(
+            clippy::disallowed_types,
+            reason = "lookup-only test map, never iterated: hash order cannot leak"
+        )]
         let pos_by_tag = |sim: &Simulation| -> std::collections::HashMap<i64, [f64; 3]> {
             let tags = sim.system.atoms.tag.h_view();
             (0..sim.system.atoms.nlocal)
@@ -1002,12 +1004,35 @@ mod tests {
         let ctx = space.device_ctx().unwrap().clone();
         let mut sim = lj_melt_sim(4, space, 1.44);
         sim.run(100);
-        assert!(ctx.log.len() > 5, "device kernels were not logged");
+        let launches: f64 = ctx.log.aggregate().iter().map(|k| k.launches).sum();
+        assert!(launches > 100.0, "device kernels were not logged");
         // Energy still conserved on the simulated device (the total
         // oscillates with the Verlet discretization; no secular drift).
         let e0 = sim.thermo.first().map(|r| r.e_total).unwrap_or(0.0);
         let drift = (sim.total_energy() - e0) / sim.system.atoms.nlocal as f64;
         assert!(drift.abs() < 1e-3, "drift {drift}");
+    }
+
+    /// The launch log holds one row per kernel, so a long device run
+    /// keeps it at the size a short one reaches.
+    #[test]
+    fn device_launch_log_stays_bounded() {
+        let space = Space::device(lkk_gpusim::GpuArch::h100());
+        let ctx = space.device_ctx().unwrap().clone();
+        let mut sim = lj_melt_sim(4, space, 1.44);
+        sim.run(10);
+        let kernels = ctx.log.len();
+        sim.run(990);
+        assert_eq!(
+            ctx.log.len(),
+            kernels,
+            "launch log grew with the step count"
+        );
+        let launches: f64 = ctx.log.aggregate().iter().map(|k| k.launches).sum();
+        assert!(
+            launches > 1000.0,
+            "only {launches} launches over 1000 steps"
+        );
     }
 
     #[test]

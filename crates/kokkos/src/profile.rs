@@ -137,8 +137,10 @@ pub struct RegionGuard {
 /// `name` must not contain `/` (it would corrupt the path encoding);
 /// nesting is expressed by holding multiple guards, not by composite
 /// names.
-// Audited wall-clock site: lint_allow.toml LKK001 (advisory span time).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "RegionGuard's advisory wall-time span is the profiling subsystem itself; deterministic trace mode replaces these timestamps with logical ticks before export"
+)]
 pub fn begin_region(name: impl Into<String>) -> RegionGuard {
     let name = name.into();
     debug_assert!(!name.contains('/'), "region name {name:?} contains '/'");
@@ -264,10 +266,12 @@ pub fn note_flow_end(name: &str, id: u64) {
     for_each_subscriber(|sub| sub.flow_end(name, &region, id));
 }
 
-/// A log of kernel launches on a simulated device.
+/// The launch log of a simulated device: one row per kernel name, each
+/// the sum of every record pushed under that name, so its size is the
+/// number of distinct kernels however long the run.
 #[derive(Debug, Default)]
 pub struct KernelLog {
-    records: Mutex<Vec<KernelStats>>,
+    rows: Mutex<Vec<KernelStats>>,
 }
 
 impl KernelLog {
@@ -277,13 +281,19 @@ impl KernelLog {
 
     /// Record the event counts of one kernel execution. The record is
     /// tagged with the dispatching thread's current region path (unless
-    /// the caller already set one) and mirrored to subscribers.
+    /// the caller already set one), mirrored to subscribers, then merged
+    /// into its kernel's row in push order (the row keeps the first
+    /// record's region and configuration, see [`KernelStats::accumulate`]).
     pub fn push(&self, mut stats: KernelStats) {
         if stats.region.is_empty() {
             stats.region = current_region();
         }
         for_each_subscriber(|sub| sub.kernel_stats(&stats));
-        self.records.lock().unwrap().push(stats);
+        let mut rows = self.rows.lock().unwrap();
+        match rows.iter_mut().find(|row| row.name == stats.name) {
+            Some(row) => row.accumulate(&stats),
+            None => rows.push(stats),
+        }
     }
 
     /// Record a bare launch with only a name and work-item count (used
@@ -295,33 +305,24 @@ impl KernelLog {
         self.push(s);
     }
 
-    /// Drain all records.
+    /// Take the merged rows (first-launch order) and empty the log.
     pub fn drain(&self) -> Vec<KernelStats> {
-        std::mem::take(&mut *self.records.lock().unwrap())
+        std::mem::take(&mut *self.rows.lock().unwrap())
     }
 
-    /// Total launches currently logged.
+    /// Distinct kernels logged; their `launches` count the dispatches.
     pub fn len(&self) -> usize {
-        self.records.lock().unwrap().len()
+        self.rows.lock().unwrap().len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Merge all records with the same kernel name, summing counts.
-    /// Returns (name-ordered) aggregated stats.
+    /// A copy of the merged rows, one per kernel name in first-launch
+    /// order, leaving the log as it is.
     pub fn aggregate(&self) -> Vec<KernelStats> {
-        let records = self.records.lock().unwrap();
-        let mut by_name: Vec<KernelStats> = Vec::new();
-        for r in records.iter() {
-            if let Some(existing) = by_name.iter_mut().find(|s| s.name == r.name) {
-                existing.accumulate(r);
-            } else {
-                by_name.push(r.clone());
-            }
-        }
-        by_name
+        self.rows.lock().unwrap().clone()
     }
 }
 
@@ -395,14 +396,15 @@ mod tests {
         log.push_launch("k1", 100);
         log.push_launch("k1", 200);
         log.push_launch("k2", 50);
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.len(), 2);
         let agg = log.aggregate();
         assert_eq!(agg.len(), 2);
         let k1 = agg.iter().find(|s| s.name == "k1").unwrap();
         assert_eq!(k1.work_items, 300.0);
         assert_eq!(k1.launches, 2.0);
         let drained = log.drain();
-        assert_eq!(drained.len(), 3);
+        assert_eq!(drained.len(), 2);
+        assert_eq!(drained[0].name, "k1");
         assert!(log.is_empty());
     }
 

@@ -1,17 +1,17 @@
 //! lkk-lint: the workspace invariant linter.
 //!
-//! Enforces the determinism and hot-path invariants this codebase is
-//! built around (see `docs/static-analysis.md` for the rationale and
-//! `rules::Rule` for the rule set). Runs as `cargo run -p lkk-lint`
+//! Enforces the hot-path and ownership invariants this codebase is
+//! built around that clippy cannot express (see `docs/static-analysis.md`
+//! for the rationale and `rules::Rule` for the rule set; the determinism
+//! rules are clippy's, in `clippy.toml`). Runs as `cargo run -p lkk-lint`
 //! locally and as the gating `lint-invariants` CI job; exit codes are
-//! 0 (clean), 1 (findings), 2 (config error).
+//! 0 (clean), 1 (findings), 2 (usage or I/O error).
 //!
 //! Output is byte-stable across runs and machines: files are walked in
 //! sorted order with forward-slash relative paths, findings are sorted
 //! by (path, line, rule), and nothing in the report depends on wall
-//! time or hash order — the linter holds itself to its own rules.
+//! time or hash order.
 
-pub mod allowlist;
 pub mod rules;
 pub mod source;
 
@@ -68,13 +68,8 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> std::io::R
 
 /// The outcome of a full workspace scan.
 pub struct Report {
-    /// Violations not covered by any allowlist entry, sorted.
+    /// Every violation, sorted.
     pub findings: Vec<Finding>,
-    /// Violations covered by an allowlist entry, sorted.
-    pub allowed: Vec<Finding>,
-    /// Allowlist entries that matched nothing (stale — candidates for
-    /// removal), identified by `(rule id, path)`.
-    pub unused_allow: Vec<(String, String)>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -85,79 +80,35 @@ impl Report {
     }
 }
 
-/// Scan every workspace file and partition findings by the allowlist.
-pub fn scan_workspace(root: &Path, allow: &[allowlist::Entry]) -> std::io::Result<Report> {
+/// Scan every workspace file.
+pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
     let files = workspace_files(root)?;
     let files_scanned = files.len();
     let mut findings = Vec::new();
-    let mut allowed = Vec::new();
-    let mut used = vec![false; allow.len()];
     for (rel, abs) in files {
         let text = std::fs::read_to_string(&abs)?;
-        let file = source::File::new(rel, text);
-        for f in rules::check_file(&file) {
-            let mut hit = false;
-            for (i, entry) in allow.iter().enumerate() {
-                if entry.matches(&f) {
-                    used[i] = true;
-                    hit = true;
-                }
-            }
-            if hit {
-                allowed.push(f);
-            } else {
-                findings.push(f);
-            }
-        }
+        findings.extend(rules::check_file(&source::File::new(rel, text)));
     }
     findings.sort();
-    allowed.sort();
-    let unused_allow = allow
-        .iter()
-        .zip(&used)
-        .filter(|&(_, &u)| !u)
-        .map(|(e, _)| (e.rule.id().to_string(), e.path.clone()))
-        .collect();
     Ok(Report {
         findings,
-        allowed,
-        unused_allow,
         files_scanned,
     })
 }
 
 /// Render the report. Byte-stable: same tree in, same bytes out.
-pub fn format_report(report: &Report, verbose: bool) -> String {
+pub fn format_report(report: &Report) -> String {
     let mut out = String::new();
     for f in &report.findings {
         let _ = writeln!(out, "{} {}:{}: {}", f.rule.id(), f.path, f.line, f.detail);
         let _ = writeln!(out, "    | {}", f.excerpt);
         let _ = writeln!(out, "    = hint: {}", f.rule.hint());
     }
-    if verbose {
-        for f in &report.allowed {
-            let _ = writeln!(
-                out,
-                "allowed {} {}:{}: {}",
-                f.rule.id(),
-                f.path,
-                f.line,
-                f.detail
-            );
-        }
-    }
-    for (rule, path) in &report.unused_allow {
-        let _ = writeln!(
-            out,
-            "note: unused allowlist entry {rule} for `{path}` (stale? remove it)"
-        );
-    }
     let _ = writeln!(
         out,
-        "lkk-lint: {} file(s) scanned, {} violation(s), {} allowlisted",
+        "lkk-lint: {} file(s) scanned, {} violation(s)",
         report.files_scanned,
-        report.findings.len(),
-        report.allowed.len()
+        report.findings.len()
     );
     out
 }
@@ -197,19 +148,16 @@ mod tests {
             findings: vec![Finding {
                 path: "crates/x/src/a.rs".into(),
                 line: 3,
-                rule: rules::Rule::Lkk001,
-                excerpt: "let t = Instant::now();".into(),
-                detail: "nondeterministic source `Instant::now`".into(),
+                rule: rules::Rule::Lkk004,
+                excerpt: "let v = vec![0.0; 8];".into(),
+                detail: "allocating call `vec!` inside a parallel dispatch".into(),
             }],
-            allowed: vec![],
-            unused_allow: vec![("LKK002".into(), "src/gone.rs".into())],
             files_scanned: 1,
         };
-        let a = format_report(&report, false);
-        let b = format_report(&report, false);
+        let a = format_report(&report);
+        let b = format_report(&report);
         assert_eq!(a, b);
-        assert!(a.contains("LKK001 crates/x/src/a.rs:3"));
-        assert!(a.contains("unused allowlist entry LKK002"));
-        assert!(a.ends_with("1 violation(s), 0 allowlisted\n"));
+        assert!(a.contains("LKK004 crates/x/src/a.rs:3"));
+        assert!(a.ends_with("1 file(s) scanned, 1 violation(s)\n"));
     }
 }

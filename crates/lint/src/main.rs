@@ -1,33 +1,26 @@
-//! `lkk-lint` CLI: scan the workspace, apply `lint_allow.toml`, print
-//! a byte-stable report, and gate via exit code.
+//! `lkk-lint` CLI: scan the workspace, print a byte-stable report, and
+//! gate via exit code.
 //!
-//! Exit codes: 0 clean (or fully allowlisted), 1 violations found,
-//! 2 configuration/IO error (malformed allowlist, unreadable tree).
+//! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error
+//! (unknown argument, no workspace root, unreadable tree).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: lkk-lint [--root DIR] [--allow FILE] [--verbose] [--list-rules]
+usage: lkk-lint [--root DIR] [--list-rules]
 
   --root DIR     workspace root (default: walk up from cwd to the
                  first Cargo.toml containing [workspace])
-  --allow FILE   allowlist path (default: <root>/lint_allow.toml;
-                 missing file means an empty allowlist)
-  --verbose      also print allowlisted findings
   --list-rules   print the rule table and exit
 ";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut allow_path: Option<PathBuf> = None;
-    let mut verbose = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--allow" => allow_path = args.next().map(PathBuf::from),
-            "--verbose" => verbose = true,
             "--list-rules" => {
                 for r in lkk_lint::rules::Rule::ALL {
                     println!("{}  {}", r.id(), r.summary());
@@ -58,34 +51,14 @@ fn main() -> ExitCode {
         }
     };
 
-    let allow_path = allow_path.unwrap_or_else(|| root.join("lint_allow.toml"));
-    let allow = if allow_path.is_file() {
-        let text = match std::fs::read_to_string(&allow_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("lkk-lint: cannot read {}: {e}", allow_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        match lkk_lint::allowlist::parse(&text) {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("lkk-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Vec::new()
-    };
-
-    let report = match lkk_lint::scan_workspace(&root, &allow) {
+    let report = match lkk_lint::scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lkk-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-    print!("{}", lkk_lint::format_report(&report, verbose));
+    print!("{}", lkk_lint::format_report(&report));
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {

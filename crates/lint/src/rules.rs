@@ -1,16 +1,15 @@
-//! The eight workspace invariant rules.
+//! The six workspace invariant rules clippy cannot express.
 //!
 //! Every rule is a heuristic matcher over the comment/string-masked
 //! source (see [`crate::source`]) — deliberately AST-lite so the
 //! linter has zero dependencies and runs in milliseconds, at the cost
-//! of being pattern-driven. False positives are handled by the audited
-//! allowlist (`lint_allow.toml`), never by weakening a rule.
+//! of being pattern-driven. No rule has an exemption: a finding is fixed
+//! at the site, never by weakening a rule. The determinism rules (wall
+//! clock, OS entropy, hash containers) are clippy's, with resolved paths
+//! and per-site `#[expect(.., reason)]` waivers (`clippy.toml`).
 //!
 //! | id     | invariant                                                    |
 //! |--------|--------------------------------------------------------------|
-//! | LKK001 | no wall clock / OS entropy outside audited modules           |
-//! | LKK002 | no `HashMap`/`HashSet` iteration (unordered bytes can leak   |
-//! |        | into canonical JSON, baselines, and trace export)            |
 //! | LKK003 | every `note_*`/`flow_*` hook emission sits behind a          |
 //! |        | `has_subscribers()` fast path                                |
 //! | LKK004 | no allocating calls inside `parallel_*` dispatch closures    |
@@ -28,10 +27,6 @@ use std::fmt;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Wall-clock / OS-entropy call outside the audited module set.
-    Lkk001,
-    /// Iteration over a std hash container (unordered).
-    Lkk002,
     /// Profile hook emission without a `has_subscribers()` gate.
     Lkk003,
     /// Allocation inside a parallel dispatch closure.
@@ -47,9 +42,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 8] = [
-        Rule::Lkk001,
-        Rule::Lkk002,
+    pub const ALL: [Rule; 6] = [
         Rule::Lkk003,
         Rule::Lkk004,
         Rule::Lkk005,
@@ -60,8 +53,6 @@ impl Rule {
 
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Lkk001 => "LKK001",
-            Rule::Lkk002 => "LKK002",
             Rule::Lkk003 => "LKK003",
             Rule::Lkk004 => "LKK004",
             Rule::Lkk005 => "LKK005",
@@ -71,14 +62,8 @@ impl Rule {
         }
     }
 
-    pub fn from_id(id: &str) -> Option<Rule> {
-        Rule::ALL.iter().copied().find(|r| r.id() == id)
-    }
-
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::Lkk001 => "wall clock or OS entropy outside the audited wall-clock modules",
-            Rule::Lkk002 => "iteration over a std hash container (nondeterministic order)",
             Rule::Lkk003 => "profile hook emission without a has_subscribers() fast path",
             Rule::Lkk004 => "allocation inside a parallel dispatch closure",
             Rule::Lkk005 => "raw indexed scatter inside a parallel dispatch closure",
@@ -90,16 +75,6 @@ impl Rule {
 
     pub fn hint(self) -> &'static str {
         match self {
-            Rule::Lkk001 => {
-                "deterministic-mode output must be byte-stable: route timing through \
-                 lkk_kokkos::profile regions or the trace layer's logical ticks, or add an \
-                 audited lint_allow.toml entry for a genuinely wall-clock-only path"
-            }
-            Rule::Lkk002 => {
-                "HashMap/HashSet iteration order varies per process: use BTreeMap/BTreeSet, \
-                 or collect-and-sort before anything that feeds canonical JSON, baselines, \
-                 or trace export"
-            }
             Rule::Lkk003 => {
                 "building the hook payload (format!, joins, table walks) must be skipped when \
                  nobody is listening: wrap the emission in `if profile::has_subscribers() { .. }` \
@@ -164,8 +139,6 @@ fn finding(file: &File, off: usize, rule: Rule, detail: String) -> Finding {
 /// Run every applicable rule over one file.
 pub fn check_file(file: &File) -> Vec<Finding> {
     let mut out = Vec::new();
-    lkk001_wall_clock(file, &mut out);
-    lkk002_hash_iteration(file, &mut out);
     lkk003_ungated_hooks(file, &mut out);
     let spans = dispatch_spans(file);
     lkk004_alloc_in_kernel(file, &spans, &mut out);
@@ -192,135 +165,6 @@ fn occurrences<'a>(file: &'a File, pat: &'a str) -> impl Iterator<Item = usize> 
         }
         None
     })
-}
-
-// ---------------------------------------------------------------------
-// LKK001 — wall clock / OS entropy
-// ---------------------------------------------------------------------
-
-const WALL_CLOCK_PATTERNS: &[&str] = &[
-    "Instant::now",
-    "SystemTime",
-    "UNIX_EPOCH",
-    "thread_rng",
-    "from_entropy",
-    "RandomState",
-    "getrandom",
-];
-
-fn lkk001_wall_clock(file: &File, out: &mut Vec<Finding>) {
-    for pat in WALL_CLOCK_PATTERNS {
-        for at in occurrences(file, pat) {
-            out.push(finding(
-                file,
-                at,
-                Rule::Lkk001,
-                format!("nondeterministic source `{pat}`"),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// LKK002 — hash container iteration
-// ---------------------------------------------------------------------
-
-/// Names bound (via `let`, a parameter, or a struct field declaration)
-/// to one of `types` anywhere in the file.
-fn bindings_to(file: &File, types: &[&str]) -> Vec<String> {
-    let mut names = Vec::new();
-    for container in types {
-        for at in occurrences(file, container) {
-            // Statement start: last `;`, `{`, `}` or `(` before the match.
-            let stmt = file.masked[..at]
-                .rfind([';', '{', '}', '('])
-                .map(|p| p + 1)
-                .unwrap_or(0);
-            let before = &file.masked[stmt..at];
-            if let Some(let_pos) = before.find("let ") {
-                // `let [mut] NAME [: T] = …HashMap…`
-                let after_let = before[let_pos + 4..].trim_start();
-                let after_let = after_let
-                    .strip_prefix("mut ")
-                    .unwrap_or(after_let)
-                    .trim_start();
-                let name: String = after_let
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if !name.is_empty() {
-                    names.push(name);
-                }
-            } else if let Some(colon) = before.rfind(':') {
-                // Field or local type ascription: `NAME: HashMap<…>`.
-                let head = before[..colon].trim_end();
-                let name: String = head
-                    .chars()
-                    .rev()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect::<String>()
-                    .chars()
-                    .rev()
-                    .collect();
-                if !name.is_empty() && !name.chars().next().unwrap().is_ascii_digit() {
-                    names.push(name);
-                }
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
-const ITER_METHODS: &[&str] = &[
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".into_iter()",
-    ".drain(",
-];
-
-fn lkk002_hash_iteration(file: &File, out: &mut Vec<Finding>) {
-    let names = bindings_to(file, &["HashMap", "HashSet"]);
-    for name in &names {
-        for at in occurrences(file, name) {
-            if file.in_test_code(at) {
-                continue;
-            }
-            let after = &file.masked[at + name.len()..];
-            let b = file.masked.as_bytes();
-            let end = at + name.len();
-            // `name.iter()` and friends.
-            if end < b.len() && b[end] == b'.' && ITER_METHODS.iter().any(|m| after.starts_with(m))
-            {
-                out.push(finding(
-                    file,
-                    at,
-                    Rule::Lkk002,
-                    format!("`{name}` is a std hash container and its entries are iterated"),
-                ));
-                continue;
-            }
-            // `for … in [&[mut ]]name` followed by a block or method-free use.
-            let mut before = file.masked[..at].trim_end();
-            before = before.strip_suffix("&mut").unwrap_or(before).trim_end();
-            before = before.strip_suffix('&').unwrap_or(before).trim_end();
-            if before.ends_with(" in") || before.ends_with("\tin") {
-                let next = after.trim_start().chars().next().unwrap_or(' ');
-                if next == '{' || next == '.' && after.trim_start().starts_with(".iter") {
-                    out.push(finding(
-                        file,
-                        at,
-                        Rule::Lkk002,
-                        format!("`for … in {name}` iterates a std hash container"),
-                    ));
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -584,10 +428,56 @@ fn lkk005_raw_scatter(file: &File, spans: &[(usize, usize)], out: &mut Vec<Findi
 // LKK006 — per-element ScatterView::add inside a dispatch
 // ---------------------------------------------------------------------
 
+/// Names bound (via `let`, a parameter, or a struct field declaration)
+/// to `ty` anywhere in the file.
+fn bindings_to(file: &File, ty: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for at in occurrences(file, ty) {
+        // Statement start: last `;`, `{`, `}` or `(` before the match.
+        let stmt = file.masked[..at]
+            .rfind([';', '{', '}', '('])
+            .map(|p| p + 1)
+            .unwrap_or(0);
+        let before = &file.masked[stmt..at];
+        if let Some(let_pos) = before.find("let ") {
+            // `let [mut] NAME [: T] = …ScatterView…`
+            let after_let = before[let_pos + 4..].trim_start();
+            let after_let = after_let
+                .strip_prefix("mut ")
+                .unwrap_or(after_let)
+                .trim_start();
+            let name: String = after_let
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if !name.is_empty() {
+                names.push(name);
+            }
+        } else if let Some(colon) = before.rfind(':') {
+            // Field or local type ascription: `NAME: ScatterView`.
+            let head = before[..colon].trim_end();
+            let name: String = head
+                .chars()
+                .rev()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect::<String>()
+                .chars()
+                .rev()
+                .collect();
+            if !name.is_empty() && !name.chars().next().unwrap().is_ascii_digit() {
+                names.push(name);
+            }
+        }
+    }
+    names.sort();
+    names.dedup();
+    names
+}
+
 fn lkk006_per_element_scatter(file: &File, spans: &[(usize, usize)], out: &mut Vec<Finding>) {
     // Handles come from `.access()`, never from a `ScatterView`-typed
     // binding, so `handle.add(..)` is not matched.
-    let views = bindings_to(file, &["ScatterView"]);
+    let views = bindings_to(file, "ScatterView");
     if views.is_empty() {
         return;
     }
@@ -692,18 +582,10 @@ mod tests {
     }
 
     #[test]
-    fn rule_ids_round_trip() {
-        for r in Rule::ALL {
-            assert_eq!(Rule::from_id(r.id()), Some(r));
-        }
-        assert_eq!(Rule::from_id("LKK999"), None);
-    }
-
-    #[test]
-    fn wall_clock_in_comment_or_string_is_ignored() {
+    fn patterns_in_comments_and_strings_are_ignored() {
         let f = check(
             "crates/x/src/a.rs",
-            "// Instant::now() is banned\nfn f() { let s = \"SystemTime\"; }\n",
+            "// is_x86_feature_detected! is banned\nfn f() { let s = \"target_feature\"; }\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }

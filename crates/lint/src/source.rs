@@ -12,7 +12,7 @@
 /// A source file prepared for rule matching.
 pub struct File {
     /// Workspace-relative path with forward slashes (the identity used
-    /// by findings and the allowlist).
+    /// by findings).
     pub path: String,
     /// Original text (used for excerpts).
     pub text: String,

@@ -1,7 +1,7 @@
 //! Fixture-based end-to-end tests: each rule fires on its seeded
 //! violation (with the right rule id and line) and stays silent on the
-//! clean fixture. A scratch-workspace test exercises the walker,
-//! allowlist, and exit-code contract the CI job relies on.
+//! clean fixture. A scratch-workspace test exercises the walker and the
+//! report the CI job relies on.
 
 use lkk_lint::rules::{check_file, Rule};
 use lkk_lint::source::File;
@@ -14,27 +14,6 @@ fn scan(fixture: &str, text: &str) -> Vec<(Rule, usize)> {
         .into_iter()
         .map(|f| (f.rule, f.line))
         .collect()
-}
-
-#[test]
-fn lkk001_fires_on_wall_clock_fixture() {
-    let found = scan(
-        "lkk001_wall_clock.rs",
-        include_str!("fixtures/lkk001_wall_clock.rs"),
-    );
-    assert!(found.iter().any(|&(r, l)| r == Rule::Lkk001 && l == 5));
-    assert!(found.iter().any(|&(r, l)| r == Rule::Lkk001 && l == 6));
-    assert!(found.iter().all(|&(r, _)| r == Rule::Lkk001));
-}
-
-#[test]
-fn lkk002_fires_on_hash_iteration_fixture() {
-    let found = scan(
-        "lkk002_hash_iter.rs",
-        include_str!("fixtures/lkk002_hash_iter.rs"),
-    );
-    assert!(found.iter().any(|&(r, l)| r == Rule::Lkk002 && l == 6));
-    assert!(found.iter().any(|&(r, l)| r == Rule::Lkk002 && l == 13));
 }
 
 #[test]
@@ -121,19 +100,6 @@ fn lkk010_fires_outside_the_isa_seam_and_on_fma_anywhere() {
             "`fma` named in a target-feature list".to_string()
         )]
     );
-    // An audited waiver reaches this rule like any other.
-    let allow = lkk_lint::allowlist::parse(
-        "[[allow]]\nrule = \"LKK010\"\npath = \"crates/scratch/src/lkk010_isa_seam.rs\"\n\
-         contains = \"is_x86_feature_detected\"\n\
-         justification = \"fixture: waives the detection line alone, by its text\"\n",
-    )
-    .unwrap();
-    let waived: Vec<usize> = check_file(&File::new("crates/scratch/src/lkk010_isa_seam.rs", text))
-        .iter()
-        .filter(|f| allow[0].matches(f))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(waived, vec![15]);
 }
 
 #[test]
@@ -150,20 +116,6 @@ fn lkk011_fires_outside_the_row_owner_and_outside_tests() {
     for exempt in ["crates/core/src/neighbor.rs", "tests/neighbor_recycle.rs"] {
         assert!(check_file(&File::new(exempt, text)).is_empty(), "{exempt}");
     }
-    // An audited waiver reaches this rule like any other.
-    let allow = lkk_lint::allowlist::parse(
-        "[[allow]]\nrule = \"LKK011\"\npath = \"crates/scratch/src/lkk011_row_format.rs\"\n\
-         contains = \"stride(0)\"\n\
-         justification = \"fixture: waives the stride read alone, by its text\"\n",
-    )
-    .unwrap();
-    let waived: Vec<usize> =
-        check_file(&File::new("crates/scratch/src/lkk011_row_format.rs", text))
-            .iter()
-            .filter(|f| allow[0].matches(f))
-            .map(|f| f.line)
-            .collect();
-    assert_eq!(waived, vec![6]);
 }
 
 #[test]
@@ -173,7 +125,7 @@ fn clean_fixture_produces_zero_findings() {
 }
 
 /// End-to-end: seed a violation into a scratch workspace on disk and
-/// drive the same scan the CI job runs (walker + allowlist + report).
+/// drive the same scan the CI job runs (walker + report).
 #[test]
 fn scratch_workspace_scan_finds_seeded_violation() {
     let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-scratch-ws");
@@ -182,33 +134,22 @@ fn scratch_workspace_scan_finds_seeded_violation() {
     std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
     std::fs::write(
         src.join("lib.rs"),
-        "use std::time::Instant;\npub fn t() -> Instant { Instant::now() }\n",
+        "pub fn k(space: &Space) {\n    space.parallel_for(\"k\", 8, |_| {\n        \
+         let _v = vec![0.0f64; 8];\n    });\n}\n",
     )
     .unwrap();
 
-    let report = lkk_lint::scan_workspace(&root, &[]).unwrap();
+    let report = lkk_lint::scan_workspace(&root).unwrap();
     assert!(!report.is_clean());
     assert_eq!(report.findings.len(), 1);
     let f = &report.findings[0];
-    assert_eq!(f.rule, Rule::Lkk001);
+    assert_eq!(f.rule, Rule::Lkk004);
     assert_eq!(f.path, "src/lib.rs");
-    assert_eq!(f.line, 2);
-
-    // The same violation disappears under a justified allowlist entry
-    // and the entry is reported as used (not stale).
-    let allow = lkk_lint::allowlist::parse(
-        "[[allow]]\nrule = \"LKK001\"\npath = \"src/lib.rs\"\n\
-         justification = \"scratch fixture exercising the allowlist path end to end\"\n",
-    )
-    .unwrap();
-    let report = lkk_lint::scan_workspace(&root, &allow).unwrap();
-    assert!(report.is_clean());
-    assert_eq!(report.allowed.len(), 1);
-    assert!(report.unused_allow.is_empty());
+    assert_eq!(f.line, 3);
 
     // Byte-stable output: two scans render identical reports.
-    let a = lkk_lint::format_report(&report, true);
-    let b = lkk_lint::format_report(&lkk_lint::scan_workspace(&root, &allow).unwrap(), true);
+    let a = lkk_lint::format_report(&report);
+    let b = lkk_lint::format_report(&lkk_lint::scan_workspace(&root).unwrap());
     assert_eq!(a, b);
 }
 
@@ -216,28 +157,16 @@ fn scratch_workspace_scan_finds_seeded_violation() {
 /// gate the `lint-invariants` CI job applies, run as a unit test so
 /// `cargo test` catches regressions even without the CI lane.
 #[test]
-fn committed_workspace_is_clean_under_committed_allowlist() {
+fn committed_workspace_is_clean() {
     let root = match lkk_lint::find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
     {
         Some(r) => r,
         None => return, // packaged out of tree: nothing to scan
     };
-    let allow_path = root.join("lint_allow.toml");
-    let allow = if allow_path.is_file() {
-        lkk_lint::allowlist::parse(&std::fs::read_to_string(&allow_path).unwrap())
-            .expect("committed lint_allow.toml must parse")
-    } else {
-        Vec::new()
-    };
-    let report = lkk_lint::scan_workspace(&root, &allow).unwrap();
+    let report = lkk_lint::scan_workspace(&root).unwrap();
     assert!(
         report.is_clean(),
-        "workspace has unwaived lint findings:\n{}",
-        lkk_lint::format_report(&report, false)
-    );
-    assert!(
-        report.unused_allow.is_empty(),
-        "stale allowlist entries: {:?}",
-        report.unused_allow
+        "workspace has lint findings:\n{}",
+        lkk_lint::format_report(&report)
     );
 }

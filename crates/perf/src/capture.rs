@@ -679,8 +679,10 @@ mod tests {
             "trace export only {} bytes",
             text.len()
         );
-        // Audited wall-clock site: lint_allow.toml LKK001 (test bound).
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-only bound on how long parsing a full trace export may take (the regression test for the once-quadratic string parser); no captured or rendered byte depends on it"
+        )]
         let start = std::time::Instant::now();
         let parsed = json::parse(&text).expect("trace export is not valid JSON");
         let elapsed = start.elapsed();

@@ -20,15 +20,11 @@
 //!   workload), the Perfetto timeline, and the attribution table.
 //! - [`diff`] — name the leaves on which two documents differ, as
 //!   section + key.
-//! - [`faults`] — `--faults` mode: run `ranks4` under seeded fault
-//!   injection and assert the trajectory is bitwise identical to the
-//!   fault-free run (the chaos CI gate; see `docs/robustness.md`).
 //!
 //! The JSON value, writer and parser are `lkk_trace::json`.
 
 pub mod capture;
 pub mod diff;
-pub mod faults;
 pub mod workloads;
 
 pub use diff::{compare, Drift};

@@ -7,8 +7,6 @@
 //! perf-smoke --check results/baseline.json
 //! perf-smoke --write-baseline           # refresh results/baseline.json
 //! perf-smoke --trace trace.json         # also write the Perfetto timeline
-//! perf-smoke --faults 1,2,3             # chaos sweep: faulted ranks4 must
-//!                                       # match the fault-free run bitwise
 //! ```
 //!
 //! Every run captures all six workloads (forced sequential, each under
@@ -21,28 +19,23 @@
 //! capture as a Chrome trace_event file (open at
 //! <https://ui.perfetto.dev>), one process group per workload.
 //!
-//! Exit codes: 0 = ok, 1 = drift vs baseline (or a chaos seed broke
-//! determinism), 2 = usage or I/O error.
+//! Exit codes: 0 = ok, 1 = drift vs baseline, 2 = usage or I/O error.
 
-use lkk_perf::{capture, compare, faults};
+use lkk_perf::{capture, compare};
 use lkk_trace::json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const DEFAULT_OUT: &str = "results/perf_smoke.json";
 const DEFAULT_BASELINE: &str = "results/baseline.json";
-const DEFAULT_FAULTS_OUT: &str = "results/fault_report.json";
 
 const USAGE: &str =
     "usage: perf-smoke [--out PATH] [--check BASELINE] [--write-baseline] [--trace PATH]
-       perf-smoke --faults SEED[,SEED...] [--out PATH]
 
-  --out PATH         where to write the run document (default results/perf_smoke.json;
-                     with --faults the fault report, default results/fault_report.json)
+  --out PATH         where to write the run document (default results/perf_smoke.json)
   --check BASELINE   fail (exit 1) unless the document equals BASELINE byte for byte
   --write-baseline   also write the document to results/baseline.json
-  --trace PATH       also write the capture as one Perfetto timeline
-  --faults SEEDS     chaos sweep over ranks4 instead of the capture";
+  --trace PATH       also write the capture as one Perfetto timeline";
 
 #[derive(Default)]
 struct Args {
@@ -50,7 +43,6 @@ struct Args {
     check: Option<PathBuf>,
     write_baseline: bool,
     trace: Option<PathBuf>,
-    faults: Option<Vec<u64>>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -66,18 +58,6 @@ fn parse_args() -> Result<Args, String> {
             "--check" => args.check = path()?,
             "--trace" => args.trace = path()?,
             "--write-baseline" => args.write_baseline = true,
-            "--faults" => {
-                let list = it.next().ok_or("--faults needs SEED[,SEED...]")?;
-                let seeds = list
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<u64>()
-                            .map_err(|e| format!("bad seed {s:?}: {e}"))
-                    })
-                    .collect::<Result<Vec<u64>, String>>()?;
-                args.faults = Some(seeds);
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
@@ -94,43 +74,6 @@ fn write_file(path: &Path, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
     eprintln!("perf-smoke: wrote {}", path.display());
     Ok(())
-}
-
-/// The chaos sweep. `Ok(false)` when a seed broke determinism.
-fn run_faults(seeds: &[u64], out: &Path) -> Result<bool, String> {
-    eprintln!(
-        "perf-smoke: chaos sweep — ranks4 under {} fault seed(s) vs the fault-free run...",
-        seeds.len()
-    );
-    let outcomes = faults::run_seeds(seeds);
-    write_file(out, &faults::render(&outcomes).to_pretty())?;
-    let mut failed = 0usize;
-    for o in &outcomes {
-        if o.violations.is_empty() {
-            eprintln!(
-                "perf-smoke:   seed {:>12}: OK — {} faults injected, {} recovery actions, bitwise identical",
-                o.seed, o.injected, o.recovered
-            );
-        } else {
-            failed += 1;
-            eprintln!("perf-smoke:   seed {:>12}: FAIL", o.seed);
-            for v in &o.violations {
-                eprintln!("perf-smoke:     {v}");
-            }
-        }
-    }
-    if failed > 0 {
-        eprintln!(
-            "perf-smoke: FAIL — {failed} of {} seed(s) broke determinism",
-            outcomes.len()
-        );
-    } else {
-        eprintln!(
-            "perf-smoke: OK — all {} seed(s) bitwise identical",
-            outcomes.len()
-        );
-    }
-    Ok(failed == 0)
 }
 
 /// The capture and its gate. `Ok(false)` on drift.
@@ -200,14 +143,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let outcome = match &args.faults {
-        Some(seeds) => {
-            let out = args.out.as_deref().unwrap_or(Path::new(DEFAULT_FAULTS_OUT));
-            run_faults(seeds, out)
-        }
-        None => run_capture(&args),
-    };
-    match outcome {
+    match run_capture(&args) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(1),
         Err(msg) => {

@@ -186,7 +186,7 @@ impl<'a> PairWalk<'a> {
 /// the equilibrated charges of *local* atoms. With `eflag` returns
 /// `(e_vdw, e_coulomb_pairs, virial)`; without, the tallies are skipped
 /// and the return is all zeros.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "each input has its own owner")]
 pub fn compute_nonbonded(
     atoms: &AtomData,
     list: &NeighborList,

@@ -64,7 +64,6 @@ fn dot(a: [f64; 3], b: [f64; 3]) -> f64 {
 /// Is the quad eligible? (All three bond orders in the `fb` support,
 /// `l` distinct from `i` and `k`, one direction per center bond.)
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn eligible(
     state: &BondState,
     params: &ReaxParams,

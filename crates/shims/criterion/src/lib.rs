@@ -30,7 +30,7 @@ impl Criterion {
 }
 
 pub struct BenchmarkGroup {
-    #[allow(dead_code)]
+    #[expect(dead_code, reason = "upstream's field; the shim never reads it")]
     name: String,
     sample_size: usize,
 }
@@ -100,9 +100,10 @@ pub enum BatchSize {
 }
 
 impl Bencher {
-    // Bench harness: measuring wall time is the whole point (LKK001
-    // exempts shims by path; this mirrors that for clippy).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench harness: measuring wall time is the whole point, and no bench output is gated"
+    )]
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         let start = Instant::now();
         for _ in 0..self.iters_per_sample {
@@ -115,7 +116,10 @@ impl Bencher {
     /// One sample is one `routine(setup())`, and only `routine` is
     /// timed: for a cost that exists only right after `setup` (an idle
     /// gap, a cold cache), which `iter`'s back-to-back loop would dilute.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench harness: measuring wall time is the whole point, and no bench output is gated"
+    )]
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,

@@ -124,9 +124,10 @@ static POOL: Pool = Pool {
 };
 
 /// Poll `ready` for at most [`SPIN_WINDOW`]; false if it never held.
-/// The clock only bounds the polling: its value reaches no counter and
-/// no document (PAUSE counts are not a usable bound under a hypervisor).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the clock only bounds the polling: its value reaches no counter and no document (PAUSE counts are not a usable bound under a hypervisor)"
+)]
 fn spin_until(ready: impl Fn() -> bool) -> bool {
     if ready() {
         return true;

@@ -248,7 +248,7 @@ impl SnapContext {
     /// `sfac·u` in the sign of zero, and `utot` (seeded from `+0.0` and
     /// `wself`) can never be `-0.0`, which makes `utot + (±0.0)`
     /// sign-insensitive.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one slice per output plane")]
     pub fn compute_ui_into(
         &self,
         neigh: &[[f64; 3]],

@@ -161,9 +161,11 @@ mod tests {
             assert!(j + j2 >= j1 && j1 + j2 >= j, "triangle violated");
             assert_eq!((j1 + j2 + j) % 2, 0, "parity violated");
         }
-        // No duplicates. Insert-only set (never iterated): order
-        // cannot leak into the assertion.
-        #[allow(clippy::disallowed_types)]
+        // No duplicates.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "insert-only set, never iterated: hash order cannot leak into the assertion"
+        )]
         let mut seen = std::collections::HashSet::new();
         for t in &idx.triples {
             assert!(seen.insert(*t));

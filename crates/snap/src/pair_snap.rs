@@ -167,7 +167,7 @@ impl<T> Plane<T> {
     /// # Safety
     /// No other thread may access `lo..lo + len` while the returned
     /// slice lives, and the plane's `Vec` must outlive it.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(clippy::mut_from_ref, reason = "disjoint ranges, one per work item")]
     unsafe fn range(&self, lo: usize, len: usize) -> &mut [T] {
         assert!(lo + len <= self.len, "arena range out of bounds");
         std::slice::from_raw_parts_mut(self.ptr.add(lo), len)

@@ -138,8 +138,10 @@ pub struct TraceCollector {
 }
 
 impl TraceCollector {
-    // Audited wall-clock site: lint_allow.toml LKK001 (Wall mode only).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock epoch anchor used only in Wall timestamp mode; Logical mode (the baseline-gated mode) never reads it"
+    )]
     pub fn new(mode: TraceMode, arch: GpuArch) -> Self {
         Self {
             id: NEXT_COLLECTOR_ID.fetch_add(1, Ordering::Relaxed),

@@ -75,8 +75,9 @@ cargo test --release -q --test reaxff_physics
 
 # --- lint-invariants job ------------------------------------------------
 
-# Workspace invariant linter (LKK001..LKK006, LKK010, LKK011; docs/static-analysis.md):
-# exit 1 on violations, exit 2 on a malformed lint_allow.toml. Gating.
+# Workspace invariant linter (LKK003..LKK006, LKK010, LKK011; docs/static-analysis.md):
+# exit 1 on violations, exit 2 on a usage or I/O error. Gating. The
+# determinism rules are clippy's (clippy.toml, lint job below).
 echo "==> lkk-lint (workspace invariants)"
 cargo run --release -p lkk-lint
 
@@ -85,8 +86,11 @@ cargo run --release -p lkk-lint
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# clippy.toml bans the wall clock, OS entropy and hash containers; a site
+# where that does not apply carries #[expect(clippy::…, reason = "…")],
+# and the -W flag fails any lint waiver without a reason.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings -W clippy::allow_attributes_without_reason"
+cargo clippy --workspace --all-targets -- -D warnings -W clippy::allow_attributes_without_reason
 
 # --- perf job ----------------------------------------------------------
 
@@ -117,16 +121,11 @@ bash benchmark/run.sh --selftest | tail -n 1
 
 # --- chaos job ---------------------------------------------------------
 
-# 16 fixed seeds of recoverable chaos over the ranks4 workload: every
-# faulted trajectory must match the fault-free run bitwise and the
-# message pool must stay steady (see docs/robustness.md). The per-seed
-# fault-counter report lands in results/fault_report.json.
-echo "==> perf-smoke --faults (16-seed chaos sweep, bitwise gate)"
-cargo run --release -p lkk-perf --bin perf-smoke -- \
-  --faults 1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16 \
-  --out results/fault_report.json
-
-echo "==> fault-injection suite (release, full matrix)"
+# 16 fixed seeds of recoverable chaos at P in {2, 4, 8} (the #[ignore]d
+# matrix): every faulted trajectory must match the fault-free run bitwise
+# and the message pool must stay steady (see docs/robustness.md); plus the
+# watchdogged unrecoverable-fault collapse test.
+echo "==> fault-injection suite (release, full 16-seed matrix)"
 cargo test --release -q --test fault_injection -- --include-ignored
 
 # Load balancing must be physics-invisible: balanced vs static runs

@@ -15,8 +15,10 @@
 //! tail along x) so the static decomposition is badly imbalanced and
 //! the balancer has real work to do.
 
+mod common;
+
+use common::diff_runs;
 use lkk_core::prelude::*;
-use lkk_perf::faults::diff_runs;
 use lkk_snap::{PairSnap, SnapKernelConfig, SnapParams};
 
 /// Energy tolerance for reductions whose grouping differs across

@@ -1,9 +1,9 @@
-//! The every-style table: one small periodic system per pair style
-//! (and per `PairKokkos` kernel), shared by the integration suites that
-//! hold all styles to one property.
+//! Shared by the integration suites: the every-style table (one small
+//! periodic system per pair style, and per `PairKokkos` kernel) that
+//! holds all styles to one property, and [`diff_runs`], the bitwise
+//! comparison of two rank-parallel runs behind the chaos gate.
 
-// Each suite uses part of the table.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each suite uses part of the table")]
 
 use lammps_kk::core::comm::build_ghosts;
 use lammps_kk::core::pair::mliap::{Mlp, PairMliap, RadialSymmetry};
@@ -144,4 +144,52 @@ pub fn every_style() -> Vec<Case> {
             make_pair: Box::new(|_| Box::new(PairReaxff::new(ReaxParams::hns_like()))),
         },
     ]
+}
+
+fn bits3(v: &[f64; 3]) -> [u64; 3] {
+    [v[0].to_bits(), v[1].to_bits(), v[2].to_bits()]
+}
+
+/// Bitwise comparison of a faulted run against the fault-free
+/// reference. Returns human-readable violation descriptions.
+pub fn diff_runs(reference: &MultiRankRun, faulted: &MultiRankRun) -> Vec<String> {
+    let mut violations = Vec::new();
+    if reference.states.len() != faulted.states.len() {
+        violations.push(format!(
+            "atom count diverged: {} vs {}",
+            reference.states.len(),
+            faulted.states.len()
+        ));
+        return violations;
+    }
+    for (a, b) in reference.states.iter().zip(&faulted.states) {
+        if a.tag != b.tag {
+            violations.push(format!("tag order diverged: {} vs {}", a.tag, b.tag));
+            continue;
+        }
+        for (field, ra, rb) in [("x", a.x, b.x), ("v", a.v, b.v), ("f", a.f, b.f)] {
+            if bits3(&ra) != bits3(&rb) {
+                violations.push(format!("atom {} {field} diverged: {ra:?} vs {rb:?}", a.tag));
+            }
+        }
+    }
+    if reference.e_pair.to_bits() != faulted.e_pair.to_bits() {
+        violations.push(format!(
+            "e_pair diverged: {} vs {}",
+            reference.e_pair, faulted.e_pair
+        ));
+    }
+    if reference.e_kinetic.to_bits() != faulted.e_kinetic.to_bits() {
+        violations.push(format!(
+            "e_kinetic diverged: {} vs {}",
+            reference.e_kinetic, faulted.e_kinetic
+        ));
+    }
+    if faulted.comm_grow_after_warmup != 0 {
+        violations.push(format!(
+            "message pool grew {} times after warmup under faults",
+            faulted.comm_grow_after_warmup
+        ));
+    }
+    violations
 }

@@ -14,8 +14,10 @@
 //! chaos job additionally runs the `#[ignore]`d 16-seed sweep in
 //! release (`cargo test --release --test fault_injection -- --include-ignored`).
 
+mod common;
+
+use common::diff_runs;
 use lkk_core::prelude::*;
-use lkk_perf::faults::diff_runs;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -211,8 +213,10 @@ fn fault_stats_expose_every_counter() {
 }
 
 #[test]
-// Audited wall-clock site: lint_allow.toml LKK001 (CI watchdog).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test watchdog bounds real elapsed time so a deadlocked recovery path fails the test instead of hanging CI"
+)]
 fn unrecoverable_dead_edge_fails_within_budget_on_all_ranks() {
     // Edge 0→1 goes permanently dead from the first envelope: the
     // receiver's NACKs are answered by nothing (dead-edge drops park no
@@ -298,8 +302,8 @@ fn unrecoverable_dead_edge_fails_within_budget_on_all_ranks() {
 #[test]
 fn fault_counters_reach_the_metrics_registry() {
     // The `comm.fault.*` instants noted by the brick layer sum into
-    // per-rank counters in the `lkk-trace` metrics registry — the
-    // artifact the CI chaos job uploads.
+    // per-rank counters in the `lkk-trace` metrics registry, where a
+    // metrics dump or trace export of a faulted run carries them.
     use lkk_kokkos::profile;
     use std::sync::Arc;
 
