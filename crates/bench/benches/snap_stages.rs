@@ -2,7 +2,10 @@
 //! (Criterion) at 2J = 8: ComputeUi, ComputeYi, and the mapped
 //! ComputeDeidrj, through the same entry points `pair_style snap`
 //! calls. `stage_ui`, `stage_deidrj` and `stage_deidrj_u` are per atom
-//! (26 neighbors); `stage_yi` is per block of `YI_BLOCK` atoms.
+//! (26 neighbors); `stage_yi` is per block of `YI_BLOCK` (8) atoms, from
+//! the block kernel's instantiation this CPU runs (AVX2 where detected),
+//! and `stage_yi_baseline_isa` is the same block from the baseline copy
+//! (`isa::set_force_baseline`).
 //! `stage_deidrj_u` is the forward half of Deidrj alone (map derivatives
 //! and the `u` recursion), so `stage_deidrj − stage_deidrj_u` is the
 //! reverse sweep plus the contraction.
@@ -12,6 +15,7 @@
 //! in isolation on one representative atom environment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lkk_kokkos::isa;
 use lkk_snap::wigner::compute_u;
 use lkk_snap::{SnapContext, YI_BLOCK};
 use std::hint::black_box;
@@ -64,20 +68,25 @@ fn bench_stages(c: &mut Criterion) {
     });
 
     // Stage 2 — ComputeYi: one table pass builds the adjoint of a whole
-    // block (energy contraction off, as on all but thermo steps).
-    group.bench_function("stage_yi", |b| {
-        b.iter(|| {
-            ctx.compute_yi_block(
-                black_box(&utot_r),
-                &utot_i,
-                &mut y_r,
-                &mut y_i,
-                false,
-                &mut work,
-            );
-            black_box(y_r[5])
-        })
-    });
+    // block (energy contraction off, as on all but thermo steps), from
+    // the instantiation this CPU runs and from the baseline one.
+    for (name, baseline) in [("stage_yi", false), ("stage_yi_baseline_isa", true)] {
+        isa::set_force_baseline(baseline);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                ctx.compute_yi_block(
+                    black_box(&utot_r),
+                    &utot_i,
+                    &mut y_r,
+                    &mut y_i,
+                    false,
+                    &mut work,
+                );
+                black_box(y_r[5])
+            })
+        });
+    }
+    isa::set_force_baseline(false);
 
     // Stage 3 — ComputeDeidrj: per neighbor, `u` forwards from its
     // stage-1 map, one reverse sweep seeded with Y, the contraction.

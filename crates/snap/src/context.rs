@@ -11,7 +11,8 @@
 //! * [`SnapContext::compute_yi`] / [`SnapContext::compute_yi_block`] —
 //!   **ComputeYi**: the adjoint matrices `Y_j = Σ βj·Z^j_{j1,j2}`
 //!   (eq. 5) in one pass over the `y` table, [`YI_BLOCK`] atoms per
-//!   table entry.
+//!   table entry, from a baseline or an AVX2 copy of one kernel source
+//!   (`lkk_kokkos::isa`) that store the same bits.
 //! * [`SnapContext::compute_deidrj`] — **ComputeDuidrj** +
 //!   **ComputeDeidrj** by one reverse sweep: the neighbor's `u` forwards,
 //!   `∂(Y·u)/∂(a, b)` backwards through the same recursion
@@ -28,6 +29,7 @@ use crate::hyper::{HyperParams, MapCore};
 use crate::indices::SnapIndices;
 use crate::tables::ContractionTables;
 use crate::wigner::{compute_u, compute_u_adjoint, RootPq};
+use lkk_kokkos::isa;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone id distinguishing `SnapContext` instances (and therefore
@@ -50,7 +52,7 @@ pub struct SnapKernelConfig {
     /// Atoms handled per ComputeYi work item (§4.3.4: amortizes the
     /// warp-uniform coupling-table loads; the arithmetic is identical).
     /// **Device model only**; the host kernel's block width is the
-    /// constant [`YI_BLOCK`].
+    /// constant [`YI_BLOCK`] (8, both instruction-set copies).
     pub yi_batch: usize,
     /// Fuse the three force directions in ComputeDeidrj. **Device model
     /// only**: it picks the logged kernel's name and flop count. The
@@ -81,11 +83,19 @@ impl Default for SnapKernelConfig {
 
 /// Atoms one ComputeYi work item of the host pair style carries through
 /// each contraction-table entry (§4.3.4's Yi batching on the host clock:
-/// the table streams from L2 once per block, and the lanes are
-/// independent accumulation chains). Chosen from the ablation in
-/// `docs/performance.md`; [`SnapKernelConfig::yi_batch`] is the modelled
-/// device's axis and does not touch it.
-pub const YI_BLOCK: usize = 4;
+/// the table streams from L2 once per block, every entry's index and
+/// weight load feeds all lanes, and the lanes are independent
+/// accumulation chains). Eight lanes are two `ymm` registers per
+/// accumulator in the AVX2 instantiation of the block kernel, the one
+/// that runs where the CPU has it. The baseline (SSE2) copy spills at
+/// this width, so a host without AVX2 — every non-x86_64 build included —
+/// spends about 25 % more in ComputeYi than at a width of four (31.3 →
+/// 38.9 µs per atom). One width serves both copies: the energy total is
+/// summed block by block, and its bits may not depend on the instruction
+/// set. Chosen from the ablation in `docs/performance.md`;
+/// [`SnapKernelConfig::yi_batch`] is the modelled device's axis and does
+/// not touch it.
+pub const YI_BLOCK: usize = 8;
 
 /// Kernel temporaries, reusable across atoms (§4.3: the serial
 /// implementation reused these; parallel execution gives each worker
@@ -308,6 +318,7 @@ impl SnapContext {
 
     /// Load the `U` of `m ≤ YI_BLOCK` atoms (atom `l` at
     /// `utot[l·u_len..]`) into `[re | im | −im]` planes, idle lanes zeroed.
+    #[inline(always)]
     fn load_planes(
         &self,
         m: usize,
@@ -378,6 +389,10 @@ impl SnapContext {
     /// in, so Deidrj is a plain dot product over the stored half), and
     /// with `eflag` a pass over the `z` table contracts `E_i = Σ β·B`.
     /// Returns the `E_i` (zeros without `eflag`).
+    ///
+    /// Runs from the copy of the block kernel this CPU supports
+    /// (`isa::active()`, `lkk_kokkos::isa`): the lanes are independent and
+    /// `fma` is never enabled, so every instantiation stores the same bits.
     pub fn compute_yi_block(
         &self,
         utot_r: &[f64],
@@ -387,28 +402,7 @@ impl SnapContext {
         eflag: bool,
         s: &mut SnapWork,
     ) -> [f64; YI_BLOCK] {
-        let n = self.idx.u_len;
-        let m = utot_r.len() / n;
-        assert_eq!(
-            [utot_r.len(), utot_i.len(), y_r.len(), y_i.len()],
-            [m * n; 4]
-        );
-        self.load_planes(m, utot_r, utot_i, &mut s.planes);
-        self.tables.y.walk(&s.planes, |r, zr, zi| {
-            for l in 0..m {
-                y_r[l * n + r] = zr[l];
-                y_i[l * n + r] = zi[l];
-            }
-        });
-        let mut e = [0.0; YI_BLOCK];
-        if eflag {
-            self.walk_bi(&s.planes, |t, b| {
-                for l in 0..YI_BLOCK {
-                    e[l] += b[l] * self.beta[t];
-                }
-            });
-        }
-        e
+        isa::active().call(yi_block, (self, [utot_r, utot_i], [y_r, y_i], eflag, s))
     }
 
     /// ComputeYi: the adjoint `Y` of the scratch's `utot`, into the
@@ -551,10 +545,51 @@ impl SnapContext {
     }
 }
 
+/// `(context, [U re, U im], [Y re, Y im], eflag, scratch)`: what one Yi
+/// block reads and writes, as the one argument `Isa::call` passes.
+type YiBlockArgs<'a> = (
+    &'a SnapContext,
+    [&'a [f64]; 2],
+    [&'a mut [f64]; 2],
+    bool,
+    &'a mut SnapWork,
+);
+
+/// The body of [`SnapContext::compute_yi_block`], written once and
+/// instantiated per instruction set through `Isa::call`: the planes'
+/// transpose, the `y`-table walk and, under `eflag`, the energy walk.
+/// The table walk is the loop that pays for wider lanes.
+#[inline(always)]
+fn yi_block((ctx, [utot_r, utot_i], [y_r, y_i], eflag, s): YiBlockArgs<'_>) -> [f64; YI_BLOCK] {
+    let n = ctx.idx.u_len;
+    let m = utot_r.len() / n;
+    assert_eq!(
+        [utot_r.len(), utot_i.len(), y_r.len(), y_i.len()],
+        [m * n; 4]
+    );
+    ctx.load_planes(m, utot_r, utot_i, &mut s.planes);
+    ctx.tables.y.walk(&s.planes, |r, zr, zi| {
+        for l in 0..m {
+            y_r[l * n + r] = zr[l];
+            y_i[l * n + r] = zi[l];
+        }
+    });
+    let mut e = [0.0; YI_BLOCK];
+    if eflag {
+        ctx.walk_bi(&s.planes, |t, b| {
+            for l in 0..YI_BLOCK {
+                e[l] += b[l] * ctx.beta[t];
+            }
+        });
+    }
+    e
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::Reference;
+    use lkk_kokkos::isa::Isa;
 
     fn ctx(twojmax: usize) -> SnapContext {
         SnapContext::new(
@@ -760,8 +795,11 @@ mod tests {
                 &mut s.work,
             );
         }
-        assert_eq!(utot_r[..n_u], s.utot_r[..]);
-        assert_eq!(utot_i[3 * n_u..], s.utot_i[..]);
+        for l in 0..YI_BLOCK {
+            let lane = l * n_u..(l + 1) * n_u;
+            assert_eq!(utot_r[lane.clone()], s.utot_r[..], "U re, lane {l}");
+            assert_eq!(utot_i[lane], s.utot_i[..], "U im, lane {l}");
+        }
         let (mut y_r, mut y_i) = (vec![0.0; YI_BLOCK * n_u], vec![0.0; YI_BLOCK * n_u]);
         for m in 1..=YI_BLOCK {
             let at = ..m * n_u;
@@ -837,6 +875,71 @@ mod tests {
             }
             let c = SnapContext::new(twojmax, HyperParams::default(), beta);
             check_against_reference(&c, &neigh, &vec![1.0; neigh.len()], 1);
+        }
+    }
+
+    /// The instantiations of the Yi block kernel this host can run: the
+    /// baseline, and what `isa::active()` picks when that is something else.
+    fn instantiations() -> Vec<Isa> {
+        let mut all = vec![Isa::baseline()];
+        if isa::active() != Isa::baseline() {
+            all.push(isa::active());
+        }
+        all
+    }
+
+    /// The oracle of the Yi kernel's place behind the ISA seam: eight
+    /// different atoms, every partial block `m = 1..=YI_BLOCK`, `eflag` on
+    /// and off, and every instantiation stores the baseline copy's `Y` and
+    /// per-lane energies to the bit.
+    #[test]
+    fn yi_block_instantiations_agree_bitwise() {
+        let names: Vec<&str> = instantiations().iter().map(|isa| isa.name()).collect();
+        // Shown by `scripts/ci.sh` (`--nocapture`).
+        eprintln!(
+            "SNAP Yi block instantiations under test: {}",
+            names.join(", ")
+        );
+        assert_eq!(names.last(), Some(&isa::active().name()));
+        let c = ctx(8);
+        let n_u = c.idx.u_len;
+        let mut work = c.alloc_work();
+        let (mut utot_r, mut utot_i) = (vec![0.0; YI_BLOCK * n_u], vec![0.0; YI_BLOCK * n_u]);
+        for l in 0..YI_BLOCK {
+            let lane = l * n_u..(l + 1) * n_u;
+            let (u_r, u_i) = (&mut utot_r[lane.clone()], &mut utot_i[lane]);
+            c.compute_ui_into(
+                &cloud(100 + l as u64, 12),
+                None,
+                1,
+                None,
+                u_r,
+                u_i,
+                &mut work,
+            );
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in 1..=YI_BLOCK {
+            let at = ..m * n_u;
+            for eflag in [true, false] {
+                let mut run = |isa: Isa| {
+                    let (mut y_r, mut y_i) = (vec![0.0; m * n_u], vec![0.0; m * n_u]);
+                    let (u, y) = ([&utot_r[at], &utot_i[at]], [&mut y_r[..], &mut y_i[..]]);
+                    let e = isa.call(yi_block, (&c, u, y, eflag, &mut work));
+                    (bits(&y_r), bits(&y_i), e.map(f64::to_bits))
+                };
+                let want = run(Isa::baseline());
+                assert_eq!(want.2[0] != 0, eflag, "m = {m}");
+                for isa in instantiations() {
+                    let got = run(isa);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} against baseline, m = {m}, eflag = {eflag}",
+                        isa.name()
+                    );
+                }
+            }
         }
     }
 

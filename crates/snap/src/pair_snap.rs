@@ -12,8 +12,11 @@
 //!    per-atom `U`, keeping each neighbor's hypersphere map in the
 //!    atom's arena slots;
 //! 2. **ComputeYi** — one pass over the `y` table builds the adjoint
-//!    `Y` of a block of [`YI_BLOCK`] atoms; the energy contraction
-//!    over the `z` table runs only when `eflag` asks for it;
+//!    `Y` of a block of [`YI_BLOCK`] atoms, eight lanes per product,
+//!    from the block kernel's AVX2 copy where the CPU has AVX2 and its
+//!    baseline copy elsewhere (`lkk_kokkos::isa`; both store the same
+//!    bits); the energy contraction over the `z` table runs only when
+//!    `eflag` asks for it;
 //! 3. **ComputeDeidrj** — the force contraction: per neighbor, `u`
 //!    re-derived from the stage-1 map (storing it instead measured no
 //!    faster and seven times the memory, see `docs/performance.md`),

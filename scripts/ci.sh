@@ -55,7 +55,7 @@ cargo test --release -q --test snap_physics
 cargo test --release -q -p lkk-snap --lib inversion_symmetry
 cargo test --release -q -p lkk-snap --lib adjoint
 
-# The gate on lkk_kokkos::isa's first kernel: every `fill_matches_reference_*`
+# The gate on lkk_kokkos::isa's neighbor fill: every `fill_matches_reference_*`
 # oracle and the pruning property run the neighbor fill once per
 # instantiation this host has (the baseline, and AVX2 where the CPU reports
 # it; the first test prints which), in all three spaces, and require rows,
@@ -63,6 +63,13 @@ cargo test --release -q -p lkk-snap --lib adjoint
 # instantiation from outside, so the loop over them lives in the tests.
 echo "==> neighbor oracles, once per ISA instantiation (release)"
 cargo test --release -q -p lkk-core --lib neighbor -- --nocapture 2>&1 |
+  grep -E "instantiations under test|test result|FAILED|panicked"
+
+# The seam's second kernel, SNAP's ComputeYi block: every partial block,
+# eflag on and off, each instantiation's `Y` and per-lane energies equal
+# the baseline copy's to the bit (the test prints which it ran).
+echo "==> SNAP Yi block oracle, once per ISA instantiation (release)"
+cargo test --release -q -p lkk-snap --lib yi_block_instantiations -- --nocapture 2>&1 |
   grep -E "instantiations under test|test result|FAILED|panicked"
 
 # ReaxFF's physics gate on the warm-started path (F = -dE/dx with the
