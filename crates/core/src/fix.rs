@@ -36,17 +36,16 @@ impl Fix for FixNve {
         let atoms = &mut system.atoms;
         let typ = atoms.typ.view_for(&space);
         let f = atoms.f.view_for(&space);
-        let xw = atoms.x.view_for_mut(&space).par_write();
-        // v and x are updated per-atom: rows are disjoint.
-        let vw = atoms.v.view_for_mut(&space).par_write();
-        space.parallel_for("NVEInitialIntegrate", nlocal, |i| {
+        // v and x are updated per-atom: each item owns its two rows.
+        let rows = (
+            atoms.x.view_for_mut(&space).rows_mut(),
+            atoms.v.view_for_mut(&space).rows_mut(),
+        );
+        space.parallel_for_parts("NVEInitialIntegrate", nlocal, rows, |i, (mut x, mut v)| {
             let dtfm = 0.5 * dt / (mass[typ.at([i]) as usize] * mvv2e);
             for k in 0..3 {
-                let v = vw.get([i, k]) + dtfm * f.at([i, k]);
-                unsafe {
-                    vw.write([i, k], v);
-                    xw.write([i, k], xw.get([i, k]) + dt * v);
-                }
+                v[k] += dtfm * f.at([i, k]);
+                x[k] += dt * v[k];
             }
         });
         system.atoms.modified(&space, Mask::X | Mask::V);
@@ -61,11 +60,11 @@ impl Fix for FixNve {
         let atoms = &mut system.atoms;
         let typ = atoms.typ.view_for(&space);
         let f = atoms.f.view_for(&space);
-        let vw = atoms.v.view_for_mut(&space).par_write();
-        space.parallel_for("NVEFinalIntegrate", nlocal, |i| {
+        let rows = atoms.v.view_for_mut(&space).rows_mut();
+        space.parallel_for_parts("NVEFinalIntegrate", nlocal, rows, |i, mut v| {
             let dtfm = 0.5 * dt / (mass[typ.at([i]) as usize] * mvv2e);
             for k in 0..3 {
-                unsafe { vw.write([i, k], vw.get([i, k]) + dtfm * f.at([i, k])) };
+                v[k] += dtfm * f.at([i, k]);
             }
         });
         system.atoms.modified(&space, Mask::V);
@@ -129,16 +128,14 @@ impl Fix for FixLangevin {
         let atoms = &mut system.atoms;
         let typ = atoms.typ.view_for(&space);
         let v = atoms.v.view_for(&space);
-        let fw = atoms.f.view_for_mut(&space).par_write();
-        space.parallel_for("LangevinPostForce", nlocal, |i| {
+        let rows = atoms.f.view_for_mut(&space).rows_mut();
+        space.parallel_for_parts("LangevinPostForce", nlocal, rows, |i, mut f| {
             let m = mass[typ.at([i]) as usize];
             let gamma1 = -m * units.mvv2e / damp;
             let gamma2 = (2.0 * units.boltz * t_target * m * units.mvv2e / (damp * dt)).sqrt();
             for k in 0..3 {
                 let noise = gaussian_hash(seed, step, i as u64, k as u64);
-                unsafe {
-                    fw.add([i, k], gamma1 * v.at([i, k]) + gamma2 * noise);
-                }
+                f[k] += gamma1 * v.at([i, k]) + gamma2 * noise;
             }
         });
         system.atoms.modified(&space, Mask::F);

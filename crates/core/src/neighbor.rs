@@ -19,7 +19,7 @@
 use crate::atom::AtomData;
 use crate::domain::Domain;
 use lkk_kokkos::isa::{self, Isa};
-use lkk_kokkos::{ParWrite, Space, Triples, View, View1, View2};
+use lkk_kokkos::{parts, RowMut, Space, Triples, View, View1, View2};
 use std::sync::OnceLock;
 
 /// Neighbor list construction settings.
@@ -67,8 +67,9 @@ pub const CHUNK: usize = 128;
 /// The rows of a [`NeighborList`], by value: counts, backing storage and
 /// strides, the one place outside the fill that knows how `neighbors` is
 /// laid out. `Copy`, and its methods take it by value, for the reason
-/// [`Triples`] is: a kernel that stores through raw pointers makes the
-/// compiler reload whatever it reaches through a reference.
+/// [`Triples`] is: a kernel that stores into its row part or a scatter
+/// handle makes the compiler reload whatever it reaches through a
+/// reference and cannot prove disjoint from the store.
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'a> {
     counts: &'a [u32],
@@ -637,14 +638,17 @@ impl NeighborList {
             half,
             nlocal,
             maxneigh,
-            rows: neighbors.par_write(),
-            counts: numneigh.par_write(),
         };
-        space.parallel_reduce(
+        let rows = (
+            neighbors.rows_mut(),
+            parts::elements(numneigh.as_mut_slice()),
+        );
+        space.parallel_reduce_parts(
             "NeighborBuild",
             nlocal,
+            rows,
             (0usize, 0u64),
-            |i| isa.call(fill_atom, (&fill, i)),
+            |i, (row, count)| isa.call(fill_atom, (&fill, i, row, count)),
             |a, b| (a.0.max(b.0), a.1 + b.1),
         )
     }
@@ -700,7 +704,7 @@ impl NeighborList {
     }
 }
 
-/// What one work item of [`NeighborList::fill`] reads and writes.
+/// What every work item of [`NeighborList::fill`] reads.
 struct Fill<'a> {
     x: Triples<'a, f64>,
     bins: &'a Bins,
@@ -709,11 +713,10 @@ struct Fill<'a> {
     half: bool,
     nlocal: usize,
     maxneigh: usize,
-    rows: ParWrite<'a, u32, 2>,
-    counts: ParWrite<'a, u32, 1>,
 }
 
-/// Row `i` of the list: `(neighbors found, neighbors stored)`.
+/// Row `i` of the list into its parts, `row` and `stored`:
+/// `(neighbors found, neighbors stored)`.
 ///
 /// Candidates are visited in stencil order (x, then y, ascending) × CSR
 /// order within each z-run, skipping only bins that [`Bins::prune_sq`]
@@ -722,11 +725,13 @@ struct Fill<'a> {
 /// instantiated per instruction set through [`Isa::call`]: the distance
 /// filter is the loop that pays for wider lanes.
 #[inline(always)]
-fn fill_atom((f, i): (&Fill<'_>, usize)) -> (usize, u64) {
+fn fill_atom((f, i, mut row, stored): (&Fill<'_>, usize, RowMut<u32>, &mut u32)) -> (usize, u64) {
     /// Candidates per pass of the filter: one bit of the hit mask each.
     const LANES: usize = u64::BITS as usize;
-    let bins = f.bins;
-    let xi = f.x.get(i);
+    // Locals, so the row stores cannot make the compiler reload them.
+    let (x, bins, cutsq, prune_sq) = (f.x, f.bins, f.cutsq, f.prune_sq);
+    let (half, nlocal, maxneigh) = (f.half, f.nlocal, f.maxneigh);
+    let xi = x.get(i);
     let bc = bins.bin_coords(xi);
     // Squared distance from `xi` to the bins one step below, level with
     // and one step above its own along `axis` (the entry toward a bin that
@@ -742,11 +747,11 @@ fn fill_atom((f, i): (&Fill<'_>, usize)) -> (usize, u64) {
     for bx in bc[0].saturating_sub(1)..=(bc[0] + 1).min(nx - 1) {
         for by in bc[1].saturating_sub(1)..=(bc[1] + 1).min(ny - 1) {
             let dxy = gx[bx + 1 - bc[0]] + gy[by + 1 - bc[1]];
-            if dxy > f.prune_sq {
+            if dxy > prune_sq {
                 continue;
             }
-            let zlo = bc[2] - usize::from(bc[2] > 0 && dxy + gz[0] <= f.prune_sq);
-            let zhi = bc[2] + usize::from(bc[2] + 1 < nz && dxy + gz[2] <= f.prune_sq);
+            let zlo = bc[2] - usize::from(bc[2] > 0 && dxy + gz[0] <= prune_sq);
+            let zhi = bc[2] + usize::from(bc[2] + 1 < nz && dxy + gz[2] <= prune_sq);
             let run = bins.z_run(bx, by, zlo, zhi);
             for base in run.clone().step_by(LANES) {
                 let chunk = base..(base + LANES).min(run.end);
@@ -757,7 +762,7 @@ fn fill_atom((f, i): (&Fill<'_>, usize)) -> (usize, u64) {
                 for k in 0..idx.len() {
                     let d = [px[k] - xi[0], py[k] - xi[1], pz[k] - xi[2]];
                     let rsq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    hits |= u64::from(rsq < f.cutsq) << k;
+                    hits |= u64::from(rsq < cutsq) << k;
                 }
                 // Phase 2: self and half-list ownership, on the minority
                 // of candidates that passed, in ascending order.
@@ -769,10 +774,10 @@ fn fill_atom((f, i): (&Fill<'_>, usize)) -> (usize, u64) {
                     if j == i {
                         continue;
                     }
-                    if f.half {
+                    if half {
                         // Half-list ownership rule: local pairs stored on
                         // the lower index; ghost pairs on coordinate order.
-                        if j < f.nlocal {
+                        if j < nlocal {
                             if j < i {
                                 continue;
                             }
@@ -786,21 +791,18 @@ fn fill_atom((f, i): (&Fill<'_>, usize)) -> (usize, u64) {
                             }
                         }
                     }
-                    if count < f.maxneigh {
-                        // SAFETY: row `i` is written by work item `i`
-                        // alone, and `count < maxneigh` keeps the slot
-                        // inside it.
-                        unsafe { f.rows.write([i, count], ju) };
+                    // Past `maxneigh` slots the row is full: count only.
+                    if let Some(slot) = row.get_mut(count) {
+                        *slot = ju;
                     }
                     count += 1;
                 }
             }
         }
     }
-    let stored = count.min(f.maxneigh);
-    // SAFETY: element `i` is written by work item `i` alone.
-    unsafe { f.counts.write([i], stored as u32) };
-    (count, stored as u64)
+    let kept = count.min(maxneigh);
+    *stored = kept as u32;
+    (count, kept as u64)
 }
 
 /// Spatially reorder the *owned* atoms into bin-major order (LAMMPS'

@@ -23,7 +23,9 @@ use crate::neighbor::{NeighborList, Rows, CHUNK};
 use crate::sim::System;
 use lkk_gpusim::KernelStats;
 use lkk_kokkos::scatter_view::ScatterAccess;
-use lkk_kokkos::{AtomicF64, ScatterMode, ScatterView, Space, TeamPolicy, Triples, View1, View2};
+use lkk_kokkos::{
+    AtomicF64, RowMut, ScatterMode, ScatterView, Space, TeamPolicy, Triples, View1, View2,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod eam;
@@ -253,10 +255,11 @@ pub struct PairKokkos<P: TwoBody> {
 
 /// The read-only inputs of one kernel launch, gathered once. `Copy`,
 /// and a work item's entry points (`atom`, `chunk`, `filter`) take it by
-/// value: the kernels store through raw pointers, after which the
-/// compiler must reload anything it reaches through a reference to the
-/// launch, so each work item holds slices, the row reader and the hoisted
-/// cutoff as locals. The per-neighbor helpers (`typ`, `cutsq`,
+/// value: the kernels store into a row part or a scatter handle, which
+/// the compiler cannot prove disjoint from what it reaches through a
+/// reference to the launch, so it would reload that after every store;
+/// each work item holds slices, the row reader and the hoisted cutoff as
+/// locals instead. The per-neighbor helpers (`typ`, `cutsq`,
 /// `separation`) borrow that local copy: passed by value they copied all
 /// 128 bytes of it per neighbor.
 struct Launch<'a, P> {
@@ -429,22 +432,21 @@ impl<P: TwoBody> PairKokkos<P> {
         );
         let f = atoms.f.view_for_mut(&space);
         f.fill(0.0);
-        let fw = f.par_write();
-        let store = |i: usize, fi: [f64; 3]| {
+        let store = |mut row: RowMut<f64>, fi: [f64; 3]| {
             for (k, fik) in fi.into_iter().enumerate() {
-                // SAFETY: row `i` is written by work item `i` alone.
-                unsafe { fw.write([i, k], fik) };
+                row[k] = fik;
             }
         };
         if !self.options.team_over_neighbors {
-            let item = |i| {
+            let item = |i, row| {
                 let (fi, tally) = launch.atom::<EV>(i, |_, _| {});
-                store(i, fi);
+                store(row, fi);
                 tally
             };
-            return space.parallel_reduce(
+            return space.parallel_reduce_parts(
                 "PairComputeFull",
                 atoms.nlocal,
+                f.rows_mut(),
                 Tally::default(),
                 item,
                 Tally::join,
@@ -454,13 +456,13 @@ impl<P: TwoBody> PairKokkos<P> {
         let w_acc: [AtomicF64; 6] = std::array::from_fn(|_| AtomicF64::new(0.0));
         let inside_acc = AtomicU64::new(0);
         let policy = TeamPolicy::new(atoms.nlocal, 32).with_vector(1);
-        space.parallel_for_team("PairComputeFullTeam", policy, |team| {
+        space.parallel_for_team_parts("PairComputeFullTeam", policy, f.rows_mut(), |team, row| {
             let i = team.league_rank();
             let (mut fi, mut tally) = ([0.0; 3], Tally::default());
             team.team_range(launch.rows.chunks(i), |c| {
                 launch.chunk::<EV>(i, c, &mut fi, &mut tally, &mut |_, _| {})
             });
-            store(i, fi);
+            store(row, fi);
             if EV {
                 e_acc.fetch_add(tally.e);
                 for (acc, wk) in w_acc.iter().zip(tally.w) {
@@ -923,16 +925,15 @@ mod tests {
             scatter.contribute_into_view(f);
             sums
         } else if team {
-            let fw = f.par_write();
             let e_acc = AtomicF64::new(0.0);
             let w_acc: [AtomicF64; 6] = std::array::from_fn(|_| AtomicF64::new(0.0));
             let inside_acc = AtomicU64::new(0);
             let policy = TeamPolicy::new(nlocal, 32).with_vector(1);
-            space.parallel_for_team("ReferenceTeam", policy, |team| {
+            space.parallel_for_team_parts("ReferenceTeam", policy, f.rows_mut(), |team, mut fw| {
                 let i = team.league_rank();
                 let (fi, (e, w, inside)) = row(i, &mut |_, _, _| {});
                 for (k, &fik) in fi.iter().enumerate() {
-                    unsafe { fw.write([i, k], fik) };
+                    fw[k] = fik;
                 }
                 e_acc.fetch_add(e);
                 for (acc, wk) in w_acc.iter().zip(w) {
@@ -946,15 +947,15 @@ mod tests {
                 inside_acc.into_inner(),
             )
         } else {
-            let fw = f.par_write();
-            space.parallel_reduce(
+            space.parallel_reduce_parts(
                 "ReferenceFull",
                 nlocal,
+                f.rows_mut(),
                 zero,
-                |i| {
+                |i, mut fw| {
                     let (fi, sums) = row(i, &mut |_, _, _| {});
                     for (k, &fik) in fi.iter().enumerate() {
-                        unsafe { fw.write([i, k], fik) };
+                        fw[k] = fik;
                     }
                     sums
                 },

@@ -25,7 +25,7 @@ use crate::pair::{PairResults, PairStyle, Tally};
 use crate::sim::System;
 use crate::switch::cubic_switch;
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::Space;
+use lkk_kokkos::{parts, Space};
 
 /// Johnson-style analytic EAM parameters.
 #[derive(Debug, Clone, Copy)]
@@ -160,14 +160,12 @@ impl PairStyle for PairEam {
         // --- Pass 1: densities of owned atoms. ---
         self.rho.clear();
         self.rho.resize(nlocal, 0.0);
-        {
-            let rho_ptr = self.rho.as_mut_ptr() as usize;
-            space.parallel_for("EAMDensity", nlocal, |i| {
-                let mut acc = 0.0;
-                walk.row::<TOWARD_I>(i, |_, _, rsq| acc += params.density(rsq.sqrt()).0);
-                unsafe { *(rho_ptr as *mut f64).add(i) = acc };
-            });
-        }
+        let densities = parts::elements(&mut self.rho);
+        space.parallel_for_parts("EAMDensity", nlocal, densities, |i, rho| {
+            let mut acc = 0.0;
+            walk.row::<TOWARD_I>(i, |_, _, rsq| acc += params.density(rsq.sqrt()).0);
+            *rho = acc;
+        });
 
         // --- Embedding energy + F'(ρ), then the Fig.-1 communication:
         //     forward F' to ghost copies so the force pass can read
@@ -188,13 +186,13 @@ impl PairStyle for PairEam {
         let walk = list.within(system.atoms.x.h_view(), params.cut);
         let f = system.atoms.f.view_for_mut(&Space::Serial);
         f.fill(0.0);
-        let fw = f.par_write();
         let fp = &self.fp;
-        let pairs = space.parallel_reduce(
+        let pairs = space.parallel_reduce_parts(
             "EAMForce",
             nlocal,
+            f.rows_mut(),
             Tally::default(),
-            |i| {
+            |i, mut row| {
                 let mut fi = [0.0f64; 3];
                 let mut tally = Tally::default();
                 walk.row::<TOWARD_I>(i, |j, d, rsq| {
@@ -212,10 +210,8 @@ impl PairStyle for PairEam {
                         tally.add_pair_virial(0.5 * fpair, d);
                     }
                 });
-                unsafe {
-                    fw.write([i, 0], fi[0]);
-                    fw.write([i, 1], fi[1]);
-                    fw.write([i, 2], fi[2]);
+                for (k, fik) in fi.into_iter().enumerate() {
+                    row[k] = fik;
                 }
                 tally
             },

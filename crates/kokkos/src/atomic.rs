@@ -6,13 +6,34 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// An `f64` supporting lock-free atomic add / load / store.
+/// An `f64` supporting lock-free atomic add / load / store. It has the
+/// layout of an `f64`, so [`AtomicF64::from_mut_slice`] can view plain
+/// storage as cells that work items share.
 #[derive(Debug, Default)]
+#[repr(transparent)]
 pub struct AtomicF64(AtomicU64);
+
+const _: () = assert!(
+    std::mem::size_of::<AtomicU64>() == std::mem::size_of::<f64>()
+        && std::mem::align_of::<AtomicU64>() <= std::mem::align_of::<f64>()
+);
 
 impl AtomicF64 {
     pub fn new(v: f64) -> Self {
         AtomicF64(AtomicU64::new(v.to_bits()))
+    }
+
+    /// `v` as cells that concurrent work items update through
+    /// [`AtomicF64::fetch_add`]: for conflicting writes where a
+    /// `ScatterView`'s buffers are not wanted (each cell is a plain
+    /// `f64` again once the borrow ends).
+    pub fn from_mut_slice(v: &mut [f64]) -> &[AtomicF64] {
+        // SAFETY: `AtomicF64` is a transparent `AtomicU64`, of the size of
+        // an `f64` and no stricter alignment (asserted above), and every
+        // bit pattern is a valid `u64`. The exclusive borrow is held for
+        // as long as the cells live, so every access to the storage in
+        // that time goes through them.
+        unsafe { &*(v as *mut [f64] as *const [AtomicF64]) }
     }
 
     #[inline]
@@ -42,24 +63,6 @@ impl AtomicF64 {
     }
 }
 
-/// Atomically add `v` to the `f64` behind `slot`.
-///
-/// # Safety
-/// `slot` must point to a valid, aligned `f64` that is only accessed
-/// through atomic operations for the duration of the concurrent phase.
-#[inline]
-pub unsafe fn atomic_add_f64(slot: *mut f64, v: f64) {
-    let a = &*(slot as *const AtomicU64);
-    let mut cur = a.load(Ordering::Relaxed);
-    loop {
-        let new = (f64::from_bits(cur) + v).to_bits();
-        match a.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,17 +88,15 @@ mod tests {
         assert_eq!(a.load(), 10_000.0);
     }
 
+    /// The slice view: concurrent equal addends into shared cells sum
+    /// exactly, and the storage reads as plain `f64` afterwards.
     #[test]
-    fn raw_atomic_add() {
-        let mut xs = vec![0.0f64; 4];
-        let ptr = xs.as_mut_ptr();
-        // Concurrent adds to all slots from many tasks.
-        let addr = ptr as usize;
-        (0..4000usize).into_par_iter().for_each(|i| unsafe {
-            atomic_add_f64((addr as *mut f64).add(i % 4), 0.25);
+    fn slice_view_sums_concurrent_adds_exactly() {
+        let mut xs = vec![1.0f64; 4];
+        let cells = AtomicF64::from_mut_slice(&mut xs);
+        (0..4000usize).into_par_iter().for_each(|i| {
+            cells[i % 4].fetch_add(0.25);
         });
-        for &x in &xs {
-            assert_eq!(x, 250.0);
-        }
+        assert_eq!(xs, [251.0; 4]);
     }
 }

@@ -16,8 +16,12 @@
 //! `parallel_scan` (exclusive prefix sum) over a flat `RangePolicy`,
 //! `parallel_for_2d` over a tiled `MDRangePolicy`, and
 //! `parallel_for_team` over a hierarchical `TeamPolicy` (see
-//! [`crate::team`]).
+//! [`crate::team`]). `parallel_for`, `parallel_reduce` and
+//! `parallel_for_team` each have a `_parts` form that also gives work
+//! item `i` exclusive access to its own part of an output
+//! ([`crate::parts`]).
 
+use crate::parts::Parts;
 use crate::policy::{MDRangePolicy, TeamPolicy};
 use crate::profile::{self, KernelLog};
 use crate::team::Team;
@@ -88,7 +92,7 @@ pub enum Space {
 /// it stays a constant because the fork decision fixes the order of
 /// floating-point reductions, which must not vary between runs
 /// (`docs/performance.md`, "Dispatch: a persistent pool").
-const PAR_THRESHOLD: usize = 2048;
+pub(crate) const PAR_THRESHOLD: usize = 2048;
 
 impl Space {
     /// A simulated device space for `arch`.
@@ -155,6 +159,44 @@ impl Space {
                 }
             }
         }
+    }
+
+    /// [`Space::parallel_for`] writing into `out`: item `i` also gets its
+    /// own part of it, and nothing else reaches `out` during the launch.
+    /// `out` is checked before the launch; label, logged item count,
+    /// fork rule and chunk map are those of the plain dispatch.
+    pub fn parallel_for_parts<P, F>(&self, label: &str, n: usize, out: P, f: F)
+    where
+        P: Parts,
+        F: Fn(usize, P::Part) + Sync + Send,
+    {
+        out.check(n);
+        // SAFETY: `check(n)` passed, and `parallel_for` runs each `i < n`
+        // once, so part `i` is cut once.
+        self.parallel_for(label, n, |i| f(i, unsafe { out.part(i) }));
+    }
+
+    /// [`Space::parallel_reduce`] writing into `out`, as
+    /// [`Space::parallel_for_parts`] does.
+    pub fn parallel_reduce_parts<P, T, F, J>(
+        &self,
+        label: &str,
+        n: usize,
+        out: P,
+        identity: T,
+        f: F,
+        join: J,
+    ) -> T
+    where
+        P: Parts,
+        T: Send + Sync + Copy,
+        F: Fn(usize, P::Part) -> T + Sync + Send,
+        J: Fn(T, T) -> T + Sync + Send,
+    {
+        out.check(n);
+        // SAFETY: as in `parallel_for_parts`; the reduction folds each
+        // `i < n` once.
+        self.parallel_reduce(label, n, identity, |i| f(i, unsafe { out.part(i) }), join)
     }
 
     /// `parallel_reduce` with a custom identity and join.
@@ -348,6 +390,21 @@ impl Space {
                 }
             }
         }
+    }
+
+    /// [`Space::parallel_for_team`] writing into `out`: league member `r`
+    /// also gets part `r`, as in [`Space::parallel_for_parts`].
+    pub fn parallel_for_team_parts<P, F>(&self, label: &str, policy: TeamPolicy, out: P, f: F)
+    where
+        P: Parts,
+        F: Fn(&mut Team, P::Part) + Sync + Send,
+    {
+        out.check(policy.league_size);
+        self.parallel_for_team(label, policy, |team| {
+            // SAFETY: `check` passed, and every league rank runs once.
+            let part = unsafe { out.part(team.league_rank()) };
+            f(team, part)
+        });
     }
 }
 

@@ -22,8 +22,17 @@
 //! * [`policy`] / [`team`] — `RangePolicy` (flat), `MDRangePolicy`
 //!   (tiled multi-dimensional iteration) and `TeamPolicy` (hierarchical
 //!   league/team/vector parallelism with per-team scratch memory, §3.3).
+//! * [`parts`] — an exclusively borrowed output cut into one part per
+//!   work item, for the `*_parts` dispatches: §4.1's own-row writes,
+//!   checked by the compiler.
 //! * [`atomic`] — an [`AtomicF64`] built on `AtomicU64` CAS, the
-//!   building block for thread-atomic force accumulation.
+//!   building block for thread-atomic force accumulation, and a view of
+//!   a `&mut [f64]` as shared atomic cells.
+//!
+//! `unsafe` lives here and in the rayon shim only (every other crate
+//! forbids it): the disjoint-parts handles, the atomic-cell view, the
+//! `ScatterView` copies and the ISA seam, each block with its `SAFETY`
+//! argument.
 //! * [`isa`] — one kernel source instantiated per instruction set: an
 //!   `#[inline(always)]` body run at the baseline or under AVX2 (never
 //!   FMA, so bits do not move), picked from what the CPU reports.
@@ -37,6 +46,7 @@ pub mod atomic;
 pub mod dual_view;
 pub mod exec;
 pub mod isa;
+pub mod parts;
 pub mod policy;
 pub mod profile;
 pub mod scatter_view;
@@ -46,6 +56,7 @@ pub mod view;
 pub use atomic::AtomicF64;
 pub use dual_view::DualView;
 pub use exec::{force_sequential, set_force_sequential, DeviceCtx, Space};
+pub use parts::RowMut;
 pub use policy::{MDRangePolicy, TeamPolicy};
 pub use profile::{
     begin_region, current_region, register_subscriber, unregister_subscriber, KernelLog,
@@ -53,4 +64,4 @@ pub use profile::{
 };
 pub use scatter_view::{ScatterAccess, ScatterMode, ScatterView};
 pub use team::Team;
-pub use view::{Layout, ParWrite, Triples, View, View1, View2, View3};
+pub use view::{Layout, Triples, View, View1, View2, View3};

@@ -251,9 +251,10 @@ pub struct ScatterView {
     conflict: conflict::Tracker,
 }
 
-// Duplicated storage is only written through per-thread indices;
-// Sequential storage is only used without concurrency (see `access`).
+// SAFETY: duplicated storage is only written through per-thread indices;
+// sequential storage is only used without concurrency (see `access`).
 unsafe impl Sync for ScatterView {}
+// SAFETY: the `UnsafeCell`s own their buffers; moving the view moves them.
 unsafe impl Send for ScatterView {}
 
 /// Where a [`ScatterAccess`] handle writes.
@@ -327,12 +328,12 @@ impl ScatterAccess<'_> {
                     idx < len.saturating_sub(N - 1),
                     "ScatterView index {idx} out of bounds {len}"
                 );
-                // SAFETY: `ptr` addresses `len` elements of this worker's
-                // private copy (or the sequential buffer, single-threaded
-                // by contract), alive and unresized for `'a` because
-                // resizing needs `&mut ScatterView`; `idx + N <= len` was
-                // just checked.
                 for (k, vk) in v.into_iter().enumerate() {
+                    // SAFETY: `ptr` addresses `len` elements of this
+                    // worker's private copy (or the sequential buffer,
+                    // single-threaded by contract), alive and unresized for
+                    // `'a` because resizing needs `&mut ScatterView`;
+                    // `idx + N <= len` was just checked.
                     unsafe { *ptr.add(idx + k) += vk };
                 }
             }

@@ -17,6 +17,7 @@
 //! adjustment by default."
 
 use crate::exec::Space;
+use crate::parts::ViewRows;
 
 /// Memory layout of a [`View`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,17 +231,14 @@ impl<T, const R: usize> View<T, R> {
     pub fn bytes(&self) -> usize {
         self.len() * std::mem::size_of::<T>()
     }
+}
 
-    /// A shared handle permitting concurrent writes to *disjoint*
-    /// elements from a parallel kernel. Takes `&mut self`, so the
-    /// borrow checker guarantees exclusivity for the handle's lifetime.
-    pub fn par_write(&mut self) -> ParWrite<'_, T, R> {
-        ParWrite {
-            ptr: self.data.as_mut_ptr(),
-            dims: self.dims,
-            strides: self.strides,
-            _life: std::marker::PhantomData,
-        }
+impl<T: Send> View<T, 2> {
+    /// Row `i` for work item `i` of a `*_parts` dispatch
+    /// ([`crate::parts`]), in either layout.
+    pub fn rows_mut(&mut self) -> ViewRows<'_, T> {
+        let len = self.len();
+        ViewRows::new(&mut self.data[..len], self.dims, self.strides)
     }
 }
 
@@ -291,9 +289,10 @@ impl<T: Copy> View<T, 2> {
     }
 
     /// The `[n, 3]` view as a by-value [`Triples`] reader for a kernel's
-    /// inner loop. A kernel that also stores through raw pointers makes
-    /// the compiler reload `&View` fields after every store; the reader
-    /// is a `Copy` local, so data pointer and strides stay in registers.
+    /// inner loop. A kernel that also stores (into its row part or a
+    /// scatter handle) makes the compiler reload `&View` fields after
+    /// every store it cannot prove disjoint from them; the reader is a
+    /// `Copy` local, so data pointer and strides stay in registers.
     pub fn triples(&self) -> Triples<'_, T> {
         assert_eq!(
             self.dims[1], 3,
@@ -358,61 +357,6 @@ impl<T, const R: usize> std::ops::IndexMut<[usize; R]> for View<T, R> {
     #[inline(always)]
     fn index_mut(&mut self, idx: [usize; R]) -> &mut T {
         self.get_mut(idx)
-    }
-}
-
-/// A `Send + Sync` write handle into a [`View`] for use inside parallel
-/// kernels where each work item writes a *disjoint* set of elements
-/// (e.g. a force kernel with one work item per atom writing only that
-/// atom's row).
-///
-/// Reads are safe; writes are `unsafe` with the documented contract.
-/// For *conflicting* writes use [`crate::ScatterView`] instead.
-pub struct ParWrite<'a, T, const R: usize> {
-    ptr: *mut T,
-    dims: [usize; R],
-    strides: [usize; R],
-    _life: std::marker::PhantomData<&'a mut T>,
-}
-
-unsafe impl<T: Send, const R: usize> Send for ParWrite<'_, T, R> {}
-unsafe impl<T: Send, const R: usize> Sync for ParWrite<'_, T, R> {}
-
-impl<T: Copy, const R: usize> ParWrite<'_, T, R> {
-    #[inline(always)]
-    fn offset(&self, idx: [usize; R]) -> usize {
-        debug_assert!(idx.iter().zip(&self.dims).all(|(i, d)| i < d));
-        let mut o = 0;
-        for (ik, sk) in idx.iter().zip(&self.strides) {
-            o += ik * sk;
-        }
-        o
-    }
-
-    #[inline(always)]
-    pub fn get(&self, idx: [usize; R]) -> T {
-        unsafe { *self.ptr.add(self.offset(idx)) }
-    }
-
-    /// Write an element.
-    ///
-    /// # Safety
-    /// No other thread may read or write this element concurrently.
-    #[inline(always)]
-    pub unsafe fn write(&self, idx: [usize; R], v: T) {
-        *self.ptr.add(self.offset(idx)) = v;
-    }
-}
-
-impl<const R: usize> ParWrite<'_, f64, R> {
-    /// Accumulate into an element.
-    ///
-    /// # Safety
-    /// No other thread may read or write this element concurrently.
-    #[inline(always)]
-    pub unsafe fn add(&self, idx: [usize; R], v: f64) {
-        let p = self.ptr.add(self.offset(idx));
-        *p += v;
     }
 }
 
@@ -490,25 +434,6 @@ mod tests {
         assert_eq!(v.len(), 8);
         assert_eq!(v.layout(), Layout::Left);
         assert!(v.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn par_write_disjoint_rows() {
-        use rayon::prelude::*;
-        let mut f = View2::<f64>::new("f", [100, 3]);
-        {
-            let w = f.par_write();
-            (0..100usize).into_par_iter().for_each(|i| unsafe {
-                for k in 0..3 {
-                    w.write([i, k], i as f64 + k as f64);
-                }
-            });
-        }
-        for i in 0..100 {
-            for k in 0..3 {
-                assert_eq!(f.at([i, k]), (i + k) as f64);
-            }
-        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The six workspace invariant rules clippy cannot express.
+//! The five workspace invariant rules neither clippy nor the compiler
+//! can express.
 //!
 //! Every rule is a heuristic matcher over the comment/string-masked
 //! source (see [`crate::source`]) — deliberately AST-lite so the
@@ -6,15 +7,16 @@
 //! of being pattern-driven. No rule has an exemption: a finding is fixed
 //! at the site, never by weakening a rule. The determinism rules (wall
 //! clock, OS entropy, hash containers) are clippy's, with resolved paths
-//! and per-site `#[expect(.., reason)]` waivers (`clippy.toml`).
+//! and per-site `#[expect(.., reason)]` waivers (`clippy.toml`). Raw
+//! scatters into captured outputs do not compile (E0594), and the
+//! workspace lints leave no raw pointer to write through instead outside
+//! lkk-kokkos and the rayon shim (`docs/static-analysis.md`).
 //!
 //! | id     | invariant                                                    |
 //! |--------|--------------------------------------------------------------|
 //! | LKK003 | every `note_*`/`flow_*` hook emission sits behind a          |
 //! |        | `has_subscribers()` fast path                                |
 //! | LKK004 | no allocating calls inside `parallel_*` dispatch closures    |
-//! | LKK005 | no raw indexed `+=`/`-=` scatter inside `parallel_*`         |
-//! |        | closures (use `ScatterView` or a quantized path)             |
 //! | LKK006 | no per-element `ScatterView::add` inside `parallel_*`        |
 //! |        | closures (take one `access()` handle per work item)          |
 //! | LKK010 | `target_feature` / CPU feature detection only in the ISA     |
@@ -31,8 +33,6 @@ pub enum Rule {
     Lkk003,
     /// Allocation inside a parallel dispatch closure.
     Lkk004,
-    /// Raw indexed compound-assign scatter inside a parallel closure.
-    Lkk005,
     /// Per-element `ScatterView::add` inside a parallel closure.
     Lkk006,
     /// Instruction-set selection outside the ISA seam, or `fma` enabled.
@@ -42,10 +42,9 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 5] = [
         Rule::Lkk003,
         Rule::Lkk004,
-        Rule::Lkk005,
         Rule::Lkk006,
         Rule::Lkk010,
         Rule::Lkk011,
@@ -55,7 +54,6 @@ impl Rule {
         match self {
             Rule::Lkk003 => "LKK003",
             Rule::Lkk004 => "LKK004",
-            Rule::Lkk005 => "LKK005",
             Rule::Lkk006 => "LKK006",
             Rule::Lkk010 => "LKK010",
             Rule::Lkk011 => "LKK011",
@@ -66,7 +64,6 @@ impl Rule {
         match self {
             Rule::Lkk003 => "profile hook emission without a has_subscribers() fast path",
             Rule::Lkk004 => "allocation inside a parallel dispatch closure",
-            Rule::Lkk005 => "raw indexed scatter inside a parallel dispatch closure",
             Rule::Lkk006 => "per-element ScatterView::add inside a parallel dispatch closure",
             Rule::Lkk010 => "instruction-set selection outside the ISA seam, or fma enabled",
             Rule::Lkk011 => "neighbor-row storage read outside crates/core/src/neighbor.rs",
@@ -84,11 +81,6 @@ impl Rule {
                 "hot kernels must not touch the allocator (steady-state zero-alloc invariant): \
                  hoist buffers into pooled storage or per-thread scratch re-used across steps \
                  (see docs/performance.md)"
-            }
-            Rule::Lkk005 => {
-                "unsynchronised indexed accumulation races under parallel dispatch: scatter \
-                 through a ScatterView::access() handle (atomic/duplicated/sequential deconfliction) or a \
-                 quantized path, or accumulate into a closure-local buffer"
             }
             Rule::Lkk006 => {
                 "ScatterView::add resolves the storage mode and the worker's copy on every \
@@ -142,7 +134,6 @@ pub fn check_file(file: &File) -> Vec<Finding> {
     lkk003_ungated_hooks(file, &mut out);
     let spans = dispatch_spans(file);
     lkk004_alloc_in_kernel(file, &spans, &mut out);
-    lkk005_raw_scatter(file, &spans, &mut out);
     lkk006_per_element_scatter(file, &spans, &mut out);
     lkk010_isa_seam(file, &mut out);
     lkk011_row_format(file, &mut out);
@@ -251,14 +242,17 @@ fn lkk003_ungated_hooks(file: &File, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// LKK004 / LKK005 — parallel dispatch closures
+// LKK004 / LKK006 — parallel dispatch closures
 // ---------------------------------------------------------------------
 
 const DISPATCHES: &[&str] = &[
     "parallel_for(",
+    "parallel_for_parts(",
     "parallel_for_2d(",
     "parallel_for_team(",
+    "parallel_for_team_parts(",
     "parallel_reduce(",
+    "parallel_reduce_parts(",
     "parallel_reduce_sum(",
 ];
 
@@ -314,111 +308,6 @@ fn lkk004_alloc_in_kernel(file: &File, spans: &[(usize, usize)], out: &mut Vec<F
                         ),
                     ));
                 }
-            }
-        }
-    }
-}
-
-/// Identifiers declared locally inside `span` (let bindings and
-/// closure parameters) — these may be scattered into freely.
-fn local_names(masked: &str, span: (usize, usize)) -> Vec<String> {
-    let region = &masked[span.0..span.1];
-    let mut names = Vec::new();
-    // `let [mut] name`
-    let mut from = 0;
-    while let Some(p) = region[from..].find("let ") {
-        let at = from + p;
-        from = at + 4;
-        let rest = region[at + 4..].trim_start();
-        let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-        let rest = rest.trim_start_matches(['(', '[']);
-        let name: String = rest
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if !name.is_empty() {
-            names.push(name);
-        }
-    }
-    // Closure parameter lists: idents between a `|` pair on one line.
-    let bytes = region.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'|' {
-            if let Some(len) = region[i + 1..]
-                .find(['|', '\n'])
-                .and_then(|p| (region.as_bytes()[i + 1 + p] == b'|').then_some(p))
-            {
-                let params = &region[i + 1..i + 1 + len];
-                for tok in params.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
-                    if !tok.is_empty() && !tok.chars().next().unwrap().is_ascii_digit() {
-                        names.push(tok.to_string());
-                    }
-                }
-                i += len + 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
-fn lkk005_raw_scatter(file: &File, spans: &[(usize, usize)], out: &mut Vec<Finding>) {
-    let b = file.masked.as_bytes();
-    for &span in spans {
-        let locals = local_names(&file.masked, span);
-        let region = &file.masked[span.0..span.1];
-        for op in ["+=", "-="] {
-            let mut from = 0;
-            while let Some(p) = region[from..].find(op) {
-                let at = span.0 + from + p;
-                from += p + op.len();
-                // LHS must end with `]` (indexed target).
-                let lhs_end = file.masked[..at].trim_end().len();
-                if lhs_end == 0 || b[lhs_end - 1] != b']' {
-                    continue;
-                }
-                // Reverse-match the bracket, then read the base path.
-                let mut depth = 0i32;
-                let mut k = lhs_end - 1;
-                loop {
-                    match b[k] {
-                        b']' => depth += 1,
-                        b'[' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if k == 0 {
-                        break;
-                    }
-                    k -= 1;
-                }
-                let path_end = k;
-                let path_start = file.masked[..path_end]
-                    .rfind(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.'))
-                    .map(|p| p + 1)
-                    .unwrap_or(0);
-                let base_path = &file.masked[path_start..path_end];
-                let base = base_path.split('.').next().unwrap_or("");
-                if base.is_empty() || locals.iter().any(|l| l == base) {
-                    continue;
-                }
-                out.push(finding(
-                    file,
-                    at,
-                    Rule::Lkk005,
-                    format!(
-                        "raw `{base_path}[…] {op}` scatter inside a parallel dispatch \
-                         (`{base}` is not closure-local)"
-                    ),
-                ));
             }
         }
     }
@@ -588,19 +477,5 @@ mod tests {
             "// is_x86_feature_detected! is banned\nfn f() { let s = \"target_feature\"; }\n",
         );
         assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn local_scatter_and_scratch_pass() {
-        let src = r#"
-fn kernel(space: &Space) {
-    space.parallel_reduce("k", n, [0.0f64; 6], |i| {
-        let mut w = [0.0f64; 6];
-        w[0] += 1.0;
-        w
-    }, |a, b| a);
-}
-"#;
-        assert!(check("crates/x/src/a.rs", src).is_empty());
     }
 }

@@ -48,20 +48,6 @@ fn lkk004_fires_on_kernel_allocations() {
 }
 
 #[test]
-fn lkk005_fires_on_raw_scatter() {
-    let found = scan(
-        "lkk005_raw_scatter.rs",
-        include_str!("fixtures/lkk005_raw_scatter.rs"),
-    );
-    let lkk005: Vec<usize> = found
-        .iter()
-        .filter(|&&(r, _)| r == Rule::Lkk005)
-        .map(|&(_, l)| l)
-        .collect();
-    assert_eq!(lkk005, vec![7, 8], "{found:?}");
-}
-
-#[test]
 fn lkk006_fires_on_per_element_scatter_add() {
     let found = scan(
         "lkk006_per_element_scatter.rs",

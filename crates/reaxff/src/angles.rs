@@ -19,8 +19,7 @@
 
 use crate::bond_order::BondState;
 use crate::params::ReaxParams;
-use lkk_kokkos::atomic::atomic_add_f64;
-use lkk_kokkos::Space;
+use lkk_kokkos::{parts, AtomicF64, Space};
 
 /// A compressed triplet: center atom and two bond-slot positions.
 #[derive(Debug, Clone, Copy)]
@@ -60,25 +59,20 @@ pub fn build_triplets(
     let bo_lo = angle_bo_lo(params);
     // Count pass.
     let mut counts = vec![0usize; nlocal];
-    {
-        let cw = counts.as_mut_ptr() as usize;
-        space.parallel_for("AngleCount", nlocal, |i| {
-            let nb = t.count[i] as usize;
-            let mut c = 0usize;
-            for b1 in 0..nb {
-                if state.bo[t.slot(i, b1)] <= bo_lo {
-                    continue;
-                }
-                for b2 in (b1 + 1)..nb {
-                    if state.bo[t.slot(i, b2)] > bo_lo {
-                        c += 1;
-                    }
+    let tallies = parts::elements(&mut counts);
+    space.parallel_for_parts("AngleCount", nlocal, tallies, |i, c| {
+        let nb = t.count[i] as usize;
+        for b1 in 0..nb {
+            if state.bo[t.slot(i, b1)] <= bo_lo {
+                continue;
+            }
+            for b2 in (b1 + 1)..nb {
+                if state.bo[t.slot(i, b2)] > bo_lo {
+                    *c += 1;
                 }
             }
-            // Row-disjoint write.
-            unsafe { *(cw as *mut usize).add(i) = c };
-        });
-    }
+        }
+    });
     let candidates: u64 = (0..nlocal)
         .map(|i| {
             let nb = t.count[i] as u64;
@@ -89,30 +83,26 @@ pub fn build_triplets(
     let total = space.parallel_scan("AngleScan", &counts, &mut offsets);
     // Fill pass (each atom writes its own contiguous range).
     let mut triplets = vec![Triplet { i: 0, b1: 0, b2: 0 }; total];
-    {
-        let tw = triplets.as_mut_ptr() as usize;
-        space.parallel_for("AngleFill", nlocal, |i| {
-            let nb = t.count[i] as usize;
-            let mut at = offsets[i];
-            for b1 in 0..nb {
-                if state.bo[t.slot(i, b1)] <= bo_lo {
-                    continue;
-                }
-                for b2 in (b1 + 1)..nb {
-                    if state.bo[t.slot(i, b2)] > bo_lo {
-                        unsafe {
-                            *(tw as *mut Triplet).add(at) = Triplet {
-                                i: i as u32,
-                                b1: b1 as u32,
-                                b2: b2 as u32,
-                            };
-                        }
-                        at += 1;
-                    }
+    let ranges = parts::csr(&mut triplets, &offsets);
+    space.parallel_for_parts("AngleFill", nlocal, ranges, |i, mine| {
+        let nb = t.count[i] as usize;
+        let mut at = 0;
+        for b1 in 0..nb {
+            if state.bo[t.slot(i, b1)] <= bo_lo {
+                continue;
+            }
+            for b2 in (b1 + 1)..nb {
+                if state.bo[t.slot(i, b2)] > bo_lo {
+                    mine[at] = Triplet {
+                        i: i as u32,
+                        b1: b1 as u32,
+                        b2: b2 as u32,
+                    };
+                    at += 1;
                 }
             }
-        });
-    }
+        }
+    });
     (triplets, candidates)
 }
 
@@ -127,8 +117,9 @@ pub fn compute_angles(
     space: &Space,
 ) -> (f64, f64) {
     let bo_lo = angle_bo_lo(params);
-    let c_bo_ptr = state.c_bo.as_mut_ptr() as usize;
-    let f_ptr = forces.as_mut_ptr() as usize;
+    // Slots and atoms are shared between triplets: atomic cells.
+    let c_bo = AtomicF64::from_mut_slice(&mut state.c_bo);
+    let f = AtomicF64::from_mut_slice(forces.as_flattened_mut());
     let t = &state.table;
     let bo = &state.bo;
     space.parallel_reduce(
@@ -149,18 +140,9 @@ pub fn compute_angles(
             let c = dot / (r1 * r2);
             let dc = c - params.cos_theta0;
             let e = params.k_angle * fb1 * fb2 * dc * dc;
-            // ∂E/∂BO into the shared coefficient array (atomic: slots
-            // are shared between triplets).
-            unsafe {
-                atomic_add_f64(
-                    (c_bo_ptr as *mut f64).add(s1),
-                    params.k_angle * dfb1 * fb2 * dc * dc,
-                );
-                atomic_add_f64(
-                    (c_bo_ptr as *mut f64).add(s2),
-                    params.k_angle * fb1 * dfb2 * dc * dc,
-                );
-            }
+            // ∂E/∂BO into the shared coefficient array.
+            c_bo[s1].fetch_add(params.k_angle * dfb1 * fb2 * dc * dc);
+            c_bo[s2].fetch_add(params.k_angle * fb1 * dfb2 * dc * dc);
             // Geometric force: dE/dcosθ with
             // ∂cosθ/∂d1 = d2/(r1r2) − cosθ·d1/r1².
             let dedc = params.k_angle * fb1 * fb2 * 2.0 * dc;
@@ -174,16 +156,13 @@ pub fn compute_angles(
             let o1 = t.owner[s1] as usize;
             let o2 = t.owner[s2] as usize;
             let mut w = 0.0;
-            unsafe {
-                let fp = f_ptr as *mut [f64; 3];
-                for k in 0..3 {
-                    let f1 = -dedc * g1[k];
-                    let f2 = -dedc * g2[k];
-                    atomic_add_f64((*fp.add(o1)).as_mut_ptr().add(k), f1);
-                    atomic_add_f64((*fp.add(o2)).as_mut_ptr().add(k), f2);
-                    atomic_add_f64((*fp.add(i)).as_mut_ptr().add(k), -f1 - f2);
-                    w += d1[k] * f1 + d2[k] * f2;
-                }
+            for k in 0..3 {
+                let f1 = -dedc * g1[k];
+                let f2 = -dedc * g2[k];
+                f[3 * o1 + k].fetch_add(f1);
+                f[3 * o2 + k].fetch_add(f2);
+                f[3 * i + k].fetch_add(-f1 - f2);
+                w += d1[k] * f1 + d2[k] * f2;
             }
             (e, w)
         },

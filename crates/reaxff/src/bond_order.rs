@@ -25,6 +25,7 @@ use crate::params::ReaxParams;
 use lkk_core::atom::AtomData;
 use lkk_core::comm::GhostMap;
 use lkk_core::neighbor::{NeighborList, TOWARD_J};
+use lkk_kokkos::parts::{elements, rows};
 use lkk_kokkos::Space;
 
 /// Over-coordination correction `f(s)` and derivative: a logistic that
@@ -99,38 +100,25 @@ impl BondTable {
                 bo_p: vec![0.0; nlocal * max_bonds],
                 dbo_p: vec![0.0; nlocal * max_bonds],
             };
-            // Row-disjoint parallel fill through raw row pointers (the
-            // same contract as `ParWrite`: every work item writes only
-            // its own row).
-            struct Raw {
-                count: *mut u32,
-                partner: *mut u32,
-                owner: *mut u32,
-                dx: *mut f64,
-                dy: *mut f64,
-                dz: *mut f64,
-                r: *mut f64,
-                bo_p: *mut f64,
-                dbo_p: *mut f64,
-            }
-            unsafe impl Sync for Raw {}
-            let raw = Raw {
-                count: table.count.as_mut_ptr(),
-                partner: table.partner.as_mut_ptr(),
-                owner: table.owner.as_mut_ptr(),
-                dx: table.dx.as_mut_ptr(),
-                dy: table.dy.as_mut_ptr(),
-                dz: table.dz.as_mut_ptr(),
-                r: table.r.as_mut_ptr(),
-                bo_p: table.bo_p.as_mut_ptr(),
-                dbo_p: table.dbo_p.as_mut_ptr(),
-            };
-            let needed = space.parallel_reduce(
+            // Row-disjoint parallel fill: every work item owns its row of
+            // each column and its count.
+            let (t, w) = (&mut table, max_bonds);
+            let columns = (
+                (rows(&mut t.partner, w), rows(&mut t.owner, w)),
+                (rows(&mut t.dx, w), rows(&mut t.dy, w), rows(&mut t.dz, w)),
+                (
+                    rows(&mut t.r, w),
+                    rows(&mut t.bo_p, w),
+                    rows(&mut t.dbo_p, w),
+                ),
+                elements(&mut t.count),
+            );
+            let needed = space.parallel_reduce_parts(
                 "BondOrderBuild",
                 nlocal,
+                columns,
                 0usize,
-                |i| {
-                    let t = &raw;
+                |i, ((partner, owner), (dx, dy, dz), (rr, bo, dbo), stored)| {
                     let ti = typ.at([i]) as usize;
                     let mut count = 0usize;
                     walk.row::<TOWARD_J>(i, |j, d, rsq| {
@@ -145,25 +133,19 @@ impl BondTable {
                             return;
                         }
                         if count < max_bonds {
-                            let sl = i * max_bonds + count;
-                            unsafe {
-                                *t.partner.add(sl) = j as u32;
-                                *t.owner.add(sl) = if j < nlocal {
-                                    j as u32
-                                } else {
-                                    ghosts.owner[j - nlocal] as u32
-                                };
-                                *t.dx.add(sl) = d[0];
-                                *t.dy.add(sl) = d[1];
-                                *t.dz.add(sl) = d[2];
-                                *t.r.add(sl) = r;
-                                *t.bo_p.add(sl) = bo_p;
-                                *t.dbo_p.add(sl) = dbo_p;
-                            }
+                            let c = count;
+                            partner[c] = j as u32;
+                            owner[c] = if j < nlocal {
+                                j as u32
+                            } else {
+                                ghosts.owner[j - nlocal] as u32
+                            };
+                            [dx[c], dy[c], dz[c]] = d;
+                            (rr[c], bo[c], dbo[c]) = (r, bo_p, dbo_p);
                         }
                         count += 1;
                     });
-                    unsafe { *t.count.add(i) = count.min(max_bonds) as u32 };
+                    *stored = count.min(max_bonds) as u32;
                     count
                 },
                 usize::max,

@@ -14,7 +14,7 @@ use crate::taper::taper;
 use lkk_core::atom::AtomData;
 use lkk_core::comm::GhostMap;
 use lkk_core::neighbor::{NeighborList, Within, TOWARD_I};
-use lkk_kokkos::Space;
+use lkk_kokkos::{parts, Space};
 
 /// Mixed coefficients of one type pair.
 #[derive(Debug, Clone, Copy)]
@@ -198,18 +198,13 @@ pub fn compute_nonbonded(
     space: &Space,
 ) -> (f64, f64, f64) {
     let walk = PairWalk::new(atoms, list, ghosts, table.rc);
-    assert!(forces.len() >= atoms.nlocal && q.len() >= atoms.nlocal);
-    struct Rows(*mut [f64; 3]);
-    // SAFETY: work item `i` writes row `i` only, and `forces` (asserted
-    // to hold `nlocal` rows) is exclusively borrowed for the dispatch.
-    unsafe impl Sync for Rows {}
-    let rows = Rows(forces.as_mut_ptr());
-    space.parallel_reduce(
+    assert!(q.len() >= atoms.nlocal);
+    space.parallel_reduce_parts(
         "NonbondedCompute",
         atoms.nlocal,
+        parts::elements(forces),
         (0.0f64, 0.0f64, 0.0f64),
-        |i| {
-            let rows = &rows; // capture the Sync wrapper, not the raw field
+        |i, row| {
             let ti = walk.typ(i);
             let qi = q[i];
             let mut fi = [0.0f64; 3];
@@ -230,8 +225,6 @@ pub fn compute_nonbonded(
                     }
                 }
             });
-            // SAFETY: see `Rows`.
-            let row = unsafe { &mut *rows.0.add(i) };
             for (f, add) in row.iter_mut().zip(fi) {
                 *f += add;
             }

@@ -38,7 +38,7 @@ use crate::params::ReaxParams;
 use lkk_core::atom::AtomData;
 use lkk_core::comm::GhostMap;
 use lkk_core::neighbor::NeighborList;
-use lkk_kokkos::Space;
+use lkk_kokkos::{parts, Space};
 
 /// Resize a pooled buffer to `n` elements (new ones zero) without ever
 /// giving capacity back; returns 1 if the heap block had to grow.
@@ -98,41 +98,24 @@ impl QeqMatrix {
         grown += ensure_len(&mut self.diag, n);
         grown += ensure_len(&mut self.cols, n * max_row);
         grown += ensure_len(&mut self.vals, n * max_row);
-        struct Raw {
-            nnz: *mut i32,
-            cols: *mut i32,
-            vals: *mut f64,
-            diag: *mut f64,
-        }
-        // SAFETY: work item `i` writes `nnz[i]`, `diag[i]` and at most
-        // `max_row` slots from `i * max_row` (a row holds no more hits
-        // than the list row it is filtered from), all sized above.
-        unsafe impl Sync for Raw {}
-        let raw = Raw {
-            nnz: self.nnz.as_mut_ptr(),
-            cols: self.cols.as_mut_ptr(),
-            vals: self.vals.as_mut_ptr(),
-            diag: self.diag.as_mut_ptr(),
-        };
-        space.parallel_for("QEqMatrixBuild", n, |i| {
-            let raw = &raw; // capture the Sync wrapper, not raw fields
+        // Work item `i` owns row `i` (no more hits than the list row it
+        // is filtered from) and its two per-row entries.
+        let rows = (
+            parts::rows(&mut self.cols, max_row),
+            parts::rows(&mut self.vals, max_row),
+            parts::elements(&mut self.nnz),
+            parts::elements(&mut self.diag),
+        );
+        space.parallel_for_parts("QEqMatrixBuild", n, rows, |i, (cols, vals, nnz, diag)| {
             let ti = walk.typ(i);
-            let base = i * max_row;
             let mut count = 0usize;
             walk.row(i, |hit| {
-                let h = table.terms(hit.r, ti, hit.typ).h;
-                // SAFETY: see `Raw`.
-                unsafe {
-                    *raw.cols.add(base + count) = hit.owner as i32;
-                    *raw.vals.add(base + count) = h;
-                }
+                cols[count] = hit.owner as i32;
+                vals[count] = table.terms(hit.r, ti, hit.typ).h;
                 count += 1;
             });
-            // SAFETY: see `Raw`.
-            unsafe {
-                *raw.nnz.add(i) = count as i32;
-                *raw.diag.add(i) = 2.0 * params.elements[ti].eta;
-            }
+            *nnz = count as i32;
+            *diag = 2.0 * params.elements[ti].eta;
         });
         grown
     }
@@ -152,10 +135,8 @@ impl QeqMatrix {
         y2: &mut [f64],
         space: &Space,
     ) {
-        assert!(y1.len() >= self.n && y2.len() >= self.n);
-        let y1p = y1.as_mut_ptr() as usize;
-        let y2p = y2.as_mut_ptr() as usize;
-        space.parallel_for("QEqSpmvFused", self.n, |i| {
+        let ys = (parts::elements(y1), parts::elements(y2));
+        space.parallel_for_parts("QEqSpmvFused", self.n, ys, |i, (y1, y2)| {
             let base = self.offsets[i] as usize;
             let nnz = self.nnz[i] as usize;
             let mut a1 = self.diag[i] * x1[i];
@@ -169,10 +150,7 @@ impl QeqMatrix {
                 a1 += v * x1[c as usize];
                 a2 += v * x2[c as usize];
             }
-            unsafe {
-                *(y1p as *mut f64).add(i) = a1;
-                *(y2p as *mut f64).add(i) = a2;
-            }
+            (*y1, *y2) = (a1, a2);
         });
     }
 }

@@ -26,8 +26,7 @@
 use crate::angles::fb;
 use crate::bond_order::BondState;
 use crate::params::ReaxParams;
-use lkk_kokkos::atomic::atomic_add_f64;
-use lkk_kokkos::Space;
+use lkk_kokkos::{parts, AtomicF64, Space};
 
 /// A compressed quad: center atom `i`, bond slots for (i,k), (i,j) in
 /// `i`'s row, and the slot for (j,l) in `owner(j)`'s row.
@@ -117,51 +116,42 @@ pub fn build_quads(
     let nlocal = t.nlocal;
     let mut counts = vec![0usize; nlocal];
     let mut cands = vec![0u64; nlocal];
-    {
-        let cw = counts.as_mut_ptr() as usize;
-        let aw = cands.as_mut_ptr() as usize;
-        space.parallel_for("TorsionCount", nlocal, |i| {
-            let nb = t.count[i] as usize;
-            let mut c = 0usize;
-            let mut cand = 0u64;
-            for b_ij in 0..nb {
-                let s_ij = t.slot(i, b_ij);
-                let jo = t.owner[s_ij] as usize;
-                if jo <= i {
+    let tallies = (parts::elements(&mut counts), parts::elements(&mut cands));
+    space.parallel_for_parts("TorsionCount", nlocal, tallies, |i, (c, cand)| {
+        let nb = t.count[i] as usize;
+        for b_ij in 0..nb {
+            let s_ij = t.slot(i, b_ij);
+            let jo = t.owner[s_ij] as usize;
+            if jo <= i {
+                continue;
+            }
+            let nbj = t.count[jo] as usize;
+            for b_ik in 0..nb {
+                if b_ik == b_ij {
                     continue;
                 }
-                let nbj = t.count[jo] as usize;
-                for b_ik in 0..nb {
-                    if b_ik == b_ij {
-                        continue;
+                for b_jl in 0..nbj {
+                    *cand += 1;
+                    let s_ik = t.slot(i, b_ik);
+                    let s_jl = t.slot(jo, b_jl);
+                    // Skip the bond (j, i) itself.
+                    if t.owner[s_jl] as usize == i {
+                        let back = [
+                            t.dx[s_jl] + t.dx[s_ij],
+                            t.dy[s_jl] + t.dy[s_ij],
+                            t.dz[s_jl] + t.dz[s_ij],
+                        ];
+                        if dot(back, back) < 1e-16 {
+                            continue;
+                        }
                     }
-                    for b_jl in 0..nbj {
-                        cand += 1;
-                        let s_ik = t.slot(i, b_ik);
-                        let s_jl = t.slot(jo, b_jl);
-                        // Skip the bond (j, i) itself.
-                        if t.owner[s_jl] as usize == i {
-                            let back = [
-                                t.dx[s_jl] + t.dx[s_ij],
-                                t.dy[s_jl] + t.dy[s_ij],
-                                t.dz[s_jl] + t.dz[s_ij],
-                            ];
-                            if dot(back, back) < 1e-16 {
-                                continue;
-                            }
-                        }
-                        if eligible(state, params, i, s_ik, s_ij, s_jl) {
-                            c += 1;
-                        }
+                    if eligible(state, params, i, s_ik, s_ij, s_jl) {
+                        *c += 1;
                     }
                 }
             }
-            unsafe {
-                *(cw as *mut usize).add(i) = c;
-                *(aw as *mut u64).add(i) = cand;
-            }
-        });
-    }
+        }
+    });
     let mut offsets = vec![0usize; nlocal + 1];
     let total = space.parallel_scan("TorsionScan", &counts, &mut offsets);
     let mut quads = vec![
@@ -173,51 +163,47 @@ pub fn build_quads(
         };
         total
     ];
-    {
-        let qw = quads.as_mut_ptr() as usize;
-        space.parallel_for("TorsionFill", nlocal, |i| {
-            let nb = t.count[i] as usize;
-            let mut at = offsets[i];
-            for b_ij in 0..nb {
-                let s_ij = t.slot(i, b_ij);
-                let jo = t.owner[s_ij] as usize;
-                if jo <= i {
+    let ranges = parts::csr(&mut quads, &offsets);
+    space.parallel_for_parts("TorsionFill", nlocal, ranges, |i, mine| {
+        let nb = t.count[i] as usize;
+        let mut at = 0;
+        for b_ij in 0..nb {
+            let s_ij = t.slot(i, b_ij);
+            let jo = t.owner[s_ij] as usize;
+            if jo <= i {
+                continue;
+            }
+            let nbj = t.count[jo] as usize;
+            for b_ik in 0..nb {
+                if b_ik == b_ij {
                     continue;
                 }
-                let nbj = t.count[jo] as usize;
-                for b_ik in 0..nb {
-                    if b_ik == b_ij {
-                        continue;
+                for b_jl in 0..nbj {
+                    let s_ik = t.slot(i, b_ik);
+                    let s_jl = t.slot(jo, b_jl);
+                    if t.owner[s_jl] as usize == i {
+                        let back = [
+                            t.dx[s_jl] + t.dx[s_ij],
+                            t.dy[s_jl] + t.dy[s_ij],
+                            t.dz[s_jl] + t.dz[s_ij],
+                        ];
+                        if dot(back, back) < 1e-16 {
+                            continue;
+                        }
                     }
-                    for b_jl in 0..nbj {
-                        let s_ik = t.slot(i, b_ik);
-                        let s_jl = t.slot(jo, b_jl);
-                        if t.owner[s_jl] as usize == i {
-                            let back = [
-                                t.dx[s_jl] + t.dx[s_ij],
-                                t.dy[s_jl] + t.dy[s_ij],
-                                t.dz[s_jl] + t.dz[s_ij],
-                            ];
-                            if dot(back, back) < 1e-16 {
-                                continue;
-                            }
-                        }
-                        if eligible(state, params, i, s_ik, s_ij, s_jl) {
-                            unsafe {
-                                *(qw as *mut Quad).add(at) = Quad {
-                                    i: i as u32,
-                                    b_ik: b_ik as u32,
-                                    b_ij: b_ij as u32,
-                                    b_jl: b_jl as u32,
-                                };
-                            }
-                            at += 1;
-                        }
+                    if eligible(state, params, i, s_ik, s_ij, s_jl) {
+                        mine[at] = Quad {
+                            i: i as u32,
+                            b_ik: b_ik as u32,
+                            b_ij: b_ij as u32,
+                            b_jl: b_jl as u32,
+                        };
+                        at += 1;
                     }
                 }
             }
-        });
-    }
+        }
+    });
     let stats = QuadStats {
         candidates: cands.iter().sum(),
         kept: total as u64,
@@ -235,8 +221,9 @@ pub fn compute_torsions(
     forces: &mut [[f64; 3]],
     space: &Space,
 ) -> (f64, f64) {
-    let c_bo_ptr = state.c_bo.as_mut_ptr() as usize;
-    let f_ptr = forces.as_mut_ptr() as usize;
+    // Slots and atoms are shared between quads: atomic cells.
+    let c_bo = AtomicF64::from_mut_slice(&mut state.c_bo);
+    let f = AtomicF64::from_mut_slice(forces.as_flattened_mut());
     let t = &state.table;
     let bo = &state.bo;
     let bo_min = params.tors_bo_min;
@@ -272,12 +259,9 @@ pub fn compute_torsions(
             // 1 + cos3φ = 1 + 4c³ − 3c.
             let shape = 1.0 + 4.0 * c * c * c - 3.0 * c;
             let e = params.k_tors * fb1 * fb2 * fb3 * shape;
-            unsafe {
-                let p = c_bo_ptr as *mut f64;
-                atomic_add_f64(p.add(s_ik), params.k_tors * dfb1 * fb2 * fb3 * shape);
-                atomic_add_f64(p.add(s_ij), params.k_tors * fb1 * dfb2 * fb3 * shape);
-                atomic_add_f64(p.add(s_jl), params.k_tors * fb1 * fb2 * dfb3 * shape);
-            }
+            c_bo[s_ik].fetch_add(params.k_tors * dfb1 * fb2 * fb3 * shape);
+            c_bo[s_ij].fetch_add(params.k_tors * fb1 * dfb2 * fb3 * shape);
+            c_bo[s_jl].fetch_add(params.k_tors * fb1 * fb2 * dfb3 * shape);
             // Geometric force through cosφ.
             let dedc = params.k_tors * fb1 * fb2 * fb3 * (12.0 * c * c - 3.0);
             // v1 = ∂c/∂n1, v2 = ∂c/∂n2.
@@ -296,21 +280,18 @@ pub fn compute_torsions(
             let g_b3 = cross(v2, b2);
             // Position gradients (b1 = x_i−x_k etc.).
             let mut w = 0.0;
-            unsafe {
-                let fp = f_ptr as *mut [f64; 3];
-                for k in 0..3 {
-                    let f_k = dedc * g_b1[k]; // −∂E/∂x_k = +dedc·g_b1
-                    let f_i = -dedc * (g_b1[k] - g_b2[k]);
-                    let f_j = -dedc * (g_b2[k] - g_b3[k]);
-                    let f_l = -dedc * g_b3[k];
-                    atomic_add_f64((*fp.add(ko)).as_mut_ptr().add(k), f_k);
-                    atomic_add_f64((*fp.add(i)).as_mut_ptr().add(k), f_i);
-                    atomic_add_f64((*fp.add(jo)).as_mut_ptr().add(k), f_j);
-                    atomic_add_f64((*fp.add(lo)).as_mut_ptr().add(k), f_l);
-                    // Virial from the three chain vectors: Σ b·f over
-                    // the bond-relative force decomposition.
-                    w += b1[k] * (-f_k) + b3[k] * f_l + b2[k] * (f_j + f_l);
-                }
+            for k in 0..3 {
+                let f_k = dedc * g_b1[k]; // −∂E/∂x_k = +dedc·g_b1
+                let f_i = -dedc * (g_b1[k] - g_b2[k]);
+                let f_j = -dedc * (g_b2[k] - g_b3[k]);
+                let f_l = -dedc * g_b3[k];
+                f[3 * ko + k].fetch_add(f_k);
+                f[3 * i + k].fetch_add(f_i);
+                f[3 * jo + k].fetch_add(f_j);
+                f[3 * lo + k].fetch_add(f_l);
+                // Virial from the three chain vectors: Σ b·f over
+                // the bond-relative force decomposition.
+                w += b1[k] * (-f_k) + b3[k] * f_l + b2[k] * (f_j + f_l);
             }
             (e, w)
         },

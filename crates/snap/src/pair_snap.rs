@@ -38,7 +38,7 @@ use lkk_core::pair::{ForceScatter, PairResults, PairStyle, Tally};
 use lkk_core::sim::System;
 use lkk_core::style::{PairSpec, StyleRegistry};
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::{profile, Space};
+use lkk_kokkos::{parts, profile, Space};
 use std::cell::RefCell;
 
 /// User-facing SNAP parameters.
@@ -112,8 +112,8 @@ fn grow<T: Clone + Default>(v: &mut Vec<T>, need: usize, grow_count: &mut u64) {
 
 impl Arena {
     /// Lay the slots out along `list`'s rows and make every plane large
-    /// enough; returns the shared handles for this step's launches.
-    fn reserve(&mut self, list: &NeighborList, nlocal: usize, u_len: usize) -> Planes {
+    /// enough for this step's launches.
+    fn reserve(&mut self, list: &NeighborList, nlocal: usize, u_len: usize) {
         let grows = &mut self.grow_count;
         grow(&mut self.first, nlocal + 1, grows);
         let rows = list.rows();
@@ -130,64 +130,7 @@ impl Arena {
         grow(&mut self.utot_i, nlocal * u_len, grows);
         grow(&mut self.y_r, nlocal * u_len, grows);
         grow(&mut self.y_i, nlocal * u_len, grows);
-        Planes {
-            nn: Plane::of(&mut self.nn),
-            rel: Plane::of(&mut self.rel),
-            ids: Plane::of(&mut self.ids),
-            wts: Plane::of(&mut self.wts),
-            geom: Plane::of(&mut self.geom),
-            utot_r: Plane::of(&mut self.utot_r),
-            utot_i: Plane::of(&mut self.utot_i),
-            y_r: Plane::of(&mut self.y_r),
-            y_i: Plane::of(&mut self.y_i),
-        }
     }
-}
-
-/// Raw-pointer handle to one arena plane, shared by the workers of a
-/// launch (the `ParWrite` idiom of `lkk-kokkos`): within a stage, the
-/// ranges belonging to atom `i` are touched only by the work item that
-/// processes atom `i`.
-struct Plane<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-// SAFETY: a `Plane` is a pointer + length into a `Vec` that `compute`
-// keeps alive and otherwise untouched while the handle exists; `range`
-// is the only access and its contract excludes concurrent overlap.
-unsafe impl<T: Send> Send for Plane<T> {}
-unsafe impl<T: Send> Sync for Plane<T> {}
-
-impl<T> Plane<T> {
-    fn of(v: &mut [T]) -> Self {
-        Plane {
-            ptr: v.as_mut_ptr(),
-            len: v.len(),
-        }
-    }
-
-    /// # Safety
-    /// No other thread may access `lo..lo + len` while the returned
-    /// slice lives, and the plane's `Vec` must outlive it.
-    #[expect(clippy::mut_from_ref, reason = "disjoint ranges, one per work item")]
-    unsafe fn range(&self, lo: usize, len: usize) -> &mut [T] {
-        assert!(lo + len <= self.len, "arena range out of bounds");
-        std::slice::from_raw_parts_mut(self.ptr.add(lo), len)
-    }
-}
-
-/// The handles of one step (see [`Arena`] for the planes).
-struct Planes {
-    nn: Plane<u32>,
-    rel: Plane<[f64; 3]>,
-    ids: Plane<u32>,
-    wts: Plane<f64>,
-    geom: Plane<MapCore>,
-    utot_r: Plane<f64>,
-    utot_i: Plane<f64>,
-    y_r: Plane<f64>,
-    y_i: Plane<f64>,
 }
 
 /// Round to the nearest multiple of 2⁻³² (exact for any physically
@@ -396,8 +339,21 @@ impl PairStyle for PairSnap {
         let scatter = &self.scatter;
         let ctx = &self.ctx;
         let u_len = ctx.idx.u_len;
-        let planes = self.arena.reserve(list, nlocal, u_len);
-        let first = &self.arena.first;
+        self.arena.reserve(list, nlocal, u_len);
+        let Arena {
+            first,
+            nn,
+            rel,
+            ids,
+            wts,
+            geom,
+            utot_r,
+            utot_i,
+            y_r,
+            y_i,
+            ..
+        } = &mut self.arena;
+        let first = &first[..];
         let config = &self.config;
         let type_weights = &self.type_weights;
         let walk = list.within(system.atoms.x.view_for(&space), ctx.hyper.rcut);
@@ -415,21 +371,17 @@ impl PairStyle for PairSnap {
         // hypersphere map for stage 3.
         {
             let _stage = profile::begin_region("ComputeUi");
-            space.parallel_for("PairSnapUi", nlocal, |i| {
-                let (lo, cap) = (first[i], first[i + 1] - first[i]);
-                // SAFETY: atom `i`'s slots and rows are touched only by
-                // this iteration; the arena outlives the launch.
-                let (rel, ids, wts, geom, utot_r, utot_i, nn) = unsafe {
-                    (
-                        planes.rel.range(lo, cap),
-                        planes.ids.range(lo, cap),
-                        planes.wts.range(lo, cap),
-                        planes.geom.range(lo, cap),
-                        planes.utot_r.range(i * u_len, u_len),
-                        planes.utot_i.range(i * u_len, u_len),
-                        &mut planes.nn.range(i, 1)[0],
-                    )
-                };
+            // Atom `i`'s slots, `U` rows and count.
+            let slots = (
+                parts::csr(rel, first),
+                parts::csr(ids, first),
+                parts::csr(wts, first),
+                parts::csr(geom, first),
+            );
+            let u = (parts::rows(utot_r, u_len), parts::rows(utot_i, u_len));
+            let planes = (slots, u, parts::elements(nn));
+            space.parallel_for_parts("PairSnapUi", nlocal, planes, |i, planes| {
+                let ((rel, ids, wts, geom), (utot_r, utot_i), nn) = planes;
                 let mut n = 0;
                 walk.row::<TOWARD_J>(i, |j, d, _| {
                     rel[n] = d;
@@ -466,27 +418,25 @@ impl PairStyle for PairSnap {
         // the fork threshold see); the others have nothing left to do.
         let energy = {
             let _stage = profile::begin_region("ComputeYi");
-            let e = space.parallel_reduce(
+            let (utot_r, utot_i) = (&utot_r[..], &utot_i[..]);
+            let blocks = (
+                parts::leader_blocks(&mut y_r[..nlocal * u_len], u_len, YI_BLOCK),
+                parts::leader_blocks(&mut y_i[..nlocal * u_len], u_len, YI_BLOCK),
+            );
+            let e = space.parallel_reduce_parts(
                 "PairSnapYi",
                 nlocal,
+                blocks,
                 0.0f64,
-                |i| {
-                    if i % YI_BLOCK != 0 {
+                |i, blocks| {
+                    let (Some(y_r), Some(y_i)) = blocks else {
                         return 0.0;
-                    }
-                    let m = YI_BLOCK.min(nlocal - i);
-                    // SAFETY: the rows of atoms `i..i + m` are touched
-                    // only by this block leader.
-                    let (utot_r, utot_i, y_r, y_i) = unsafe {
-                        (
-                            planes.utot_r.range(i * u_len, m * u_len),
-                            planes.utot_i.range(i * u_len, m * u_len),
-                            planes.y_r.range(i * u_len, m * u_len),
-                            planes.y_i.range(i * u_len, m * u_len),
-                        )
                     };
+                    let m = YI_BLOCK.min(nlocal - i);
+                    let rows = i * u_len..(i + m) * u_len;
                     let e = with_scratch(ctx, |scratch| {
-                        ctx.compute_yi_block(utot_r, utot_i, y_r, y_i, eflag, scratch)
+                        let (u_r, u_i) = (&utot_r[rows.clone()], &utot_i[rows]);
+                        ctx.compute_yi_block(u_r, u_i, y_r, y_i, eflag, scratch)
                     });
                     e[..m].iter().sum()
                 },
@@ -503,23 +453,18 @@ impl PairStyle for PairSnap {
         // map and one reverse sweep seeded with the atom's `Y`.
         let virial = {
             let _stage = profile::begin_region("ComputeDeidrj");
+            let (nn, rel, ids, wts, geom) = (&nn[..], &rel[..], &ids[..], &wts[..], &geom[..]);
+            let (y_r, y_i) = (&y_r[..], &y_i[..]);
             let v = space.parallel_reduce(
                 "PairSnapDeidrj",
                 nlocal,
                 Tally::default(),
                 |i| {
-                    // SAFETY: as in stage 1; this stage only reads.
-                    let (n, lo) = (unsafe { planes.nn.range(i, 1)[0] } as usize, first[i]);
-                    let (rel, ids, wts, geom, y_r, y_i) = unsafe {
-                        (
-                            &*planes.rel.range(lo, n),
-                            &*planes.ids.range(lo, n),
-                            &*planes.wts.range(lo, n),
-                            &*planes.geom.range(lo, n),
-                            &*planes.y_r.range(i * u_len, u_len),
-                            &*planes.y_i.range(i * u_len, u_len),
-                        )
-                    };
+                    let slots = first[i]..first[i] + nn[i] as usize;
+                    let (rel, ids) = (&rel[slots.clone()], &ids[slots.clone()]);
+                    let (wts, geom) = (&wts[slots.clone()], &geom[slots]);
+                    let u = i * u_len..(i + 1) * u_len;
+                    let (y_r, y_i) = (&y_r[u.clone()], &y_i[u]);
                     let mut tally = Tally::default();
                     let forces = scatter.access();
                     with_scratch(ctx, |scratch| {
@@ -900,13 +845,10 @@ mod tests {
     /// evaluation through the recycled planes repeats the first to the
     /// bit. The scatter buffer is pooled with them: rebuilds that move
     /// the ghost count reshape the one view — a growth on the way up to
-    /// the peak, counted, then flat. (Small enough for the Miri lane,
-    /// which runs every `arena` test to check the raw-pointer plane
-    /// ranges.)
+    /// the peak, counted, then flat.
     #[test]
     fn arena_planes_grow_once_and_are_reused() {
-        let (mut system, mut pair) =
-            tungsten_like(3, if cfg!(miri) { 2 } else { 4 }, Space::Threads);
+        let (mut system, mut pair) = tungsten_like(3, 4, Space::Threads);
         let (first, _) = compute_forces(&mut system, &mut pair);
         let grown = pair.grow_count();
         assert!(grown > 0);
@@ -947,15 +889,6 @@ mod tests {
             assert_eq!(nall_after_shift(&mut system, &mut pair, -0.7), many);
         }
         assert_eq!(pair.grow_count(), warm, "pools grew in steady state");
-    }
-
-    #[test]
-    #[should_panic(expected = "arena range out of bounds")]
-    fn arena_plane_ranges_are_bounds_checked() {
-        let mut v = vec![0.0f64; 8];
-        let plane = Plane::of(&mut v);
-        // SAFETY: single-threaded; the range is rejected before any access.
-        let _ = unsafe { plane.range(6, 3) };
     }
 
     #[test]

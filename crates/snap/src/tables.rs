@@ -45,7 +45,7 @@ pub struct PairRows {
 }
 
 impl PairRows {
-    /// Planes of `U` the kernels read: `re`, `im`, `−im`.
+    /// The `U` planes the kernels read: `re`, `im`, `−im`.
     pub const PLANES: usize = 3;
 
     pub fn rows(&self) -> usize {

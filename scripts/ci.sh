@@ -40,9 +40,18 @@ cargo test --release -q --test rank_equivalence --test comm_validation
 
 # The one row walker under the optimiser the benchmark runs with: every
 # style (tests/common's table) reads strided (device) rows as it reads
-# contiguous ones, and a recycled, re-strided list as a fresh one.
-echo "==> every-style row readers: device consistency + neighbor recycle (release)"
+# contiguous ones, and a recycled, re-strided list as a fresh one; and
+# every style, tiled past the fork threshold, computes Serial's forces
+# on forked Threads and device launches.
+echo "==> every-style row readers and forked kernels: device consistency + neighbor recycle (release)"
 cargo test --release -q --test device_consistency --test neighbor_recycle
+
+# lkk-kokkos' disjoint parts in the build the benchmark runs: every item
+# sees exactly its part on both sides of the fork threshold, bad CSR
+# offsets are rejected before dispatch, and a write one past a part's
+# end panics (no debug assertion involved).
+echo "==> disjoint-parts dispatch (release)"
+cargo test --release -q -p lkk-kokkos parts
 
 # SNAP's physics gate at the benchmark's order (2J = 8, rcut 4.7:
 # F = -dE/dx, net force, virial, rotation invariance, NVE drift), the
@@ -82,7 +91,7 @@ cargo test --release -q --test reaxff_physics
 
 # --- lint-invariants job ------------------------------------------------
 
-# Workspace invariant linter (LKK003..LKK006, LKK010, LKK011; docs/static-analysis.md):
+# Workspace invariant linter (LKK003, LKK004, LKK006, LKK010, LKK011; docs/static-analysis.md):
 # exit 1 on violations, exit 2 on a usage or I/O error. Gating. The
 # determinism rules are clippy's (clippy.toml, lint job below).
 echo "==> lkk-lint (workspace invariants)"
@@ -154,10 +163,8 @@ if rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
     miriflags="-Zmiri-seed=7 -Zmiri-strict-provenance -Zmiri-ignore-leaks"
     echo "==> miri: rayon shim worker pool (gating)"
     MIRIFLAGS="$miriflags" cargo +nightly miri test -p rayon
-    echo "==> miri: lkk-kokkos atomic + scatter-view unit tests (gating)"
-    MIRIFLAGS="$miriflags" cargo +nightly miri test -p lkk-kokkos atomic scatter
-    echo "==> miri: lkk-snap arena planes (gating)"
-    MIRIFLAGS="$miriflags" cargo +nightly miri test -p lkk-snap arena
+    echo "==> miri: lkk-kokkos atomic, scatter-view and disjoint-parts unit tests (gating)"
+    MIRIFLAGS="$miriflags" cargo +nightly miri test -p lkk-kokkos -- atomic scatter parts
   else
     echo "==> miri not installed for nightly; skipping (rustup component add miri --toolchain nightly)"
   fi

@@ -39,6 +39,26 @@ impl Case {
         system.ghosts = build_ghosts(&mut system.atoms, &system.domain, settings.cutneigh());
         system
     }
+
+    /// The same periodic system repeated `m` times along each axis.
+    pub fn tiled(mut self, m: usize) -> Case {
+        let (lo, l) = (self.domain.lo, self.domain.lengths());
+        let cells = (0..m * m * m).map(|c| [c % m, c / m % m, c / (m * m)]);
+        let shifts: Vec<[f64; 3]> = cells
+            .map(|c| [0, 1, 2].map(|k| c[k] as f64 * l[k]))
+            .collect();
+        self.positions = shifts
+            .iter()
+            .flat_map(|s| {
+                self.positions
+                    .iter()
+                    .map(move |p| [0, 1, 2].map(|k| p[k] + s[k]))
+            })
+            .collect();
+        self.types = self.types.repeat(shifts.len());
+        self.domain = Domain::new(lo, [0, 1, 2].map(|k| lo[k] + m as f64 * l[k]));
+        self
+    }
 }
 
 /// Every site moved by up to ±`amp`/2 per axis (fixed sequence).

@@ -58,10 +58,27 @@ fn forces_on(case: &common::Case, space: Space) -> (Vec<f64>, bool) {
     (forces, strided)
 }
 
+/// `got` is `want` to the bit where each work item writes only its own
+/// force row, and within 1e-11 of the largest force where forces are
+/// scattered.
+fn assert_same_forces(case: &common::Case, got: &[f64], want: &[f64]) {
+    let name = case.name;
+    let scale = want.iter().fold(0.0f64, |m, f| m.max(f.abs()));
+    assert!(scale > 0.0, "{name}: no force");
+    assert_eq!(got.len(), want.len(), "{name}");
+    for (n, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = if case.own_row {
+            g.to_bits() == w.to_bits()
+        } else {
+            (g - w).abs() <= 1e-11 * scale
+        };
+        assert!(same, "{name}: force component {n}: {g:e} vs {w:e}");
+    }
+}
+
 /// Every style reads the device's strided (`Layout::Left`) neighbor rows
 /// as it reads the host's contiguous ones: same forces as `Space::Serial`
-/// — to the bit where a work item writes only its own force row,
-/// to rounding (1e-11 of the largest force) where forces are scattered.
+/// (see [`assert_same_forces`]).
 #[test]
 fn every_style_computes_serial_forces_from_device_rows() {
     for case in common::every_style() {
@@ -70,16 +87,27 @@ fn every_style_computes_serial_forces_from_device_rows() {
         assert!(!strided, "{name}: host rows are contiguous");
         let (got, strided) = forces_on(&case, Space::device(GpuArch::h100()));
         assert!(strided, "{name}: device rows are strided");
-        let scale = want.iter().fold(0.0f64, |m, f| m.max(f.abs()));
-        assert!(scale > 0.0, "{name}: no force");
-        assert_eq!(got.len(), want.len(), "{name}");
-        for (n, (g, w)) in got.iter().zip(&want).enumerate() {
-            let same = if case.own_row {
-                g.to_bits() == w.to_bits()
-            } else {
-                (g - w).abs() <= 1e-11 * scale
-            };
-            assert!(same, "{name}: force component {n}: {g:e} vs {w:e}");
+        assert_same_forces(&case, &got, &want);
+    }
+}
+
+/// Every style with at least 2 048 owned atoms (each case's system tiled
+/// until it has them), so that every kernel launch over atoms forks: on
+/// `Threads` and on the device the forces are `Serial`'s (see
+/// [`assert_same_forces`]). The small systems of the test above never
+/// reach the fork threshold.
+#[test]
+fn every_style_forks_and_computes_serial_forces() {
+    for case in common::every_style() {
+        let m = (1..)
+            .find(|m| case.positions.len() * m * m * m >= 2048)
+            .unwrap();
+        let case = case.tiled(m);
+        let (want, _) = forces_on(&case, Space::Serial);
+        let nlocal = want.len() / 3;
+        assert!(nlocal >= 2048, "{}: {nlocal} owned atoms", case.name);
+        for space in [Space::Threads, Space::device(GpuArch::h100())] {
+            assert_same_forces(&case, &forces_on(&case, space).0, &want);
         }
     }
 }
