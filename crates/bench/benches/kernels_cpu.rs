@@ -37,7 +37,7 @@ use lkk_core::neighbor::{NeighborList, NeighborSettings};
 use lkk_core::pair::lj::LjCut;
 use lkk_core::pair::{PairKokkos, PairKokkosOptions, PairStyle};
 use lkk_core::sim::System;
-use lkk_kokkos::{isa, ScatterMode, ScatterView, Space};
+use lkk_kokkos::{isa, parts, ScatterMode, ScatterView, Space};
 use lkk_reaxff::nonbonded::PairTable;
 use lkk_reaxff::qeq::QeqMatrix;
 use lkk_reaxff::{hns, ReaxParams};
@@ -119,9 +119,9 @@ fn bench_scatter(c: &mut Criterion) {
         let mut sv = ScatterView::new(n, 3, mode);
         group.bench_function(name, |b| {
             b.iter(|| {
-                let svr = &sv;
-                Space::Threads.parallel_for("scatter", 8 * n, |k| {
-                    svr.access().add((k * 37) % n, k % 3, 1.0);
+                let out = parts::scatter(&mut sv);
+                Space::Threads.parallel_for_parts("scatter", 8 * n, out, |k, a| {
+                    a.add((k * 37) % n, k % 3, 1.0);
                 });
                 let mut out = vec![0.0; n * 3];
                 sv.contribute_into(&mut out);

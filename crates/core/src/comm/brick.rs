@@ -133,9 +133,7 @@ impl Wire {
             {
                 *msgs += 1;
                 *total += bytes;
-                if traced {
-                    profile::note_instant(&format!("{label}->r{p}"), bytes as f64);
-                }
+                profile::note_instant(|| (format!("{label}->r{p}"), bytes as f64));
             }
             self.transport.send(p, env)?;
         }
@@ -338,8 +336,7 @@ impl BrickComm {
         if policy.every == 0 || nranks == 1 || !call.is_multiple_of(policy.every) {
             return Ok(());
         }
-        let traced = profile::has_subscribers();
-        let _span = traced.then(|| profile::begin_region("balance"));
+        let _span = profile::has_subscribers().then(|| profile::begin_region("balance"));
         let bins = policy.bins.max(1);
         let nlocal = system.atoms.nlocal;
         let l = system.domain.lengths();
@@ -381,9 +378,7 @@ impl BrickComm {
         })?;
 
         let imb = balance::census_imbalance(&self.rank_counts);
-        if traced {
-            profile::note_instant("comm.balance.imbalance", imb);
-        }
+        profile::note_instant(|| ("comm.balance.imbalance", imb));
         if imb <= policy.threshold {
             return Ok(());
         }
@@ -414,9 +409,7 @@ impl BrickComm {
         self.decomp.set_cuts(Some(cuts));
         self.sub = self.decomp.subdomain(self.wire.rank);
         self.wire.stats.rebalances += 1;
-        if traced {
-            profile::note_instant("comm.balance.rebalance", imb);
-        }
+        profile::note_instant(|| ("comm.balance.rebalance", imb));
         Ok(())
     }
 

@@ -86,9 +86,7 @@ impl Reliable {
     /// Fault/recovery instant into the trace layer (summed into
     /// `rank{r}/comm.fault.*` metrics counters by `lkk-trace`).
     fn note_fault(&self, name: &str, value: f64) {
-        if profile::has_subscribers() {
-            profile::note_instant(name, value);
-        }
+        profile::note_instant(|| (name, value));
     }
 
     /// Provision the pool for worst-case fault-path extras of the

@@ -170,9 +170,7 @@ impl BufPool {
                 // step to step, and a fresh class must absorb that
                 // without another growth (the steady-state assert).
                 self.grow_count += 1;
-                if profile::has_subscribers() {
-                    profile::note_instant("pool_grow", need as f64);
-                }
+                profile::note_instant(|| ("pool_grow", need as f64));
                 Vec::with_capacity((need * 2).max(1024).next_power_of_two())
             }
         }
@@ -270,8 +268,8 @@ impl Mesh {
         // begin per (edge, tag, seq) — retransmits and duplicates are
         // re-deliveries of this same flow, not new ones. The quiesce
         // handshake rides the control plane and is not traced.
-        if tag != TAG_QUIESCE && profile::has_subscribers() {
-            profile::note_flow_begin(tag_name(tag), flow_id(self.rank, peer, tag, seq));
+        if tag != TAG_QUIESCE {
+            profile::note_flow_begin(|| (tag_name(tag), flow_id(self.rank, peer, tag, seq)));
         }
         seq
     }
@@ -286,8 +284,8 @@ impl Mesh {
         // Flow terminus: the envelope identity is recomputed from the
         // same (edge, tag, seq) the sender stamped, so the ids match
         // without extra wire bytes.
-        if tag != TAG_QUIESCE && profile::has_subscribers() {
-            profile::note_flow_end(tag_name(tag), flow_id(peer, self.rank, tag, expected));
+        if tag != TAG_QUIESCE {
+            profile::note_flow_end(|| (tag_name(tag), flow_id(peer, self.rank, tag, expected)));
         }
     }
 

@@ -410,9 +410,7 @@ impl RunSpec {
                         system.comm = Some(Box::new(comm));
                         let outcome = self.drive_rank(factory(rank, system));
                         if let Err(err) = &outcome {
-                            if profile::has_subscribers() {
-                                profile::note_instant("comm.fault.abort", err.rank() as f64);
-                            }
+                            profile::note_instant(|| ("comm.fault.abort", err.rank() as f64));
                         }
                         outcome
                     })

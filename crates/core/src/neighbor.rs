@@ -420,6 +420,59 @@ impl Bins {
     }
 }
 
+/// Neighbor-row storage as [`NeighborList`] exposes it: one element at
+/// a time ([`RowStorage::at`]) and its layout. The row format itself —
+/// counts, strides, capacity, the poisoned tail — belongs to this module,
+/// which alone reaches the view (`.0`); everyone else reads rows through
+/// [`NeighborList::rows`] or [`NeighborList::within`]. `at` stays open
+/// because it resolves the layout on each call: slow in a kernel, but
+/// never wrong.
+///
+/// ```
+/// # use lkk_core::prelude::*;
+/// # let lat = Lattice::new(LatticeKind::Fcc, 1.6);
+/// # let mut atoms = AtomData::from_positions(&lat.positions(5, 5, 5));
+/// # let domain = lat.domain(5, 5, 5);
+/// # let settings = NeighborSettings::new(2.5, 0.3, false);
+/// # let _ghosts = lkk_core::comm::build_ghosts(&mut atoms, &domain, settings.cutneigh());
+/// let list = NeighborList::build(&atoms, &domain, &settings, &Space::Serial);
+/// let first = list.neighbors.at([0, 0]);
+/// assert_eq!(first, list.rows().row(0).next().unwrap());
+/// assert_eq!(list.numneigh.at([0]) as usize, list.rows().len(0));
+/// ```
+///
+/// The storage calls that depend on the format do not compile outside
+/// this module:
+///
+/// ```compile_fail,E0599
+/// # use lkk_core::prelude::*;
+/// fn counts(list: &NeighborList) -> &[u32] {
+///     list.numneigh.as_slice()
+/// }
+/// ```
+///
+/// ```compile_fail,E0599
+/// # use lkk_core::prelude::*;
+/// fn row_stride(list: &NeighborList) -> usize {
+///     list.neighbors.stride(0)
+/// }
+/// ```
+#[derive(Debug)]
+pub struct RowStorage<T, const R: usize>(View<T, R>);
+
+impl<T: Copy, const R: usize> RowStorage<T, R> {
+    /// Element `idx`.
+    pub fn at(&self, idx: [usize; R]) -> T {
+        self.0.at(idx)
+    }
+
+    /// The storage's layout: `Right` (contiguous rows) on hosts, `Left`
+    /// (strided rows) on the device.
+    pub fn layout(&self) -> lkk_kokkos::Layout {
+        self.0.layout()
+    }
+}
+
 /// A built neighbor list.
 ///
 /// The list (and its [`Bins`]) is designed to be *persistent*: call
@@ -434,9 +487,9 @@ pub struct NeighborList {
     pub half: bool,
     pub cutneigh: f64,
     /// `[nlocal, maxneigh]` neighbor indices; layout per execution space.
-    pub neighbors: View2<u32>,
+    pub neighbors: RowStorage<u32, 2>,
     /// Number of neighbors per owned atom.
-    pub numneigh: View1<u32>,
+    pub numneigh: RowStorage<u32, 1>,
     pub maxneigh: usize,
     pub nlocal: usize,
     /// Total stored pairs (`Σ numneigh`).
@@ -463,8 +516,8 @@ impl NeighborList {
         let mut list = NeighborList {
             half: settings.half,
             cutneigh: settings.cutneigh(),
-            neighbors: View::for_space("neighlist", [0, 0], space),
-            numneigh: View::for_space("numneigh", [0], space),
+            neighbors: RowStorage(View::for_space("neighlist", [0, 0], space)),
+            numneigh: RowStorage(View::for_space("numneigh", [0], space)),
             maxneigh: 0,
             nlocal: 0,
             total_pairs: 0,
@@ -486,10 +539,11 @@ impl NeighborList {
 
     /// The reader every consumer of the rows goes through.
     pub fn rows(&self) -> Rows<'_> {
+        let (counts, neigh) = (&self.numneigh.0, &self.neighbors.0);
         Rows {
-            counts: self.numneigh.as_slice(),
-            neigh: self.neighbors.as_slice(),
-            strides: [self.neighbors.stride(0), self.neighbors.stride(1)],
+            counts: counts.as_slice(),
+            neigh: neigh.as_slice(),
+            strides: [neigh.stride(0), neigh.stride(1)],
         }
     }
 
@@ -533,8 +587,8 @@ impl NeighborList {
         // stored strides; rebuild the views from scratch. Never taken
         // in a steady-state run loop.
         if self.neighbors.layout() != lkk_kokkos::Layout::for_space(space) {
-            self.neighbors = View::for_space("neighlist", [0, 0], space);
-            self.numneigh = View::for_space("numneigh", [0], space);
+            self.neighbors.0 = View::for_space("neighlist", [0, 0], space);
+            self.numneigh.0 = View::for_space("numneigh", [0], space);
         }
 
         let isa = isa::active();
@@ -543,13 +597,14 @@ impl NeighborList {
             // along with those slots: nothing reads the stale remainder.
             let mut grew = self
                 .neighbors
+                .0
                 .realloc_without_initializing([nlocal, maxneigh]);
-            grew |= self.numneigh.realloc([nlocal]);
+            grew |= self.numneigh.0.realloc([nlocal]);
             if grew {
                 self.grow_count += 1;
             }
             #[cfg(debug_assertions)]
-            self.neighbors.fill(u32::MAX);
+            self.neighbors.0.fill(u32::MAX);
             let (needed, total_pairs) = Self::fill(
                 atoms,
                 &self.bins,
@@ -557,8 +612,8 @@ impl NeighborList {
                 settings.half,
                 nlocal,
                 maxneigh,
-                &mut self.neighbors,
-                &mut self.numneigh,
+                &mut self.neighbors.0,
+                &mut self.numneigh.0,
                 space,
                 isa,
             );
@@ -603,7 +658,7 @@ impl NeighborList {
                     .then_with(|| pa[2].total_cmp(&pb[2]))
             });
             for (s, &j) in row.iter().enumerate() {
-                self.neighbors.set([i, s], j);
+                self.neighbors.0.set([i, s], j);
             }
         }
         self.sort_scratch = row;
@@ -1288,7 +1343,7 @@ mod tests {
                     list.neighbors.layout() == lkk_kokkos::Layout::Left,
                     space.is_device()
                 );
-                let counts = list.numneigh.as_slice();
+                let counts = list.numneigh.0.as_slice();
                 assert!(counts.iter().min() < counts.iter().max());
                 for block in [1, 32, 256, 2048] {
                     assert_eq!(

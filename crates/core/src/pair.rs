@@ -22,9 +22,8 @@ use crate::atom::Mask;
 use crate::neighbor::{NeighborList, Rows, CHUNK};
 use crate::sim::System;
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::scatter_view::ScatterAccess;
 use lkk_kokkos::{
-    AtomicF64, RowMut, ScatterMode, ScatterView, Space, TeamPolicy, Triples, View1, View2,
+    parts, AtomicF64, RowMut, ScatterMode, ScatterView, Space, TeamPolicy, Triples, View1, View2,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,7 +137,7 @@ pub struct ForceScatter {
 
 impl ForceScatter {
     /// Shape the pool for `nall` atoms in `space`'s default mode, ahead
-    /// of a kernel's [`ForceScatter::access`] calls.
+    /// of a kernel's [`ForceScatter::parts`] launch.
     pub fn ensure(&mut self, nall: usize, space: &Space) {
         let mode = ScatterMode::default_for(space);
         self.view
@@ -146,14 +145,11 @@ impl ForceScatter {
             .ensure(nall, 3, mode);
     }
 
-    /// The calling worker's handle; one per work item.
-    #[inline]
-    #[track_caller]
-    pub fn access(&self) -> ScatterAccess<'_> {
-        self.view
-            .as_ref()
-            .expect("ForceScatter::ensure comes first")
-            .access()
+    /// The pool as a `*_parts` dispatch output: each work item gets the
+    /// handle of the thread that runs it ([`parts::scatter`]).
+    pub fn parts(&mut self) -> parts::Scatter<'_> {
+        let view = self.view.as_mut();
+        parts::scatter(view.expect("ForceScatter::ensure comes first"))
     }
 
     /// Epilogue: `atoms.f` becomes the scattered forces (the pool is
@@ -485,7 +481,6 @@ impl<P: TwoBody> PairKokkos<P> {
     fn compute_half<const EV: bool>(&mut self, system: &mut System, list: &NeighborList) -> Tally {
         let space = system.space.clone();
         self.scatter.ensure(system.atoms.nall(), &space);
-        let scatter = &self.scatter;
         let atoms = &system.atoms;
         let launch = Launch::new(
             &self.pot,
@@ -493,12 +488,12 @@ impl<P: TwoBody> PairKokkos<P> {
             atoms.typ.view_for(&space),
             list,
         );
-        let tally = space.parallel_reduce(
+        let tally = space.parallel_reduce_parts(
             "PairComputeHalf",
             atoms.nlocal,
+            self.scatter.parts(),
             Tally::default(),
-            |i| {
-                let forces = scatter.access();
+            |i, forces| {
                 let (fi, tally) =
                     launch.atom::<EV>(i, |j, f| forces.add3(j, [-f[0], -f[1], -f[2]]));
                 forces.add3(i, fi);
@@ -851,9 +846,8 @@ mod tests {
 
     /// The kernels this module had before the shared filter-then-compute
     /// loop, kept as the bitwise reference (as `fill_reference` is for
-    /// the neighbor fill): one branchy pass over each row, a
-    /// `ScatterView::add` per component, energy and virial on every
-    /// call. Same dispatches, so reduction order is the same too.
+    /// the neighbor fill): one branchy pass over each row, a scatter
+    /// `add` per component, energy and virial on every call. Same dispatches, so reduction order is the same too.
     fn compute_reference<P: TwoBody>(
         pot: &P,
         system: &mut System,
@@ -908,15 +902,15 @@ mod tests {
         let zero: Sums = (0.0, [0.0; 6], 0);
         let (e, w, inside) = if list.half {
             let mut scatter = ScatterView::for_space(nall, 3, &space);
-            let sref = &scatter;
-            let sums = space.parallel_reduce(
+            let sums = space.parallel_reduce_parts(
                 "ReferenceHalf",
                 nlocal,
+                parts::scatter(&mut scatter),
                 zero,
-                |i| {
-                    let (fi, sums) = row(i, &mut |j, k, v| sref.add(j, k, v));
+                |i, forces| {
+                    let (fi, sums) = row(i, &mut |j, k, v| forces.add(j, k, v));
                     for (k, &fik) in fi.iter().enumerate() {
-                        sref.add(i, k, fik);
+                        forces.add(i, k, fik);
                     }
                     sums
                 },

@@ -33,8 +33,9 @@ pub trait DescriptorSet: Send + Sync {
     /// Fill `desc` (length `n_descriptors`) from relative neighbor
     /// positions.
     fn compute(&self, neigh: &[[f64; 3]], desc: &mut [f64]);
-    /// Chain rule: given `∂E/∂desc`, return `∂E/∂x_k` per neighbor.
-    fn chain(&self, neigh: &[[f64; 3]], dedd: &[f64]) -> Vec<[f64; 3]>;
+    /// Chain rule: given `∂E/∂desc`, `∂E/∂x` of the neighbor at
+    /// relative position `d3`.
+    fn chain(&self, d3: [f64; 3], dedd: &[f64]) -> [f64; 3];
 }
 
 /// An energy model over descriptors (the "external framework" side).
@@ -90,26 +91,21 @@ impl DescriptorSet for RadialSymmetry {
         }
     }
 
-    fn chain(&self, neigh: &[[f64; 3]], dedd: &[f64]) -> Vec<[f64; 3]> {
-        neigh
-            .iter()
-            .map(|d3| {
-                let rsq = d3[0] * d3[0] + d3[1] * d3[1] + d3[2] * d3[2];
-                let r = rsq.sqrt();
-                if r >= self.rcut {
-                    return [0.0; 3];
-                }
-                let (fc, dfc) = self.fc(r);
-                // dG_k/dr, then ∂r/∂x = x/r.
-                let mut dedr = 0.0;
-                for (k, &mu) in self.mus.iter().enumerate() {
-                    let g = (-self.eta * (r - mu) * (r - mu)).exp();
-                    let dg = -2.0 * self.eta * (r - mu) * g;
-                    dedr += dedd[k] * (dg * fc + g * dfc);
-                }
-                [dedr * d3[0] / r, dedr * d3[1] / r, dedr * d3[2] / r]
-            })
-            .collect()
+    fn chain(&self, d3: [f64; 3], dedd: &[f64]) -> [f64; 3] {
+        let rsq = d3[0] * d3[0] + d3[1] * d3[1] + d3[2] * d3[2];
+        let r = rsq.sqrt();
+        if r >= self.rcut {
+            return [0.0; 3];
+        }
+        let (fc, dfc) = self.fc(r);
+        // dG_k/dr, then ∂r/∂x = x/r.
+        let mut dedr = 0.0;
+        for (k, &mu) in self.mus.iter().enumerate() {
+            let g = (-self.eta * (r - mu) * (r - mu)).exp();
+            let dg = -2.0 * self.eta * (r - mu) * g;
+            dedr += dedd[k] * (dg * fc + g * dfc);
+        }
+        [dedr * d3[0] / r, dedr * d3[1] / r, dedr * d3[2] / r]
     }
 }
 
@@ -221,16 +217,16 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
         system.atoms.sync(&space, Mask::X | Mask::TYPE);
         let nlocal = system.atoms.nlocal;
         self.scatter.ensure(system.atoms.nall(), &space);
-        let scatter = &self.scatter;
         let desc_set = &self.descriptors;
         let model = &self.model;
         let nd = desc_set.n_descriptors();
         let walk = list.within(system.atoms.x.view_for(&space), desc_set.cutoff());
-        let tally = space.parallel_reduce(
+        let tally = space.parallel_reduce_parts(
             "PairMliapCompute",
             nlocal,
+            self.scatter.parts(),
             Tally::default(),
-            |i| {
+            |i, forces| {
                 with_neigh_scratch(|sc| {
                     walk.row::<TOWARD_J>(i, |j, d, _| {
                         sc.rel.push(d);
@@ -238,7 +234,7 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
                     });
                     // Descriptor/gradient slots live in the same scratch;
                     // `resize` after `clear` zero-fills without realloc in
-                    // steady state (LKK004).
+                    // steady state (`tests/alloc_gate.rs`).
                     sc.a.resize(nd, 0.0);
                     sc.b.resize(nd, 0.0);
                     let (rel, ids, desc, grad) = (&sc.rel, &sc.ids, &mut sc.a, &mut sc.b);
@@ -247,10 +243,9 @@ impl<D: DescriptorSet + 'static, M: MlModel + 'static> PairStyle for PairMliap<D
                         e: model.forward(desc, grad),
                         ..Tally::default()
                     };
-                    let dedx = desc_set.chain(rel, grad);
-                    let forces = scatter.access();
                     for (k, &j) in ids.iter().enumerate() {
-                        let f = [-dedx[k][0], -dedx[k][1], -dedx[k][2]];
+                        let dedx = desc_set.chain(rel[k], grad);
+                        let f = [-dedx[0], -dedx[1], -dedx[2]];
                         forces.add3(j, f);
                         forces.add3(i, [-f[0], -f[1], -f[2]]);
                         if eflag {

@@ -3,9 +3,9 @@
 //! Several pair styles pre-filter the in-cutoff neighbors of each atom
 //! into dense arrays before the force loop (divergence pre-processing,
 //! §4.2.1 pattern). Allocating those arrays per work item violates the
-//! steady-state zero-alloc invariant (lkk-lint rule LKK004): the
-//! allocator is a serialization point under parallel dispatch and the
-//! per-atom `malloc`/`free` churn dwarfs the filter itself for small
+//! steady-state zero-alloc invariant (gated by `tests/alloc_gate.rs`):
+//! the allocator is a serialization point under parallel dispatch and
+//! the per-atom `malloc`/`free` churn dwarfs the filter itself for small
 //! neighbor counts.
 //!
 //! This module keeps one reusable buffer set per OS thread. Capacity

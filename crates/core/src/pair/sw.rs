@@ -137,18 +137,18 @@ impl PairStyle for PairSw {
         system.atoms.sync(&space, Mask::X | Mask::TYPE);
         let nlocal = system.atoms.nlocal;
         self.scatter.ensure(system.atoms.nall(), &space);
-        let scatter = &self.scatter;
         let p = self.params;
         let walk = list.within(system.atoms.x.view_for(&space), p.cutoff());
-        let tally = space.parallel_reduce(
+        let tally = space.parallel_reduce_parts(
             "PairSwCompute",
             nlocal,
+            self.scatter.parts(),
             Tally::default(),
-            |i| {
+            |i, forces| {
                 with_neigh_scratch(|sc| {
                     // Pre-filter the in-cutoff neighbors (divergence
                     // pre-processing, §4.2.1 pattern) into per-thread
-                    // scratch re-used across work items (LKK004).
+                    // scratch re-used across work items (`tests/alloc_gate.rs`).
                     walk.row::<TOWARD_J>(i, |j, d, rsq| {
                         sc.rel.push(d);
                         sc.rs.push(rsq.sqrt());
@@ -156,7 +156,6 @@ impl PairStyle for PairSw {
                     });
                     let (rel, rs, ids) = (&sc.rel, &sc.rs, &sc.ids);
                     let mut tally = Tally::default();
-                    let forces = scatter.access();
                     let add_force = |atom: usize, f: [f64; 3]| forces.add3(atom, f);
                     // Two-body: one-sided over the full list (half energy).
                     for (m, &j) in ids.iter().enumerate() {

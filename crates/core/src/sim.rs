@@ -269,17 +269,16 @@ impl Simulation {
         self.x_at_build
             .extend((0..self.system.atoms.nlocal).map(|i| self.system.atoms.pos(i)));
         self.rebuild_count += 1;
-        if profile::has_subscribers() {
-            // Counter samples at every rebuild: timeline consumers plot
-            // these as per-rank tracks (owned-atom drift is the load-
-            // imbalance signal), metrics registries gauge/histogram
-            // them. All values are deterministic counters.
-            profile::note_counter("owned_atoms", self.system.atoms.nlocal as f64);
-            profile::note_counter("ghost_atoms", self.system.atoms.nghost as f64);
-            if let Some(list) = &self.list {
-                profile::note_counter("neigh_pairs", list.total_pairs as f64);
-                profile::note_counter("neigh_avg", list.avg_neighbors());
-            }
+        // Counter samples at every rebuild: timeline consumers plot
+        // these as per-rank tracks (owned-atom drift is the load-
+        // imbalance signal), metrics registries gauge/histogram them.
+        // All values are deterministic counters.
+        let atoms = &self.system.atoms;
+        profile::note_counter(|| ("owned_atoms", atoms.nlocal as f64));
+        profile::note_counter(|| ("ghost_atoms", atoms.nghost as f64));
+        if let Some(list) = &self.list {
+            profile::note_counter(|| ("neigh_pairs", list.total_pairs as f64));
+            profile::note_counter(|| ("neigh_avg", list.avg_neighbors()));
         }
         Ok(())
     }

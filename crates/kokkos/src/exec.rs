@@ -140,6 +140,7 @@ impl Space {
         F: Fn(usize) + Sync + Send,
     {
         profile::note_kernel_launch(label, n);
+        let f = counted(f);
         match self {
             Space::Serial => {
                 for i in 0..n {
@@ -224,6 +225,7 @@ impl Space {
         F: Fn(usize) -> T + Sync + Send,
         J: Fn(T, T) -> T + Sync + Send,
     {
+        let f = counted(f);
         if !matches!(self, Space::Serial) && Self::fork(n) {
             (0..n)
                 .into_par_iter()
@@ -316,7 +318,7 @@ impl Space {
         let t1 = tile1.max(1);
         let tiles0 = n0.div_ceil(t0);
         let tiles1 = n1.div_ceil(t1);
-        let run_tile = |tid: usize| {
+        let run_tile = counted(|tid: usize| {
             let b0 = (tid / tiles1) * t0;
             let b1 = (tid % tiles1) * t1;
             for i in b0..(b0 + t0).min(n0) {
@@ -324,7 +326,7 @@ impl Space {
                     f(i, j);
                 }
             }
-        };
+        });
         match self {
             Space::Serial => {
                 for tid in 0..tiles0 * tiles1 {
@@ -356,6 +358,11 @@ impl Space {
     {
         let scratch_len = policy.scratch_bytes.div_ceil(8);
         profile::note_kernel_launch(label, policy.league_size * policy.team_size.max(1));
+        #[cfg(debug_assertions)]
+        let f = |team: &mut Team<'_>| {
+            let _call = crate::alloc_gate::enter();
+            f(team)
+        };
         let run_serial = |policy: &TeamPolicy| {
             let mut scratch = vec![0.0f64; scratch_len];
             for rank in 0..policy.league_size {
@@ -406,6 +413,22 @@ impl Space {
             f(team, part)
         });
     }
+}
+
+/// `f` as a dispatch calls it: under `debug_assertions` each call holds
+/// the thread's dispatch depth up (see [`crate::alloc_gate`]).
+#[cfg(debug_assertions)]
+fn counted<A, R>(f: impl Fn(A) -> R + Sync + Send) -> impl Fn(A) -> R + Sync + Send {
+    move |a| {
+        let _call = crate::alloc_gate::enter();
+        f(a)
+    }
+}
+
+#[cfg(not(debug_assertions))]
+#[inline(always)]
+fn counted<F>(f: F) -> F {
+    f
 }
 
 #[cfg(test)]

@@ -9,14 +9,21 @@
 //! launch). Nothing selects between them but the hardware: no option,
 //! environment variable or cargo feature.
 //!
-//! **Bits do not depend on the choice.** Only `avx2` is ever enabled,
-//! never `fma`: 256-bit `add`/`sub`/`mul`/compare over independent
-//! lanes round exactly as their scalar and 128-bit forms do, and Rust
-//! contracts `a * b + c` into a fused multiply-add only where the source
-//! says `mul_add`. Every kernel routed through here carries a test that
-//! its instantiations agree bit for bit (`lkk-lint` LKK010 keeps
-//! `target_feature` and feature detection inside this file and rejects
-//! `fma` in an `enable` list).
+//! **Bits do not depend on the choice.** Only `avx2` is enabled:
+//! 256-bit `add`/`sub`/`mul`/compare over independent lanes round
+//! exactly as their scalar and 128-bit forms do. Enabling `fma` would
+//! not move a bit either: rustc never contracts `a * b + c` into a fused
+//! multiply-add, and `f64::mul_add` is correctly rounded on every
+//! machine, with or without the instruction. Every kernel routed through
+//! here carries a test that its instantiations agree bit for bit, run on
+//! a host that has FMA.
+//!
+//! **This file is the only place that selects an instruction set.**
+//! Elsewhere a `#[target_feature]` function cannot be called without
+//! `unsafe` (E0133), which every other crate forbids; feature detection
+//! is a `disallowed-macros` entry in `clippy.toml`, waived once below;
+//! and CI greps the sources for `cfg(target_feature = …)`, the one form
+//! neither the compiler nor clippy sees.
 //!
 //! Instantiate at the granularity of one work item (one atom's row),
 //! not one inner-loop trip: the call into the AVX2 copy is a real call.
@@ -41,11 +48,23 @@ pub fn set_force_baseline(on: bool) {
 
 /// The widest instantiation this CPU supports.
 pub fn active() -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = !FORCE_BASELINE.load(Ordering::Relaxed) && std::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let avx2 = false;
+    let avx2 = !FORCE_BASELINE.load(Ordering::Relaxed) && cpu_has_avx2();
     Isa { avx2 }
+}
+
+/// Does the CPU report AVX2?
+#[cfg(target_arch = "x86_64")]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "the ISA seam is where instruction sets are selected"
+)]
+fn cpu_has_avx2() -> bool {
+    std::is_x86_feature_detected!("avx2")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn cpu_has_avx2() -> bool {
+    false
 }
 
 impl Isa {
@@ -116,13 +135,6 @@ mod tests {
         assert_eq!(active(), Isa::baseline());
         assert_eq!(active().name(), "baseline");
         set_force_baseline(false);
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            active().name() == "avx2",
-            std::is_x86_feature_detected!("avx2")
-        );
-        // Test (d): a target without the x86-64 arm has only the baseline.
-        #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(active(), Isa::baseline());
+        assert_eq!(active().name() == "avx2", cpu_has_avx2());
     }
 }

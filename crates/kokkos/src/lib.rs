@@ -24,24 +24,28 @@
 //!   league/team/vector parallelism with per-team scratch memory, §3.3).
 //! * [`parts`] — an exclusively borrowed output cut into one part per
 //!   work item, for the `*_parts` dispatches: §4.1's own-row writes,
-//!   checked by the compiler.
+//!   checked by the compiler, and a `ScatterView`'s per-thread handle.
 //! * [`atomic`] — an [`AtomicF64`] built on `AtomicU64` CAS, the
 //!   building block for thread-atomic force accumulation, and a view of
 //!   a `&mut [f64]` as shared atomic cells.
 //!
 //! `unsafe` lives here and in the rayon shim only (every other crate
 //! forbids it): the disjoint-parts handles, the atomic-cell view, the
-//! `ScatterView` copies and the ISA seam, each block with its `SAFETY`
-//! argument.
+//! `ScatterView` copies, the ISA seam and the counting allocator, each
+//! block with its `SAFETY` argument.
 //! * [`isa`] — one kernel source instantiated per instruction set: an
-//!   `#[inline(always)]` body run at the baseline or under AVX2 (never
-//!   FMA, so bits do not move), picked from what the CPU reports.
+//!   `#[inline(always)]` body run at the baseline or under AVX2 (the
+//!   same bits either way), picked from what the CPU reports.
 //! * [`profile`] — the Kokkos-Tools-style profiling layer: nested named
 //!   regions with RAII guards, kernel launch/stats hooks fired from the
 //!   dispatch layer, host↔device transfer accounting, and a subscriber
 //!   registry mirroring the whole event stream to any registered
 //!   [`lkk_gpusim::ProfileSubscriber`].
+//! * `alloc_gate` (debug builds) — a counting global allocator and the
+//!   dispatch depth it reads: the zero-allocation gate on kernels.
 
+#[cfg(debug_assertions)]
+pub mod alloc_gate;
 pub mod atomic;
 pub mod dual_view;
 pub mod exec;

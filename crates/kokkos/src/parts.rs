@@ -14,6 +14,8 @@
 //! * [`csr`]: `offsets[i]..offsets[i + 1]` of a slice;
 //! * [`leader_blocks`]: for every `g`-th item the `g` rows from its own,
 //!   for the others nothing;
+//! * [`scatter`]: a [`ScatterView`]'s write handle, taken on the thread
+//!   that runs item `i` — §4.1's second half, the true conflicts;
 //! * tuples of up to four parts (nest them for more).
 //!
 //! Whatever a kind has to check (extent, CSR offsets monotone and in
@@ -24,8 +26,10 @@
 //! Soundness rests on two facts: the parts of items `0..n` are pairwise
 //! disjoint, and the wrapped dispatch calls its closure exactly once per
 //! item (the rayon shim runs every chunk of its chunk map once), so no
-//! part is ever cut twice.
+//! part is ever cut twice. [`scatter`]'s parts all write one view, each
+//! through storage its thread alone writes (see [`Scatter`]).
 
+use crate::scatter_view::{ScatterAccess, ScatterMode, ScatterView};
 use std::marker::PhantomData;
 use std::ops::{Index, IndexMut};
 
@@ -169,6 +173,80 @@ impl<'a, T: Send> Parts for LeaderBlocks<'a, T> {
         let end = (i + g).min(raw.len / width);
         i.is_multiple_of(g)
             .then(|| raw.slice(i * width, (end - i) * width))
+    }
+}
+
+/// Parts from [`scatter`]: the view, and for a `Sequential` one the
+/// thread that may write it.
+pub struct Scatter<'a> {
+    view: &'a ScatterView,
+    owner: Option<usize>,
+}
+
+thread_local! {
+    /// Its address tells threads apart.
+    static THREAD_MARK: u8 = const { 0 };
+}
+
+fn this_thread() -> usize {
+    THREAD_MARK.with(|mark| std::ptr::from_ref(mark) as usize)
+}
+
+/// `view`'s write handle for every item, [`ScatterView::access`] taken
+/// on the thread that runs the item: Kokkos' `auto a = sv.access()` at
+/// the top of a kernel. A `ScatterView` is not `Sync`, so a dispatch
+/// closure cannot capture one; this is how a kernel writes to it.
+///
+/// ```
+/// use lkk_kokkos::{parts, ScatterView, Space};
+/// let space = Space::Threads;
+/// let mut forces = ScatterView::for_space(8, 3, &space);
+/// space.parallel_for_parts("Scatter", 8, parts::scatter(&mut forces), |i, f| {
+///     f.add3((i + 1) % 8, [1.0, 0.0, -1.0]);
+/// });
+/// let mut out = vec![0.0; 24];
+/// forces.contribute_into(&mut out);
+/// assert_eq!(out[..3], [1.0, 0.0, -1.0]);
+/// ```
+///
+/// Calling `add` on a captured view, the per-element scatter that
+/// resolves the storage on every call, does not compile:
+///
+/// ```compile_fail,E0277
+/// use lkk_kokkos::{ScatterView, Space};
+/// let space = Space::Threads;
+/// let forces = ScatterView::for_space(8, 3, &space);
+/// space.parallel_for("Scatter", 8, |i| forces.add((i + 1) % 8, 0, 1.0));
+/// ```
+///
+/// A `Sequential` view has one buffer: every part of it must be cut on
+/// the thread that called `scatter`, so a launch that forks over one
+/// panics on the first other thread (as it would race otherwise).
+pub fn scatter(view: &mut ScatterView) -> Scatter<'_> {
+    let owner = (view.mode() == ScatterMode::Sequential).then(this_thread);
+    Scatter { view, owner }
+}
+
+// SAFETY: the exclusive borrow leaves the launch the only user of the
+// view, and each part writes storage no other thread writes meanwhile:
+// `Atomic` cells are shared atomically; a `Duplicated` part is the copy
+// of the running chunk's worker index, and the chunks that run at once
+// have distinct indices; a `Sequential` part is cut only on its owner
+// thread (checked in `part`).
+unsafe impl Sync for Scatter<'_> {}
+
+impl<'a> Parts for Scatter<'a> {
+    type Part = ScatterAccess<'a>;
+
+    fn check(&self, _n: usize) {}
+
+    #[inline]
+    unsafe fn part(&self, _i: usize) -> ScatterAccess<'a> {
+        if let Some(owner) = self.owner {
+            let here = this_thread() == owner;
+            assert!(here, "a Sequential ScatterView written from two threads");
+        }
+        self.view.access()
     }
 }
 
@@ -427,6 +505,26 @@ mod tests {
             assert!(!ran.into_inner());
             assert_eq!(space.device_ctx().unwrap().log.len(), 0, "nothing launched");
         }
+    }
+
+    /// A `Sequential` view's part cut on a thread other than the one
+    /// that called `scatter` panics instead of racing the owner.
+    #[test]
+    fn a_sequential_scatter_part_on_another_thread_panics() {
+        let mut sv = ScatterView::new(2, 1, ScatterMode::Sequential);
+        let out = scatter(&mut sv);
+        // SAFETY: `check` has nothing to check, and parts 0 and 1 are cut
+        // once each.
+        unsafe { out.part(0) }.add(0, 0, 1.0);
+        let there = std::thread::scope(|s| {
+            // SAFETY: as above.
+            s.spawn(|| unsafe { out.part(1) }.add(1, 0, 1.0)).join()
+        });
+        let msg = *there.unwrap_err().downcast::<&str>().unwrap();
+        assert!(msg.contains("two threads"), "{msg}");
+        let mut sums = vec![0.0; 2];
+        sv.contribute_into(&mut sums);
+        assert_eq!(sums, [1.0, 0.0]);
     }
 
     #[test]

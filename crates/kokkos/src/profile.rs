@@ -62,10 +62,10 @@ pub fn unregister_subscriber(id: SubscriberId) {
     SUBSCRIBER_COUNT.store(subs.len(), Ordering::Release);
 }
 
-/// Is anyone listening? Callers that must *build* an event payload
-/// (format a label, walk a table) should gate that work on this — the
-/// hooks themselves already early-out, but only after the payload has
-/// been constructed.
+/// Is anyone listening? The `note_*` hooks build their payload only
+/// when someone is, so they need no gate; this gates the one other
+/// payload a caller builds ahead of a hook, the region name handed to
+/// [`begin_region`].
 pub fn has_subscribers() -> bool {
     SUBSCRIBER_COUNT.load(Ordering::Acquire) > 0
 }
@@ -220,50 +220,71 @@ pub fn note_kernel_launch(name: &str, work_items: usize) {
 }
 
 /// Fire a point-in-time event (no duration) to subscribers, tagged with
-/// the calling thread's region path. `value` is an event-specific
-/// payload (pass 0.0 when there is nothing to attach).
-pub fn note_instant(name: &str, value: f64) {
+/// the calling thread's region path. `payload` returns the name and an
+/// event-specific value (0.0 when there is nothing to attach); it runs
+/// only when a subscriber is attached, so a caller never gates the hook
+/// and never builds a label nobody reads.
+///
+/// ```
+/// use lkk_kokkos::profile;
+/// let p = 3;
+/// profile::note_instant(|| (format!("halo->r{p}"), 128.0));
+/// ```
+///
+/// The eager form, which built its name before the hook could skip it,
+/// does not compile:
+///
+/// ```compile_fail,E0061
+/// lkk_kokkos::profile::note_instant("x", 1.0);
+/// ```
+pub fn note_instant<N: AsRef<str>>(payload: impl FnOnce() -> (N, f64)) {
     if SUBSCRIBER_COUNT.load(Ordering::Acquire) == 0 {
         return;
     }
+    let (name, value) = payload();
     let region = current_region();
-    for_each_subscriber(|sub| sub.instant(name, &region, value));
+    for_each_subscriber(|sub| sub.instant(name.as_ref(), &region, value));
 }
 
 /// Fire a counter sample (`name` = `value` as of now) to subscribers,
-/// tagged with the calling thread's region path. Timeline consumers
+/// tagged with the calling thread's region path, the payload built only
+/// when someone listens (see [`note_instant`]). Timeline consumers
 /// render these as counter tracks; see
 /// [`lkk_gpusim::ProfileSubscriber::counter`].
-pub fn note_counter(name: &str, value: f64) {
+pub fn note_counter<N: AsRef<str>>(payload: impl FnOnce() -> (N, f64)) {
     if SUBSCRIBER_COUNT.load(Ordering::Acquire) == 0 {
         return;
     }
+    let (name, value) = payload();
     let region = current_region();
-    for_each_subscriber(|sub| sub.counter(name, &region, value));
+    for_each_subscriber(|sub| sub.counter(name.as_ref(), &region, value));
 }
 
 /// Fire a cross-lane flow *begin* to subscribers: the calling thread
 /// just emitted the message identified by `id` (see
 /// `lkk_core::comm::fault::flow_id`). `name` is the phase tag
-/// (`"forward"`, `"border"`, ...). Tagged with the calling thread's
-/// region path so timeline consumers can bind the flow to the
-/// enclosing span.
-pub fn note_flow_begin(name: &str, id: u64) {
+/// (`"forward"`, `"border"`, ...). `payload` returns `(name, id)` and
+/// runs only when someone listens (see [`note_instant`]). Tagged with
+/// the calling thread's region path so timeline consumers can bind the
+/// flow to the enclosing span.
+pub fn note_flow_begin<N: AsRef<str>>(payload: impl FnOnce() -> (N, u64)) {
     if SUBSCRIBER_COUNT.load(Ordering::Acquire) == 0 {
         return;
     }
+    let (name, id) = payload();
     let region = current_region();
-    for_each_subscriber(|sub| sub.flow_begin(name, &region, id));
+    for_each_subscriber(|sub| sub.flow_begin(name.as_ref(), &region, id));
 }
 
 /// Fire the matching cross-lane flow *end*: the calling thread just
 /// accepted the message identified by `id`.
-pub fn note_flow_end(name: &str, id: u64) {
+pub fn note_flow_end<N: AsRef<str>>(payload: impl FnOnce() -> (N, u64)) {
     if SUBSCRIBER_COUNT.load(Ordering::Acquire) == 0 {
         return;
     }
+    let (name, id) = payload();
     let region = current_region();
-    for_each_subscriber(|sub| sub.flow_end(name, &region, id));
+    for_each_subscriber(|sub| sub.flow_end(name.as_ref(), &region, id));
 }
 
 /// The launch log of a simulated device: one row per kernel name, each
@@ -541,11 +562,11 @@ mod tests {
         let id = register_subscriber(sink.clone());
         {
             let _r = begin_region("evt-test");
-            note_instant("tick", 7.0);
-            note_counter("bytes", 128.0);
+            note_instant(|| ("tick", 7.0));
+            note_counter(|| ("bytes", 128.0));
         }
         unregister_subscriber(id);
-        note_instant("tick", 8.0); // after detach: unseen
+        note_instant(|| ("tick", 8.0)); // after detach: unseen
         let events = sink.events.lock().unwrap();
         assert!(events.contains(&("i".into(), "tick".into(), "evt-test".into(), 7.0)));
         assert!(events.contains(&("c".into(), "bytes".into(), "evt-test".into(), 128.0)));
@@ -577,11 +598,11 @@ mod tests {
         let id = register_subscriber(sink.clone());
         {
             let _r = begin_region("flow-test");
-            note_flow_begin("forward", 0xabcd);
-            note_flow_end("forward", 0xabcd);
+            note_flow_begin(|| ("forward", 0xabcd));
+            note_flow_end(|| ("forward", 0xabcd));
         }
         unregister_subscriber(id);
-        note_flow_begin("forward", 0xffff); // after detach: unseen
+        note_flow_begin(|| ("forward", 0xffff)); // after detach: unseen
         let flows = sink.flows.lock().unwrap();
         assert!(flows.contains(&("s".into(), "forward".into(), "flow-test".into(), 0xabcd)));
         assert!(flows.contains(&("f".into(), "forward".into(), "flow-test".into(), 0xabcd)));

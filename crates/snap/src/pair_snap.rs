@@ -336,7 +336,6 @@ impl PairStyle for PairSnap {
             .sync(&space, lkk_core::atom::Mask::X | lkk_core::atom::Mask::TYPE);
         let nlocal = system.atoms.nlocal;
         self.scatter.ensure(system.atoms.nall(), &space);
-        let scatter = &self.scatter;
         let ctx = &self.ctx;
         let u_len = ctx.idx.u_len;
         self.arena.reserve(list, nlocal, u_len);
@@ -403,13 +402,13 @@ impl PairStyle for PairSnap {
                     );
                 });
             });
-            if profile::has_subscribers() {
-                profile::note_instant("snap.ui.flops", nlocal_f * ctx.ui_flops_per_atom(avg_neigh));
-                profile::note_instant(
-                    "snap.ui.bytes",
-                    nlocal_f * (ctx.u_bytes_per_atom() + avg_neigh * 28.0),
-                );
-            }
+            profile::note_instant(|| {
+                ("snap.ui.flops", nlocal_f * ctx.ui_flops_per_atom(avg_neigh))
+            });
+            profile::note_instant(|| {
+                let bytes = nlocal_f * (ctx.u_bytes_per_atom() + avg_neigh * 28.0);
+                ("snap.ui.bytes", bytes)
+            });
         }
 
         // Stage 2 — ComputeYi: the work item of every YI_BLOCK-th atom
@@ -442,10 +441,8 @@ impl PairStyle for PairSnap {
                 },
                 |a, b| a + b,
             );
-            if profile::has_subscribers() {
-                profile::note_instant("snap.yi.flops", nlocal_f * ctx.yi_flops_per_atom());
-                profile::note_instant("snap.yi.bytes", nlocal_f * 2.0 * ctx.u_bytes_per_atom());
-            }
+            profile::note_instant(|| ("snap.yi.flops", nlocal_f * ctx.yi_flops_per_atom()));
+            profile::note_instant(|| ("snap.yi.bytes", nlocal_f * 2.0 * ctx.u_bytes_per_atom()));
             e
         };
 
@@ -455,18 +452,18 @@ impl PairStyle for PairSnap {
             let _stage = profile::begin_region("ComputeDeidrj");
             let (nn, rel, ids, wts, geom) = (&nn[..], &rel[..], &ids[..], &wts[..], &geom[..]);
             let (y_r, y_i) = (&y_r[..], &y_i[..]);
-            let v = space.parallel_reduce(
+            let v = space.parallel_reduce_parts(
                 "PairSnapDeidrj",
                 nlocal,
+                self.scatter.parts(),
                 Tally::default(),
-                |i| {
+                |i, forces| {
                     let slots = first[i]..first[i] + nn[i] as usize;
                     let (rel, ids) = (&rel[slots.clone()], &ids[slots.clone()]);
                     let (wts, geom) = (&wts[slots.clone()], &geom[slots]);
                     let u = i * u_len..(i + 1) * u_len;
                     let (y_r, y_i) = (&y_r[u.clone()], &y_i[u]);
                     let mut tally = Tally::default();
-                    let forces = scatter.access();
                     with_scratch(ctx, |scratch| {
                         for (k, &j) in ids.iter().enumerate() {
                             let g = ctx
@@ -493,30 +490,26 @@ impl PairStyle for PairSnap {
                 },
                 Tally::join,
             );
-            if profile::has_subscribers() {
-                profile::note_instant(
-                    "snap.deidrj.flops",
-                    nlocal_f * avg_neigh * ctx.deidrj_flops_per_neighbor(config.fuse_deidrj),
-                );
-                profile::note_instant(
-                    "snap.deidrj.bytes",
-                    nlocal_f * (avg_neigh * 28.0 + ctx.u_bytes_per_atom()),
-                );
-            }
+            profile::note_instant(|| {
+                let flops = ctx.deidrj_flops_per_neighbor(config.fuse_deidrj);
+                ("snap.deidrj.flops", nlocal_f * avg_neigh * flops)
+            });
+            profile::note_instant(|| {
+                let bytes = nlocal_f * (avg_neigh * 28.0 + ctx.u_bytes_per_atom());
+                ("snap.deidrj.bytes", bytes)
+            });
             v
         };
 
         // Contraction-table shape counters: pinned at zero tolerance in
         // the perf baseline (construction-once invariant — `builds`
         // must stay 1).
-        if profile::has_subscribers() {
-            let t = &ctx.tables;
-            profile::note_counter("snap.table.z_rows", t.z.rows() as f64);
-            profile::note_counter("snap.table.z_pairs", t.z.w.len() as f64);
-            profile::note_counter("snap.table.y_rows", t.y.rows() as f64);
-            profile::note_counter("snap.table.y_pairs", t.y.w.len() as f64);
-            profile::note_counter("snap.table.builds", ctx.table_builds as f64);
-        }
+        let t = &ctx.tables;
+        profile::note_counter(|| ("snap.table.z_rows", t.z.rows() as f64));
+        profile::note_counter(|| ("snap.table.z_pairs", t.z.w.len() as f64));
+        profile::note_counter(|| ("snap.table.y_rows", t.y.rows() as f64));
+        profile::note_counter(|| ("snap.table.y_pairs", t.y.w.len() as f64));
+        profile::note_counter(|| ("snap.table.builds", ctx.table_builds as f64));
 
         self.scatter.contribute(system);
         self.note_stats(&space, nlocal_f, avg_neigh, list);

@@ -429,13 +429,13 @@ mod tests {
         {
             let _r = profile::begin_region("collector-test");
             profile::note_kernel_launch("k-collector", 10);
-            profile::note_instant("grew", 3.0);
-            profile::note_counter("owned", 42.0);
+            profile::note_instant(|| ("grew", 3.0));
+            profile::note_counter(|| ("owned", 42.0));
         }
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _r = profile::begin_region("rank7");
-                profile::note_instant("halo_bytes", 128.0);
+                profile::note_instant(|| ("halo_bytes", 128.0));
             });
         });
         profile::unregister_subscriber(id);
@@ -506,13 +506,13 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _r = profile::begin_region("rank0");
-                profile::note_flow_begin("forward", 77);
+                profile::note_flow_begin(|| ("forward", 77));
             });
         });
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _r = profile::begin_region("rank1");
-                profile::note_flow_end("forward", 77);
+                profile::note_flow_end(|| ("forward", 77));
             });
         });
         profile::unregister_subscriber(id);

@@ -3,8 +3,8 @@
 #
 #   scripts/ci.sh
 #
-# Steps mirror the jobs in .github/workflows/ci.yml (build, test,
-# lint-invariants, lint, perf, benchmark, chaos) run back-to-back; if you change
+# Steps mirror the jobs in .github/workflows/ci.yml (build, test, lint,
+# perf, benchmark, chaos) run back-to-back; if you change
 # one, change the other. The sanitizer lanes of
 # .github/workflows/sanitizers.yml run at the end when a nightly
 # toolchain is installed; Miri gates (as it does in CI), TSan stays
@@ -29,7 +29,12 @@ scripts/loc.sh
 
 # --- test job ----------------------------------------------------------
 
-echo "==> cargo test -q --workspace"
+# Includes the allocation gate, tests/alloc_gate.rs: every pair style on
+# every space, past the fork threshold, allocates nothing inside a
+# dispatch after one warm-up step. It runs here, in the dev profile,
+# because the dispatch depth it reads exists only where debug assertions
+# are on (a release build compiles it to an empty binary).
+echo "==> cargo test -q --workspace (incl. the allocation gate)"
 cargo test -q --workspace
 
 # Already covered by the workspace run above; repeated in release as an
@@ -89,24 +94,25 @@ cargo test --release -q -p lkk-snap --lib yi_block_instantiations -- --nocapture
 echo "==> ReaxFF physics gate (release)"
 cargo test --release -q --test reaxff_physics
 
-# --- lint-invariants job ------------------------------------------------
-
-# Workspace invariant linter (LKK003, LKK004, LKK006, LKK010, LKK011; docs/static-analysis.md):
-# exit 1 on violations, exit 2 on a usage or I/O error. Gating. The
-# determinism rules are clippy's (clippy.toml, lint job below).
-echo "==> lkk-lint (workspace invariants)"
-cargo run --release -p lkk-lint
-
 # --- lint job ----------------------------------------------------------
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# clippy.toml bans the wall clock, OS entropy and hash containers; a site
-# where that does not apply carries #[expect(clippy::…, reason = "…")],
-# and the -W flag fails any lint waiver without a reason.
+# clippy.toml bans the wall clock, OS entropy, hash containers and CPU
+# feature detection; a site where that does not apply carries
+# #[expect(clippy::…, reason = "…")], and the -W flag fails any lint
+# waiver without a reason.
 echo "==> cargo clippy --workspace --all-targets -- -D warnings -W clippy::allow_attributes_without_reason"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::allow_attributes_without_reason
+
+# `cfg(target_feature = …)` is the one instruction-set selection neither
+# rustc nor clippy sees: outside the ISA seam it must not appear at all.
+echo "==> no cfg(target_feature) outside crates/kokkos/src/isa.rs"
+if git grep -nE 'target_feature\s*=' -- '*.rs' ':!crates/kokkos/src/isa.rs'; then
+  echo "cfg(target_feature) outside the ISA seam" >&2
+  exit 1
+fi
 
 # --- perf job ----------------------------------------------------------
 
