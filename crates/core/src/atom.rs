@@ -290,17 +290,6 @@ impl AtomData {
         }
     }
 
-    /// Unwrapped position of owned atom `i` (for diffusion observables).
-    pub fn unwrapped_pos(&self, i: usize, domain: &Domain) -> [f64; 3] {
-        let p = self.pos(i);
-        let l = domain.lengths();
-        [
-            p[0] + self.image[i][0] as f64 * l[0],
-            p[1] + self.image[i][1] as f64 * l[1],
-            p[2] + self.image[i][2] as f64 * l[2],
-        ]
-    }
-
     /// Zero forces over all rows (host side).
     pub fn zero_forces(&mut self) {
         self.f.h_view_mut().fill(0.0);
@@ -320,6 +309,17 @@ mod tests {
         assert_eq!(a.tag.h_view().at([0]), 1);
         assert_eq!(a.tag.h_view().at([1]), 2);
         assert_eq!(a.mass, vec![1.0]);
+    }
+
+    #[test]
+    fn wrap_counts_image_flags_through_the_boundary() {
+        let mut atoms = AtomData::from_positions(&[[11.5, 5.0, -0.5]]);
+        let domain = Domain::cubic(10.0);
+        atoms.wrap_positions(&domain);
+        assert!(domain.contains(&atoms.pos(0)));
+        assert_eq!(atoms.image[0], [1, 0, -1]);
+        let p = atoms.pos(0);
+        assert!((p[0] - 1.5).abs() < 1e-12 && (p[2] - 9.5).abs() < 1e-12);
     }
 
     #[test]

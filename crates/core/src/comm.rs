@@ -38,8 +38,7 @@ pub use balance::{BalancePolicy, BalanceWeight};
 pub use fault::{CommError, FaultConfig, FaultKind, FaultPlan, FaultStats, RetryPolicy};
 
 /// Which communication layer a run uses — the driver-level knob of the
-/// unified [`crate::driver::RunSpec`] API (`spec.comm(...)` /
-/// `SimulationBuilder::comm(...)`).
+/// unified [`crate::driver::RunSpec`] API (`spec.comm(...)`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CommSpec {
     /// In-process single rank ([`SingleRankComm`]): no messages move.

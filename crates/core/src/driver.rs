@@ -231,7 +231,12 @@ impl RunSpec {
         F: Fn(usize, System) -> Simulation + Sync,
     {
         match self.comm {
-            CommSpec::Single => self.run_single(|system| factory(0, system)),
+            // Bit-for-bit the classic in-process `Simulation::run` loop
+            // on a `SingleRankComm`, in the brick arm's result shape.
+            CommSpec::Single => {
+                let sim = factory(0, self.system_for(&self.records));
+                self.gather(vec![self.drive_rank(sim)])
+            }
             CommSpec::Brick { ranks, balance } => self.run_brick(ranks, balance, &factory),
         }
     }
@@ -361,19 +366,6 @@ impl RunSpec {
             states,
             fault_stats,
         })
-    }
-
-    /// Single-rank arm of the unified driver, without the `Sync` bound
-    /// (no threads are spawned): bit-for-bit the classic in-process
-    /// `Simulation::run` loop on a [`crate::comm::SingleRankComm`],
-    /// gathered into the same [`MultiRankRun`] shape the brick arm
-    /// returns.
-    pub fn run_single<F>(&self, factory: F) -> Result<MultiRankRun, CommFailure>
-    where
-        F: FnOnce(System) -> Simulation,
-    {
-        let sim = factory(self.system_for(&self.records));
-        self.gather(vec![self.drive_rank(sim)])
     }
 
     /// Brick-decomposed arm of the unified driver: one thread per rank,

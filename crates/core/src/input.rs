@@ -161,11 +161,7 @@ impl Lammps {
                 let t: f64 = parse(args.get(2), "temperature")?;
                 let seed: u64 = parse(args.get(3), "seed")?;
                 let atoms = self.atoms.as_mut().ok_or("velocity: no atoms")?;
-                for &(t_idx, m) in &self.masses {
-                    if t_idx < atoms.mass.len() {
-                        atoms.mass[t_idx] = m;
-                    }
-                }
+                apply_masses(&self.masses, atoms)?;
                 create_velocities(atoms, &self.units, t, seed);
                 Ok(())
             }
@@ -250,7 +246,8 @@ impl Lammps {
 
     fn run_steps(&mut self, n: u64) -> Result<(), String> {
         if self.sim.is_none() {
-            let atoms = self.atoms.take().ok_or("run: no atoms created")?;
+            let mut atoms = self.atoms.take().ok_or("run: no atoms created")?;
+            apply_masses(&self.masses, &mut atoms)?;
             let domain = self.domain.ok_or("run: no box")?;
             let space = self.space();
             let mut spec = self.pair_spec.clone();
@@ -259,12 +256,6 @@ impl Lammps {
             let pair =
                 self.registry
                     .create_pair(&pair_name, &spec, &space, self.suffix.as_deref())?;
-            let mut atoms = atoms;
-            for &(t_idx, m) in &self.masses {
-                if t_idx < atoms.mass.len() {
-                    atoms.mass[t_idx] = m;
-                }
-            }
             let system = System::new(atoms, domain, space).with_units(self.units);
             let mut fixes: Vec<Box<dyn Fix>> = Vec::new();
             for fc in &self.fix_cmds {
@@ -321,6 +312,21 @@ impl Lammps {
         self.sim.as_mut().unwrap().run(n);
         Ok(())
     }
+}
+
+/// Set every `mass` command's value on `atoms`. A type past the
+/// system's type count is an error, not a line to skip.
+fn apply_masses(masses: &[(usize, f64)], atoms: &mut AtomData) -> Result<(), String> {
+    let ntypes = atoms.mass.len();
+    for &(t_idx, m) in masses {
+        *atoms.mass.get_mut(t_idx).ok_or_else(|| {
+            format!(
+                "mass: type {} does not exist (the system has {ntypes} atom types)",
+                t_idx + 1
+            )
+        })? = m;
+    }
+    Ok(())
 }
 
 fn parse<T: std::str::FromStr>(tok: Option<&String>, what: &str) -> Result<T, String>
@@ -421,6 +427,25 @@ mod tests {
         lmp.command("lattice fcc 0.8442").unwrap();
         let err = lmp.command("create_box 0 2 2").unwrap_err();
         assert!(err.contains("create_box"), "{err}");
+    }
+
+    #[test]
+    fn mass_of_a_type_the_system_lacks_is_an_error() {
+        // Applied at `velocity`, and at `run` when no `velocity` came first.
+        for velocity in ["velocity all create 1.44 87287", ""] {
+            let script = MELT
+                .replace("create_box 4 4 4", "create_box 4 4 4\natom_types 2")
+                .replace("mass 1 1.0", "mass 1 1.0\nmass 3 2.0")
+                .replace("velocity all create 1.44 87287", velocity)
+                .replace("run 100", "run 0");
+            let err = Lammps::new(StyleRegistry::core())
+                .run_script(&script)
+                .unwrap_err();
+            assert!(
+                err.contains("type 3") && err.contains("2 atom types"),
+                "{velocity:?}: {err}"
+            );
+        }
     }
 
     /// Every setup command (all but `run`, `read_data` and `write_data`,

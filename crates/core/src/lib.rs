@@ -15,8 +15,8 @@
 //! * [`decomp`] — the simulated-MPI brick domain decomposition: ranks
 //!   run as threads and exchange halo data through channels.
 //! * [`pair`] — the `PairStyle` trait and the generic `PairKokkos`
-//!   two-body driver (§4.1), with the Lennard-Jones, Morse and Yukawa
-//!   potentials as instances.
+//!   two-body driver (§4.1), with the Lennard-Jones and Morse potentials
+//!   as instances.
 //! * [`fix`] / [`compute`] — time-integration and diagnostic styles
 //!   (`nve`, `langevin`, temperature, kinetic/potential energy).
 //! * [`style`] — the command-name → factory registry with `/kk`,
@@ -36,10 +36,7 @@ pub mod driver;
 pub mod dump;
 pub mod fix;
 pub mod input;
-pub mod kspace;
 pub mod lattice;
-pub mod minimize;
-pub mod molecule;
 pub mod neighbor;
 pub mod pair;
 pub mod sim;

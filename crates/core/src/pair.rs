@@ -33,8 +33,6 @@ pub mod mliap;
 pub mod morse;
 pub mod scratch;
 pub mod sw;
-pub mod table;
-pub mod yukawa;
 
 /// Energy and virial returned by a force computation. All zero when
 /// the computation ran with `eflag` off (see [`PairStyle::compute`]).
@@ -451,7 +449,7 @@ impl<P: TwoBody> PairKokkos<P> {
         let e_acc = AtomicF64::new(0.0);
         let w_acc: [AtomicF64; 6] = std::array::from_fn(|_| AtomicF64::new(0.0));
         let inside_acc = AtomicU64::new(0);
-        let policy = TeamPolicy::new(atoms.nlocal, 32).with_vector(1);
+        let policy = TeamPolicy::new(atoms.nlocal, 32);
         space.parallel_for_team_parts("PairComputeFullTeam", policy, f.rows_mut(), |team, row| {
             let i = team.league_rank();
             let (mut fi, mut tally) = ([0.0; 3], Tally::default());
@@ -763,8 +761,6 @@ mod tests {
     // ------------------------------------------------------------------
 
     use super::morse::Morse;
-    use super::table::PairTable;
-    use super::yukawa::Yukawa;
 
     /// Jittered fcc sites: every site moved by up to ±0.1 per axis (fixed
     /// sequence), so no pair sits at a symmetric distance.
@@ -922,7 +918,7 @@ mod tests {
             let e_acc = AtomicF64::new(0.0);
             let w_acc: [AtomicF64; 6] = std::array::from_fn(|_| AtomicF64::new(0.0));
             let inside_acc = AtomicU64::new(0);
-            let policy = TeamPolicy::new(nlocal, 32).with_vector(1);
+            let policy = TeamPolicy::new(nlocal, 32);
             space.parallel_for_team_parts("ReferenceTeam", policy, f.rows_mut(), |team, mut fw| {
                 let i = team.league_rank();
                 let (fi, (e, w, inside)) = row(i, &mut |_, _, _| {});
@@ -1057,18 +1053,6 @@ mod tests {
     #[test]
     fn morse_matches_reference_bitwise() {
         check_against_reference(Morse::new(1.0, 2.0, 1.2, 2.5), 2.5, 1);
-    }
-
-    #[test]
-    fn yukawa_matches_reference_bitwise() {
-        check_against_reference(Yukawa::new(2.0, 1.5, 2.5), 2.5, 1);
-    }
-
-    #[test]
-    fn table_matches_reference_bitwise() {
-        let lj = LjCut::single_type(1.0, 1.0, 2.5);
-        let table = PairTable::tabulate(&lj, "lj/table", 0.8, 2.5, 4096);
-        check_against_reference(table, 2.5, 1);
     }
 
     fn lj_mixture() -> LjCut {
@@ -1274,13 +1258,5 @@ mod tests {
         check_forces_are_energy_gradient(LjCut::single_type(1.0, 1.0, 2.5), 2.5, 1, 1e-6);
         check_forces_are_energy_gradient(lj_mixture(), 2.8, 2, 1e-6);
         check_forces_are_energy_gradient(Morse::new(1.0, 2.0, 1.2, 2.5), 2.5, 1, 1e-6);
-        check_forces_are_energy_gradient(Yukawa::new(2.0, 1.5, 2.5), 2.5, 1, 1e-6);
-        // The table interpolates energy and force separately, so its
-        // force is the gradient of its energy only to first order in the
-        // knot spacing (5e-6 in r² here; close pairs with forces of
-        // order 100 nearly cancel in the net force the gate looks at).
-        let lj = LjCut::single_type(1.0, 1.0, 2.5);
-        let table = PairTable::tabulate(&lj, "lj/table", 0.8, 2.5, 1 << 20);
-        check_forces_are_energy_gradient(table, 2.5, 1, 1e-3);
     }
 }

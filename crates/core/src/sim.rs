@@ -4,10 +4,9 @@
 //! communication — the `run` command of §2.1.
 
 use crate::atom::{AtomData, Mask};
-use crate::comm::{Comm, CommError, CommSpec, FaultConfig, FaultStats, GhostMap, SingleRankComm};
+use crate::comm::{Comm, CommError, FaultStats, GhostMap, SingleRankComm};
 use crate::compute;
 use crate::domain::Domain;
-use crate::driver::{CommFailure, MultiRankRun, RunSpec};
 use crate::fix::Fix;
 use crate::neighbor::{max_displacement_sq, NeighborList, NeighborSettings};
 use crate::pair::{PairResults, PairStyle};
@@ -525,18 +524,7 @@ impl Simulation {
     }
 }
 
-/// Per-rank pair-style constructor installed by
-/// [`SimulationBuilder::pair_with`].
-type PairFactory = Box<dyn Fn(usize) -> Box<dyn PairStyle> + Send + Sync>;
-/// One rank's fix stack.
-type FixList = Vec<Box<dyn Fix>>;
-/// Per-rank fix-stack constructor installed by
-/// [`SimulationBuilder::fixes_with`].
-type FixesFactory = Box<dyn Fn(usize) -> FixList + Send + Sync>;
-
-/// Fluent constructor consolidating the accreted `Simulation` setters
-/// (`with_units`, `with_fixes`, `sort_every`, comm choice, ...) into one
-/// place:
+/// Fluent constructor for a single-rank [`Simulation`]:
 ///
 /// ```
 /// use lkk_core::prelude::*;
@@ -548,66 +536,24 @@ type FixesFactory = Box<dyn Fn(usize) -> FixList + Send + Sync>;
 ///     .build();
 /// sim.run(5);
 /// ```
+///
+/// Multi-rank runs go through [`crate::driver::RunSpec::run`], whose
+/// factory builds each rank's `Simulation` with [`Simulation::new`].
 pub struct SimulationBuilder {
     atoms: AtomData,
     domain: Domain,
     space: Space,
     units: Units,
     pair: Option<Box<dyn PairStyle>>,
-    pair_factory: Option<PairFactory>,
-    fixes: Option<FixList>,
-    fixes_factory: Option<FixesFactory>,
-    comm_spec: CommSpec,
-    warmup_steps: u64,
-    fault: Option<FaultConfig>,
-    settings: SimSettings,
-}
-
-/// The per-[`Simulation`] knobs of a [`SimulationBuilder`], applied
-/// identically to every rank (`None` keeps `Simulation::new`'s value).
-#[derive(Clone, Copy, Default)]
-struct SimSettings {
     dt: Option<f64>,
     thermo_every: usize,
     verbose: bool,
-    pair_only: bool,
-    sort_every: usize,
     skin: Option<f64>,
-    neighbor_every: Option<usize>,
-}
-
-impl SimSettings {
-    /// Wire one rank's styles and system into a [`Simulation`].
-    fn assemble(
-        &self,
-        pair: Box<dyn PairStyle>,
-        fixes: Option<FixList>,
-        system: System,
-    ) -> Simulation {
-        let mut sim = Simulation::new(system, pair);
-        if let Some(fixes) = fixes {
-            sim.fixes = fixes;
-        }
-        if let Some(dt) = self.dt {
-            sim.dt = dt;
-        }
-        if let Some(skin) = self.skin {
-            sim.settings.skin = skin;
-        }
-        if let Some(every) = self.neighbor_every {
-            sim.settings.every = every;
-        }
-        sim.thermo_every = self.thermo_every;
-        sim.verbose = self.verbose;
-        sim.pair_only = self.pair_only;
-        sim.sort_every = self.sort_every;
-        sim
-    }
 }
 
 impl SimulationBuilder {
     /// Start from atoms in a periodic box; everything else defaults
-    /// (serial space, LJ units, single-rank comm, `fix nve`, dt 0.005).
+    /// (serial space, LJ units, `fix nve`, dt 0.005).
     pub fn new(atoms: AtomData, domain: Domain) -> Self {
         SimulationBuilder {
             atoms,
@@ -615,13 +561,10 @@ impl SimulationBuilder {
             space: Space::Serial,
             units: Units::lj(),
             pair: None,
-            pair_factory: None,
-            fixes: None,
-            fixes_factory: None,
-            comm_spec: CommSpec::Single,
-            warmup_steps: 0,
-            fault: None,
-            settings: SimSettings::default(),
+            dt: None,
+            thermo_every: 0,
+            verbose: false,
+            skin: None,
         }
     }
 
@@ -643,186 +586,48 @@ impl SimulationBuilder {
         self
     }
 
-    /// Replace the fix list entirely (default: `fix nve`).
-    pub fn fixes(mut self, fixes: Vec<Box<dyn Fix>>) -> Self {
-        self.fixes = Some(fixes);
-        self
-    }
-
-    /// Communication layout (default: [`CommSpec::Single`]). A
-    /// `CommSpec::Brick { .. }` builder must be driven through
-    /// [`SimulationBuilder::run`] (with a per-rank
-    /// [`SimulationBuilder::pair_with`] factory); [`build`] is
-    /// single-rank only.
-    ///
-    /// [`build`]: SimulationBuilder::build
-    pub fn comm(mut self, spec: CommSpec) -> Self {
-        self.comm_spec = spec;
-        self
-    }
-
-    /// Per-rank pair-style factory, called once per rank of a
-    /// [`SimulationBuilder::run`] — pair styles hold per-instance
-    /// scratch and cannot be shared across rank threads. Required for
-    /// `CommSpec::Brick`; single-rank paths fall back to it (rank 0)
-    /// when no [`SimulationBuilder::pair`] is set.
-    pub fn pair_with(
-        mut self,
-        factory: impl Fn(usize) -> Box<dyn PairStyle> + Send + Sync + 'static,
-    ) -> Self {
-        self.pair_factory = Some(Box::new(factory));
-        self
-    }
-
-    /// Per-rank fix-list factory for [`SimulationBuilder::run`]
-    /// (default: `fix nve` on every rank).
-    pub fn fixes_with(
-        mut self,
-        factory: impl Fn(usize) -> Vec<Box<dyn Fix>> + Send + Sync + 'static,
-    ) -> Self {
-        self.fixes_factory = Some(Box::new(factory));
-        self
-    }
-
-    /// Warmup steps a [`SimulationBuilder::run`] executes before its
-    /// measured steps (the grow counters are snapshotted in between;
-    /// see [`MultiRankRun`]).
-    pub fn warmup(mut self, steps: u64) -> Self {
-        self.warmup_steps = steps;
-        self
-    }
-
-    /// Install a seeded fault-injection config on every rank of a
-    /// [`SimulationBuilder::run`].
-    pub fn fault(mut self, cfg: FaultConfig) -> Self {
-        self.fault = Some(cfg);
-        self
-    }
-
     /// Timestep size.
     pub fn dt(mut self, dt: f64) -> Self {
-        self.settings.dt = Some(dt);
+        self.dt = Some(dt);
         self
     }
 
     /// Thermo output interval (0 = off).
     pub fn thermo_every(mut self, every: usize) -> Self {
-        self.settings.thermo_every = every;
+        self.thermo_every = every;
         self
     }
 
     /// Print thermo rows and the timing summary.
     pub fn verbose(mut self, verbose: bool) -> Self {
-        self.settings.verbose = verbose;
-        self
-    }
-
-    /// Appendix C.1's `pair/only` reverse offload.
-    pub fn pair_only(mut self, pair_only: bool) -> Self {
-        self.settings.pair_only = pair_only;
-        self
-    }
-
-    /// Spatially sort atoms every N neighbor rebuilds (0 = off).
-    pub fn sort_every(mut self, every: usize) -> Self {
-        self.settings.sort_every = every;
+        self.verbose = verbose;
         self
     }
 
     /// Neighbor skin distance (default 0.3).
     pub fn skin(mut self, skin: f64) -> Self {
-        self.settings.skin = Some(skin);
+        self.skin = Some(skin);
         self
     }
 
-    /// Check the rebuild trigger every N steps (default 1).
-    pub fn neighbor_every(mut self, every: usize) -> Self {
-        self.settings.neighbor_every = Some(every);
-        self
-    }
-
-    /// Wire everything into a ready-to-run, single-rank [`Simulation`].
+    /// Wire everything into a ready-to-run [`Simulation`].
     ///
-    /// Panics if no pair style was set, or if the builder was
-    /// configured for `CommSpec::Brick` (drive that through
-    /// [`SimulationBuilder::run`]).
-    pub fn build(mut self) -> Simulation {
-        assert!(
-            matches!(self.comm_spec, CommSpec::Single),
-            "SimulationBuilder::build is single-rank; drive CommSpec::Brick through .run(steps)"
-        );
-        let (pair, fixes) = self.rank0_styles();
+    /// Panics if no pair style was set.
+    pub fn build(self) -> Simulation {
+        let pair = self
+            .pair
+            .expect("SimulationBuilder: a pair style is required");
         let system = System::new(self.atoms, self.domain, self.space).with_units(self.units);
-        self.settings.assemble(pair, fixes, system)
-    }
-
-    /// The single-rank pair style and fix list: the ones set directly,
-    /// else rank 0 of the per-rank factories.
-    fn rank0_styles(&mut self) -> (Box<dyn PairStyle>, Option<FixList>) {
-        let pair = match (self.pair.take(), &self.pair_factory) {
-            (Some(pair), _) => pair,
-            (None, Some(factory)) => factory(0),
-            (None, None) => panic!("SimulationBuilder: a pair style is required"),
-        };
-        let fixes = self
-            .fixes
-            .take()
-            .or_else(|| self.fixes_factory.as_ref().map(|factory| factory(0)));
-        (pair, fixes)
-    }
-
-    /// Run `steps` timesteps through the configured [`CommSpec`] and
-    /// gather the result — the unified driver entry point. Single- and
-    /// multi-rank runs share this code path and return the same
-    /// [`MultiRankRun`] shape:
-    ///
-    /// ```ignore
-    /// let run = SimulationBuilder::new(atoms, domain)
-    ///     .pair_with(|_rank| Box::new(PairKokkos::new(lj, &Space::Serial)))
-    ///     .comm(CommSpec::Brick { ranks: 8, balance: Some(BalancePolicy::default()) })
-    ///     .warmup(10)
-    ///     .run(100)?;
-    /// ```
-    ///
-    /// `CommSpec::Brick` requires [`SimulationBuilder::pair_with`] (a
-    /// boxed pair style cannot be shared across rank threads); fixes
-    /// default to `fix nve` per rank unless
-    /// [`SimulationBuilder::fixes_with`] is set.
-    pub fn run(mut self, steps: u64) -> Result<MultiRankRun, CommFailure> {
-        let mut spec = RunSpec::new(&self.atoms, self.domain, steps);
-        spec.units = self.units;
-        spec.space = self.space.clone();
-        spec.warmup_steps = self.warmup_steps;
-        spec.fault = self.fault.clone();
-        spec.comm = self.comm_spec;
-        let settings = self.settings;
-        match spec.comm {
-            CommSpec::Single => {
-                let (pair, fixes) = self.rank0_styles();
-                spec.run_single(|system| settings.assemble(pair, fixes, system))
-            }
-            CommSpec::Brick { .. } => {
-                assert!(
-                    self.pair.is_none(),
-                    "SimulationBuilder: .pair() is single-rank; use .pair_with(|rank| ...) for CommSpec::Brick"
-                );
-                assert!(
-                    self.fixes.is_none(),
-                    "SimulationBuilder: .fixes() is single-rank; use .fixes_with(|rank| ...) for CommSpec::Brick"
-                );
-                let pair_factory = self
-                    .pair_factory
-                    .expect("SimulationBuilder: CommSpec::Brick requires .pair_with(|rank| ...)");
-                let fixes_factory = self.fixes_factory;
-                spec.run(|rank, system| {
-                    settings.assemble(
-                        pair_factory(rank),
-                        fixes_factory.as_ref().map(|factory| factory(rank)),
-                        system,
-                    )
-                })
-            }
+        let mut sim = Simulation::new(system, pair);
+        if let Some(dt) = self.dt {
+            sim.dt = dt;
         }
+        if let Some(skin) = self.skin {
+            sim.settings.skin = skin;
+        }
+        sim.thermo_every = self.thermo_every;
+        sim.verbose = self.verbose;
+        sim
     }
 }
 

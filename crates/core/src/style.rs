@@ -13,7 +13,6 @@ use crate::pair::eam::{EamParams, PairEam};
 use crate::pair::lj::LjCut;
 use crate::pair::morse::Morse;
 use crate::pair::sw::{PairSw, SwParams};
-use crate::pair::yukawa::Yukawa;
 use crate::pair::{PairKokkos, PairStyle};
 use lkk_kokkos::Space;
 use std::collections::BTreeMap;
@@ -49,7 +48,7 @@ pub struct StyleRegistry {
 }
 
 impl StyleRegistry {
-    /// Registry with the core styles (`lj/cut`, `morse`, `yukawa`) in
+    /// Registry with the core styles (`lj/cut`, `morse`, `eam`, `sw`) in
     /// both plain and `/kk` forms. Potential crates (`lkk-snap`,
     /// `lkk-reaxff`) extend this via [`StyleRegistry::register_pair`].
     pub fn core() -> Self {
@@ -58,7 +57,6 @@ impl StyleRegistry {
         };
         reg.register_pair("lj/cut", make_lj);
         reg.register_pair("morse", make_morse);
-        reg.register_pair("yukawa", make_yukawa);
         reg.register_pair("eam", make_eam);
         reg.register_pair("sw", make_sw);
         reg
@@ -182,17 +180,6 @@ fn make_sw(_spec: &PairSpec, _space: &Space) -> Result<Box<dyn PairStyle>, Strin
     Ok(Box::new(PairSw::new(SwParams::default())))
 }
 
-fn make_yukawa(spec: &PairSpec, space: &Space) -> Result<Box<dyn PairStyle>, String> {
-    let kappa = spec.arg_f64(0)?;
-    let cut = spec.arg_f64(1)?;
-    let c = spec
-        .coeffs
-        .first()
-        .ok_or("pair yukawa: no pair_coeff given")?;
-    let a: f64 = c[2].parse().map_err(|_| "bad A")?;
-    Ok(Box::new(PairKokkos::new(Yukawa::new(a, kappa, cut), space)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,7 +257,6 @@ mod tests {
         assert!(names.contains(&"lj/cut".to_string()));
         assert!(names.contains(&"lj/cut/kk".to_string()));
         assert!(names.contains(&"morse/kk".to_string()));
-        assert!(names.contains(&"yukawa".to_string()));
         assert!(names.contains(&"eam/kk".to_string()));
         assert!(names.contains(&"sw/kk".to_string()));
     }

@@ -13,16 +13,14 @@
 //!   by the `/kk` or `/kk/device` suffix.
 //!
 //! The dispatch patterns are `parallel_for`, `parallel_reduce`,
-//! `parallel_scan` (exclusive prefix sum) over a flat `RangePolicy`,
-//! `parallel_for_2d` over a tiled `MDRangePolicy`, and
-//! `parallel_for_team` over a hierarchical `TeamPolicy` (see
-//! [`crate::team`]). `parallel_for`, `parallel_reduce` and
-//! `parallel_for_team` each have a `_parts` form that also gives work
-//! item `i` exclusive access to its own part of an output
-//! ([`crate::parts`]).
+//! `parallel_scan` (exclusive prefix sum) over a flat `RangePolicy`, and
+//! `parallel_for_team_parts` over a hierarchical `TeamPolicy` (see
+//! [`crate::team`]). `parallel_for` and `parallel_reduce` also have a
+//! `_parts` form; every `_parts` dispatch gives work item `i` exclusive
+//! access to its own part of an output ([`crate::parts`]).
 
 use crate::parts::Parts;
-use crate::policy::{MDRangePolicy, TeamPolicy};
+use crate::policy::TeamPolicy;
 use crate::profile::{self, KernelLog};
 use crate::team::Team;
 use lkk_gpusim::{GpuArch, KernelStats};
@@ -298,102 +296,43 @@ impl Space {
         total
     }
 
-    /// Tiled two-dimensional dispatch (`MDRangePolicy`): iterate the
-    /// full `n0 × n1` index space in cache-friendly tiles, parallel over
-    /// tiles. Tiling "can be beneficial to achieve better cache locality
-    /// in multi-dimensional loop patterns" (§3.3) and implements the
-    /// 3-d tiled traversal of SNAP's ComputeYi (§4.3.2).
-    pub fn parallel_for_2d<F>(&self, label: &str, policy: MDRangePolicy, f: F)
-    where
-        F: Fn(usize, usize) + Sync + Send,
-    {
-        let MDRangePolicy {
-            n0,
-            n1,
-            tile0,
-            tile1,
-        } = policy;
-        profile::note_kernel_launch(label, n0 * n1);
-        let t0 = tile0.max(1);
-        let t1 = tile1.max(1);
-        let tiles0 = n0.div_ceil(t0);
-        let tiles1 = n1.div_ceil(t1);
-        let run_tile = counted(|tid: usize| {
-            let b0 = (tid / tiles1) * t0;
-            let b1 = (tid % tiles1) * t1;
-            for i in b0..(b0 + t0).min(n0) {
-                for j in b1..(b1 + t1).min(n1) {
-                    f(i, j);
-                }
-            }
-        });
-        match self {
-            Space::Serial => {
-                for tid in 0..tiles0 * tiles1 {
-                    run_tile(tid);
-                }
-            }
-            Space::Threads | Space::Device(_) => {
-                if let Space::Device(ctx) = self {
-                    ctx.log.push_launch(label, n0 * n1);
-                }
-                if force_sequential() {
-                    for tid in 0..tiles0 * tiles1 {
-                        run_tile(tid);
-                    }
-                } else {
-                    (0..tiles0 * tiles1).into_par_iter().for_each(run_tile);
-                }
-            }
-        }
-    }
-
     /// Hierarchical dispatch (`TeamPolicy`): one [`Team`] per league
-    /// member, with per-team scratch memory. On host spaces a team is a
-    /// single thread executing team-nested ranges sequentially, which is
-    /// exactly Kokkos' host mapping.
-    pub fn parallel_for_team<F>(&self, label: &str, policy: TeamPolicy, f: F)
+    /// member. On host spaces a team is a single thread executing
+    /// team-nested ranges sequentially, which is exactly Kokkos' host
+    /// mapping.
+    pub(crate) fn parallel_for_team<F>(&self, label: &str, policy: TeamPolicy, f: F)
     where
         F: Fn(&mut Team) + Sync + Send,
     {
-        let scratch_len = policy.scratch_bytes.div_ceil(8);
         profile::note_kernel_launch(label, policy.league_size * policy.team_size.max(1));
         #[cfg(debug_assertions)]
-        let f = |team: &mut Team<'_>| {
+        let f = |team: &mut Team| {
             let _call = crate::alloc_gate::enter();
             f(team)
         };
         let run_serial = |policy: &TeamPolicy| {
-            let mut scratch = vec![0.0f64; scratch_len];
             for rank in 0..policy.league_size {
-                let mut team = Team::new(rank, policy, &mut scratch);
-                f(&mut team);
+                f(&mut Team::new(rank));
             }
         };
         match self {
             Space::Serial => run_serial(&policy),
             Space::Threads | Space::Device(_) => {
                 if let Space::Device(ctx) = self {
-                    // Team launches record their occupancy-relevant
-                    // configuration (scratch request, team size) so the
-                    // cost model sees it even for kernels that never
-                    // push full stats of their own.
+                    // Team launches record their team size so the cost
+                    // model sees it even for kernels that never push
+                    // full stats of their own.
                     let mut s = KernelStats::new(label);
                     s.work_items = (policy.league_size * policy.team_size.max(1)) as f64;
-                    s.scratch_bytes_per_team = policy.scratch_bytes as f64;
                     s.threads_per_team = policy.team_size.max(1) as u32;
                     ctx.log.push(s);
                 }
                 if force_sequential() {
                     run_serial(&policy);
                 } else {
-                    (0..policy.league_size).into_par_iter().for_each_init(
-                        || vec![0.0f64; scratch_len],
-                        |scratch, rank| {
-                            let mut team = Team::new(rank, &policy, scratch);
-                            f(&mut team);
-                        },
-                    );
+                    (0..policy.league_size)
+                        .into_par_iter()
+                        .for_each(|rank| f(&mut Team::new(rank)));
                 }
             }
         }
@@ -497,38 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn md_range_covers_rectangle() {
-        for space in spaces() {
-            let n0 = 37;
-            let n1 = 53;
-            let hits: Vec<AtomicUsize> = (0..n0 * n1).map(|_| AtomicUsize::new(0)).collect();
-            space.parallel_for_2d(
-                "tile",
-                MDRangePolicy::new(n0, n1).with_tiles(8, 16),
-                |i, j| {
-                    hits[i * n1 + j].fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    #[test]
-    fn team_policy_runs_league_with_scratch() {
+    fn team_policy_runs_every_league_member_once() {
         for space in spaces() {
             let sums: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-            let policy = TeamPolicy::new(64, 8).with_scratch(256);
-            space.parallel_for_team("team", policy, |team| {
-                let rank = team.league_rank();
-                {
-                    let scratch = team.scratch();
-                    assert!(scratch.len() >= 32);
-                    scratch[0] = rank as f64;
-                }
+            space.parallel_for_team("team", TeamPolicy::new(64, 8), |team| {
                 let mut local = 0usize;
                 team.team_range(10, |i| local += i);
-                assert_eq!(team.scratch()[0], rank as f64);
-                sums[rank].store(local, Ordering::Relaxed);
+                sums[team.league_rank()].fetch_add(local, Ordering::Relaxed);
             });
             assert!(sums.iter().all(|s| s.load(Ordering::Relaxed) == 45));
         }
@@ -588,18 +502,11 @@ mod tests {
             space.parallel_reduce_sum("hook-reduce", 4, |_| 0.0);
             let mut offsets = [0usize; 3];
             space.parallel_scan("hook-scan", &[1, 2], &mut offsets);
-            space.parallel_for_2d("hook-2d", MDRangePolicy::new(2, 2), |_, _| {});
             space.parallel_for_team("hook-team", TeamPolicy::new(2, 2), |_| {});
         }
         crate::profile::unregister_subscriber(id);
         let snap = acc.snapshot();
-        for name in [
-            "hook-for",
-            "hook-reduce",
-            "hook-scan",
-            "hook-2d",
-            "hook-team",
-        ] {
+        for name in ["hook-for", "hook-reduce", "hook-scan", "hook-team"] {
             // Hooks fire for Serial, Threads, and Device alike. Other
             // concurrently running tests use different labels, so >= is
             // only about our own three spaces.
@@ -611,13 +518,11 @@ mod tests {
     }
 
     #[test]
-    fn team_launch_records_scratch_and_team_size() {
+    fn team_launch_records_team_size() {
         let space = Space::device(GpuArch::h100());
-        let policy = TeamPolicy::new(16, 32).with_scratch(4096);
-        space.parallel_for_team("scratchy", policy, |_| {});
+        space.parallel_for_team("teamy", TeamPolicy::new(16, 32), |_| {});
         let recs = space.device_ctx().unwrap().log.drain();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].scratch_bytes_per_team, 4096.0);
         assert_eq!(recs[0].threads_per_team, 32);
         assert_eq!(recs[0].work_items, 512.0);
     }

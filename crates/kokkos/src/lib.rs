@@ -19,9 +19,8 @@
 //!   (rayon), and the *simulated* GPU space that executes functionally
 //!   on host threads while logging kernel launches and event counts for
 //!   the `lkk-gpusim` performance model.
-//! * [`policy`] / [`team`] — `RangePolicy` (flat), `MDRangePolicy`
-//!   (tiled multi-dimensional iteration) and `TeamPolicy` (hierarchical
-//!   league/team/vector parallelism with per-team scratch memory, §3.3).
+//! * [`policy`] / [`team`] — `RangePolicy` (flat) and `TeamPolicy`
+//!   (hierarchical league/team parallelism, §3.3).
 //! * [`parts`] — an exclusively borrowed output cut into one part per
 //!   work item, for the `*_parts` dispatches: §4.1's own-row writes,
 //!   checked by the compiler, and a `ScatterView`'s per-thread handle.
@@ -61,7 +60,7 @@ pub use atomic::AtomicF64;
 pub use dual_view::DualView;
 pub use exec::{force_sequential, set_force_sequential, DeviceCtx, Space};
 pub use parts::RowMut;
-pub use policy::{MDRangePolicy, TeamPolicy};
+pub use policy::TeamPolicy;
 pub use profile::{
     begin_region, current_region, register_subscriber, unregister_subscriber, KernelLog,
     RegionGuard, SubscriberId,

@@ -1,48 +1,16 @@
 //! Execution policies: the shapes of parallel iteration spaces.
 //!
-//! `RangePolicy` is implicit (a plain `n`); this module holds the two
-//! richer policies of §3.3: [`MDRangePolicy`] (multi-dimensional,
-//! tiled) and [`TeamPolicy`] (hierarchical league/team/vector with
-//! scratch memory).
-
-/// A tiled two-dimensional iteration space.
-#[derive(Debug, Clone, Copy)]
-pub struct MDRangePolicy {
-    pub n0: usize,
-    pub n1: usize,
-    pub tile0: usize,
-    pub tile1: usize,
-}
-
-impl MDRangePolicy {
-    /// Default tiling: 32×32.
-    pub fn new(n0: usize, n1: usize) -> Self {
-        MDRangePolicy {
-            n0,
-            n1,
-            tile0: 32,
-            tile1: 32,
-        }
-    }
-
-    pub fn with_tiles(mut self, tile0: usize, tile1: usize) -> Self {
-        self.tile0 = tile0;
-        self.tile1 = tile1;
-        self
-    }
-}
+//! `RangePolicy` is implicit (a plain `n`); this module holds the
+//! richer policy of §3.3 that a kernel uses: [`TeamPolicy`]
+//! (hierarchical league/team parallelism).
 
 /// A hierarchical iteration space: `league_size` teams of `team_size`
-/// threads, each thread with `vector_len` vector lanes, and
-/// `scratch_bytes` of software-managed scratch per team (§3.3: scratch
-/// "on GPUs can be mapped to software-managed caches such as NVIDIA's
-/// shared memory").
+/// threads. The simulated device records the team size with each team
+/// launch, for the cost model's occupancy.
 #[derive(Debug, Clone, Copy)]
 pub struct TeamPolicy {
-    pub league_size: usize,
-    pub team_size: usize,
-    pub vector_len: usize,
-    pub scratch_bytes: usize,
+    pub(crate) league_size: usize,
+    pub(crate) team_size: usize,
 }
 
 impl TeamPolicy {
@@ -50,34 +18,6 @@ impl TeamPolicy {
         TeamPolicy {
             league_size,
             team_size,
-            vector_len: 1,
-            scratch_bytes: 0,
         }
-    }
-
-    pub fn with_vector(mut self, vector_len: usize) -> Self {
-        self.vector_len = vector_len;
-        self
-    }
-
-    pub fn with_scratch(mut self, bytes: usize) -> Self {
-        self.scratch_bytes = bytes;
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builders() {
-        let p = MDRangePolicy::new(10, 20).with_tiles(4, 5);
-        assert_eq!((p.n0, p.n1, p.tile0, p.tile1), (10, 20, 4, 5));
-        let t = TeamPolicy::new(100, 64).with_vector(8).with_scratch(1024);
-        assert_eq!(t.league_size, 100);
-        assert_eq!(t.team_size, 64);
-        assert_eq!(t.vector_len, 8);
-        assert_eq!(t.scratch_bytes, 1024);
     }
 }

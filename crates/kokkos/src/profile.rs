@@ -371,16 +371,6 @@ pub fn note_d2h_labeled(label: &str, bytes: usize) {
     for_each_subscriber(|sub| sub.transfer(TransferDir::DeviceToHost, label, bytes as u64));
 }
 
-/// Record an unlabeled host→device transfer.
-pub fn note_h2d(bytes: usize) {
-    note_h2d_labeled("", bytes);
-}
-
-/// Record an unlabeled device→host transfer.
-pub fn note_d2h(bytes: usize) {
-    note_d2h_labeled("", bytes);
-}
-
 /// Snapshot of global transfer counters:
 /// `(h2d_bytes, d2h_bytes, h2d_transfers, d2h_transfers)`.
 pub fn transfer_totals() -> (u64, u64, u64, u64) {
@@ -613,9 +603,9 @@ mod tests {
     fn transfer_counters_accumulate_and_reset() {
         let _serialize = TRANSFER_TEST_LOCK.lock().unwrap();
         reset_transfer_totals();
-        note_h2d(100);
-        note_h2d(28);
-        note_d2h(8);
+        note_h2d_labeled("a", 100);
+        note_h2d_labeled("b", 28);
+        note_d2h_labeled("a", 8);
         assert_eq!(transfer_totals(), (128, 8, 2, 1));
         reset_transfer_totals();
         assert_eq!(transfer_totals(), (0, 0, 0, 0));

@@ -1,54 +1,26 @@
 //! The per-team execution handle for hierarchical parallelism.
 //!
 //! On host execution spaces a team maps to a single thread, so the
-//! nested `team_range` / `vector_range` loops run sequentially — the
-//! same collapse Kokkos performs for its host backends. The value of
-//! the abstraction is that kernels written against it also express the
-//! concurrency structure the simulated device space accounts for
-//! (team/vector work items, scratch footprint).
-
-use crate::policy::TeamPolicy;
+//! nested `team_range` loop runs sequentially — the same collapse
+//! Kokkos performs for its host backends. The value of the abstraction
+//! is that kernels written against it also express the concurrency
+//! structure the simulated device space accounts for (team work items,
+//! team size).
 
 /// Handle given to each league member of a
-/// [`parallel_for_team`](crate::Space::parallel_for_team) dispatch.
-pub struct Team<'a> {
+/// [`parallel_for_team_parts`](crate::Space::parallel_for_team_parts)
+/// dispatch.
+pub struct Team {
     league_rank: usize,
-    league_size: usize,
-    team_size: usize,
-    vector_len: usize,
-    scratch: &'a mut [f64],
 }
 
-impl<'a> Team<'a> {
-    pub(crate) fn new(league_rank: usize, policy: &TeamPolicy, scratch: &'a mut [f64]) -> Self {
-        Team {
-            league_rank,
-            league_size: policy.league_size,
-            team_size: policy.team_size,
-            vector_len: policy.vector_len,
-            scratch,
-        }
+impl Team {
+    pub(crate) fn new(league_rank: usize) -> Self {
+        Team { league_rank }
     }
 
     pub fn league_rank(&self) -> usize {
         self.league_rank
-    }
-
-    pub fn league_size(&self) -> usize {
-        self.league_size
-    }
-
-    pub fn team_size(&self) -> usize {
-        self.team_size
-    }
-
-    pub fn vector_len(&self) -> usize {
-        self.vector_len
-    }
-
-    /// Per-team scratch memory (f64-typed; §3.3's scratch pads).
-    pub fn scratch(&mut self) -> &mut [f64] {
-        self.scratch
     }
 
     /// `TeamThreadRange`: distribute `0..n` over the team's threads.
@@ -57,31 +29,6 @@ impl<'a> Team<'a> {
             f(i);
         }
     }
-
-    /// `ThreadVectorRange`: distribute `0..n` over vector lanes.
-    pub fn vector_range<F: FnMut(usize)>(&mut self, n: usize, mut f: F) {
-        for i in 0..n {
-            f(i);
-        }
-    }
-
-    /// `TeamThreadRange` + sum reduction.
-    pub fn team_reduce_sum<F: FnMut(usize) -> f64>(&mut self, n: usize, mut f: F) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += f(i);
-        }
-        acc
-    }
-
-    /// `ThreadVectorRange` + sum reduction.
-    pub fn vector_reduce_sum<F: FnMut(usize) -> f64>(&mut self, n: usize, mut f: F) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += f(i);
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -89,25 +36,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn team_handle_reports_policy() {
-        let policy = TeamPolicy::new(4, 32).with_vector(8).with_scratch(64);
-        let mut scratch = vec![0.0; 8];
-        let mut t = Team::new(2, &policy, &mut scratch);
+    fn team_handle_reports_rank_and_runs_its_range() {
+        let mut t = Team::new(2);
         assert_eq!(t.league_rank(), 2);
-        assert_eq!(t.league_size(), 4);
-        assert_eq!(t.team_size(), 32);
-        assert_eq!(t.vector_len(), 8);
-        assert_eq!(t.scratch().len(), 8);
-    }
-
-    #[test]
-    fn nested_reductions() {
-        let policy = TeamPolicy::new(1, 4);
-        let mut scratch = [];
-        let mut t = Team::new(0, &policy, &mut scratch);
-        let outer = t.team_reduce_sum(3, |_| 1.0);
-        assert_eq!(outer, 3.0);
-        let inner = t.vector_reduce_sum(5, |i| i as f64);
-        assert_eq!(inner, 10.0);
+        let mut seen = Vec::new();
+        t.team_range(4, |i| seen.push(i));
+        assert_eq!(seen, [0, 1, 2, 3]);
     }
 }

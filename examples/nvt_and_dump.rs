@@ -1,12 +1,12 @@
-//! A realistic small workflow: perturb an EAM metal crystal, relax it
-//! with FIRE, run thermostatted dynamics with trajectory dumping, and
-//! write a LAMMPS data file of the final state.
+//! A realistic small workflow: perturb an EAM metal crystal, run
+//! thermostatted dynamics with trajectory dumping, and write a LAMMPS
+//! data file of the final state.
 //!
 //! Exercises: the EAM many-body style (Fig. 1's communication pattern),
-//! the FIRE minimizer, `fix nvt`, the extended-XYZ dump fix, the timing
-//! breakdown, and data-file round-tripping.
+//! `fix nvt`, the extended-XYZ dump fix, the timing breakdown, and
+//! data-file round-tripping.
 //!
-//! Run with: `cargo run --release --example relax_and_dump`
+//! Run with: `cargo run --release --example nvt_and_dump`
 
 use lammps_kk::core::{data_io, dump::XyzDump, fix::FixNvt};
 use lammps_kk::prelude::*;
@@ -35,16 +35,7 @@ fn main() {
         .dt(0.002)
         .build();
 
-    // 1. Relax.
-    sim.setup();
-    let e0 = sim.last_results.energy;
-    let result = sim.minimize_fire(1e-5, 3000);
-    println!(
-        "FIRE: {} iterations, converged = {}, E {:.4} -> {:.4} eV (fmax {:.2e})",
-        result.iterations, result.converged, e0, result.energy, result.fmax
-    );
-
-    // 2. Heat to 300 K under Nosé-Hoover (FixNvt integrates by itself),
+    // 1. Heat to 300 K under Nosé-Hoover (FixNvt integrates by itself),
     //    dumping a trajectory frame every 25 steps.
     sim.fixes = vec![Box::new(FixNvt::new(300.0, 0.05))];
     let dump = XyzDump::new(Vec::new(), 25, &["Cu"]);
@@ -53,7 +44,7 @@ fn main() {
     sim.verbose = true;
     sim.run(200);
 
-    // 3. Write the final state as a LAMMPS data file.
+    // 2. Write the final state as a LAMMPS data file.
     let mut buf = Vec::new();
     data_io::write_data(&mut buf, &sim.system.atoms, &sim.system.domain, 1).unwrap();
     println!(

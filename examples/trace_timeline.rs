@@ -35,24 +35,24 @@ fn main() {
 
     let collector = Arc::new(TraceCollector::wall(GpuArch::h100()));
     let id = profile::register_subscriber(collector.clone());
-    // The unified driver API: one builder for any CommSpec (swap in
-    // `CommSpec::Single` and the same code runs in-process).
-    let run = SimulationBuilder::new(atoms, lat.domain(cells, cells, cells))
-        .pair_with(|_rank| {
-            Box::new(PairKokkos::with_options(
+    // The unified driver: one `RunSpec` for any CommSpec (drop the
+    // `.comm(..)` and the same code runs in-process on one rank).
+    let run = RunSpec::new(&atoms, lat.domain(cells, cells, cells), steps)
+        .comm(CommSpec::Brick {
+            ranks: 4,
+            balance: None,
+        })
+        .run(|_, system| {
+            let pair = PairKokkos::with_options(
                 LjCut::single_type(1.0, 1.0, 2.5),
                 &Space::Serial,
                 PairKokkosOptions {
                     force_half: Some(true),
                     ..Default::default()
                 },
-            ))
+            );
+            Simulation::new(system, Box::new(pair))
         })
-        .comm(CommSpec::Brick {
-            ranks: 4,
-            balance: None,
-        })
-        .run(steps)
         .expect("fault-free rank-parallel run failed");
     profile::unregister_subscriber(id);
 

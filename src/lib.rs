@@ -8,8 +8,9 @@ pub use lkk_snap as snap;
 pub use lkk_trace as trace;
 
 /// One-stop import for examples and downstream users: the `lkk-core`
-/// prelude (atoms, lattices, pair styles, the [`core::sim::SimulationBuilder`]
-/// unified driver with its `CommSpec`/`RunSpec` surface) plus the
+/// prelude (atoms, lattices, pair styles, the single-rank
+/// [`core::sim::SimulationBuilder`], and the unified `RunSpec`/`CommSpec`
+/// driver for single- and multi-rank runs) plus the
 /// commonly paired pieces from the sibling crates — the machine-level
 /// potentials, the cost-model architectures, and the trace collector.
 pub mod prelude {

@@ -7,6 +7,7 @@
 
 use lammps_kk::core::comm::build_ghosts;
 use lammps_kk::core::pair::mliap::{Mlp, PairMliap, RadialSymmetry};
+use lammps_kk::core::pair::morse::Morse;
 use lammps_kk::core::pair::sw::{PairSw, SwParams};
 use lammps_kk::prelude::*;
 use lammps_kk::reaxff::hns;
@@ -80,7 +81,13 @@ fn diamond(n: usize, a: f64) -> (Vec<[f64; 3]>, Domain) {
     (positions, fcc.domain(n, n, n))
 }
 
-fn lj(name: &'static str, half: bool, team: bool) -> Case {
+/// A `PairKokkos` kernel over `pot` on a jittered fcc LJ melt.
+fn two_body<P: TwoBody + Clone + 'static>(
+    name: &'static str,
+    pot: P,
+    half: bool,
+    team: bool,
+) -> Case {
     let lat = Lattice::from_density(LatticeKind::Fcc, 0.8442);
     let options = PairKokkosOptions {
         force_half: Some(half),
@@ -94,10 +101,13 @@ fn lj(name: &'static str, half: bool, team: bool) -> Case {
         units: Units::lj(),
         own_row: !half,
         make_pair: Box::new(move |space| {
-            let pot = LjCut::single_type(1.0, 1.0, 2.5);
-            Box::new(PairKokkos::with_options(pot, space, options))
+            Box::new(PairKokkos::with_options(pot.clone(), space, options))
         }),
     }
+}
+
+fn lj(name: &'static str, half: bool, team: bool) -> Case {
+    two_body(name, LjCut::single_type(1.0, 1.0, 2.5), half, team)
 }
 
 pub fn every_style() -> Vec<Case> {
@@ -115,6 +125,8 @@ pub fn every_style() -> Vec<Case> {
         lj("lj/half", true, false),
         lj("lj/full", false, false),
         lj("lj/team", false, true),
+        // The same generic driver over a second potential (§4.1).
+        two_body("morse", Morse::new(1.0, 2.0, 1.2, 2.5), false, false),
         Case {
             name: "eam",
             positions: jittered(eam.positions(3, 3, 3), 0.1),

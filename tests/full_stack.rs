@@ -18,7 +18,7 @@ fn full_registry() -> StyleRegistry {
 #[test]
 fn registry_exposes_all_styles_in_both_forms() {
     let names = full_registry().pair_names();
-    for base in ["lj/cut", "morse", "yukawa", "snap", "reaxff"] {
+    for base in ["lj/cut", "morse", "snap", "reaxff"] {
         assert!(names.contains(&base.to_string()), "{base} missing");
         assert!(names.contains(&format!("{base}/kk")), "{base}/kk missing");
     }

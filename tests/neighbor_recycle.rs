@@ -86,7 +86,7 @@ fn check(names: &[&str]) {
 #[test]
 fn pair_kernel_reads_recycled_rows_on_both_layouts() {
     // (The team kernel tallies through atomics: not reproducible.)
-    check(&["lj/half", "lj/full", "eam", "sw", "mliap"]);
+    check(&["lj/half", "lj/full", "morse", "eam", "sw", "mliap"]);
 }
 
 #[test]
