@@ -16,7 +16,7 @@ use lkk_core::lattice::create_velocities;
 use lkk_core::neighbor::{NeighborList, NeighborSettings};
 use lkk_core::sim::SimulationBuilder;
 use lkk_core::units::Units;
-use lkk_kokkos::Space;
+use lkk_kokkos::{ScatterView, Space};
 use lkk_reaxff::nonbonded::{compute_nonbonded, PairTable};
 use lkk_reaxff::qeq::{self, ChargeHistory, QeqMatrix, QeqWork};
 use lkk_reaxff::{hns, PairReaxff, ReaxParams};
@@ -95,7 +95,7 @@ fn bench_stages(c: &mut Criterion) {
     for f in &frames {
         matrix.build(&f.atoms, &f.list, &f.ghosts, &params, &table, &space);
         work.reset(n);
-        let sol = qeq::solve(&matrix, &chi, &mut work, params.qeq_tol, false, &space);
+        let sol = qeq::solve(&mut matrix, &chi, &mut work, params.qeq_tol, false, &space);
         assert!(sol.converged);
         history.push(&tags, &work.s, &work.t);
     }
@@ -115,7 +115,7 @@ fn bench_stages(c: &mut Criterion) {
             history.follow(&tags);
             history.guess(&mut work.s, &mut work.t);
         }
-        let sol = qeq::solve(&matrix, &chi, &mut work, params.qeq_tol, false, &space);
+        let sol = qeq::solve(&mut matrix, &chi, &mut work, params.qeq_tol, false, &space);
         assert!(sol.converged);
         sol.iterations
     };
@@ -129,6 +129,7 @@ fn bench_stages(c: &mut Criterion) {
 
     let q = work.q.clone();
     let mut forces = vec![[0.0f64; 3]; n];
+    let mut scatter = ScatterView::for_space(n, 3, &space);
     for (name, eflag) in [("nonbonded_ev", true), ("nonbonded_noev", false)] {
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -138,6 +139,7 @@ fn bench_stages(c: &mut Criterion) {
                     &ghosts,
                     &q,
                     &table,
+                    &mut scatter,
                     &mut forces,
                     eflag,
                     &space,

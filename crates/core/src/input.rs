@@ -144,6 +144,10 @@ impl Lammps {
                 Ok(())
             }
             "atom_types" => {
+                // The atoms' mass table is sized when they are made.
+                if self.atoms.is_some() || self.sim.is_some() {
+                    return Err("atom_types: must come before create_atoms or read_data".into());
+                }
                 self.ntypes = parse::<NonZeroUsize>(args.first(), "atom_types count")?.get();
                 Ok(())
             }
@@ -446,6 +450,16 @@ mod tests {
                 "{velocity:?}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn atom_types_after_the_atoms_exist_is_an_error() {
+        let mut lmp = Lammps::new(StyleRegistry::core());
+        for line in ["lattice fcc 0.8442", "create_box 2 2 2", "create_atoms"] {
+            lmp.command(line).unwrap();
+        }
+        let err = lmp.command("atom_types 2").unwrap_err();
+        assert!(err.contains("before create_atoms"), "{err}");
     }
 
     /// Every setup command (all but `run`, `read_data` and `write_data`,

@@ -18,11 +18,12 @@
 //! form and break.
 
 use crate::bond_order::BondState;
+use crate::ensure_len;
 use crate::params::ReaxParams;
 use lkk_kokkos::{parts, AtomicF64, Space};
 
 /// A compressed triplet: center atom and two bond-slot positions.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Triplet {
     pub i: u32,
     pub b1: u32,
@@ -45,65 +46,69 @@ pub fn angle_bo_lo(params: &ReaxParams) -> f64 {
     3.0 * params.bo_cut
 }
 
-/// Pre-processing: count + fill the compressed triplet table
-/// (`parallel_scan` between the two passes, exactly the §4.2.2 build
-/// pattern). Returns the table and the number of *candidate* pairs
-/// examined (for the divergence statistics).
-pub fn build_triplets(
-    state: &BondState,
-    params: &ReaxParams,
-    space: &Space,
-) -> (Vec<Triplet>, u64) {
-    let t = &state.table;
-    let nlocal = t.nlocal;
-    let bo_lo = angle_bo_lo(params);
-    // Count pass.
-    let mut counts = vec![0usize; nlocal];
-    let tallies = parts::elements(&mut counts);
-    space.parallel_for_parts("AngleCount", nlocal, tallies, |i, c| {
-        let nb = t.count[i] as usize;
-        for b1 in 0..nb {
-            if state.bo[t.slot(i, b1)] <= bo_lo {
-                continue;
-            }
-            for b2 in (b1 + 1)..nb {
-                if state.bo[t.slot(i, b2)] > bo_lo {
-                    *c += 1;
+/// The compressed triplet table with its per-atom counts and offsets:
+/// one pooled workspace, refilled in place by [`TripletTable::build`],
+/// grown never shrunk.
+#[derive(Debug, Default)]
+pub struct TripletTable {
+    /// All triplets of an atom are contiguous.
+    pub triplets: Vec<Triplet>,
+    counts: Vec<usize>,
+    offsets: Vec<usize>,
+}
+
+impl TripletTable {
+    /// Pre-processing: count + fill the compressed triplet table
+    /// (`parallel_scan` between the two passes, exactly the §4.2.2
+    /// build pattern). Returns how many buffers had to grow (0 in
+    /// steady state).
+    pub fn build(&mut self, state: &BondState, params: &ReaxParams, space: &Space) -> u64 {
+        let t = &state.table;
+        let nlocal = t.nlocal;
+        let bo_lo = angle_bo_lo(params);
+        let mut grown = ensure_len(&mut self.counts, nlocal);
+        grown += ensure_len(&mut self.offsets, nlocal + 1);
+        // Count pass.
+        let tallies = parts::elements(&mut self.counts);
+        space.parallel_for_parts("AngleCount", nlocal, tallies, |i, c| {
+            let nb = t.count[i] as usize;
+            *c = 0;
+            for b1 in 0..nb {
+                if state.bo[t.slot(i, b1)] <= bo_lo {
+                    continue;
+                }
+                for b2 in (b1 + 1)..nb {
+                    if state.bo[t.slot(i, b2)] > bo_lo {
+                        *c += 1;
+                    }
                 }
             }
-        }
-    });
-    let candidates: u64 = (0..nlocal)
-        .map(|i| {
-            let nb = t.count[i] as u64;
-            nb * nb.saturating_sub(1) / 2
-        })
-        .sum();
-    let mut offsets = vec![0usize; nlocal + 1];
-    let total = space.parallel_scan("AngleScan", &counts, &mut offsets);
-    // Fill pass (each atom writes its own contiguous range).
-    let mut triplets = vec![Triplet { i: 0, b1: 0, b2: 0 }; total];
-    let ranges = parts::csr(&mut triplets, &offsets);
-    space.parallel_for_parts("AngleFill", nlocal, ranges, |i, mine| {
-        let nb = t.count[i] as usize;
-        let mut at = 0;
-        for b1 in 0..nb {
-            if state.bo[t.slot(i, b1)] <= bo_lo {
-                continue;
-            }
-            for b2 in (b1 + 1)..nb {
-                if state.bo[t.slot(i, b2)] > bo_lo {
-                    mine[at] = Triplet {
-                        i: i as u32,
-                        b1: b1 as u32,
-                        b2: b2 as u32,
-                    };
-                    at += 1;
+        });
+        let total = space.parallel_scan("AngleScan", &self.counts, &mut self.offsets);
+        // Fill pass (each atom writes its own contiguous range).
+        grown += ensure_len(&mut self.triplets, total);
+        let ranges = parts::csr(&mut self.triplets, &self.offsets);
+        space.parallel_for_parts("AngleFill", nlocal, ranges, |i, mine| {
+            let nb = t.count[i] as usize;
+            let mut at = 0;
+            for b1 in 0..nb {
+                if state.bo[t.slot(i, b1)] <= bo_lo {
+                    continue;
+                }
+                for b2 in (b1 + 1)..nb {
+                    if state.bo[t.slot(i, b2)] > bo_lo {
+                        mine[at] = Triplet {
+                            i: i as u32,
+                            b1: b1 as u32,
+                            b2: b2 as u32,
+                        };
+                        at += 1;
+                    }
                 }
             }
-        }
-    });
-    (triplets, candidates)
+        });
+        grown
+    }
 }
 
 /// Convergent compute kernel: energy, geometric forces, and `∂E/∂BO`
@@ -173,7 +178,7 @@ pub fn compute_angles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bond_order::{BondState, BondTable};
+    use crate::bond_order::BondState;
     use lkk_core::atom::AtomData;
     use lkk_core::comm::build_ghosts;
     use lkk_core::domain::Domain;
@@ -193,14 +198,16 @@ mod tests {
         let settings = NeighborSettings::new(params.r_nonb, 0.3, false);
         let ghosts = build_ghosts(&mut atoms, &domain, settings.cutneigh());
         let list = NeighborList::build(&atoms, &domain, &settings, &Space::Serial);
-        let table = BondTable::build(&atoms, &list, &ghosts, &params, &Space::Serial);
-        let mut state = BondState::compute(table, &params, &atoms);
-        let (triplets, candidates) = build_triplets(&state, &params, &Space::Serial);
-        assert_eq!(triplets.len(), 1, "candidates {candidates}");
+        let mut state = BondState::default();
+        state.build(&atoms, &list, &ghosts, &params, &Space::Serial);
+        let mut table = TripletTable::default();
+        table.build(&state, &params, &Space::Serial);
+        let triplets = &table.triplets;
+        assert_eq!(triplets.len(), 1);
         assert_eq!(triplets[0].i, 0, "angle must be centered on atom 0");
         // Energy positive for a bent angle away from cos_theta0.
         let mut forces = vec![[0.0; 3]; 3];
-        let (e, _) = compute_angles(&triplets, &mut state, &params, &mut forces, &Space::Serial);
+        let (e, _) = compute_angles(triplets, &mut state, &params, &mut forces, &Space::Serial);
         assert!(e >= 0.0);
     }
 

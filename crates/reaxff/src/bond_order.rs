@@ -21,6 +21,7 @@
 //! (`Cdbo`/`CdDelta` in LAMMPS' ReaxFF); [`BondState::accumulate_forces`]
 //! propagates them through the correction chain to atom forces.
 
+use crate::ensure_len;
 use crate::params::ReaxParams;
 use lkk_core::atom::AtomData;
 use lkk_core::comm::GhostMap;
@@ -42,7 +43,10 @@ fn over_corr(s: f64, p: f64) -> (f64, f64) {
 }
 
 /// One atom's bonds, stored row-major `[nlocal × max_bonds]`.
-#[derive(Debug)]
+/// Persistent: [`BondTable::build`] refills the same columns every step
+/// and only the `count[i]` leading slots of a row are ever read, so
+/// nothing is zero-filled between steps.
+#[derive(Debug, Default)]
 pub struct BondTable {
     pub nlocal: usize,
     pub max_bonds: usize,
@@ -72,37 +76,45 @@ impl BondTable {
         self.count.iter().map(|&c| c as u64).sum()
     }
 
-    /// Build from a full neighbor list. Divergent pre-processing: most
-    /// listed pairs fail the `r < r_bond` / `BO' > bo_cut` tests.
+    /// Refill from a full neighbor list. Divergent pre-processing: most
+    /// listed pairs fail the `r < r_bond` / `BO' > bo_cut` tests. Rows
+    /// are at least 12 slots wide and widen (never narrow) when an atom
+    /// has more bonds; returns how many columns had to grow (0 in steady
+    /// state).
     pub fn build(
+        &mut self,
         atoms: &AtomData,
         list: &NeighborList,
         ghosts: &GhostMap,
         params: &ReaxParams,
         space: &Space,
-    ) -> BondTable {
+    ) -> u64 {
         assert!(!list.half, "ReaxFF bond table needs a full neighbor list");
         let nlocal = atoms.nlocal;
-        let mut max_bonds = 12usize;
         let walk = list.within(atoms.x.h_view(), params.r_bond);
         let typ = atoms.typ.h_view();
+        self.nlocal = nlocal;
+        self.max_bonds = self.max_bonds.max(12);
+        let mut grown = 0;
         loop {
-            let mut table = BondTable {
-                nlocal,
-                max_bonds,
-                count: vec![0; nlocal],
-                partner: vec![0; nlocal * max_bonds],
-                owner: vec![0; nlocal * max_bonds],
-                dx: vec![0.0; nlocal * max_bonds],
-                dy: vec![0.0; nlocal * max_bonds],
-                dz: vec![0.0; nlocal * max_bonds],
-                r: vec![0.0; nlocal * max_bonds],
-                bo_p: vec![0.0; nlocal * max_bonds],
-                dbo_p: vec![0.0; nlocal * max_bonds],
-            };
+            let w = self.max_bonds;
+            grown += ensure_len(&mut self.count, nlocal);
+            for v in [&mut self.partner, &mut self.owner] {
+                grown += ensure_len(v, nlocal * w);
+            }
+            for v in [
+                &mut self.dx,
+                &mut self.dy,
+                &mut self.dz,
+                &mut self.r,
+                &mut self.bo_p,
+                &mut self.dbo_p,
+            ] {
+                grown += ensure_len(v, nlocal * w);
+            }
             // Row-disjoint parallel fill: every work item owns its row of
             // each column and its count.
-            let (t, w) = (&mut table, max_bonds);
+            let t = &mut *self;
             let columns = (
                 (rows(&mut t.partner, w), rows(&mut t.owner, w)),
                 (rows(&mut t.dx, w), rows(&mut t.dy, w), rows(&mut t.dz, w)),
@@ -132,7 +144,7 @@ impl BondTable {
                         if bo_p <= 0.0 {
                             return;
                         }
-                        if count < max_bonds {
+                        if count < w {
                             let c = count;
                             partner[c] = j as u32;
                             owner[c] = if j < nlocal {
@@ -145,22 +157,23 @@ impl BondTable {
                         }
                         count += 1;
                     });
-                    *stored = count.min(max_bonds) as u32;
+                    *stored = count.min(w) as u32;
                     count
                 },
                 usize::max,
             );
-            if needed > max_bonds {
-                max_bonds = needed + 4;
-                continue;
+            if needed <= w {
+                return grown;
             }
-            return table;
+            self.max_bonds = needed + 4;
         }
     }
 }
 
-/// Bond orders plus the reverse-mode coefficient buffers.
-#[derive(Debug)]
+/// Bond orders plus the reverse-mode coefficient buffers, around the
+/// bond table they are indexed like. One pooled workspace: refilled in
+/// place by [`BondState::build`], grown never shrunk.
+#[derive(Debug, Default)]
 pub struct BondState {
     pub table: BondTable,
     /// Uncorrected coordination deficit Δ'.
@@ -176,50 +189,62 @@ pub struct BondState {
     pub c_bo: Vec<f64>,
     /// ∂E/∂Δ per atom.
     pub c_delta: Vec<f64>,
+    /// ∂E/∂Δ' per atom (scratch of [`BondState::accumulate_forces`]).
+    c_dp: Vec<f64>,
 }
 
 impl BondState {
-    /// Compute Δ', the corrected BO, and Δ from a bond table.
-    pub fn compute(table: BondTable, params: &ReaxParams, atoms: &AtomData) -> BondState {
-        let nlocal = table.nlocal;
+    /// Refill the bond table from the list, then compute Δ', the
+    /// corrected BO and Δ, and zero the `∂E/∂BO`, `∂E/∂Δ` coefficients.
+    /// Returns how many buffers had to grow (0 in steady state).
+    pub fn build(
+        &mut self,
+        atoms: &AtomData,
+        list: &NeighborList,
+        ghosts: &GhostMap,
+        params: &ReaxParams,
+        space: &Space,
+    ) -> u64 {
+        let mut grown = self.table.build(atoms, list, ghosts, params, space);
+        let t = &self.table;
+        let nlocal = t.nlocal;
+        let nslots = nlocal * t.max_bonds;
+        for v in [
+            &mut self.delta_p,
+            &mut self.delta,
+            &mut self.c_delta,
+            &mut self.c_dp,
+        ] {
+            grown += ensure_len(v, nlocal);
+        }
+        for v in [&mut self.bo, &mut self.f, &mut self.df, &mut self.c_bo] {
+            grown += ensure_len(v, nslots);
+        }
+        self.c_bo.fill(0.0);
+        self.c_delta.fill(0.0);
         let typ = atoms.typ.h_view();
-        let mut delta_p = vec![0.0; nlocal];
-        for (i, dp) in delta_p.iter_mut().enumerate() {
+        for (i, dp) in self.delta_p.iter_mut().enumerate() {
             let mut sum = 0.0;
-            for b in 0..table.count[i] as usize {
-                sum += table.bo_p[table.slot(i, b)];
+            for b in 0..t.count[i] as usize {
+                sum += t.bo_p[t.slot(i, b)];
             }
             *dp = sum - params.elements[typ.at([i]) as usize].valence;
         }
-        let nslots = nlocal * table.max_bonds;
-        let mut bo = vec![0.0; nslots];
-        let mut f = vec![0.0; nslots];
-        let mut df = vec![0.0; nslots];
-        let mut delta = vec![0.0; nlocal];
         for i in 0..nlocal {
             let mut sum = 0.0;
-            for b in 0..table.count[i] as usize {
-                let sl = table.slot(i, b);
-                let jo = table.owner[sl] as usize;
-                let s = delta_p[i] + delta_p[jo];
+            for b in 0..t.count[i] as usize {
+                let sl = t.slot(i, b);
+                let jo = t.owner[sl] as usize;
+                let s = self.delta_p[i] + self.delta_p[jo];
                 let (fv, dfv) = over_corr(s, params.p_corr);
-                f[sl] = fv;
-                df[sl] = dfv;
-                bo[sl] = table.bo_p[sl] * fv;
-                sum += bo[sl];
+                self.f[sl] = fv;
+                self.df[sl] = dfv;
+                self.bo[sl] = t.bo_p[sl] * fv;
+                sum += self.bo[sl];
             }
-            delta[i] = sum - params.elements[typ.at([i]) as usize].valence;
+            self.delta[i] = sum - params.elements[typ.at([i]) as usize].valence;
         }
-        BondState {
-            delta_p,
-            bo,
-            f,
-            df,
-            delta,
-            c_bo: vec![0.0; nslots],
-            c_delta: vec![0.0; nlocal],
-            table,
-        }
+        grown
     }
 
     /// Bond energy `E = Σ_{i<j} −De·BO·exp(pbe1(1−BO))` plus the
@@ -292,7 +317,8 @@ impl BondState {
         // Chain through BO = BO'·f(Δ'_i + Δ'_j):
         //   ∂E/∂BO'_slot (direct)   = c_bo·f
         //   ∂E/∂Δ'                  += c_bo·BO'·f'
-        let mut c_dp = vec![0.0; nlocal];
+        let c_dp = &mut self.c_dp[..nlocal];
+        c_dp.fill(0.0);
         for i in 0..nlocal {
             for b in 0..t.count[i] as usize {
                 let sl = t.slot(i, b);
@@ -353,7 +379,8 @@ mod tests {
     fn dimer_has_one_bond_each() {
         let (atoms, _, list, ghosts, params) =
             small_system(&[[9.0, 9.0, 9.0], [10.4, 9.0, 9.0]], 18.0);
-        let table = BondTable::build(&atoms, &list, &ghosts, &params, &Space::Serial);
+        let mut table = BondTable::default();
+        table.build(&atoms, &list, &ghosts, &params, &Space::Serial);
         assert_eq!(table.count, vec![1, 1]);
         let sl0 = table.slot(0, 0);
         assert_eq!(table.owner[sl0], 1);
@@ -366,7 +393,8 @@ mod tests {
     fn far_pair_is_not_bonded() {
         let (atoms, _, list, ghosts, params) =
             small_system(&[[9.0, 9.0, 9.0], [13.0, 9.0, 9.0]], 18.0);
-        let table = BondTable::build(&atoms, &list, &ghosts, &params, &Space::Serial);
+        let mut table = BondTable::default();
+        table.build(&atoms, &list, &ghosts, &params, &Space::Serial);
         assert_eq!(table.total_bonds(), 0);
     }
 
@@ -375,7 +403,8 @@ mod tests {
         let (atoms, _, list, ghosts, params) =
             small_system(&[[0.3, 9.0, 9.0], [17.1, 9.0, 9.0]], 18.0);
         // Separation through the boundary: 0.3 + (18−17.1) = 1.2.
-        let table = BondTable::build(&atoms, &list, &ghosts, &params, &Space::Serial);
+        let mut table = BondTable::default();
+        table.build(&atoms, &list, &ghosts, &params, &Space::Serial);
         assert_eq!(table.count, vec![1, 1]);
         let sl = table.slot(0, 0);
         assert!((table.r[sl] - 1.2).abs() < 1e-12);
@@ -398,9 +427,9 @@ mod tests {
             }
         }
         let (atoms, _, list, ghosts, params) = small_system(&pos, 18.0);
-        let table = BondTable::build(&atoms, &list, &ghosts, &params, &Space::Serial);
-        assert_eq!(table.count[0], 6);
-        let state = BondState::compute(table, &params, &atoms);
+        let mut state = BondState::default();
+        state.build(&atoms, &list, &ghosts, &params, &Space::Serial);
+        assert_eq!(state.table.count[0], 6);
         let sl = state.table.slot(0, 0);
         assert!(state.bo[sl] < state.table.bo_p[sl]);
         assert!(state.delta_p[0] > 0.0, "Δ' = {}", state.delta_p[0]);
@@ -420,14 +449,14 @@ mod tests {
         ];
         let energy_of = |pos: &[[f64; 3]]| -> f64 {
             let (atoms, _, list, ghosts, params) = small_system(pos, 18.0);
-            let table = BondTable::build(&atoms, &list, &ghosts, &params, &Space::Serial);
-            let mut state = BondState::compute(table, &params, &atoms);
+            let mut state = BondState::default();
+            state.build(&atoms, &list, &ghosts, &params, &Space::Serial);
             state.bonded_energy(&params, &atoms)
         };
         // Analytic forces.
         let (atoms, _, list, ghosts, params) = small_system(&base, 18.0);
-        let table = BondTable::build(&atoms, &list, &ghosts, &params, &Space::Serial);
-        let mut state = BondState::compute(table, &params, &atoms);
+        let mut state = BondState::default();
+        state.build(&atoms, &list, &ghosts, &params, &Space::Serial);
         let _e = state.bonded_energy(&params, &atoms);
         let mut forces = vec![[0.0; 3]; atoms.nlocal];
         state.accumulate_forces(&mut forces);

@@ -30,13 +30,15 @@
 //!   count/fill/compute pre-processing kernel splits.
 //! * [`nonbonded`] — tapered Morse van der Waals + shielded Coulomb:
 //!   one per-type-pair coefficient table and one pair-term routine,
-//!   shared by the force kernel and the QEq matrix fill.
-//! * [`qeq`] — charge equilibration: over-allocated CSR, fused dual CG
-//!   warm-started from an extrapolated, tag-keyed charge history.
+//!   shared by the force kernel and the QEq matrix fill, both of which
+//!   evaluate each non-bonded pair once.
+//! * [`qeq`] — charge equilibration: over-allocated CSR holding one
+//!   triangle of the symmetric matrix, fused dual CG warm-started from
+//!   an extrapolated, tag-keyed charge history.
 //! * [`hns`] — the synthetic hexanitrostilbene-like benchmark crystal.
 //! * [`pair_reaxff`] — the `pair_style reaxff` integration; owns the
-//!   step-to-step state (the pooled QEq workspace and the history) and
-//!   honours `eflag`.
+//!   step-to-step state (one pooled workspace for every per-step table,
+//!   and the charge history) and honours `eflag`.
 
 pub mod angles;
 pub mod bond_order;
@@ -50,3 +52,18 @@ pub mod torsion;
 
 pub use pair_reaxff::PairReaxff;
 pub use params::ReaxParams;
+
+/// Resize a pooled buffer to `n` elements (new ones zero) without ever
+/// giving capacity back; returns 1 if the heap block had to grow. A
+/// growth reserves an eighth more than asked, so a length that moves a
+/// little from step to step (the triplet and quad counts) settles after
+/// one growth. The reserve is not written until a later length needs
+/// it.
+pub(crate) fn ensure_len<T: Copy + Default>(v: &mut Vec<T>, n: usize) -> u64 {
+    let grew = n > v.capacity();
+    if grew {
+        v.reserve_exact(n + n / 8 - v.len());
+    }
+    v.resize(n, T::default());
+    u64::from(grew)
+}

@@ -8,13 +8,20 @@
 //! routine: [`PairTable::terms`] evaluates both terms of a pair, and
 //! both [`crate::qeq::QeqMatrix::build`] and [`compute_nonbonded`] walk
 //! the neighbor rows through one reader (`PairWalk`) and call it.
+//!
+//! Both walks evaluate each unordered pair once: the reader reads the
+//! full list but keeps a pair from one of its two rows only (the rule is
+//! at [`PairWalk::half_row`]). The force kernel writes `+F` to the row's
+//! atom and `−F` to the neighbor's owner through a pooled `ScatterView`
+//! (§4.1's deconfliction), and the matrix stores one triangle and adds
+//! the other inside its SpMV.
 
 use crate::params::ReaxParams;
 use crate::taper::taper;
 use lkk_core::atom::AtomData;
 use lkk_core::comm::GhostMap;
 use lkk_core::neighbor::{NeighborList, Within, TOWARD_I};
-use lkk_kokkos::{parts, Space};
+use lkk_kokkos::{parts, ScatterMode, ScatterView, Space};
 
 /// Mixed coefficients of one type pair.
 #[derive(Debug, Clone, Copy)]
@@ -161,31 +168,66 @@ impl<'a> PairWalk<'a> {
         self.typ[i] as usize
     }
 
-    /// Call `f` for every neighbor of `i` inside the cutoff, in list
-    /// order.
+    /// Call `f` for every neighbor of `i` inside the cutoff whose owner
+    /// passes `keep`, in list order. The rest cost no `sqrt`.
     #[inline(always)]
-    pub fn row(self, i: usize, mut f: impl FnMut(Hit)) {
+    fn walk(self, i: usize, keep: impl Fn(usize) -> bool, mut f: impl FnMut(Hit)) {
         self.within.row::<TOWARD_I>(i, |j, d, rsq| {
-            f(Hit {
-                owner: if j < self.nlocal {
-                    j
-                } else {
-                    self.owner[j - self.nlocal]
-                },
-                typ: self.typ[j] as usize,
-                d,
-                r: rsq.sqrt(),
-            })
+            let owner = if j < self.nlocal {
+                j
+            } else {
+                self.owner[j - self.nlocal]
+            };
+            if keep(owner) {
+                f(Hit {
+                    owner,
+                    typ: self.typ[j] as usize,
+                    d,
+                    r: rsq.sqrt(),
+                })
+            }
         });
+    }
+
+    /// The full row: every in-cutoff neighbor of `i`, so each pair is
+    /// met from both of its rows. The one-sided oracles read it.
+    #[cfg(test)]
+    #[inline(always)]
+    pub fn row(self, i: usize, f: impl FnMut(Hit)) {
+        self.walk(i, |_| true, f);
+    }
+
+    /// Call `f` for the neighbors of `i` inside the cutoff whose pair
+    /// this row keeps, in list order: a hit `(i, o)`, `o` the neighbor's
+    /// owner, is kept iff `(o > i) == (o + i even)`. Of the pair's two
+    /// hits `(i, o)` and `(o, i)` exactly one passes, and the parity
+    /// alternates which one, so every row keeps about half of its hits
+    /// (`o > i` alone would give the low rows nearly all the work and
+    /// unbalance the static chunks of a dispatch).
+    ///
+    /// `(i, o)` names one pair because comm set-up requires the box to
+    /// be at least twice the ghost cutoff in every dimension: within the
+    /// cutoff an atom never meets its own image (`o ≠ i`, asserted) and
+    /// never meets two images of one neighbor.
+    #[inline(always)]
+    pub fn half_row(self, i: usize, f: impl FnMut(Hit)) {
+        let keep = |o: usize| {
+            assert_ne!(o, i, "atom {i} meets its own image inside the cutoff");
+            (o > i) == (o + i).is_multiple_of(2)
+        };
+        self.walk(i, keep, f);
     }
 }
 
-/// Compute van der Waals + Coulomb forces over the full neighbor list,
-/// one-sided (each atom writes only its own force row — the newton-off
-/// strategy of §4.1, so no reverse communication is needed). `q` holds
-/// the equilibrated charges of *local* atoms. With `eflag` returns
-/// `(e_vdw, e_coulomb_pairs, virial)`; without, the tallies are skipped
-/// and the return is all zeros.
+/// Compute van der Waals + Coulomb forces, each pair once: a work item
+/// walks its [`PairWalk::half_row`], adds `+F` to its own atom and `−F`
+/// to the neighbor's owner through `scatter` (reshaped in place to the
+/// owned atoms in `space`'s default mode, never reallocated below its
+/// peak), and the scattered forces are then added into `forces`. All
+/// writes land on owner rows, so no reverse communication is needed.
+/// `q` holds the equilibrated charges of *local* atoms. With `eflag`
+/// returns `(e_vdw, e_coulomb_pairs, virial)`; without, the tallies are
+/// skipped and the return is all zeros.
 #[expect(clippy::too_many_arguments, reason = "each input has its own owner")]
 pub fn compute_nonbonded(
     atoms: &AtomData,
@@ -193,56 +235,92 @@ pub fn compute_nonbonded(
     ghosts: &GhostMap,
     q: &[f64],
     table: &PairTable,
+    scatter: &mut ScatterView,
     forces: &mut [[f64; 3]],
     eflag: bool,
     space: &Space,
 ) -> (f64, f64, f64) {
     let walk = PairWalk::new(atoms, list, ghosts, table.rc);
-    assert!(q.len() >= atoms.nlocal);
-    space.parallel_reduce_parts(
+    let n = atoms.nlocal;
+    assert!(q.len() >= n);
+    scatter.ensure(n, 3, ScatterMode::default_for(space));
+    let tally = space.parallel_reduce_parts(
         "NonbondedCompute",
-        atoms.nlocal,
-        parts::elements(forces),
+        n,
+        parts::scatter(scatter),
         (0.0f64, 0.0f64, 0.0f64),
-        |i, row| {
+        |i, f| {
             let ti = walk.typ(i);
             let qi = q[i];
             let mut fi = [0.0f64; 3];
             let mut tally = (0.0, 0.0, 0.0);
-            walk.row(i, |hit| {
+            walk.half_row(i, |hit| {
                 let t = table.terms(hit.r, ti, hit.typ);
                 let qq = qi * q[hit.owner];
                 let fpair = -(t.de_vdw + t.dh * qq) / hit.r; // force on i along +d
-                for (f, d) in fi.iter_mut().zip(hit.d) {
-                    *f += fpair * d;
+                let fd = hit.d.map(|d| fpair * d);
+                for (a, b) in fi.iter_mut().zip(fd) {
+                    *a += b;
                 }
+                f.add3(hit.owner, fd.map(|x| -x));
                 if eflag {
-                    // One-sided: each pair visited twice, half the energy.
-                    tally.0 += 0.5 * t.e_vdw;
-                    tally.1 += 0.5 * t.h * qq;
+                    tally.0 += t.e_vdw;
+                    tally.1 += t.h * qq;
                     for d in hit.d {
-                        tally.2 += 0.5 * fpair * d * d;
+                        tally.2 += fpair * d * d;
                     }
                 }
             });
-            for (f, add) in row.iter_mut().zip(fi) {
-                *f += add;
-            }
+            f.add3(i, fi);
             tally
         },
         |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
-    )
+    );
+    scatter.contribute_into(forces[..n].as_flattened_mut());
+    tally
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lkk_core::comm::build_ghosts;
+    use lkk_core::neighbor::NeighborSettings;
 
-    /// The pair terms as they were written before the table: type
-    /// mixing, two tapers, four `powf` and two `powi` per pair. Kept as
-    /// the oracle for [`PairTable::terms`].
+    /// The pair terms as they were written before the table (type
+    /// mixing, two tapers, four `powf` and two `powi` per pair), kept as
+    /// the oracle for [`PairTable::terms`]; and the force kernel as it
+    /// was before the half walk, the oracle for [`compute_nonbonded`].
     mod reference {
         use super::*;
+
+        /// Every pair met from both of its rows, each work item writing
+        /// only its own force row and tallying half of each pair.
+        pub fn one_sided_nonbonded(
+            frame: &Frame,
+            q: &[f64],
+            table: &PairTable,
+            forces: &mut [[f64; 3]],
+        ) -> (f64, f64, f64) {
+            let walk = PairWalk::new(&frame.atoms, &frame.list, &frame.ghosts, table.rc);
+            let mut tally = (0.0, 0.0, 0.0);
+            for (i, fi) in forces.iter_mut().enumerate() {
+                let ti = walk.typ(i);
+                walk.row(i, |hit| {
+                    let t = table.terms(hit.r, ti, hit.typ);
+                    let qq = q[i] * q[hit.owner];
+                    let fpair = -(t.de_vdw + t.dh * qq) / hit.r;
+                    for (f, d) in fi.iter_mut().zip(hit.d) {
+                        *f += fpair * d;
+                    }
+                    tally.0 += 0.5 * t.e_vdw;
+                    tally.1 += 0.5 * t.h * qq;
+                    for d in hit.d {
+                        tally.2 += 0.5 * fpair * d * d;
+                    }
+                });
+            }
+            tally
+        }
 
         pub fn coulomb_hij(r: f64, gamma_ij: f64, params: &ReaxParams) -> (f64, f64) {
             if r >= params.r_nonb {
@@ -286,6 +364,104 @@ mod tests {
         let p = ReaxParams::hns_like();
         let t = PairTable::new(&p);
         (p, t)
+    }
+
+    /// The 486-atom 3×3×3 HNS crystal and what a walk needs of it.
+    pub struct Frame {
+        atoms: AtomData,
+        ghosts: GhostMap,
+        list: NeighborList,
+    }
+
+    fn crystal_486(rc: f64) -> Frame {
+        let (pos, types, domain) = crate::hns::crystal(3, 3, 3, 7.5);
+        let mut atoms = AtomData::from_positions(&pos);
+        for (i, &t) in types.iter().enumerate() {
+            atoms.typ.h_view_mut().set([i], t);
+        }
+        atoms.wrap_positions(&domain);
+        let settings = NeighborSettings::new(rc, 0.3, false);
+        let ghosts = build_ghosts(&mut atoms, &domain, settings.cutneigh());
+        let list = NeighborList::build(&atoms, &domain, &settings, &Space::Serial);
+        Frame {
+            atoms,
+            ghosts,
+            list,
+        }
+    }
+
+    #[test]
+    fn half_rows_keep_every_in_cutoff_pair_once_and_half_of_each_row() {
+        let (_, table) = hns();
+        let frame = crystal_486(table.rc);
+        let walk = PairWalk::new(&frame.atoms, &frame.list, &frame.ghosts, table.rc);
+        let (mut full, mut kept) = (Vec::new(), Vec::new());
+        for i in 0..frame.atoms.nlocal {
+            let (full_before, kept_before) = (full.len(), kept.len());
+            walk.row(i, |hit| full.push((i.min(hit.owner), i.max(hit.owner))));
+            walk.half_row(i, |hit| kept.push((i.min(hit.owner), i.max(hit.owner))));
+            let (row, half) = (full.len() - full_before, kept.len() - kept_before);
+            let expected = row as f64 / 2.0;
+            assert!(
+                (half as f64 - expected).abs() <= 0.5 * expected,
+                "row {i} keeps {half} of {row} hits"
+            );
+        }
+        full.sort_unstable();
+        kept.sort_unstable();
+        let npairs = kept.len();
+        assert!(npairs > 10_000, "{npairs} pairs");
+        // The full walk meets every pair from both rows; the half walk
+        // keeps each of them once.
+        assert_eq!(full.len(), 2 * npairs);
+        full.dedup();
+        kept.dedup();
+        assert_eq!(kept.len(), npairs, "a pair kept twice");
+        assert_eq!(kept, full);
+    }
+
+    #[test]
+    fn half_kernel_matches_the_one_sided_oracle() {
+        let (_, table) = hns();
+        let frame = crystal_486(table.rc);
+        let n = frame.atoms.nlocal;
+        // A neutral charge pattern with every sign pairing.
+        let mut q: Vec<f64> = (0..n).map(|i| 0.4 * (0.37 * i as f64).sin()).collect();
+        let mean = q.iter().sum::<f64>() / n as f64;
+        q.iter_mut().for_each(|x| *x -= mean);
+        let mut oracle = vec![[0.0; 3]; n];
+        let want = reference::one_sided_nonbonded(&frame, &q, &table, &mut oracle);
+        let scale = oracle.iter().flatten().fold(0.0f64, |m, f| m.max(f.abs()));
+        assert!(scale > 0.1, "force scale {scale}");
+        for space in [
+            Space::Serial,
+            Space::Threads,
+            Space::device(lkk_gpusim::GpuArch::h100()),
+        ] {
+            let mut scatter = ScatterView::for_space(n, 3, &space);
+            let mut forces = vec![[0.0; 3]; n];
+            let got = compute_nonbonded(
+                &frame.atoms,
+                &frame.list,
+                &frame.ghosts,
+                &q,
+                &table,
+                &mut scatter,
+                &mut forces,
+                true,
+                &space,
+            );
+            for (a, b) in forces.iter().flatten().zip(oracle.iter().flatten()) {
+                assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b} on {space:?}");
+            }
+            for (a, b) in [(got.0, want.0), (got.1, want.1), (got.2, want.2)] {
+                assert!((a - b).abs() <= 1e-12 * b.abs(), "{a} vs {b} on {space:?}");
+            }
+            let net = (0..3).map(|k| forces.iter().map(|f| f[k]).sum::<f64>());
+            for total in net {
+                assert!(total.abs() <= 1e-12 * scale * n as f64, "net force {total}");
+            }
+        }
     }
 
     #[test]

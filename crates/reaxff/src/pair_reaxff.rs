@@ -5,29 +5,35 @@
 //! 1. **BondOrderBuild** — divergent pre-processing of the long
 //!    non-bonded list into the compressed 2-D bond table.
 //! 2. **QEqMatrixBuild** + fused dual-CG **QEqSpmvFused** solves → q.
+//!    The fill evaluates each non-bonded pair once and stores one
+//!    triangle of the symmetric matrix; the SpMV adds the other.
 //! 3. Bond + over-coordination energies (fills `∂E/∂BO`, `∂E/∂Δ`).
 //! 4. **Angle/Torsion count → scan → fill → compute** — the compressed
 //!    triplet/quad tables and their fully convergent kernels.
 //! 5. **BondForces** — propagate the `∂E/∂BO` chains to atom forces.
 //! 6. **NonbondedCompute** — tapered vdW + shielded Coulomb with the
-//!    equilibrated charges.
+//!    equilibrated charges, each pair once, both of its forces through
+//!    a `ScatterView`.
 //!
 //! All forces accumulate onto *owner* rows, so no reverse ghost
-//! communication is needed.
+//! communication is needed. Every per-step table (bond table and bond
+//! orders, triplet and quad tables, QEq matrix, CG vectors, scatters)
+//! is a pooled workspace of the style, refilled in place.
 
-use crate::angles::{build_triplets, compute_angles};
-use crate::bond_order::{BondState, BondTable};
+use crate::angles::{compute_angles, TripletTable};
+use crate::bond_order::BondState;
+use crate::ensure_len;
 use crate::nonbonded::{compute_nonbonded, PairTable};
 use crate::params::ReaxParams;
-use crate::qeq::{self, ensure_len, ChargeHistory, QeqMatrix, QeqWork};
-use crate::torsion::{build_quads, compute_torsions, QuadStats};
+use crate::qeq::{self, ChargeHistory, QeqMatrix, QeqWork};
+use crate::torsion::{compute_torsions, QuadStats, QuadTable};
 use lkk_core::atom::Mask;
 use lkk_core::neighbor::NeighborList;
 use lkk_core::pair::{PairResults, PairStyle};
 use lkk_core::sim::System;
 use lkk_core::style::{PairSpec, StyleRegistry};
 use lkk_gpusim::KernelStats;
-use lkk_kokkos::{profile, Space};
+use lkk_kokkos::{profile, ScatterMode, ScatterView, Space};
 
 /// Join the active region path with a ReaxFF pipeline phase name, for
 /// tagging stats records that are pushed after the phase region closed.
@@ -43,8 +49,9 @@ fn phase_region(phase: &str) -> String {
 /// The ReaxFF pair style.
 ///
 /// Besides the parameters it owns what a step reuses from the one
-/// before: the QEq matrix, the CG vectors, `chi` and the force
-/// accumulator (one workspace, grown never shrunk — see
+/// before: the bond state, the triplet and quad tables, the QEq matrix,
+/// the CG vectors, `chi`, the force accumulator and the non-bonded
+/// force scatter (one workspace, grown never shrunk — see
 /// [`PairReaxff::grow_count`]), and the [`ChargeHistory`] the next
 /// solve's initial guess is extrapolated from.
 pub struct PairReaxff {
@@ -58,11 +65,15 @@ pub struct PairReaxff {
     pub last_charges: Vec<f64>,
     pub last_bond_count: u64,
     table: PairTable,
+    bonds: BondState,
+    triplets: TripletTable,
+    quads: QuadTable,
     matrix: QeqMatrix,
     cg: QeqWork,
     history: ChargeHistory,
     chi: Vec<f64>,
     forces: Vec<[f64; 3]>,
+    scatter: ScatterView,
     grow_count: u64,
 }
 
@@ -76,20 +87,26 @@ impl PairReaxff {
             last_quad_stats: QuadStats::default(),
             last_charges: Vec::new(),
             last_bond_count: 0,
+            bonds: BondState::default(),
+            triplets: TripletTable::default(),
+            quads: QuadTable::default(),
             matrix: QeqMatrix::default(),
             cg: QeqWork::default(),
             history: ChargeHistory::default(),
             chi: Vec::new(),
             forces: Vec::new(),
+            scatter: ScatterView::new(0, 3, ScatterMode::Sequential),
             grow_count: 0,
         }
     }
 
-    /// Heap growths of the pooled workspace (QEq matrix, CG vectors,
-    /// charge history, `chi`, forces) since construction: flat once the
-    /// first computes have sized it, like `NeighborList::grow_count`.
+    /// Heap growths of the pooled workspace (bond state, triplet and
+    /// quad tables, QEq matrix and its scatter, CG vectors, charge
+    /// history, `chi`, forces and their scatter) since construction:
+    /// flat once the first computes have sized it, like
+    /// `NeighborList::grow_count`.
     pub fn grow_count(&self) -> u64 {
-        self.grow_count
+        self.grow_count + self.scatter_grow_count()
     }
 
     /// Register `reaxff` / `reaxff/kk`. `pair_style reaxff` takes no
@@ -141,6 +158,10 @@ impl PairReaxff {
         tc.atomic_f64_ops = quad_stats.kept as f64 * 15.0;
         tc.convergence = 1.0;
         space.note_kernel(tc);
+
+        // The paper's QEq kernels store and walk the full matrix: twice
+        // the one triangle stored here.
+        let nnz = 2.0 * nnz;
 
         // QEq matrix build (hierarchical row parallelism on device).
         let mut qb = KernelStats::new("QEqMatrixBuild");
@@ -198,6 +219,10 @@ impl PairStyle for PairReaxff {
         false // all scatters land on owner rows
     }
 
+    fn scatter_grow_count(&self) -> u64 {
+        self.scatter.grow_count() + self.matrix.scatter_grow_count()
+    }
+
     fn compute(&mut self, system: &mut System, list: &NeighborList, eflag: bool) -> PairResults {
         let space = system.space.clone();
         // The ReaxFF pipeline reads host mirrors (kernels dispatch
@@ -210,15 +235,16 @@ impl PairStyle for PairReaxff {
 
         // 1. Bond table + bond orders.
         let bo_region = profile::begin_region("bond_order");
-        let table = BondTable::build(&system.atoms, list, &system.ghosts, params, &space);
-        self.last_bond_count = table.total_bonds();
-        let mut state = BondState::compute(table, params, &system.atoms);
+        let mut grown = self
+            .bonds
+            .build(&system.atoms, list, &system.ghosts, params, &space);
+        self.last_bond_count = self.bonds.table.total_bonds();
         drop(bo_region);
 
         // 2. Charge equilibration, warm-started from the history of the
         //    atoms that are here now.
         let qeq_region = profile::begin_region("qeq");
-        let mut grown = self.matrix.build(
+        grown += self.matrix.build(
             &system.atoms,
             list,
             &system.ghosts,
@@ -236,7 +262,7 @@ impl PairStyle for PairReaxff {
         self.history.follow(tags);
         self.history.guess(&mut self.cg.s, &mut self.cg.t);
         let sol = qeq::solve(
-            &self.matrix,
+            &mut self.matrix,
             &self.chi,
             &mut self.cg,
             params.qeq_tol,
@@ -260,8 +286,8 @@ impl PairStyle for PairReaxff {
 
         grown += ensure_len(&mut self.forces, nlocal);
         self.forces.fill([0.0; 3]);
-        self.grow_count += grown;
         let forces = &mut self.forces[..];
+        let state = &mut self.bonds;
         let mut energy = 0.0;
         let mut virial = 0.0;
 
@@ -270,13 +296,13 @@ impl PairStyle for PairReaxff {
 
         // 4. Angles and torsions.
         let valence_region = profile::begin_region("valence");
-        let (triplets, _cand3) = build_triplets(&state, params, &space);
-        let (e_ang, w_ang) = compute_angles(&triplets, &mut state, params, forces, &space);
+        grown += self.triplets.build(state, params, &space);
+        let (e_ang, w_ang) = compute_angles(&self.triplets.triplets, state, params, forces, &space);
         energy += e_ang;
         virial += w_ang;
-        let (quads, quad_stats) = build_quads(&state, params, &space);
-        self.last_quad_stats = quad_stats;
-        let (e_tor, w_tor) = compute_torsions(&quads, &mut state, params, forces, &space);
+        grown += self.quads.build(state, params, &space);
+        self.last_quad_stats = self.quads.stats;
+        let (e_tor, w_tor) = compute_torsions(&self.quads.quads, state, params, forces, &space);
         energy += e_tor;
         virial += w_tor;
         drop(valence_region);
@@ -293,6 +319,7 @@ impl PairStyle for PairReaxff {
             &system.ghosts,
             q,
             &self.table,
+            &mut self.scatter,
             forces,
             eflag,
             &space,
@@ -305,6 +332,7 @@ impl PairStyle for PairReaxff {
                 energy += chi * qi + params.elements[t as usize].eta * qi * qi;
             }
         }
+        self.grow_count += grown;
 
         // Store charges back on the atoms (observable state) and
         // publish forces to the engine's force field (ghost rows zero).

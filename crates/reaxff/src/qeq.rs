@@ -16,6 +16,14 @@
 //! row-offset array is 64-bit (`i64`) while column indices and row
 //! lengths stay 32-bit.
 //!
+//! `H` is symmetric and only one side of it is stored, as in LAMMPS'
+//! `fix qeq/reaxff`: the fill walks each row's half of the neighbor list
+//! (`PairWalk::half_row`, each unordered pair from exactly one of its
+//! two rows), so every pair is one entry `U[i][o]` of either triangle,
+//! and `A = D + U + Uᵀ`. The SpMV gathers `U·x` into the row's own
+//! element and scatters `Uᵀ·x` to the columns through a pooled
+//! `ScatterView`.
+//!
 //! The two CG solves run *fused* (§4.2.3): each iteration performs one
 //! dual SpMV that loads the matrix once and applies it to both
 //! right-hand sides — the work-batching/ILP pattern of §4.3.4.
@@ -29,30 +37,22 @@
 //! same convergence test. There is one CG routine, [`solve`]: it starts
 //! from whatever [`QeqWork::s`] / [`QeqWork::t`] hold, and an empty
 //! history leaves them zero — the cold solve every first call is.
-//! Matrix and vectors are pooled ([`QeqMatrix::build`] refills in
-//! place, [`QeqWork`] is reused), so a steady-state step allocates
+//! Matrix, scatter and vectors are pooled ([`QeqMatrix::build`] refills
+//! in place, [`QeqWork`] is reused), so a steady-state step allocates
 //! nothing here.
 
+use crate::ensure_len;
 use crate::nonbonded::{PairTable, PairWalk};
 use crate::params::ReaxParams;
 use lkk_core::atom::AtomData;
 use lkk_core::comm::GhostMap;
 use lkk_core::neighbor::NeighborList;
-use lkk_kokkos::{parts, Space};
+use lkk_kokkos::{parts, ScatterMode, ScatterView, Space};
 
-/// Resize a pooled buffer to `n` elements (new ones zero) without ever
-/// giving capacity back; returns 1 if the heap block had to grow.
-pub(crate) fn ensure_len<T: Copy + Default>(v: &mut Vec<T>, n: usize) -> u64 {
-    let grew = u64::from(n > v.capacity());
-    v.resize(n, T::default());
-    grew
-}
-
-/// Over-allocated CSR matrix for QEq (symmetric by construction).
-/// Persistent: [`QeqMatrix::build`] refills the same storage every
-/// step, and only the `nnz[i]` leading slots of a row are ever read, so
-/// nothing is zero-filled between steps.
-#[derive(Debug, Default)]
+/// Over-allocated CSR matrix for QEq, one triangle of the symmetric
+/// off-diagonal part stored. Persistent: [`QeqMatrix::build`] refills
+/// the same storage every step, and only the `nnz[i]` leading slots of
+/// a row are ever read, so nothing is zero-filled between steps.
 pub struct QeqMatrix {
     pub n: usize,
     /// Allocated slots per row (the neighbor-list capacity).
@@ -63,19 +63,43 @@ pub struct QeqMatrix {
     pub nnz: Vec<i32>,
     /// Column indices (32-bit; bounded by the matrix rank).
     pub cols: Vec<i32>,
-    /// Matrix values (off-diagonal `H_ij`).
+    /// Matrix values: `H_io` of the pairs row `i` keeps (`U`; the entry
+    /// `H_oi` of `Uᵀ` is the same number and is not stored).
     pub vals: Vec<f64>,
     /// Diagonal `2ηᵢ`.
     pub diag: Vec<f64>,
+    /// The SpMV's `Uᵀ·x` for both right-hand sides, `n × 2`.
+    transpose: ScatterView,
+    /// The SpMV's row results, interleaved as `transpose` is.
+    product: Vec<f64>,
+}
+
+impl Default for QeqMatrix {
+    fn default() -> Self {
+        QeqMatrix {
+            n: 0,
+            max_row: 0,
+            offsets: Vec::new(),
+            nnz: Vec::new(),
+            cols: Vec::new(),
+            vals: Vec::new(),
+            diag: Vec::new(),
+            transpose: ScatterView::new(0, 2, ScatterMode::Sequential),
+            product: Vec::new(),
+        }
+    }
 }
 
 impl QeqMatrix {
-    /// Refill from the full neighbor list: a scan over the row
-    /// capacities fixes the (over-allocated) offsets, then a fill
-    /// kernel computes values/columns/row-lengths (§4.2.2's
-    /// scan + fill structure; on real devices the fill uses
-    /// hierarchical row parallelism). Returns how many of the
-    /// matrix's buffers had to grow (0 in steady state).
+    /// Refill from the full neighbor list, each pair from the one row
+    /// that keeps it: a scan over the row capacities fixes the
+    /// (over-allocated) offsets, then a fill kernel computes
+    /// values/columns/row-lengths (§4.2.2's scan + fill structure; on
+    /// real devices the fill uses hierarchical row parallelism). The
+    /// SpMV's scatter is shaped for `space`, which the matrix is then
+    /// applied on. Returns how many of the matrix's buffers had to grow
+    /// (0 in steady state; the scatter counts its own, see
+    /// [`QeqMatrix::scatter_grow_count`]).
     pub fn build(
         &mut self,
         atoms: &AtomData,
@@ -98,6 +122,8 @@ impl QeqMatrix {
         grown += ensure_len(&mut self.diag, n);
         grown += ensure_len(&mut self.cols, n * max_row);
         grown += ensure_len(&mut self.vals, n * max_row);
+        grown += ensure_len(&mut self.product, 2 * n);
+        self.transpose.ensure(n, 2, ScatterMode::default_for(space));
         // Work item `i` owns row `i` (no more hits than the list row it
         // is filtered from) and its two per-row entries.
         let rows = (
@@ -109,7 +135,7 @@ impl QeqMatrix {
         space.parallel_for_parts("QEqMatrixBuild", n, rows, |i, (cols, vals, nnz, diag)| {
             let ti = walk.typ(i);
             let mut count = 0usize;
-            walk.row(i, |hit| {
+            walk.half_row(i, |hit| {
                 cols[count] = hit.owner as i32;
                 vals[count] = table.terms(hit.r, ti, hit.typ).h;
                 count += 1;
@@ -120,38 +146,72 @@ impl QeqMatrix {
         grown
     }
 
-    /// Total stored non-zeros (excluding the diagonal).
+    /// Heap growths of the SpMV's scatter since construction.
+    pub fn scatter_grow_count(&self) -> u64 {
+        self.transpose.grow_count()
+    }
+
+    /// Total stored non-zeros (excluding the diagonal): one per pair,
+    /// half of the non-zeros of the full off-diagonal `H`.
     pub fn total_nnz(&self) -> u64 {
         self.nnz.iter().map(|&c| c as u64).sum()
     }
 
     /// Fused dual sparse matrix-vector product:
     /// `y1 = A·x1`, `y2 = A·x2` with one pass over the matrix (§4.2.3).
+    /// Each stored `v = U[i][c]` is loaded once for four products:
+    /// `v·x[c]` into row `i`'s own result and `v·x[i]` scattered to row
+    /// `c` (the `Uᵀ` half), for both right-hand sides. The scatter was
+    /// shaped by `build`; on another space it is reshaped here.
     pub fn spmv_fused(
-        &self,
+        &mut self,
         x1: &[f64],
         x2: &[f64],
         y1: &mut [f64],
         y2: &mut [f64],
         space: &Space,
     ) {
-        let ys = (parts::elements(y1), parts::elements(y2));
-        space.parallel_for_parts("QEqSpmvFused", self.n, ys, |i, (y1, y2)| {
-            let base = self.offsets[i] as usize;
-            let nnz = self.nnz[i] as usize;
-            let mut a1 = self.diag[i] * x1[i];
-            let mut a2 = self.diag[i] * x2[i];
-            let row = self.vals[base..base + nnz]
-                .iter()
-                .zip(&self.cols[base..base + nnz]);
-            for (&v, &c) in row {
-                // One matrix-element load feeds both accumulators —
-                // the fused-solve reuse the paper describes.
-                a1 += v * x1[c as usize];
-                a2 += v * x2[c as usize];
+        let QeqMatrix {
+            n,
+            offsets,
+            nnz,
+            cols,
+            vals,
+            diag,
+            transpose,
+            product,
+            ..
+        } = self;
+        let n = *n;
+        transpose.ensure(n, 2, ScatterMode::default_for(space));
+        let out = (parts::rows(product, 2), parts::scatter(transpose));
+        space.parallel_for_parts("QEqSpmvFused", n, out, |i, (own, yt)| {
+            let base = offsets[i] as usize;
+            let len = nnz[i] as usize;
+            let (xi1, xi2) = (x1[i], x2[i]);
+            let mut a1 = diag[i] * xi1;
+            let mut a2 = diag[i] * xi2;
+            for (&v, &c) in vals[base..base + len].iter().zip(&cols[base..base + len]) {
+                let c = c as usize;
+                // One matrix-element load feeds both right-hand sides
+                // of both triangles — the fused-solve reuse the paper
+                // describes.
+                a1 += v * x1[c];
+                a2 += v * x2[c];
+                yt.add(c, 0, v * xi1);
+                yt.add(c, 1, v * xi2);
             }
-            (*y1, *y2) = (a1, a2);
+            own.copy_from_slice(&[a1, a2]);
         });
+        // y = (D + U)·x + Uᵀ·x: a host loop, like any contribute.
+        transpose.contribute_into(&mut product[..2 * n]);
+        for ((y1, y2), p) in y1
+            .iter_mut()
+            .zip(y2.iter_mut())
+            .zip(product.chunks_exact(2))
+        {
+            (*y1, *y2) = (p[0], p[1]);
+        }
     }
 }
 
@@ -210,7 +270,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// initial SpMV (`r = b`); any other pays one fused SpMV for
 /// `r = b − A x₀`. With `eflag` one more SpMV evaluates the energy.
 pub fn solve(
-    matrix: &QeqMatrix,
+    matrix: &mut QeqMatrix,
     chi: &[f64],
     work: &mut QeqWork,
     tol: f64,
@@ -453,7 +513,7 @@ mod tests {
         energy: f64,
     }
 
-    fn solve(m: &QeqMatrix, chi: &[f64], params: &ReaxParams, space: &Space) -> Cold {
+    fn solve(m: &mut QeqMatrix, chi: &[f64], params: &ReaxParams, space: &Space) -> Cold {
         let mut work = QeqWork::default();
         work.reset(m.n);
         let sol = super::solve(m, chi, &mut work, params.qeq_tol, true, space);
@@ -465,39 +525,64 @@ mod tests {
         }
     }
 
+    /// The stored entries `(i, c, v)` of `U`, row by row.
+    fn stored(m: &QeqMatrix) -> Vec<(usize, usize, f64)> {
+        (0..m.n)
+            .flat_map(|i| {
+                let base = m.offsets[i] as usize;
+                (base..base + m.nnz[i] as usize).map(move |s| (i, m.cols[s] as usize, m.vals[s]))
+            })
+            .collect()
+    }
+
+    /// `A = D + U + Uᵀ`, dense.
+    fn dense(m: &QeqMatrix) -> Vec<Vec<f64>> {
+        let mut a = vec![vec![0.0; m.n]; m.n];
+        for (i, row) in a.iter_mut().enumerate() {
+            row[i] = m.diag[i];
+        }
+        for (i, c, v) in stored(m) {
+            a[i][c] += v;
+            a[c][i] += v;
+        }
+        a
+    }
+
     #[test]
     fn matrix_is_symmetric_with_i64_offsets() {
-        let (_atoms, m, _) = setup(
-            &[[9.0, 9.0, 9.0], [11.0, 9.0, 9.0], [9.0, 11.5, 9.0]],
-            &[0, 3, 1],
-            18.0,
-        );
+        let positions = [[9.0, 9.0, 9.0], [11.0, 9.0, 9.0], [9.0, 11.5, 9.0]];
+        let types = [0, 3, 1];
+        let (_atoms, m, params) = setup(&positions, &types, 18.0);
         // Offsets are capacity-based i64.
         assert_eq!(m.offsets.len(), 4);
         assert_eq!(m.offsets[2] - m.offsets[1], m.max_row as i64);
-        // Symmetry: H[i][j] == H[j][i].
-        let get = |i: usize, j: usize| -> f64 {
-            let base = m.offsets[i] as usize;
-            for s in 0..m.nnz[i] as usize {
-                if m.cols[base + s] as usize == j {
-                    return m.vals[base + s];
-                }
-            }
-            0.0
-        };
-        for i in 0..3 {
-            for j in 0..3 {
-                if i != j {
-                    assert!((get(i, j) - get(j, i)).abs() < 1e-12);
-                    assert!(get(i, j) > 0.0, "H[{i}][{j}] missing");
-                }
+        // One triangle is stored: each of the three pairs once, in one
+        // of its two rows, as the pair's `H`.
+        let table = PairTable::new(&params);
+        let entries = stored(&m);
+        assert_eq!(entries.len(), 3);
+        for &(i, c, v) in &entries {
+            assert_ne!(i, c);
+            let d: Vec<f64> = (0..3).map(|k| positions[i][k] - positions[c][k]).collect();
+            let r = d.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let h = table.terms(r, types[i] as usize, types[c] as usize).h;
+            assert!((v - h).abs() <= 1e-12 * h, "H[{i}][{c}] = {v}, want {h}");
+            let mirrored = entries.iter().filter(|e| (e.0, e.1) == (c, i));
+            assert_eq!(mirrored.count(), 0, "pair ({i}, {c}) stored twice");
+        }
+        // A = D + U + Uᵀ is symmetric with every off-diagonal present.
+        let a = dense(&m);
+        for (i, row) in a.iter().enumerate() {
+            for (j, &aij) in row.iter().enumerate() {
+                assert_eq!(aij, a[j][i]);
+                assert!(aij > 0.0, "A[{i}][{j}] missing");
             }
         }
     }
 
     #[test]
     fn spmv_fused_matches_dense() {
-        let (_a, m, _) = setup(
+        let (_a, mut m, _) = setup(
             &[
                 [9.0, 9.0, 9.0],
                 [11.0, 9.0, 9.0],
@@ -508,15 +593,7 @@ mod tests {
             20.0,
         );
         let n = m.n;
-        // Dense reference.
-        let mut dense = vec![vec![0.0; n]; n];
-        for (i, row) in dense.iter_mut().enumerate() {
-            row[i] = m.diag[i];
-            let base = m.offsets[i] as usize;
-            for s in 0..m.nnz[i] as usize {
-                row[m.cols[base + s] as usize] += m.vals[base + s];
-            }
-        }
+        let dense = dense(&m);
         let x1: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let x2: Vec<f64> = (0..n).map(|i| 1.0 - i as f64 * 0.2).collect();
         let mut y1 = vec![0.0; n];
@@ -530,15 +607,41 @@ mod tests {
         }
     }
 
+    /// The benchmark's 2 250-atom crystal, where every dispatch forks:
+    /// the duplicated (threads) and atomic (device) scatters of `Uᵀ·x`
+    /// sum what the sequential one does, up to summation order.
+    #[test]
+    fn spmv_fused_agrees_across_spaces_at_a_forked_size() {
+        let (pos, types, domain) = crate::hns::crystal(5, 5, 5, 7.5);
+        let (_atoms, mut m, _) = setup(&pos, &types, domain.lengths()[0]);
+        assert!(m.total_nnz() > 90_000, "{} stored non-zeros", m.total_nnz());
+        let (x1, x2): (Vec<f64>, Vec<f64>) = (0..m.n)
+            .map(|i| ((0.3 * i as f64).sin(), (0.11 * i as f64).cos()))
+            .unzip();
+        let mut product = |space: &Space| {
+            let (mut y1, mut y2) = (vec![0.0; m.n], vec![0.0; m.n]);
+            m.spmv_fused(&x1, &x2, &mut y1, &mut y2, space);
+            [y1, y2]
+        };
+        let want = product(&Space::Serial);
+        for space in [Space::Threads, Space::device(lkk_gpusim::GpuArch::h100())] {
+            for (got, want) in product(&space).iter().zip(&want) {
+                for (a, b) in got.iter().zip(want) {
+                    assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn charges_are_neutral_and_follow_electronegativity() {
         // C (χ 5.7) and O (χ 8.5): oxygen pulls negative charge.
-        let (atoms, m, params) = setup(&[[9.0, 9.0, 9.0], [10.4, 9.0, 9.0]], &[0, 3], 18.0);
+        let (atoms, mut m, params) = setup(&[[9.0, 9.0, 9.0], [10.4, 9.0, 9.0]], &[0, 3], 18.0);
         let typ = atoms.typ.h_view();
         let chi: Vec<f64> = (0..m.n)
             .map(|i| params.elements[typ.at([i]) as usize].chi)
             .collect();
-        let sol = solve(&m, &chi, &params, &Space::Serial);
+        let sol = solve(&mut m, &chi, &params, &Space::Serial);
         assert!(sol.q.iter().sum::<f64>().abs() < 1e-10, "not neutral");
         assert!(sol.q[1] < 0.0, "O charge {}", sol.q[1]);
         assert!(sol.q[0] > 0.0);
@@ -548,7 +651,7 @@ mod tests {
     #[test]
     fn solution_satisfies_stationarity() {
         // At the constrained minimum, ∇E = χ + Aq is a constant vector.
-        let (atoms, m, params) = setup(
+        let (atoms, mut m, params) = setup(
             &[
                 [9.0, 9.0, 9.0],
                 [10.4, 9.2, 8.8],
@@ -563,7 +666,7 @@ mod tests {
         let chi: Vec<f64> = (0..m.n)
             .map(|i| params.elements[typ.at([i]) as usize].chi)
             .collect();
-        let sol = solve(&m, &chi, &params, &Space::Serial);
+        let sol = solve(&mut m, &chi, &params, &Space::Serial);
         let mut aq = vec![0.0; m.n];
         let mut dummy = vec![0.0; m.n];
         m.spmv_fused(&sol.q, &sol.q, &mut aq, &mut dummy, &Space::Serial);
@@ -581,9 +684,9 @@ mod tests {
 
     #[test]
     fn identical_atoms_share_charge_zero() {
-        let (_a, m, params) = setup(&[[9.0, 9.0, 9.0], [10.5, 9.0, 9.0]], &[0, 0], 18.0);
+        let (_a, mut m, params) = setup(&[[9.0, 9.0, 9.0], [10.5, 9.0, 9.0]], &[0, 0], 18.0);
         let chi = vec![params.elements[0].chi; 2];
-        let sol = solve(&m, &chi, &params, &Space::Serial);
+        let sol = solve(&mut m, &chi, &params, &Space::Serial);
         assert!(sol.q[0].abs() < 1e-10);
         assert!(sol.q[1].abs() < 1e-10);
     }
@@ -605,11 +708,11 @@ mod tests {
 
     #[test]
     fn a_converged_guess_costs_one_spmv_and_no_iteration() {
-        let (atoms, m, params) = setup(&CLUSTER, &[0, 1, 2, 3, 0], 18.0);
+        let (atoms, mut m, params) = setup(&CLUSTER, &[0, 1, 2, 3, 0], 18.0);
         let chi = chi_of(&atoms, &params, m.n);
         let mut work = QeqWork::default();
         work.reset(m.n);
-        let cold = super::solve(&m, &chi, &mut work, 1e-12, false, &Space::Serial);
+        let cold = super::solve(&mut m, &chi, &mut work, 1e-12, false, &Space::Serial);
         assert!(cold.converged && cold.iterations > 0);
         let (s, t, q) = (work.s.clone(), work.t.clone(), work.q.clone());
         work.reset(m.n);
@@ -619,7 +722,7 @@ mod tests {
         // The simulated device logs every launch: the warm solve is
         // the one SpMV of r = b − A x₀, a cold one would have none.
         let device = Space::device(lkk_gpusim::GpuArch::h100());
-        let warm = super::solve(&m, &chi, &mut work, 1e-8, false, &device);
+        let warm = super::solve(&mut m, &chi, &mut work, 1e-8, false, &device);
         assert!(warm.converged);
         assert_eq!(warm.iterations, 0);
         let log = device.device_ctx().unwrap().log.drain();
@@ -710,12 +813,21 @@ mod tests {
         let h = PairTable::new(&params).terms(1.5, 0, 0).h;
         params.elements[0].eta = -0.5 * h;
         let dimer = [[9.0, 9.0, 9.0], [10.5, 9.0, 9.0]];
-        let (_atoms, m, params) = setup_with(params, &dimer, &[0, 0], 18.0);
-        assert_eq!(m.diag, [-m.vals[0]; 2]);
+        let (_atoms, mut m, params) = setup_with(params, &dimer, &[0, 0], 18.0);
+        let entries = stored(&m);
+        assert_eq!(entries.len(), 1, "the dimer is one pair");
+        assert_eq!(m.diag, [-entries[0].2; 2]);
         let chi = [params.elements[0].chi; 2];
         let mut work = QeqWork::default();
         work.reset(m.n);
-        let sol = super::solve(&m, &chi, &mut work, params.qeq_tol, false, &Space::Serial);
+        let sol = super::solve(
+            &mut m,
+            &chi,
+            &mut work,
+            params.qeq_tol,
+            false,
+            &Space::Serial,
+        );
         assert!(!sol.converged);
         assert_eq!(sol.iterations, 4 * m.n + 64);
         assert!(

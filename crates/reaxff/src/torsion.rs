@@ -25,12 +25,13 @@
 
 use crate::angles::fb;
 use crate::bond_order::BondState;
+use crate::ensure_len;
 use crate::params::ReaxParams;
 use lkk_kokkos::{parts, AtomicF64, Space};
 
 /// A compressed quad: center atom `i`, bond slots for (i,k), (i,j) in
 /// `i`'s row, and the slot for (j,l) in `owner(j)`'s row.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Quad {
     pub i: u32,
     pub b_ik: u32,
@@ -103,112 +104,93 @@ fn eligible(
     true
 }
 
-/// Count + fill the compressed quad table. Each physical dihedral is
-/// generated once per *directed* center bond; we keep only the
-/// direction with `i < owner(j)` (ties cannot occur for boxes larger
-/// than twice the bond cutoff).
-pub fn build_quads(
-    state: &BondState,
-    params: &ReaxParams,
-    space: &Space,
-) -> (Vec<Quad>, QuadStats) {
+/// Walk the candidate quads centred on `i` in table order: `f(Some(quad))`
+/// for each one kept, `f(None)` for each one rejected. Each physical
+/// dihedral is generated once per *directed* center bond; only the
+/// direction with `i < owner(j)` is walked (ties cannot occur for boxes
+/// larger than twice the bond cutoff).
+#[inline]
+fn quads_of(state: &BondState, params: &ReaxParams, i: usize, mut f: impl FnMut(Option<Quad>)) {
     let t = &state.table;
-    let nlocal = t.nlocal;
-    let mut counts = vec![0usize; nlocal];
-    let mut cands = vec![0u64; nlocal];
-    let tallies = (parts::elements(&mut counts), parts::elements(&mut cands));
-    space.parallel_for_parts("TorsionCount", nlocal, tallies, |i, (c, cand)| {
-        let nb = t.count[i] as usize;
-        for b_ij in 0..nb {
-            let s_ij = t.slot(i, b_ij);
-            let jo = t.owner[s_ij] as usize;
-            if jo <= i {
+    let nb = t.count[i] as usize;
+    for b_ij in 0..nb {
+        let s_ij = t.slot(i, b_ij);
+        let jo = t.owner[s_ij] as usize;
+        if jo <= i {
+            continue;
+        }
+        let nbj = t.count[jo] as usize;
+        for b_ik in 0..nb {
+            if b_ik == b_ij {
                 continue;
             }
-            let nbj = t.count[jo] as usize;
-            for b_ik in 0..nb {
-                if b_ik == b_ij {
-                    continue;
-                }
-                for b_jl in 0..nbj {
-                    *cand += 1;
-                    let s_ik = t.slot(i, b_ik);
-                    let s_jl = t.slot(jo, b_jl);
-                    // Skip the bond (j, i) itself.
-                    if t.owner[s_jl] as usize == i {
-                        let back = [
-                            t.dx[s_jl] + t.dx[s_ij],
-                            t.dy[s_jl] + t.dy[s_ij],
-                            t.dz[s_jl] + t.dz[s_ij],
-                        ];
-                        if dot(back, back) < 1e-16 {
-                            continue;
-                        }
-                    }
-                    if eligible(state, params, i, s_ik, s_ij, s_jl) {
-                        *c += 1;
-                    }
-                }
+            for b_jl in 0..nbj {
+                let s_ik = t.slot(i, b_ik);
+                let s_jl = t.slot(jo, b_jl);
+                let kept = eligible(state, params, i, s_ik, s_ij, s_jl).then_some(Quad {
+                    i: i as u32,
+                    b_ik: b_ik as u32,
+                    b_ij: b_ij as u32,
+                    b_jl: b_jl as u32,
+                });
+                f(kept);
             }
         }
-    });
-    let mut offsets = vec![0usize; nlocal + 1];
-    let total = space.parallel_scan("TorsionScan", &counts, &mut offsets);
-    let mut quads = vec![
-        Quad {
-            i: 0,
-            b_ik: 0,
-            b_ij: 0,
-            b_jl: 0
+    }
+}
+
+/// The compressed quad table with its per-atom counts, candidate
+/// tallies and offsets: one pooled workspace, refilled in place by
+/// [`QuadTable::build`], grown never shrunk.
+#[derive(Debug, Default)]
+pub struct QuadTable {
+    /// All quads of a center atom are contiguous.
+    pub quads: Vec<Quad>,
+    /// Candidates examined and quads kept by the last build.
+    pub stats: QuadStats,
+    counts: Vec<usize>,
+    cands: Vec<u64>,
+    offsets: Vec<usize>,
+}
+
+impl QuadTable {
+    /// Count + fill the compressed quad table: a divergent count pass,
+    /// a scan, and a fill pass that walks the same candidates again.
+    /// Returns how many buffers had to grow (0 in steady state).
+    pub fn build(&mut self, state: &BondState, params: &ReaxParams, space: &Space) -> u64 {
+        let nlocal = state.table.nlocal;
+        let mut grown = ensure_len(&mut self.counts, nlocal);
+        grown += ensure_len(&mut self.cands, nlocal);
+        grown += ensure_len(&mut self.offsets, nlocal + 1);
+        let tallies = (
+            parts::elements(&mut self.counts),
+            parts::elements(&mut self.cands),
+        );
+        space.parallel_for_parts("TorsionCount", nlocal, tallies, |i, (c, cand)| {
+            (*c, *cand) = (0, 0);
+            quads_of(state, params, i, |quad| {
+                *cand += 1;
+                *c += usize::from(quad.is_some());
+            });
+        });
+        let total = space.parallel_scan("TorsionScan", &self.counts, &mut self.offsets);
+        grown += ensure_len(&mut self.quads, total);
+        let ranges = parts::csr(&mut self.quads, &self.offsets);
+        space.parallel_for_parts("TorsionFill", nlocal, ranges, |i, mine| {
+            let mut at = 0;
+            quads_of(state, params, i, |quad| {
+                if let Some(quad) = quad {
+                    mine[at] = quad;
+                    at += 1;
+                }
+            });
+        });
+        self.stats = QuadStats {
+            candidates: self.cands.iter().sum(),
+            kept: total as u64,
         };
-        total
-    ];
-    let ranges = parts::csr(&mut quads, &offsets);
-    space.parallel_for_parts("TorsionFill", nlocal, ranges, |i, mine| {
-        let nb = t.count[i] as usize;
-        let mut at = 0;
-        for b_ij in 0..nb {
-            let s_ij = t.slot(i, b_ij);
-            let jo = t.owner[s_ij] as usize;
-            if jo <= i {
-                continue;
-            }
-            let nbj = t.count[jo] as usize;
-            for b_ik in 0..nb {
-                if b_ik == b_ij {
-                    continue;
-                }
-                for b_jl in 0..nbj {
-                    let s_ik = t.slot(i, b_ik);
-                    let s_jl = t.slot(jo, b_jl);
-                    if t.owner[s_jl] as usize == i {
-                        let back = [
-                            t.dx[s_jl] + t.dx[s_ij],
-                            t.dy[s_jl] + t.dy[s_ij],
-                            t.dz[s_jl] + t.dz[s_ij],
-                        ];
-                        if dot(back, back) < 1e-16 {
-                            continue;
-                        }
-                    }
-                    if eligible(state, params, i, s_ik, s_ij, s_jl) {
-                        mine[at] = Quad {
-                            i: i as u32,
-                            b_ik: b_ik as u32,
-                            b_ij: b_ij as u32,
-                            b_jl: b_jl as u32,
-                        };
-                        at += 1;
-                    }
-                }
-            }
-        }
-    });
-    let stats = QuadStats {
-        candidates: cands.iter().sum(),
-        kept: total as u64,
-    };
-    (quads, stats)
+        grown
+    }
 }
 
 /// Fully convergent torsion kernel over the compressed quad table.
@@ -302,7 +284,7 @@ pub fn compute_torsions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bond_order::{BondState, BondTable};
+    use crate::bond_order::BondState;
     use lkk_core::atom::AtomData;
     use lkk_core::comm::build_ghosts;
     use lkk_core::domain::Domain;
@@ -325,9 +307,15 @@ mod tests {
         let settings = NeighborSettings::new(params.r_nonb, 0.3, false);
         let ghosts = build_ghosts(&mut atoms, &domain, settings.cutneigh());
         let list = NeighborList::build(&atoms, &domain, &settings, &Space::Serial);
-        let table = BondTable::build(&atoms, &list, &ghosts, &params, &Space::Serial);
-        let state = BondState::compute(table, &params, &atoms);
+        let mut state = BondState::default();
+        state.build(&atoms, &list, &ghosts, &params, &Space::Serial);
         (state, params, atoms)
+    }
+
+    fn quads(state: &BondState, params: &ReaxParams, space: &Space) -> (Vec<Quad>, QuadStats) {
+        let mut table = QuadTable::default();
+        table.build(state, params, space);
+        (table.quads, table.stats)
     }
 
     #[test]
@@ -339,7 +327,7 @@ mod tests {
             [8.0, 7.4, 6.4],
             [9.4, 7.5, 6.7],
         ]);
-        let (quads, stats) = build_quads(&state, &params, &Space::Serial);
+        let (quads, stats) = quads(&state, &params, &Space::Serial);
         assert_eq!(quads.len(), 1, "stats {stats:?}");
         assert_eq!(stats.kept, 1);
         // And the paper's selectivity statistic is meaningful:
@@ -349,7 +337,7 @@ mod tests {
     #[test]
     fn dimer_has_no_quads() {
         let (state, params, _): (BondState, _, _) = state_for(&[[6.0, 6.0, 6.0], [7.4, 6.0, 6.0]]);
-        let (quads, stats) = build_quads(&state, &params, &Space::Serial);
+        let (quads, stats) = quads(&state, &params, &Space::Serial);
         assert!(quads.is_empty());
         assert_eq!(stats.kept, 0);
     }
@@ -367,8 +355,8 @@ mod tests {
             positions.push([base[0] + 2.0, base[1] + 1.4, base[2] + 0.4]);
         }
         let (mut state, params, _) = state_for(&positions);
-        let (q1, s1) = build_quads(&state, &params, &Space::Serial);
-        let (q2, s2) = build_quads(&state, &params, &Space::Threads);
+        let (q1, s1) = quads(&state, &params, &Space::Serial);
+        let (q2, s2) = quads(&state, &params, &Space::Threads);
         assert_eq!(s1.kept, s2.kept);
         for (a, b) in q1.iter().zip(&q2) {
             assert_eq!((a.i, a.b_ik, a.b_ij, a.b_jl), (b.i, b.b_ik, b.b_ij, b.b_jl));

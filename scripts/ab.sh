@@ -24,7 +24,9 @@
 #     sides, the signed change of the median toward "worse" in units of
 #     the metric's BENCHMARK.json bound, and wins/pairs for the change.
 #     "unresolved" = the parent's own quartile spread exceeds the bound
-#     and the change's runs do not all beat the parent's.
+#     and the change's runs do not all beat the parent's;
+#   * then every run, one line per `workload pair side metric value`,
+#     sorted by workload, metric and pair, so each pair can be quoted.
 set -euo pipefail
 
 PAIRS=10
@@ -137,3 +139,7 @@ END {
       worse / bound[m], wins, n - ties, verdict
   }
 }' "$work/metrics.txt" "$runs"
+
+echo
+echo "# workload pair side metric value"
+sort -k1,1 -k4,4 -k2,2n -k3,3 "$runs"
